@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"resilientloc/internal/engine/run"
@@ -36,7 +38,7 @@ func TestWorkersFlagMatchesLocalJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dist bytes.Buffer
-	if err := realMain(append(args, "-workers", distWorkers(t), "-ranges", "4"), &dist); err != nil {
+	if err := realMain(append(args, "-workers", distWorkers(t)), &dist); err != nil {
 		t.Fatal(err)
 	}
 	if local.String() != dist.String() {
@@ -44,10 +46,40 @@ func TestWorkersFlagMatchesLocalJSON(t *testing.T) {
 	}
 }
 
-// TestRangesNeedsWorkers: -ranges without -workers errors.
-func TestRangesNeedsWorkers(t *testing.T) {
-	if err := realMain([]string{"-only", "fig11", "-ranges", "2"}, &bytes.Buffer{}); err == nil ||
-		!strings.Contains(err.Error(), "-workers") {
-		t.Errorf("err %v, want -ranges/-workers coupling error", err)
+// TestWorkersFlagReusesFleetCache: like locc and cmd/scenarios, -workers
+// adopts what the fleet's caches hold, so repeating a distributed figure
+// submits no job at all and still prints the same bytes.
+func TestWorkersFlagReusesFleetCache(t *testing.T) {
+	srv, err := locsrv.New(run.Options{CacheDir: filepath.Join(t.TempDir(), "cache")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var submits atomic.Int32
+	h := srv.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			submits.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { srv.Close(); hs.Close() })
+
+	args := []string{"-only", "maxrange", "-seed", "1", "-json", "-workers", hs.URL}
+	var first, second bytes.Buffer
+	if err := realMain(args, &first); err != nil {
+		t.Fatal(err)
+	}
+	if submits.Load() == 0 {
+		t.Fatal("the cold run submitted no jobs")
+	}
+	submits.Store(0)
+	if err := realMain(args, &second); err != nil {
+		t.Fatal(err)
+	}
+	if n := submits.Load(); n != 0 {
+		t.Errorf("the repeated run submitted %d jobs, want 0 (every range is cached on the worker)", n)
+	}
+	if first.String() != second.String() {
+		t.Errorf("reused run diverged\nfirst  %s\nsecond %s", first.String(), second.String())
 	}
 }

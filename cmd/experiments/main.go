@@ -107,7 +107,6 @@ func realMain(args []string, out io.Writer) error {
 		"comma-separated locd worker URLs: distribute each figure's trials across them instead of running locally")
 	discover := fs.String("discover", "",
 		"fleet registry base URL to discover locd workers from (distributed mode, like -workers; mid-run joiners participate)")
-	ranges := fs.Int("ranges", 0, "trial sub-ranges per distributed figure (0 = elastic chunked scheduling with stealing)")
 	asJSON := fs.Bool("json", false, "emit results as a JSON array")
 	progress := fs.Bool("progress", true, "stream per-figure trial progress to stderr")
 	traceFile := fs.String("trace", "",
@@ -147,13 +146,10 @@ func realMain(args []string, out io.Writer) error {
 		return err
 	}
 	if *workers != "" || *discover != "" {
-		if err := runDistributed(ctx, out, specs, *workers, *discover, *ranges, *asJSON, *progress); err != nil {
+		if err := runDistributed(ctx, out, specs, *workers, *discover, *asJSON, *progress); err != nil {
 			return err
 		}
-		return writeTrace(tracer, *traceFile)
-	}
-	if *ranges != 0 {
-		return fmt.Errorf("-ranges needs -workers or -discover")
+		return tracer.WriteChromeTraceFile(*traceFile)
 	}
 	jobs, err := spec.ResolveAll(specs)
 	if err != nil {
@@ -188,7 +184,7 @@ func realMain(args []string, out io.Writer) error {
 	if firstErr != nil {
 		return firstErr
 	}
-	if err := writeTrace(tracer, *traceFile); err != nil {
+	if err := tracer.WriteChromeTraceFile(*traceFile); err != nil {
 		return err
 	}
 	if *asJSON {
@@ -216,28 +212,17 @@ func printList(out io.Writer) error {
 	return nil
 }
 
-// writeTrace dumps the tracer's span tree as Chrome trace_event JSON; a nil
-// tracer (no -trace flag) writes nothing.
-func writeTrace(tracer *obs.Tracer, path string) error {
-	if tracer == nil {
-		return nil
-	}
-	if err := tracer.WriteChromeTraceFile(path); err != nil {
-		return fmt.Errorf("write trace: %w", err)
-	}
-	return nil
-}
-
 // runDistributed executes each figure spec across the locd worker fleet via
 // the trial-range coordinator. Figure results are byte-identical to the
 // local path (figures carry no execution metadata), so -json output matches
-// a local run exactly.
-func runDistributed(ctx context.Context, out io.Writer, specs []spec.JobSpec, workers, discover string, ranges int, asJSON, progress bool) error {
+// a local run exactly. Like locc and cmd/scenarios, it adopts whatever the
+// fleet's caches already hold.
+func runDistributed(ctx context.Context, out io.Writer, specs []spec.JobSpec, workers, discover string, asJSON, progress bool) error {
 	urls := coord.ParseWorkers(workers)
 	var results []*experiments.Result
 	for _, sp := range specs {
 		start := time.Now()
-		opts := coord.Options{Workers: urls, Ranges: ranges, Discover: discover, Warnings: os.Stderr}
+		opts := coord.Options{Workers: urls, Discover: discover, Reuse: true, Warnings: os.Stderr}
 		var sb *coord.Scoreboard
 		if progress && !asJSON {
 			sb = coord.NewScoreboard(os.Stderr, sp.ID)

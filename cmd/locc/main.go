@@ -10,9 +10,9 @@
 //	locc -workers http://host1:8090,http://host2:8090 -spec jobs.json [-json]
 //	locc -workers ... -kind scenario -id multilat-town [-seed S] [-trials N] [-shard-size N]
 //	locc -workers ... -kind scenario -id mobility-waypoint -param speed_mps=2.5
-//	locc -workers ... -kind figure -id maxrange [-seed S] [-ranges N] [-stall-timeout 5m]
+//	locc -workers ... -kind figure -id maxrange [-seed S] [-stall-timeout 5m]
 //	locc -workers ... -kind figure -id maxrange -trace out.json
-//	locc -discover http://registry:8090 -kind scenario -id multilat-town [-resume]
+//	locc -discover http://registry:8090 -kind scenario -id multilat-town
 //
 // On a terminal, progress renders as a live per-worker scoreboard (ranges
 // won, trials/sec, retries, stall hedges, steals). -trace writes the run's
@@ -20,23 +20,22 @@
 // worker's job and engine-shard spans grafted beneath them — as Chrome
 // trace_event JSON, loadable in chrome://tracing or Perfetto.
 //
-// Jobs run sequentially; each job's trials are what distribute. By default
-// scheduling is elastic: workers draw shard-aligned chunks, idle workers
-// steal unsubmitted work, and with -discover the fleet is read — and
-// re-read mid-run — from a membership registry (any locd serves one), so
-// workers that join while a job runs are put to work. -ranges N pins the
-// old fixed N-way split instead. -resume probes the fleet's range-keyed
-// caches for sub-ranges a crashed coordinator's run already completed and
-// re-executes only the gaps. -reuse (on by default) extends that probe to
-// ranges banked under a *different* trial count, so growing a previously
-// coordinated 1024-trial run to 4096 computes only [1024, 4096); -ci-target
-// keeps doubling the trial count until the 95% CI half-width of the
-// stopping metric falls below the target, each round extending the last
-// through the same cache. Every sub-job is content-addressed on the worker
-// fleet — its spec hash is the job ID and its range-extended cache key the
-// on-disk record — so retried or duplicated ranges are deduplicated, not
-// recomputed, and a resumed or reused result is byte-identical to an
-// uninterrupted cold one.
+// Jobs run sequentially; each job's trials are what distribute. Scheduling
+// is elastic: workers draw shard-aligned chunks, idle workers steal
+// unsubmitted work, and with -discover the fleet is read — and re-read
+// mid-run — from a membership registry (any locd serves one), so workers
+// that join while a job runs are put to work. -reuse (on by default) first
+// probes the fleet's range-keyed caches and executes only what they do not
+// hold: a crashed coordinator's finished sub-ranges are adopted, a cached
+// full result is returned as is, and ranges banked under a *different*
+// trial count extend too, so growing a previously coordinated 1024-trial
+// run to 4096 computes only [1024, 4096). -ci-target keeps doubling the
+// trial count until the 95% CI half-width of the stopping metric falls
+// below the target, each round extending the last through the same cache.
+// Every sub-job is content-addressed on the worker fleet — its spec hash
+// is the job ID and its range-extended cache key the on-disk record — so
+// retried or duplicated ranges are deduplicated, not recomputed, and a
+// reused result is byte-identical to an uninterrupted cold one.
 package main
 
 import (
@@ -95,15 +94,12 @@ func realMain(args []string, out, errOut io.Writer) error {
 		"fleet registry base URL to discover workers from (any locd serves one); re-polled mid-run for joiners")
 	discoverEvery := fs.Duration("discover-interval", 0,
 		"registry re-poll period with -discover (0 = default)")
-	resume := fs.Bool("resume", false,
-		"probe the fleet's range-keyed caches for a crashed coordinator's finished sub-ranges and run only the gaps")
 	reuse := fs.Bool("reuse", true,
-		"extend cached ranges banked under other trial counts (prefix reuse); -reuse=false forces a cold run")
+		"adopt the fleet's cached results and ranges (of any trial count) and run only the gaps; -reuse=false forces a cold run")
 	ciTarget := fs.Float64("ci-target", 0,
 		"auto-trials mode: double the trial count until the 95% CI half-width of the stopping metric is at most this (scenario jobs; overrides nothing when 0)")
 	ciMetric := fs.String("ci-metric", "",
 		"stopping metric for -ci-target (default: the report's headline metric)")
-	ranges := fs.Int("ranges", 0, "trial sub-ranges per job (0 = elastic chunked scheduling with work stealing)")
 	stall := fs.Duration("stall-timeout", 0,
 		"event-stream silence before a range is hedged onto another worker (0 = default)")
 	specFile := fs.String("spec", "", "JSON job-spec file to execute (one object or an array)")
@@ -156,10 +152,8 @@ func realMain(args []string, out, errOut io.Writer) error {
 	for _, sp := range specs {
 		opts := coord.Options{
 			Workers:          workers,
-			Ranges:           *ranges,
 			Discover:         *discover,
 			DiscoverInterval: *discoverEvery,
-			Resume:           *resume,
 			Reuse:            *reuse,
 			StallTimeout:     *stall,
 			Warnings:         errOut,
@@ -202,9 +196,6 @@ func realMain(args []string, out, errOut io.Writer) error {
 		if st.Joined > 0 || st.Left > 0 {
 			extra += fmt.Sprintf(", fleet %+d/%+d", st.Joined, -st.Left)
 		}
-		if st.ResumedRanges > 0 {
-			extra += fmt.Sprintf(", resumed %d trials in %d ranges", st.ResumedTrials, st.ResumedRanges)
-		}
 		if st.ReusedRanges > 0 {
 			extra += fmt.Sprintf(", reused %d trials in %d ranges", st.ReusedTrials, st.ReusedRanges)
 		}
@@ -212,10 +203,8 @@ func realMain(args []string, out, errOut io.Writer) error {
 			st.Ranges, st.Workers, st.Retries, st.Hedges, st.DedupLosses, extra,
 			time.Since(start).Round(time.Millisecond))
 	}
-	if tracer != nil {
-		if err := tracer.WriteChromeTraceFile(*traceFile); err != nil {
-			return fmt.Errorf("write trace: %w", err)
-		}
+	if err := tracer.WriteChromeTraceFile(*traceFile); err != nil {
+		return err
 	}
 	if *asJSON {
 		enc := json.NewEncoder(out)

@@ -82,7 +82,7 @@ func TestDistributedFigureMatchesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := realMain([]string{"-workers", workers, "-ranges", "3", "-spec", specFile, "-json"}, &buf, io.Discard); err != nil {
+	if err := realMain([]string{"-workers", workers, "-spec", specFile, "-json"}, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var results []*experiments.Result

@@ -60,12 +60,3 @@ func TestWorkersFlagMatchesLocalRun(t *testing.T) {
 		t.Errorf("-workers aggregates diverged\nlocal %s\ndist  %s", lj, dj)
 	}
 }
-
-// TestRangesNeedsWorkers: -ranges without -workers is an error instead of a
-// silent no-op.
-func TestRangesNeedsWorkers(t *testing.T) {
-	if err := run([]string{"-run", "multilat-town", "-ranges", "2"}, &bytes.Buffer{}); err == nil ||
-		!strings.Contains(err.Error(), "-workers") {
-		t.Errorf("err %v, want -ranges/-workers coupling error", err)
-	}
-}

@@ -83,7 +83,6 @@ func run(args []string, out io.Writer) error {
 		"comma-separated locd worker URLs: distribute each scenario's trials across them instead of running locally")
 	discover := fs.String("discover", "",
 		"fleet registry base URL to discover locd workers from (distributed mode, like -workers; mid-run joiners participate)")
-	ranges := fs.Int("ranges", 0, "trial sub-ranges per distributed scenario (0 = elastic chunked scheduling with stealing)")
 	ciTarget := fs.Float64("ci-target", 0,
 		"auto-trials mode: double each scenario's trial count until the 95% CI half-width of the stopping metric is at most this (0 = fixed trial counts)")
 	ciMetric := fs.String("ci-metric", "",
@@ -139,13 +138,10 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *workers != "" || *discover != "" {
-		if err := runDistributed(ctx, out, specs, *workers, *discover, *ranges, *asJSON, *progress); err != nil {
+		if err := runDistributed(ctx, out, specs, *workers, *discover, *asJSON, *progress); err != nil {
 			return err
 		}
-		return writeTrace(tracer, *traceFile)
-	}
-	if *ranges != 0 {
-		return fmt.Errorf("-ranges needs -workers or -discover")
+		return tracer.WriteChromeTraceFile(*traceFile)
 	}
 	sess, err := enginerun.NewSession(opts)
 	if err != nil {
@@ -158,7 +154,7 @@ func run(args []string, out io.Writer) error {
 		if err := runSequential(ctx, out, sess, specs, *asJSON); err != nil {
 			return err
 		}
-		return writeTrace(tracer, *traceFile)
+		return tracer.WriteChromeTraceFile(*traceFile)
 	}
 	jobs, err := spec.ResolveAll(specs)
 	if err != nil {
@@ -185,7 +181,7 @@ func run(args []string, out io.Writer) error {
 	if firstErr != nil {
 		return firstErr
 	}
-	if err := writeTrace(tracer, *traceFile); err != nil {
+	if err := tracer.WriteChromeTraceFile(*traceFile); err != nil {
 		return err
 	}
 	if *asJSON {
@@ -242,29 +238,17 @@ func runSequential(ctx context.Context, out io.Writer, sess *enginerun.Session, 
 	return nil
 }
 
-// writeTrace dumps the tracer's span tree as Chrome trace_event JSON; a nil
-// tracer (no -trace flag) writes nothing.
-func writeTrace(tracer *obs.Tracer, path string) error {
-	if tracer == nil {
-		return nil
-	}
-	if err := tracer.WriteChromeTraceFile(path); err != nil {
-		return fmt.Errorf("write trace: %w", err)
-	}
-	return nil
-}
-
 // runDistributed executes each scenario spec across the locd worker fleet
 // via the trial-range coordinator. Aggregates are byte-identical to the
 // local path; the report's execution metadata describes the coordinated run
 // (distinct workers used, coordination wall time).
-func runDistributed(ctx context.Context, out io.Writer, specs []spec.JobSpec, workers, discover string, ranges int, asJSON, progress bool) error {
+func runDistributed(ctx context.Context, out io.Writer, specs []spec.JobSpec, workers, discover string, asJSON, progress bool) error {
 	urls := coord.ParseWorkers(workers)
 	var reports []*engine.Report
 	for _, sp := range specs {
 		// Reuse is on by default distributed, matching locc: extending a
 		// previously coordinated run computes only the new trials.
-		opts := coord.Options{Workers: urls, Ranges: ranges, Discover: discover, Reuse: true, Warnings: os.Stderr}
+		opts := coord.Options{Workers: urls, Discover: discover, Reuse: true, Warnings: os.Stderr}
 		var sb *coord.Scoreboard
 		if progress && !asJSON {
 			sb = coord.NewScoreboard(os.Stderr, sp.ID)

@@ -17,20 +17,17 @@
 // hedged onto a second worker yields the same job ID and the same bytes,
 // and the coordinator keeps whichever copy arrives first.
 //
-// Partitioning has two modes. With Options.Ranges set, the trial space is
-// split up front into that many fixed ranges — the fully reproducible
-// scheduling older callers pin. With Ranges zero (the default), the
-// coordinator schedules elastically: each worker draws chunks — roughly
-// half its remaining assignment at a time, shard-sized at the tail — and
-// an idle worker steals the tail half of the largest unsubmitted
-// assignment in the fleet. Because only *unsubmitted* work moves, stealing
-// never duplicates a trial, and the chunks still tile the trial space
-// exactly, so the merged bytes are unchanged. Dynamic mode can also
-// discover its fleet from a membership registry (Options.Discover,
+// Scheduling is elastic: each worker draws chunks from its own contiguous
+// assignment — roughly half of what remains at a time, shard-sized at the
+// tail — and an idle worker steals the tail half of the largest
+// unsubmitted assignment in the fleet. Because only *unsubmitted* work
+// moves, stealing never duplicates a trial, and the chunks still tile the
+// trial space exactly, so the merged bytes are unchanged. The coordinator
+// can discover its fleet from a membership registry (Options.Discover,
 // internal/engine/fleet) — re-polled during the run, so a worker that
-// joins mid-run is put to work by stealing — and resume a predecessor's
-// half-finished job (Options.Resume) by probing each worker's range-keyed
-// cache entries and re-executing only the gaps.
+// joins mid-run is put to work by stealing — and, with Options.Reuse,
+// adopts what the fleet's caches already hold: a predecessor's finished
+// ranges, ranges banked under other trial counts, or the whole result.
 package coord
 
 import (
@@ -58,19 +55,15 @@ import (
 // range completes exactly once (coord_ranges_total); extra submissions show
 // up as retries (worker failed) or hedges (worker stalled), and a hedge that
 // loses the completion race increments coord_dedup_losses_total — the cost
-// of the hedging policy, distinct from its benefit. Dynamic mode adds
-// steals (unsubmitted work moved to an idle worker — free by construction),
-// resumed trials (this job's own prior ranges recovered from a dead
-// predecessor's range-keyed cache entries — Options.Resume), and reused
-// trials (a different trial count's surviving ranges adapted in by the
-// prefix-reuse planner — Options.Reuse).
+// of the hedging policy, distinct from its benefit. Steals count unsubmitted
+// work moved to an idle worker (free by construction), and reused trials
+// count work adopted from the fleet's range-keyed caches (Options.Reuse).
 var (
 	obsRanges    = obs.Default().Counter("coord_ranges_total")
 	obsRetries   = obs.Default().Counter("coord_retries_total")
 	obsHedges    = obs.Default().Counter("coord_hedges_total")
 	obsDedupLoss = obs.Default().Counter("coord_dedup_losses_total")
 	obsSteals    = obs.Default().Counter("coord_steals_total")
-	obsResumed   = obs.Default().Counter("coord_resumed_trials_total")
 	obsReused    = obs.Default().Counter("coord_reused_trials_total")
 )
 
@@ -80,7 +73,7 @@ var (
 // shard's compute time.
 const DefaultStallTimeout = 5 * time.Minute
 
-// DefaultDiscoverInterval is how often dynamic mode re-polls the fleet
+// DefaultDiscoverInterval is how often the coordinator re-polls the fleet
 // registry for workers that joined or left mid-run.
 const DefaultDiscoverInterval = 2 * time.Second
 
@@ -90,36 +83,24 @@ type Options struct {
 	// trial ranges are distributed across. At least one is required unless
 	// Discover names a registry to find them in.
 	Workers []string
-	// Ranges selects the partitioning mode. Positive: split the trial space
-	// up front into exactly that many contiguous ranges (clamped to the
-	// trial count; with a single range the job is submitted whole, so even
-	// single-trial campaigns coordinate). Zero (the default): dynamic mode —
-	// workers draw shard-aligned chunks from per-worker assignments, idle
-	// workers steal unsubmitted work from the busiest assignment, and
-	// mid-run joiners from Discover participate.
-	Ranges int
 	// Discover is a fleet-registry base URL (any locd serves one; see
 	// internal/engine/fleet). When set, the registry's live members are
-	// merged into Workers before execution, and dynamic mode keeps polling
-	// it during the run so workers that join mid-run are put to work.
+	// merged into Workers before execution, and the coordinator keeps
+	// polling it during the run so workers that join mid-run are put to
+	// work.
 	Discover string
-	// DiscoverInterval is the registry re-poll period in dynamic mode;
-	// 0 means DefaultDiscoverInterval.
+	// DiscoverInterval is the registry re-poll period; 0 means
+	// DefaultDiscoverInterval.
 	DiscoverInterval time.Duration
-	// Resume, in dynamic mode, probes every worker's range-keyed result
-	// cache for sub-ranges of this job a dead predecessor's run already
-	// completed (POST /v1/cache/ranges), merges those entries in, and
-	// executes only the gaps — the coordinator crash-recovery path. The
-	// resumed result is byte-identical to an uninterrupted run.
-	Resume bool
-	// Reuse, in dynamic mode, additionally accepts workers' range-keyed
-	// entries banked under a *different* full trial count (the prefix-reuse
-	// planner's cross-N extension): a worker holding ranges of a cached
-	// 1024-trial run lets a 4096-trial job compute only [1024, 4096). Every
-	// adopted entry is geometry-checked (engine.AdaptPartial) before it
-	// joins the merge set, so the result stays byte-identical to a cold
-	// run. Distinct from Resume, which replays this job's own interrupted
-	// ranges; the CLIs default Reuse on and keep Resume opt-in.
+	// Reuse probes every worker's range-keyed result cache for this job
+	// (POST /v1/cache/ranges) before scheduling. A cached full result is
+	// returned as is; otherwise the surviving ranges — a dead predecessor's
+	// finished sub-jobs, or ranges banked under a different full trial
+	// count, which let a 4096-trial job over a cached 1024-trial run compute
+	// only [1024, 4096) — are chained into a cover (engine.CoverRanges), and
+	// only the gaps execute. Every adopted entry is geometry-checked
+	// (engine.AdaptPartial), so the result stays byte-identical to a cold
+	// run. The CLIs default it on.
 	Reuse bool
 	// Client is the HTTP client; nil means http.DefaultClient. Do not set
 	// a global Client.Timeout — event streams live as long as their jobs;
@@ -160,13 +141,10 @@ type WorkerScore struct {
 	// coordinator to hedge the range onto another worker.
 	Hedges int
 	// Steals counts the times this worker, idle, took unsubmitted work from
-	// another worker's assignment (dynamic mode only).
+	// another worker's assignment.
 	Steals int
-	// ResumedTrials counts trials recovered from this worker's cache by
-	// crash-resume (entries of this job's own trial count).
-	ResumedTrials int
-	// ReusedTrials counts trials adopted from this worker's cache by the
-	// prefix-reuse planner (entries banked under a different trial count).
+	// ReusedTrials counts trials adopted from this worker's cache instead
+	// of computed (Options.Reuse).
 	ReusedTrials int
 	// TrialsPerSec is Trials divided by the worker's cumulative winning-
 	// attempt wall time; 0 until the worker wins a range.
@@ -192,24 +170,17 @@ type Stats struct {
 	DedupLosses int
 	// Workers is how many distinct workers completed at least one range.
 	Workers int
-	// Steals counts unsubmitted-work transfers to idle workers (dynamic
-	// mode). A steal moves work that had not started anywhere, so it never
-	// duplicates a trial.
+	// Steals counts unsubmitted-work transfers to idle workers. A steal
+	// moves work that had not started anywhere, so it never duplicates a
+	// trial.
 	Steals int
 	// Joined and Left count mid-run fleet membership changes observed from
-	// the registry (dynamic mode with Discover set).
+	// the registry (with Discover set).
 	Joined int
 	Left   int
-	// ResumedTrials and ResumedRanges describe this job's own prior work
-	// recovered from the fleet's range-keyed caches instead of recomputed
-	// (Options.Resume): entries banked under the job's exact trial count.
-	ResumedTrials int
-	ResumedRanges int
-	// ReusedTrials and ReusedRanges describe work the prefix-reuse planner
-	// adopted from a *different* trial count's surviving cache entries
-	// (Options.Reuse) — incremental extension rather than crash recovery.
-	// The two counters never overlap: each merged cache entry is counted as
-	// exactly one of resumed or reused.
+	// ReusedTrials and ReusedRanges describe work adopted from the fleet's
+	// range-keyed caches instead of computed (Options.Reuse): a cached full
+	// result counts as one range of every trial.
 	ReusedTrials int
 	ReusedRanges int
 }
@@ -248,8 +219,7 @@ func Execute(ctx context.Context, sp spec.JobSpec, opts Options) (*spec.Value, S
 	ctx, jobSpan := obs.Start(ctx, "coord.job")
 	if jobSpan != nil {
 		jobSpan.SetAttr("job", sp.Hash()).SetAttr("scenario", job.Campaign.Scenario.Name).
-			SetAttr("trials", job.TotalTrials).SetAttr("dynamic", c.dynamic).
-			SetAttr("workers", len(c.workers))
+			SetAttr("trials", job.TotalTrials).SetAttr("workers", len(c.workers))
 	}
 	defer jobSpan.End()
 	val, err := c.run(ctx)
@@ -288,57 +258,10 @@ func mergeWorkerURLs(static, discovered []string) []string {
 }
 
 // ParseWorkers splits a comma-separated -workers flag value into base
-// URLs, dropping empty entries — the one parser every coordinator
-// front-end shares.
+// URLs, normalized and deduplicated like every worker list — the one parser
+// every coordinator front-end shares.
 func ParseWorkers(v string) []string {
-	var out []string
-	for _, w := range strings.Split(v, ",") {
-		if w = strings.TrimSpace(w); w != "" {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// MilestoneProgress returns an OnProgress callback printing
-// newline-delimited quarter-milestone lines ("id: done/total trials") to w
-// — the non-TTY convention of the local runner, shared by the coordinator
-// CLIs.
-func MilestoneProgress(w io.Writer, id string) func(done, total int) {
-	lastQuarter := -1
-	return func(done, total int) {
-		if total <= 0 {
-			return
-		}
-		if q := 4 * done / total; q > lastQuarter {
-			lastQuarter = q
-			fmt.Fprintf(w, "%s: %d/%d trials\n", id, done, total)
-		}
-	}
-}
-
-// SplitRanges cuts [0, trials) into k contiguous, non-empty, near-equal
-// ranges (k is clamped to trials; the first trials%k ranges get the extra
-// trial).
-func SplitRanges(trials, k int) []spec.Range {
-	if k > trials {
-		k = trials
-	}
-	if k < 1 {
-		k = 1
-	}
-	base, rem := trials/k, trials%k
-	out := make([]spec.Range, k)
-	lo := 0
-	for i := range out {
-		n := base
-		if i < rem {
-			n++
-		}
-		out[i] = spec.Range{Lo: lo, Hi: lo + n}
-		lo += n
-	}
-	return out
+	return mergeWorkerURLs(strings.Split(v, ","), nil)
 }
 
 type coordinator struct {
@@ -346,11 +269,9 @@ type coordinator struct {
 	client   *http.Client
 	stall    time.Duration
 	maxTry   int
-	dynamic  bool // Ranges == 0: chunked assignments, stealing, discovery, resume
-	minChunk int  // smallest chunk dynamic mode carves: one effective shard
+	minChunk int // smallest chunk the coordinator carves: one effective shard
 	discover string
 	poll     time.Duration
-	resumeOn bool
 	reuseOn  bool
 	onProg   func(done, total int)
 	warn     io.Writer
@@ -361,9 +282,8 @@ type coordinator struct {
 	workers []string
 	// ranges/parts/rangeDone are parallel slices: the sub-ranges of the
 	// trial space, each slot's winning result, and its progress counter.
-	// Static mode fixes them up front; dynamic mode appends a slot per
-	// carved chunk (and per resumed cache entry), still tiling
-	// [0, TotalTrials) exactly.
+	// A slot is appended per carved chunk (and per reused cache entry),
+	// together tiling [0, TotalTrials) exactly.
 	ranges    []spec.Range
 	parts     []*spec.Value
 	rangeDone []int
@@ -380,18 +300,16 @@ type coordinator struct {
 	// registry poller's cue that no joiner can be put to work anymore.
 	drainCh chan struct{}
 
-	retries       int
-	hedges        int
-	dedupLosses   int
-	steals        int
-	joined        int
-	left          int
-	resumedTrials int
-	resumedRanges int
-	reusedTrials  int
-	reusedRanges  int
-	workersUsed   map[string]bool
-	scores        map[string]*workerTally
+	retries      int
+	hedges       int
+	dedupLosses  int
+	steals       int
+	joined       int
+	left         int
+	reusedTrials int
+	reusedRanges int
+	workersUsed  map[string]bool
+	scores       map[string]*workerTally
 
 	// scoreMu serializes OnScoreboard invocations outside c.mu, so a slow
 	// renderer never blocks range completions.
@@ -405,8 +323,7 @@ type workerTally struct {
 	retries int
 	hedges  int
 	steals  int
-	resumed int           // trials crash-resume recovered from this worker's cache
-	reused  int           // trials the prefix-reuse planner adopted from this worker's cache
+	reused  int           // trials adopted from this worker's cache
 	busy    time.Duration // wall time of winning attempts
 }
 
@@ -417,16 +334,11 @@ func newCoordinator(job spec.Resolved, opts Options) (*coordinator, error) {
 		}
 		return nil, fmt.Errorf("coord: no workers configured")
 	}
-	workers := make([]string, len(opts.Workers))
-	for i, w := range opts.Workers {
-		w = strings.TrimRight(strings.TrimSpace(w), "/")
-		if w == "" {
-			return nil, fmt.Errorf("coord: empty worker URL")
-		}
-		workers[i] = w
-	}
-	if opts.Ranges < 0 {
-		return nil, fmt.Errorf("coord: negative range count %d", opts.Ranges)
+	// Assignments are keyed by URL, so a worker listed twice must be one
+	// worker, not two that overwrite each other's assignment.
+	workers := mergeWorkerURLs(opts.Workers, nil)
+	if len(workers) == 0 {
+		return nil, fmt.Errorf("coord: empty worker URL")
 	}
 	stall := opts.StallTimeout
 	switch {
@@ -464,11 +376,9 @@ func newCoordinator(job spec.Resolved, opts Options) (*coordinator, error) {
 		client:      client,
 		stall:       stall,
 		maxTry:      maxTry,
-		dynamic:     opts.Ranges == 0,
 		minChunk:    minChunk,
 		discover:    opts.Discover,
 		poll:        poll,
-		resumeOn:    opts.Resume,
 		reuseOn:     opts.Reuse,
 		onProg:      opts.OnProgress,
 		onScore:     opts.OnScoreboard,
@@ -478,19 +388,13 @@ func newCoordinator(job spec.Resolved, opts Options) (*coordinator, error) {
 		discovered:  make(map[string]bool),
 		workersUsed: make(map[string]bool),
 		scores:      make(map[string]*workerTally),
-	}
-	if c.dynamic {
-		c.drainCh = make(chan struct{})
-	} else {
-		c.ranges = SplitRanges(job.Trials, opts.Ranges)
-		c.parts = make([]*spec.Value, len(c.ranges))
-		c.rangeDone = make([]int, len(c.ranges))
+		drainCh:     make(chan struct{}),
 	}
 	return c, nil
 }
 
-// rangeAt reads one range slot under the lock — in dynamic mode the slice
-// grows (and may reallocate) while other ranges run.
+// rangeAt reads one range slot under the lock — the slice grows (and may
+// reallocate) while other ranges run.
 func (c *coordinator) rangeAt(i int) spec.Range {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -521,7 +425,6 @@ func (c *coordinator) scoreboard() []WorkerScore {
 			out[i].Retries = t.retries
 			out[i].Hedges = t.hedges
 			out[i].Steals = t.steals
-			out[i].ResumedTrials = t.resumed
 			out[i].ReusedTrials = t.reused
 			if secs := t.busy.Seconds(); secs > 0 {
 				out[i].TrialsPerSec = float64(t.trials) / secs
@@ -546,19 +449,17 @@ func (c *coordinator) stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Trials:        c.job.TotalTrials,
-		Ranges:        len(c.ranges),
-		Retries:       c.retries,
-		Hedges:        c.hedges,
-		DedupLosses:   c.dedupLosses,
-		Workers:       len(c.workersUsed),
-		Steals:        c.steals,
-		Joined:        c.joined,
-		Left:          c.left,
-		ResumedTrials: c.resumedTrials,
-		ResumedRanges: c.resumedRanges,
-		ReusedTrials:  c.reusedTrials,
-		ReusedRanges:  c.reusedRanges,
+		Trials:       c.job.TotalTrials,
+		Ranges:       len(c.ranges),
+		Retries:      c.retries,
+		Hedges:       c.hedges,
+		DedupLosses:  c.dedupLosses,
+		Workers:      len(c.workersUsed),
+		Steals:       c.steals,
+		Joined:       c.joined,
+		Left:         c.left,
+		ReusedTrials: c.reusedTrials,
+		ReusedRanges: c.reusedRanges,
 	}
 }
 
@@ -575,42 +476,6 @@ func (c *coordinator) subSpecFor(rg spec.Range) spec.JobSpec {
 	return sub
 }
 
-// run executes every range and merges the results. The first range to fail
-// cancels its siblings: a range failure is fatal to the whole job, so
-// letting long sibling ranges run to completion would only delay the
-// inevitable error.
-func (c *coordinator) run(ctx context.Context) (*spec.Value, error) {
-	if c.dynamic {
-		return c.runDynamic(ctx)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for i := range c.ranges {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := c.runRange(ctx, i, ""); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				cancel()
-			}
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return c.merge()
-}
-
 // merge assembles the completed range slots into the job's full value. A
 // single whole-space slot is already finalized by its worker; any true
 // partition goes through the engine's order-independent partial merge.
@@ -622,7 +487,7 @@ func (c *coordinator) merge() (*spec.Value, error) {
 	if len(parts) == 1 && parts[0].Partial == nil {
 		return parts[0], nil
 	}
-	// Dynamic slots complete in carve order, not trial order.
+	// Slots complete in carve order, not trial order.
 	idx := make([]int, len(parts))
 	for i := range idx {
 		idx[i] = i
@@ -707,8 +572,8 @@ func (c *coordinator) progress(i, done int) {
 // runRange drives one range to completion: submit to a worker, watch its
 // event stream, and on failure retry — or on stall hedge, leaving the slow
 // attempt racing — on the least-tried surviving worker, up to the attempt
-// budget. In dynamic mode preferred names the worker whose assignment the
-// chunk was carved from; it gets the first attempt unless it departed.
+// budget. preferred names the worker whose assignment the chunk was carved
+// from; it gets the first attempt unless it departed.
 func (c *coordinator) runRange(ctx context.Context, i int, preferred string) error {
 	rg := c.rangeAt(i)
 	ctx, rangeSpan := obs.Start(ctx, "coord.range")
@@ -734,7 +599,7 @@ func (c *coordinator) runRange(ctx context.Context, i int, preferred string) err
 
 	launch := func() {
 		worker := ""
-		if attempts == 0 && preferred != "" && !c.hasDeparted(preferred) {
+		if attempts == 0 && !c.hasDeparted(preferred) {
 			worker = preferred
 		} else {
 			worker = c.pickWorker(i, attempts, tried)
@@ -999,12 +864,8 @@ func (c *coordinator) takeResult(ctx context.Context, worker string, js *wireJob
 // summary. The submit round-trip gets a bounded context: a worker that
 // accepts connections but never answers must not hold the attempt forever.
 func (c *coordinator) submit(ctx context.Context, worker string, sub spec.JobSpec) (*wireJob, error) {
-	tctx := ctx
-	if c.stall > 0 {
-		var cancel context.CancelFunc
-		tctx, cancel = context.WithTimeout(ctx, c.stall)
-		defer cancel()
-	}
+	tctx, cancel := c.boundedCtx(ctx)
+	defer cancel()
 	req, err := http.NewRequestWithContext(tctx, http.MethodPost, worker+"/v1/jobs", bytes.NewReader(sub.Canonical()))
 	if err != nil {
 		return nil, err
@@ -1030,12 +891,8 @@ func (c *coordinator) submit(ctx context.Context, worker string, sub spec.JobSpe
 
 // getJob fetches one job's full record (including its result when done).
 func (c *coordinator) getJob(ctx context.Context, worker, id string) (*wireJob, error) {
-	tctx := ctx
-	if c.stall > 0 {
-		var cancel context.CancelFunc
-		tctx, cancel = context.WithTimeout(ctx, c.stall)
-		defer cancel()
-	}
+	tctx, cancel := c.boundedCtx(ctx)
+	defer cancel()
 	req, err := http.NewRequestWithContext(tctx, http.MethodGet, worker+"/v1/jobs/"+id, nil)
 	if err != nil {
 		return nil, err

@@ -65,12 +65,12 @@ func normalized(t *testing.T, v *spec.Value) string {
 }
 
 // TestCoordinatedMatchesGoldenCorpus is the acceptance check: a multi-trial
-// figure job coordinated across two real locd workers renders
-// byte-identically to the golden corpus at seeds 1 and 5, for several
-// partitions of its trial space; a library scenario reproduces the local
-// run the same way.
+// figure job coordinated across real locd workers renders byte-identically
+// to the golden corpus at seeds 1 and 5, for fleets of one to three workers
+// (each carving the trial space differently); a library scenario
+// reproduces the local run the same way.
 func TestCoordinatedMatchesGoldenCorpus(t *testing.T) {
-	workers := []string{newWorker(t, run.Options{}), newWorker(t, run.Options{})}
+	fleet := []string{newWorker(t, run.Options{}), newWorker(t, run.Options{}), newWorker(t, run.Options{})}
 	goldenDir := filepath.Join("..", "..", "experiments", "testdata", "golden")
 
 	for _, seed := range []int64{1, 5} {
@@ -79,21 +79,21 @@ func TestCoordinatedMatchesGoldenCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ranges := range []int{2, 5} {
+		for n := 1; n <= len(fleet); n++ {
 			val, st, err := coord.Execute(context.Background(), sp,
-				coord.Options{Workers: workers, Ranges: ranges, Warnings: io.Discard})
+				coord.Options{Workers: fleet[:n], Warnings: io.Discard})
 			if err != nil {
-				t.Fatalf("maxrange seed %d ranges %d: %v", seed, ranges, err)
+				t.Fatalf("maxrange seed %d over %d workers: %v", seed, n, err)
 			}
 			if val.Figure == nil {
 				t.Fatalf("maxrange seed %d: no figure in %+v", seed, val)
 			}
 			if got := val.Figure.Render(); got != string(want) {
-				t.Errorf("maxrange seed %d over %d ranges diverged from golden output\n--- got ---\n%s--- want ---\n%s",
-					seed, ranges, got, want)
+				t.Errorf("maxrange seed %d over %d workers diverged from golden output\n--- got ---\n%s--- want ---\n%s",
+					seed, n, got, want)
 			}
-			if st.Ranges != ranges || st.Trials != 36 {
-				t.Errorf("stats %+v, want %d ranges over 36 trials", st, ranges)
+			if st.Ranges < n || st.Trials != 36 {
+				t.Errorf("stats %+v, want at least %d ranges over 36 trials", st, n)
 			}
 		}
 	}
@@ -101,21 +101,21 @@ func TestCoordinatedMatchesGoldenCorpus(t *testing.T) {
 	// A scenario job: coordinated result equals the local run.
 	sp := spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 1, Trials: 8, ShardSize: 2}
 	want := normalized(t, localValue(t, sp))
-	for _, ranges := range []int{0, 3, 8} { // 0 = one per worker
+	for n := 1; n <= len(fleet); n++ {
 		val, _, err := coord.Execute(context.Background(), sp,
-			coord.Options{Workers: workers, Ranges: ranges, Warnings: io.Discard})
+			coord.Options{Workers: fleet[:n], Warnings: io.Discard})
 		if err != nil {
-			t.Fatalf("ranges %d: %v", ranges, err)
+			t.Fatalf("%d workers: %v", n, err)
 		}
 		if got := normalized(t, val); got != want {
-			t.Errorf("ranges %d: coordinated scenario diverged\n got %s\nwant %s", ranges, got, want)
+			t.Errorf("%d workers: coordinated scenario diverged\n got %s\nwant %s", n, got, want)
 		}
 	}
 
 	// A single-trial figure cannot split; the coordinator submits it whole.
 	single := spec.JobSpec{Kind: spec.KindFigure, ID: "fig11", Seed: 1}
 	val, st, err := coord.Execute(context.Background(), single,
-		coord.Options{Workers: workers, Warnings: io.Discard})
+		coord.Options{Workers: fleet, Warnings: io.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCoordinatorProgressAggregates(t *testing.T) {
 	monotonic := true
 	val, _, err := coord.Execute(context.Background(),
 		spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 2, Trials: 8, ShardSize: 1},
-		coord.Options{Workers: workers, Ranges: 4, Warnings: io.Discard,
+		coord.Options{Workers: workers, Warnings: io.Discard,
 			OnProgress: func(done, total int) {
 				if done < prev || total != 8 {
 					monotonic = false
@@ -242,7 +242,6 @@ func TestCoordinatorRetriesFaultyWorkers(t *testing.T) {
 	} {
 		val, st, err := coord.Execute(context.Background(), sp, coord.Options{
 			Workers:      []string{faulty, healthy},
-			Ranges:       2,
 			StallTimeout: 200 * time.Millisecond,
 			Warnings:     io.Discard,
 		})
@@ -293,7 +292,6 @@ func TestCoordinatorDedupesDuplicateCompletions(t *testing.T) {
 
 	val, st, err := coord.Execute(context.Background(), sp, coord.Options{
 		Workers:      []string{slow, backend},
-		Ranges:       2,
 		StallTimeout: 100 * time.Millisecond,
 		Warnings:     io.Discard,
 	})
@@ -327,7 +325,7 @@ func TestCoordinatorPermanentFailureDoesNotRetry(t *testing.T) {
 
 	_, st, err := coord.Execute(context.Background(),
 		spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 1, Trials: 4},
-		coord.Options{Workers: []string{failing.URL, failing.URL}, Ranges: 1,
+		coord.Options{Workers: []string{failing.URL, failing.URL},
 			StallTimeout: time.Second, Warnings: io.Discard})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err %v, want the job's own failure", err)
@@ -340,23 +338,23 @@ func TestCoordinatorPermanentFailureDoesNotRetry(t *testing.T) {
 	}
 }
 
-// TestSplitRanges: contiguous, non-empty, near-equal coverage; clamped to
-// the trial count.
-func TestSplitRanges(t *testing.T) {
-	for _, tc := range []struct {
-		trials, k int
-		want      []spec.Range
-	}{
-		{10, 3, []spec.Range{{Lo: 0, Hi: 4}, {Lo: 4, Hi: 7}, {Lo: 7, Hi: 10}}},
-		{4, 8, []spec.Range{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}, {Lo: 2, Hi: 3}, {Lo: 3, Hi: 4}}},
-		{5, 1, []spec.Range{{Lo: 0, Hi: 5}}},
-	} {
-		got := coord.SplitRanges(tc.trials, tc.k)
-		gj, _ := json.Marshal(got)
-		wj, _ := json.Marshal(tc.want)
-		if string(gj) != string(wj) {
-			t.Errorf("SplitRanges(%d, %d) = %s, want %s", tc.trials, tc.k, gj, wj)
-		}
+// TestDuplicateWorkerURLsAreOneWorker: a worker listed twice (here once
+// with a trailing slash) is one worker — assignments are keyed by URL, so
+// two entries would overwrite each other's and leave trials uncovered.
+func TestDuplicateWorkerURLsAreOneWorker(t *testing.T) {
+	sp := spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 1, Trials: 16}
+	want := normalized(t, localValue(t, sp))
+	w := newWorker(t, run.Options{NoCache: true})
+	val, st, err := coord.Execute(context.Background(), sp,
+		coord.Options{Workers: []string{w, w + "/"}, Warnings: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := normalized(t, val); got != want {
+		t.Errorf("duplicated worker list diverged\n got %s\nwant %s", got, want)
+	}
+	if st.Workers != 1 {
+		t.Errorf("stats %+v, want one distinct worker", st)
 	}
 }
 
@@ -393,7 +391,7 @@ func TestCoordinatorTraceAndScoreboard(t *testing.T) {
 	ctx := obs.WithTracer(context.Background(), tr)
 	var last []coord.WorkerScore
 	val, st, err := coord.Execute(ctx, sp, coord.Options{
-		Workers: workers, Ranges: 4, Warnings: io.Discard,
+		Workers: workers, Warnings: io.Discard,
 		OnScoreboard: func(ws []coord.WorkerScore) { last = ws },
 	})
 	if err != nil {

@@ -1,10 +1,10 @@
 package coord
 
-// Dynamic-mode scheduling: per-worker contiguous assignments drawn down in
-// shard-aligned chunks, work stealing for idle (and newly joined) workers,
-// registry polling for mid-run membership changes, and crash-resume from
-// the fleet's range-keyed result caches. Only *unsubmitted* trial intervals
-// ever move between workers, so no trial is computed twice by scheduling —
+// Scheduling: per-worker contiguous assignments drawn down in shard-aligned
+// chunks, work stealing for idle (and newly joined) workers, registry
+// polling for mid-run membership changes, and reuse of the fleet's
+// range-keyed result caches. Only *unsubmitted* trial intervals ever move
+// between workers, so no trial is computed twice by scheduling —
 // duplication can still come from hedging, where it is deliberate.
 
 import (
@@ -183,9 +183,6 @@ func (c *coordinator) carveLocked(worker string) int {
 // empty — every trial interval has been carved and submitted (or resumed).
 // Nothing refills a drained pool, so the close is final. Caller holds c.mu.
 func (c *coordinator) maybeDrainLocked() {
-	if c.drainCh == nil {
-		return
-	}
 	if len(c.spare) > 0 {
 		return
 	}
@@ -201,17 +198,16 @@ func (c *coordinator) maybeDrainLocked() {
 	}
 }
 
-// runDynamic is dynamic mode's top level: optionally recover work from the
-// fleet's caches (resume and/or reuse), seed the pool with the uncovered
-// gaps, run one drawing loop per worker (plus the registry poller), and
-// merge.
-func (c *coordinator) runDynamic(ctx context.Context) (*spec.Value, error) {
+// run is the coordinator's top level: optionally adopt work from the
+// fleet's caches, seed the pool with the uncovered gaps, run one drawing
+// loop per worker (plus the registry poller), and merge. The first range
+// to fail cancels the rest: a range failure is fatal to the whole job, so
+// letting long sibling ranges run to completion would only delay the
+// inevitable error.
+func (c *coordinator) run(ctx context.Context) (*spec.Value, error) {
 	gaps := []spec.Range{{Lo: 0, Hi: c.job.Trials}}
-	if c.resumeOn || c.reuseOn {
-		full, g, err := c.probeResume(ctx)
-		if err != nil {
-			return nil, err
-		}
+	if c.reuseOn {
+		full, g := c.probeCaches(ctx)
 		if full != nil {
 			return full, nil
 		}
@@ -361,11 +357,11 @@ func (c *coordinator) syncFleet(urls []string) []string {
 	return added
 }
 
-// Wire shapes of the worker cache-probe API (the subset resume and reuse
-// consume). A range entry's trials field is the full trial count stamped on
-// the entry's key — equal to the probe's trials for this job's own ranges,
-// different for cross-N entries the planner may adopt (0 from a worker old
-// enough not to report it, treated as same-N).
+// Wire shapes of the worker cache-probe API (the subset reuse consumes). A
+// range entry's trials field is the full trial count stamped on the entry's
+// key — equal to the probe's trials for this job's own ranges, different
+// for cross-count entries (0 from a worker old enough not to report it,
+// treated as this job's own count).
 type wireProbe struct {
 	Trials int    `json:"trials"`
 	Full   string `json:"full"`
@@ -377,29 +373,19 @@ type wireProbe struct {
 	} `json:"ranges"`
 }
 
-// probeResume asks every worker for the range-keyed cache entries its
-// result cache banked for this job's content address, chains a greedy
-// exact-boundary cover out of them, and returns the uncovered gaps — or,
-// when some worker holds the finished result, that full value directly.
-// Two kinds of entry qualify, gated independently: ranges of this job's own
-// trial count (crash-resume, Options.Resume) and ranges banked under a
-// different trial count (prefix reuse, Options.Reuse) — the latter pass
-// through engine.AdaptPartial, which re-checks their shard geometry under
-// the new count before they may join the merge set.
-func (c *coordinator) probeResume(ctx context.Context) (*spec.Value, []spec.Range, error) {
+// probeCaches asks every worker for the cache entries it banked for this
+// job's content address and returns the uncovered gaps of the cover
+// engine.CoverRanges chains out of the range entries — or, when some worker
+// holds the finished result, that full value directly. Adopted ranges
+// become completed slots.
+func (c *coordinator) probeCaches(ctx context.Context) (*spec.Value, []spec.Range) {
 	c.mu.Lock()
 	workers := append([]string(nil), c.workers...)
 	c.mu.Unlock()
 
-	type candidate struct {
-		worker string
-		rg     spec.Range
-		trials int // the entry's stamped full trial count
-		hash   string
-	}
-	var cands []candidate
-	type fullEntry struct{ worker, hash string }
-	var fulls []fullEntry
+	type entry struct{ worker, hash string }
+	var cands []engine.CachedRange
+	var where, fulls []entry
 	body := c.job.Spec.Canonical()
 	for _, w := range workers {
 		probe, err := c.probeWorker(ctx, w, body)
@@ -414,126 +400,73 @@ func (c *coordinator) probeResume(ctx context.Context) (*spec.Value, []spec.Rang
 				c.job.Spec.ID, w, probe.Trials, c.job.Trials)
 			continue
 		}
-		if probe.Full != "" && c.resumeOn {
-			fulls = append(fulls, fullEntry{w, probe.Full})
+		if probe.Full != "" {
+			fulls = append(fulls, entry{w, probe.Full})
 		}
 		for _, re := range probe.Ranges {
-			if re.Lo < 0 || re.Hi > c.job.Trials || re.Hi <= re.Lo {
-				continue
+			// An entry without a stamped count predates cross-count
+			// enumeration and can only be this job's own (the probe matched
+			// on content address including trials back then).
+			trials := re.Trials
+			if trials == 0 {
+				trials = c.job.Trials
 			}
-			// An entry without a stamped count predates cross-N enumeration
-			// and can only be this job's own (the probe matched on content
-			// address including trials back then).
-			entryTrials := re.Trials
-			if entryTrials == 0 {
-				entryTrials = c.job.Trials
-			}
-			if entryTrials == c.job.Trials && !c.resumeOn {
-				continue // this job's own prior ranges are Resume's to adopt
-			}
-			if entryTrials != c.job.Trials && !c.reuseOn {
-				continue // cross-N extension is Reuse's
-			}
-			cands = append(cands, candidate{w, spec.Range{Lo: re.Lo, Hi: re.Hi}, entryTrials, re.Hash})
+			cands = append(cands, engine.CachedRange{Lo: re.Lo, Hi: re.Hi, Trials: trials})
+			where = append(where, entry{w, re.Hash})
 		}
 	}
 
 	// A banked full result short-circuits all re-execution.
 	for _, fe := range fulls {
 		val, err := c.fetchEntry(ctx, fe.worker, fe.hash)
-		if err != nil || val == nil {
+		if err != nil {
 			continue
 		}
 		c.mu.Lock()
-		c.resumedTrials = c.job.Trials
-		c.resumedRanges = 1
+		c.reusedTrials, c.reusedRanges = c.job.Trials, 1
 		c.workersUsed[fe.worker] = true
-		c.tallyLocked(fe.worker).resumed += c.job.Trials
+		c.tallyLocked(fe.worker).reused += c.job.Trials
 		c.mu.Unlock()
-		obsResumed.Add(int64(c.job.Trials))
-		warnTo(c.warn, "coord: %s: resumed the complete result from %s's cache\n", c.job.Spec.ID, fe.worker)
-		return val, nil, nil
+		obsReused.Add(int64(c.job.Trials))
+		warnTo(c.warn, "coord: %s: reused the complete result from %s's cache\n", c.job.Spec.ID, fe.worker)
+		return val, nil
 	}
 
-	// Greedy cover: partials cannot be trimmed, so only an entry starting
-	// exactly at the cursor extends the chain; prefer the longest, and on a
-	// width tie an entry of this job's own trial count (which needs no
-	// adaptation). An entry that fails to fetch or adapt just falls out of
-	// the chain — siblings or a fresh gap cover its interval.
-	used := make([]bool, len(cands))
-	var gaps []spec.Range
-	cursor, resumed, nResumed, reused, nReused := 0, 0, 0, 0, 0
-	for cursor < c.job.Trials {
-		best := -1
-		for j, cd := range cands {
-			if used[j] || cd.rg.Lo != cursor {
-				continue
-			}
-			if best < 0 || cd.rg.Hi > cands[best].rg.Hi ||
-				(cd.rg.Hi == cands[best].rg.Hi && cd.trials == c.job.Trials && cands[best].trials != c.job.Trials) {
-				best = j
-			}
+	cv := engine.CoverRanges(c.job.Trials, cands, func(i int) *engine.Partial {
+		val, err := c.fetchEntry(ctx, where[i].worker, where[i].hash)
+		if err != nil {
+			return nil
 		}
-		if best < 0 {
-			next := c.job.Trials
-			for j, cd := range cands {
-				if !used[j] && cd.rg.Lo > cursor && cd.rg.Lo < next {
-					next = cd.rg.Lo
-				}
-			}
-			gaps = append(gaps, spec.Range{Lo: cursor, Hi: next})
-			cursor = next
-			continue
-		}
-		used[best] = true
-		cd := cands[best]
-		val, err := c.fetchEntry(ctx, cd.worker, cd.hash)
-		if err != nil || val == nil || val.Partial == nil {
-			continue
-		}
-		if cd.trials != c.job.Trials {
-			if err := engine.AdaptPartial(val.Partial, c.job.Trials); err != nil {
-				warnTo(c.warn, "coord: %s: skipping %s's cached range [%d, %d): %v\n",
-					c.job.Spec.ID, cd.worker, cd.rg.Lo, cd.rg.Hi, err)
-				continue
-			}
-		}
-		n := cd.rg.Hi - cd.rg.Lo
-		c.mu.Lock()
-		i := c.newSlotLocked(cd.rg)
-		c.parts[i] = val
-		c.rangeDone[i] = n
-		if cd.trials == c.job.Trials {
-			c.resumedTrials += n
-			c.resumedRanges++
-			c.tallyLocked(cd.worker).resumed += n
-		} else {
-			c.reusedTrials += n
-			c.reusedRanges++
-			c.tallyLocked(cd.worker).reused += n
-		}
-		c.workersUsed[cd.worker] = true
-		c.mu.Unlock()
-		if cd.trials == c.job.Trials {
-			resumed += n
-			nResumed++
-			obsResumed.Add(int64(n))
-		} else {
-			reused += n
-			nReused++
-			obsReused.Add(int64(n))
-		}
-		cursor = cd.rg.Hi
+		return val.Partial
+	})
+	for _, err := range cv.Rejected {
+		warnTo(c.warn, "coord: %s: %v\n", c.job.Spec.ID, err)
 	}
-	if resumed > 0 {
-		warnTo(c.warn, "coord: %s: resumed %d of %d trials in %d ranges from fleet caches\n",
-			c.job.Spec.ID, resumed, c.job.Trials, nResumed)
+	reused := 0
+	c.mu.Lock()
+	for k, i := range cv.Chosen {
+		rg := spec.Range{Lo: cands[i].Lo, Hi: cands[i].Hi}
+		n := rg.Hi - rg.Lo
+		slot := c.newSlotLocked(rg)
+		c.parts[slot] = &spec.Value{Partial: cv.Parts[k]}
+		c.rangeDone[slot] = n
+		c.tallyLocked(where[i].worker).reused += n
+		c.workersUsed[where[i].worker] = true
+		reused += n
 	}
+	c.reusedTrials += reused
+	c.reusedRanges += len(cv.Chosen)
+	c.mu.Unlock()
 	if reused > 0 {
-		warnTo(c.warn, "coord: %s: reused %d of %d trials in %d cross-count ranges from fleet caches\n",
-			c.job.Spec.ID, reused, c.job.Trials, nReused)
+		obsReused.Add(int64(reused))
+		warnTo(c.warn, "coord: %s: reused %d of %d trials in %d ranges from fleet caches\n",
+			c.job.Spec.ID, reused, c.job.Trials, len(cv.Chosen))
 	}
-	return nil, gaps, nil
+	gaps := make([]spec.Range, len(cv.Gaps))
+	for i, g := range cv.Gaps {
+		gaps[i] = spec.Range{Lo: g[0], Hi: g[1]}
+	}
+	return nil, gaps
 }
 
 // probeWorker POSTs the job spec to one worker's cache-probe endpoint.

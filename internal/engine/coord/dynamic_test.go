@@ -22,7 +22,7 @@ func subRange(sp spec.JobSpec, lo, hi int) spec.JobSpec {
 	return sp
 }
 
-// TestDynamicStealingByteIdentity: in dynamic mode an idle fast worker
+// TestDynamicStealingByteIdentity: an idle fast worker
 // steals unsubmitted work from a slow worker's assignment, and the merged
 // result is still byte-identical to the local run — stealing moves only
 // work that never started, so no trial is computed twice.
@@ -112,9 +112,9 @@ func TestDynamicMidRunJoin(t *testing.T) {
 
 // TestCrashResumeProperty is the crash-recovery acceptance property: for
 // any subset of the range-keyed cache entries a dead coordinator's workers
-// banked, a resuming coordinator merges the surviving entries, re-executes
-// only the gaps, and produces bytes identical to an uninterrupted run — at
-// seeds 1 and 5.
+// banked, a coordinator with Reuse on merges the surviving entries,
+// re-executes only the gaps, and produces bytes identical to an
+// uninterrupted run — at seeds 1 and 5.
 func TestCrashResumeProperty(t *testing.T) {
 	tiling := [][2]int{{0, 3}, {3, 6}, {6, 9}, {9, 12}}
 	subsets := [][]int{
@@ -149,7 +149,7 @@ func TestCrashResumeProperty(t *testing.T) {
 
 			val, st, err := coord.Execute(context.Background(), sp, coord.Options{
 				Workers:  []string{worker},
-				Resume:   true,
+				Reuse:    true,
 				Warnings: io.Discard,
 			})
 			if err != nil {
@@ -158,16 +158,17 @@ func TestCrashResumeProperty(t *testing.T) {
 			if got := normalized(t, val); got != want {
 				t.Errorf("%s: resumed result diverged\n got %s\nwant %s", name, got, want)
 			}
-			if st.ResumedTrials != wantResumed || st.ResumedRanges != len(subset) {
+			if st.ReusedTrials != wantResumed || st.ReusedRanges != len(subset) {
 				t.Errorf("%s: resumed %d trials in %d ranges, want %d in %d",
-					name, st.ResumedTrials, st.ResumedRanges, wantResumed, len(subset))
+					name, st.ReusedTrials, st.ReusedRanges, wantResumed, len(subset))
 			}
 		}
 	}
 }
 
 // TestResumeFullEntry: when some worker's cache already holds the finished
-// full result, resume returns it without submitting any work.
+// full result, a coordinator with Reuse on returns it without submitting
+// any work.
 func TestResumeFullEntry(t *testing.T) {
 	sp := spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 1, Trials: 8, ShardSize: 2}
 	want := normalized(t, localValue(t, sp))
@@ -185,7 +186,7 @@ func TestResumeFullEntry(t *testing.T) {
 	var warnings strings.Builder
 	val, st, err := coord.Execute(context.Background(), sp, coord.Options{
 		Workers:  []string{worker},
-		Resume:   true,
+		Reuse:    true,
 		Warnings: &warnings,
 	})
 	if err != nil {
@@ -194,17 +195,17 @@ func TestResumeFullEntry(t *testing.T) {
 	if got := normalized(t, val); got != want {
 		t.Errorf("full-entry resume diverged\n got %s\nwant %s", got, want)
 	}
-	if st.ResumedTrials != 8 {
+	if st.ReusedTrials != 8 {
 		t.Errorf("stats %+v, want the full 8 trials resumed", st)
 	}
-	if !strings.Contains(warnings.String(), "resumed the complete result") {
+	if !strings.Contains(warnings.String(), "reused the complete result") {
 		t.Errorf("no full-resume diagnostic:\n%s", warnings.String())
 	}
 }
 
-// TestResumeOffIgnoresCaches: without Options.Resume the coordinator
-// executes everything even when range entries exist (resume is an explicit
-// crash-recovery action, not an ambient cache behavior).
+// TestResumeOffIgnoresCaches: without Options.Reuse the coordinator
+// executes everything even when range entries exist — the cold run
+// -reuse=false asks for.
 func TestResumeOffIgnoresCaches(t *testing.T) {
 	sp := spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 4, Trials: 8, ShardSize: 2}
 	dir := filepath.Join(t.TempDir(), "cache")
@@ -221,7 +222,7 @@ func TestResumeOffIgnoresCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ResumedTrials != 0 || st.ResumedRanges != 0 {
+	if st.ReusedTrials != 0 || st.ReusedRanges != 0 {
 		t.Errorf("resume ran without being asked: %+v", st)
 	}
 }

@@ -51,18 +51,16 @@ func TestReuseExtendsAcrossTrialCounts(t *testing.T) {
 	if st.ReusedTrials != 8 || st.ReusedRanges != 1 {
 		t.Errorf("stats %+v, want 8 trials reused in 1 range", st)
 	}
-	if st.ResumedTrials != 0 {
-		t.Errorf("cross-count adoption miscounted as resume: %+v", st)
-	}
-	if !strings.Contains(warnings.String(), "cross-count") {
+	if !strings.Contains(warnings.String(), "reused 8 of 16 trials") {
 		t.Errorf("no reuse diagnostic in warnings:\n%s", warnings.String())
 	}
 }
 
-// TestReuseAndResumeStayDistinct: entries banked under the job's own trial
-// count need Resume, entries under another count need Reuse, and when both
-// kinds survive each merged range lands in exactly one counter.
-func TestReuseAndResumeStayDistinct(t *testing.T) {
+// TestReuseAdoptsSameAndCrossCountRanges: one switch covers both kinds of
+// surviving entry — a predecessor's ranges of this job's own trial count
+// and a smaller run's ranges under another count — and counts each merged
+// range once; with the switch off, neither is adopted.
+func TestReuseAdoptsSameAndCrossCountRanges(t *testing.T) {
 	small := spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 5, Trials: 8, ShardSize: 2}
 	big := small
 	big.Trials = 16
@@ -86,11 +84,8 @@ func TestReuseAndResumeStayDistinct(t *testing.T) {
 		return dir
 	}
 
-	// With both switches on, both entries merge — and each is counted once,
-	// in its own bucket.
 	val, st, err := coord.Execute(context.Background(), big, coord.Options{
 		Workers:  []string{newWorker(t, run.Options{CacheDir: prime(t)})},
-		Resume:   true,
 		Reuse:    true,
 		Warnings: io.Discard,
 	})
@@ -98,35 +93,21 @@ func TestReuseAndResumeStayDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := normalized(t, val); got != want {
-		t.Errorf("mixed resume+reuse diverged\n got %s\nwant %s", got, want)
+		t.Errorf("mixed-count reuse diverged\n got %s\nwant %s", got, want)
 	}
-	if st.ReusedTrials != 8 || st.ReusedRanges != 1 || st.ResumedTrials != 4 || st.ResumedRanges != 1 {
-		t.Errorf("stats %+v, want 8 reused in 1 range and 4 resumed in 1 range", st)
+	if st.ReusedTrials != 12 || st.ReusedRanges != 2 {
+		t.Errorf("stats %+v, want 12 trials reused in 2 ranges", st)
 	}
 
-	// Reuse alone ignores the same-count entry; resume alone ignores the
-	// cross-count one.
 	_, st, err = coord.Execute(context.Background(), big, coord.Options{
 		Workers:  []string{newWorker(t, run.Options{CacheDir: prime(t)})},
-		Reuse:    true,
 		Warnings: io.Discard,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ReusedTrials != 8 || st.ResumedTrials != 0 {
-		t.Errorf("reuse-only stats %+v, want only the 8 cross-count trials", st)
-	}
-	_, st, err = coord.Execute(context.Background(), big, coord.Options{
-		Workers:  []string{newWorker(t, run.Options{CacheDir: prime(t)})},
-		Resume:   true,
-		Warnings: io.Discard,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ResumedTrials != 4 || st.ReusedTrials != 0 {
-		t.Errorf("resume-only stats %+v, want only the 4 same-count trials", st)
+	if st.ReusedTrials != 0 || st.ReusedRanges != 0 {
+		t.Errorf("reuse-off stats %+v, want nothing adopted", st)
 	}
 }
 

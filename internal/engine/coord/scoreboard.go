@@ -12,8 +12,9 @@ import (
 // aggregate trial counter plus one row per worker (ranges won, trials/sec,
 // retries, stall hedges). On an interactive terminal the block repaints in
 // place (ANSI cursor movement) as ranges complete; on any other writer —
-// CI logs, pipes — Progress falls back to the quarter-milestone lines of
-// MilestoneProgress and the per-worker rows appear once, at Final. Wire
+// CI logs, pipes — Progress falls back to the local runner's
+// newline-delimited quarter-milestone lines ("id: done/total trials") and
+// the per-worker rows appear once, at Final. Wire
 // Progress to Options.OnProgress and Update to Options.OnScoreboard; both
 // are safe for the coordinator's serialized callbacks plus a concurrent
 // Final.
@@ -103,13 +104,11 @@ func (s *Scoreboard) Final() {
 		return
 	}
 	for _, ws := range s.scores {
-		if ws.Ranges == 0 && ws.Retries == 0 && ws.Hedges == 0 && ws.Steals == 0 &&
-			ws.ResumedTrials == 0 && ws.ReusedTrials == 0 {
+		if ws.Ranges == 0 && ws.Retries == 0 && ws.Hedges == 0 && ws.Steals == 0 && ws.ReusedTrials == 0 {
 			continue
 		}
-		fmt.Fprintf(s.w, "%s: worker %s: ranges=%d trials=%d trials/s=%.1f retries=%d hedges=%d steals=%d resumed=%d reused=%d\n",
-			s.id, ws.Worker, ws.Ranges, ws.Trials, ws.TrialsPerSec, ws.Retries, ws.Hedges, ws.Steals,
-			ws.ResumedTrials, ws.ReusedTrials)
+		fmt.Fprintf(s.w, "%s: worker %s: ranges=%d trials=%d trials/s=%.1f retries=%d hedges=%d steals=%d reused=%d\n",
+			s.id, ws.Worker, ws.Ranges, ws.Trials, ws.TrialsPerSec, ws.Retries, ws.Hedges, ws.Steals, ws.ReusedTrials)
 	}
 }
 
@@ -123,13 +122,12 @@ func (s *Scoreboard) redrawLocked() {
 	fmt.Fprintf(&b, "%-28s %4d/%d trials\n", s.id, s.done, s.total)
 	lines := 1
 	if len(s.scores) > 0 {
-		fmt.Fprintf(&b, "  %-36s %6s %9s %8s %7s %7s %8s %7s\n",
-			"worker", "ranges", "trials/s", "retries", "hedges", "steals", "resumed", "reused")
+		fmt.Fprintf(&b, "  %-36s %6s %9s %8s %7s %7s %7s\n",
+			"worker", "ranges", "trials/s", "retries", "hedges", "steals", "reused")
 		lines++
 		for _, ws := range s.scores {
-			fmt.Fprintf(&b, "  %-36s %6d %9.1f %8d %7d %7d %8d %7d\n",
-				ws.Worker, ws.Ranges, ws.TrialsPerSec, ws.Retries, ws.Hedges, ws.Steals,
-				ws.ResumedTrials, ws.ReusedTrials)
+			fmt.Fprintf(&b, "  %-36s %6d %9.1f %8d %7d %7d %7d\n",
+				ws.Worker, ws.Ranges, ws.TrialsPerSec, ws.Retries, ws.Hedges, ws.Steals, ws.ReusedTrials)
 			lines++
 		}
 	}

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
-	"resilientloc/internal/obs"
 	"resilientloc/internal/stats"
 )
 
@@ -153,114 +151,39 @@ func (r *Runner) RunPartial(s Scenario, lo, hi int) (*Partial, error) {
 // range's shard pieces (complete pieces and raw boundary fragments alike).
 // Like RunContext, the context carries telemetry only — it does not cancel.
 func (r *Runner) RunPartialContext(ctx context.Context, s Scenario, lo, hi int) (*Partial, error) {
-	if err := s.Validate(); err != nil {
+	trials, err := r.trials(s)
+	if err != nil {
 		return nil, err
-	}
-	trials := r.cfg.EffectiveTrials(s)
-	if trials <= 0 {
-		return nil, fmt.Errorf("engine: scenario %s: no trial count configured", s.Name)
 	}
 	if lo < 0 || hi <= lo || hi > trials {
 		return nil, fmt.Errorf("engine: scenario %s: invalid trial range [%d, %d) of %d trials",
 			s.Name, lo, hi, trials)
 	}
+	aggs, _, err := r.execute(ctx, s, trials, lo, hi, true)
+	if err != nil {
+		return nil, err
+	}
 	shardSize := r.cfg.EffectiveShardSize()
 	keep := r.cfg.KeepTrialValues
-	bounds := pieceBounds(lo, hi, shardSize, trials)
-
 	p := &Partial{
 		Scenario: s.Name, Seed: r.cfg.Seed, Trials: trials, ShardSize: shardSize,
 		Lo: lo, Hi: hi, Retained: keep,
-		Pieces: make([]ShardPiece, len(bounds)),
+		Pieces: make([]ShardPiece, len(aggs)),
 	}
-	ctx, runSpan := obs.Start(ctx, "engine.run")
-	if runSpan != nil {
-		runSpan.SetAttr("scenario", s.Name).SetAttr("trials", trials).
-			SetAttr("shard_size", shardSize).SetAttr("lo", lo).SetAttr("hi", hi)
-	}
-	defer runSpan.End()
-
-	type pieceErr struct {
-		err   error
-		trial int
-	}
-	errs := make([]pieceErr, len(bounds))
-	r.runPool(ctx, len(bounds), hi-lo, func(pi int) int {
-		si, pLo, pHi := bounds[pi][0], bounds[pi][1], bounds[pi][2]
-		sLo, sHi := shardBounds(si, shardSize, trials)
-		_, shardSpan := obs.Start(ctx, "engine.shard")
-		if shardSpan != nil {
-			shardSpan.SetAttr("shard", si).SetAttr("lo", pLo).SetAttr("hi", pHi)
+	for i, agg := range aggs {
+		if p.Pieces[i], err = aggToPiece(agg.lo/shardSize, agg, keep); err != nil {
+			return nil, err
 		}
-		pieceStart := time.Now()
-		completed := func() int {
-			if pLo == sLo && pHi == sHi {
-				agg := runShard(s, r.cfg.Seed, pLo, pHi, keep)
-				if agg.err != nil {
-					errs[pi] = pieceErr{agg.err, agg.errTrial}
-					return agg.errTrial - pLo
-				}
-				piece, err := aggToPiece(si, agg, keep)
-				if err != nil {
-					errs[pi] = pieceErr{err, pLo}
-					return pHi - pLo
-				}
-				p.Pieces[pi] = piece
-				return pHi - pLo
-			}
-			piece, failTrial, err := runRawPiece(s, r.cfg.Seed, si, pLo, pHi)
-			if err != nil {
-				errs[pi] = pieceErr{err, failTrial}
-				return failTrial - pLo
-			}
-			p.Pieces[pi] = piece
-			return pHi - pLo
-		}()
-		obsShardSec.Observe(time.Since(pieceStart).Seconds())
-		obsShards.Inc()
-		obsTrials.Add(int64(completed))
-		if shardSpan != nil && errs[pi].err != nil {
-			shardSpan.SetAttr("error", errs[pi].err.Error())
-		}
-		shardSpan.End()
-		return completed
-	})
-	var firstErr error
-	firstTrial := -1
-	for _, e := range errs {
-		if e.err != nil && (firstTrial == -1 || e.trial < firstTrial) {
-			firstErr, firstTrial = e.err, e.trial
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return p, nil
 }
 
-// runPool executes n piece jobs across the runner's worker pool, observing
-// the shared budget (budget waits are measured; see acquireBudget) and
-// reporting progress against total trials (each job returns its completed
-// trial count).
-func (r *Runner) runPool(ctx context.Context, n, total int, job func(i int) int) {
-	workers := r.cfg.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	runIndexed(workers, n, total, func(i int) int {
-		r.acquireBudget(ctx)
-		if r.cfg.Budget != nil {
-			defer r.cfg.Budget.release()
-		}
-		return job(i)
-	}, r.cfg.Progress)
-}
-
-// aggToPiece serializes a complete shard's aggregate state.
+// aggToPiece serializes one executed piece: a cut piece ships its raw trial
+// records, a complete shard its aggregate state.
 func aggToPiece(si int, agg *shardAgg, keep bool) (ShardPiece, error) {
+	if agg.raw != nil {
+		return ShardPiece{Shard: si, Lo: agg.lo, Hi: agg.hi, Raw: agg.raw}, nil
+	}
 	piece := ShardPiece{Shard: si, Lo: agg.lo, Hi: agg.hi, Complete: true}
 	for _, name := range agg.scalarOrder {
 		a := agg.scalars[name]
@@ -299,47 +222,9 @@ func aggToPiece(si int, agg *shardAgg, keep bool) (ShardPiece, error) {
 	return piece, nil
 }
 
-// runRawPiece executes trials [lo, hi) of a shard the range boundary cuts
-// through, capturing each trial's raw samples for replay at merge time. On
-// a trial error it returns the failing trial index.
-func runRawPiece(s Scenario, seed int64, si, lo, hi int) (ShardPiece, int, error) {
-	piece := ShardPiece{Shard: si, Lo: lo, Hi: hi, Raw: make([]TrialRecord, 0, hi-lo)}
-	ws := grabArena()
-	defer releaseArena(ws)
-	var shardData any
-	if s.ShardInit != nil {
-		shardData = s.ShardInit()
-	}
-	for trial := lo; trial < hi; trial++ {
-		t := &T{Trial: trial, RNG: newTrialRNG(s, seed, trial), ShardData: shardData, ws: ws}
-		err := s.Run(t)
-		ws.Release()
-		if err != nil {
-			return ShardPiece{}, trial, fmt.Errorf("engine: scenario %s: trial %d: %w", s.Name, trial, err)
-		}
-		if t.output != nil {
-			return ShardPiece{}, trial, fmt.Errorf(
-				"engine: scenario %s: trial %d retains a structured output (T.Keep), which does not serialize; the campaign cannot run partially", s.Name, trial)
-		}
-		rec := TrialRecord{Trial: trial}
-		for _, smp := range t.scalars {
-			rec.Scalars = append(rec.Scalars, ScalarSample{Name: smp.name, Value: stats.F64(smp.value)})
-		}
-		for _, ss := range t.series {
-			rec.Series = append(rec.Series, SeriesRecord{Name: ss.name, Values: stats.ToF64(ss.values)})
-		}
-		piece.Raw = append(piece.Raw, rec)
-	}
-	return piece, -1, nil
-}
-
 // pieceToAgg restores a complete piece's shard aggregate.
 func pieceToAgg(piece ShardPiece, retained bool) (*shardAgg, error) {
-	agg := &shardAgg{
-		lo: piece.Lo, hi: piece.Hi,
-		scalars: make(map[string]*scalarAgg, len(piece.Metrics)),
-		series:  make(map[string]*seriesAgg, len(piece.Series)),
-	}
+	agg := newShardAgg(piece.Lo, piece.Hi, retained)
 	for _, m := range piece.Metrics {
 		if m.Sketch == nil {
 			return nil, fmt.Errorf("engine: shard %d metric %q has no sketch state", piece.Shard, m.Name)
@@ -359,9 +244,6 @@ func pieceToAgg(piece ShardPiece, retained bool) (*shardAgg, error) {
 	}
 	if retained {
 		n := piece.Hi - piece.Lo
-		agg.trialScalars = make(map[string][]float64)
-		agg.trialSeries = make(map[string][][]float64)
-		agg.trialOutputs = make([]any, n)
 		if piece.Retain != nil {
 			for name, vs := range piece.Retain.Scalars {
 				if len(vs) != n {
@@ -390,16 +272,7 @@ func pieceToAgg(piece ShardPiece, retained bool) (*shardAgg, error) {
 // records of its fragments in trial order — the exact Add sequence the full
 // run performs inside that shard.
 func replayPieces(scenario string, si, lo, hi int, pieces []ShardPiece, keep bool) (*shardAgg, error) {
-	agg := &shardAgg{
-		lo: lo, hi: hi,
-		scalars: make(map[string]*scalarAgg),
-		series:  make(map[string]*seriesAgg),
-	}
-	if keep {
-		agg.trialScalars = make(map[string][]float64)
-		agg.trialSeries = make(map[string][][]float64)
-		agg.trialOutputs = make([]any, hi-lo)
-	}
+	agg := newShardAgg(lo, hi, keep)
 	next := lo
 	for _, piece := range pieces {
 		if piece.Complete {

@@ -12,10 +12,8 @@ package run
 
 import (
 	"context"
-	"fmt"
 	"time"
 
-	"resilientloc/internal/engine"
 	"resilientloc/internal/engine/spec"
 	"resilientloc/internal/obs"
 )
@@ -24,70 +22,36 @@ import (
 // ordinary fixed-N job).
 var obsAutoRounds = obs.Default().Counter("run_auto_rounds_total")
 
-// executeAuto drives an auto-trials spec: run the scenario's default trial
-// count, then keep doubling — each round an ordinary fixed-N execution
-// through the session, so caching and prefix reuse apply — until the 95% CI
-// half-width of the stopping metric reaches the target, the trial cap is
-// hit, or the scenario's own ceiling stops growth. The returned Info is the
-// final round's, with Elapsed covering the whole sequence and ReusedTrials
-// reporting how much of the final round came from cache (earlier rounds of
-// this same call included).
+// executeAuto drives an auto-trials spec through spec.DriveAuto, each round
+// an ordinary fixed-N execution through the session, so caching and prefix
+// reuse apply. The returned Info is the final round's, with Elapsed
+// covering the whole sequence and ReusedTrials reporting how much of the
+// final round came from cache (earlier rounds of this same call included).
 func executeAuto(ctx context.Context, s *Session, sp spec.JobSpec) (*spec.Value, Info, error) {
-	auto := sp.AutoTrials
-	base := sp
-	base.AutoTrials = nil
-	// Round zero runs the scenario's default count: resolve the fixed spec
-	// once to learn what that is.
-	job, err := spec.Resolve(base)
-	if err != nil {
-		return nil, Info{}, err
-	}
 	start := time.Now()
 	ctx, autoSpan := obs.Start(ctx, "run.auto")
 	if autoSpan != nil {
-		autoSpan.SetAttr("scenario", base.ID).SetAttr("ci_target", auto.CITarget)
+		autoSpan.SetAttr("scenario", sp.ID).SetAttr("ci_target", sp.AutoTrials.CITarget)
 	}
 	defer autoSpan.End()
-	n := job.TotalTrials
-	if c := auto.Cap(); n > c {
-		n = c
-	}
-	prevEffective := 0
-	for round := 1; ; round++ {
-		rs := base
-		rs.Trials = n
-		res, info, err := ExecuteSpecContext(ctx, s, rs)
+	var info Info
+	rounds := 0
+	res, hw, err := spec.DriveAuto(sp, "run", s.warn, func(rs spec.JobSpec) (*spec.Value, error) {
+		res, roundInfo, err := ExecuteSpecContext(ctx, s, rs)
 		if err != nil {
-			return nil, Info{}, err
+			return nil, err
 		}
 		obsAutoRounds.Inc()
-		rep := res.Report
-		if rep == nil {
-			return nil, Info{}, fmt.Errorf("run: %s: auto-trials round produced no report", base.ID)
-		}
-		// The scenario may clamp the request (engine MaxTrials), so the
-		// stopping arithmetic uses what actually ran, not what was asked.
-		effective := rep.Trials
-		hw, err := engine.CIHalfWidth(rep, auto.Metric)
-		if err != nil {
-			return nil, Info{}, fmt.Errorf("run: %s: auto-trials: %w", base.ID, err)
-		}
-		done := hw <= auto.CITarget
-		plateau := effective == prevEffective
-		capped := effective >= auto.Cap()
-		if autoSpan != nil {
-			autoSpan.SetAttr("rounds", round).SetAttr("trials", effective).SetAttr("ci_half_width", hw)
-		}
-		if done || plateau || capped {
-			if !done {
-				fmt.Fprintf(s.warn,
-					"warning: %s: auto-trials stopped at %d trials with CI half-width %.6g above target %.6g\n",
-					base.ID, effective, hw, auto.CITarget)
-			}
-			info.Elapsed = time.Since(start)
-			return res, info, nil
-		}
-		prevEffective = effective
-		n = auto.NextTrials(effective)
+		rounds++
+		info = roundInfo
+		return res, nil
+	})
+	if err != nil {
+		return nil, Info{}, err
 	}
+	if autoSpan != nil {
+		autoSpan.SetAttr("rounds", rounds).SetAttr("trials", res.Report.Trials).SetAttr("ci_half_width", hw)
+	}
+	info.Elapsed = time.Since(start)
+	return res, info, nil
 }

@@ -34,94 +34,48 @@ import (
 // incremental extension is saving.
 var obsReusedTrials = obs.Default().Counter("run_reused_trials_total")
 
-// reusePlan is the planner's schedule for one job: cached partials to merge
-// as-is and the uncovered gaps to compute, together tiling [0, trials)
-// exactly, in range order.
+// reusePlan is the planner's schedule for one job: the cover's cached
+// partials to merge as-is and its gaps to compute, together tiling
+// [0, trials) exactly, plus how many trials the cover reuses.
 type reusePlan struct {
-	parts        []*engine.Partial
-	gaps         []spec.Range
+	engine.RangeCover
 	reusedTrials int
-	reusedRanges int
 }
 
 // coldPlan is the schedule with nothing reusable: one gap covering the whole
 // trial space.
 func coldPlan(trials int) reusePlan {
-	return reusePlan{gaps: []spec.Range{{Lo: 0, Hi: trials}}}
+	return reusePlan{RangeCover: engine.RangeCover{Gaps: [][2]int{{0, trials}}}}
 }
 
 // planReuse probes the cache for range entries sharing key's content address
-// (any stamped trial count) and greedily builds a disjoint chain: at each
-// uncovered cursor, take the widest cached range starting exactly there
-// (preferring same-N entries on width ties, which adapt trivially); where
-// none starts, open a gap up to the next candidate. Entries that fail to
-// fetch or adapt are skipped in place, so a half-evicted cache degrades to
-// wider gaps, never to an error.
+// (any stamped trial count) and chains them with engine.CoverRanges. An
+// entry that is evicted between probe and fetch, no longer decodes, or no
+// longer adapts to the trial count is treated as absent, so a half-evicted
+// cache degrades to wider gaps, never to an error.
 func (s *Session) planReuse(key cache.Key, trials int, name string) reusePlan {
-	entries, err := s.cache.RangeEntries(key)
-	if err != nil || len(entries) == 0 {
-		return coldPlan(trials)
+	entries, _ := s.cache.RangeEntries(key)
+	cands := make([]engine.CachedRange, len(entries))
+	for i, e := range entries {
+		cands[i] = engine.CachedRange{Lo: e.Lo, Hi: e.Hi, Trials: e.Trials}
 	}
-	var plan reusePlan
-	used := make([]bool, len(entries))
-	cursor := 0
-	for cursor < trials {
-		best := -1
-		for i, e := range entries {
-			if used[i] || e.Lo != cursor || e.Hi > trials {
-				continue
-			}
-			if best < 0 || e.Hi > entries[best].Hi ||
-				(e.Hi == entries[best].Hi && e.Trials == trials && entries[best].Trials != trials) {
-				best = i
-			}
+	cv := engine.CoverRanges(trials, cands, func(i int) *engine.Partial {
+		k := key
+		k.Trials, k.RangeLo, k.RangeHi = entries[i].Trials, entries[i].Lo, entries[i].Hi
+		var val spec.Value
+		if hit, err := s.cache.Get(k, &val); err != nil || !hit {
+			return nil
 		}
-		if best < 0 {
-			// No cached range starts at the cursor: compute up to the next
-			// point where one does.
-			next := trials
-			for i, e := range entries {
-				if !used[i] && e.Lo > cursor && e.Lo < next {
-					next = e.Lo
-				}
-			}
-			plan.gaps = append(plan.gaps, spec.Range{Lo: cursor, Hi: next})
-			cursor = next
-			continue
-		}
-		used[best] = true
-		e := entries[best]
-		p, ok := s.fetchRange(key, e, trials, name)
-		if !ok {
-			// Retry the same cursor against the remaining candidates.
-			continue
-		}
-		plan.parts = append(plan.parts, p)
-		plan.reusedTrials += e.Hi - e.Lo
-		plan.reusedRanges++
-		cursor = e.Hi
+		return val.Partial
+	})
+	for _, err := range cv.Rejected {
+		fmt.Fprintf(s.warn, "warning: %s: %v\n", name, err)
+	}
+	plan := reusePlan{RangeCover: cv}
+	for _, i := range cv.Chosen {
+		plan.reusedTrials += cands[i].Hi - cands[i].Lo
 	}
 	return plan
-}
-
-// fetchRange loads one enumerated range entry and adapts it to the job's
-// trial count. A miss (evicted between probe and fetch), an undecodable
-// value, or a geometry that no longer lines up under the new trial count all
-// report !ok — the planner treats the entry as absent.
-func (s *Session) fetchRange(base cache.Key, e cache.RangeEntry, trials int, name string) (*engine.Partial, bool) {
-	k := base
-	k.Trials = e.Trials
-	k.RangeLo, k.RangeHi = e.Lo, e.Hi
-	var val spec.Value
-	hit, err := s.cache.Get(k, &val)
-	if err != nil || !hit || val.Partial == nil {
-		return nil, false
-	}
-	if err := engine.AdaptPartial(val.Partial, trials); err != nil {
-		fmt.Fprintf(s.warn, "warning: %s: skipping cached range [%d, %d): %v\n", name, e.Lo, e.Hi, err)
-		return nil, false
-	}
-	return val.Partial, true
 }
 
 // executePlanned is the planner-driven replacement for the classic full-run
@@ -135,7 +89,7 @@ func (s *Session) executePlanned(ctx context.Context, jobSpan *obs.Span, job spe
 	plan := s.planReuse(key, trials, name)
 	if planSpan != nil {
 		planSpan.SetAttr("job", job.Spec.Hash()).SetAttr("reused_trials", plan.reusedTrials).
-			SetAttr("reused_ranges", plan.reusedRanges).SetAttr("gaps", len(plan.gaps))
+			SetAttr("reused_ranges", len(plan.Chosen)).SetAttr("gaps", len(plan.Gaps))
 	}
 	planSpan.End()
 	if plan.reusedTrials > 0 {
@@ -193,10 +147,11 @@ func (s *Session) executePlanned(ctx context.Context, jobSpan *obs.Span, job spe
 func (s *Session) runPlan(ctx context.Context, job spec.Resolved, key cache.Key, trials int, plan reusePlan) (*spec.Value, error) {
 	c := job.Campaign
 	cb := s.progressCallback(c.Scenario.Name, job.Spec.Hash())
-	parts := make([]*engine.Partial, 0, len(plan.parts)+len(plan.gaps))
-	parts = append(parts, plan.parts...)
+	parts := make([]*engine.Partial, 0, len(plan.Parts)+len(plan.Gaps))
+	parts = append(parts, plan.Parts...)
 	covered := plan.reusedTrials
-	for _, g := range plan.gaps {
+	for _, g := range plan.Gaps {
+		lo, hi := g[0], g[1]
 		var progress func(done, total int)
 		if cb != nil {
 			base := covered
@@ -213,21 +168,21 @@ func (s *Session) runPlan(ctx context.Context, job spec.Resolved, key cache.Key,
 		if err != nil {
 			return nil, err
 		}
-		p, err := engine.RunCampaignPartialContext(ctx, runner, c, g.Lo, g.Hi)
+		p, err := engine.RunCampaignPartialContext(ctx, runner, c, lo, hi)
 		if err != nil {
 			return nil, err
 		}
 		s.mu.Lock()
-		s.trialsExecuted += g.Hi - g.Lo
+		s.trialsExecuted += hi - lo
 		s.mu.Unlock()
 		// Bank the gap before the merge: a crash past this point still leaves
 		// the range on disk for the next attempt to reuse. Best-effort, like
 		// every Put.
 		rk := key
-		rk.RangeLo, rk.RangeHi = g.Lo, g.Hi
+		rk.RangeLo, rk.RangeHi = lo, hi
 		_ = s.cache.Put(rk, &spec.Value{Partial: p})
 		parts = append(parts, p)
-		covered += g.Hi - g.Lo
+		covered += hi - lo
 	}
 	rep, err := engine.MergePartials(parts)
 	if err != nil {

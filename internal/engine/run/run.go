@@ -228,9 +228,10 @@ type Session struct {
 
 	// keyLocks serializes cache Get→compute→Put per cache key, so a suite
 	// that schedules the same campaign twice computes it once and hands the
-	// second execution a cache hit instead of racing on the entry.
+	// second execution a cache hit instead of racing on the entry. An entry
+	// lives only while some caller holds or waits on it.
 	keyMu    sync.Mutex
-	keyLocks map[string]*sync.Mutex
+	keyLocks map[string]*keyLock
 
 	// opMu serializes Options.OnProgress invocations across concurrently
 	// running campaigns, making the hook's documented contract true.
@@ -264,7 +265,7 @@ func NewSession(opts Options) (*Session, error) {
 		opts:     opts,
 		warn:     opts.Warnings,
 		prog:     newProgress(opts.Progress, opts.ProgressRefresh),
-		keyLocks: make(map[string]*sync.Mutex),
+		keyLocks: make(map[string]*keyLock),
 	}
 	// Validate the flag-level engine configuration eagerly so errors surface
 	// before any campaign runs.
@@ -423,10 +424,7 @@ type Info struct {
 	Trials int
 	// ReusedTrials counts trials the prefix-reuse planner satisfied from
 	// cached range entries instead of recomputing. Zero for full-key cache
-	// hits (nothing was planned) and for cold runs. Distinct from the
-	// coordinator's resumed-trial counter: resume replays this job's own
-	// interrupted ranges, reuse extends a different (typically smaller)
-	// run's surviving ranges.
+	// hits (nothing was planned) and for cold runs.
 	ReusedTrials int
 	// Elapsed is the wall time of this execution, including cache lookup.
 	Elapsed time.Duration
@@ -436,18 +434,33 @@ type Info struct {
 	CacheKey string
 }
 
+// keyLock is one cache key's mutex plus the number of callers holding or
+// waiting on it (guarded by Session.keyMu).
+type keyLock struct {
+	mu      sync.Mutex
+	holders int
+}
+
 // lockKey serializes cache access per key hash; the returned function
-// releases the lock.
+// releases the lock, dropping the key's entry once no caller needs it.
 func (s *Session) lockKey(hash string) func() {
 	s.keyMu.Lock()
-	m, ok := s.keyLocks[hash]
+	l, ok := s.keyLocks[hash]
 	if !ok {
-		m = &sync.Mutex{}
-		s.keyLocks[hash] = m
+		l = &keyLock{}
+		s.keyLocks[hash] = l
 	}
+	l.holders++
 	s.keyMu.Unlock()
-	m.Lock()
-	return m.Unlock
+	l.mu.Lock()
+	return func() {
+		l.mu.Unlock()
+		s.keyMu.Lock()
+		if l.holders--; l.holders == 0 {
+			delete(s.keyLocks, hash)
+		}
+		s.keyMu.Unlock()
+	}
 }
 
 // progressCallback fans one job's trial counters out to the rendered
@@ -488,9 +501,6 @@ func ExecuteSpecContext(ctx context.Context, s *Session, sp spec.JobSpec) (*spec
 		// An auto spec is a driving recipe, not one job: peel the rule off
 		// and run the CI-driven round sequence (spec.Resolve rejects auto
 		// specs precisely so no other path treats them as a single job).
-		if err := sp.Validate(); err != nil {
-			return nil, Info{}, err
-		}
 		return executeAuto(ctx, s, sp)
 	}
 	job, err := spec.Resolve(sp)

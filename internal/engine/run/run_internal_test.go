@@ -1,10 +1,41 @@
 package run
 
 import (
+	"path/filepath"
 	"testing"
 
 	"resilientloc/internal/engine/spec"
 )
+
+// TestKeyLocksDrainAfterSuite: the per-key cache locks live only while a
+// job holds or waits on them. After an overlapped suite of distinct jobs
+// plus one duplicated pair, the lock table is empty, and the duplicate was
+// still computed only once.
+func TestKeyLocksDrainAfterSuite(t *testing.T) {
+	s, err := NewSession(Options{CacheDir: filepath.Join(t.TempDir(), "cache"), SuiteParallel: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []spec.Resolved
+	for _, seed := range []int64{1, 2, 3, 4, 1} {
+		job, err := spec.Resolve(spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: seed, Trials: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	for _, o := range ExecuteAll(s, jobs, nil) {
+		if o.Err != nil {
+			t.Fatal(o.Err)
+		}
+	}
+	if n := len(s.keyLocks); n != 0 {
+		t.Errorf("%d key locks outlived the suite, want 0", n)
+	}
+	if got := s.TrialsExecuted(); got != 8 {
+		t.Errorf("suite executed %d trials, want 8 (the duplicate computed once)", got)
+	}
+}
 
 // TestDispatchOrderLongestFirst pins the scheduler's size heuristic: jobs
 // are started in descending trials × shard-count order, with submission

@@ -230,12 +230,15 @@ type shardAgg struct {
 	trialSeries  map[string][][]float64 // per-trial series, len hi-lo
 	trialOutputs []any                  // per-trial T.Keep value, len hi-lo
 
+	// raw holds a cut piece's per-trial samples in place of the aggregate;
+	// it is non-nil exactly when a range boundary cuts through the shard.
+	raw []TrialRecord
+
 	err      error // first trial error in this shard
 	errTrial int
 }
 
-// runShard executes trials [lo, hi) serially and aggregates their samples.
-func runShard(s Scenario, seed int64, lo, hi int, keep bool) *shardAgg {
+func newShardAgg(lo, hi int, keep bool) *shardAgg {
 	agg := &shardAgg{
 		lo: lo, hi: hi,
 		scalars: make(map[string]*scalarAgg),
@@ -245,6 +248,34 @@ func runShard(s Scenario, seed int64, lo, hi int, keep bool) *shardAgg {
 		agg.trialScalars = make(map[string][]float64)
 		agg.trialSeries = make(map[string][][]float64)
 		agg.trialOutputs = make([]any, hi-lo)
+	}
+	return agg
+}
+
+// runShard executes trials [lo, hi) of one shard serially. A piece spanning
+// its whole shard folds into an in-memory aggregate; a cut piece (a range
+// boundary runs through the shard) records each trial's raw samples
+// instead, for the merging side to replay (see replayPieces).
+func runShard(s Scenario, seed int64, lo, hi int, cut, keep bool) *shardAgg {
+	agg := newShardAgg(lo, hi, keep && !cut)
+	add := func(t *T) error { return agg.fold(t, keep) }
+	if cut {
+		agg.raw = make([]TrialRecord, 0, hi-lo)
+		add = func(t *T) error {
+			if t.output != nil {
+				return fmt.Errorf(
+					"engine: scenario %s: trial %d retains a structured output (T.Keep), which does not serialize; the campaign cannot run partially", s.Name, t.Trial)
+			}
+			rec := TrialRecord{Trial: t.Trial}
+			for _, smp := range t.scalars {
+				rec.Scalars = append(rec.Scalars, ScalarSample{Name: smp.name, Value: stats.F64(smp.value)})
+			}
+			for _, ss := range t.series {
+				rec.Series = append(rec.Series, SeriesRecord{Name: ss.name, Values: stats.ToF64(ss.values)})
+			}
+			agg.raw = append(agg.raw, rec)
+			return nil
+		}
 	}
 	ws := grabArena()
 	defer releaseArena(ws)
@@ -259,13 +290,12 @@ func runShard(s Scenario, seed int64, lo, hi int, keep bool) *shardAgg {
 		// recorded copies, never borrowed buffers.
 		ws.Release()
 		if err != nil {
-			agg.err = fmt.Errorf("engine: scenario %s: trial %d: %w", s.Name, trial, err)
-			agg.errTrial = trial
-			return agg
+			err = fmt.Errorf("engine: scenario %s: trial %d: %w", s.Name, trial, err)
+		} else {
+			err = add(t)
 		}
-		if err := agg.fold(t, keep); err != nil {
-			agg.err = err
-			agg.errTrial = trial
+		if err != nil {
+			agg.err, agg.errTrial = err, trial
 			return agg
 		}
 	}
@@ -359,65 +389,13 @@ func (r *Runner) Run(s Scenario) (*Report, error) {
 // engine's determinism contract has no partial-result story for
 // cancellation; it is a telemetry carrier only.
 func (r *Runner) RunContext(ctx context.Context, s Scenario) (*Report, error) {
-	if err := s.Validate(); err != nil {
+	trials, err := r.trials(s)
+	if err != nil {
 		return nil, err
 	}
-	trials := r.cfg.EffectiveTrials(s)
-	if trials <= 0 {
-		return nil, fmt.Errorf("engine: scenario %s: no trial count configured", s.Name)
-	}
-	shardSize := r.cfg.EffectiveShardSize()
-	workers := r.cfg.Workers
-	if workers == 0 {
-		workers = defaultWorkers()
-	}
-	numShards := (trials + shardSize - 1) / shardSize
-	if workers > numShards {
-		workers = numShards
-	}
-
-	ctx, runSpan := obs.Start(ctx, "engine.run")
-	if runSpan != nil {
-		runSpan.SetAttr("scenario", s.Name).SetAttr("trials", trials).
-			SetAttr("shard_size", shardSize).SetAttr("workers", workers)
-	}
-	defer runSpan.End()
-
 	start := time.Now()
-	aggs := make([]*shardAgg, numShards)
-	runIndexed(workers, numShards, trials, func(si int) int {
-		lo := si * shardSize
-		hi := lo + shardSize
-		if hi > trials {
-			hi = trials
-		}
-		r.acquireBudget(ctx)
-		if r.cfg.Budget != nil {
-			defer r.cfg.Budget.release()
-		}
-		_, shardSpan := obs.Start(ctx, "engine.shard")
-		if shardSpan != nil {
-			shardSpan.SetAttr("shard", si).SetAttr("lo", lo).SetAttr("hi", hi)
-		}
-		shardStart := time.Now()
-		aggs[si] = runShard(s, r.cfg.Seed, lo, hi, r.cfg.KeepTrialValues)
-		obsShardSec.Observe(time.Since(shardStart).Seconds())
-		obsShards.Inc()
-		completed := hi - lo
-		if aggs[si].err != nil {
-			// The failing trial and the rest of its shard never completed;
-			// don't over-report.
-			completed = aggs[si].errTrial - lo
-			if shardSpan != nil {
-				shardSpan.SetAttr("error", aggs[si].err.Error())
-			}
-		}
-		obsTrials.Add(int64(completed))
-		shardSpan.End()
-		return completed
-	}, r.cfg.Progress)
-
-	if err := firstError(aggs); err != nil {
+	aggs, workers, err := r.execute(ctx, s, trials, 0, trials, false)
+	if err != nil {
 		return nil, err
 	}
 	rep, err := mergeShards(s.Name, aggs, trials, r.cfg)
@@ -427,6 +405,112 @@ func (r *Runner) RunContext(ctx context.Context, s Scenario) (*Report, error) {
 	rep.Workers = workers
 	rep.ElapsedSeconds = time.Since(start).Seconds()
 	return rep, nil
+}
+
+// trials validates s and resolves the trial count a run of it covers.
+func (r *Runner) trials(s Scenario) (int, error) {
+	if err := s.Validate(); err != nil {
+		return 0, err
+	}
+	trials := r.cfg.EffectiveTrials(s)
+	if trials <= 0 {
+		return 0, fmt.Errorf("engine: scenario %s: no trial count configured", s.Name)
+	}
+	return trials, nil
+}
+
+// execute is the one shard loop behind Run and RunPartial: it runs the
+// shard pieces of trials [lo, hi) of a trials-trial run across the worker
+// pool, one budget slot per piece, and returns their aggregates in shard
+// order plus the pool size. A full run is the [0, trials) case, whose
+// pieces are all complete shards. The engine.run span is tagged with the
+// pool size for a full run and with the range for a partial one. If several
+// trials fail, the error of the lowest-indexed one is returned.
+func (r *Runner) execute(ctx context.Context, s Scenario, trials, lo, hi int, partial bool) ([]*shardAgg, int, error) {
+	shardSize := r.cfg.EffectiveShardSize()
+	bounds := pieceBounds(lo, hi, shardSize, trials)
+	workers := r.cfg.Workers
+	if workers == 0 {
+		workers = defaultWorkers()
+	}
+	if workers > len(bounds) {
+		workers = len(bounds)
+	}
+
+	ctx, runSpan := obs.Start(ctx, "engine.run")
+	if runSpan != nil {
+		runSpan.SetAttr("scenario", s.Name).SetAttr("trials", trials).SetAttr("shard_size", shardSize)
+		if partial {
+			runSpan.SetAttr("lo", lo).SetAttr("hi", hi)
+		} else {
+			runSpan.SetAttr("workers", workers)
+		}
+	}
+	defer runSpan.End()
+
+	aggs := make([]*shardAgg, len(bounds))
+	runPiece := func(pi int) int {
+		r.acquireBudget(ctx)
+		if r.cfg.Budget != nil {
+			defer r.cfg.Budget.release()
+		}
+		si, pLo, pHi := bounds[pi][0], bounds[pi][1], bounds[pi][2]
+		sLo, sHi := shardBounds(si, shardSize, trials)
+		_, shardSpan := obs.Start(ctx, "engine.shard")
+		if shardSpan != nil {
+			shardSpan.SetAttr("shard", si).SetAttr("lo", pLo).SetAttr("hi", pHi)
+		}
+		shardStart := time.Now()
+		agg := runShard(s, r.cfg.Seed, pLo, pHi, pLo != sLo || pHi != sHi, r.cfg.KeepTrialValues)
+		aggs[pi] = agg
+		obsShardSec.Observe(time.Since(shardStart).Seconds())
+		obsShards.Inc()
+		completed := pHi - pLo
+		if agg.err != nil {
+			// The failing trial and the rest of its shard never completed;
+			// don't over-report.
+			completed = agg.errTrial - pLo
+			if shardSpan != nil {
+				shardSpan.SetAttr("error", agg.err.Error())
+			}
+		}
+		obsTrials.Add(int64(completed))
+		shardSpan.End()
+		return completed
+	}
+
+	// Progress callbacks are serialized and report the cumulative count of
+	// completed trials against the range's size, in completion order.
+	jobs := make(chan int)
+	var (
+		wg         sync.WaitGroup
+		progressMu sync.Mutex
+		done       int
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pi := range jobs {
+				completed := runPiece(pi)
+				if r.cfg.Progress != nil {
+					progressMu.Lock()
+					done += completed
+					r.cfg.Progress(done, hi-lo)
+					progressMu.Unlock()
+				}
+			}
+		}()
+	}
+	for pi := range bounds {
+		jobs <- pi
+	}
+	close(jobs)
+	wg.Wait()
+	if err := firstError(aggs); err != nil {
+		return nil, 0, err
+	}
+	return aggs, workers, nil
 }
 
 // acquireBudget claims one shared-budget slot (when a budget is
@@ -446,38 +530,6 @@ func (r *Runner) acquireBudget(ctx context.Context) {
 
 // defaultWorkers is the pool size when Config.Workers is 0.
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// runIndexed fans jobs 0..n-1 across a pool of workers. Each job returns
-// the number of trials it completed; progress (when non-nil) receives the
-// cumulative count against total, serialized, in completion order.
-func runIndexed(workers, n, total int, job func(i int) int, progress func(done, total int)) {
-	jobs := make(chan int)
-	var (
-		wg         sync.WaitGroup
-		progressMu sync.Mutex
-		done       int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				completed := job(i)
-				if progress != nil {
-					progressMu.Lock()
-					done += completed
-					progress(done, total)
-					progressMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-}
 
 // firstError returns the error of the lowest-indexed failing trial.
 func firstError(aggs []*shardAgg) error {

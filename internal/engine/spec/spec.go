@@ -24,6 +24,7 @@ import (
 	"math"
 	"os"
 
+	"resilientloc/internal/engine"
 	"resilientloc/internal/engine/params"
 )
 
@@ -86,7 +87,8 @@ type JobSpec struct {
 	// stopping instead of a fixed trial count; see AutoTrials. An auto spec
 	// is a driver recipe, not a single execution: it never resolves or
 	// hashes as one job. The executor (run.ExecuteSpecContext locally,
-	// coord.ExecuteAuto distributed) runs a sequence of fixed-N rounds —
+	// coord.ExecuteAuto distributed, both through DriveAuto) runs a
+	// sequence of fixed-N rounds —
 	// each an ordinary spec whose hash and cache key are exactly those of
 	// an explicit "trials": N submission, so rounds share cache entries
 	// with explicit runs and the prefix-reuse planner turns each round into
@@ -137,6 +139,64 @@ func (a *AutoTrials) NextTrials(effective int) int {
 		next = c
 	}
 	return next
+}
+
+// DriveAuto runs an auto-trials spec's doubling sequence: round executes one
+// ordinary fixed-count round — sp with its stopping rule peeled off and
+// Trials set — and returns its value. The sequence starts at the scenario's
+// default count (clamped to the cap) and doubles until the 95% CI
+// half-width of the stopping metric reaches the target, the cap is hit, or
+// the scenario's own ceiling stops growth (a round runs no more trials than
+// the one before). A stop above target is a warning on warn (nil means
+// stderr), not an error; layer prefixes it and the driver's own errors. It
+// returns the final round's value and CI half-width.
+func DriveAuto(sp JobSpec, layer string, warn io.Writer, round func(rs JobSpec) (*Value, error)) (*Value, float64, error) {
+	if err := sp.Validate(); err != nil {
+		return nil, 0, err
+	}
+	auto := sp.AutoTrials
+	base := sp
+	base.AutoTrials = nil
+	// Round zero runs the scenario's default count: resolve the fixed spec
+	// once to learn what that is.
+	job, err := Resolve(base)
+	if err != nil {
+		return nil, 0, err
+	}
+	if warn == nil {
+		warn = os.Stderr
+	}
+	n := min(job.TotalTrials, auto.Cap())
+	prevEffective := 0
+	for {
+		rs := base
+		rs.Trials = n
+		val, err := round(rs)
+		if err != nil {
+			return nil, 0, err
+		}
+		rep := val.Report
+		if rep == nil {
+			return nil, 0, fmt.Errorf("%s: %s: auto-trials round produced no report", layer, sp.ID)
+		}
+		// The scenario may clamp the request (engine MaxTrials), so the
+		// stopping arithmetic uses what actually ran, not what was asked.
+		effective := rep.Trials
+		hw, err := engine.CIHalfWidth(rep, auto.Metric)
+		if err != nil {
+			return nil, 0, fmt.Errorf("%s: %s: auto-trials: %w", layer, sp.ID, err)
+		}
+		done := hw <= auto.CITarget
+		if done || effective == prevEffective || effective >= auto.Cap() {
+			if !done {
+				fmt.Fprintf(warn, "%s: %s: auto-trials stopped at %d trials with CI half-width %.6g above target %.6g\n",
+					layer, sp.ID, effective, hw, auto.CITarget)
+			}
+			return val, hw, nil
+		}
+		prevEffective = effective
+		n = auto.NextTrials(effective)
+	}
 }
 
 // Validate checks the spec's self-contained invariants (registry lookups

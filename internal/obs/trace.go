@@ -230,8 +230,12 @@ func Subtree(recs []SpanRecord, root func(SpanRecord) bool) []SpanRecord {
 }
 
 // WriteChromeTraceFile writes the Chrome trace_event export to path — the
-// backing for the CLIs' -trace flag.
+// backing for the CLIs' -trace flag. A nil tracer (tracing off) writes
+// nothing.
 func (t *Tracer) WriteChromeTraceFile(path string) error {
+	if t == nil {
+		return nil
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
