@@ -561,15 +561,25 @@ func BenchmarkTrialDetect(b *testing.B) {
 // restart/iteration budget (microbenchmark scale for CI; the full budget is
 // covered by the figure benchmarks above).
 func BenchmarkTrialLSS(b *testing.B) {
+	cfg := core.DefaultLSSConfig(9)
+	cfg.Restarts = 2
+	cfg.MaxIters = 800
+	benchTrialLSS(b, cfg)
+}
+
+// BenchmarkTrialLSSTown measures one trial of the lss-town-constrained
+// scenario's solve at its full budget, DefaultLSSConfig(9).
+func BenchmarkTrialLSSTown(b *testing.B) {
+	benchTrialLSS(b, core.DefaultLSSConfig(9))
+}
+
+func benchTrialLSS(b *testing.B, cfg core.LSSConfig) {
 	rng := rand.New(rand.NewSource(43))
 	dep := deploy.Town(rng)
 	set, err := measure.Generate(dep, 22, measure.GaussianNoise, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := core.DefaultLSSConfig(9)
-	cfg.Restarts = 2
-	cfg.MaxIters = 800
 	ws := scratch.New()
 	trial := func() {
 		if _, err := core.SolveLSSIn(ws, set, cfg, rand.New(rand.NewSource(47))); err != nil {

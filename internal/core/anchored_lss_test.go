@@ -125,3 +125,30 @@ func TestAnchoredLSSWithMDSSeed(t *testing.T) {
 		t.Errorf("anchored+seeded LSS avg error %.3f m, want < 0.5", avg)
 	}
 }
+
+// TestAnchoredLSSDeterministic: the same anchored input must give the same
+// bits on every solve. The MDS-MAP seed is registered onto the anchors with
+// FitRigid, whose sums depend on the order the anchors are listed in.
+func TestAnchoredLSSDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	dep := deploy.Town(rng)
+	set, err := measure.Generate(dep, 22, measure.GaussianNoise, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultLSSConfig(9)
+	cfg.Restarts = 0
+	cfg.Anchors = map[int]geom.Point{3: dep.Positions[3], 20: dep.Positions[20], 50: dep.Positions[50]}
+	var first *LSSResult
+	for run := 0; run < 10; run++ {
+		res, err := SolveLSS(set, cfg, rand.New(rand.NewSource(17)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = res
+		} else if msg := lssResultDiff(res, first); msg != "" {
+			t.Fatalf("solve %d differs from solve 0: %s", run, msg)
+		}
+	}
+}

@@ -8,8 +8,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 
 	"resilientloc/internal/geom"
 	"resilientloc/internal/measure"
@@ -147,8 +149,8 @@ func SolveLSS(set *measure.Set, cfg LSSConfig, rng *rand.Rand) (*LSSResult, erro
 	return SolveLSSIn(nil, set, cfg, rng)
 }
 
-// SolveLSSIn is SolveLSS with every solver workspace — the problem's
-// measured/fixed tables, descent point and gradient buffers, objective
+// SolveLSSIn is SolveLSS with every solver workspace — the problem's pair
+// tables, descent point, separation and gradient buffers, objective
 // histories, and the MDS-MAP seed path — borrowed from ws (nil ws
 // allocates). The returned result's Positions and History are arena-owned:
 // valid only until ws's next Release; copy them out to keep them longer.
@@ -202,29 +204,40 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 	bestErr := prob.objective(best)
 	var bestHistory []float64
 	totalIters := 0
+	// Two history buffers serve every descent: one holds the best descent's
+	// history so far, the other takes the next descent's. +1 so descend's
+	// final append(history, e) stays in place.
+	histories := [2][]float64{ws.Float64Cap(cfg.MaxIters + 1), ws.Float64Cap(cfg.MaxIters + 1)}
+	free := 0
+	descendFrom := func(start []geom.Point) {
+		final, history, iters := prob.descend(histories[free], start, cfg)
+		totalIters += iters
+		if e := prob.objective(final); e < bestErr {
+			bestErr = e
+			copy(best, final)
+			bestHistory = history
+			free = 1 - free
+		}
+	}
 
 	if cfg.SeedMDSMap && set.Connected() {
 		if seed, err := SolveMDSMapIn(ws, set); err == nil {
 			if len(cfg.Anchors) >= 2 {
 				// Register the relative MDS map onto the anchor frame so
-				// pinning doesn't tear the configuration apart.
+				// pinning doesn't tear the configuration apart. Anchors go
+				// in ascending order: FitRigid's sums, and so the result's
+				// bits, depend on the order of its inputs.
 				var src, dst []geom.Point
-				for a, p := range cfg.Anchors {
+				for _, a := range slices.Sorted(maps.Keys(cfg.Anchors)) {
 					src = append(src, seed[a])
-					dst = append(dst, p)
+					dst = append(dst, cfg.Anchors[a])
 				}
 				if tr, _, err := geom.FitRigid(src, dst); err == nil {
 					seed = tr.ApplyAll(seed)
 				}
 			}
 			pinAnchors(seed)
-			final, history, iters := prob.descend(ws, seed, cfg)
-			totalIters += iters
-			if e := prob.objective(final); e < bestErr {
-				bestErr = e
-				copy(best, final)
-				bestHistory = history
-			}
+			descendFrom(seed)
 		}
 	}
 
@@ -245,56 +258,69 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 			// Fresh random configuration: escapes reflection folds.
 			randomConfig(cur)
 		}
-		final, history, iters := prob.descend(ws, cur, cfg)
-		totalIters += iters
-		if e := prob.objective(final); e < bestErr {
-			bestErr = e
-			copy(best, final)
-			bestHistory = history
-		}
+		descendFrom(cur)
 	}
 
 	return &LSSResult{
 		Positions:          best,
 		Error:              bestErr,
-		UnconstrainedError: prob.weightedStress(best),
+		UnconstrainedError: prob.weightedStress(best, nil),
 		Iterations:         totalIters,
 		History:            bestHistory,
 	}, nil
 }
 
-// lssProblem holds the preprocessed measurement data for fast gradient
-// evaluation.
+// lssProblem holds the preprocessed measurement data and the descent
+// workspaces of one solve.
 type lssProblem struct {
-	n     int
-	pairs []measure.Measurement
-	// measured[i*n+j] marks pairs with a distance measurement; the soft
-	// constraint applies only to unmeasured pairs.
-	measured []bool
-	// soft lists the unmeasured (i, j) pairs flat — soft[k], soft[k+1] —
-	// in the same i-major, j-ascending order the constraint loops used to
-	// scan measured in, so objective/gradient walk a precomputed list
-	// instead of re-deriving it O(n²) per evaluation.
-	soft []int
+	n int
+	// lo[k], hi[k] is pair k: first the measured pairs in the set's
+	// insertion order, with distance dist[k] and weight w[k]; then, when the
+	// soft constraint is on, every unmeasured pair, i-major and j-ascending.
+	// eval records pair k's separation at ds[k] in the same order.
+	lo, hi  []int
+	dist, w []float64
 	// fixed marks anchored nodes whose coordinates never move.
 	fixed []bool
 	dmin  float64
 	wd    float64
+	// farSq is dmin²·(1+1e-6). A soft pair whose computed dx²+dy² exceeds
+	// it is beyond dmin by far more than any rounding in that sum or in
+	// Hypot, so Hypot(dx, dy) ≥ dmin and the pair adds nothing to E or ∇E.
+	farSq float64
+	// Descent workspaces, shared by every descent of the solve: two points
+	// and their pair separations, which descend swaps on each accepted step,
+	// and the gradient.
+	cur, next     []geom.Point
+	curDs, nextDs []float64
+	grad          []float64
 }
 
 func newLSSProblem(ws *scratch.Arena, set *measure.Set, cfg LSSConfig) *lssProblem {
 	n := set.N()
+	pairs := set.All()
+	m := len(pairs)
 	p := &lssProblem{
-		n:        n,
-		pairs:    set.All(),
-		measured: ws.Bools(n * n),
-		fixed:    ws.Bools(n),
-		dmin:     cfg.DMin,
-		wd:       cfg.WD,
+		n: n,
+		// Each pair appears at most once, measured or soft.
+		lo:    ws.IntCap(n * (n - 1) / 2),
+		hi:    ws.IntCap(n * (n - 1) / 2),
+		dist:  ws.Float64s(m),
+		w:     ws.Float64s(m),
+		fixed: ws.Bools(n),
+		dmin:  cfg.DMin,
+		wd:    cfg.WD,
+		farSq: cfg.DMin * cfg.DMin * (1 + 1e-6),
 	}
-	for _, m := range p.pairs {
-		p.measured[m.Pair.Lo*n+m.Pair.Hi] = true
-		p.measured[m.Pair.Hi*n+m.Pair.Lo] = true
+	// measured[lo*n+hi] marks pairs with a distance measurement; the soft
+	// constraint applies only to unmeasured pairs.
+	measured := ws.Bools(n * n)
+	for k, pm := range pairs {
+		p.lo = append(p.lo, pm.Pair.Lo)
+		p.hi = append(p.hi, pm.Pair.Hi)
+		p.dist[k] = pm.Distance
+		p.w[k] = pm.Weight
+		measured[pm.Pair.Lo*n+pm.Pair.Hi] = true
 	}
 	for a := range cfg.Anchors {
 		if a >= 0 && a < n {
@@ -302,54 +328,75 @@ func newLSSProblem(ws *scratch.Arena, set *measure.Set, cfg LSSConfig) *lssProbl
 		}
 	}
 	if p.dmin > 0 {
-		p.soft = ws.IntCap(n * (n - 1))
 		for i := 0; i < n; i++ {
-			mrow := p.measured[i*n : i*n+n]
+			mrow := measured[i*n : i*n+n]
 			for j := i + 1; j < n; j++ {
 				if !mrow[j] {
-					p.soft = append(p.soft, i, j)
+					p.lo = append(p.lo, i)
+					p.hi = append(p.hi, j)
 				}
 			}
 		}
 	}
+	p.cur = ws.Points(n)
+	p.next = ws.Points(n)
+	p.curDs = ws.Float64s(len(p.lo))
+	p.nextDs = ws.Float64s(len(p.lo))
+	p.grad = ws.Float64s(2 * n)
 	return p
 }
 
 // distanceScale returns the mean measured distance, used to size the random
 // initial configuration.
 func (p *lssProblem) distanceScale() float64 {
-	if len(p.pairs) == 0 {
+	if len(p.dist) == 0 {
 		return 1
 	}
 	var s float64
-	for _, m := range p.pairs {
-		s += m.Distance
+	for _, d := range p.dist {
+		s += d
 	}
-	return s / float64(len(p.pairs))
+	return s / float64(len(p.dist))
 }
 
 // minSeparation guards divisions by near-zero computed distances.
 const minSeparation = 1e-9
 
-// weightedStress computes Ew = Σ wij (‖pi−pj‖ − dij)².
-func (p *lssProblem) weightedStress(pos []geom.Point) float64 {
+// weightedStress computes Ew = Σ wij (‖pi−pj‖ − dij)², recording each
+// measured pair's separation in ds unless ds is nil.
+func (p *lssProblem) weightedStress(pos []geom.Point, ds []float64) float64 {
 	var e float64
-	for _, m := range p.pairs {
-		d := pos[m.Pair.Lo].Dist(pos[m.Pair.Hi])
-		r := d - m.Distance
-		e += m.Weight * r * r
+	for k, d0 := range p.dist {
+		d := pos[p.lo[k]].Dist(pos[p.hi[k]])
+		if ds != nil {
+			ds[k] = d
+		}
+		r := d - d0
+		e += p.w[k] * r * r
 	}
 	return e
 }
 
 // objective computes the full E including soft-constraint terms.
-func (p *lssProblem) objective(pos []geom.Point) float64 {
-	e := p.weightedStress(pos)
-	if p.dmin <= 0 {
-		return e
-	}
-	for k := 0; k < len(p.soft); k += 2 {
-		d := pos[p.soft[k]].Dist(pos[p.soft[k+1]])
+func (p *lssProblem) objective(pos []geom.Point) float64 { return p.eval(pos, nil) }
+
+// eval computes the full E including soft-constraint terms and, unless ds is
+// nil, records every pair's separation in ds for gradient at the same pos.
+// A soft pair the farSq test puts beyond dmin is recorded as +Inf.
+func (p *lssProblem) eval(pos []geom.Point, ds []float64) float64 {
+	e := p.weightedStress(pos, ds)
+	for k := len(p.dist); k < len(p.lo); k++ {
+		dx := pos[p.lo[k]].X - pos[p.hi[k]].X
+		dy := pos[p.lo[k]].Y - pos[p.hi[k]].Y
+		var d float64
+		if dx*dx+dy*dy > p.farSq {
+			d = math.Inf(1)
+		} else {
+			d = math.Hypot(dx, dy) // NaN lands here, as without the filter
+		}
+		if ds != nil {
+			ds[k] = d
+		}
 		if d < p.dmin {
 			r := d - p.dmin
 			e += p.wd * r * r
@@ -358,38 +405,33 @@ func (p *lssProblem) objective(pos []geom.Point) float64 {
 	return e
 }
 
-// gradient writes ∇E into grad (len 2n: x components then y components).
-func (p *lssProblem) gradient(pos []geom.Point, grad []float64) {
-	for i := range grad {
-		grad[i] = 0
-	}
+// gradient writes ∇E at pos into grad (len 2n: x components then y
+// components). ds must hold the separations eval recorded at the same pos.
+func (p *lssProblem) gradient(pos []geom.Point, ds, grad []float64) {
+	clear(grad)
 	n := p.n
-	for _, m := range p.pairs {
-		i, j := m.Pair.Lo, m.Pair.Hi
-		dx := pos[i].X - pos[j].X
-		dy := pos[i].Y - pos[j].Y
-		d := math.Hypot(dx, dy)
+	m := len(p.dist)
+	for k, d := range ds[:m] {
 		if d < minSeparation {
 			continue // coincident points: zero gradient direction, skip
 		}
-		g := 2 * m.Weight * (d - m.Distance) / d
+		i, j := p.lo[k], p.hi[k]
+		dx := pos[i].X - pos[j].X
+		dy := pos[i].Y - pos[j].Y
+		g := 2 * p.w[k] * (d - p.dist[k]) / d
 		grad[i] += g * dx
 		grad[j] -= g * dx
 		grad[n+i] += g * dy
 		grad[n+j] -= g * dy
 	}
-	if p.dmin <= 0 {
-		p.zeroFixed(grad)
-		return
-	}
-	for k := 0; k < len(p.soft); k += 2 {
-		i, j := p.soft[k], p.soft[k+1]
-		dx := pos[i].X - pos[j].X
-		dy := pos[i].Y - pos[j].Y
-		d := math.Hypot(dx, dy)
+	for k := m; k < len(ds); k++ {
+		d := ds[k]
 		if d >= p.dmin || d < minSeparation {
 			continue
 		}
+		i, j := p.lo[k], p.hi[k]
+		dx := pos[i].X - pos[j].X
+		dy := pos[i].Y - pos[j].Y
 		g := 2 * p.wd * (d - p.dmin) / d
 		grad[i] += g * dx
 		grad[j] -= g * dx
@@ -414,38 +456,40 @@ func (p *lssProblem) zeroFixed(grad []float64) {
 // final configuration, the per-iteration objective history, and the number
 // of iterations performed. In adaptive mode the step halves when it would
 // increase the objective (retrying the step) and grows on success; in fixed
-// mode the paper's constant-α rule applies verbatim.
-func (p *lssProblem) descend(ws *scratch.Arena, start []geom.Point, cfg LSSConfig) ([]geom.Point, []float64, int) {
+// mode the paper's constant-α rule applies verbatim. The history is
+// appended to history[:0]; the final configuration is one of p's
+// workspaces, overwritten by the next descent.
+func (p *lssProblem) descend(history []float64, start []geom.Point, cfg LSSConfig) ([]geom.Point, []float64, int) {
 	if cfg.Mode == StepFixed {
-		return p.descendFixed(ws, start, cfg)
+		return p.descendFixed(history, start, cfg)
 	}
 	n := p.n
-	cur := ws.Points(n)
+	cur, next := p.cur, p.next
+	curDs, nextDs := p.curDs, p.nextDs
+	grad := p.grad
 	copy(cur, start)
-	next := ws.Points(n)
-	grad := ws.Float64s(2 * n)
-	// +1 so the final append(history, e) below stays in place.
-	history := ws.Float64Cap(cfg.MaxIters + 1)
+	history = history[:0]
 
-	e := p.objective(cur)
+	e := p.eval(cur, curDs)
 	step := cfg.Step
 	plateau := 0
 	iters := 0
 	for it := 0; it < cfg.MaxIters; it++ {
 		iters++
 		history = append(history, e)
-		p.gradient(cur, grad)
+		p.gradient(cur, curDs, grad)
 
 		improved := false
 		for attempt := 0; attempt < 40; attempt++ {
 			for i := 0; i < n; i++ {
 				next[i] = geom.Pt(cur[i].X-step*grad[i], cur[i].Y-step*grad[n+i])
 			}
-			ne := p.objective(next)
+			ne := p.eval(next, nextDs)
 			if ne < e {
 				improved = true
 				relDrop := (e - ne) / (math.Abs(e) + 1e-30)
 				cur, next = next, cur
+				curDs, nextDs = nextDs, curDs
 				e = ne
 				step *= 1.5
 				if relDrop < cfg.Tol {
@@ -471,32 +515,30 @@ func (p *lssProblem) descend(ws *scratch.Arena, start []geom.Point, cfg LSSConfi
 // descent. The only concession to float safety is halving the step when the
 // objective stops being finite (a divergence the paper's hand-tuned α
 // avoided by construction).
-func (p *lssProblem) descendFixed(ws *scratch.Arena, start []geom.Point, cfg LSSConfig) ([]geom.Point, []float64, int) {
+func (p *lssProblem) descendFixed(history []float64, start []geom.Point, cfg LSSConfig) ([]geom.Point, []float64, int) {
 	n := p.n
-	cur := ws.Points(n)
+	cur, ds, grad := p.cur, p.curDs, p.grad
 	copy(cur, start)
-	grad := ws.Float64s(2 * n)
-	// +1 so the final append(history, e) below stays in place.
-	history := ws.Float64Cap(cfg.MaxIters + 1)
+	history = history[:0]
 
 	step := cfg.Step
-	e := p.objective(cur)
+	e := p.eval(cur, ds)
 	iters := 0
 	for it := 0; it < cfg.MaxIters; it++ {
 		iters++
 		history = append(history, e)
-		p.gradient(cur, grad)
+		p.gradient(cur, ds, grad)
 		for i := 0; i < n; i++ {
 			cur[i] = geom.Pt(cur[i].X-step*grad[i], cur[i].Y-step*grad[n+i])
 		}
-		e = p.objective(cur)
+		e = p.eval(cur, ds)
 		if math.IsNaN(e) || math.IsInf(e, 0) {
 			// Diverged: rewind the step and continue more cautiously.
 			for i := 0; i < n; i++ {
 				cur[i] = geom.Pt(cur[i].X+step*grad[i], cur[i].Y+step*grad[n+i])
 			}
 			step /= 2
-			e = p.objective(cur)
+			e = p.eval(cur, ds)
 			if step < 1e-15 {
 				break
 			}

@@ -1,0 +1,442 @@
+package core
+
+import (
+	"fmt"
+	"maps"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"resilientloc/internal/deploy"
+	"resilientloc/internal/geom"
+	"resilientloc/internal/measure"
+	"resilientloc/internal/scratch"
+)
+
+// This file freezes the LSS descent kernel as it stood before the solver
+// began reusing each objective evaluation's pair distances in the next
+// gradient and skipping Hypot for soft pairs that are certainly beyond dmin.
+// The production kernel must reproduce it bit for bit: same positions, same
+// objective values, same iteration counts and the same History.
+
+// refSolveLSS is SolveLSSIn's restart loop, anchors registered in ascending
+// order, running the frozen kernel. Inputs are assumed valid.
+func refSolveLSS(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Rand) *LSSResult {
+	n := set.N()
+	prob := newRefLSSProblem(ws, set, cfg)
+
+	spread := cfg.InitSpread
+	if spread <= 0 {
+		spread = prob.distanceScale() * math.Sqrt(float64(n))
+	}
+	perturb := cfg.PerturbStd
+	if perturb <= 0 {
+		perturb = 0.3 * prob.distanceScale()
+	}
+	pinAnchors := func(dst []geom.Point) {
+		for a, p := range cfg.Anchors {
+			dst[a] = p
+		}
+	}
+	randomConfig := func(dst []geom.Point) {
+		for i := range dst {
+			dst[i] = geom.Pt(rng.Float64()*spread, rng.Float64()*spread)
+		}
+		pinAnchors(dst)
+	}
+
+	cur := ws.Points(n)
+	randomConfig(cur)
+
+	best := ws.Points(n)
+	copy(best, cur)
+	bestErr := prob.objective(best)
+	var bestHistory []float64
+	totalIters := 0
+
+	if cfg.SeedMDSMap && set.Connected() {
+		if seed, err := SolveMDSMapIn(ws, set); err == nil {
+			if len(cfg.Anchors) >= 2 {
+				// Register the relative MDS map onto the anchor frame so
+				// pinning doesn't tear the configuration apart.
+				var src, dst []geom.Point
+				for _, a := range slices.Sorted(maps.Keys(cfg.Anchors)) {
+					src = append(src, seed[a])
+					dst = append(dst, cfg.Anchors[a])
+				}
+				if tr, _, err := geom.FitRigid(src, dst); err == nil {
+					seed = tr.ApplyAll(seed)
+				}
+			}
+			pinAnchors(seed)
+			final, history, iters := prob.descend(ws, seed, cfg)
+			totalIters += iters
+			if e := prob.objective(final); e < bestErr {
+				bestErr = e
+				copy(best, final)
+				bestHistory = history
+			}
+		}
+	}
+
+	for round := 0; round <= cfg.Restarts; round++ {
+		switch {
+		case round == 0:
+			// descend from the initial random configuration
+		case round%2 == 1:
+			// Perturb the best configuration so far (the paper's rule).
+			for i := range cur {
+				cur[i] = geom.Pt(
+					best[i].X+rng.NormFloat64()*perturb,
+					best[i].Y+rng.NormFloat64()*perturb,
+				)
+			}
+			pinAnchors(cur)
+		default:
+			// Fresh random configuration: escapes reflection folds.
+			randomConfig(cur)
+		}
+		final, history, iters := prob.descend(ws, cur, cfg)
+		totalIters += iters
+		if e := prob.objective(final); e < bestErr {
+			bestErr = e
+			copy(best, final)
+			bestHistory = history
+		}
+	}
+
+	return &LSSResult{
+		Positions:          best,
+		Error:              bestErr,
+		UnconstrainedError: prob.weightedStress(best),
+		Iterations:         totalIters,
+		History:            bestHistory,
+	}
+}
+
+// refLSSProblem is the frozen kernel: it recomputes every pair distance in
+// every objective and every gradient.
+type refLSSProblem struct {
+	n     int
+	pairs []measure.Measurement
+	// measured[i*n+j] marks pairs with a distance measurement; the soft
+	// constraint applies only to unmeasured pairs.
+	measured []bool
+	// soft lists the unmeasured (i, j) pairs flat — soft[k], soft[k+1] —
+	// in the same i-major, j-ascending order the constraint loops used to
+	// scan measured in, so objective/gradient walk a precomputed list
+	// instead of re-deriving it O(n²) per evaluation.
+	soft []int
+	// fixed marks anchored nodes whose coordinates never move.
+	fixed []bool
+	dmin  float64
+	wd    float64
+}
+
+func newRefLSSProblem(ws *scratch.Arena, set *measure.Set, cfg LSSConfig) *refLSSProblem {
+	n := set.N()
+	p := &refLSSProblem{
+		n:        n,
+		pairs:    set.All(),
+		measured: ws.Bools(n * n),
+		fixed:    ws.Bools(n),
+		dmin:     cfg.DMin,
+		wd:       cfg.WD,
+	}
+	for _, m := range p.pairs {
+		p.measured[m.Pair.Lo*n+m.Pair.Hi] = true
+		p.measured[m.Pair.Hi*n+m.Pair.Lo] = true
+	}
+	for a := range cfg.Anchors {
+		if a >= 0 && a < n {
+			p.fixed[a] = true
+		}
+	}
+	if p.dmin > 0 {
+		p.soft = ws.IntCap(n * (n - 1))
+		for i := 0; i < n; i++ {
+			mrow := p.measured[i*n : i*n+n]
+			for j := i + 1; j < n; j++ {
+				if !mrow[j] {
+					p.soft = append(p.soft, i, j)
+				}
+			}
+		}
+	}
+	return p
+}
+
+// distanceScale returns the mean measured distance, used to size the random
+// initial configuration.
+func (p *refLSSProblem) distanceScale() float64 {
+	if len(p.pairs) == 0 {
+		return 1
+	}
+	var s float64
+	for _, m := range p.pairs {
+		s += m.Distance
+	}
+	return s / float64(len(p.pairs))
+}
+
+// weightedStress computes Ew = Σ wij (‖pi−pj‖ − dij)².
+func (p *refLSSProblem) weightedStress(pos []geom.Point) float64 {
+	var e float64
+	for _, m := range p.pairs {
+		d := pos[m.Pair.Lo].Dist(pos[m.Pair.Hi])
+		r := d - m.Distance
+		e += m.Weight * r * r
+	}
+	return e
+}
+
+// objective computes the full E including soft-constraint terms.
+func (p *refLSSProblem) objective(pos []geom.Point) float64 {
+	e := p.weightedStress(pos)
+	if p.dmin <= 0 {
+		return e
+	}
+	for k := 0; k < len(p.soft); k += 2 {
+		d := pos[p.soft[k]].Dist(pos[p.soft[k+1]])
+		if d < p.dmin {
+			r := d - p.dmin
+			e += p.wd * r * r
+		}
+	}
+	return e
+}
+
+// gradient writes ∇E into grad (len 2n: x components then y components).
+func (p *refLSSProblem) gradient(pos []geom.Point, grad []float64) {
+	for i := range grad {
+		grad[i] = 0
+	}
+	n := p.n
+	for _, m := range p.pairs {
+		i, j := m.Pair.Lo, m.Pair.Hi
+		dx := pos[i].X - pos[j].X
+		dy := pos[i].Y - pos[j].Y
+		d := math.Hypot(dx, dy)
+		if d < minSeparation {
+			continue // coincident points: zero gradient direction, skip
+		}
+		g := 2 * m.Weight * (d - m.Distance) / d
+		grad[i] += g * dx
+		grad[j] -= g * dx
+		grad[n+i] += g * dy
+		grad[n+j] -= g * dy
+	}
+	if p.dmin <= 0 {
+		p.zeroFixed(grad)
+		return
+	}
+	for k := 0; k < len(p.soft); k += 2 {
+		i, j := p.soft[k], p.soft[k+1]
+		dx := pos[i].X - pos[j].X
+		dy := pos[i].Y - pos[j].Y
+		d := math.Hypot(dx, dy)
+		if d >= p.dmin || d < minSeparation {
+			continue
+		}
+		g := 2 * p.wd * (d - p.dmin) / d
+		grad[i] += g * dx
+		grad[j] -= g * dx
+		grad[n+i] += g * dy
+		grad[n+j] -= g * dy
+	}
+	p.zeroFixed(grad)
+}
+
+// zeroFixed clears gradient components of anchored nodes so descent never
+// moves them.
+func (p *refLSSProblem) zeroFixed(grad []float64) {
+	for i, fixed := range p.fixed {
+		if fixed {
+			grad[i] = 0
+			grad[p.n+i] = 0
+		}
+	}
+}
+
+// descend runs one gradient-descent trajectory from start and returns the
+// final configuration, the per-iteration objective history, and the number
+// of iterations performed. In adaptive mode the step halves when it would
+// increase the objective (retrying the step) and grows on success; in fixed
+// mode the paper's constant-α rule applies verbatim.
+func (p *refLSSProblem) descend(ws *scratch.Arena, start []geom.Point, cfg LSSConfig) ([]geom.Point, []float64, int) {
+	if cfg.Mode == StepFixed {
+		return p.descendFixed(ws, start, cfg)
+	}
+	n := p.n
+	cur := ws.Points(n)
+	copy(cur, start)
+	next := ws.Points(n)
+	grad := ws.Float64s(2 * n)
+	// +1 so the final append(history, e) below stays in place.
+	history := ws.Float64Cap(cfg.MaxIters + 1)
+
+	e := p.objective(cur)
+	step := cfg.Step
+	plateau := 0
+	iters := 0
+	for it := 0; it < cfg.MaxIters; it++ {
+		iters++
+		history = append(history, e)
+		p.gradient(cur, grad)
+
+		improved := false
+		for attempt := 0; attempt < 40; attempt++ {
+			for i := 0; i < n; i++ {
+				next[i] = geom.Pt(cur[i].X-step*grad[i], cur[i].Y-step*grad[n+i])
+			}
+			ne := p.objective(next)
+			if ne < e {
+				improved = true
+				relDrop := (e - ne) / (math.Abs(e) + 1e-30)
+				cur, next = next, cur
+				e = ne
+				step *= 1.5
+				if relDrop < cfg.Tol {
+					plateau++
+				} else {
+					plateau = 0
+				}
+				break
+			}
+			step /= 2
+			if step < 1e-16 {
+				break
+			}
+		}
+		if !improved || plateau >= 25 {
+			break // converged or stuck on a plateau at every step size
+		}
+	}
+	return cur, append(history, e), iters
+}
+
+// descendFixed is the paper's Eq. (1) verbatim: constant-step gradient
+// descent. The only concession to float safety is halving the step when the
+// objective stops being finite (a divergence the paper's hand-tuned α
+// avoided by construction).
+func (p *refLSSProblem) descendFixed(ws *scratch.Arena, start []geom.Point, cfg LSSConfig) ([]geom.Point, []float64, int) {
+	n := p.n
+	cur := ws.Points(n)
+	copy(cur, start)
+	grad := ws.Float64s(2 * n)
+	// +1 so the final append(history, e) below stays in place.
+	history := ws.Float64Cap(cfg.MaxIters + 1)
+
+	step := cfg.Step
+	e := p.objective(cur)
+	iters := 0
+	for it := 0; it < cfg.MaxIters; it++ {
+		iters++
+		history = append(history, e)
+		p.gradient(cur, grad)
+		for i := 0; i < n; i++ {
+			cur[i] = geom.Pt(cur[i].X-step*grad[i], cur[i].Y-step*grad[n+i])
+		}
+		e = p.objective(cur)
+		if math.IsNaN(e) || math.IsInf(e, 0) {
+			// Diverged: rewind the step and continue more cautiously.
+			for i := 0; i < n; i++ {
+				cur[i] = geom.Pt(cur[i].X+step*grad[i], cur[i].Y+step*grad[n+i])
+			}
+			step /= 2
+			e = p.objective(cur)
+			if step < 1e-15 {
+				break
+			}
+		}
+	}
+	return cur, append(history, e), iters
+}
+
+// TestLSSKernelBitIdentical solves town inputs with SolveLSSIn and with the
+// frozen kernel and requires every LSSResult field to match bit for bit,
+// over the default config, the unconstrained ablation, fixed stepping,
+// anchors, and random-only seeding. The restart budget is cut to keep the
+// test quick.
+func TestLSSKernelBitIdentical(t *testing.T) {
+	configs := []struct {
+		name string
+		cfg  func(dep *deploy.Deployment) LSSConfig
+	}{
+		{"default", func(*deploy.Deployment) LSSConfig { return DefaultLSSConfig(9) }},
+		{"dmin0", func(*deploy.Deployment) LSSConfig { return DefaultLSSConfig(0) }},
+		{"fixed", func(*deploy.Deployment) LSSConfig {
+			c := DefaultLSSConfig(9)
+			c.Mode = StepFixed
+			return c
+		}},
+		{"anchored", func(dep *deploy.Deployment) LSSConfig {
+			c := DefaultLSSConfig(9)
+			c.Anchors = map[int]geom.Point{0: dep.Positions[0], 7: dep.Positions[7], 40: dep.Positions[40]}
+			return c
+		}},
+		{"random-seeding", func(*deploy.Deployment) LSSConfig {
+			c := DefaultLSSConfig(9)
+			c.SeedMDSMap = false
+			return c
+		}},
+	}
+	seeds := []int64{1, 2, 3, 5, 7, 11}
+	if testing.Short() {
+		seeds = seeds[:2]
+	}
+	ws := scratch.New()
+	for _, tc := range configs {
+		for _, seed := range seeds {
+			rng := rand.New(rand.NewSource(seed))
+			dep := deploy.Town(rng)
+			set, err := measure.Generate(dep, 22, measure.GaussianNoise, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := tc.cfg(dep)
+			// Rounds 1 and 2 cover both restart kinds; more rounds only
+			// repeat them.
+			cfg.Restarts = 2
+			want := refSolveLSS(nil, set, cfg, rand.New(rand.NewSource(seed+100)))
+			got, err := SolveLSSIn(ws, set, cfg, rand.New(rand.NewSource(seed+100)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := lssResultDiff(got, want); msg != "" {
+				t.Errorf("%s seed %d: %s", tc.name, seed, msg)
+			}
+			ws.Release()
+		}
+	}
+}
+
+// lssResultDiff describes the first field in which a and b differ bitwise,
+// or returns "".
+func lssResultDiff(a, b *LSSResult) string {
+	switch {
+	case math.Float64bits(a.Error) != math.Float64bits(b.Error):
+		return fmt.Sprintf("Error %v != %v", a.Error, b.Error)
+	case math.Float64bits(a.UnconstrainedError) != math.Float64bits(b.UnconstrainedError):
+		return fmt.Sprintf("UnconstrainedError %v != %v", a.UnconstrainedError, b.UnconstrainedError)
+	case a.Iterations != b.Iterations:
+		return fmt.Sprintf("Iterations %d != %d", a.Iterations, b.Iterations)
+	case len(a.Positions) != len(b.Positions):
+		return fmt.Sprintf("%d positions != %d", len(a.Positions), len(b.Positions))
+	case len(a.History) != len(b.History):
+		return fmt.Sprintf("History length %d != %d", len(a.History), len(b.History))
+	}
+	for i, p := range a.Positions {
+		q := b.Positions[i]
+		if math.Float64bits(p.X) != math.Float64bits(q.X) || math.Float64bits(p.Y) != math.Float64bits(q.Y) {
+			return fmt.Sprintf("position %d: %v != %v", i, p, q)
+		}
+	}
+	for i, e := range a.History {
+		if math.Float64bits(e) != math.Float64bits(b.History[i]) {
+			return fmt.Sprintf("History[%d] %v != %v", i, e, b.History[i])
+		}
+	}
+	return ""
+}

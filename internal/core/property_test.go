@@ -94,8 +94,10 @@ func TestPropertyLSSGradientMatchesFiniteDifference(t *testing.T) {
 			for i := range pts {
 				pts[i] = geom.Pt(rng.NormFloat64()*20, rng.NormFloat64()*20)
 			}
+			ds := make([]float64, len(prob.lo))
+			prob.eval(pts, ds)
 			grad := make([]float64, 2*n)
-			prob.gradient(pts, grad)
+			prob.gradient(pts, ds, grad)
 			const h = 1e-6
 			for i := 0; i < n; i++ {
 				for _, axis := range []int{0, 1} {

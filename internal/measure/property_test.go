@@ -203,3 +203,72 @@ func TestPropertySparsifySubset(t *testing.T) {
 		}
 	}
 }
+
+// Property: Connected agrees with a depth-first search over Neighbors on
+// random graphs, connected or not, with isolated nodes, down to n = 1; the
+// empty set counts as connected.
+func TestPropertyConnectedMatchesSearch(t *testing.T) {
+	if !(&Set{}).Connected() {
+		t.Error("n=0: want connected")
+	}
+	rng := rand.New(rand.NewSource(31))
+	seen := map[bool]int{}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(12)
+		s, err := NewSet(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		density := rng.Float64() * 0.6
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < density {
+					_ = s.Add(i, j, 1+rng.Float64(), 1)
+				}
+			}
+		}
+		for op := 0; op < n/2; op++ {
+			if i, j := rng.Intn(n), rng.Intn(n); i != j {
+				s.Remove(i, j)
+			}
+		}
+		want := searchConnected(s)
+		seen[want]++
+		if got := s.Connected(); got != want {
+			t.Fatalf("trial %d (n=%d, %d pairs): Connected() = %v, search says %v", trial, n, s.Len(), got, want)
+		}
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("generator covered only one outcome: %v", seen)
+	}
+}
+
+// searchConnected is a depth-first search from node 0 over Neighbors.
+func searchConnected(s *Set) bool {
+	visited := make([]bool, s.N())
+	visited[0] = true
+	stack, count := []int{0}, 1
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range s.Neighbors(v) {
+			if !visited[w] {
+				visited[w] = true
+				count++
+				stack = append(stack, w)
+			}
+		}
+	}
+	return count == s.N()
+}
+
+func TestConnectedAllocatesOnlyItsTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	s, err := Generate(deploy.Town(rng), 22, GaussianNoise, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { s.Connected() }); allocs > 1 {
+		t.Errorf("Connected allocates %v times per call, want ≤ 1", allocs)
+	}
+}

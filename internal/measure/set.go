@@ -155,32 +155,32 @@ func (s *Set) Clone() *Set {
 }
 
 // Connected reports whether the measurement graph is connected over all n
-// nodes (isolated nodes make it disconnected).
+// nodes (isolated nodes make it disconnected). It merges the endpoints of
+// every measured pair with union-find, whose one table is its only
+// allocation.
 func (s *Set) Connected() bool {
 	if s.n == 0 {
 		return true
 	}
-	adj := make(map[int][]int, s.n)
-	for _, p := range s.ks {
-		adj[p.Lo] = append(adj[p.Lo], p.Hi)
-		adj[p.Hi] = append(adj[p.Hi], p.Lo)
+	root := make([]int, s.n)
+	for i := range root {
+		root[i] = i
 	}
-	seen := make([]bool, s.n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range adj[v] {
-			if !seen[w] {
-				seen[w] = true
-				count++
-				stack = append(stack, w)
-			}
+	find := func(v int) int {
+		for root[v] != v {
+			root[v] = root[root[v]] // path halving
+			v = root[v]
+		}
+		return v
+	}
+	components := s.n
+	for _, p := range s.ks {
+		if a, b := find(p.Lo), find(p.Hi); a != b {
+			root[a] = b
+			components--
 		}
 	}
-	return count == s.n
+	return components == 1
 }
 
 // Errors returns the signed measurement errors (measured − true) for a
