@@ -624,6 +624,48 @@ func BenchmarkTrialMultilateration(b *testing.B) {
 	}
 }
 
+// BenchmarkTrialMultilaterationGrid measures one progressive
+// multilateration solve of the 14×14 offset grid (9/10 m spacing, 19 random
+// anchors, ranges within 22 m), the input locbench's core probe times at
+// seed 1: its random stream first draws a town and its ranges, then the
+// grid's anchors and ranges.
+func BenchmarkTrialMultilaterationGrid(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	if _, err := measure.Generate(deploy.Town(rng), 22, measure.GaussianNoise, rng); err != nil {
+		b.Fatal(err)
+	}
+	dep, err := deploy.OffsetGrid(14, 14, 9, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := dep.ChooseRandomAnchors(dep.N()/10, rng); err != nil {
+		b.Fatal(err)
+	}
+	set, err := measure.Generate(dep, 22, measure.GaussianNoise, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	anchors := make(map[int]geom.Point, len(dep.Anchors))
+	for _, a := range dep.Anchors {
+		anchors[a] = dep.Positions[a]
+	}
+	cfg := core.DefaultMultilatConfig()
+	cfg.Progressive = true
+	ws := scratch.New()
+	trial := func() {
+		if _, err := core.SolveMultilaterationIn(ws, set, anchors, cfg); err != nil {
+			b.Fatal(err)
+		}
+		ws.Release()
+	}
+	trial() // warm the arena so allocs/op reports the steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trial()
+	}
+}
+
 // BenchmarkLSSSolverScaling measures raw solver cost versus network size on
 // complete noisy graphs (library performance, not a paper figure).
 func BenchmarkLSSSolverScaling(b *testing.B) {

@@ -18,7 +18,7 @@ func TestSolveNodeIntersectionModeExact(t *testing.T) {
 	for i, a := range anchorPos {
 		obs[i] = anchorObs{pos: a, d: truth.Dist(a), weight: 1}
 	}
-	p, err := solveNodeIntersectionMode(obs, 1)
+	p, err := solveNodeIntersectionMode(&mlWorkspace{}, obs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSolveNodeIntersectionModeNoisy(t *testing.T) {
 	for i, a := range anchorPos {
 		obs[i] = anchorObs{pos: a, d: truth.Dist(a) + rng.NormFloat64()*0.2, weight: 1}
 	}
-	p, err := solveNodeIntersectionMode(obs, 1)
+	p, err := solveNodeIntersectionMode(&mlWorkspace{}, obs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +49,13 @@ func TestSolveNodeIntersectionModeNoisy(t *testing.T) {
 
 func TestSolveNodeIntersectionModeFailures(t *testing.T) {
 	// Too few anchors.
-	if _, err := solveNodeIntersectionMode([]anchorObs{
+	if _, err := solveNodeIntersectionMode(&mlWorkspace{}, []anchorObs{
 		{pos: geom.Pt(0, 0), d: 5}, {pos: geom.Pt(10, 0), d: 5},
 	}, 1); err == nil {
 		t.Error("want error for <3 anchors")
 	}
 	// Circles that never intersect.
-	if _, err := solveNodeIntersectionMode([]anchorObs{
+	if _, err := solveNodeIntersectionMode(&mlWorkspace{}, []anchorObs{
 		{pos: geom.Pt(0, 0), d: 1},
 		{pos: geom.Pt(100, 0), d: 1},
 		{pos: geom.Pt(0, 100), d: 1},

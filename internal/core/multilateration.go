@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"resilientloc/internal/geom"
 	"resilientloc/internal/mat"
@@ -107,16 +108,33 @@ type ipt struct {
 	a, b int
 }
 
+// fix is a node localized in a pass of SolveMultilaterationIn.
+type fix struct {
+	node int
+	pos  geom.Point
+}
+
+// sweepPt is an intersection point in the X-sorted order of the consistency
+// check's sweep: its coordinates, its pair's key a*len(obs)+b, and its index
+// in the unsorted points.
+type sweepPt struct {
+	x, y    float64
+	pair, i int32
+}
+
 // mlWorkspace holds the reusable buffers of a multilateration solve. It is
 // stashed in the trial arena (surviving Release) so repeated trials on one
 // shard reuse the same storage. The zero value is ready to use.
 type mlWorkspace struct {
-	adj  []nbr // CSR-style flat adjacency, segments sorted by neighbor
-	obs  []anchorObs
-	pts  []ipt
-	seen []int // generation stamps replacing filterConsistent's per-point map
-	gen  int
-	keep []bool
+	adj   []nbr // CSR-style flat adjacency, segments sorted by neighbor
+	obs   []anchorObs
+	fixes []fix
+	pts   []ipt
+	order []sweepPt // the points of pts sorted by X
+	rank  []int32   // rank[x] is the position of point x in order
+	seen  []int     // generation stamps: pair a*len(obs)+b already counted
+	gen   int
+	keep  []bool
 }
 
 func multilatWS(ws *scratch.Arena) *mlWorkspace {
@@ -148,20 +166,23 @@ func SolveMultilaterationIn(ws *scratch.Arena, set *measure.Set, anchors map[int
 		return nil, errors.New("core: SolveMultilateration: no anchors")
 	}
 	n := set.N()
-	for a := range anchors {
+	for a, p := range anchors {
 		if a < 0 || a >= n {
 			return nil, fmt.Errorf("core: SolveMultilateration: anchor %d out of range", a)
 		}
+		if !p.IsFinite() {
+			return nil, fmt.Errorf("core: SolveMultilateration: anchor %d has non-finite position %v", a, p)
+		}
 	}
 
-	known := make(map[int]geom.Point, len(anchors))
-	weight := make(map[int]float64, len(anchors))
+	// known[i] is node i's position once weight[i] is non-zero: 1 for the
+	// surveyed anchors, 0.5 for nodes localized by an earlier pass.
+	known := ws.Points(n)
+	weight := ws.Float64s(n)
 	for a, p := range anchors {
 		known[a] = p
 		weight[a] = 1
 	}
-
-	res := &MultilatResult{Positions: make(map[int]geom.Point)}
 
 	// Flatten the measurement graph into CSR form once: off[i]..off[i+1]
 	// delimits node i's entries in w.adj. Each segment is sorted ascending by
@@ -204,40 +225,46 @@ func SolveMultilaterationIn(ws *scratch.Arena, set *measure.Set, anchors map[int
 	nonAnchors := 0
 	totalAnchorMeas := 0
 	for i := 0; i < n; i++ {
-		if _, isAnchor := anchors[i]; isAnchor {
+		if weight[i] != 0 {
 			continue
 		}
 		nonAnchors++
 		for _, nb := range adj[off[i]:off[i+1]] {
-			if _, ok := anchors[nb.node]; ok {
+			if weight[nb.node] != 0 {
 				totalAnchorMeas++
 			}
 		}
 	}
+	var avgAnchors float64
 	if nonAnchors > 0 {
-		res.AvgAnchorsPerNode = float64(totalAnchorMeas) / float64(nonAnchors)
+		avgAnchors = float64(totalAnchorMeas) / float64(nonAnchors)
 	}
 
+	// A node is dirty until it is evaluated, and again when a neighbor is
+	// localized. A clean node's observations would repeat exactly, since
+	// known positions and weights never change once set, and so would its
+	// outcome: it is skipped.
+	dirty := ws.Bools(n)
+	for i := range dirty {
+		dirty[i] = true
+	}
+	fixes := w.fixes[:0]
 	for {
 		// Each pass works from a snapshot of the anchor set: without the
 		// Progressive extension, only the original anchors are ever used
 		// ("we used the original set of anchors only").
-		type fix struct {
-			node int
-			pos  geom.Point
-		}
-		var fixes []fix
+		start := len(fixes)
 		for i := 0; i < n; i++ {
-			if _, done := known[i]; done {
+			if weight[i] != 0 || !dirty[i] {
 				continue
 			}
+			dirty[i] = false
 			obs := w.obs[:0]
 			for _, nb := range adj[off[i]:off[i+1]] {
-				ap, ok := known[nb.node]
-				if !ok {
+				if weight[nb.node] == 0 {
 					continue
 				}
-				obs = append(obs, anchorObs{pos: ap, d: nb.d, weight: weight[nb.node] * nb.w})
+				obs = append(obs, anchorObs{pos: known[nb.node], d: nb.d, weight: weight[nb.node] * nb.w})
 			}
 			w.obs = obs // retain grown capacity for the next node
 			if cfg.ConsistencyRadius > 0 {
@@ -249,7 +276,7 @@ func SolveMultilaterationIn(ws *scratch.Arena, set *measure.Set, anchors map[int
 			var p geom.Point
 			var err error
 			if cfg.UseIntersectionMode && len(obs) >= cfg.MinModeAnchors {
-				p, err = solveNodeIntersectionMode(obs, cfg.ConsistencyRadius)
+				p, err = solveNodeIntersectionMode(w, obs, cfg.ConsistencyRadius)
 				if err != nil {
 					p, err = solveNode(ws, obs, cfg.MaxIters) // fall back
 				}
@@ -261,18 +288,31 @@ func SolveMultilaterationIn(ws *scratch.Arena, set *measure.Set, anchors map[int
 			}
 			fixes = append(fixes, fix{node: i, pos: p})
 		}
-		for _, f := range fixes {
+		for _, f := range fixes[start:] {
 			known[f.node] = f.pos
 			weight[f.node] = 0.5 // localized nodes carry less confidence than surveyed anchors
-			res.Positions[f.node] = f.pos
-			res.Localized = append(res.Localized, f.node)
+			for _, nb := range adj[off[f.node]:off[f.node+1]] {
+				dirty[nb.node] = true
+			}
 		}
-		if !cfg.Progressive || len(fixes) == 0 {
+		if !cfg.Progressive || len(fixes) == start {
 			break
 		}
 	}
+	w.fixes = fixes
 
-	sort.Ints(res.Localized)
+	res := &MultilatResult{
+		Positions:         make(map[int]geom.Point, len(fixes)),
+		AvgAnchorsPerNode: avgAnchors,
+	}
+	if len(fixes) > 0 {
+		res.Localized = make([]int, len(fixes))
+	}
+	for k, f := range fixes {
+		res.Positions[f.node] = f.pos
+		res.Localized[k] = f.node
+	}
+	slices.Sort(res.Localized)
 	return res, nil
 }
 
@@ -291,6 +331,21 @@ func filterConsistent(obs []anchorObs, radius float64) []anchorObs {
 // discarded. With fewer than 3 anchors the check is vacuous and obs is
 // returned unchanged.
 //
+// A point's support is the number of distinct circle pairs contributing a
+// point within radius of it (the "mode of the intersection points" the
+// paper mentions). The support search sorts the points by X once and, for
+// each point x, visits only the window of the sorted order around x whose
+// points y satisfy |x.X − y.X| ≤ radius. The window is exact, not a
+// heuristic: Hypot(dx, dy) ≥ |dx| in floating point as in exact arithmetic,
+// so no point outside it is within radius, and the rounded difference
+// x.X − y.X is monotone in y.X, so the points satisfying the bound are
+// contiguous in the sorted order. The walk stops at the first point
+// violating it; a NaN difference never stops it. Because support counts
+// distinct pairs, it does not depend on the order the window is visited in,
+// and the first point of maximal support, in the original order, is the
+// center, as in an all-pairs scan. The search ends early once a point is
+// supported by every contributing pair, since no later point can beat it.
+//
 // Working storage comes from w, and the surviving observations are
 // compacted in place, so the returned slice aliases obs (the write index
 // never passes the read index, making the compaction value-identical to
@@ -299,19 +354,9 @@ func filterConsistentIn(w *mlWorkspace, obs []anchorObs, radius float64) []ancho
 	if len(obs) < 3 {
 		return obs
 	}
-	pts := w.pts[:0]
-	for i := 0; i < len(obs); i++ {
-		ci := geom.Circle{Center: obs[i].pos, R: obs[i].d}
-		for j := i + 1; j < len(obs); j++ {
-			cj := geom.Circle{Center: obs[j].pos, R: obs[j].d}
-			// Allow near-miss circles to produce a midpoint: measurement
-			// error often separates circles that should intersect.
-			for _, p := range ci.Intersect(cj, radius/2) {
-				pts = append(pts, ipt{p: p, a: i, b: j})
-			}
-		}
-	}
-	w.pts = pts
+	// Allow near-miss circles to produce a midpoint: measurement error often
+	// separates circles that should intersect.
+	pts, pairs := intersections(w, obs, radius/2)
 	if len(pts) == 0 {
 		// Degenerate: no circles intersect at all; fall back to the
 		// unfiltered set rather than discarding everything (the paper keeps
@@ -319,35 +364,56 @@ func filterConsistentIn(w *mlWorkspace, obs []anchorObs, radius float64) []ancho
 		return obs
 	}
 
-	// Find the intersection point with the most support: the number of
-	// distinct circle pairs contributing a point within radius (the "mode
-	// of the intersection points" the paper mentions). The per-point map of
-	// contributing pairs is replaced by a generation-stamped array — the
-	// stamp is checked before the distance test, exactly where the map
-	// membership test sat, so the dedup semantics are unchanged.
+	np := len(pts)
+	if cap(w.order) < np {
+		w.order = make([]sweepPt, np)
+		w.rank = make([]int32, np)
+	}
+	order, rank := w.order[:np], w.rank[:np]
+	for i, pt := range pts {
+		order[i] = sweepPt{x: pt.p.X, y: pt.p.Y, pair: int32(pt.a*len(obs) + pt.b), i: int32(i)}
+	}
+	// cmp.Compare orders NaN before every number, so the order is total.
+	slices.SortFunc(order, func(a, b sweepPt) int { return cmp.Compare(a.x, b.x) })
+	for k, q := range order {
+		rank[q.i] = int32(k)
+	}
+
+	// seen[a*len(obs)+b] == gen marks pair (a, b) as already counted toward
+	// the current point's support.
 	if need := len(obs) * len(obs); cap(w.seen) < need {
 		w.seen = make([]int, need)
 		w.gen = 0
 	}
 	seen := w.seen[:len(obs)*len(obs)]
 	gen := w.gen
+	near := newDisk(radius)
 	bestIdx, bestSupport := 0, -1
 	for x := range pts {
+		px, py := pts[x].p.X, pts[x].p.Y
 		support := 0
 		gen++
-		for y := range pts {
-			key := pts[y].a*len(obs) + pts[y].b
-			if seen[key] == gen {
-				continue
-			}
-			if pts[x].p.Dist(pts[y].p) <= radius {
-				seen[key] = gen
-				support++
+		// Walk down the sorted order from x itself, then up from the point
+		// after it, each until the window ends.
+		for _, step := range [2]int{-1, 1} {
+			for k := int(rank[x]) + max(step, 0); k >= 0 && k < np; k += step {
+				q := &order[k]
+				dx := px - q.x
+				if math.Abs(dx) > radius {
+					break
+				}
+				if seen[q.pair] != gen && near.within(dx, py-q.y) {
+					seen[q.pair] = gen
+					support++
+				}
 			}
 		}
 		if support > bestSupport {
 			bestSupport = support
 			bestIdx = x
+			if support == pairs {
+				break
+			}
 		}
 	}
 	w.gen = gen
@@ -359,7 +425,7 @@ func filterConsistentIn(w *mlWorkspace, obs []anchorObs, radius float64) []ancho
 	keep := w.keep[:len(obs)]
 	clear(keep)
 	for _, pt := range pts {
-		if pt.p.Dist(center) <= radius {
+		if near.within(pt.p.X-center.X, pt.p.Y-center.Y) {
 			keep[pt.a] = true
 			keep[pt.b] = true
 		}
@@ -376,31 +442,82 @@ func filterConsistentIn(w *mlWorkspace, obs []anchorObs, radius float64) []ancho
 	return out
 }
 
+// intersections collects the intersection points of every pair of the
+// observations' range circles into w.pts, pair by pair in index order, and
+// counts the pairs that contributed a point.
+func intersections(w *mlWorkspace, obs []anchorObs, tol float64) (pts []ipt, pairs int) {
+	pts = w.pts[:0]
+	for i := range obs {
+		ci := geom.Circle{Center: obs[i].pos, R: obs[i].d}
+		for j := i + 1; j < len(obs); j++ {
+			ij, k := ci.Intersect2(geom.Circle{Center: obs[j].pos, R: obs[j].d}, tol)
+			for _, p := range ij[:k] {
+				pts = append(pts, ipt{p: p, a: i, b: j})
+			}
+			if k > 0 {
+				pairs++
+			}
+		}
+	}
+	w.pts = pts
+	return pts, pairs
+}
+
+// disk decides whether a separation (dx, dy) is within a radius r, that is
+// whether math.Hypot(dx, dy) <= r, mostly without calling Hypot.
+type disk struct {
+	r, lo, hi float64 // lo, hi = r²(1−1e-6), r²(1+1e-6)
+}
+
+func newDisk(r float64) disk {
+	r2 := r * r
+	if !(r2 >= 0x1p-900 && r2 <= 0x1p900) {
+		// r² under- or overflowed, or r is NaN: the band no longer bounds
+		// the rounding, so every test goes to Hypot.
+		return disk{r: r, lo: math.Inf(-1), hi: math.Inf(1)}
+	}
+	return disk{r: r, lo: r2 * (1 - 1e-6), hi: r2 * (1 + 1e-6)}
+}
+
+// within reports whether math.Hypot(dx, dy) <= d.r. A squared separation
+// outside [lo, hi] decides it: rounding moves dx²+dy² and Hypot by a few
+// ulps, far less than the band's relative width, and an overflowed square
+// (+Inf) is beyond hi as the true distance is beyond r. Inside the band,
+// and for NaN, Hypot decides.
+func (d disk) within(dx, dy float64) bool {
+	s := dx*dx + dy*dy
+	if s < d.lo {
+		return true
+	}
+	if s > d.hi {
+		return false
+	}
+	return math.Hypot(dx, dy) <= d.r
+}
+
 // solveNodeIntersectionMode estimates a node's position as the centroid of
 // the densest cluster of range-circle intersection points (the paper's
 // §4.1.2 "mode of the intersection points" alternative). radius is the
-// cluster radius; non-positive values default to 1 m.
-func solveNodeIntersectionMode(obs []anchorObs, radius float64) (geom.Point, error) {
+// cluster radius; non-positive values default to 1 m. Working storage comes
+// from w.
+func solveNodeIntersectionMode(w *mlWorkspace, obs []anchorObs, radius float64) (geom.Point, error) {
 	if len(obs) < 3 {
 		return geom.Point{}, errors.New("core: intersection mode needs ≥3 anchors")
 	}
 	if radius <= 0 {
 		radius = 1
 	}
-	circles := make([]geom.Circle, len(obs))
-	for i, o := range obs {
-		circles[i] = geom.Circle{Center: o.pos, R: o.d}
-	}
-	pts := geom.IntersectAllPairs(circles, radius/2)
+	pts, _ := intersections(w, obs, radius/2)
 	if len(pts) == 0 {
 		return geom.Point{}, errors.New("core: intersection mode: no circle intersections")
 	}
+	near := newDisk(radius)
 	// Densest point: the one with the most neighbors within radius.
 	bestIdx, bestCount := 0, -1
 	for i, p := range pts {
 		count := 0
 		for _, q := range pts {
-			if p.Dist(q) <= radius {
+			if near.within(p.p.X-q.p.X, p.p.Y-q.p.Y) {
 				count++
 			}
 		}
@@ -412,11 +529,12 @@ func solveNodeIntersectionMode(obs []anchorObs, radius float64) (geom.Point, err
 	if bestCount < 3 {
 		return geom.Point{}, errors.New("core: intersection mode: no supporting cluster")
 	}
+	best := pts[bestIdx].p
 	var c geom.Point
 	n := 0
 	for _, q := range pts {
-		if pts[bestIdx].Dist(q) <= radius {
-			c = c.Add(q)
+		if near.within(best.X-q.p.X, best.Y-q.p.Y) {
+			c = c.Add(q.p)
 			n++
 		}
 	}

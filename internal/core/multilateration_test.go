@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"resilientloc/internal/eval"
 	"resilientloc/internal/geom"
 	"resilientloc/internal/measure"
+	"resilientloc/internal/scratch"
 )
 
 func TestMultilatConfigValidate(t *testing.T) {
@@ -274,6 +276,50 @@ func TestMultilatInputErrors(t *testing.T) {
 	bad.MinAnchors = 1
 	if _, err := SolveMultilateration(s, map[int]geom.Point{0: {}}, bad); err == nil {
 		t.Error("want error for invalid config")
+	}
+	for _, p := range []geom.Point{{X: math.NaN()}, {Y: math.Inf(1)}, {X: math.Inf(-1), Y: 2}} {
+		if _, err := SolveMultilateration(s, map[int]geom.Point{0: {}, 1: p}, DefaultMultilatConfig()); err == nil {
+			t.Errorf("want error for non-finite anchor position %v", p)
+		}
+	}
+}
+
+// TestMultilatGridAllocCeiling holds a warmed progressive solve of a 14×14
+// grid to at most 128 heap allocations: the result and the measurement list
+// copy, nothing per node, pass or intersection point. The input is the one
+// locbench's core probe times at seed 1.
+func TestMultilatGridAllocCeiling(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	if _, err := measure.Generate(deploy.Town(rng), 22, measure.GaussianNoise, rng); err != nil {
+		t.Fatal(err)
+	}
+	dep, err := deploy.OffsetGrid(14, 14, 9, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dep.ChooseRandomAnchors(dep.N()/10, rng); err != nil {
+		t.Fatal(err)
+	}
+	set, err := measure.Generate(dep, 22, measure.GaussianNoise, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchors := make(map[int]geom.Point, len(dep.Anchors))
+	for _, a := range dep.Anchors {
+		anchors[a] = dep.Positions[a]
+	}
+	cfg := DefaultMultilatConfig()
+	cfg.Progressive = true
+	ws := scratch.New()
+	solve := func() {
+		if _, err := SolveMultilaterationIn(ws, set, anchors, cfg); err != nil {
+			t.Fatal(err)
+		}
+		ws.Release()
+	}
+	solve() // warm the arena
+	if allocs := testing.AllocsPerRun(10, solve); allocs > 128 {
+		t.Errorf("warmed grid solve made %v allocations, want ≤ 128", allocs)
 	}
 }
 

@@ -23,15 +23,26 @@ func (c Circle) Contains(p Point) bool {
 //   - 2 points otherwise.
 //
 // tol is an absolute tolerance in meters on the tangency test; pass 0 for
-// exact arithmetic behaviour.
+// exact arithmetic behaviour. Intersect allocates its result; Intersect2 is
+// the allocation-free form.
 func (c Circle) Intersect(o Circle, tol float64) []Point {
+	pts, k := c.Intersect2(o, tol)
+	if k == 0 {
+		return nil
+	}
+	return append([]Point(nil), pts[:k]...)
+}
+
+// Intersect2 is Intersect without the allocation: the intersection points
+// are pts[:k], in the order Intersect returns them.
+func (c Circle) Intersect2(o Circle, tol float64) (pts [2]Point, k int) {
 	d := c.Center.Dist(o.Center)
 	if d == 0 {
-		return nil // concentric: coincident or nested, no discrete points
+		return pts, 0 // concentric: coincident or nested, no discrete points
 	}
 	// No intersection when separated or nested beyond tolerance.
 	if d > c.R+o.R+tol || d < math.Abs(c.R-o.R)-tol {
-		return nil
+		return pts, 0
 	}
 	// Distance from c.Center to the radical line along the center line.
 	a := (d*d + c.R*c.R - o.R*o.R) / (2 * d)
@@ -40,11 +51,13 @@ func (c Circle) Intersect(o Circle, tol float64) []Point {
 	mid := c.Center.Add(u.Scale(a))
 	if h2 <= tol*tol {
 		// Tangent (or within tolerance of it): single point.
-		return []Point{mid}
+		pts[0] = mid
+		return pts, 1
 	}
 	h := math.Sqrt(h2)
 	perp := u.Perp().Scale(h)
-	return []Point{mid.Add(perp), mid.Sub(perp)}
+	pts[0], pts[1] = mid.Add(perp), mid.Sub(perp)
+	return pts, 2
 }
 
 // IntersectAllPairs returns the intersection points of every unordered pair
@@ -54,7 +67,8 @@ func IntersectAllPairs(circles []Circle, tol float64) []Point {
 	var pts []Point
 	for i := 0; i < len(circles); i++ {
 		for j := i + 1; j < len(circles); j++ {
-			pts = append(pts, circles[i].Intersect(circles[j], tol)...)
+			ij, k := circles[i].Intersect2(circles[j], tol)
+			pts = append(pts, ij[:k]...)
 		}
 	}
 	return pts

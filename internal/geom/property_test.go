@@ -171,3 +171,69 @@ func TestPropertyCircleIntersection(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refIntersect is Circle.Intersect as it stood when it computed and
+// allocated its result itself, before it became a wrapper over Intersect2.
+func refIntersect(c, o Circle, tol float64) []Point {
+	d := c.Center.Dist(o.Center)
+	if d == 0 {
+		return nil
+	}
+	if d > c.R+o.R+tol || d < math.Abs(c.R-o.R)-tol {
+		return nil
+	}
+	a := (d*d + c.R*c.R - o.R*o.R) / (2 * d)
+	h2 := c.R*c.R - a*a
+	u := o.Center.Sub(c.Center).Scale(1 / d)
+	mid := c.Center.Add(u.Scale(a))
+	if h2 <= tol*tol {
+		return []Point{mid}
+	}
+	h := math.Sqrt(h2)
+	perp := u.Perp().Scale(h)
+	return []Point{mid.Add(perp), mid.Sub(perp)}
+}
+
+func samePointBits(p, q Point) bool {
+	return math.Float64bits(p.X) == math.Float64bits(q.X) &&
+		math.Float64bits(p.Y) == math.Float64bits(q.Y)
+}
+
+// Property: Intersect2 returns the points of the frozen allocating
+// intersection, bit for bit and in order, and Intersect returns the same
+// points as Intersect2. The inputs mix random pairs with near-tangent,
+// concentric and non-finite ones.
+func TestPropertyIntersect2MatchesIntersectIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	special := []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), 1e-300, 1e300}
+	coord := func() float64 {
+		if rng.Intn(20) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return (rng.Float64() - 0.5) * 60
+	}
+	for trial := 0; trial < 20000; trial++ {
+		a := Circle{Center: Pt(coord(), coord()), R: math.Abs(coord())}
+		b := Circle{Center: Pt(coord(), coord()), R: math.Abs(coord())}
+		switch trial % 4 {
+		case 1: // near-tangent: the center distance is close to R1+R2
+			b.R = math.Max(0, a.Center.Dist(b.Center)-a.R+(rng.Float64()-0.5)*1e-3)
+		case 2: // concentric
+			b.Center = a.Center
+		}
+		tol := []float64{0, 1e-9, 0.125, 0.5, 1.5}[rng.Intn(5)]
+		want := refIntersect(a, b, tol)
+		pts, k := a.Intersect2(b, tol)
+		got := a.Intersect(b, tol)
+		if k != len(want) || len(got) != len(want) {
+			t.Fatalf("trial %d: %v ∩ %v tol %g: Intersect2 k=%d, Intersect %d points, reference %d",
+				trial, a, b, tol, k, len(got), len(want))
+		}
+		for i := range want {
+			if !samePointBits(pts[i], want[i]) || !samePointBits(got[i], want[i]) {
+				t.Fatalf("trial %d: point %d: Intersect2 %v, Intersect %v, reference %v",
+					trial, i, pts[i], got[i], want[i])
+			}
+		}
+	}
+}
