@@ -1,10 +1,17 @@
 // Package cache is the engine's content-addressed on-disk result cache.
-// A campaign result is stored under the SHA-256 of its Key — (scenario ID,
-// seed, trials, shard size, code fingerprint) — which is exactly the set of
-// inputs the engine's determinism contract says the result is a pure
-// function of. Repeated suite runs therefore skip unchanged work entirely,
-// and any change to the binary (the code fingerprint) or to the run
-// parameters misses cleanly instead of serving stale data.
+// A campaign result is stored under the content address of its Key —
+// (scenario ID, seed, trials, shard size, code fingerprint, operating
+// point, trial range) — which is exactly the set of inputs the engine's
+// determinism contract says the result is a pure function of. Repeated
+// suite runs therefore skip unchanged work entirely, and any change to the
+// binary (the code fingerprint) or to the run parameters misses cleanly
+// instead of serving stale data.
+//
+// An address is 64 lowercase hex characters: a 16-character prefix naming
+// the key's family (the key without its trial count and range, see
+// Key.Hash), then 48 characters of the SHA-256 of the whole key. Entries
+// live flat under the cache root as <address>.json, so a range probe finds
+// its family's candidates by file name and opens nothing else.
 package cache
 
 import (
@@ -38,6 +45,10 @@ var (
 	obsGCRemoved = obs.Default().Counter("cache_gc_removed_total")
 	obsGetSec    = obs.Default().Histogram("cache_get_seconds", obs.DefLatencyBuckets)
 	obsPutSec    = obs.Default().Histogram("cache_put_seconds", obs.DefLatencyBuckets)
+	// Range probes: latency, and the entry files they open (only the
+	// probed family's, whatever the size of the cache).
+	obsProbeSec   = obs.Default().Histogram("cache_probe_seconds", obs.DefLatencyBuckets)
+	obsProbeReads = obs.Default().Counter("cache_probe_reads_total")
 )
 
 // Key identifies one deterministic campaign execution.
@@ -55,10 +66,10 @@ type Key struct {
 
 	// RangeLo/RangeHi identify a partial execution over the trial sub-range
 	// [RangeLo, RangeHi) of the full Trials. Both zero (the encoding omits
-	// them, keeping full-run key hashes stable) means the full run. This is
-	// the sharding coordinator's coordination record: each distributed
-	// sub-range is cached — and deduplicated — under its own content
-	// address, while Trials still names the full job the range belongs to.
+	// them) means the full run. This is the sharding coordinator's
+	// coordination record: each distributed sub-range is cached — and
+	// deduplicated — under its own content address, while Trials still
+	// names the full job the range belongs to.
 	RangeLo int `json:"range_lo,omitempty"`
 	RangeHi int `json:"range_hi,omitempty"`
 	// Retained marks a partial execution that carries per-trial values for
@@ -78,16 +89,43 @@ type Key struct {
 	Params string `json:"params,omitempty"`
 }
 
-// Hash returns the key's content address: the hex SHA-256 of its canonical
-// JSON encoding.
+// familyLen is the length of the family prefix that opens every address.
+const familyLen = 16
+
+// Hash returns the key's content address, 64 lowercase hex characters. The
+// first familyLen are the leading hex of the SHA-256 of the key's family —
+// its canonical JSON with Trials, RangeLo and RangeHi zeroed, exactly the
+// fields RangeEntries ignores when it matches — so every full-run and
+// partial entry of one job, at any trial count, shares a prefix. The other
+// 48 are the leading hex of the SHA-256 of the key's own canonical JSON.
+// Keys of one family differ in those 48; keys of two families differ in
+// the prefix unless its 64 bits collide, which costs a probe one extra
+// read and never a wrong match (the stored key is always compared).
 func (k Key) Hash() string {
+	full := sha256.Sum256(k.canonical())
+	var addr [2 * sha256.Size]byte
+	copy(addr[:familyLen], k.family())
+	hex.Encode(addr[familyLen:], full[:(len(addr)-familyLen)/2])
+	return string(addr[:])
+}
+
+// family returns the key's family prefix: the first familyLen hex
+// characters of the SHA-256 of the key with Trials, RangeLo and RangeHi
+// zeroed.
+func (k Key) family() string {
+	k.Trials, k.RangeLo, k.RangeHi = 0, 0, 0
+	sum := sha256.Sum256(k.canonical())
+	return hex.EncodeToString(sum[:familyLen/2])
+}
+
+// canonical returns the key's canonical JSON encoding.
+func (k Key) canonical() []byte {
 	b, err := json.Marshal(k)
 	if err != nil {
 		// Key is a struct of strings and integers; Marshal cannot fail.
 		panic(fmt.Sprintf("cache: marshal key: %v", err))
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return b
 }
 
 var (
@@ -149,8 +187,9 @@ type entry struct {
 	Value json.RawMessage `json:"value"`
 }
 
-func (c *Cache) path(k Key) string {
-	return filepath.Join(c.dir, k.Hash()+".json")
+// entryPath returns the path of the entry stored under a content address.
+func (c *Cache) entryPath(hash string) string {
+	return filepath.Join(c.dir, hash+".json")
 }
 
 // Get looks up k and, on a hit, JSON-decodes the stored value into out
@@ -170,7 +209,8 @@ func (c *Cache) Get(k Key, out any) (bool, error) {
 }
 
 func (c *Cache) get(k Key, out any) (bool, error) {
-	b, err := os.ReadFile(c.path(k))
+	path := c.entryPath(k.Hash())
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return false, nil
 	}
@@ -188,7 +228,7 @@ func (c *Cache) get(k Key, out any) (bool, error) {
 	// GC evicts by last use, not creation time — a daily-hit entry must
 	// never age out while cold ones do.
 	now := time.Now()
-	_ = os.Chtimes(c.path(k), now, now)
+	_ = os.Chtimes(path, now, now)
 	return true, nil
 }
 
@@ -340,7 +380,7 @@ func (c *Cache) put(k Key, v any) error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), c.path(k)); err != nil {
+	if err := os.Rename(tmp.Name(), c.entryPath(hash)); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
 	return nil
@@ -362,7 +402,7 @@ type RangeEntry struct {
 	Hash   string `json:"hash"`
 }
 
-// RangeEntries scans the cache for partial-execution entries belonging to
+// RangeEntries lists the cache's partial-execution entries belonging to
 // the job identified by base: a key with RangeLo/RangeHi zero whose other
 // fields — including Retained — are what the job's partials carry. The
 // base key's Trials is ignored for matching: a partial banked by a
@@ -373,28 +413,37 @@ type RangeEntry struct {
 // the probe behind both the crash-resume coordinator and the prefix-reuse
 // planner: enumerate what survives, greedily cover the trial space, and
 // re-execute only the gaps. Entries are returned sorted by Lo ascending,
-// then wider-first, the order a greedy cover wants. The scan reads every
-// entry's self-describing key — the content address is one-way, so
-// enumeration is the only way to discover which ranges exist — which is
-// fine at the cache sizes GC maintains.
+// then wider-first, the order a greedy cover wants.
+//
+// Every such entry's address starts with base's family prefix (see
+// Key.Hash), so the probe lists the directory once and opens only the
+// files whose names carry that prefix: its cost follows the size of the
+// job's family, not of the cache. Each opened entry must still have a
+// non-empty range within its own Trials, an address equal to its stored
+// key's hash, and a stored key in base's family, so a prefix collision or
+// a renamed file is skipped, never matched.
 func (c *Cache) RangeEntries(base Key) ([]RangeEntry, error) {
-	base.RangeLo, base.RangeHi = 0, 0
-	base.Trials = 0
+	start := time.Now()
+	out, err := c.rangeEntries(base)
+	obsProbeSec.Observe(time.Since(start).Seconds())
+	return out, err
+}
+
+func (c *Cache) rangeEntries(base Key) ([]RangeEntry, error) {
+	base.Trials, base.RangeLo, base.RangeHi = 0, 0, 0
+	prefix := base.family()
 	files, err := os.ReadDir(c.dir)
 	if err != nil {
 		return nil, fmt.Errorf("cache: range scan: %w", err)
 	}
 	var out []RangeEntry
 	for _, de := range files {
-		name := de.Name()
-		if !strings.HasSuffix(name, ".json") {
+		hash, ok := strings.CutSuffix(de.Name(), ".json")
+		if !ok || len(hash) != 2*sha256.Size || !strings.HasPrefix(hash, prefix) {
 			continue
 		}
-		hash := strings.TrimSuffix(name, ".json")
-		if len(hash) != 2*sha256.Size {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(c.dir, name))
+		obsProbeReads.Inc()
+		b, err := os.ReadFile(c.entryPath(hash))
 		if err != nil {
 			continue // raced with GC
 		}
@@ -408,8 +457,7 @@ func (c *Cache) RangeEntries(base Key) ([]RangeEntry, error) {
 			continue
 		}
 		k := e.Key
-		k.RangeLo, k.RangeHi = 0, 0
-		k.Trials = 0
+		k.Trials, k.RangeLo, k.RangeHi = 0, 0, 0
 		if k != base {
 			continue
 		}
@@ -445,7 +493,7 @@ func (c *Cache) EntryByHash(hash string) ([]byte, bool, error) {
 			return nil, false, fmt.Errorf("cache: invalid entry hash %q", hash)
 		}
 	}
-	b, err := os.ReadFile(filepath.Join(c.dir, hash+".json"))
+	b, err := os.ReadFile(c.entryPath(hash))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, false, nil

@@ -29,11 +29,69 @@ func TestKeyHashSensitivity(t *testing.T) {
 		"shard size":  {Scenario: "s", Seed: 1, Trials: 8, ShardSize: 3, Fingerprint: "abc"},
 		"fingerprint": {Scenario: "s", Seed: 1, Trials: 8, ShardSize: 2, Fingerprint: "xyz"},
 		"params":      {Scenario: "s", Seed: 1, Trials: 8, ShardSize: 2, Fingerprint: "abc", Params: `{"delta_db":6.5}`},
+		"range_lo":    {Scenario: "s", Seed: 1, Trials: 8, ShardSize: 2, Fingerprint: "abc", RangeLo: 2},
+		"range_hi":    {Scenario: "s", Seed: 1, Trials: 8, ShardSize: 2, Fingerprint: "abc", RangeHi: 4},
+		"retained":    {Scenario: "s", Seed: 1, Trials: 8, ShardSize: 2, Fingerprint: "abc", Retained: true},
 	}
 	for field, k := range variants {
 		if k.Hash() == baseHash {
 			t.Errorf("changing %s did not change the key hash", field)
 		}
+	}
+}
+
+// TestKeyFamilyPrefix: the first familyLen characters of an address name
+// the key's family. Keys that differ only in Trials or the range share
+// them, so a range probe can select its candidates by file name; changing
+// any other field moves the key to another family. Every address stays a
+// valid EntryByHash argument.
+func TestKeyFamilyPrefix(t *testing.T) {
+	c, err := Open(filepath.Join(t.TempDir(), "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := testKey()
+	prefix := base.Hash()[:familyLen]
+	accepted := func(name string, k Key) {
+		t.Helper()
+		if _, _, err := c.EntryByHash(k.Hash()); err != nil {
+			t.Errorf("%s: EntryByHash rejected the address %q: %v", name, k.Hash(), err)
+		}
+	}
+	accepted("base", base)
+	sameFamily := map[string]func(*Key){
+		"trials":   func(k *Key) { k.Trials = 4096 },
+		"range_lo": func(k *Key) { k.RangeLo = 2 },
+		"range_hi": func(k *Key) { k.RangeHi = 4 },
+		"range":    func(k *Key) { k.Trials, k.RangeLo, k.RangeHi = 16, 8, 16 },
+	}
+	for name, edit := range sameFamily {
+		k := base
+		edit(&k)
+		if k.Hash() == base.Hash() {
+			t.Errorf("%s: address did not change", name)
+		}
+		if got := k.Hash()[:familyLen]; got != prefix {
+			t.Errorf("%s: family prefix %s, want %s", name, got, prefix)
+		}
+		accepted(name, k)
+	}
+	otherFamily := map[string]func(*Key){
+		"kind":        func(k *Key) { k.Kind = "figure" },
+		"scenario":    func(k *Key) { k.Scenario = "other" },
+		"seed":        func(k *Key) { k.Seed = 2 },
+		"shard size":  func(k *Key) { k.ShardSize = 3 },
+		"fingerprint": func(k *Key) { k.Fingerprint = "xyz" },
+		"retained":    func(k *Key) { k.Retained = true },
+		"params":      func(k *Key) { k.Params = `{"delta_db":6.5}` },
+	}
+	for name, edit := range otherFamily {
+		k := base
+		edit(&k)
+		if got := k.Hash()[:familyLen]; got == prefix {
+			t.Errorf("changing %s kept the family prefix %s", name, got)
+		}
+		accepted(name, k)
 	}
 }
 
@@ -250,7 +308,7 @@ func putAged(t *testing.T, c *Cache, seed int64, age time.Duration) Key {
 		t.Fatal(err)
 	}
 	when := time.Now().Add(-age)
-	if err := os.Chtimes(c.path(k), when, when); err != nil {
+	if err := os.Chtimes(c.entryPath(k.Hash()), when, when); err != nil {
 		t.Fatal(err)
 	}
 	return k
@@ -295,7 +353,7 @@ func TestGCEnforcesSizeBoundOldestFirst(t *testing.T) {
 	oldest := putAged(t, c, 1, 3*time.Hour)
 	middle := putAged(t, c, 2, 2*time.Hour)
 	newest := putAged(t, c, 3, time.Hour)
-	fi, err := os.Stat(c.path(newest))
+	fi, err := os.Stat(c.entryPath(newest.Hash()))
 	if err != nil {
 		t.Fatal(err)
 	}
