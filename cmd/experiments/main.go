@@ -8,7 +8,7 @@
 //
 //	experiments [-seed N] [-only fig06,fig18] [-parallel W] [-json]
 //	            [-suite-parallel C] [-cache DIR | -no-cache] [-cache-gc=off]
-//	            [-progress] [-progress-refresh 250ms]
+//	            [-progress]
 //	experiments -list
 //	experiments -only maxrange -param rounds=10
 //	experiments -spec jobs.json
@@ -30,6 +30,11 @@
 // trial-level parallelism, all drawing from one shared worker budget, with
 // the largest campaigns dispatched first; results and output order are
 // identical at every value.
+//
+// -progress (on by default) streams each figure's trial counter to stderr:
+// an in-place status block on a terminal, quarter-milestone lines
+// elsewhere. With -workers the same renderer adds the coordinator's
+// per-worker scoreboard beneath the counter.
 package main
 
 import (
@@ -223,14 +228,10 @@ func runDistributed(ctx context.Context, out io.Writer, specs []spec.JobSpec, wo
 	for _, sp := range specs {
 		start := time.Now()
 		opts := coord.Options{Workers: urls, Discover: discover, Reuse: true, Warnings: os.Stderr}
-		var sb *coord.Scoreboard
 		if progress && !asJSON {
-			sb = coord.NewScoreboard(os.Stderr, sp.ID)
-			opts.OnProgress = sb.Progress
-			opts.OnScoreboard = sb.Update
+			opts.Progress = os.Stderr
 		}
 		val, st, err := coord.Execute(ctx, sp, opts)
-		sb.Final()
 		if err != nil {
 			return fmt.Errorf("%s: %w", sp.ID, err)
 		}

@@ -14,8 +14,12 @@
 //	locc -workers ... -kind figure -id maxrange -trace out.json
 //	locc -discover http://registry:8090 -kind scenario -id multilat-town
 //
-// On a terminal, progress renders as a live per-worker scoreboard (ranges
-// won, trials/sec, retries, stall hedges, steals). -trace writes the run's
+// -progress (on by default) streams each job's trial counter to stderr with
+// the per-worker scoreboard beneath it (ranges won, trials, trials/sec,
+// retries, stall hedges, steals, reused trials): repainted live on a
+// terminal; elsewhere quarter-milestone lines, with the scoreboard printed
+// once when the job finishes. Each -ci-target round is its own job, with
+// its own line and scoreboard. -trace writes the run's
 // full span tree — coordinator ranges and attempts, plus each winning
 // worker's job and engine-shard spans grafted beneath them — as Chrome
 // trace_event JSON, loadable in chrome://tracing or Perfetto.
@@ -158,17 +162,13 @@ func realMain(args []string, out, errOut io.Writer) error {
 			StallTimeout:     *stall,
 			Warnings:         errOut,
 		}
-		var sb *coord.Scoreboard
 		if *progress && !*asJSON {
-			sb = coord.NewScoreboard(errOut, sp.ID)
-			opts.OnProgress = sb.Progress
-			opts.OnScoreboard = sb.Update
+			opts.Progress = errOut
 		}
 		start := time.Now()
 		// ExecuteAuto delegates to Execute for fixed-count specs, so one call
 		// covers both modes.
 		val, st, err := coord.ExecuteAuto(ctx, sp, opts)
-		sb.Final()
 		if err != nil {
 			return err
 		}

@@ -249,14 +249,10 @@ func runDistributed(ctx context.Context, out io.Writer, specs []spec.JobSpec, wo
 		// Reuse is on by default distributed, matching locc: extending a
 		// previously coordinated run computes only the new trials.
 		opts := coord.Options{Workers: urls, Discover: discover, Reuse: true, Warnings: os.Stderr}
-		var sb *coord.Scoreboard
 		if progress && !asJSON {
-			sb = coord.NewScoreboard(os.Stderr, sp.ID)
-			opts.OnProgress = sb.Progress
-			opts.OnScoreboard = sb.Update
+			opts.Progress = os.Stderr
 		}
 		val, _, err := coord.ExecuteAuto(ctx, sp, opts)
-		sb.Final()
 		if err != nil {
 			return fmt.Errorf("%s: %w", sp.ID, err)
 		}

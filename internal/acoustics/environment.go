@@ -195,15 +195,3 @@ func Wooded() Environment {
 		DirectBlockedProb: 0.05,
 	}
 }
-
-// OriginalBuzzer derates an environment to the stock MTS310 acoustic chain:
-// the 88 dB Ario sounder (vs the 105 dB extension) and the unmatched
-// stock detector path, which together yield the <3 m grass detection range
-// that motivated the paper's hardware extension (Sections 1 and 3.2). The
-// detector derating is folded into DetectMidSNR.
-func OriginalBuzzer(e Environment) Environment {
-	e.Name = e.Name + "+stock-buzzer"
-	e.SourceLevel = 88
-	e.DetectMidSNR += 10
-	return e
-}

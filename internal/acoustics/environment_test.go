@@ -7,7 +7,7 @@ import (
 )
 
 func TestEnvironmentPresetsValid(t *testing.T) {
-	for _, e := range []Environment{Grass(), Pavement(), Urban(), Wooded(), OriginalBuzzer(Grass())} {
+	for _, e := range []Environment{Grass(), Pavement(), Urban(), Wooded()} {
 		if err := e.Validate(); err != nil {
 			t.Errorf("%s: %v", e.Name, err)
 		}
@@ -92,25 +92,6 @@ func TestGrassVsPavementRange(t *testing.T) {
 	}
 	if p := pd(pave, 50); p < 0.02 || p > 0.5 {
 		t.Errorf("pavement @50m: p=%v, want occasional detection (0.02..0.5)", p)
-	}
-}
-
-// TestOriginalBuzzerShortRange verifies the stock 88 dB sounder yields the
-// <3 m usable grass range that motivated the hardware extension.
-func TestOriginalBuzzerShortRange(t *testing.T) {
-	e := OriginalBuzzer(Grass())
-	if p := e.PDetect(e.SNR(3, 0, 0)); p > 0.7 {
-		t.Errorf("stock buzzer @3m: p=%v — range should be marginal at 3m", p)
-	}
-	if p := e.PDetect(e.SNR(10, 0, 0)); p > 0.1 {
-		t.Errorf("stock buzzer @10m: p=%v, want near zero", p)
-	}
-	// The extended board must beat the stock one everywhere.
-	ext := Grass()
-	for d := 1.0; d <= 30; d += 1 {
-		if ext.PDetect(ext.SNR(d, 0, 0)) < e.PDetect(e.SNR(d, 0, 0))-1e-12 {
-			t.Fatalf("extended board worse than stock at %v m", d)
-		}
 	}
 }
 

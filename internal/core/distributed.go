@@ -250,14 +250,21 @@ func solveLocalMap(set *measure.Set, i int, cfg LSSConfig, rng *rand.Rand) map[i
 // fitFrames computes the rigid transform mapping src-frame coordinates to
 // dst-frame coordinates using the nodes present in both maps (the shared
 // neighbors C of Section 4.3.1). It reports failure when fewer than
-// minShared nodes are shared.
+// minShared nodes are shared. The shared nodes enter the fit in ascending
+// id order: FitRigid's covariance sums in Go's randomized map order would
+// differ in the last ulp from run to run.
 func fitFrames(src, dst map[int]geom.Point, minShared int) (geom.Transform, bool) {
-	var from, to []geom.Point
-	for id, p := range src {
-		if q, ok := dst[id]; ok {
-			from = append(from, p)
-			to = append(to, q)
+	var shared []int
+	for id := range src {
+		if _, ok := dst[id]; ok {
+			shared = append(shared, id)
 		}
+	}
+	sort.Ints(shared)
+	from := make([]geom.Point, len(shared))
+	to := make([]geom.Point, len(shared))
+	for k, id := range shared {
+		from[k], to[k] = src[id], dst[id]
 	}
 	if len(from) < minShared {
 		return geom.Transform{}, false

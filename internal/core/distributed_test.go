@@ -209,3 +209,27 @@ func TestFitFramesMinShared(t *testing.T) {
 		t.Error("fitFrames accepted 2 shared points with MinShared=3")
 	}
 }
+
+// TestFitFramesDeterministic: the pairwise transform is bit-identical on
+// every call. The shared nodes used to enter the fit in map iteration
+// order, so figure 24's average error differed in the last ulp from run to
+// run.
+func TestFitFramesDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	tr := geom.Transform{Theta: 1.1, Tx: -3, Ty: 7, Flip: true}
+	src, dst := map[int]geom.Point{}, map[int]geom.Point{}
+	for id := 0; id < 40; id++ {
+		p := geom.Pt(rng.Float64()*50, rng.Float64()*50)
+		src[id] = p
+		dst[id] = tr.Apply(p).Add(geom.Pt(rng.NormFloat64()*0.3, rng.NormFloat64()*0.3))
+	}
+	want, ok := fitFrames(src, dst, 3)
+	if !ok {
+		t.Fatal("fitFrames failed on 40 shared points")
+	}
+	for i := 0; i < 50; i++ {
+		if got, _ := fitFrames(src, dst, 3); got != want {
+			t.Fatalf("call %d: %v, want %v bit for bit", i, got, want)
+		}
+	}
+}

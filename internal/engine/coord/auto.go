@@ -16,7 +16,8 @@ import (
 // spec.DriveAuto), each round an ordinary coordinated Execute of a fixed-N
 // spec. The returned Stats sums the additive counters (retries, hedges,
 // steals, reused trials, ...) across rounds and takes the final round's
-// shape (Trials, Ranges, Workers). A fixed-count spec just delegates to
+// shape (Trials, Ranges, Workers, Scores). Each round is its own job to
+// Options.Progress, with its own line, milestones, and worker rows. A fixed-count spec just delegates to
 // Execute.
 func ExecuteAuto(ctx context.Context, sp spec.JobSpec, opts Options) (*spec.Value, Stats, error) {
 	if sp.AutoTrials == nil {
@@ -34,7 +35,7 @@ func ExecuteAuto(ctx context.Context, sp spec.JobSpec, opts Options) (*spec.Valu
 		acc.Left += st.Left
 		acc.ReusedTrials += st.ReusedTrials
 		acc.ReusedRanges += st.ReusedRanges
-		acc.Trials, acc.Ranges, acc.Workers = st.Trials, st.Ranges, st.Workers
+		acc.Trials, acc.Ranges, acc.Workers, acc.Scores = st.Trials, st.Ranges, st.Workers, st.Scores
 		return val, err
 	})
 	if err != nil {

@@ -47,6 +47,7 @@ import (
 
 	"resilientloc/internal/engine"
 	"resilientloc/internal/engine/fleet"
+	"resilientloc/internal/engine/progress"
 	"resilientloc/internal/engine/spec"
 	"resilientloc/internal/obs"
 )
@@ -114,14 +115,12 @@ type Options struct {
 	// MaxAttempts caps submissions per range (initial + retries + hedges).
 	// 0 means 2×len(Workers), minimum 4.
 	MaxAttempts int
-	// OnProgress, when non-nil, receives the aggregate trials-completed
-	// counter across all ranges. Calls are serialized; done is
-	// non-decreasing.
-	OnProgress func(done, total int)
-	// OnScoreboard, when non-nil, receives a fresh per-worker scoreboard
-	// snapshot whenever a range completes or an attempt is retried or
-	// hedged. Calls are serialized; the slice is the callback's to keep.
-	OnScoreboard func([]WorkerScore)
+	// Progress, when non-nil, receives the job's live view, exactly as
+	// run.Options.Progress does: the aggregate trials-completed counter
+	// with the per-worker scoreboard as rows beneath it, repainted in place
+	// on a terminal, or quarter-milestone lines with the scoreboard printed
+	// once at completion elsewhere.
+	Progress io.Writer
 	// Warnings receives retry/hedge diagnostics; nil means os.Stderr.
 	Warnings io.Writer
 }
@@ -183,6 +182,8 @@ type Stats struct {
 	// result counts as one range of every trial.
 	ReusedTrials int
 	ReusedRanges int
+	// Scores is the per-worker scoreboard, in worker order.
+	Scores []WorkerScore
 }
 
 // Execute runs one job across the worker fleet and returns its full result
@@ -223,6 +224,7 @@ func Execute(ctx context.Context, sp spec.JobSpec, opts Options) (*spec.Value, S
 	}
 	defer jobSpan.End()
 	val, err := c.run(ctx)
+	c.finish(err == nil)
 	if err != nil {
 		return nil, c.stats(), err
 	}
@@ -273,10 +275,9 @@ type coordinator struct {
 	discover string
 	poll     time.Duration
 	reuseOn  bool
-	onProg   func(done, total int)
 	warn     io.Writer
-
-	onScore func([]WorkerScore)
+	prog     *progress.Renderer
+	id, name string // progress line key (spec hash) and label
 
 	mu      sync.Mutex
 	workers []string
@@ -311,9 +312,8 @@ type coordinator struct {
 	workersUsed  map[string]bool
 	scores       map[string]*workerTally
 
-	// scoreMu serializes OnScoreboard invocations outside c.mu, so a slow
-	// renderer never blocks range completions.
-	scoreMu sync.Mutex
+	// renderMu serializes progress rendering outside c.mu (see render).
+	renderMu sync.Mutex
 }
 
 // workerTally is the mutable accumulator behind one WorkerScore row.
@@ -380,9 +380,10 @@ func newCoordinator(job spec.Resolved, opts Options) (*coordinator, error) {
 		discover:    opts.Discover,
 		poll:        poll,
 		reuseOn:     opts.Reuse,
-		onProg:      opts.OnProgress,
-		onScore:     opts.OnScoreboard,
 		warn:        warn,
+		prog:        progress.New(opts.Progress),
+		id:          job.Spec.Hash(),
+		name:        job.Campaign.Scenario.Name,
 		assign:      make(map[string]*spec.Range),
 		departed:    make(map[string]bool),
 		discovered:  make(map[string]bool),
@@ -411,11 +412,10 @@ func (c *coordinator) tallyLocked(worker string) *workerTally {
 	return t
 }
 
-// Scoreboard snapshots the per-worker fleet scoreboard in the coordinator's
-// worker order (workers with no activity yet included, all-zero).
-func (c *coordinator) scoreboard() []WorkerScore {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// scoreboardLocked snapshots the per-worker fleet scoreboard in the
+// coordinator's worker order (workers with no activity yet included,
+// all-zero); the caller holds c.mu.
+func (c *coordinator) scoreboardLocked() []WorkerScore {
 	out := make([]WorkerScore, len(c.workers))
 	for i, w := range c.workers {
 		out[i] = WorkerScore{Worker: w}
@@ -434,15 +434,58 @@ func (c *coordinator) scoreboard() []WorkerScore {
 	return out
 }
 
-// notifyScore pushes a fresh scoreboard snapshot to the OnScoreboard hook.
-func (c *coordinator) notifyScore() {
-	if c.onScore == nil {
+// render pushes the job's live view — the aggregate trial counter, with the
+// scoreboard as its rows — to the progress renderer. The caller must not
+// hold c.mu: the renderer writes to the caller's writer, so only renderMu,
+// which orders the snapshots and keeps the counter non-decreasing, is held
+// across the write.
+func (c *coordinator) render() {
+	if c.prog == nil {
 		return
 	}
-	sb := c.scoreboard()
-	c.scoreMu.Lock()
-	c.onScore(sb)
-	c.scoreMu.Unlock()
+	c.renderMu.Lock()
+	defer c.renderMu.Unlock()
+	done, rows := c.snapshot()
+	c.prog.Update(c.id, c.name, done, c.job.TotalTrials, rows)
+}
+
+// finish closes the job's progress view: a successful run shows its full
+// count (a result adopted whole from a cache streams no progress), and the
+// job retires from the renderer.
+func (c *coordinator) finish(ok bool) {
+	if c.prog == nil {
+		return
+	}
+	c.renderMu.Lock()
+	defer c.renderMu.Unlock()
+	if ok {
+		_, rows := c.snapshot()
+		c.prog.Update(c.id, c.name, c.job.TotalTrials, c.job.TotalTrials, rows)
+	}
+	c.prog.Done(c.id)
+}
+
+// snapshot returns the trials completed across all ranges and the
+// scoreboard's rows.
+func (c *coordinator) snapshot() (done int, rows []string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, d := range c.rangeDone {
+		done += d
+	}
+	return done, scoreRows(c.scoreboardLocked())
+}
+
+// scoreRows formats the scoreboard as the progress renderer's row block: a
+// header and one row per worker.
+func scoreRows(scores []WorkerScore) []string {
+	const format = "%-36s %6v %7v %9v %8v %7v %7v %7v"
+	rows := []string{fmt.Sprintf(format, "worker", "ranges", "trials", "trials/s", "retries", "hedges", "steals", "reused")}
+	for _, ws := range scores {
+		rows = append(rows, fmt.Sprintf(format, ws.Worker, ws.Ranges, ws.Trials,
+			fmt.Sprintf("%.1f", ws.TrialsPerSec), ws.Retries, ws.Hedges, ws.Steals, ws.ReusedTrials))
+	}
+	return rows
 }
 
 func (c *coordinator) stats() Stats {
@@ -460,6 +503,7 @@ func (c *coordinator) stats() Stats {
 		Left:         c.left,
 		ReusedTrials: c.reusedTrials,
 		ReusedRanges: c.reusedRanges,
+		Scores:       c.scoreboardLocked(),
 	}
 }
 
@@ -524,23 +568,16 @@ func (c *coordinator) complete(i int, val *spec.Value, worker string, dur time.D
 		t.ranges++
 		t.trials += rg.Hi - rg.Lo
 		t.busy += dur
-		if c.onProg != nil {
-			done := 0
-			for _, d := range c.rangeDone {
-				done += d
-			}
-			c.onProg(done, c.job.TotalTrials)
-		}
 	} else {
 		c.dedupLosses++
 	}
 	c.mu.Unlock()
 	if won {
 		obsRanges.Inc()
+		c.render()
 	} else {
 		obsDedupLoss.Inc()
 	}
-	c.notifyScore()
 	return won
 }
 
@@ -556,17 +593,14 @@ func (c *coordinator) addDedupLosses(n int) {
 // progress records a range's trial counter from its event stream.
 func (c *coordinator) progress(i, done int) {
 	c.mu.Lock()
-	if c.parts[i] == nil && done > c.rangeDone[i] {
+	advanced := c.parts[i] == nil && done > c.rangeDone[i]
+	if advanced {
 		c.rangeDone[i] = done
-		if c.onProg != nil {
-			sum := 0
-			for _, d := range c.rangeDone {
-				sum += d
-			}
-			c.onProg(sum, c.job.TotalTrials)
-		}
 	}
 	c.mu.Unlock()
+	if advanced {
+		c.render()
+	}
 }
 
 // runRange drives one range to completion: submit to a worker, watch its
@@ -676,7 +710,7 @@ func (c *coordinator) runRange(ctx context.Context, i int, preferred string) err
 			c.tallyLocked(r.worker).retries++
 			c.mu.Unlock()
 			obsRetries.Inc()
-			c.notifyScore()
+			c.render()
 			if attempts < c.maxTry {
 				fmt.Fprintf(c.warn, "coord: %s range [%d, %d): worker %s failed (%v); retrying\n",
 					c.job.Spec.ID, rg.Lo, rg.Hi, r.worker, r.err)
@@ -694,7 +728,7 @@ func (c *coordinator) runRange(ctx context.Context, i int, preferred string) err
 				c.mu.Unlock()
 				obsRetries.Inc()
 				obsHedges.Inc()
-				c.notifyScore()
+				c.render()
 				fmt.Fprintf(c.warn, "coord: %s range [%d, %d): worker %s stalled; hedging on another worker\n",
 					c.job.Spec.ID, rg.Lo, rg.Hi, w)
 				launch()

@@ -132,29 +132,45 @@ func TestCoordinatedMatchesGoldenCorpus(t *testing.T) {
 }
 
 // TestCoordinatorProgressAggregates: the aggregate progress counter reaches
-// trials and never decreases.
+// trials and never decreases, and on a non-terminal writer the per-worker
+// rows follow the completion line once, with no ANSI control sequences.
 func TestCoordinatorProgressAggregates(t *testing.T) {
 	workers := []string{newWorker(t, run.Options{NoCache: true})}
-	last := 0
-	prev := -1
-	monotonic := true
+	var buf strings.Builder
 	val, _, err := coord.Execute(context.Background(),
 		spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 2, Trials: 8, ShardSize: 1},
-		coord.Options{Workers: workers, Warnings: io.Discard,
-			OnProgress: func(done, total int) {
-				if done < prev || total != 8 {
-					monotonic = false
-				}
-				prev, last = done, done
-			}})
+		coord.Options{Workers: workers, Warnings: io.Discard, Progress: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if val.Report == nil && val.Figure == nil && val.Partial != nil {
 		t.Fatalf("coordinator leaked a partial: %+v", val)
 	}
-	if !monotonic || last != 8 {
-		t.Errorf("progress ended %d (monotonic %v), want 8", last, monotonic)
+	out := buf.String()
+	if strings.ContainsAny(out, "\r\x1b") {
+		t.Errorf("non-TTY progress contains carriage returns or ANSI escapes: %q", out)
+	}
+	prev := -1
+	var lines []string
+	for _, l := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
+		if strings.HasPrefix(l, "  ") {
+			lines = append(lines, l) // worker rows
+			continue
+		}
+		var done, total int
+		if _, err := fmt.Sscanf(strings.TrimSpace(strings.TrimPrefix(l, "multilat-town")), "%d/%d trials", &done, &total); err != nil {
+			t.Fatalf("unparseable milestone line %q: %v", l, err)
+		}
+		if done < prev || total != 8 || len(lines) > 0 {
+			t.Errorf("milestone %q out of order in %q", l, out)
+		}
+		prev = done
+	}
+	if prev != 8 {
+		t.Errorf("progress ended %d, want 8: %q", prev, out)
+	}
+	if len(lines) != 2 || !strings.Contains(lines[0], "worker") || !strings.HasPrefix(strings.TrimSpace(lines[1]), workers[0]) {
+		t.Errorf("want a header and one worker row after completion, got %q", lines)
 	}
 }
 
@@ -389,11 +405,7 @@ func TestCoordinatorTraceAndScoreboard(t *testing.T) {
 
 	tr := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tr)
-	var last []coord.WorkerScore
-	val, st, err := coord.Execute(ctx, sp, coord.Options{
-		Workers: workers, Warnings: io.Discard,
-		OnScoreboard: func(ws []coord.WorkerScore) { last = ws },
-	})
+	val, st, err := coord.Execute(ctx, sp, coord.Options{Workers: workers, Warnings: io.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,11 +451,11 @@ func TestCoordinatorTraceAndScoreboard(t *testing.T) {
 	}
 
 	// Scoreboard: the final snapshot accounts for every range and trial.
-	if len(last) != len(workers) {
-		t.Fatalf("scoreboard has %d rows, want %d", len(last), len(workers))
+	if len(st.Scores) != len(workers) {
+		t.Fatalf("scoreboard has %d rows, want %d", len(st.Scores), len(workers))
 	}
 	var ranges, trials int
-	for _, ws := range last {
+	for _, ws := range st.Scores {
 		ranges += ws.Ranges
 		trials += ws.Trials
 		if ws.Ranges > 0 && ws.TrialsPerSec <= 0 {
@@ -456,43 +468,4 @@ func TestCoordinatorTraceAndScoreboard(t *testing.T) {
 	if st.Hedges != 0 || st.DedupLosses != 0 {
 		t.Errorf("healthy fleet recorded hedges=%d dedupLosses=%d, want 0/0", st.Hedges, st.DedupLosses)
 	}
-}
-
-// TestScoreboardNonTTY: on a non-terminal writer the scoreboard emits
-// quarter-milestone progress lines while live and per-worker summary rows
-// at Final — never ANSI control sequences.
-func TestScoreboardNonTTY(t *testing.T) {
-	var buf strings.Builder
-	sb := coord.NewScoreboard(&buf, "fig06")
-	sb.Progress(0, 8)
-	sb.Progress(4, 8)
-	sb.Update([]coord.WorkerScore{
-		{Worker: "http://w1", Ranges: 2, Trials: 6, TrialsPerSec: 12.5, Hedges: 1},
-		{Worker: "http://w2"},
-	})
-	sb.Progress(8, 8)
-	sb.Final()
-	sb.Final() // idempotent
-	out := buf.String()
-	if strings.Contains(out, "\x1b[") {
-		t.Errorf("non-TTY scoreboard emitted ANSI control sequences:\n%q", out)
-	}
-	for _, want := range []string{"fig06: 4/8 trials", "fig06: 8/8 trials",
-		"worker http://w1: ranges=2 trials=6 trials/s=12.5 retries=0 hedges=1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("scoreboard output lacks %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "http://w2") {
-		t.Errorf("idle worker should not get a summary row:\n%s", out)
-	}
-	if n := strings.Count(out, "http://w1"); n != 1 {
-		t.Errorf("Final printed the w1 summary %d times, want once", n)
-	}
-
-	// A nil scoreboard (progress off) must be a safe no-op.
-	var nilSB *coord.Scoreboard
-	nilSB.Progress(1, 2)
-	nilSB.Update(nil)
-	nilSB.Final()
 }

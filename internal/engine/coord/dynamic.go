@@ -104,7 +104,7 @@ func (c *coordinator) nextChunk(worker string) (i int, ok bool) {
 		obsSteals.Inc()
 		warnTo(c.warn, "coord: %s: idle worker %s stole [%d, %d) from %s\n",
 			c.job.Spec.ID, worker, stole.Lo, stole.Hi, victim)
-		c.notifyScore()
+		c.render()
 	}
 	return i, true
 }
@@ -352,7 +352,7 @@ func (c *coordinator) syncFleet(urls []string) []string {
 		warnTo(c.warn, "coord: %s: worker %s left the fleet; reassigning its unsubmitted work\n", c.job.Spec.ID, w)
 	}
 	if len(added)+len(gone) > 0 {
-		c.notifyScore()
+		c.render()
 	}
 	return added
 }

@@ -33,12 +33,10 @@ func TestDynamicStealingByteIdentity(t *testing.T) {
 	fast := newWorker(t, run.Options{NoCache: true})
 	slow := slowEventsProxy(t, newWorker(t, run.Options{NoCache: true}), 400*time.Millisecond)
 
-	var last []coord.WorkerScore
 	val, st, err := coord.Execute(context.Background(), sp, coord.Options{
 		Workers:      []string{slow, fast},
 		StallTimeout: -1, // isolate stealing from hedging
 		Warnings:     io.Discard,
-		OnScoreboard: func(ws []coord.WorkerScore) { last = ws },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +51,7 @@ func TestDynamicStealingByteIdentity(t *testing.T) {
 		t.Errorf("stealing should not show up as retries/hedges: %+v", st)
 	}
 	stealRows := 0
-	for _, ws := range last {
+	for _, ws := range st.Scores {
 		if ws.Steals > 0 {
 			stealRows++
 			if ws.Worker != fast {
@@ -62,7 +60,7 @@ func TestDynamicStealingByteIdentity(t *testing.T) {
 		}
 	}
 	if stealRows == 0 {
-		t.Errorf("scoreboard shows no steals: %+v", last)
+		t.Errorf("scoreboard shows no steals: %+v", st.Scores)
 	}
 }
 

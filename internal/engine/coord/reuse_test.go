@@ -2,6 +2,7 @@ package coord_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"path/filepath"
 	"strings"
@@ -205,5 +206,35 @@ func TestCoordExecuteAuto(t *testing.T) {
 	}
 	if got := normalized(t, val); got != want {
 		t.Errorf("ExecuteAuto with a fixed spec diverged from Execute\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestCoordExecuteAutoProgressPerRound is the regression test for auto
+// rounds sharing one progress line: each round of the ladder is its own job
+// to the renderer, so a non-terminal log shows every round's completion
+// line, each followed by that round's worker rows.
+func TestCoordExecuteAutoProgressPerRound(t *testing.T) {
+	grid := params.Map{"rows": params.Num(5), "cols": params.Num(6)}
+	auto := spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-grid", Seed: 2, Params: grid,
+		AutoTrials: &spec.AutoTrials{CITarget: 1e-12, Metric: "avg_error_m", MaxTrials: 32}}
+	worker := newWorker(t, run.Options{CacheDir: filepath.Join(t.TempDir(), "cache")})
+	var buf strings.Builder
+	if _, _, err := coord.ExecuteAuto(context.Background(), auto, coord.Options{
+		Workers: []string{worker}, Reuse: true, Warnings: io.Discard, Progress: &buf,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	rest := out
+	for _, n := range []int{8, 16, 32} {
+		done := fmt.Sprintf(" %4d/%d trials\n", n, n)
+		i := strings.Index(rest, done)
+		if i < 0 {
+			t.Fatalf("no completion line %q after the previous round's in:\n%s", done, out)
+		}
+		rest = rest[i+len(done):]
+		if !strings.HasPrefix(rest, "  worker") || !strings.Contains(rest, "  "+worker) {
+			t.Errorf("round %d's completion line is not followed by its worker rows:\n%s", n, out)
+		}
 	}
 }

@@ -40,6 +40,7 @@ import (
 	"resilientloc/internal/engine"
 	"resilientloc/internal/engine/cache"
 	"resilientloc/internal/engine/params"
+	"resilientloc/internal/engine/progress"
 	"resilientloc/internal/engine/spec"
 	"resilientloc/internal/obs"
 )
@@ -102,10 +103,6 @@ type Options struct {
 	// for each campaign as its shards finish: an in-place status block on a
 	// terminal, newline-delimited milestone lines elsewhere.
 	Progress io.Writer
-	// ProgressRefresh bounds how often the TTY status block repaints: at
-	// most once per interval (completion lines always render immediately).
-	// 0 repaints on every update, which is the historical behavior.
-	ProgressRefresh time.Duration
 	// OnProgress, when non-nil, receives the same streaming trial counters
 	// keyed by job ID (spec.JobSpec.Hash) instead of rendered text — the
 	// hook the locd event streams are wired to. Calls are serialized per
@@ -121,7 +118,7 @@ type Options struct {
 }
 
 // RegisterCommon registers the flags shared by every campaign CLI:
-// -parallel, -seed, -cache, -no-cache, -cache-gc, -progress-refresh. Flags
+// -parallel, -seed, -cache, -no-cache, -cache-gc, -no-reuse. Flags
 // whose applicability varies (like -trials) have their own Register helpers.
 func (o *Options) RegisterCommon(fs *flag.FlagSet) {
 	fs.IntVar(&o.Workers, "parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
@@ -131,8 +128,6 @@ func (o *Options) RegisterCommon(fs *flag.FlagSet) {
 	fs.StringVar(&o.CacheGC, "cache-gc", "on", "opportunistic cache garbage collection (on|off)")
 	fs.BoolVar(&o.NoReuse, "no-reuse", false,
 		"disable the prefix-reuse planner (always compute full runs from scratch)")
-	fs.DurationVar(&o.ProgressRefresh, "progress-refresh", 0,
-		"minimum interval between terminal status-block repaints (0 = repaint on every update)")
 }
 
 // RegisterTrials registers the -trials override. Scenario CLIs expose it;
@@ -221,7 +216,7 @@ type Session struct {
 	opts  Options
 	cache *cache.Cache
 	warn  io.Writer
-	prog  *progress
+	prog  *progress.Renderer
 
 	mu             sync.Mutex
 	trialsExecuted int
@@ -247,9 +242,6 @@ func NewSession(opts Options) (*Session, error) {
 	if opts.SuiteParallel < 0 {
 		return nil, fmt.Errorf("run: negative suite parallelism %d", opts.SuiteParallel)
 	}
-	if opts.ProgressRefresh < 0 {
-		return nil, fmt.Errorf("run: negative progress refresh %v", opts.ProgressRefresh)
-	}
 	gc := true
 	switch opts.CacheGC {
 	case "", "on":
@@ -264,7 +256,7 @@ func NewSession(opts Options) (*Session, error) {
 	s := &Session{
 		opts:     opts,
 		warn:     opts.Warnings,
-		prog:     newProgress(opts.Progress, opts.ProgressRefresh),
+		prog:     progress.New(opts.Progress),
 		keyLocks: make(map[string]*keyLock),
 	}
 	// Validate the flag-level engine configuration eagerly so errors surface
@@ -467,7 +459,7 @@ func (s *Session) lockKey(hash string) func() {
 // progress sink (keyed by job id, labeled by campaign name) and the
 // job-keyed OnProgress hook.
 func (s *Session) progressCallback(name, jobID string) func(done, total int) {
-	cb := s.prog.callback(jobID, name)
+	cb := s.prog.Callback(jobID, name)
 	op := s.opts.OnProgress
 	if op == nil {
 		return cb
@@ -507,17 +499,12 @@ func ExecuteSpecContext(ctx context.Context, s *Session, sp spec.JobSpec) (*spec
 	if err != nil {
 		return nil, Info{}, err
 	}
-	return ExecuteResolvedContext(ctx, s, job)
+	return executeJob(ctx, s, job)
 }
 
-// ExecuteResolved executes one already-resolved job; see ExecuteSpec.
-func ExecuteResolved(s *Session, job spec.Resolved) (*spec.Value, Info, error) {
-	return ExecuteResolvedContext(context.Background(), s, job)
-}
-
-// ExecuteResolvedContext is ExecuteResolved with an observability context;
-// see ExecuteSpecContext.
-func ExecuteResolvedContext(ctx context.Context, s *Session, job spec.Resolved) (*spec.Value, Info, error) {
+// executeJob executes one already-resolved job under the run-layer job
+// counters and the in-flight gauge; see ExecuteSpec.
+func executeJob(ctx context.Context, s *Session, job spec.Resolved) (*spec.Value, Info, error) {
 	obsInflight.Add(1)
 	defer obsInflight.Add(-1)
 	res, info, err := executeResolved(ctx, s, job)
@@ -553,7 +540,7 @@ func executeResolved(ctx context.Context, s *Session, job spec.Resolved) (*spec.
 	if err != nil {
 		return nil, Info{}, err
 	}
-	defer s.prog.done(jobID)
+	defer s.prog.Done(jobID)
 	trials, shardSize := engine.CampaignConfig(runner, c)
 	// A proper trial sub-range executes partially: the result is the
 	// range's serialized shard aggregates (spec.Value.Partial), not a
@@ -727,18 +714,12 @@ func ExecuteAllContext(ctx context.Context, s *Session, jobs []spec.Resolved, on
 	return executeAll(ctx, s, jobs, onDone, true)
 }
 
-// ExecuteAllUnordered is ExecuteAll with per-job completion latency instead
-// of ordered streaming: onDone fires (serialized) as soon as each job
-// finishes, regardless of its position in the submission. Services that
-// answer polls per job (locd) use this so a fast or cached job is never
-// held hostage by a long-running sibling; CLIs that stream suite output
-// keep ExecuteAll's ordered emission.
-func ExecuteAllUnordered(s *Session, jobs []spec.Resolved, onDone func(Outcome)) []Outcome {
-	return executeAll(context.Background(), s, jobs, onDone, false)
-}
-
-// ExecuteAllUnorderedContext is ExecuteAllUnordered with an observability
-// context; see ExecuteAllContext.
+// ExecuteAllUnorderedContext is ExecuteAllContext with per-job completion
+// latency instead of ordered streaming: onDone fires (serialized) as soon as
+// each job finishes, regardless of its position in the submission. Services
+// that answer polls per job (locd) use this so a fast or cached job is never
+// held hostage by a long-running sibling; CLIs that stream suite output keep
+// ExecuteAll's ordered emission.
 func ExecuteAllUnorderedContext(ctx context.Context, s *Session, jobs []spec.Resolved, onDone func(Outcome)) []Outcome {
 	return executeAll(ctx, s, jobs, onDone, false)
 }
@@ -775,9 +756,9 @@ func executeAll(ctx context.Context, s *Session, jobs []spec.Resolved, onDone fu
 		if onDone == nil {
 			return
 		}
-		s.prog.suspend()
+		s.prog.Suspend()
 		onDone(o)
-		s.prog.resume()
+		s.prog.Resume()
 	}
 	if overlap <= 1 {
 		var failedSeq bool
@@ -862,6 +843,6 @@ func executeAll(ctx context.Context, s *Session, jobs []spec.Resolved, onDone fu
 }
 
 func runResolved(ctx context.Context, s *Session, j spec.Resolved) Outcome {
-	res, info, err := ExecuteResolvedContext(ctx, s, j)
+	res, info, err := executeJob(ctx, s, j)
 	return Outcome{Spec: j.Spec, Result: res, Info: info, Err: err}
 }

@@ -2,6 +2,7 @@ package run_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -310,9 +311,6 @@ func TestSessionRejectsBadOptions(t *testing.T) {
 	if _, err := run.NewSession(run.Options{CacheGC: "sometimes"}); err == nil {
 		t.Error("want error for invalid cache-gc value")
 	}
-	if _, err := run.NewSession(run.Options{ProgressRefresh: -time.Second}); err == nil {
-		t.Error("want error for negative progress refresh")
-	}
 }
 
 // fastFigJobs resolves the suite jobs for fastFigs.
@@ -394,7 +392,7 @@ func TestSuiteParallelByteIdenticalAndOrdered(t *testing.T) {
 func TestExecuteAllUnorderedReportsEachJobOnce(t *testing.T) {
 	s := newSession(t, run.Options{NoCache: true, SuiteParallel: 2})
 	seen := map[string]int{}
-	outs := run.ExecuteAllUnordered(s, fastFigJobs(t, 1), func(o run.Outcome) {
+	outs := run.ExecuteAllUnorderedContext(context.Background(), s, fastFigJobs(t, 1), func(o run.Outcome) {
 		if o.Err != nil {
 			t.Errorf("%s: %v", o.Spec.ID, o.Err)
 		}

@@ -14,15 +14,11 @@ import (
 // x = 5 + 2·10 = 25, y = 36).
 const distributedGridRoot = 30
 
-// Fig24DistributedSparse reproduces Figure 24: distributed LSS on the
+// fig24Campaign reproduces Figure 24: distributed LSS on the
 // sparse grass-grid field measurements. Paper: 9.494 m average error —
 // about half the nodes have very large errors because a bad pairwise
 // transform is amplified and propagated (only 247 measured pairs for 47
 // nodes).
-func Fig24DistributedSparse(seed int64) (*Result, error) {
-	return runFigure(fig24Campaign, seed)
-}
-
 func fig24Campaign(seed int64) engine.Campaign[*Result] {
 	return singleTrial("fig24", func(t *engine.T) (*Result, error) {
 		set, dep, err := gridFieldSet(seed)
@@ -57,13 +53,9 @@ func fig24Campaign(seed int64) engine.Campaign[*Result] {
 	})
 }
 
-// Fig25DistributedExtended reproduces Figure 25: the same run after adding
+// fig25Campaign reproduces Figure 25: the same run after adding
 // 370 simulated distances (N(0, 0.33 m), 22 m cutoff). Paper: all nodes
 // localized with 0.534 m average error.
-func Fig25DistributedExtended(seed int64) (*Result, error) {
-	return runFigure(fig25Campaign, seed)
-}
-
 func fig25Campaign(seed int64) engine.Campaign[*Result] {
 	return singleTrial("fig25", func(t *engine.T) (*Result, error) {
 		set, dep, err := gridFieldSet(seed)

@@ -95,11 +95,22 @@ func TestResultRender(t *testing.T) {
 	}
 }
 
-func TestFig02Shape(t *testing.T) {
-	r, err := Fig02BaselineRangingUrban(testSeed)
+// runFig executes the registered figure id at testSeed.
+func runFig(t *testing.T, id string) *Result {
+	t.Helper()
+	e, ok := Find(id)
+	if !ok {
+		t.Fatalf("figure %s not registered", id)
+	}
+	r, err := e.Run(testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+func TestFig02Shape(t *testing.T) {
+	r := runFig(t, "fig02")
 	if frac := mustGet(t, r, "fraction |error| > 1 m"); frac < 0.1 {
 		t.Errorf("large-error fraction %.3f — baseline should be error-prone", frac)
 	}
@@ -109,10 +120,7 @@ func TestFig02Shape(t *testing.T) {
 }
 
 func TestFig04Shape(t *testing.T) {
-	r, err := Fig04MedianFiltering(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runFig(t, "fig04")
 	raw := mustGet(t, r, "raw fraction |error| > 1 m")
 	filt := mustGet(t, r, "filtered fraction |error| > 1 m")
 	if filt >= raw {
@@ -121,10 +129,7 @@ func TestFig04Shape(t *testing.T) {
 }
 
 func TestFig06Shape(t *testing.T) {
-	r, err := Fig06RefinedErrorHistogram(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runFig(t, "fig06")
 	if core := mustGet(t, r, "fraction within ±30 cm"); core < 0.7 {
 		t.Errorf("core fraction %.3f — most refined errors should fall within ±30 cm", core)
 	}
@@ -134,10 +139,7 @@ func TestFig06Shape(t *testing.T) {
 }
 
 func TestFig07Shape(t *testing.T) {
-	r, err := Fig07BidirectionalFilter(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runFig(t, "fig07")
 	all := mustGet(t, r, "all fraction |error| > 1 m")
 	bidir := mustGet(t, r, "bidirectional fraction |error| > 1 m")
 	if bidir > all {
@@ -149,10 +151,7 @@ func TestFig07Shape(t *testing.T) {
 }
 
 func TestFig08Shape(t *testing.T) {
-	r, err := Fig08ErrorVsDistance(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runFig(t, "fig08")
 	near := mustGet(t, r, "large-error fraction, nearest bin")
 	far := mustGet(t, r, "large-error fraction, farthest bin")
 	if far < near {
@@ -161,10 +160,7 @@ func TestFig08Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	r, err := Fig10DFTToneDetection(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runFig(t, "fig10")
 	if got := mustGet(t, r, "clean chirps detected (of 4)"); got != 4 {
 		t.Errorf("clean detections %.0f, want 4", got)
 	}
@@ -177,10 +173,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestMaxRangeShape(t *testing.T) {
-	r, err := MaxRangeSweep(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runFig(t, "maxrange")
 	if g10 := mustGet(t, r, "grass @10m (T=2)"); g10 < 0.8 {
 		t.Errorf("grass @10m = %.2f, want ≥0.8 (paper: 80-85%%)", g10)
 	}
@@ -193,10 +186,7 @@ func TestMaxRangeShape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	r, err := Fig11IntersectionConsistency(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runFig(t, "fig11")
 	with := mustGet(t, r, "error with consistency check")
 	without := mustGet(t, r, "error without consistency check")
 	if with >= without {
@@ -208,10 +198,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	r, err := Fig12MultilatParkingLot(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runFig(t, "fig12")
 	if frac := mustGet(t, r, "non-anchors localized"); frac < 9 {
 		t.Errorf("localized %.0f of 10 — dense anchors should localize nearly all", frac)
 	}
@@ -221,10 +208,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	r, err := Fig14MultilatSparseGrid(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runFig(t, "fig14")
 	if frac := mustGet(t, r, "localized fraction"); frac > 0.5 {
 		t.Errorf("localized fraction %.2f — sparse anchors should break multilateration (paper: 0.20)", frac)
 	}
@@ -234,10 +218,7 @@ func TestFig14Shape(t *testing.T) {
 }
 
 func TestFig16Shape(t *testing.T) {
-	r, err := Fig16MultilatAugmentedGrid(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runFig(t, "fig16")
 	if frac := mustGet(t, r, "localized fraction"); frac < 0.7 {
 		t.Errorf("localized fraction %.2f, want ≈0.8 after augmentation", frac)
 	}
@@ -250,14 +231,8 @@ func TestFig18vs19Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig18 uses a large restart budget")
 	}
-	r18, err := Fig18LSSGridConstrained(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r19, err := Fig19LSSGridUnconstrained(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r18 := runFig(t, "fig18")
+	r19 := runFig(t, "fig19")
 	with := mustGet(t, r18, "average error")
 	without := mustGet(t, r19, "average error")
 	if with > 3.5 {
@@ -269,10 +244,7 @@ func TestFig18vs19Shape(t *testing.T) {
 }
 
 func TestFig20Shape(t *testing.T) {
-	r, err := Fig20MultilatTown(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runFig(t, "fig20")
 	localized := mustGet(t, r, "non-anchors localized")
 	total := mustGet(t, r, "of non-anchors")
 	if localized < 0.7*total {
@@ -284,17 +256,11 @@ func TestFig20Shape(t *testing.T) {
 }
 
 func TestFig21vs22Shape(t *testing.T) {
-	r21, err := Fig21LSSTownConstrained(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r21 := runFig(t, "fig21")
 	if avg := mustGet(t, r21, "average error"); avg > 1.0 {
 		t.Errorf("constrained town avg %.2f m, want ≤ 1 (paper: 0.548)", avg)
 	}
-	r22, err := Fig22LSSTownUnconstrained(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r22 := runFig(t, "fig22")
 	with := mustGet(t, r22, "mean single-descent error, constrained")
 	without := mustGet(t, r22, "mean single-descent error, no constraint")
 	if without <= with {
@@ -306,10 +272,7 @@ func TestFig21vs22Shape(t *testing.T) {
 }
 
 func TestFig23Shape(t *testing.T) {
-	r, err := Fig23ConvergenceCurves(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runFig(t, "fig23")
 	if len(r.Series) != 2 {
 		t.Fatalf("want 2 series, got %d", len(r.Series))
 	}
@@ -328,14 +291,8 @@ func TestFig23Shape(t *testing.T) {
 }
 
 func TestFig24vs25Shape(t *testing.T) {
-	r24, err := Fig24DistributedSparse(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r25, err := Fig25DistributedExtended(testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r24 := runFig(t, "fig24")
+	r25 := runFig(t, "fig25")
 	sparseErr := mustGet(t, r24, "average error of aligned")
 	denseErr := mustGet(t, r25, "average error of aligned")
 	if sparseErr < 3*denseErr {

@@ -51,14 +51,10 @@ func gridAnchors(dep *deploy.Deployment, seed int64) (map[int]geom.Point, error)
 	return anchors, nil
 }
 
-// Fig11IntersectionConsistency reproduces Figure 11: a constructed scenario
+// fig11Campaign reproduces Figure 11: a constructed scenario
 // where one anchor is nearly collinear with another relative to the node
 // being localized, so small distance errors displace its intersection
 // points far from the true cluster and the consistency check drops it.
-func Fig11IntersectionConsistency(seed int64) (*Result, error) {
-	return runFigure(fig11Campaign, seed)
-}
-
 func fig11Campaign(seed int64) engine.Campaign[*Result] {
 	return singleTrial("fig11", func(t *engine.T) (*Result, error) {
 		rng := t.RNG
@@ -118,13 +114,9 @@ func fig11Campaign(seed int64) engine.Campaign[*Result] {
 	})
 }
 
-// Fig12MultilatParkingLot reproduces Figure 12: 15 nodes (5 loudspeaker
+// fig12Campaign reproduces Figure 12: 15 nodes (5 loudspeaker
 // anchors) in a 25×25 m parking lot, one-way measurements, median filter.
 // Paper: average localization error 0.868 m.
-func Fig12MultilatParkingLot(seed int64) (*Result, error) {
-	return runFigure(fig12Campaign, seed)
-}
-
 func fig12Campaign(seed int64) engine.Campaign[*Result] {
 	return singleTrial("fig12", func(t *engine.T) (*Result, error) {
 		rng := t.RNG
@@ -192,14 +184,10 @@ func fig12Campaign(seed int64) engine.Campaign[*Result] {
 	})
 }
 
-// Fig14MultilatSparseGrid reproduces Figures 13/14: multilateration on the
+// fig14Campaign reproduces Figures 13/14: multilateration on the
 // sparse grass-grid field measurements with 13 random anchors. Paper: only
 // 7 of 33 non-anchors localized (20%), 1.47 anchors per node, 0.653 m
 // average error for those localized.
-func Fig14MultilatSparseGrid(seed int64) (*Result, error) {
-	return runFigure(fig14Campaign, seed)
-}
-
 func fig14Campaign(seed int64) engine.Campaign[*Result] {
 	return singleTrial("fig14", func(t *engine.T) (*Result, error) {
 		set, dep, err := gridFieldSet(seed)
@@ -235,15 +223,11 @@ func fig14Campaign(seed int64) engine.Campaign[*Result] {
 	})
 }
 
-// Fig16MultilatAugmentedGrid reproduces Figures 15/16: the same sparse set
+// fig16Campaign reproduces Figures 15/16: the same sparse set
 // augmented with simulated distances (N(0, 0.33 m), 22 m cutoff), which
 // raises anchor availability to 3.84 per node and localizes ~80% of nodes.
 // Paper: 3.524 m average error, dominated by three badly localized nodes
 // (0.9 m without them).
-func Fig16MultilatAugmentedGrid(seed int64) (*Result, error) {
-	return runFigure(fig16Campaign, seed)
-}
-
 func fig16Campaign(seed int64) engine.Campaign[*Result] {
 	return singleTrial("fig16", func(t *engine.T) (*Result, error) {
 		set, dep, err := gridFieldSet(seed)
@@ -325,14 +309,10 @@ func lssGridExperiment(ws *scratch.Arena, seed int64, dmin float64) (*eval.Align
 	return a, res, set, nil
 }
 
-// Fig18LSSGridConstrained reproduces Figures 17/18: centralized LSS with the
+// fig18Campaign reproduces Figures 17/18: centralized LSS with the
 // 9.14 m minimum-spacing soft constraint (wij=1, wD=10) on the grass-grid
 // field measurements. Paper: 2.229 m average error (1.5 m without the worst
 // five nodes).
-func Fig18LSSGridConstrained(seed int64) (*Result, error) {
-	return runFigure(fig18Campaign, seed)
-}
-
 func fig18Campaign(seed int64) engine.Campaign[*Result] {
 	return singleTrial("fig18", func(t *engine.T) (*Result, error) {
 		a, res, set, err := lssGridExperiment(t.Scratch(), seed, 9.14)
@@ -356,13 +336,9 @@ func fig18Campaign(seed int64) engine.Campaign[*Result] {
 	})
 }
 
-// Fig19LSSGridUnconstrained reproduces Figure 19: the same run without the
+// fig19Campaign reproduces Figure 19: the same run without the
 // soft constraint fails to converge anywhere near the actual positions.
 // Paper: 16.609 m average error after a full day of minimization.
-func Fig19LSSGridUnconstrained(seed int64) (*Result, error) {
-	return runFigure(fig19Campaign, seed)
-}
-
 func fig19Campaign(seed int64) engine.Campaign[*Result] {
 	return singleTrial("fig19", func(t *engine.T) (*Result, error) {
 		a, res, _, err := lssGridExperiment(t.Scratch(), seed, 0)
@@ -393,12 +369,8 @@ func townScenario(seed int64) (*deploy.Deployment, *measure.Set, error) {
 	return dep, set, nil
 }
 
-// Fig20MultilatTown reproduces Figure 20: multilateration on the town
+// fig20Campaign reproduces Figure 20: multilateration on the town
 // scenario with 18 anchors. Paper: 35 nodes localized, 0.950 m average.
-func Fig20MultilatTown(seed int64) (*Result, error) {
-	return runFigure(fig20Campaign, seed)
-}
-
 func fig20Campaign(seed int64) engine.Campaign[*Result] {
 	return singleTrial("fig20", func(t *engine.T) (*Result, error) {
 		dep, set, err := townScenario(seed)
@@ -505,13 +477,9 @@ func descentSeedFn(perGroup int) func(seed int64, trial int) int64 {
 	}
 }
 
-// Fig21LSSTownConstrained reproduces Figure 21: centralized LSS with the
+// fig21Campaign reproduces Figure 21: centralized LSS with the
 // 9 m constraint on the town scenario, no anchors used. Paper: all nodes
 // localized, 0.548 m average error.
-func Fig21LSSTownConstrained(seed int64) (*Result, error) {
-	return runFigure(fig21Campaign, seed)
-}
-
 func fig21Campaign(seed int64) engine.Campaign[*Result] {
 	return singleTrial("fig21", func(t *engine.T) (*Result, error) {
 		a, res, err := townFullSolver(t.Scratch(), seed, 9)
@@ -530,17 +498,14 @@ func fig21Campaign(seed int64) engine.Campaign[*Result] {
 	})
 }
 
-// Fig22LSSTownUnconstrained examines Figure 22: without the constraint the
+// fig22Campaign examines Figure 22: without the constraint the
 // paper's minimization left most nodes mislocalized (13.606 m average).
 // That failure is an optimizer artifact on this *dense* scenario: our full
 // restart solver converges either way, so we report both the full-solver
 // result (a documented deviation) and the paper-equivalent statistic — the
 // mean error of independent single fixed-step descents, where the
 // unconstrained objective routinely strands descents in folds.
-func Fig22LSSTownUnconstrained(seed int64) (*Result, error) {
-	return runFigure(fig22Campaign, seed)
-}
-
+//
 // fig22Campaign is one campaign over 17 concurrent trials: descents 0–7 run
 // constrained (dmin 9 m), descents 8–15 unconstrained, and trial 16 is the
 // full restart solver (which seeds its own generator, seed+20, exactly as
@@ -616,15 +581,12 @@ func fig22Campaign(seed int64) engine.Campaign[*Result] {
 	}
 }
 
-// Fig23ConvergenceCurves reproduces Figure 23: the objective versus epoch
+// fig23Campaign reproduces Figure 23: the objective versus epoch
 // for constrained and unconstrained town minimizations under the paper's
 // fixed-step rule, averaged over an ensemble of descents. The constrained
 // objective includes extra non-negative penalty terms (so its floor is
 // higher), yet it reaches its floor far sooner and its layouts are better.
-func Fig23ConvergenceCurves(seed int64) (*Result, error) {
-	return runFigure(fig23Campaign, seed)
-}
-
+//
 // fig23Campaign runs both ensembles as one campaign over 16 concurrent
 // trials: descents 0–7 constrained, 8–15 unconstrained, each recording its
 // padded objective history.

@@ -14,13 +14,6 @@ import (
 	"resilientloc/internal/stats"
 )
 
-// runFigure executes a campaign builder through the engine with default
-// parallelism; the per-figure exported functions below are thin wrappers
-// over their campaigns.
-func runFigure(build func(int64) engine.Campaign[*Result], seed int64) (*Result, error) {
-	return Experiment{Campaign: build}.Run(seed)
-}
-
 // urbanDeployment builds the 60-node urban evaluation layout of Section 3.3:
 // nodes scattered over ~70×70 m with distances up to 30 m in play.
 func urbanDeployment(rng *rand.Rand) (*deploy.Deployment, error) {
@@ -36,14 +29,10 @@ func grassGrid46() *deploy.Deployment {
 	return d
 }
 
-// Fig02BaselineRangingUrban reproduces Figure 2: baseline acoustic ranging
+// fig02Campaign reproduces Figure 2: baseline acoustic ranging
 // on a 60-node urban deployment, distances up to 30 m. The paper's plot
 // shows many >1 m errors, predominantly underestimates from echoes and
 // noise picked up before the true chirp.
-func Fig02BaselineRangingUrban(seed int64) (*Result, error) {
-	return runFigure(fig02Campaign, seed)
-}
-
 func fig02Campaign(seed int64) engine.Campaign[*Result] {
 	return singleTrial("fig02", func(t *engine.T) (*Result, error) {
 		dep, err := urbanDeployment(t.RNG)
@@ -77,13 +66,9 @@ func fig02Campaign(seed int64) engine.Campaign[*Result] {
 	})
 }
 
-// Fig04MedianFiltering reproduces Figure 4: the baseline service with median
+// fig04Campaign reproduces Figure 4: the baseline service with median
 // filtering over up to five repeated measurements per pair, which removes
 // most uncorrelated large errors.
-func Fig04MedianFiltering(seed int64) (*Result, error) {
-	return runFigure(fig04Campaign, seed)
-}
-
 func fig04Campaign(seed int64) engine.Campaign[*Result] {
 	return singleTrial("fig04", func(t *engine.T) (*Result, error) {
 		dep, err := urbanDeployment(t.RNG)
@@ -147,13 +132,9 @@ func grassCampaign(rng *rand.Rand, rounds int) (*measure.Raw, *deploy.Deployment
 	return raw, dep, nil
 }
 
-// Fig06RefinedErrorHistogram reproduces Figure 6: the refined service's
+// fig06Campaign reproduces Figure 6: the refined service's
 // error histogram on the 46-node grass grid — a zero-mean ±30 cm core with
 // rare large-magnitude outliers (paper: up to 11 m).
-func Fig06RefinedErrorHistogram(seed int64) (*Result, error) {
-	return runFigure(fig06Campaign, seed)
-}
-
 func fig06Campaign(seed int64) engine.Campaign[*Result] {
 	return singleTrial("fig06", func(t *engine.T) (*Result, error) {
 		raw, dep, err := grassCampaign(t.RNG, 3)
@@ -186,14 +167,10 @@ func fig06Campaign(seed int64) engine.Campaign[*Result] {
 	})
 }
 
-// Fig07BidirectionalFilter reproduces Figure 7: restricting to pairs with
+// fig07Campaign reproduces Figure 7: restricting to pairs with
 // consistent bidirectional measurements removes most large-magnitude
 // outliers ("most of these errors are eliminated with the bidirectional
 // consistency check").
-func Fig07BidirectionalFilter(seed int64) (*Result, error) {
-	return runFigure(fig07Campaign, seed)
-}
-
 func fig07Campaign(seed int64) engine.Campaign[*Result] {
 	return singleTrial("fig07", func(t *engine.T) (*Result, error) {
 		raw, dep, err := grassCampaign(t.RNG, 3)
@@ -237,13 +214,9 @@ func fig07Campaign(seed int64) engine.Campaign[*Result] {
 	})
 }
 
-// Fig08ErrorVsDistance reproduces Figure 8: measured and filtered distance
+// fig08Campaign reproduces Figure 8: measured and filtered distance
 // estimates versus actual distance — large-magnitude errors grow more
 // frequent at longer range.
-func Fig08ErrorVsDistance(seed int64) (*Result, error) {
-	return runFigure(fig08Campaign, seed)
-}
-
 func fig08Campaign(seed int64) engine.Campaign[*Result] {
 	return singleTrial("fig08", func(t *engine.T) (*Result, error) {
 		raw, dep, err := grassCampaign(t.RNG, 3)
@@ -300,13 +273,9 @@ func fig08Campaign(seed int64) engine.Campaign[*Result] {
 	})
 }
 
-// Fig10DFTToneDetection reproduces Figure 10: the sliding-DFT software tone
+// fig10Campaign reproduces Figure 10: the sliding-DFT software tone
 // detector applied to a clean and a noisy four-chirp signal. The paper's
 // noisy run detects three of the four chirps with no false positives.
-func Fig10DFTToneDetection(seed int64) (*Result, error) {
-	return runFigure(fig10Campaign, seed)
-}
-
 func fig10Campaign(seed int64) engine.Campaign[*Result] {
 	c := singleTrial("fig10", func(t *engine.T) (*Result, error) {
 		det := signal.DefaultDFTDetector()
@@ -388,13 +357,10 @@ func synthWave(t *engine.T, cfg signal.SynthConfig) ([]float64, error) {
 // maxRangeSweepRounds is the number of measurement attempts per sweep point.
 const maxRangeSweepRounds = 40
 
-// MaxRangeSweep reproduces the Section 3.6.2 maximum-range analysis:
+// maxRangeCampaign reproduces the Section 3.6.2 maximum-range analysis:
 // detection success rate versus distance for grass and pavement at the
 // lowest and the calibrated detection thresholds.
-func MaxRangeSweep(seed int64) (*Result, error) {
-	return runFigure(maxRangeCampaign, seed)
-}
-
+//
 // maxRangeCampaign expresses the whole sweep as ONE campaign: trial t
 // measures sweep point (environment t/18, threshold 1+(t/9)%2, distance
 // t%9), so all 36 points run concurrently on the engine. The SeedFn

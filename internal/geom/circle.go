@@ -10,31 +10,20 @@ type Circle struct {
 	R      float64
 }
 
-// Contains reports whether p lies inside or on the circle.
-func (c Circle) Contains(p Point) bool {
+// contains reports whether p lies inside or on the circle.
+func (c Circle) contains(p Point) bool {
 	return c.Center.DistSq(p) <= c.R*c.R
 }
 
-// Intersect computes the intersection points of two circles.
-// It returns:
-//   - 0 points when the circles are disjoint (too far apart or nested) or
+// Intersect2 computes the intersection points of two circles, without
+// allocating: they are pts[:k], where k is
+//   - 0 when the circles are disjoint (too far apart or nested) or
 //     coincident,
-//   - 1 point when they are tangent (within tol of tangency),
-//   - 2 points otherwise.
+//   - 1 when they are tangent (within tol of tangency),
+//   - 2 otherwise.
 //
 // tol is an absolute tolerance in meters on the tangency test; pass 0 for
-// exact arithmetic behaviour. Intersect allocates its result; Intersect2 is
-// the allocation-free form.
-func (c Circle) Intersect(o Circle, tol float64) []Point {
-	pts, k := c.Intersect2(o, tol)
-	if k == 0 {
-		return nil
-	}
-	return append([]Point(nil), pts[:k]...)
-}
-
-// Intersect2 is Intersect without the allocation: the intersection points
-// are pts[:k], in the order Intersect returns them.
+// exact arithmetic behaviour.
 func (c Circle) Intersect2(o Circle, tol float64) (pts [2]Point, k int) {
 	d := c.Center.Dist(o.Center)
 	if d == 0 {
@@ -58,18 +47,4 @@ func (c Circle) Intersect2(o Circle, tol float64) (pts [2]Point, k int) {
 	perp := u.Perp().Scale(h)
 	pts[0], pts[1] = mid.Add(perp), mid.Sub(perp)
 	return pts, 2
-}
-
-// IntersectAllPairs returns the intersection points of every unordered pair
-// of circles, using tolerance tol for near-tangency. The result aggregates
-// candidate position evidence for the consistency check.
-func IntersectAllPairs(circles []Circle, tol float64) []Point {
-	var pts []Point
-	for i := 0; i < len(circles); i++ {
-		for j := i + 1; j < len(circles); j++ {
-			ij, k := circles[i].Intersect2(circles[j], tol)
-			pts = append(pts, ij[:k]...)
-		}
-	}
-	return pts
 }

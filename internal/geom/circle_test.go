@@ -7,15 +7,21 @@ import (
 	"testing"
 )
 
+// intersect returns the intersection points Intersect2 reports, as a slice.
+func intersect(a, b Circle, tol float64) []Point {
+	pts, k := a.Intersect2(b, tol)
+	return pts[:k]
+}
+
 func TestCircleContains(t *testing.T) {
 	c := Circle{Center: Pt(1, 1), R: 2}
-	if !c.Contains(Pt(1, 1)) {
+	if !c.contains(Pt(1, 1)) {
 		t.Error("center not contained")
 	}
-	if !c.Contains(Pt(3, 1)) {
+	if !c.contains(Pt(3, 1)) {
 		t.Error("boundary point not contained")
 	}
-	if c.Contains(Pt(3.1, 1)) {
+	if c.contains(Pt(3.1, 1)) {
 		t.Error("outside point contained")
 	}
 }
@@ -23,7 +29,7 @@ func TestCircleContains(t *testing.T) {
 func TestCircleIntersectTwoPoints(t *testing.T) {
 	a := Circle{Center: Pt(0, 0), R: 5}
 	b := Circle{Center: Pt(8, 0), R: 5}
-	pts := a.Intersect(b, 0)
+	pts := intersect(a, b, 0)
 	if len(pts) != 2 {
 		t.Fatalf("got %d points, want 2", len(pts))
 	}
@@ -36,7 +42,7 @@ func TestCircleIntersectTwoPoints(t *testing.T) {
 func TestCircleIntersectTangent(t *testing.T) {
 	a := Circle{Center: Pt(0, 0), R: 2}
 	b := Circle{Center: Pt(4, 0), R: 2}
-	pts := a.Intersect(b, 1e-9)
+	pts := intersect(a, b, 1e-9)
 	if len(pts) != 1 {
 		t.Fatalf("got %d points, want 1 (external tangency)", len(pts))
 	}
@@ -47,7 +53,7 @@ func TestCircleIntersectTangent(t *testing.T) {
 	// Internal tangency.
 	c := Circle{Center: Pt(0, 0), R: 4}
 	d := Circle{Center: Pt(2, 0), R: 2}
-	pts = c.Intersect(d, 1e-9)
+	pts = intersect(c, d, 1e-9)
 	if len(pts) != 1 {
 		t.Fatalf("got %d points, want 1 (internal tangency)", len(pts))
 	}
@@ -68,7 +74,7 @@ func TestCircleIntersectNone(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if pts := tc.a.Intersect(tc.b, 0); len(pts) != 0 {
+			if pts := intersect(tc.a, tc.b, 0); len(pts) != 0 {
 				t.Errorf("got %d points, want 0", len(pts))
 			}
 		})
@@ -82,34 +88,12 @@ func TestCircleIntersectPointsOnBothCircles(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		a := Circle{Center: randPoint(rng), R: rng.Float64()*20 + 0.1}
 		b := Circle{Center: randPoint(rng), R: rng.Float64()*20 + 0.1}
-		for _, p := range a.Intersect(b, 0) {
+		for _, p := range intersect(a, b, 0) {
 			da := math.Abs(p.Dist(a.Center) - a.R)
 			db := math.Abs(p.Dist(b.Center) - b.R)
 			if da > 1e-6 || db > 1e-6 {
 				t.Fatalf("intersection point %v off circles by %g, %g (a=%v b=%v)", p, da, db, a, b)
 			}
 		}
-	}
-}
-
-func TestIntersectAllPairs(t *testing.T) {
-	// Three circles through a common point (1, 0): each pair contributes
-	// that point (plus possibly another).
-	circles := []Circle{
-		{Center: Pt(0, 0), R: 1},
-		{Center: Pt(2, 0), R: 1},
-		{Center: Pt(1, 1), R: 1},
-	}
-	pts := IntersectAllPairs(circles, 1e-9)
-	// Pair (0,1) is tangent at (1,0); pairs (0,2) and (1,2) each give two
-	// points, one of which is (1,0).
-	var near int
-	for _, p := range pts {
-		if p.Dist(Pt(1, 0)) < 1e-6 {
-			near++
-		}
-	}
-	if near < 3 {
-		t.Errorf("expected ≥3 intersection points at the common point, got %d (all: %v)", near, pts)
 	}
 }

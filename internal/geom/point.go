@@ -61,15 +61,12 @@ func (p Point) Unit() Point {
 	return Point{p.X / n, p.Y / n}
 }
 
-// Rotate returns p rotated counterclockwise by theta radians about the
+// rotate returns p rotated counterclockwise by theta radians about the
 // origin.
-func (p Point) Rotate(theta float64) Point {
+func (p Point) rotate(theta float64) Point {
 	s, c := math.Sincos(theta)
 	return Point{c*p.X - s*p.Y, s*p.X + c*p.Y}
 }
-
-// Angle returns the angle of p from the positive x-axis in (-pi, pi].
-func (p Point) Angle() float64 { return math.Atan2(p.Y, p.X) }
 
 // Perp returns p rotated by +90 degrees.
 func (p Point) Perp() Point { return Point{-p.Y, p.X} }
@@ -96,26 +93,10 @@ func Centroid(pts []Point) Point {
 	return c.Scale(1 / float64(len(pts)))
 }
 
-// BoundingBox returns the axis-aligned bounding box of pts as (min, max)
-// corners. It returns zero points for an empty slice.
-func BoundingBox(pts []Point) (minPt, maxPt Point) {
-	if len(pts) == 0 {
-		return Point{}, Point{}
-	}
-	minPt, maxPt = pts[0], pts[0]
-	for _, p := range pts[1:] {
-		minPt.X = math.Min(minPt.X, p.X)
-		minPt.Y = math.Min(minPt.Y, p.Y)
-		maxPt.X = math.Max(maxPt.X, p.X)
-		maxPt.Y = math.Max(maxPt.Y, p.Y)
-	}
-	return minPt, maxPt
-}
-
-// Collinear reports whether points a, b, c are collinear within tolerance
+// collinear reports whether points a, b, c are collinear within tolerance
 // tol, measured as the normalized triangle area. Degenerate (coincident)
 // points count as collinear.
-func Collinear(a, b, c Point, tol float64) bool {
+func collinear(a, b, c Point, tol float64) bool {
 	ab := b.Sub(a)
 	ac := c.Sub(a)
 	area := math.Abs(ab.Cross(ac))

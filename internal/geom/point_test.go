@@ -27,7 +27,7 @@ func TestPointArithmetic(t *testing.T) {
 		{"perp", Pt(1, 0).Perp(), Pt(0, 1)},
 		{"unit", Pt(3, 4).Unit(), Pt(0.6, 0.8)},
 		{"unit zero", Pt(0, 0).Unit(), Pt(0, 0)},
-		{"rotate 90", Pt(1, 0).Rotate(math.Pi / 2), Pt(0, 1)},
+		{"rotate 90", Pt(1, 0).rotate(math.Pi / 2), Pt(0, 1)},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,9 +57,6 @@ func TestPointScalars(t *testing.T) {
 	if got := Pt(1, 0).Cross(Pt(0, 1)); !almostEq(got, 1, eps) {
 		t.Errorf("Cross = %v, want 1", got)
 	}
-	if got := Pt(0, 1).Angle(); !almostEq(got, math.Pi/2, eps) {
-		t.Errorf("Angle = %v, want pi/2", got)
-	}
 }
 
 func TestIsFinite(t *testing.T) {
@@ -86,17 +83,6 @@ func TestCentroid(t *testing.T) {
 	}
 }
 
-func TestBoundingBox(t *testing.T) {
-	lo, hi := BoundingBox([]Point{Pt(1, 5), Pt(-2, 3), Pt(4, -1)})
-	if !pointsAlmostEq(lo, Pt(-2, -1), eps) || !pointsAlmostEq(hi, Pt(4, 5), eps) {
-		t.Errorf("BoundingBox = %v, %v", lo, hi)
-	}
-	lo, hi = BoundingBox(nil)
-	if lo != (Point{}) || hi != (Point{}) {
-		t.Errorf("BoundingBox(nil) = %v, %v, want origins", lo, hi)
-	}
-}
-
 func TestCollinear(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -111,8 +97,8 @@ func TestCollinear(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := Collinear(tc.a, tc.b, tc.c, 1e-3); got != tc.want {
-				t.Errorf("Collinear = %v, want %v", got, tc.want)
+			if got := collinear(tc.a, tc.b, tc.c, 1e-3); got != tc.want {
+				t.Errorf("collinear = %v, want %v", got, tc.want)
 			}
 		})
 	}
@@ -127,7 +113,7 @@ func TestRotatePreservesNorm(t *testing.T) {
 		x = math.Mod(x, 1e6)
 		y = math.Mod(y, 1e6)
 		p := Pt(x, y)
-		q := p.Rotate(theta)
+		q := p.rotate(theta)
 		return almostEq(p.Norm(), q.Norm(), 1e-6*(1+p.Norm()))
 	}
 	if err := quick.Check(f, cfg); err != nil {

@@ -14,23 +14,13 @@ import (
 // This is the transform family of the paper's Section 4.3.1 (translation,
 // rotation, and reflection between two nodes' local coordinate systems). The
 // paper writes it as a 3×3 homogeneous matrix; we store the four parameters
-// (θ, tx, ty, f) directly.
+// (θ, tx, ty, f) directly. The zero Transform is the identity.
 type Transform struct {
 	Theta float64 // rotation angle, radians, counterclockwise
 	Tx    float64 // translation x, meters
 	Ty    float64 // translation y, meters
 	Flip  bool    // true when the transform includes a reflection (f = -1)
 }
-
-// Identity returns the identity transform.
-func Identity() Transform { return Transform{} }
-
-// Translation returns the pure translation by (tx, ty).
-func Translation(tx, ty float64) Transform { return Transform{Tx: tx, Ty: ty} }
-
-// Rotation returns the pure counterclockwise rotation by theta radians about
-// the origin.
-func Rotation(theta float64) Transform { return Transform{Theta: theta} }
 
 // Apply maps point p through the transform.
 func (t Transform) Apply(p Point) Point {
@@ -59,9 +49,9 @@ func (t Transform) ApplyAll(pts []Point) []Point {
 	return out
 }
 
-// Compose returns the transform equivalent to applying t first, then u:
-// Compose(t, u)(p) = u(t(p)).
-func (t Transform) Compose(u Transform) Transform {
+// compose returns the transform equivalent to applying t first, then u:
+// t.compose(u)(p) = u(t(p)).
+func (t Transform) compose(u Transform) Transform {
 	// Linear parts: Lu·Lt = R(θu)Fu·R(θt)Ft. A reflection conjugates a
 	// rotation into its inverse (F·R(α) = R(-α)·F), so the combined angle is
 	// θu + θt when u preserves orientation and θu - θt when u reflects.
@@ -79,9 +69,9 @@ func (t Transform) Compose(u Transform) Transform {
 	}
 }
 
-// Invert returns the inverse transform such that
-// t.Invert().Apply(t.Apply(p)) == p (up to floating-point error).
-func (t Transform) Invert() Transform {
+// invert returns the inverse transform such that
+// t.invert().Apply(t.Apply(p)) == p (up to floating-point error).
+func (t Transform) invert() Transform {
 	// L = R(θ)F. For a reflection L is an involution (L⁻¹ = L); for a pure
 	// rotation L⁻¹ = R(-θ).
 	inv := Transform{Flip: t.Flip}

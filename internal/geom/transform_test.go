@@ -21,10 +21,10 @@ func randPoint(rng *rand.Rand) Point {
 }
 
 func TestTransformIdentity(t *testing.T) {
-	id := Identity()
+	var id Transform
 	p := Pt(3.5, -2.25)
 	if got := id.Apply(p); !pointsAlmostEq(got, p, eps) {
-		t.Errorf("Identity.Apply = %v, want %v", got, p)
+		t.Errorf("zero Transform.Apply = %v, want %v", got, p)
 	}
 }
 
@@ -35,9 +35,9 @@ func TestTransformBasics(t *testing.T) {
 		in   Point
 		want Point
 	}{
-		{"translation", Translation(2, 3), Pt(1, 1), Pt(3, 4)},
-		{"rotation 90", Rotation(math.Pi / 2), Pt(1, 0), Pt(0, 1)},
-		{"rotation -90", Rotation(-math.Pi / 2), Pt(1, 0), Pt(0, -1)},
+		{"translation", Transform{Tx: 2, Ty: 3}, Pt(1, 1), Pt(3, 4)},
+		{"rotation 90", Transform{Theta: math.Pi / 2}, Pt(1, 0), Pt(0, 1)},
+		{"rotation -90", Transform{Theta: -math.Pi / 2}, Pt(1, 0), Pt(0, -1)},
 		{"flip only", Transform{Flip: true}, Pt(1, 2), Pt(1, -2)},
 		{"flip then rotate 90", Transform{Theta: math.Pi / 2, Flip: true}, Pt(1, 2), Pt(2, 1)},
 		{"rotate+translate", Transform{Theta: math.Pi, Tx: 1, Ty: 1}, Pt(1, 0), Pt(0, 1)},
@@ -68,7 +68,7 @@ func TestTransformInvertRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 200; i++ {
 		tr := randTransform(rng)
-		inv := tr.Invert()
+		inv := tr.invert()
 		p := randPoint(rng)
 		if got := inv.Apply(tr.Apply(p)); !pointsAlmostEq(got, p, 1e-8) {
 			t.Fatalf("round trip failed for %v: %v -> %v", tr, p, got)
@@ -83,7 +83,7 @@ func TestTransformCompose(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 200; i++ {
 		a, b := randTransform(rng), randTransform(rng)
-		c := a.Compose(b)
+		c := a.compose(b)
 		p := randPoint(rng)
 		want := b.Apply(a.Apply(p))
 		if got := c.Apply(p); !pointsAlmostEq(got, want, 1e-7) {
@@ -96,7 +96,7 @@ func TestTransformComposeWithInverseIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 100; i++ {
 		tr := randTransform(rng)
-		id := tr.Compose(tr.Invert())
+		id := tr.compose(tr.invert())
 		p := randPoint(rng)
 		if got := id.Apply(p); !pointsAlmostEq(got, p, 1e-7) {
 			t.Fatalf("t∘t⁻¹ not identity for %v: %v -> %v", tr, p, got)

@@ -175,10 +175,6 @@ func New(opts run.Options) (*Server, error) {
 // accounting).
 func (s *Server) Session() *run.Session { return s.sess }
 
-// Fleet exposes the server's membership registry: every locd hosts one, so
-// any worker can double as the fleet's discovery point.
-func (s *Server) Fleet() *fleet.Registry { return s.fleet }
-
 // Close unblocks every open event stream; idempotent. Call it before HTTP
 // server shutdown, which waits for open connections — a subscriber on a
 // running job would otherwise hold the daemon until the timeout.

@@ -8,28 +8,24 @@ import (
 	"resilientloc/internal/scratch"
 )
 
-// EigenSym computes the full eigendecomposition of a symmetric matrix a
+// EigenSymIn computes the full eigendecomposition of a symmetric matrix a
 // using the cyclic Jacobi method. It returns the eigenvalues in descending
 // order and the matching eigenvectors as the columns of the returned matrix.
 // The input is not modified.
 //
 // Classical MDS needs the top eigenpairs of the double-centered squared
 // distance matrix; for the network sizes in the paper (≤ 60 nodes) Jacobi is
-// comfortably fast and numerically robust.
-func EigenSym(a *Dense) (vals []float64, vecs *Dense, err error) {
-	return EigenSymIn(nil, a)
-}
-
-// EigenSymIn is EigenSym with the working copy, the accumulated rotations,
-// and both sorted outputs borrowed from ws (nil ws allocates). The returned
+// comfortably fast and numerically robust. The working copy, the
+// accumulated rotations, and both sorted outputs are borrowed from ws (nil
+// ws allocates). The returned
 // values and vectors are arena-owned: valid only until ws's next Release.
 func EigenSymIn(ws *scratch.Arena, a *Dense) (vals []float64, vecs *Dense, err error) {
 	n, c := a.Dims()
 	if n != c {
-		return nil, nil, errors.New("mat: EigenSym: matrix not square")
+		return nil, nil, errors.New("mat: EigenSymIn: matrix not square")
 	}
 	if !a.IsSymmetric(1e-9 * (1 + a.MaxAbsOffDiag())) {
-		return nil, nil, errors.New("mat: EigenSym: matrix not symmetric")
+		return nil, nil, errors.New("mat: EigenSymIn: matrix not symmetric")
 	}
 
 	w := a.cloneIn(ws)

@@ -37,22 +37,6 @@ func NewDense(r, c int) *Dense {
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Dense, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, errors.New("mat: FromRows: empty input")
-	}
-	c := len(rows[0])
-	m := NewDense(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("mat: FromRows: ragged row %d (%d != %d)", i, len(row), c)
-		}
-		copy(m.data[i*c:(i+1)*c], row)
-	}
-	return m, nil
-}
-
 // densePool is the package's stashed workspace in a scratch arena: a bump
 // cursor over reusable Dense headers whose backing arrays come from the
 // arena's float64 pool. Release resets the cursor via scratch.Resetter.
@@ -137,10 +121,7 @@ func (m *Dense) cloneIn(ws *scratch.Arena) *Dense {
 	return n
 }
 
-// T returns the transpose of m as a new matrix.
-func (m *Dense) T() *Dense { return m.tIn(nil) }
-
-// tIn is T with the result borrowed from ws (nil allocates).
+// tIn returns the transpose of m, borrowed from ws (nil allocates).
 func (m *Dense) tIn(ws *scratch.Arena) *Dense {
 	t := denseIn(ws, m.cols, m.rows)
 	for i := 0; i < m.rows; i++ {
@@ -151,10 +132,7 @@ func (m *Dense) tIn(ws *scratch.Arena) *Dense {
 	return t
 }
 
-// Mul returns m · b as a new matrix.
-func (m *Dense) Mul(b *Dense) (*Dense, error) { return m.mulIn(nil, b) }
-
-// mulIn is Mul with the result borrowed from ws (nil allocates).
+// mulIn returns m · b, borrowed from ws (nil allocates).
 func (m *Dense) mulIn(ws *scratch.Arena, b *Dense) (*Dense, error) {
 	if m.cols != b.rows {
 		return nil, fmt.Errorf("%w: %dx%d · %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
@@ -176,10 +154,8 @@ func (m *Dense) mulIn(ws *scratch.Arena, b *Dense) (*Dense, error) {
 	return out, nil
 }
 
-// MulVec returns m · x for a column vector x of length m.cols.
-func (m *Dense) MulVec(x []float64) ([]float64, error) { return m.mulVecIn(nil, x) }
-
-// mulVecIn is MulVec with the result borrowed from ws (nil allocates).
+// mulVecIn returns m · x for a column vector x of length m.cols, borrowed
+// from ws (nil allocates).
 func (m *Dense) mulVecIn(ws *scratch.Arena, x []float64) ([]float64, error) {
 	if len(x) != m.cols {
 		return nil, fmt.Errorf("%w: %dx%d · vec(%d)", ErrShape, m.rows, m.cols, len(x))
@@ -206,13 +182,6 @@ func (m *Dense) Add(b *Dense) (*Dense, error) {
 		out.data[i] += v
 	}
 	return out, nil
-}
-
-// ScaleInPlace multiplies every element of m by s.
-func (m *Dense) ScaleInPlace(s float64) {
-	for i := range m.data {
-		m.data[i] *= s
-	}
 }
 
 // IsSymmetric reports whether m is square and symmetric within tol.

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,17 +20,17 @@ func TestNewDensePanicsOnBadShape(t *testing.T) {
 }
 
 func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}})
+	m, err := fromRows([][]float64{{1, 2}, {3, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.At(1, 0) != 3 {
 		t.Errorf("At(1,0) = %v, want 3", m.At(1, 0))
 	}
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); err == nil {
+	if _, err := fromRows([][]float64{{1, 2}, {3}}); err == nil {
 		t.Error("want error for ragged rows")
 	}
-	if _, err := FromRows(nil); err == nil {
+	if _, err := fromRows(nil); err == nil {
 		t.Error("want error for empty input")
 	}
 }
@@ -58,8 +59,8 @@ func TestIndexPanics(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
+	m, _ := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	tr := m.tIn(nil)
 	r, c := tr.Dims()
 	if r != 3 || c != 2 {
 		t.Fatalf("T dims = %dx%d, want 3x2", r, c)
@@ -70,9 +71,9 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestMul(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})
-	p, err := a.Mul(b)
+	a, _ := fromRows([][]float64{{1, 2}, {3, 4}})
+	b, _ := fromRows([][]float64{{5, 6}, {7, 8}})
+	p, err := a.mulIn(nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,28 +85,28 @@ func TestMul(t *testing.T) {
 			}
 		}
 	}
-	if _, err := a.Mul(NewDense(3, 3)); !errors.Is(err, ErrShape) {
+	if _, err := a.mulIn(nil, NewDense(3, 3)); !errors.Is(err, ErrShape) {
 		t.Error("want ErrShape")
 	}
 }
 
 func TestMulVec(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	y, err := a.MulVec([]float64{1, 1})
+	a, _ := fromRows([][]float64{{1, 2}, {3, 4}})
+	y, err := a.mulVecIn(nil, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if y[0] != 3 || y[1] != 7 {
 		t.Errorf("MulVec = %v, want [3 7]", y)
 	}
-	if _, err := a.MulVec([]float64{1}); !errors.Is(err, ErrShape) {
+	if _, err := a.mulVecIn(nil, []float64{1}); !errors.Is(err, ErrShape) {
 		t.Error("want ErrShape")
 	}
 }
 
 func TestAddScale(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}})
-	b, _ := FromRows([][]float64{{3, 4}})
+	a, _ := fromRows([][]float64{{1, 2}})
+	b, _ := fromRows([][]float64{{3, 4}})
 	s, err := a.Add(b)
 	if err != nil {
 		t.Fatal(err)
@@ -113,21 +114,17 @@ func TestAddScale(t *testing.T) {
 	if s.At(0, 1) != 6 {
 		t.Errorf("Add = %v", s)
 	}
-	s.ScaleInPlace(0.5)
-	if s.At(0, 0) != 2 {
-		t.Errorf("ScaleInPlace = %v", s)
-	}
 	if _, err := a.Add(NewDense(2, 2)); !errors.Is(err, ErrShape) {
 		t.Error("want ErrShape")
 	}
 }
 
 func TestIsSymmetric(t *testing.T) {
-	sym, _ := FromRows([][]float64{{1, 2}, {2, 3}})
+	sym, _ := fromRows([][]float64{{1, 2}, {2, 3}})
 	if !sym.IsSymmetric(0) {
 		t.Error("symmetric matrix not detected")
 	}
-	asym, _ := FromRows([][]float64{{1, 2}, {2.1, 3}})
+	asym, _ := fromRows([][]float64{{1, 2}, {2.1, 3}})
 	if asym.IsSymmetric(1e-6) {
 		t.Error("asymmetric matrix passed")
 	}
@@ -137,8 +134,8 @@ func TestIsSymmetric(t *testing.T) {
 }
 
 func TestEigenSymDiagonal(t *testing.T) {
-	a, _ := FromRows([][]float64{{3, 0}, {0, 1}})
-	vals, vecs, err := EigenSym(a)
+	a, _ := fromRows([][]float64{{3, 0}, {0, 1}})
+	vals, vecs, err := EigenSymIn(nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +149,8 @@ func TestEigenSymDiagonal(t *testing.T) {
 
 func TestEigenSymKnown(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 3 and 1 with vectors (1,1)/√2, (1,-1)/√2.
-	a, _ := FromRows([][]float64{{2, 1}, {1, 2}})
-	vals, vecs, err := EigenSym(a)
+	a, _ := fromRows([][]float64{{2, 1}, {1, 2}})
+	vals, vecs, err := EigenSymIn(nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +176,7 @@ func TestEigenSymReconstruction(t *testing.T) {
 				a.Set(j, i, v)
 			}
 		}
-		vals, vecs, err := EigenSym(a)
+		vals, vecs, err := EigenSymIn(nil, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +186,7 @@ func TestEigenSymReconstruction(t *testing.T) {
 			for i := 0; i < n; i++ {
 				v[i] = vecs.At(i, k)
 			}
-			av, err := a.MulVec(v)
+			av, err := a.mulVecIn(nil, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,24 +222,24 @@ func TestEigenSymReconstruction(t *testing.T) {
 }
 
 func TestEigenSymErrors(t *testing.T) {
-	if _, _, err := EigenSym(NewDense(2, 3)); err == nil {
+	if _, _, err := EigenSymIn(nil, NewDense(2, 3)); err == nil {
 		t.Error("want error for non-square")
 	}
-	asym, _ := FromRows([][]float64{{1, 5}, {0, 1}})
-	if _, _, err := EigenSym(asym); err == nil {
+	asym, _ := fromRows([][]float64{{1, 5}, {0, 1}})
+	if _, _, err := EigenSymIn(nil, asym); err == nil {
 		t.Error("want error for asymmetric")
 	}
 }
 
 func TestCholeskyAndSolve(t *testing.T) {
-	a, _ := FromRows([][]float64{{4, 2}, {2, 3}})
-	l, err := Cholesky(a)
+	a, _ := fromRows([][]float64{{4, 2}, {2, 3}})
+	l, err := CholeskyIn(nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// L·Lᵀ must reconstruct a.
-	lt := l.T()
-	rec, _ := l.Mul(lt)
+	lt := l.tIn(nil)
+	rec, _ := l.mulIn(nil, lt)
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			if !almostEq(rec.At(i, j), a.At(i, j), 1e-10) {
@@ -250,39 +247,39 @@ func TestCholeskyAndSolve(t *testing.T) {
 			}
 		}
 	}
-	x, err := SolveCholesky(a, []float64{8, 7})
+	x, err := SolveCholeskyIn(nil, a, []float64{8, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Verify a·x = b.
-	b, _ := a.MulVec(x)
+	b, _ := a.mulVecIn(nil, x)
 	if !almostEq(b[0], 8, 1e-10) || !almostEq(b[1], 7, 1e-10) {
 		t.Errorf("solution check failed: %v", b)
 	}
 }
 
 func TestCholeskySingular(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 1}, {1, 1}})
-	if _, err := Cholesky(a); !errors.Is(err, ErrSingular) {
+	a, _ := fromRows([][]float64{{1, 1}, {1, 1}})
+	if _, err := CholeskyIn(nil, a); !errors.Is(err, ErrSingular) {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
-	if _, err := Cholesky(NewDense(2, 3)); !errors.Is(err, ErrShape) {
+	if _, err := CholeskyIn(nil, NewDense(2, 3)); !errors.Is(err, ErrShape) {
 		t.Error("want ErrShape for non-square")
 	}
 }
 
 func TestSolveCholeskyShapeError(t *testing.T) {
-	a, _ := FromRows([][]float64{{4, 2}, {2, 3}})
-	if _, err := SolveCholesky(a, []float64{1}); !errors.Is(err, ErrShape) {
+	a, _ := fromRows([][]float64{{4, 2}, {2, 3}})
+	if _, err := SolveCholeskyIn(nil, a, []float64{1}); !errors.Is(err, ErrShape) {
 		t.Error("want ErrShape")
 	}
 }
 
 func TestLeastSquaresExact(t *testing.T) {
 	// Overdetermined but consistent: y = 2x + 1 sampled at 4 points.
-	a, _ := FromRows([][]float64{{0, 1}, {1, 1}, {2, 1}, {3, 1}})
+	a, _ := fromRows([][]float64{{0, 1}, {1, 1}, {2, 1}, {3, 1}})
 	b := []float64{1, 3, 5, 7}
-	x, err := LeastSquares(a, b)
+	x, err := LeastSquaresIn(nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,8 +298,8 @@ func TestLeastSquaresNoisy(t *testing.T) {
 		rows[i] = []float64{x, 1}
 		b[i] = 3*x - 2 + rng.NormFloat64()*0.01
 	}
-	a, _ := FromRows(rows)
-	sol, err := LeastSquares(a, b)
+	a, _ := fromRows(rows)
+	sol, err := LeastSquaresIn(nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,12 +309,28 @@ func TestLeastSquaresNoisy(t *testing.T) {
 }
 
 func TestLeastSquaresErrors(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}})
-	if _, err := LeastSquares(a, []float64{1}); !errors.Is(err, ErrShape) {
+	a, _ := fromRows([][]float64{{1, 2}})
+	if _, err := LeastSquaresIn(nil, a, []float64{1}); !errors.Is(err, ErrShape) {
 		t.Error("want ErrShape for underdetermined")
 	}
-	sq, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	if _, err := LeastSquares(sq, []float64{1, 2, 3}); !errors.Is(err, ErrShape) {
+	sq, _ := fromRows([][]float64{{1, 2}, {3, 4}})
+	if _, err := LeastSquaresIn(nil, sq, []float64{1, 2, 3}); !errors.Is(err, ErrShape) {
 		t.Error("want ErrShape for rhs mismatch")
 	}
+}
+
+// fromRows builds a matrix from a slice of equal-length rows.
+func fromRows(rows [][]float64) (*Dense, error) {
+	if len(rows) == 0 || len(rows[0]) == 0 {
+		return nil, errors.New("mat: fromRows: empty input")
+	}
+	c := len(rows[0])
+	m := NewDense(len(rows), c)
+	for i, row := range rows {
+		if len(row) != c {
+			return nil, fmt.Errorf("mat: fromRows: ragged row %d (%d != %d)", i, len(row), c)
+		}
+		copy(m.data[i*c:(i+1)*c], row)
+	}
+	return m, nil
 }

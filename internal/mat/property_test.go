@@ -27,8 +27,8 @@ func randomSPD(n int, rng *rand.Rand) *Dense {
 			b.Set(i, j, rng.NormFloat64())
 		}
 	}
-	bt := b.T()
-	spd, err := b.Mul(bt)
+	bt := b.tIn(nil)
+	spd, err := b.mulIn(nil, bt)
 	if err != nil {
 		panic(err)
 	}
@@ -46,7 +46,7 @@ func TestPropertyEigenTraceAndFrobenius(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(12)
 		a := randomSymmetric(n, rng)
-		vals, _, err := EigenSym(a)
+		vals, _, err := EigenSymIn(nil, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,11 +80,11 @@ func TestPropertyCholeskySolveResidual(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64() * 5
 		}
-		x, err := SolveCholesky(a, b)
+		x, err := SolveCholeskyIn(nil, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ax, err := a.MulVec(x)
+		ax, err := a.mulVecIn(nil, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,11 +116,11 @@ func TestPropertyLeastSquaresOrthogonality(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64() * 3
 		}
-		x, err := LeastSquares(a, b)
+		x, err := LeastSquaresIn(nil, a, b)
 		if err != nil {
 			continue // singular draw: acceptable
 		}
-		ax, err := a.MulVec(x)
+		ax, err := a.mulVecIn(nil, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestPropertyLeastSquaresOrthogonality(t *testing.T) {
 		for i := range resid {
 			resid[i] = ax[i] - b[i]
 		}
-		atr, err := a.T().MulVec(resid)
+		atr, err := a.tIn(nil).mulVecIn(nil, resid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestPropertyTransposeInvolution(t *testing.T) {
 				b.Set(i, j, rng.NormFloat64())
 			}
 		}
-		att := a.T().T()
+		att := a.tIn(nil).tIn(nil)
 		for i := 0; i < r; i++ {
 			for j := 0; j < c; j++ {
 				if att.At(i, j) != a.At(i, j) {
@@ -171,12 +171,12 @@ func TestPropertyTransposeInvolution(t *testing.T) {
 				}
 			}
 		}
-		ab, err := a.Mul(b)
+		ab, err := a.mulIn(nil, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		left := ab.T()
-		right, err := b.T().Mul(a.T())
+		left := ab.tIn(nil)
+		right, err := b.tIn(nil).mulIn(nil, a.tIn(nil))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func TestSolveCholeskyInMatchesFresh(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64() * 10
 		}
-		want, err := SolveCholesky(a, b)
+		want, err := SolveCholeskyIn(nil, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestSolveCholeskyInMatchesFresh(t *testing.T) {
 		if !bitsEqual(want, got) {
 			t.Fatalf("iter %d: arena solve differs from fresh solve", iter)
 		}
-		lWant, err := Cholesky(a)
+		lWant, err := CholeskyIn(nil, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestLeastSquaresInMatchesFresh(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64() * 20
 		}
-		want, err := LeastSquares(a, b)
+		want, err := LeastSquaresIn(nil, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestEigenSymInMatchesFresh(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
 		n := 2 + rng.Intn(10)
 		a := randomSPD(n, rng)
-		wantVals, wantVecs, err := EigenSym(a)
+		wantVals, wantVecs, err := EigenSymIn(nil, a)
 		if err != nil {
 			t.Fatal(err)
 		}

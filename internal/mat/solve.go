@@ -7,13 +7,10 @@ import (
 	"resilientloc/internal/scratch"
 )
 
-// Cholesky factors a symmetric positive-definite matrix a as L·Lᵀ and
-// returns the lower-triangular factor L. It returns ErrSingular when a is
-// not positive definite within floating-point tolerance.
-func Cholesky(a *Dense) (*Dense, error) { return CholeskyIn(nil, a) }
-
-// CholeskyIn is Cholesky with the factor borrowed from ws (nil ws
-// allocates). The inner loops run over the flat backing arrays — same
+// CholeskyIn factors a symmetric positive-definite matrix a as L·Lᵀ and
+// returns the lower-triangular factor L, borrowed from ws (nil ws
+// allocates). It returns ErrSingular when a is not positive definite within
+// floating-point tolerance. The inner loops run over the flat backing arrays — same
 // operations in the same order as the At/Set formulation, so the factor is
 // bit-identical — with the row bases hoisted out of the k loop.
 func CholeskyIn(ws *scratch.Arena, a *Dense) (*Dense, error) {
@@ -46,14 +43,9 @@ func CholeskyIn(ws *scratch.Arena, a *Dense) (*Dense, error) {
 	return l, nil
 }
 
-// SolveCholesky solves a·x = b for symmetric positive-definite a using the
-// Cholesky factorization.
-func SolveCholesky(a *Dense, b []float64) ([]float64, error) {
-	return SolveCholeskyIn(nil, a, b)
-}
-
-// SolveCholeskyIn is SolveCholesky with the factor and both substitution
-// vectors borrowed from ws (nil ws allocates). The returned solution is
+// SolveCholeskyIn solves a·x = b for symmetric positive-definite a using
+// the Cholesky factorization, with the factor and both substitution vectors
+// borrowed from ws (nil ws allocates). The returned solution is
 // arena-owned: valid only until ws's next Release.
 func SolveCholeskyIn(ws *scratch.Arena, a *Dense, b []float64) ([]float64, error) {
 	n, _ := a.Dims()
@@ -88,16 +80,12 @@ func SolveCholeskyIn(ws *scratch.Arena, a *Dense, b []float64) ([]float64, error
 	return x, nil
 }
 
-// LeastSquares solves min ‖a·x - b‖₂ via the normal equations aᵀa·x = aᵀb
-// with a small ridge term for conditioning. a must have at least as many
-// rows as columns. For the tiny systems in this repository (2–3 unknowns)
-// the normal equations are perfectly adequate.
-func LeastSquares(a *Dense, b []float64) ([]float64, error) {
-	return LeastSquaresIn(nil, a, b)
-}
-
-// LeastSquaresIn is LeastSquares with every intermediate (aᵀ, aᵀa, aᵀb, the
-// Cholesky factor, and the solution) borrowed from ws (nil ws allocates).
+// LeastSquaresIn solves min ‖a·x - b‖₂ via the normal equations
+// aᵀa·x = aᵀb with a small ridge term for conditioning. a must have at least
+// as many rows as columns. For the tiny systems in this repository (2–3
+// unknowns) the normal equations are perfectly adequate. Every intermediate
+// (aᵀ, aᵀa, aᵀb, the Cholesky factor, and the solution) is borrowed from ws
+// (nil ws allocates).
 // The returned solution is arena-owned: valid only until ws's next Release.
 func LeastSquaresIn(ws *scratch.Arena, a *Dense, b []float64) ([]float64, error) {
 	r, c := a.Dims()

@@ -107,57 +107,3 @@ func nearestSorted(xs []float64, v float64) float64 {
 		return xs[i]
 	}
 }
-
-// HopDistanceBounds (paper §3.5.1: "Rough distance estimates can be made
-// based on node density and network hop count before the ranging service
-// starts") computes, for every measured pair, the minimum hop count through
-// the measurement graph and flags measurements whose distance exceeds
-// hops·maxHopRange — a physical impossibility when every link is at most
-// maxHopRange long. It returns the flagged pairs; the caller decides what to
-// do with them.
-func HopDistanceBounds(s *Set, maxHopRange float64) []Pair {
-	if maxHopRange <= 0 {
-		return nil
-	}
-	// BFS hop counts between all measured pairs over the measurement graph.
-	adj := make(map[int][]int, s.N())
-	for _, m := range s.All() {
-		adj[m.Pair.Lo] = append(adj[m.Pair.Lo], m.Pair.Hi)
-		adj[m.Pair.Hi] = append(adj[m.Pair.Hi], m.Pair.Lo)
-	}
-	var flagged []Pair
-	for _, m := range s.All() {
-		hops := bfsHops(adj, m.Pair.Lo, m.Pair.Hi, s.N())
-		if hops > 0 && m.Distance > float64(hops)*maxHopRange {
-			flagged = append(flagged, m.Pair)
-		}
-	}
-	return flagged
-}
-
-// bfsHops returns the hop distance from src to dst, or -1 if unreachable.
-func bfsHops(adj map[int][]int, src, dst, n int) int {
-	if src == dst {
-		return 0
-	}
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range adj[v] {
-			if dist[w] < 0 {
-				dist[w] = dist[v] + 1
-				if w == dst {
-					return dist[w]
-				}
-				queue = append(queue, w)
-			}
-		}
-	}
-	return -1
-}

@@ -158,23 +158,3 @@ func TestNearestSorted(t *testing.T) {
 		}
 	}
 }
-
-func TestHopDistanceBounds(t *testing.T) {
-	s := mustSet(t, 4)
-	// Chain 0-1-2 with max link range 10; a claimed 25 m direct link 0-2
-	// exceeds 2 hops × 10 m and must be flagged.
-	_ = s.Add(0, 1, 9, 1)
-	_ = s.Add(1, 2, 9, 1)
-	_ = s.Add(0, 2, 25, 1)
-	flagged := HopDistanceBounds(s, 10)
-	if len(flagged) != 1 || flagged[0] != MkPair(0, 2) {
-		t.Errorf("flagged = %v, want [(0,2)]", flagged)
-	}
-	// Direct measurements within one hop bound are never flagged.
-	if got := HopDistanceBounds(s, 30); len(got) != 0 {
-		t.Errorf("with generous bound flagged %v", got)
-	}
-	if got := HopDistanceBounds(s, 0); got != nil {
-		t.Errorf("zero bound should flag nothing, got %v", got)
-	}
-}

@@ -9,7 +9,7 @@ import (
 )
 
 // Property: after an arbitrary sequence of Add/Remove operations, the Set's
-// Len, All, Neighbors and Degree views stay mutually consistent.
+// Len, All, Neighbors and AvgDegree views stay mutually consistent.
 func TestPropertySetViewConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 50; trial++ {
@@ -36,7 +36,7 @@ func TestPropertySetViewConsistency(t *testing.T) {
 		}
 		degSum := 0
 		for i := 0; i < n; i++ {
-			deg := s.Degree(i)
+			deg := len(s.Neighbors(i))
 			degSum += deg
 			for _, nb := range s.Neighbors(i) {
 				if _, ok := s.Get(i, nb); !ok {
@@ -53,7 +53,7 @@ func TestPropertySetViewConsistency(t *testing.T) {
 	}
 }
 
-// Property: TriangleCheck leaves no triangle violating the inequality by
+// Property: triangleCheck leaves no triangle violating the inequality by
 // more than the slack, and never removes measurements from violation-free
 // sets.
 func TestPropertyTriangleCheckFixpoint(t *testing.T) {
@@ -72,7 +72,7 @@ func TestPropertyTriangleCheckFixpoint(t *testing.T) {
 			}
 		}
 		const slack = 0.5
-		TriangleCheck(s, slack)
+		triangleCheck(s, slack)
 		// No remaining triangle may violate the inequality beyond slack.
 		for _, m := range s.All() {
 			a, b := m.Pair.Lo, m.Pair.Hi
@@ -93,7 +93,7 @@ func TestPropertyTriangleCheckFixpoint(t *testing.T) {
 			}
 		}
 		// Idempotence: a second pass removes nothing.
-		if removed := TriangleCheck(s, slack); removed != 0 {
+		if removed := triangleCheck(s, slack); removed != 0 {
 			t.Fatalf("trial %d: second pass removed %d", trial, removed)
 		}
 	}

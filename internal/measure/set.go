@@ -133,9 +133,6 @@ func (s *Set) Neighbors(i int) []int {
 	return out
 }
 
-// Degree returns the number of measurements incident to node i.
-func (s *Set) Degree(i int) int { return len(s.Neighbors(i)) }
-
 // AvgDegree returns the mean node degree — the paper reports e.g. "the
 // average number of anchors per node was 1.47" from this kind of statistic.
 func (s *Set) AvgDegree() float64 {
@@ -380,15 +377,16 @@ func Merge(n int, directed map[[2]int]float64, opt MergeOptions) (*Set, error) {
 	return s, nil
 }
 
-// TriangleCheck removes measurements that violate the triangle inequality
+// triangleCheck removes measurements that violate the triangle inequality
 // with slack (paper §3.5: "If three nodes have measurements to each other,
 // we use the triangle inequality to identify inconsistent one"). For every
 // measured triangle where one side exceeds the sum of the other two plus
 // slack, the longest side is removed — the paper notes no check can identify
 // the incorrect measurement with certainty; dropping the longest is the
 // conservative choice against late-detection overestimates. It returns the
-// number of measurements removed.
-func TriangleCheck(s *Set, slack float64) int {
+// number of measurements removed. No figure or scenario applies the check
+// yet, so it is unexported until one does.
+func triangleCheck(s *Set, slack float64) int {
 	removed := 0
 	// Iterate until fixpoint: removing one side can re-validate others.
 	for {

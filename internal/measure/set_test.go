@@ -98,8 +98,8 @@ func TestSetNeighborsDegree(t *testing.T) {
 			t.Errorf("neighbors = %v, want %v", nb, want)
 		}
 	}
-	if s.Degree(0) != 3 || s.Degree(4) != 0 {
-		t.Errorf("degrees wrong: %d, %d", s.Degree(0), s.Degree(4))
+	if d0, d4 := len(s.Neighbors(0)), len(s.Neighbors(4)); d0 != 3 || d4 != 0 {
+		t.Errorf("degrees wrong: %d, %d", d0, d4)
 	}
 	if got := s.AvgDegree(); math.Abs(got-1.2) > 1e-12 { // 2*3/5
 		t.Errorf("AvgDegree = %v, want 1.2", got)
@@ -252,7 +252,7 @@ func TestTriangleCheck(t *testing.T) {
 	_ = s.Add(0, 1, 3, 1)
 	_ = s.Add(1, 2, 4, 1)
 	_ = s.Add(0, 2, 20, 1) // violates: 20 > 3+4
-	removed := TriangleCheck(s, 0.5)
+	removed := triangleCheck(s, 0.5)
 	if removed != 1 {
 		t.Fatalf("removed = %d, want 1", removed)
 	}
@@ -269,7 +269,7 @@ func TestTriangleCheckNoViolation(t *testing.T) {
 	_ = s.Add(0, 1, 3, 1)
 	_ = s.Add(1, 2, 4, 1)
 	_ = s.Add(0, 2, 5, 1)
-	if removed := TriangleCheck(s, 0.5); removed != 0 {
+	if removed := triangleCheck(s, 0.5); removed != 0 {
 		t.Errorf("removed = %d, want 0", removed)
 	}
 }

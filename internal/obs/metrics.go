@@ -16,7 +16,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -210,13 +209,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms = append(s.Histograms, hs)
 	}
 	return s
-}
-
-// WriteJSON writes the registry snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition

@@ -98,12 +98,12 @@ func TestSnapshotJSON(t *testing.T) {
 	r.Gauge("inflight").Set(2)
 	r.Histogram("h_seconds", []float64{1}).Observe(0.5)
 
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	buf, err := json.Marshal(r.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+	if err := json.Unmarshal(buf, &snap); err != nil {
 		t.Fatalf("snapshot does not round-trip: %v", err)
 	}
 	if snap.Counters["jobs_total"] != 7 || snap.Gauges["inflight"] != 2 {

@@ -20,15 +20,11 @@ type Tracer struct {
 	mu     sync.Mutex
 	nextID int64
 	spans  []SpanRecord
-	now    func() time.Time
+	now    func() time.Time // wall clock; tests substitute a fake
 }
 
 // NewTracer returns an empty tracer using the wall clock.
 func NewTracer() *Tracer { return &Tracer{now: time.Now} }
-
-// SetClock replaces the tracer's clock — for deterministic tests only.
-// Must be called before any span starts.
-func (t *Tracer) SetClock(now func() time.Time) { t.now = now }
 
 // SpanRecord is one completed span: the serialized, wire-portable form —
 // what a locd worker returns to the coordinator and what the Chrome trace
@@ -74,12 +70,6 @@ func WithTracer(ctx context.Context, t *Tracer) context.Context {
 func FromContext(ctx context.Context) *Tracer {
 	t, _ := ctx.Value(tracerKey).(*Tracer)
 	return t
-}
-
-// SpanFromContext returns the context's current span, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey).(*Span)
-	return s
 }
 
 // Start begins a span named name as a child of the context's current span.

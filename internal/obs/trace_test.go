@@ -36,7 +36,7 @@ func buildTree(t *testing.T) *Tracer {
 
 	// The "worker side": a job span with two shard children.
 	wt := NewTracer()
-	wt.SetClock(fakeClock())
+	wt.now = fakeClock()
 	wctx := WithTracer(context.Background(), wt)
 	jctx, job := Start(wctx, "run.job")
 	job.SetAttr("job", "abc123").SetAttr("scenario", "multilat-town")
@@ -51,7 +51,7 @@ func buildTree(t *testing.T) *Tracer {
 	// The "coordinator side": a job span, a range span, an attempt span —
 	// with the worker's exported subtree grafted under the range.
 	ct := NewTracer()
-	ct.SetClock(fakeClock())
+	ct.now = fakeClock()
 	cctx := WithTracer(context.Background(), ct)
 	ecctx, exec := Start(cctx, "coord.job")
 	exec.SetAttr("id", "multilat-town")
@@ -146,7 +146,7 @@ func TestImportRemapsUnderParent(t *testing.T) {
 // the root match and its descendants.
 func TestSubtree(t *testing.T) {
 	tr := NewTracer()
-	tr.SetClock(fakeClock())
+	tr.now = fakeClock()
 	ctx := WithTracer(context.Background(), tr)
 	j1ctx, j1 := Start(ctx, "run.job")
 	j1.SetAttr("job", "one")

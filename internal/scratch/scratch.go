@@ -132,14 +132,6 @@ func (a *Arena) Points(n int) []geom.Point {
 	return a.points.grab(n)
 }
 
-// PointCap returns an empty []geom.Point with capacity ≥ n. Nil-safe.
-func (a *Arena) PointCap(n int) []geom.Point {
-	if a == nil {
-		return make([]geom.Point, 0, n)
-	}
-	return a.points.grabCap(n)
-}
-
 // Stash returns the package-owned workspace registered under key, calling
 // build to create it on first use. Unlike grabbed buffers, stashed values
 // survive Release — but any stashed value implementing Resetter has Reset

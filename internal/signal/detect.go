@@ -113,21 +113,3 @@ func DetectSignal(samples []uint8, k, m int, t uint8) int {
 	}
 	return -1
 }
-
-// DetectAll returns the start indices of every non-overlapping detection in
-// the buffer, useful for counting chirps of a pattern and for diagnosing
-// echo-induced repeats. Windows are consumed greedily: after a detection at
-// index i the search resumes at i+m.
-func DetectAll(samples []uint8, k, m int, t uint8) []int {
-	var hits []int
-	off := 0
-	for off+m <= len(samples) {
-		i := DetectSignal(samples[off:], k, m, t)
-		if i < 0 {
-			break
-		}
-		hits = append(hits, off+i)
-		off += i + m
-	}
-	return hits
-}

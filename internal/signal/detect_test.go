@@ -136,24 +136,6 @@ func TestDetectSignalDegenerateParams(t *testing.T) {
 	}
 }
 
-func TestDetectAllFindsMultipleChirps(t *testing.T) {
-	samples := make([]uint8, 100)
-	for _, start := range []int{10, 40, 70} {
-		for i := start; i < start+8; i++ {
-			samples[i] = 5
-		}
-	}
-	hits := DetectAll(samples, 4, 8, 2)
-	if len(hits) != 3 {
-		t.Fatalf("got %d hits (%v), want 3", len(hits), hits)
-	}
-	for i, want := range []int{10, 40, 70} {
-		if hits[i] != want {
-			t.Errorf("hit %d = %d, want %d", i, hits[i], want)
-		}
-	}
-}
-
 // TestEndToEndAccumulateDetect exercises the full Figure 3 flow with the
 // paper's calibrated parameters: 10 chirps, T=2, 6-of-32 detection.
 func TestEndToEndAccumulateDetect(t *testing.T) {
@@ -201,27 +183,6 @@ func TestPatternValidate(t *testing.T) {
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("pattern %d should be invalid", i)
-		}
-	}
-}
-
-func TestPatternSchedule(t *testing.T) {
-	p := Pattern{Chirps: 3, ChirpLen: 10, GapLen: 5}
-	starts := p.Schedule(nil)
-	want := []int{0, 15, 30}
-	for i, w := range want {
-		if starts[i] != w {
-			t.Errorf("start %d = %d, want %d", i, starts[i], w)
-		}
-	}
-	// Random delays only ever lengthen gaps.
-	p.RandomDelay = 4
-	rng := rand.New(rand.NewSource(9))
-	starts = p.Schedule(rng)
-	for i := 1; i < len(starts); i++ {
-		gap := starts[i] - starts[i-1]
-		if gap < 15 || gap > 19 {
-			t.Errorf("gap %d = %d, want in [15,19]", i, gap)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package signal
 
-import (
-	"math"
-
-	"resilientloc/internal/scratch"
-)
+import "resilientloc/internal/scratch"
 
 // SlidingDFTWindow is the window length of the paper's XSM detection filter
 // (Figure 9): 36 samples, the least common multiple of the two beacon
@@ -79,26 +75,8 @@ func (f *SlidingDFT) Filter(sample float64) (p4, p6 float64) {
 	return f.re4*f.re4 + f.im4*f.im4, (f.re6*f.re6 + 3*f.im6*f.im6) / 2
 }
 
-// FilterSeries runs the filter over an entire sampled waveform and returns
-// the two band-power series, each the same length as the input.
-func (f *SlidingDFT) FilterSeries(samples []float64) (p4, p6 []float64) {
-	return f.FilterSeriesIn(nil, samples)
-}
-
-// FilterSeriesIn is FilterSeries with the output series borrowed from ws
-// (nil ws allocates). The returned slices are arena-owned: valid only until
-// the arena's next Release.
-func (f *SlidingDFT) FilterSeriesIn(ws *scratch.Arena, samples []float64) (p4, p6 []float64) {
-	p4 = ws.Float64s(len(samples))
-	p6 = ws.Float64s(len(samples))
-	for i, s := range samples {
-		p4[i], p6[i] = f.Filter(s)
-	}
-	return p4, p6
-}
-
 // filterBand4Series fills out with the fs/4 band-power series, bit-identical
-// to FilterSeries' p4 output: the two bins share only the sample delta, so
+// to the first power a fresh SlidingDFT's Filter returns per sample: the two bins share only the sample delta, so
 // skipping the fs/6 accumulator updates performs exactly the same operations
 // on the fs/4 state.
 func filterBand4Series(out, samples []float64) {
@@ -129,7 +107,8 @@ func filterBand4Series(out, samples []float64) {
 }
 
 // filterBand6Series fills out with the fs/6 band-power series, bit-identical
-// to FilterSeries' p6 output (see filterBand4Series).
+// to the second power a fresh SlidingDFT's Filter returns per sample (see
+// filterBand4Series).
 func filterBand6Series(out, samples []float64) {
 	var buf [SlidingDFTWindow]float64
 	var re6, im6 float64
@@ -213,15 +192,10 @@ func DefaultDFTDetector() DFTDetector {
 	}
 }
 
-// Detect returns the sample indices at which chirps are detected in the
-// waveform.
-func (d DFTDetector) Detect(samples []float64) []int {
-	return d.DetectIn(nil, samples)
-}
-
-// DetectIn is Detect with every workspace — the monitored band-power series,
-// the windowed mean square, the noise floor, and the min-filter deque —
-// borrowed from ws instead of allocated (nil ws allocates). In the engine's
+// DetectIn returns the sample indices at which chirps are detected in the
+// waveform. Every workspace — the monitored band-power series, the windowed
+// mean square, the noise floor, and the min-filter deque — is borrowed from
+// ws instead of allocated (nil ws allocates). In the engine's
 // steady state the detection path performs zero allocations per trial. The
 // returned hit slice is arena-owned: valid only until ws's next Release.
 func (d DFTDetector) DetectIn(ws *scratch.Arena, samples []float64) []int {
@@ -360,19 +334,4 @@ func slidingMinInto(out []float64, ring []int, xs []float64, w int) {
 		}
 		out[i] = xs[ring[head]]
 	}
-}
-
-// GoertzelPower computes the DFT bin power of samples at normalized
-// frequency freq (cycles per sample) with the Goertzel recurrence. It is the
-// reference implementation the sliding filter is validated against in tests.
-func GoertzelPower(samples []float64, freq float64) float64 {
-	omega := 2 * math.Pi * freq
-	coeff := 2 * math.Cos(omega)
-	var s0, s1, s2 float64
-	for _, x := range samples {
-		s0 = x + coeff*s1 - s2
-		s2 = s1
-		s1 = s0
-	}
-	return s1*s1 + s2*s2 - coeff*s1*s2
 }

@@ -72,7 +72,7 @@ func TestSlidingDFTMatchesGoertzel(t *testing.T) {
 		p4, _ = f.Filter(s)
 	}
 	window := samples[len(samples)-SlidingDFTWindow:]
-	want := GoertzelPower(window, 0.25)
+	want := goertzelPower(window, 0.25)
 	if math.Abs(p4-want) > 1e-6*(1+want) {
 		t.Errorf("sliding p4 = %g, Goertzel = %g", p4, want)
 	}
@@ -111,7 +111,7 @@ func TestDFTDetectorCleanSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := DefaultDFTDetector().Detect(wave)
+	hits := DefaultDFTDetector().DetectIn(nil, wave)
 	if len(hits) != cfg.Chirps {
 		t.Fatalf("clean signal: %d detections, want %d (hits=%v)", len(hits), cfg.Chirps, hits)
 	}
@@ -132,7 +132,7 @@ func TestDFTDetectorNoisySignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := DefaultDFTDetector().Detect(wave)
+	hits := DefaultDFTDetector().DetectIn(nil, wave)
 	starts := cfg.ChirpStarts()
 	matched := 0
 	false_ := 0
@@ -164,14 +164,14 @@ func TestDFTDetectorPureNoiseNoFalsePositives(t *testing.T) {
 	for i := range wave {
 		wave[i] = rng.NormFloat64() * 500
 	}
-	hits := DefaultDFTDetector().Detect(wave)
+	hits := DefaultDFTDetector().DetectIn(nil, wave)
 	if len(hits) != 0 {
 		t.Errorf("pure noise produced %d detections: %v", len(hits), hits)
 	}
 }
 
 func TestDFTDetectorShortInput(t *testing.T) {
-	if hits := DefaultDFTDetector().Detect(make([]float64, 10)); hits != nil {
+	if hits := DefaultDFTDetector().DetectIn(nil, make([]float64, 10)); hits != nil {
 		t.Errorf("short input produced hits: %v", hits)
 	}
 }
@@ -182,13 +182,13 @@ func TestGoertzelPowerKnown(t *testing.T) {
 	for i := range samples {
 		samples[i] = 2 * math.Sin(2*math.Pi*0.25*float64(i))
 	}
-	got := GoertzelPower(samples, 0.25)
+	got := goertzelPower(samples, 0.25)
 	want := 4.0 * 36 * 36 / 4
 	if math.Abs(got-want)/want > 0.01 {
 		t.Errorf("Goertzel = %g, want ≈%g", got, want)
 	}
 	// Off-bin frequency: near zero response.
-	off := GoertzelPower(samples, 1.0/6)
+	off := goertzelPower(samples, 1.0/6)
 	if off > want/100 {
 		t.Errorf("off-bin power %g too high vs %g", off, want)
 	}
@@ -242,4 +242,19 @@ func TestSynthGenerate(t *testing.T) {
 	if _, err := cfg.Generate(nil); err == nil {
 		t.Error("want error for nil rng with noise")
 	}
+}
+
+// goertzelPower computes the DFT bin power of samples at normalized
+// frequency freq (cycles per sample) with the Goertzel recurrence. It is the
+// reference implementation the sliding filter is validated against.
+func goertzelPower(samples []float64, freq float64) float64 {
+	omega := 2 * math.Pi * freq
+	coeff := 2 * math.Cos(omega)
+	var s0, s1, s2 float64
+	for _, x := range samples {
+		s0 = x + coeff*s1 - s2
+		s2 = s1
+		s1 = s0
+	}
+	return s1*s1 + s2*s2 - coeff*s1*s2
 }

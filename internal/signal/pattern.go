@@ -1,9 +1,6 @@
 package signal
 
-import (
-	"errors"
-	"math/rand"
-)
+import "errors"
 
 // Pattern describes the acoustic signal pattern of Section 3.5: a sequence
 // of identical chirps interspersed with silence, with small random delays
@@ -30,22 +27,6 @@ func (p Pattern) Validate() error {
 		return errors.New("signal: SilenceFrac out of [0,1]")
 	}
 	return nil
-}
-
-// Schedule returns the start offset of each chirp (in samples, relative to
-// the start of the pattern) with fresh random inter-chirp delays drawn from
-// rng. A nil rng yields the deterministic nominal schedule.
-func (p Pattern) Schedule(rng *rand.Rand) []int {
-	starts := make([]int, p.Chirps)
-	off := 0
-	for i := range starts {
-		starts[i] = off
-		off += p.ChirpLen + p.GapLen
-		if rng != nil && p.RandomDelay > 0 {
-			off += rng.Intn(p.RandomDelay + 1)
-		}
-	}
-	return starts
 }
 
 // VerifyAt checks whether a detection at index idx in the accumulated

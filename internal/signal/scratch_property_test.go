@@ -36,7 +36,7 @@ func sameInts(a, b []int) bool {
 }
 
 // TestDetectInMatchesDetect: across randomized waveforms, the arena-backed
-// detection path must produce exactly the hits of the allocating path, with
+// detection path must produce exactly the hits of a nil (allocating) arena, with
 // the arena reused (and therefore dirty) between iterations.
 func TestDetectInMatchesDetect(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
@@ -51,10 +51,10 @@ func TestDetectInMatchesDetect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := det.Detect(wave)
+		want := det.DetectIn(nil, wave)
 		got := det.DetectIn(ws, wave)
 		if !sameInts(want, got) {
-			t.Fatalf("iter %d: DetectIn %v != Detect %v", iter, got, want)
+			t.Fatalf("iter %d: arena-backed DetectIn %v != fresh %v", iter, got, want)
 		}
 		if (want == nil) != (got == nil) {
 			t.Fatalf("iter %d: nilness differs", iter)
@@ -64,11 +64,11 @@ func TestDetectInMatchesDetect(t *testing.T) {
 }
 
 // TestFilterSeriesInMatchesFilterSeries checks the flattened single-band
-// power series against the reference two-band filter, bit for bit.
+// power series the detector runs against the reference two-band filter
+// (SlidingDFT.Filter, sample by sample), bit for bit.
 func TestFilterSeriesInMatchesFilterSeries(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	var f SlidingDFT
-	ws := scratch.New()
 	for iter := 0; iter < 20; iter++ {
 		n := 64 + rng.Intn(4000)
 		wave := make([]float64, n)
@@ -76,13 +76,16 @@ func TestFilterSeriesInMatchesFilterSeries(t *testing.T) {
 			wave[i] = rng.NormFloat64() * 500
 		}
 		f.Reset()
-		wantP4, wantP6 := f.FilterSeries(wave)
-		f.Reset()
-		gotP4, gotP6 := f.FilterSeriesIn(ws, wave)
-		if !sameF64(wantP4, gotP4) || !sameF64(wantP6, gotP6) {
-			t.Fatalf("iter %d: arena-backed FilterSeriesIn differs from FilterSeries", iter)
+		wantP4, wantP6 := make([]float64, n), make([]float64, n)
+		for i, s := range wave {
+			wantP4[i], wantP6[i] = f.Filter(s)
 		}
-		ws.Release()
+		gotP4, gotP6 := make([]float64, n), make([]float64, n)
+		filterBand4Series(gotP4, wave)
+		filterBand6Series(gotP6, wave)
+		if !sameF64(wantP4, gotP4) || !sameF64(wantP6, gotP6) {
+			t.Fatalf("iter %d: single-band series differ from the two-band filter", iter)
+		}
 	}
 }
 

@@ -193,7 +193,7 @@ func TestMedianProperties(t *testing.T) {
 }
 
 func TestGaussianSamplerMoments(t *testing.T) {
-	s := NewSampler(rand.New(rand.NewSource(5)))
+	s := newSampler(rand.New(rand.NewSource(5)))
 	n := 200000
 	xs := make([]float64, n)
 	for i := range xs {
@@ -210,7 +210,7 @@ func TestGaussianSamplerMoments(t *testing.T) {
 }
 
 func TestOutlierMixtureShape(t *testing.T) {
-	s := NewSampler(rand.New(rand.NewSource(9)))
+	s := newSampler(rand.New(rand.NewSource(9)))
 	m := OutlierMixture{
 		CoreSigma: 0.12,
 		POutlier:  0.05,
@@ -251,5 +251,5 @@ func TestSamplerPanicsOnNil(t *testing.T) {
 			t.Error("want panic on nil rng")
 		}
 	}()
-	NewSampler(nil)
+	newSampler(nil)
 }

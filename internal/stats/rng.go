@@ -11,10 +11,10 @@ type Sampler struct {
 	rng *rand.Rand
 }
 
-// NewSampler returns a Sampler backed by rng. rng must not be nil.
-func NewSampler(rng *rand.Rand) *Sampler {
+// newSampler returns a Sampler backed by rng. rng must not be nil.
+func newSampler(rng *rand.Rand) *Sampler {
 	if rng == nil {
-		panic("stats: NewSampler: nil rng")
+		panic("stats: newSampler: nil rng")
 	}
 	return &Sampler{rng: rng}
 }

@@ -42,16 +42,10 @@ func (c Clock) Local(trueTime float64) float64 {
 	return (1+c.skew)*trueTime + c.offset
 }
 
-// TrueFromLocal converts local time back to true time.
-func (c Clock) TrueFromLocal(local float64) float64 {
+// trueFromLocal converts local time back to true time.
+func (c Clock) trueFromLocal(local float64) float64 {
 	return (local - c.offset) / (1 + c.skew)
 }
-
-// Skew returns the fractional rate error.
-func (c Clock) Skew() float64 { return c.skew }
-
-// Offset returns the constant offset in seconds.
-func (c Clock) Offset() float64 { return c.offset }
 
 // SyncModel captures the residual error of MAC-layer timestamp exchange: a
 // zero-mean jitter plus the skew-induced drift over the short measurement

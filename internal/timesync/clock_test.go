@@ -10,7 +10,7 @@ func TestClockRoundTrip(t *testing.T) {
 	c := NewClock(40e-6, 1.5)
 	for _, trueT := range []float64{0, 1, 100, 12345.678} {
 		local := c.Local(trueT)
-		back := c.TrueFromLocal(local)
+		back := c.trueFromLocal(local)
 		if math.Abs(back-trueT) > 1e-9 {
 			t.Errorf("round trip %v -> %v -> %v", trueT, local, back)
 		}
@@ -30,8 +30,8 @@ func TestClockSkewDirection(t *testing.T) {
 
 func TestClockAccessors(t *testing.T) {
 	c := NewClock(10e-6, 0.25)
-	if c.Skew() != 10e-6 || c.Offset() != 0.25 {
-		t.Errorf("accessors: skew=%v offset=%v", c.Skew(), c.Offset())
+	if c.skew != 10e-6 || c.offset != 0.25 {
+		t.Errorf("accessors: skew=%v offset=%v", c.skew, c.offset)
 	}
 }
 
@@ -39,11 +39,11 @@ func TestRandomClockWithinBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 1000; i++ {
 		c := RandomClock(rng, 2.0)
-		if math.Abs(c.Skew()) > MaxSkewPPM*1e-6 {
-			t.Fatalf("skew %v out of bounds", c.Skew())
+		if math.Abs(c.skew) > MaxSkewPPM*1e-6 {
+			t.Fatalf("skew %v out of bounds", c.skew)
 		}
-		if math.Abs(c.Offset()) > 2.0 {
-			t.Fatalf("offset %v out of bounds", c.Offset())
+		if math.Abs(c.offset) > 2.0 {
+			t.Fatalf("offset %v out of bounds", c.offset)
 		}
 	}
 }
