@@ -83,3 +83,47 @@ func TestWorkersFlagReusesFleetCache(t *testing.T) {
 		t.Errorf("reused run diverged\nfirst  %s\nsecond %s", first.String(), second.String())
 	}
 }
+
+// TestWorkersNoCacheRunsCold: under -workers, -no-cache means a cold fleet
+// run (coord.Options.Reuse off), as locc's -reuse=false does, so a repeat
+// against a warm worker still submits jobs and prints the same figure. Text
+// output ends each figure in the coordinator's status line.
+func TestWorkersNoCacheRunsCold(t *testing.T) {
+	srv, err := locsrv.New(run.Options{CacheDir: filepath.Join(t.TempDir(), "cache")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var submits atomic.Int32
+	h := srv.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			submits.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { srv.Close(); hs.Close() })
+
+	args := []string{"-only", "maxrange", "-seed", "1", "-json", "-workers", hs.URL}
+	var warm, cold bytes.Buffer
+	if err := realMain(args, &warm); err != nil {
+		t.Fatal(err)
+	}
+	submits.Store(0)
+	if err := realMain(append(args, "-no-cache"), &cold); err != nil {
+		t.Fatal(err)
+	}
+	if submits.Load() == 0 {
+		t.Error("-no-cache -workers submitted no jobs; the fleet's cache answered instead of a cold run")
+	}
+	if warm.String() != cold.String() {
+		t.Errorf("cold fleet run diverged\nwarm %s\ncold %s", warm.String(), cold.String())
+	}
+
+	var text bytes.Buffer
+	if err := realMain([]string{"-only", "maxrange", "-seed", "1", "-progress=false", "-workers", hs.URL}, &text); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text.String(), "  (distributed: ") || !strings.Contains(text.String(), " retries (") {
+		t.Errorf("text output lacks the coordinator's status line:\n%s", text.String())
+	}
+}

@@ -35,24 +35,24 @@
 // an in-place status block on a terminal, quarter-milestone lines
 // elsewhere. With -workers the same renderer adds the coordinator's
 // per-worker scoreboard beneath the counter.
+//
+// -workers URLs (or -discover REGISTRY) runs each figure across a locd
+// fleet with the same bytes, ending it in locc's "(distributed: ...)" line.
+// The fleet adopts what its caches hold unless -no-cache asks for a cold
+// run; the local-only -parallel, -suite-parallel, -cache and -cache-gc are
+// rejected beside it.
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
-	"time"
 
-	"resilientloc/internal/engine/coord"
-	"resilientloc/internal/engine/run"
 	"resilientloc/internal/engine/spec"
 	"resilientloc/internal/experiments"
-	"resilientloc/internal/obs"
+	"resilientloc/internal/front"
 )
 
 func main() {
@@ -62,147 +62,41 @@ func main() {
 	}
 }
 
-// buildSpecs compiles the CLI selection into figure job specs: from a spec
-// file when -spec is given, from an expanded sweep document when -sweep is
-// given, else from -only/-seed/-param.
-func buildSpecs(opts run.Options, only, specFile, sweepFile string) ([]spec.JobSpec, error) {
-	if specFile != "" || sweepFile != "" {
-		if only != "" || (specFile != "" && sweepFile != "") {
-			return nil, fmt.Errorf("use exactly one of -only, -spec, or -sweep, not both")
-		}
-		if sweepFile != "" {
-			sw, err := spec.LoadSweepFile(sweepFile)
-			if err != nil {
-				return nil, err
-			}
-			return sw.Expand()
-		}
-		return spec.LoadFileOfKind(specFile, spec.KindFigure)
-	}
-	var ids []string
-	if only == "" {
-		for _, e := range experiments.All() {
-			ids = append(ids, e.ID)
-		}
-	} else {
-		for _, id := range strings.Split(only, ",") {
-			id = strings.TrimSpace(id)
-			if _, ok := experiments.Find(id); !ok {
-				return nil, fmt.Errorf("unknown experiment %q", id)
-			}
-			ids = append(ids, id)
-		}
-	}
-	return opts.Specs(spec.KindFigure, ids), nil
-}
-
 func realMain(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	var opts run.Options
-	opts.RegisterCommon(fs)
-	opts.RegisterParams(fs)
-	opts.RegisterSuiteParallel(fs)
-	var prof run.ProfileOptions
-	prof.Register(fs)
+	var cli front.CLI
+	cli.Register(fs)
+	cli.RegisterLocal(fs)
 	list := fs.Bool("list", false, "list experiment IDs and their parameter schemas, then exit")
 	only := fs.String("only", "", "comma-separated experiment IDs to run (default: all)")
-	specFile := fs.String("spec", "", "JSON job-spec file to execute instead of -only selection")
-	sweepFile := fs.String("sweep", "", "JSON sweep file (spec template + parameter grid) to expand and execute")
-	workers := fs.String("workers", "",
-		"comma-separated locd worker URLs: distribute each figure's trials across them instead of running locally")
-	discover := fs.String("discover", "",
-		"fleet registry base URL to discover locd workers from (distributed mode, like -workers; mid-run joiners participate)")
-	asJSON := fs.Bool("json", false, "emit results as a JSON array")
-	progress := fs.Bool("progress", true, "stream per-figure trial progress to stderr")
-	traceFile := fs.String("trace", "",
-		"write the run's span tree (jobs, engine shards; distributed runs add coordinator ranges) as Chrome trace_event JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *progress && !*asJSON {
-		opts.Progress = os.Stderr
-	}
-	stopProf, err := prof.Start()
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-		}
-	}()
-	ctx := context.Background()
-	var tracer *obs.Tracer
-	if *traceFile != "" {
-		tracer = obs.NewTracer()
-		ctx = obs.WithTracer(ctx, tracer)
-	}
-
 	if *list {
-		return printList(out)
+		printList(out)
+		return nil
 	}
-	if *specFile != "" || *sweepFile != "" {
-		if err := run.RejectSpecParameterFlags(fs, "seed", "param"); err != nil {
-			return err
+	return cli.Run(fs, out, os.Stderr, spec.KindFigure, func() ([]spec.JobSpec, error) {
+		var ids []string
+		for _, e := range experiments.All() {
+			ids = append(ids, e.ID)
 		}
-	}
-	specs, err := buildSpecs(opts, *only, *specFile, *sweepFile)
-	if err != nil {
-		return err
-	}
-	if *workers != "" || *discover != "" {
-		if err := runDistributed(ctx, out, specs, *workers, *discover, *asJSON, *progress); err != nil {
-			return err
-		}
-		return tracer.WriteChromeTraceFile(*traceFile)
-	}
-	jobs, err := spec.ResolveAll(specs)
-	if err != nil {
-		return err
-	}
-	sess, err := run.NewSession(opts)
-	if err != nil {
-		return err
-	}
-
-	var results []*experiments.Result
-	var firstErr error
-	// onDone streams each figure in suite order as soon as it (and all its
-	// predecessors) finished, so output bytes match sequential execution.
-	run.ExecuteAllContext(ctx, sess, jobs, func(o run.Outcome) {
-		if o.Err != nil {
-			if firstErr == nil && !errors.Is(o.Err, run.ErrSkipped) {
-				firstErr = fmt.Errorf("%s: %w", o.Spec.ID, o.Err)
+		if *only != "" {
+			ids = strings.Split(*only, ",")
+			for i, id := range ids {
+				ids[i] = strings.TrimSpace(id)
+				if _, ok := experiments.Find(ids[i]); !ok {
+					return nil, fmt.Errorf("unknown experiment %q", ids[i])
+				}
 			}
-			return
 		}
-		results = append(results, o.Result.Figure)
-		if !*asJSON {
-			fmt.Fprint(out, o.Result.Figure.Render())
-			status := fmt.Sprintf("elapsed: %v", o.Info.Elapsed.Round(time.Millisecond))
-			if o.Info.Cached {
-				status = "cached"
-			}
-			fmt.Fprintf(out, "  (%s)\n\n", status)
-		}
-	})
-	if firstErr != nil {
-		return firstErr
-	}
-	if err := tracer.WriteChromeTraceFile(*traceFile); err != nil {
-		return err
-	}
-	if *asJSON {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(results)
-	}
-	return nil
+		return cli.Local.Specs(spec.KindFigure, ids), nil
+	}, "only")
 }
 
 // printList writes each experiment ID; parameterized experiments also list
 // their schema, one "-param" line per declared axis.
-func printList(out io.Writer) error {
+func printList(out io.Writer) {
 	for _, e := range experiments.All() {
 		fmt.Fprintf(out, "%s\n", e.ID)
 		for _, p := range e.Params {
@@ -214,41 +108,4 @@ func printList(out io.Writer) error {
 				p.Name, p.Kind, p.Default.String(), constraint, p.Help)
 		}
 	}
-	return nil
-}
-
-// runDistributed executes each figure spec across the locd worker fleet via
-// the trial-range coordinator. Figure results are byte-identical to the
-// local path (figures carry no execution metadata), so -json output matches
-// a local run exactly. Like locc and cmd/scenarios, it adopts whatever the
-// fleet's caches already hold.
-func runDistributed(ctx context.Context, out io.Writer, specs []spec.JobSpec, workers, discover string, asJSON, progress bool) error {
-	urls := coord.ParseWorkers(workers)
-	var results []*experiments.Result
-	for _, sp := range specs {
-		start := time.Now()
-		opts := coord.Options{Workers: urls, Discover: discover, Reuse: true, Warnings: os.Stderr}
-		if progress && !asJSON {
-			opts.Progress = os.Stderr
-		}
-		val, st, err := coord.Execute(ctx, sp, opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", sp.ID, err)
-		}
-		if val.Figure == nil {
-			return fmt.Errorf("%s: coordinator returned no figure", sp.ID)
-		}
-		results = append(results, val.Figure)
-		if !asJSON {
-			fmt.Fprint(out, val.Figure.Render())
-			fmt.Fprintf(out, "  (distributed: %d ranges over %d workers, elapsed: %v)\n\n",
-				st.Ranges, st.Workers, time.Since(start).Round(time.Millisecond))
-		}
-	}
-	if asJSON {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(results)
-	}
-	return nil
 }

@@ -60,3 +60,22 @@ func TestWorkersFlagMatchesLocalRun(t *testing.T) {
 		t.Errorf("-workers aggregates diverged\nlocal %s\ndist  %s", lj, dj)
 	}
 }
+
+// TestWorkersRejectsLocalFlags: -parallel, -suite-parallel, -cache and
+// -cache-gc configure only a local session, so setting one explicitly with
+// -workers is a named error rather than a silently ignored flag.
+func TestWorkersRejectsLocalFlags(t *testing.T) {
+	workers := distWorkers(t)
+	for _, flags := range [][]string{
+		{"-parallel", "2"},
+		{"-suite-parallel", "2"},
+		{"-cache", t.TempDir()},
+		{"-cache-gc", "off"},
+	} {
+		args := append([]string{"-run", "multilat-town", "-trials", "2", "-json", "-workers", workers}, flags...)
+		err := run(args, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), flags[0]) || !strings.Contains(err.Error(), "-workers") {
+			t.Errorf("%v with -workers: err = %v, want a named rejection", flags, err)
+		}
+	}
+}

@@ -21,8 +21,8 @@ func gridSpec(seed int64, trials int) spec.JobSpec {
 // TestPlannerExtendsCachedPrefix is the tentpole acceptance check: after a
 // 1024-trial run is cached, requesting 4096 trials of the same spec
 // computes exactly the 3072 uncovered trials, reports the 1024 reused ones,
-// and returns bytes identical to a cold 4096-trial run with the planner
-// disabled — at seeds 1 and 5.
+// and returns bytes identical to a cold 4096-trial run in a session with no
+// cache — at seeds 1 and 5.
 func TestPlannerExtendsCachedPrefix(t *testing.T) {
 	for _, seed := range []int64{1, 5} {
 		dir := filepath.Join(t.TempDir(), "cache")
@@ -49,13 +49,13 @@ func TestPlannerExtendsCachedPrefix(t *testing.T) {
 			t.Errorf("seed %d: partially reused run claims to be fully cached", seed)
 		}
 
-		cold := newSession(t, run.Options{CacheDir: filepath.Join(t.TempDir(), "cold"), NoReuse: true})
+		cold := newSession(t, run.Options{NoCache: true})
 		want, coldInfo, err := run.ExecuteSpec(cold, gridSpec(seed, 4096))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if coldInfo.ReusedTrials != 0 {
-			t.Errorf("seed %d: NoReuse session reused %d trials", seed, coldInfo.ReusedTrials)
+			t.Errorf("seed %d: cache-less session reused %d trials", seed, coldInfo.ReusedTrials)
 		}
 		res.ClearExecutionMeta()
 		want.ClearExecutionMeta()
@@ -100,26 +100,6 @@ func TestPlannerFullCoverageComputesNothing(t *testing.T) {
 	want.ClearExecutionMeta()
 	if !jsonEqual(t, res.Report, want.Report) {
 		t.Error("range-assembled run diverged from direct run")
-	}
-}
-
-// TestPlannerNoReuseForcesColdRuns: Options.NoReuse ignores surviving range
-// entries entirely — the A/B baseline the byte-identity tests compare
-// against must really be cold.
-func TestPlannerNoReuseForcesColdRuns(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "cache")
-	prime := newSession(t, run.Options{CacheDir: dir})
-	if _, _, err := run.ExecuteSpec(prime, gridSpec(2, 64)); err != nil {
-		t.Fatal(err)
-	}
-
-	s := newSession(t, run.Options{CacheDir: dir, NoReuse: true})
-	_, info, err := run.ExecuteSpec(s, gridSpec(2, 128))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.TrialsExecuted(); got != 128 || info.ReusedTrials != 0 {
-		t.Errorf("NoReuse run executed %d trials (reused %d), want all 128 cold", got, info.ReusedTrials)
 	}
 }
 

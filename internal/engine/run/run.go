@@ -32,7 +32,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,11 +93,6 @@ type Options struct {
 	// CacheGC controls the opportunistic cache sweep NewSession runs:
 	// "" or "on" enables it, "off" disables it.
 	CacheGC string
-	// NoReuse disables the prefix-reuse planner: cacheable full runs compute
-	// from scratch instead of extending surviving range-keyed entries. The
-	// result bytes are identical either way (that is the planner's contract);
-	// the switch exists for A/B timing and for forcing a truly cold run.
-	NoReuse bool
 	// Progress, when non-nil, receives streaming trials-completed updates
 	// for each campaign as its shards finish: an in-place status block on a
 	// terminal, newline-delimited milestone lines elsewhere.
@@ -118,16 +112,14 @@ type Options struct {
 }
 
 // RegisterCommon registers the flags shared by every campaign CLI:
-// -parallel, -seed, -cache, -no-cache, -cache-gc, -no-reuse. Flags
-// whose applicability varies (like -trials) have their own Register helpers.
+// -parallel, -seed, -cache, -no-cache, -cache-gc. Flags whose
+// applicability varies (like -trials) have their own Register helpers.
 func (o *Options) RegisterCommon(fs *flag.FlagSet) {
 	fs.IntVar(&o.Workers, "parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
 	fs.Int64Var(&o.Seed, "seed", 1, "base random seed (runs are deterministic per seed)")
 	fs.StringVar(&o.CacheDir, "cache", "", "result cache directory (default: the per-user cache dir)")
 	fs.BoolVar(&o.NoCache, "no-cache", false, "disable the on-disk result cache")
 	fs.StringVar(&o.CacheGC, "cache-gc", "on", "opportunistic cache garbage collection (on|off)")
-	fs.BoolVar(&o.NoReuse, "no-reuse", false,
-		"disable the prefix-reuse planner (always compute full runs from scratch)")
 }
 
 // RegisterTrials registers the -trials override. Scenario CLIs expose it;
@@ -156,26 +148,6 @@ func (o *Options) RegisterParams(fs *flag.FlagSet) {
 func (o *Options) RegisterSuiteParallel(fs *flag.FlagSet) {
 	fs.IntVar(&o.SuiteParallel, "suite-parallel", 1,
 		"independent campaigns to overlap in suite runs (0 = GOMAXPROCS, 1 = sequential; results are identical at any value)")
-}
-
-// RejectSpecParameterFlags errors when any of the named flags was
-// explicitly set on the command line: job-parameter flags (-seed, -trials,
-// -shard-size) are compiled into flag-built specs, so combining them with
-// -spec would silently lose against the file's embedded parameters.
-func RejectSpecParameterFlags(fs *flag.FlagSet, names ...string) error {
-	var conflict []string
-	fs.Visit(func(f *flag.Flag) {
-		for _, n := range names {
-			if f.Name == n {
-				conflict = append(conflict, "-"+n)
-			}
-		}
-	})
-	if len(conflict) > 0 {
-		return fmt.Errorf("%s cannot be combined with a spec or sweep file, which carries its own job parameters",
-			strings.Join(conflict, ", "))
-	}
-	return nil
 }
 
 // Specs compiles a list of job IDs into flag-parameterized specs of one
@@ -600,7 +572,7 @@ func executeResolved(ctx context.Context, s *Session, job spec.Resolved) (*spec.
 			res.SetExecutionMeta(0, time.Since(start).Seconds())
 			return &res, Info{Cached: true, Trials: runTrials, Elapsed: time.Since(start), CacheKey: keyHash}, nil
 		}
-		if rng == nil && !c.KeepTrialValues && !s.opts.NoReuse {
+		if rng == nil && !c.KeepTrialValues {
 			// Full-key miss on an unretained full run: hand the job to the
 			// prefix-reuse planner, which extends surviving range entries and
 			// computes only the gaps (all of [0, trials) when nothing

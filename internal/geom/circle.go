@@ -10,11 +10,6 @@ type Circle struct {
 	R      float64
 }
 
-// contains reports whether p lies inside or on the circle.
-func (c Circle) contains(p Point) bool {
-	return c.Center.DistSq(p) <= c.R*c.R
-}
-
 // Intersect2 computes the intersection points of two circles, without
 // allocating: they are pts[:k], where k is
 //   - 0 when the circles are disjoint (too far apart or nested) or

@@ -13,19 +13,6 @@ func intersect(a, b Circle, tol float64) []Point {
 	return pts[:k]
 }
 
-func TestCircleContains(t *testing.T) {
-	c := Circle{Center: Pt(1, 1), R: 2}
-	if !c.contains(Pt(1, 1)) {
-		t.Error("center not contained")
-	}
-	if !c.contains(Pt(3, 1)) {
-		t.Error("boundary point not contained")
-	}
-	if c.contains(Pt(3.1, 1)) {
-		t.Error("outside point contained")
-	}
-}
-
 func TestCircleIntersectTwoPoints(t *testing.T) {
 	a := Circle{Center: Pt(0, 0), R: 5}
 	b := Circle{Center: Pt(8, 0), R: 5}

@@ -61,13 +61,6 @@ func (p Point) Unit() Point {
 	return Point{p.X / n, p.Y / n}
 }
 
-// rotate returns p rotated counterclockwise by theta radians about the
-// origin.
-func (p Point) rotate(theta float64) Point {
-	s, c := math.Sincos(theta)
-	return Point{c*p.X - s*p.Y, s*p.X + c*p.Y}
-}
-
 // Perp returns p rotated by +90 degrees.
 func (p Point) Perp() Point { return Point{-p.Y, p.X} }
 

@@ -27,7 +27,7 @@ func TestPointArithmetic(t *testing.T) {
 		{"perp", Pt(1, 0).Perp(), Pt(0, 1)},
 		{"unit", Pt(3, 4).Unit(), Pt(0.6, 0.8)},
 		{"unit zero", Pt(0, 0).Unit(), Pt(0, 0)},
-		{"rotate 90", Pt(1, 0).rotate(math.Pi / 2), Pt(0, 1)},
+		{"rotate 90", Transform{Theta: math.Pi / 2}.Apply(Pt(1, 0)), Pt(0, 1)},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,7 +113,7 @@ func TestRotatePreservesNorm(t *testing.T) {
 		x = math.Mod(x, 1e6)
 		y = math.Mod(y, 1e6)
 		p := Pt(x, y)
-		q := p.rotate(theta)
+		q := Transform{Theta: theta}.Apply(p)
 		return almostEq(p.Norm(), q.Norm(), 1e-6*(1+p.Norm()))
 	}
 	if err := quick.Check(f, cfg); err != nil {

@@ -52,47 +52,6 @@ func TestPropertyTransformIsometry(t *testing.T) {
 	}
 }
 
-// Property: invert is a true inverse for arbitrary transforms and points.
-func TestPropertyTransformInverse(t *testing.T) {
-	cfg := &quick.Config{Rand: rand.New(rand.NewSource(2)), MaxCount: 500}
-	f := func(theta, tx, ty float64, flip bool, x, y float64) bool {
-		tr, ok := boundedTransform(theta, tx, ty, flip)
-		if !ok {
-			return true
-		}
-		p, ok := boundedPoint(x, y)
-		if !ok {
-			return true
-		}
-		back := tr.invert().Apply(tr.Apply(p))
-		return back.Dist(p) <= 1e-5*(1+p.Norm()+math.Abs(tx)+math.Abs(ty))
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: composition acts like sequential application for arbitrary
-// transform pairs.
-func TestPropertyTransformCompose(t *testing.T) {
-	cfg := &quick.Config{Rand: rand.New(rand.NewSource(3)), MaxCount: 500}
-	f := func(t1, x1, y1 float64, f1 bool, t2, x2, y2 float64, f2 bool, px, py float64) bool {
-		a, ok1 := boundedTransform(t1, x1, y1, f1)
-		b, ok2 := boundedTransform(t2, x2, y2, f2)
-		p, ok3 := boundedPoint(px, py)
-		if !ok1 || !ok2 || !ok3 {
-			return true
-		}
-		want := b.Apply(a.Apply(p))
-		got := a.compose(b).Apply(p)
-		scale := 1 + want.Norm()
-		return got.Dist(want) <= 1e-5*scale
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: FitRigid residual is zero (to float tolerance) whenever dst is
 // an exact rigid image of src, regardless of the transform.
 func TestPropertyFitRigidExactRecovery(t *testing.T) {

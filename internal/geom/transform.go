@@ -49,42 +49,6 @@ func (t Transform) ApplyAll(pts []Point) []Point {
 	return out
 }
 
-// compose returns the transform equivalent to applying t first, then u:
-// t.compose(u)(p) = u(t(p)).
-func (t Transform) compose(u Transform) Transform {
-	// Linear parts: Lu·Lt = R(θu)Fu·R(θt)Ft. A reflection conjugates a
-	// rotation into its inverse (F·R(α) = R(-α)·F), so the combined angle is
-	// θu + θt when u preserves orientation and θu - θt when u reflects.
-	eps := 1.0
-	if u.Flip {
-		eps = -1
-	}
-	theta := u.Theta + eps*t.Theta
-	trans := u.Apply(Point{t.Tx, t.Ty})
-	return Transform{
-		Theta: math.Atan2(math.Sin(theta), math.Cos(theta)), // normalize to (-pi, pi]
-		Tx:    trans.X,
-		Ty:    trans.Y,
-		Flip:  t.Flip != u.Flip,
-	}
-}
-
-// invert returns the inverse transform such that
-// t.invert().Apply(t.Apply(p)) == p (up to floating-point error).
-func (t Transform) invert() Transform {
-	// L = R(θ)F. For a reflection L is an involution (L⁻¹ = L); for a pure
-	// rotation L⁻¹ = R(-θ).
-	inv := Transform{Flip: t.Flip}
-	if t.Flip {
-		inv.Theta = t.Theta
-	} else {
-		inv.Theta = -t.Theta
-	}
-	it := inv.ApplyVector(Point{t.Tx, t.Ty})
-	inv.Tx, inv.Ty = -it.X, -it.Y
-	return inv
-}
-
 // String implements fmt.Stringer.
 func (t Transform) String() string {
 	f := "+"

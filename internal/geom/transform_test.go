@@ -64,46 +64,6 @@ func TestTransformIsIsometry(t *testing.T) {
 	}
 }
 
-func TestTransformInvertRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 200; i++ {
-		tr := randTransform(rng)
-		inv := tr.invert()
-		p := randPoint(rng)
-		if got := inv.Apply(tr.Apply(p)); !pointsAlmostEq(got, p, 1e-8) {
-			t.Fatalf("round trip failed for %v: %v -> %v", tr, p, got)
-		}
-		if got := tr.Apply(inv.Apply(p)); !pointsAlmostEq(got, p, 1e-8) {
-			t.Fatalf("reverse round trip failed for %v: %v -> %v", tr, p, got)
-		}
-	}
-}
-
-func TestTransformCompose(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 200; i++ {
-		a, b := randTransform(rng), randTransform(rng)
-		c := a.compose(b)
-		p := randPoint(rng)
-		want := b.Apply(a.Apply(p))
-		if got := c.Apply(p); !pointsAlmostEq(got, want, 1e-7) {
-			t.Fatalf("compose mismatch: a=%v b=%v p=%v got=%v want=%v", a, b, p, got, want)
-		}
-	}
-}
-
-func TestTransformComposeWithInverseIsIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 100; i++ {
-		tr := randTransform(rng)
-		id := tr.compose(tr.invert())
-		p := randPoint(rng)
-		if got := id.Apply(p); !pointsAlmostEq(got, p, 1e-7) {
-			t.Fatalf("t∘t⁻¹ not identity for %v: %v -> %v", tr, p, got)
-		}
-	}
-}
-
 func TestFitRigidRecoversExactTransform(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 200; i++ {

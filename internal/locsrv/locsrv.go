@@ -50,6 +50,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -323,32 +324,43 @@ func (j *job) summaryLocked(withResult bool) jobSummary {
 // failed only because a batch sibling failed (skipped) is retried by
 // resubmission instead of being memoized forever.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	specs, err := spec.Decode(http.MaxBytesReader(w, r.Body, 4<<20))
+	summaries, _, ok := s.admit(w, r, spec.Decode)
+	if ok {
+		writeJSON(w, http.StatusAccepted, map[string]any{"jobs": summaries})
+	}
+}
+
+// admit is the shared front half of POST /v1/jobs and /v1/sweeps: decode the
+// body into specs (413 when it is too large, 400 when it does not decode),
+// resolve and check them (400), register them (429 or 500), and launch the
+// fresh ones. It returns registerJobs' summaries and jobs, or false after
+// writing the error response.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, decode func(io.Reader) ([]spec.JobSpec, error)) ([]jobSummary, []*job, bool) {
+	specs, err := decode(http.MaxBytesReader(w, r.Body, 4<<20))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, tooLarge)
-			return
+			return nil, nil, false
 		}
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, false
 	}
 	resolved, err := spec.ResolveAll(specs)
+	if err == nil {
+		err = checkWireObservable(resolved)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, false
 	}
-	if err := checkWireObservable(resolved); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	summaries, _, fresh, err := s.registerJobs(resolved)
+	summaries, all, fresh, err := s.registerJobs(resolved)
 	if err != nil {
 		writeOverloaded(w, err)
-		return
+		return nil, nil, false
 	}
 	s.launch(fresh)
-	writeJSON(w, http.StatusAccepted, map[string]any{"jobs": summaries})
+	return summaries, all, true
 }
 
 // checkWireObservable rejects specs whose retained per-trial values could
@@ -600,33 +612,45 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
 		return
 	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
+	s.follow(j, true, false, r.Context().Done(), func(e event) bool {
+		if err := enc.Encode(e); err != nil {
+			return false
+		}
+		fl.Flush()
+		return true
+	})
+}
+
+// follow subscribes to one job and hands send its events: first, when
+// snapshot is set, the job's counters at subscription; then each progress
+// update; then, once the job finishes, its terminal status line, carrying
+// the result when withResult is set and the job succeeded. It returns after
+// the terminal line, or early when send reports the consumer gone, quit
+// closes, or the server shuts down. Both job event streams and every job
+// of a sweep stream run through it.
+func (s *Server) follow(j *job, snapshot, withResult bool, quit <-chan struct{}, send func(event) bool) {
+	// A burst of shard completions fits the buffer; beyond it onProgress
+	// drops updates, and the next absolute counter catches the stream up.
 	ch := make(chan [2]int, 64)
 	s.mu.Lock()
 	j.subs[ch] = struct{}{}
-	snapshot := event{ID: j.id, Done: j.progress, Total: j.trials}
+	first := event{ID: j.id, Done: j.progress, Total: j.trials}
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
 		delete(j.subs, ch)
 		s.mu.Unlock()
 	}()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	emit := func(e event) bool {
-		if err := enc.Encode(e); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	if !emit(snapshot) {
+	if snapshot && !send(first) {
 		return
 	}
 	for {
 		select {
 		case p := <-ch:
-			if !emit(event{ID: j.id, Done: p[0], Total: p[1]}) {
+			if !send(event{ID: j.id, Done: p[0], Total: p[1]}) {
 				return
 			}
 		case <-j.done:
@@ -635,12 +659,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				Status: j.status, Cached: j.info.Cached, ReusedTrials: j.info.ReusedTrials,
 				Error: j.errMsg, Skipped: j.skipped,
 				ElapsedSeconds: j.info.Elapsed.Seconds()}
+			if withResult && j.status == "done" {
+				final.Result = j.result
+			}
 			s.mu.Unlock()
-			emit(final)
+			send(final)
+			return
+		case <-quit:
 			return
 		case <-s.stop:
-			return
-		case <-r.Context().Done():
 			return
 		}
 	}
@@ -673,41 +700,21 @@ type sweepSummary struct {
 // one terminal status line per job — carrying the result on success — and
 // a final sweep summary line.
 func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
-	sw, err := spec.DecodeSweep(http.MaxBytesReader(w, r.Body, 4<<20))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, tooLarge)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	specs, err := sw.Expand()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	resolved, err := spec.ResolveAll(specs)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := checkWireObservable(resolved); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
 		return
 	}
-	_, all, fresh, err := s.registerJobs(resolved)
-	if err != nil {
-		writeOverloaded(w, err)
+	_, all, ok := s.admit(w, r, func(body io.Reader) ([]spec.JobSpec, error) {
+		sw, err := spec.DecodeSweep(body)
+		if err != nil {
+			return nil, err
+		}
+		return sw.Expand()
+	})
+	if !ok {
 		return
 	}
-	s.launch(fresh)
 
 	// The expansion may contain repeated points (e.g. a template param equal
 	// to a grid value is rejected earlier, but two grids can still collide
@@ -749,44 +756,14 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	defer close(done)
 	merged := make(chan event, 64)
 	for _, j := range uniq {
-		go func(j *job) {
-			ch := make(chan [2]int, 64)
-			s.mu.Lock()
-			j.subs[ch] = struct{}{}
-			s.mu.Unlock()
-			defer func() {
-				s.mu.Lock()
-				delete(j.subs, ch)
-				s.mu.Unlock()
-			}()
-			for {
-				select {
-				case p := <-ch:
-					select {
-					case merged <- event{ID: j.id, Done: p[0], Total: p[1]}:
-					case <-done:
-						return
-					}
-				case <-j.done:
-					s.mu.Lock()
-					final := event{ID: j.id, Done: j.progress, Total: j.trials,
-						Status: j.status, Cached: j.info.Cached, ReusedTrials: j.info.ReusedTrials,
-						Error: j.errMsg, Skipped: j.skipped,
-						ElapsedSeconds: j.info.Elapsed.Seconds()}
-					if j.status == "done" {
-						final.Result = j.result
-					}
-					s.mu.Unlock()
-					select {
-					case merged <- final:
-					case <-done:
-					}
-					return
-				case <-done:
-					return
-				}
+		go s.follow(j, false, true, done, func(e event) bool {
+			select {
+			case merged <- e:
+				return true
+			case <-done:
+				return false
 			}
-		}(j)
+		})
 	}
 
 	finished, failed := 0, 0

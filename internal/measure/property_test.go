@@ -53,52 +53,6 @@ func TestPropertySetViewConsistency(t *testing.T) {
 	}
 }
 
-// Property: triangleCheck leaves no triangle violating the inequality by
-// more than the slack, and never removes measurements from violation-free
-// sets.
-func TestPropertyTriangleCheckFixpoint(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 30; trial++ {
-		n := 4 + rng.Intn(6)
-		s, err := NewSet(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if rng.Float64() < 0.7 {
-					_ = s.Add(i, j, rng.Float64()*30+0.1, 1)
-				}
-			}
-		}
-		const slack = 0.5
-		triangleCheck(s, slack)
-		// No remaining triangle may violate the inequality beyond slack.
-		for _, m := range s.All() {
-			a, b := m.Pair.Lo, m.Pair.Hi
-			for c := 0; c < n; c++ {
-				if c == a || c == b {
-					continue
-				}
-				mac, ok1 := s.Get(a, c)
-				mbc, ok2 := s.Get(b, c)
-				if !ok1 || !ok2 {
-					continue
-				}
-				longest := math.Max(m.Distance, math.Max(mac.Distance, mbc.Distance))
-				sum := m.Distance + mac.Distance + mbc.Distance - longest
-				if longest > sum+slack+1e-9 {
-					t.Fatalf("trial %d: violation survives: %v vs %v", trial, longest, sum)
-				}
-			}
-		}
-		// Idempotence: a second pass removes nothing.
-		if removed := triangleCheck(s, slack); removed != 0 {
-			t.Fatalf("trial %d: second pass removed %d", trial, removed)
-		}
-	}
-}
-
 // Property: Merge never invents pairs — every output pair exists in some
 // direction of the input — and bidirectional-consistent pairs average the
 // two directions.

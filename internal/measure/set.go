@@ -377,53 +377,6 @@ func Merge(n int, directed map[[2]int]float64, opt MergeOptions) (*Set, error) {
 	return s, nil
 }
 
-// triangleCheck removes measurements that violate the triangle inequality
-// with slack (paper §3.5: "If three nodes have measurements to each other,
-// we use the triangle inequality to identify inconsistent one"). For every
-// measured triangle where one side exceeds the sum of the other two plus
-// slack, the longest side is removed — the paper notes no check can identify
-// the incorrect measurement with certainty; dropping the longest is the
-// conservative choice against late-detection overestimates. It returns the
-// number of measurements removed. No figure or scenario applies the check
-// yet, so it is unexported until one does.
-func triangleCheck(s *Set, slack float64) int {
-	removed := 0
-	// Iterate until fixpoint: removing one side can re-validate others.
-	for {
-		type viol struct {
-			p      Pair
-			excess float64
-		}
-		var worst *viol
-		// Find the worst violation over all measured triangles.
-		for _, mi := range s.All() {
-			a, b := mi.Pair.Lo, mi.Pair.Hi
-			for c := 0; c < s.n; c++ {
-				if c == a || c == b {
-					continue
-				}
-				mac, ok1 := s.Get(a, c)
-				mbc, ok2 := s.Get(b, c)
-				if !ok1 || !ok2 {
-					continue
-				}
-				// Longest side of the triangle and its excess.
-				sides := []Measurement{mi, mac, mbc}
-				sort.Slice(sides, func(x, y int) bool { return sides[x].Distance > sides[y].Distance })
-				excess := sides[0].Distance - (sides[1].Distance + sides[2].Distance) - slack
-				if excess > 0 && (worst == nil || excess > worst.excess) {
-					worst = &viol{p: sides[0].Pair, excess: excess}
-				}
-			}
-		}
-		if worst == nil {
-			return removed
-		}
-		s.Remove(worst.p.Lo, worst.p.Hi)
-		removed++
-	}
-}
-
 // GaussianNoise is the paper's simulated-distance noise: N(0, 0.33 m).
 const GaussianNoise = 0.33
 

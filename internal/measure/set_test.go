@@ -247,33 +247,6 @@ func TestMergeDeterministic(t *testing.T) {
 	}
 }
 
-func TestTriangleCheck(t *testing.T) {
-	s := mustSet(t, 3)
-	_ = s.Add(0, 1, 3, 1)
-	_ = s.Add(1, 2, 4, 1)
-	_ = s.Add(0, 2, 20, 1) // violates: 20 > 3+4
-	removed := triangleCheck(s, 0.5)
-	if removed != 1 {
-		t.Fatalf("removed = %d, want 1", removed)
-	}
-	if _, ok := s.Get(0, 2); ok {
-		t.Error("violating side retained")
-	}
-	if _, ok := s.Get(0, 1); !ok {
-		t.Error("valid side removed")
-	}
-}
-
-func TestTriangleCheckNoViolation(t *testing.T) {
-	s := mustSet(t, 3)
-	_ = s.Add(0, 1, 3, 1)
-	_ = s.Add(1, 2, 4, 1)
-	_ = s.Add(0, 2, 5, 1)
-	if removed := triangleCheck(s, 0.5); removed != 0 {
-		t.Errorf("removed = %d, want 0", removed)
-	}
-}
-
 func TestGenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dep := deploy.PaperGrid()

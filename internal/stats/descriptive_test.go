@@ -191,65 +191,3 @@ func TestMedianProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestGaussianSamplerMoments(t *testing.T) {
-	s := newSampler(rand.New(rand.NewSource(5)))
-	n := 200000
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = s.Gaussian(1.5, 0.33)
-	}
-	m, _ := Mean(xs)
-	sd, _ := StdDev(xs)
-	if math.Abs(m-1.5) > 0.01 {
-		t.Errorf("sample mean = %v, want ≈1.5", m)
-	}
-	if math.Abs(sd-0.33) > 0.01 {
-		t.Errorf("sample sd = %v, want ≈0.33", sd)
-	}
-}
-
-func TestOutlierMixtureShape(t *testing.T) {
-	s := newSampler(rand.New(rand.NewSource(9)))
-	m := OutlierMixture{
-		CoreSigma: 0.12,
-		POutlier:  0.05,
-		OutlierLo: 1, OutlierHi: 11,
-		PUnder: 0.7,
-	}
-	n := 100000
-	var outliers, under int
-	var core []float64
-	for i := 0; i < n; i++ {
-		e := m.Sample(s)
-		if math.Abs(e) > 1 {
-			outliers++
-			if e < 0 {
-				under++
-			}
-		} else {
-			core = append(core, e)
-		}
-	}
-	frac := float64(outliers) / float64(n)
-	if math.Abs(frac-0.05) > 0.01 {
-		t.Errorf("outlier fraction = %v, want ≈0.05", frac)
-	}
-	uf := float64(under) / float64(outliers)
-	if math.Abs(uf-0.7) > 0.05 {
-		t.Errorf("underestimate fraction = %v, want ≈0.7", uf)
-	}
-	sd, _ := StdDev(core)
-	if math.Abs(sd-0.12) > 0.02 {
-		t.Errorf("core sd = %v, want ≈0.12", sd)
-	}
-}
-
-func TestSamplerPanicsOnNil(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic on nil rng")
-		}
-	}()
-	newSampler(nil)
-}

