@@ -210,9 +210,9 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 	histories := [2][]float64{ws.Float64Cap(cfg.MaxIters + 1), ws.Float64Cap(cfg.MaxIters + 1)}
 	free := 0
 	descendFrom := func(start []geom.Point) {
-		final, history, iters := prob.descend(histories[free], start, cfg)
+		final, history, iters, e := prob.descend(histories[free], start, cfg)
 		totalIters += iters
-		if e := prob.objective(final); e < bestErr {
+		if e < bestErr {
 			bestErr = e
 			copy(best, final)
 			bestHistory = history
@@ -264,7 +264,7 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 	return &LSSResult{
 		Positions:          best,
 		Error:              bestErr,
-		UnconstrainedError: prob.weightedStress(best, nil),
+		UnconstrainedError: prob.weightedStress(best, prob.nextDs, math.Inf(1)),
 		Iterations:         totalIters,
 		History:            bestHistory,
 	}, nil
@@ -362,29 +362,35 @@ func (p *lssProblem) distanceScale() float64 {
 // minSeparation guards divisions by near-zero computed distances.
 const minSeparation = 1e-9
 
-// weightedStress computes Ew = Σ wij (‖pi−pj‖ − dij)², recording each
-// measured pair's separation in ds unless ds is nil.
-func (p *lssProblem) weightedStress(pos []geom.Point, ds []float64) float64 {
-	var e float64
-	for k, d0 := range p.dist {
-		d := pos[p.lo[k]].Dist(pos[p.hi[k]])
-		if ds != nil {
-			ds[k] = d
-		}
-		r := d - d0
-		e += p.w[k] * r * r
-	}
-	return e
+// pairBlock is how many measured pairs eval handles at a time. It computes
+// the separations of a whole block before adding any of its terms to E: they
+// are independent of one another, so their divides and square roots overlap
+// instead of each waiting behind the serial sum.
+const pairBlock = 64
+
+// objective computes the full E including soft-constraint terms. It records
+// the separations in nextDs, which only descend reads, and only after
+// writing it.
+func (p *lssProblem) objective(pos []geom.Point) float64 {
+	return p.eval(pos, p.nextDs, math.Inf(1))
 }
 
-// objective computes the full E including soft-constraint terms.
-func (p *lssProblem) objective(pos []geom.Point) float64 { return p.eval(pos, nil) }
-
-// eval computes the full E including soft-constraint terms and, unless ds is
-// nil, records every pair's separation in ds for gradient at the same pos.
-// A soft pair the farSq test puts beyond dmin is recorded as +Inf.
-func (p *lssProblem) eval(pos []geom.Point, ds []float64) float64 {
-	e := p.weightedStress(pos, ds)
+// eval computes the full E including soft-constraint terms and records every
+// pair's separation in ds for gradient at the same pos. A soft pair the farSq
+// test puts beyond dmin is recorded as +Inf.
+//
+// A finite bound lets eval stop as soon as the partial sum reaches it, and
+// return that partial sum: every term is w·r² or wd·r² with a positive
+// weight, and adding a non-negative term under round-to-nearest never lowers
+// a sum (NaN stays NaN). So the result is below bound exactly when the full
+// E is, and then it is the full E with all of ds written. A bound of +Inf
+// never stops the evaluation.
+func (p *lssProblem) eval(pos []geom.Point, ds []float64, bound float64) float64 {
+	e := p.weightedStress(pos, ds, bound)
+	bounded := bound < math.Inf(1)
+	if bounded && e >= bound {
+		return e
+	}
 	for k := len(p.dist); k < len(p.lo); k++ {
 		dx := pos[p.lo[k]].X - pos[p.hi[k]].X
 		dy := pos[p.lo[k]].Y - pos[p.hi[k]].Y
@@ -394,12 +400,48 @@ func (p *lssProblem) eval(pos []geom.Point, ds []float64) float64 {
 		} else {
 			d = math.Hypot(dx, dy) // NaN lands here, as without the filter
 		}
-		if ds != nil {
-			ds[k] = d
-		}
+		ds[k] = d
 		if d < p.dmin {
 			r := d - p.dmin
 			e += p.wd * r * r
+			if bounded && e >= bound {
+				return e
+			}
+		}
+	}
+	return e
+}
+
+// weightedStress computes Ew = Σ wij (‖pi−pj‖ − dij)² over the measured
+// pairs, recording each one's separation in ds, block by block. It stops
+// after a block whose partial sum reaches a finite bound, as eval does.
+func (p *lssProblem) weightedStress(pos []geom.Point, ds []float64, bound float64) float64 {
+	bounded := bound < math.Inf(1)
+	var e float64
+	for k0 := 0; k0 < len(p.dist); k0 += pairBlock {
+		k1 := min(k0+pairBlock, len(p.dist))
+		lo, hi, blk := p.lo[k0:k1], p.hi[k0:k1], ds[k0:k1]
+		for k := range blk {
+			dx := pos[lo[k]].X - pos[hi[k]].X
+			dy := pos[lo[k]].Y - pos[hi[k]].Y
+			// math.Hypot's own formula for finite inputs, written as the
+			// math package writes it so that it compiles to the same
+			// operations: the larger magnitude times √(1+(smaller/larger)²).
+			big := max(math.Abs(dx), math.Abs(dy))
+			if 0 < big && big <= math.MaxFloat64 {
+				q := min(math.Abs(dx), math.Abs(dy)) / big
+				blk[k] = big * math.Sqrt(1+q*q)
+			} else {
+				blk[k] = math.Hypot(dx, dy) // zero, infinite or NaN
+			}
+		}
+		dist, w := p.dist[k0:k1], p.w[k0:k1]
+		for k, d := range blk {
+			r := d - dist[k]
+			e += w[k] * r * r
+		}
+		if bounded && e >= bound {
+			return e
 		}
 	}
 	return e
@@ -453,13 +495,13 @@ func (p *lssProblem) zeroFixed(grad []float64) {
 }
 
 // descend runs one gradient-descent trajectory from start and returns the
-// final configuration, the per-iteration objective history, and the number
-// of iterations performed. In adaptive mode the step halves when it would
-// increase the objective (retrying the step) and grows on success; in fixed
-// mode the paper's constant-α rule applies verbatim. The history is
-// appended to history[:0]; the final configuration is one of p's
-// workspaces, overwritten by the next descent.
-func (p *lssProblem) descend(history []float64, start []geom.Point, cfg LSSConfig) ([]geom.Point, []float64, int) {
+// final configuration, the per-iteration objective history, the number of
+// iterations performed, and the final objective. In adaptive mode the step
+// halves when it would increase the objective (retrying the step) and grows
+// on success; in fixed mode the paper's constant-α rule applies verbatim.
+// The history is appended to history[:0]; the final configuration is one of
+// p's workspaces, overwritten by the next descent.
+func (p *lssProblem) descend(history []float64, start []geom.Point, cfg LSSConfig) ([]geom.Point, []float64, int, float64) {
 	if cfg.Mode == StepFixed {
 		return p.descendFixed(history, start, cfg)
 	}
@@ -470,7 +512,7 @@ func (p *lssProblem) descend(history []float64, start []geom.Point, cfg LSSConfi
 	copy(cur, start)
 	history = history[:0]
 
-	e := p.eval(cur, curDs)
+	e := p.eval(cur, curDs, math.Inf(1))
 	step := cfg.Step
 	plateau := 0
 	iters := 0
@@ -484,7 +526,9 @@ func (p *lssProblem) descend(history []float64, start []geom.Point, cfg LSSConfi
 			for i := 0; i < n; i++ {
 				next[i] = geom.Pt(cur[i].X-step*grad[i], cur[i].Y-step*grad[n+i])
 			}
-			ne := p.eval(next, nextDs)
+			// A step that cannot beat e is rejected whatever its exact
+			// value, so its evaluation stops once it reaches e.
+			ne := p.eval(next, nextDs, e)
 			if ne < e {
 				improved = true
 				relDrop := (e - ne) / (math.Abs(e) + 1e-30)
@@ -508,21 +552,21 @@ func (p *lssProblem) descend(history []float64, start []geom.Point, cfg LSSConfi
 			break // converged or stuck on a plateau at every step size
 		}
 	}
-	return cur, append(history, e), iters
+	return cur, append(history, e), iters, e
 }
 
 // descendFixed is the paper's Eq. (1) verbatim: constant-step gradient
 // descent. The only concession to float safety is halving the step when the
 // objective stops being finite (a divergence the paper's hand-tuned α
 // avoided by construction).
-func (p *lssProblem) descendFixed(history []float64, start []geom.Point, cfg LSSConfig) ([]geom.Point, []float64, int) {
+func (p *lssProblem) descendFixed(history []float64, start []geom.Point, cfg LSSConfig) ([]geom.Point, []float64, int, float64) {
 	n := p.n
 	cur, ds, grad := p.cur, p.curDs, p.grad
 	copy(cur, start)
 	history = history[:0]
 
 	step := cfg.Step
-	e := p.eval(cur, ds)
+	e := p.eval(cur, ds, math.Inf(1))
 	iters := 0
 	for it := 0; it < cfg.MaxIters; it++ {
 		iters++
@@ -531,18 +575,18 @@ func (p *lssProblem) descendFixed(history []float64, start []geom.Point, cfg LSS
 		for i := 0; i < n; i++ {
 			cur[i] = geom.Pt(cur[i].X-step*grad[i], cur[i].Y-step*grad[n+i])
 		}
-		e = p.eval(cur, ds)
+		e = p.eval(cur, ds, math.Inf(1))
 		if math.IsNaN(e) || math.IsInf(e, 0) {
 			// Diverged: rewind the step and continue more cautiously.
 			for i := 0; i < n; i++ {
 				cur[i] = geom.Pt(cur[i].X+step*grad[i], cur[i].Y+step*grad[n+i])
 			}
 			step /= 2
-			e = p.eval(cur, ds)
+			e = p.eval(cur, ds, math.Inf(1))
 			if step < 1e-15 {
 				break
 			}
 		}
 	}
-	return cur, append(history, e), iters
+	return cur, append(history, e), iters, e
 }

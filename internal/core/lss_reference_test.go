@@ -354,6 +354,118 @@ func (p *refLSSProblem) descendFixed(ws *scratch.Arena, start []geom.Point, cfg 
 	return cur, append(history, e), iters
 }
 
+// refEval is lssProblem's objective evaluation as it stood before it
+// computed measured separations in blocks and stopped at a bound: one pass
+// over the pairs, each separation recorded in ds as it is summed.
+func refEval(p *lssProblem, pos []geom.Point, ds []float64) float64 {
+	var e float64
+	for k, d0 := range p.dist {
+		d := pos[p.lo[k]].Dist(pos[p.hi[k]])
+		ds[k] = d
+		r := d - d0
+		e += p.w[k] * r * r
+	}
+	for k := len(p.dist); k < len(p.lo); k++ {
+		dx := pos[p.lo[k]].X - pos[p.hi[k]].X
+		dy := pos[p.lo[k]].Y - pos[p.hi[k]].Y
+		var d float64
+		if dx*dx+dy*dy > p.farSq {
+			d = math.Inf(1)
+		} else {
+			d = math.Hypot(dx, dy)
+		}
+		ds[k] = d
+		if d < p.dmin {
+			r := d - p.dmin
+			e += p.wd * r * r
+		}
+	}
+	return e
+}
+
+// TestLSSEvalBoundIdentical holds eval to refEval. Unbounded, it must return
+// the same value and record the same separations, bit for bit. Under a
+// finite bound it must return the full value whenever that is below the
+// bound, and otherwise something not below it, so a descent accepts and
+// rejects exactly the steps it did before. Inputs are random and true town
+// configurations at three coordinate scales (finite, subnormal and
+// overflowing squares), coincident points, and NaN and ±Inf coordinates,
+// with the soft constraint on and off.
+func TestLSSEvalBoundIdentical(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dep := deploy.Town(rng)
+		set, err := measure.Generate(dep, 22, measure.GaussianNoise, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := dep.N()
+		var inputs [][]geom.Point
+		inputs = append(inputs, dep.Positions)
+		for _, scale := range []float64{1, 1e-300, 1e300} {
+			for range 3 {
+				pos := make([]geom.Point, n)
+				for i := range pos {
+					pos[i] = geom.Pt(rng.Float64()*100*scale, rng.Float64()*100*scale)
+				}
+				inputs = append(inputs, pos)
+			}
+		}
+		coincident := slices.Clone(dep.Positions)
+		for i := 0; i+1 < n; i += 3 {
+			coincident[i+1] = coincident[i]
+		}
+		inputs = append(inputs, coincident, make([]geom.Point, n))
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			pos := slices.Clone(dep.Positions)
+			pos[rng.Intn(n)].X = bad
+			inputs = append(inputs, pos)
+		}
+		for _, dmin := range []float64{9, 0} {
+			prob := newLSSProblem(nil, set, DefaultLSSConfig(dmin))
+			want := make([]float64, len(prob.lo))
+			got := make([]float64, len(prob.lo))
+			// Separations are never negative, so -1 marks one eval left
+			// unwritten.
+			unwritten := func() {
+				for k := range got {
+					got[k] = -1
+				}
+			}
+			for in, pos := range inputs {
+				full := refEval(prob, pos, want)
+				unwritten()
+				if e := prob.eval(pos, got, math.Inf(1)); !same(e, full) {
+					t.Fatalf("seed %d dmin %v input %d: unbounded eval %v, want %v", seed, dmin, in, e, full)
+				}
+				for k := range want {
+					if !same(got[k], want[k]) {
+						t.Fatalf("seed %d dmin %v input %d: ds[%d] = %v, want %v", seed, dmin, in, k, got[k], want[k])
+					}
+				}
+				bounds := []float64{0, 1, 1e300, prob.weightedStress(pos, got, math.Inf(1))}
+				if !math.IsNaN(full) && !math.IsInf(full, 0) {
+					bounds = append(bounds, full, math.Nextafter(full, math.Inf(1)), math.Nextafter(full, 0),
+						0.1*full, 0.5*full, 0.9*full, 0.999*full, 2*full)
+				}
+				for _, bound := range bounds {
+					unwritten()
+					e := prob.eval(pos, got, bound)
+					switch {
+					case full < bound && !same(e, full):
+						t.Fatalf("seed %d dmin %v input %d bound %v: eval %v, want the full %v", seed, dmin, in, bound, e, full)
+					case full < bound && !slices.EqualFunc(got, want, same):
+						t.Fatalf("seed %d dmin %v input %d bound %v: separations differ from the unbounded ones", seed, dmin, in, bound)
+					case !(full < bound) && e < bound:
+						t.Fatalf("seed %d dmin %v input %d bound %v: eval %v is below the bound, full %v is not", seed, dmin, in, bound, e, full)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestLSSKernelBitIdentical solves town inputs with SolveLSSIn and with the
 // frozen kernel and requires every LSSResult field to match bit for bit,
 // over the default config, the unconstrained ablation, fixed stepping,

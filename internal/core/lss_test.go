@@ -9,6 +9,7 @@ import (
 	"resilientloc/internal/eval"
 	"resilientloc/internal/geom"
 	"resilientloc/internal/measure"
+	"resilientloc/internal/scratch"
 )
 
 func TestLSSConfigValidate(t *testing.T) {
@@ -323,5 +324,29 @@ func TestLSSCoincidentStartIsSafe(t *testing.T) {
 	}
 	if math.IsNaN(res.Error) {
 		t.Error("objective is NaN")
+	}
+}
+
+// TestLSSTownAllocCeiling holds a warmed town solve at the full
+// DefaultLSSConfig(9) budget to at most 9 heap allocations: the problem's
+// tables, every descent workspace and the MDS-MAP seed come from the arena,
+// so nothing is allocated per descent or per objective evaluation.
+func TestLSSTownAllocCeiling(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	set, err := measure.Generate(deploy.Town(rng), 22, measure.GaussianNoise, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultLSSConfig(9)
+	ws := scratch.New()
+	solve := func() {
+		if _, err := SolveLSSIn(ws, set, cfg, rand.New(rand.NewSource(47))); err != nil {
+			t.Fatal(err)
+		}
+		ws.Release()
+	}
+	// AllocsPerRun's own first call warms the arena.
+	if allocs := testing.AllocsPerRun(2, solve); allocs > 9 {
+		t.Errorf("warmed town solve made %v allocations, want ≤ 9", allocs)
 	}
 }

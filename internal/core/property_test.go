@@ -95,7 +95,7 @@ func TestPropertyLSSGradientMatchesFiniteDifference(t *testing.T) {
 				pts[i] = geom.Pt(rng.NormFloat64()*20, rng.NormFloat64()*20)
 			}
 			ds := make([]float64, len(prob.lo))
-			prob.eval(pts, ds)
+			prob.eval(pts, ds, math.Inf(1))
 			grad := make([]float64, 2*n)
 			prob.gradient(pts, ds, grad)
 			const h = 1e-6

@@ -31,9 +31,6 @@ func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 // Dot returns the dot product p · q.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
-// Cross returns the z-component of the 3-D cross product p × q.
-func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
-
 // Norm returns the Euclidean length of p.
 func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
@@ -84,18 +81,4 @@ func Centroid(pts []Point) Point {
 		c = c.Add(p)
 	}
 	return c.Scale(1 / float64(len(pts)))
-}
-
-// collinear reports whether points a, b, c are collinear within tolerance
-// tol, measured as the normalized triangle area. Degenerate (coincident)
-// points count as collinear.
-func collinear(a, b, c Point, tol float64) bool {
-	ab := b.Sub(a)
-	ac := c.Sub(a)
-	area := math.Abs(ab.Cross(ac))
-	scale := ab.Norm() * ac.Norm()
-	if scale == 0 {
-		return true
-	}
-	return area/scale < tol
 }

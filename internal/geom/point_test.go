@@ -54,9 +54,6 @@ func TestPointScalars(t *testing.T) {
 	if got := Pt(1, 2).Dot(Pt(3, 4)); !almostEq(got, 11, eps) {
 		t.Errorf("Dot = %v, want 11", got)
 	}
-	if got := Pt(1, 0).Cross(Pt(0, 1)); !almostEq(got, 1, eps) {
-		t.Errorf("Cross = %v, want 1", got)
-	}
 }
 
 func TestIsFinite(t *testing.T) {
@@ -80,27 +77,6 @@ func TestCentroid(t *testing.T) {
 	pts := []Point{Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)}
 	if got := Centroid(pts); !pointsAlmostEq(got, Pt(1, 1), eps) {
 		t.Errorf("Centroid = %v, want (1,1)", got)
-	}
-}
-
-func TestCollinear(t *testing.T) {
-	tests := []struct {
-		name    string
-		a, b, c Point
-		want    bool
-	}{
-		{"exactly collinear", Pt(0, 0), Pt(1, 1), Pt(2, 2), true},
-		{"coincident points", Pt(1, 1), Pt(1, 1), Pt(5, 5), true},
-		{"right angle", Pt(0, 0), Pt(1, 0), Pt(0, 1), false},
-		{"nearly collinear", Pt(0, 0), Pt(10, 0), Pt(20, 1e-6), true},
-		{"clearly off-line", Pt(0, 0), Pt(10, 0), Pt(5, 3), false},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := collinear(tc.a, tc.b, tc.c, 1e-3); got != tc.want {
-				t.Errorf("collinear = %v, want %v", got, tc.want)
-			}
-		})
 	}
 }
 

@@ -66,7 +66,7 @@ func (s *Set) N() int { return s.n }
 func (s *Set) Len() int { return len(s.m) }
 
 // Add inserts or replaces the measurement for pair (i, j). A non-positive
-// weight is promoted to 1.
+// weight is promoted to 1; a NaN or infinite distance or weight is an error.
 func (s *Set) Add(i, j int, distance, weight float64) error {
 	if i < 0 || i >= s.n || j < 0 || j >= s.n {
 		return fmt.Errorf("measure: Add: node index out of range (%d,%d) with n=%d", i, j, s.n)
@@ -76,6 +76,9 @@ func (s *Set) Add(i, j int, distance, weight float64) error {
 	}
 	if distance <= 0 || math.IsNaN(distance) || math.IsInf(distance, 0) {
 		return fmt.Errorf("measure: Add: invalid distance %v", distance)
+	}
+	if math.IsNaN(weight) || math.IsInf(weight, 0) {
+		return fmt.Errorf("measure: Add: invalid weight %v", weight)
 	}
 	if weight <= 0 {
 		weight = 1

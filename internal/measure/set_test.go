@@ -83,6 +83,21 @@ func TestSetAddErrors(t *testing.T) {
 	}
 }
 
+// TestSetAddRejectsNonFiniteWeight: one stored NaN or infinite weight would
+// make every LSS objective over the set non-finite, so Add refuses it and
+// leaves the set unchanged.
+func TestSetAddRejectsNonFiniteWeight(t *testing.T) {
+	s := mustSet(t, 3)
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := s.Add(0, 1, 5, w); err == nil {
+			t.Errorf("weight %v: want error", w)
+		}
+	}
+	if s.Len() != 0 {
+		t.Errorf("Len = %d after rejected adds, want 0", s.Len())
+	}
+}
+
 func TestSetNeighborsDegree(t *testing.T) {
 	s := mustSet(t, 5)
 	_ = s.Add(0, 1, 1, 1)
