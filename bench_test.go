@@ -630,17 +630,7 @@ func BenchmarkTrialMultilateration(b *testing.B) {
 // seed 1: its random stream first draws a town and its ranges, then the
 // grid's anchors and ranges.
 func BenchmarkTrialMultilaterationGrid(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := measure.Generate(deploy.Town(rng), 22, measure.GaussianNoise, rng); err != nil {
-		b.Fatal(err)
-	}
-	dep, err := deploy.OffsetGrid(14, 14, 9, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := dep.ChooseRandomAnchors(dep.N()/10, rng); err != nil {
-		b.Fatal(err)
-	}
+	dep, rng := benchGridDeployment(b)
 	set, err := measure.Generate(dep, 22, measure.GaussianNoise, rng)
 	if err != nil {
 		b.Fatal(err)
@@ -664,6 +654,40 @@ func BenchmarkTrialMultilaterationGrid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		trial()
 	}
+}
+
+// BenchmarkTrialGenerateGrid measures the range generation of
+// BenchmarkTrialMultilaterationGrid's input: measure.Generate over the
+// 14×14 offset grid with ranges within 22 m, building the measurement set
+// every multilateration grid trial starts from.
+func BenchmarkTrialGenerateGrid(b *testing.B) {
+	dep, rng := benchGridDeployment(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := measure.Generate(dep, 22, measure.GaussianNoise, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchGridDeployment returns the 14×14 offset grid (9/10 m spacing) with
+// its 19 random anchors, and the random stream positioned where locbench's
+// core probe at seed 1 draws the grid's ranges: after a town and its ranges,
+// then the grid's anchors.
+func benchGridDeployment(b *testing.B) (*deploy.Deployment, *rand.Rand) {
+	rng := rand.New(rand.NewSource(1))
+	if _, err := measure.Generate(deploy.Town(rng), 22, measure.GaussianNoise, rng); err != nil {
+		b.Fatal(err)
+	}
+	dep, err := deploy.OffsetGrid(14, 14, 9, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := dep.ChooseRandomAnchors(dep.N()/10, rng); err != nil {
+		b.Fatal(err)
+	}
+	return dep, rng
 }
 
 // BenchmarkLSSSolverScaling measures raw solver cost versus network size on

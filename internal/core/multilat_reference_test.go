@@ -437,6 +437,36 @@ func TestFilterConsistentMatchesReferenceIdentical(t *testing.T) {
 			}
 		}
 	}
+	// Large sets with exact ties, on their own stream so the cases above
+	// stay as they are: 10 to 18 observations give up to about 300
+	// intersection points, the grid's tail and the sweep sort's worst case.
+	// A duplicated anchor (same position and range) repeats every
+	// intersection point of its twin exactly, and anchors sharing a Y
+	// coordinate give intersection points with equal X.
+	big := rand.New(rand.NewSource(16))
+	for trial := 0; trial < trials/10; trial++ {
+		truth := geom.Pt(big.Float64()*20, big.Float64()*20)
+		obs := make([]anchorObs, 10+big.Intn(9))
+		for i := range obs {
+			a := geom.Pt(big.Float64()*40-10, big.Float64()*40-10)
+			d := truth.Dist(a) + big.NormFloat64()*0.5
+			if big.Intn(5) == 0 {
+				d += 5 + big.Float64()*10
+			}
+			obs[i] = anchorObs{pos: a, d: math.Abs(d) + 0.01, weight: 1}
+		}
+		for k := 1 + big.Intn(3); k > 0; k-- {
+			src, dst := big.Intn(len(obs)), big.Intn(len(obs))
+			if big.Intn(2) == 0 {
+				obs[dst] = obs[src]
+			} else {
+				obs[dst].pos.Y = obs[src].pos.Y
+			}
+		}
+		for _, radius := range []float64{0.25, 1, 3, math.Inf(1)} {
+			check(trials+trial, obs, radius)
+		}
+	}
 }
 
 // TestDiskWithinMatchesHypotIdentical checks the within helper against the

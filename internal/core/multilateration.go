@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -373,8 +372,16 @@ func filterConsistentIn(w *mlWorkspace, obs []anchorObs, radius float64) []ancho
 	for i, pt := range pts {
 		order[i] = sweepPt{x: pt.p.X, y: pt.p.Y, pair: int32(pt.a*len(obs) + pt.b), i: int32(i)}
 	}
-	// cmp.Compare orders NaN before every number, so the order is total.
-	slices.SortFunc(order, func(a, b sweepPt) int { return cmp.Compare(a.x, b.x) })
+	// Insertion sort by x in cmp.Compare's order, NaN first, which is total.
+	// Ties may land in any order (see above).
+	for k := 1; k < np; k++ {
+		q := order[k]
+		j := k
+		for ; j > 0 && (q.x < order[j-1].x || q.x != q.x && order[j-1].x == order[j-1].x); j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = q
+	}
 	for k, q := range order {
 		rank[q.i] = int32(k)
 	}
@@ -402,7 +409,13 @@ func filterConsistentIn(w *mlWorkspace, obs []anchorObs, radius float64) []ancho
 				if math.Abs(dx) > radius {
 					break
 				}
-				if seen[q.pair] != gen && near.within(dx, py-q.y) {
+				if seen[q.pair] == gen {
+					continue
+				}
+				// within is too big to inline; decide the clear cases of
+				// its band test here and call it only inside the band.
+				dy := py - q.y
+				if s := dx*dx + dy*dy; s < near.lo || !(s > near.hi) && near.within(dx, dy) {
 					seen[q.pair] = gen
 					support++
 				}

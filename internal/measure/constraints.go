@@ -70,6 +70,11 @@ func FilterKnownDistances(s *Set, allowed []float64, tol float64, action Constra
 	default:
 		return 0, errors.New("measure: FilterKnownDistances: invalid action")
 	}
+	if action == ConstraintDrop {
+		return s.retain(func(_ int, m Measurement) bool {
+			return math.Abs(nearestSorted(allowed, m.Distance)-m.Distance) <= tol
+		}), nil
+	}
 	affected := 0
 	for _, m := range s.All() {
 		nearest := nearestSorted(allowed, m.Distance)
@@ -78,8 +83,6 @@ func FilterKnownDistances(s *Set, allowed []float64, tol float64, action Constra
 		}
 		affected++
 		switch action {
-		case ConstraintDrop:
-			s.Remove(m.Pair.Lo, m.Pair.Hi)
 		case ConstraintSnap:
 			if err := s.Add(m.Pair.Lo, m.Pair.Hi, nearest, m.Weight); err != nil {
 				return affected, err

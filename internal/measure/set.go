@@ -10,8 +10,10 @@ package measure
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"resilientloc/internal/deploy"
@@ -45,10 +47,17 @@ type Measurement struct {
 
 // Set is an undirected sparse collection of distance measurements, the input
 // to every localization algorithm.
+//
+// The measurements live in one insertion-ordered slice. While every Add has
+// arrived in strictly ascending pair order (Lo, then Hi), as Generate and
+// the other builders that loop i < j add them, the slice is sorted and Get
+// and Remove binary-search it. The first Add out of that order builds a
+// position index, which the set keeps from then on. Reads never write, so
+// a Set is safe to read from many goroutines.
 type Set struct {
-	n  int
-	m  map[Pair]Measurement
-	ks []Pair // insertion-ordered keys for deterministic iteration
+	n   int
+	ms  []Measurement
+	pos map[Pair]int // ms index of each pair; nil while ms is sorted by pair
 }
 
 // NewSet creates an empty measurement set over n nodes (indices 0..n-1).
@@ -56,14 +65,37 @@ func NewSet(n int) (*Set, error) {
 	if n <= 0 {
 		return nil, errors.New("measure: NewSet: need positive node count")
 	}
-	return &Set{n: n, m: make(map[Pair]Measurement)}, nil
+	return &Set{n: n}, nil
 }
 
 // N returns the number of nodes the set spans.
 func (s *Set) N() int { return s.n }
 
 // Len returns the number of measured pairs.
-func (s *Set) Len() int { return len(s.m) }
+func (s *Set) Len() int { return len(s.ms) }
+
+// pairLess orders pairs by Lo, then Hi.
+func pairLess(a, b Pair) bool {
+	return a.Lo < b.Lo || a.Lo == b.Lo && a.Hi < b.Hi
+}
+
+// find returns the index in ms of pair p and whether p is present.
+func (s *Set) find(p Pair) (int, bool) {
+	if s.pos != nil {
+		k, ok := s.pos[p]
+		return k, ok
+	}
+	k := sort.Search(len(s.ms), func(k int) bool { return !pairLess(s.ms[k].Pair, p) })
+	return k, k < len(s.ms) && s.ms[k].Pair == p
+}
+
+// index rebuilds the position index from ms.
+func (s *Set) index() {
+	s.pos = make(map[Pair]int, len(s.ms)+1)
+	for k, m := range s.ms {
+		s.pos[m.Pair] = k
+	}
+}
 
 // Add inserts or replaces the measurement for pair (i, j). A non-positive
 // weight is promoted to 1; a NaN or infinite distance or weight is an error.
@@ -83,53 +115,79 @@ func (s *Set) Add(i, j int, distance, weight float64) error {
 	if weight <= 0 {
 		weight = 1
 	}
-	p := MkPair(i, j)
-	if _, exists := s.m[p]; !exists {
-		s.ks = append(s.ks, p)
+	m := Measurement{Pair: MkPair(i, j), Distance: distance, Weight: weight}
+	if s.pos == nil && (len(s.ms) == 0 || pairLess(s.ms[len(s.ms)-1].Pair, m.Pair)) {
+		s.ms = append(s.ms, m)
+		return nil
 	}
-	s.m[p] = Measurement{Pair: p, Distance: distance, Weight: weight}
+	if k, ok := s.find(m.Pair); ok {
+		s.ms[k] = m
+		return nil
+	}
+	if s.pos == nil {
+		s.index()
+	}
+	s.pos[m.Pair] = len(s.ms)
+	s.ms = append(s.ms, m)
 	return nil
 }
 
 // Get returns the measurement for (i, j) and whether it exists.
 func (s *Set) Get(i, j int) (Measurement, bool) {
-	m, ok := s.m[MkPair(i, j)]
-	return m, ok
+	if k, ok := s.find(MkPair(i, j)); ok {
+		return s.ms[k], true
+	}
+	return Measurement{}, false
 }
 
 // Remove deletes the measurement for (i, j) if present.
 func (s *Set) Remove(i, j int) {
 	p := MkPair(i, j)
-	if _, ok := s.m[p]; !ok {
+	k, ok := s.find(p)
+	if !ok {
 		return
 	}
-	delete(s.m, p)
-	for k, q := range s.ks {
-		if q == p {
-			s.ks = append(s.ks[:k], s.ks[k+1:]...)
-			break
+	s.ms = slices.Delete(s.ms, k, k+1)
+	if s.pos != nil {
+		delete(s.pos, p)
+		for ; k < len(s.ms); k++ {
+			s.pos[s.ms[k].Pair] = k
 		}
 	}
 }
 
+// retain keeps, in one pass and in their order, the measurements for which
+// keep(k, m) is true, k being m's position in insertion order. It returns
+// how many it dropped.
+func (s *Set) retain(keep func(k int, m Measurement) bool) int {
+	out := s.ms[:0]
+	for k, m := range s.ms {
+		if keep(k, m) {
+			out = append(out, m)
+		}
+	}
+	dropped := len(s.ms) - len(out)
+	s.ms = out
+	if s.pos != nil {
+		s.index()
+	}
+	return dropped
+}
+
 // All returns every measurement in insertion order.
 func (s *Set) All() []Measurement {
-	out := make([]Measurement, 0, len(s.m))
-	for _, p := range s.ks {
-		out = append(out, s.m[p])
-	}
-	return out
+	return append(make([]Measurement, 0, len(s.ms)), s.ms...)
 }
 
 // Neighbors returns the nodes with a measurement to i, ascending.
 func (s *Set) Neighbors(i int) []int {
 	var out []int
-	for _, p := range s.ks {
+	for _, m := range s.ms {
 		switch i {
-		case p.Lo:
-			out = append(out, p.Hi)
-		case p.Hi:
-			out = append(out, p.Lo)
+		case m.Pair.Lo:
+			out = append(out, m.Pair.Hi)
+		case m.Pair.Hi:
+			out = append(out, m.Pair.Lo)
 		}
 	}
 	sort.Ints(out)
@@ -142,14 +200,14 @@ func (s *Set) AvgDegree() float64 {
 	if s.n == 0 {
 		return 0
 	}
-	return 2 * float64(len(s.m)) / float64(s.n)
+	return 2 * float64(len(s.ms)) / float64(s.n)
 }
 
 // Clone returns a deep copy.
 func (s *Set) Clone() *Set {
-	c := &Set{n: s.n, m: make(map[Pair]Measurement, len(s.m)), ks: append([]Pair(nil), s.ks...)}
-	for k, v := range s.m {
-		c.m[k] = v
+	c := &Set{n: s.n, ms: slices.Clone(s.ms)}
+	if s.pos != nil {
+		c.pos = maps.Clone(s.pos)
 	}
 	return c
 }
@@ -174,8 +232,8 @@ func (s *Set) Connected() bool {
 		return v
 	}
 	components := s.n
-	for _, p := range s.ks {
-		if a, b := find(p.Lo), find(p.Hi); a != b {
+	for _, m := range s.ms {
+		if a, b := find(m.Pair.Lo), find(m.Pair.Hi); a != b {
 			root[a] = b
 			components--
 		}
@@ -189,10 +247,9 @@ func (s *Set) Errors(dep *deploy.Deployment) ([]float64, error) {
 	if dep.N() != s.n {
 		return nil, fmt.Errorf("measure: Errors: deployment has %d nodes, set has %d", dep.N(), s.n)
 	}
-	out := make([]float64, 0, len(s.m))
-	for _, p := range s.ks {
-		m := s.m[p]
-		truth := dep.Positions[p.Lo].Dist(dep.Positions[p.Hi])
+	out := make([]float64, 0, len(s.ms))
+	for _, m := range s.ms {
+		truth := dep.Positions[m.Pair.Lo].Dist(dep.Positions[m.Pair.Hi])
 		out = append(out, m.Distance-truth)
 	}
 	return out, nil
@@ -453,9 +510,16 @@ func Sparsify(s *Set, keep int, rng *rand.Rand) {
 	if keep >= s.Len() {
 		return
 	}
-	pairs := append([]Pair(nil), s.ks...)
-	rng.Shuffle(len(pairs), func(a, b int) { pairs[a], pairs[b] = pairs[b], pairs[a] })
-	for _, p := range pairs[keep:] {
-		s.Remove(p.Lo, p.Hi)
+	// Drop, in one pass, the measurements a shuffle of their positions puts
+	// past keep.
+	order := make([]int, s.Len())
+	for k := range order {
+		order[k] = k
 	}
+	rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+	drop := make([]bool, len(order))
+	for _, k := range order[keep:] {
+		drop[k] = true
+	}
+	s.retain(func(k int, _ Measurement) bool { return !drop[k] })
 }
