@@ -573,6 +573,13 @@ func BenchmarkTrialLSSTown(b *testing.B) {
 	benchTrialLSS(b, core.DefaultLSSConfig(9))
 }
 
+// BenchmarkTrialLSSFree is BenchmarkTrialLSSTown with the soft constraint
+// off, DefaultLSSConfig(0): the Figure 19/22 ablation, which has no soft
+// pairs and so nothing for the near list to track.
+func BenchmarkTrialLSSFree(b *testing.B) {
+	benchTrialLSS(b, core.DefaultLSSConfig(0))
+}
+
 func benchTrialLSS(b *testing.B, cfg core.LSSConfig) {
 	rng := rand.New(rand.NewSource(43))
 	dep := deploy.Town(rng)

@@ -99,6 +99,14 @@ func DefaultLSSConfig(dmin float64) LSSConfig {
 
 // Validate checks the configuration.
 func (c LSSConfig) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"DMin", c.DMin}, {"WD", c.WD}, {"Step", c.Step}, {"Tol", c.Tol}, {"PerturbStd", c.PerturbStd}, {"InitSpread", c.InitSpread}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: non-finite %s %v", f.name, f.v)
+		}
+	}
 	switch {
 	case c.DMin < 0:
 		return errors.New("core: negative DMin")
@@ -288,6 +296,15 @@ type lssProblem struct {
 	// it is beyond dmin by far more than any rounding in that sum or in
 	// Hypot, so Hypot(dx, dy) ≥ dmin and the pair adds nothing to E or ∇E.
 	farSq float64
+	// near is a Verlet list (Verlet, Phys. Rev. 159, 98, 1967) of the soft
+	// pairs: the ascending indices k whose computed dx²+dy² was not above
+	// nearSq = (dmin+skin)² at the positions ref, with skin = dmin/3. eval
+	// rebuilds it once any node has moved 0.49·skin or more from ref, whose
+	// square is moveSq (see refreshNear), and eval and gradient walk only
+	// the listed pairs.
+	near           []int
+	ref            []geom.Point
+	nearSq, moveSq float64
 	// Descent workspaces, shared by every descent of the solve: two points
 	// and their pair separations, which descend swaps on each accepted step,
 	// and the gradient.
@@ -338,6 +355,20 @@ func newLSSProblem(ws *scratch.Arena, set *measure.Set, cfg LSSConfig) *lssProbl
 			}
 		}
 	}
+	skin := p.dmin / 3
+	p.nearSq = (p.dmin + skin) * (p.dmin + skin)
+	p.moveSq = 0.49 * skin * 0.49 * skin
+	if p.moveSq < 0x1p-900 {
+		// Squares this close to the subnormal range lose the relative
+		// precision refreshNear's margin argument rests on: rebuild at
+		// every eval instead.
+		p.moveSq = 0
+	}
+	p.near = ws.IntCap(len(p.lo) - m)
+	p.ref = ws.Points(n)
+	for i := range p.ref {
+		p.ref[i] = geom.Pt(math.NaN(), math.NaN()) // the first eval rebuilds
+	}
 	p.cur = ws.Points(n)
 	p.next = ws.Points(n)
 	p.curDs = ws.Float64s(len(p.lo))
@@ -375,9 +406,11 @@ func (p *lssProblem) objective(pos []geom.Point) float64 {
 	return p.eval(pos, p.nextDs, math.Inf(1))
 }
 
-// eval computes the full E including soft-constraint terms and records every
-// pair's separation in ds for gradient at the same pos. A soft pair the farSq
-// test puts beyond dmin is recorded as +Inf.
+// eval computes the full E including soft-constraint terms and records in ds,
+// for gradient at the same pos, the separation of every measured pair and of
+// every soft pair on the near list. A listed soft pair the farSq test puts
+// beyond dmin is recorded as +Inf; an unlisted one is beyond dmin too (see
+// refreshNear), and its ds entry is neither written nor read.
 //
 // A finite bound lets eval stop as soon as the partial sum reaches it, and
 // return that partial sum: every term is w·r² or wd·r² with a positive
@@ -391,7 +424,10 @@ func (p *lssProblem) eval(pos []geom.Point, ds []float64, bound float64) float64
 	if bounded && e >= bound {
 		return e
 	}
-	for k := len(p.dist); k < len(p.lo); k++ {
+	if len(p.lo) > len(p.dist) {
+		p.refreshNear(pos)
+	}
+	for _, k := range p.near {
 		dx := pos[p.lo[k]].X - pos[p.hi[k]].X
 		dy := pos[p.lo[k]].Y - pos[p.hi[k]].Y
 		var d float64
@@ -410,6 +446,55 @@ func (p *lssProblem) eval(pos []geom.Point, ds []float64, bound float64) float64
 		}
 	}
 	return e
+}
+
+// maxNearCoord bounds the coordinates whose pair differences rebuildNear
+// squares: up to 2^500, no dx²+dy² can overflow.
+const maxNearCoord = 0x1p500
+
+// refreshNear rebuilds the near list at pos unless every node is still less
+// than 0.49·skin from ref; a NaN or infinite move fails that test too.
+//
+// The margin argument: an unlisted pair was more than dmin+skin apart at ref
+// and both of its nodes have since moved less than 0.49·skin, so it is still
+// more than dmin + 0.02·skin = dmin·(1+1/150) apart. Every quantity compared
+// is a square computed to a few ulps of relative error, so its dx²+dy² is
+// above 1.013·dmin² and far above farSq whatever the rounding, and it adds
+// nothing to E or ∇E, exactly as when every soft pair was walked. A rebuild
+// at a position with a non-finite coordinate, or one large enough for a
+// square to overflow, lists every soft pair, so the argument never has to
+// cover them and there is still only one soft-pair loop.
+func (p *lssProblem) refreshNear(pos []geom.Point) {
+	for i, r := range p.ref {
+		dx := pos[i].X - r.X
+		dy := pos[i].Y - r.Y
+		if !(dx*dx+dy*dy < p.moveSq) {
+			p.rebuildNear(pos)
+			return
+		}
+	}
+}
+
+// rebuildNear lists, ascending, the soft pairs whose computed dx²+dy² at pos
+// is not above nearSq, or every soft pair if a coordinate is beyond
+// maxNearCoord or non-finite, and makes pos the new ref.
+func (p *lssProblem) rebuildNear(pos []geom.Point) {
+	copy(p.ref, pos)
+	all := false
+	for _, q := range pos {
+		if !(math.Abs(q.X) <= maxNearCoord && math.Abs(q.Y) <= maxNearCoord) {
+			all = true
+			break
+		}
+	}
+	p.near = p.near[:0]
+	for k := len(p.dist); k < len(p.lo); k++ {
+		dx := pos[p.lo[k]].X - pos[p.hi[k]].X
+		dy := pos[p.lo[k]].Y - pos[p.hi[k]].Y
+		if all || dx*dx+dy*dy <= p.nearSq {
+			p.near = append(p.near, k)
+		}
+	}
 }
 
 // weightedStress computes Ew = Σ wij (‖pi−pj‖ − dij)² over the measured
@@ -448,7 +533,11 @@ func (p *lssProblem) weightedStress(pos []geom.Point, ds []float64, bound float6
 }
 
 // gradient writes ∇E at pos into grad (len 2n: x components then y
-// components). ds must hold the separations eval recorded at the same pos.
+// components). ds must hold the separations eval recorded at the same pos,
+// and that eval must be the last one: gradient walks the near list it
+// walked, so it reads exactly the soft separations it wrote. descend calls
+// gradient only right after the initial or an accepting full eval, and
+// descendFixed right after its own eval.
 func (p *lssProblem) gradient(pos []geom.Point, ds, grad []float64) {
 	clear(grad)
 	n := p.n
@@ -466,7 +555,7 @@ func (p *lssProblem) gradient(pos []geom.Point, ds, grad []float64) {
 		grad[n+i] += g * dy
 		grad[n+j] -= g * dy
 	}
-	for k := m; k < len(ds); k++ {
+	for _, k := range p.near {
 		d := ds[k]
 		if d >= p.dmin || d < minSeparation {
 			continue

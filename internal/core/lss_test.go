@@ -32,6 +32,44 @@ func TestLSSConfigValidate(t *testing.T) {
 	}
 }
 
+// TestLSSConfigValidateRejectsNonFinite: NaN and ±Inf in any float field
+// must fail Validate, in LSSConfig itself and through DistributedConfig's
+// Local, and SolveLSS must refuse such a config rather than return NaN or
+// infinite results.
+func TestLSSConfigValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(c *LSSConfig, v float64)
+	}{
+		{"DMin", func(c *LSSConfig, v float64) { c.DMin = v }},
+		{"WD", func(c *LSSConfig, v float64) { c.WD = v }},
+		{"Step", func(c *LSSConfig, v float64) { c.Step = v }},
+		{"Tol", func(c *LSSConfig, v float64) { c.Tol = v }},
+		{"PerturbStd", func(c *LSSConfig, v float64) { c.PerturbStd = v }},
+		{"InitSpread", func(c *LSSConfig, v float64) { c.InitSpread = v }},
+	}
+	s, _ := measure.NewSet(3)
+	_ = s.Add(0, 1, 5, 1)
+	_ = s.Add(1, 2, 5, 1)
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultLSSConfig(9)
+			f.set(&cfg, v)
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("%s = %v: Validate accepted it", f.name, v)
+			}
+			dcfg := DefaultDistributedConfig(0, 9)
+			f.set(&dcfg.Local, v)
+			if err := dcfg.Validate(); err == nil {
+				t.Errorf("%s = %v: DistributedConfig.Validate accepted it", f.name, v)
+			}
+			if _, err := SolveLSS(s, cfg, rand.New(rand.NewSource(1))); err == nil {
+				t.Errorf("%s = %v: SolveLSS returned no error", f.name, v)
+			}
+		}
+	}
+}
+
 func TestSolveLSSInputErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s, _ := measure.NewSet(5)
