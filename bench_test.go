@@ -607,28 +607,7 @@ func benchTrialLSS(b *testing.B, cfg core.LSSConfig) {
 // town deployment.
 func BenchmarkTrialMultilateration(b *testing.B) {
 	rng := rand.New(rand.NewSource(53))
-	dep := deploy.Town(rng)
-	set, err := measure.Generate(dep, 22, measure.GaussianNoise, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	anchors := make(map[int]geom.Point, len(dep.Anchors))
-	for _, a := range dep.Anchors {
-		anchors[a] = dep.Positions[a]
-	}
-	ws := scratch.New()
-	trial := func() {
-		if _, err := core.SolveMultilaterationIn(ws, set, anchors, core.DefaultMultilatConfig()); err != nil {
-			b.Fatal(err)
-		}
-		ws.Release()
-	}
-	trial() // warm the arena so allocs/op reports the steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		trial()
-	}
+	benchMultilat(b, deploy.Town(rng), rng, core.DefaultMultilatConfig())
 }
 
 // BenchmarkTrialMultilaterationGrid measures one progressive
@@ -637,7 +616,31 @@ func BenchmarkTrialMultilateration(b *testing.B) {
 // seed 1: its random stream first draws a town and its ranges, then the
 // grid's anchors and ranges.
 func BenchmarkTrialMultilaterationGrid(b *testing.B) {
-	dep, rng := benchGridDeployment(b)
+	dep, rng := benchGridDeployment(b, 19)
+	benchMultilat(b, dep, rng, benchProgressive())
+}
+
+// BenchmarkTrialMultilaterationDense is BenchmarkTrialMultilaterationGrid
+// with 150 of the grid's 196 nodes as anchors. Its consistency checks sort
+// 130 intersection points on average (46 calls, 31 of them at 100 points or
+// more, at most 263), the large calls that carry most of a sparse grid
+// solve's sweep work.
+func BenchmarkTrialMultilaterationDense(b *testing.B) {
+	dep, rng := benchGridDeployment(b, 150)
+	benchMultilat(b, dep, rng, benchProgressive())
+}
+
+// benchProgressive is the paper's multilateration configuration with the
+// progressive extension on.
+func benchProgressive() core.MultilatConfig {
+	cfg := core.DefaultMultilatConfig()
+	cfg.Progressive = true
+	return cfg
+}
+
+// benchMultilat draws dep's ranges within 22 m from rng and measures one
+// warmed multilateration solve of them with cfg per iteration.
+func benchMultilat(b *testing.B, dep *deploy.Deployment, rng *rand.Rand, cfg core.MultilatConfig) {
 	set, err := measure.Generate(dep, 22, measure.GaussianNoise, rng)
 	if err != nil {
 		b.Fatal(err)
@@ -646,8 +649,6 @@ func BenchmarkTrialMultilaterationGrid(b *testing.B) {
 	for _, a := range dep.Anchors {
 		anchors[a] = dep.Positions[a]
 	}
-	cfg := core.DefaultMultilatConfig()
-	cfg.Progressive = true
 	ws := scratch.New()
 	trial := func() {
 		if _, err := core.SolveMultilaterationIn(ws, set, anchors, cfg); err != nil {
@@ -668,7 +669,7 @@ func BenchmarkTrialMultilaterationGrid(b *testing.B) {
 // 14×14 offset grid with ranges within 22 m, building the measurement set
 // every multilateration grid trial starts from.
 func BenchmarkTrialGenerateGrid(b *testing.B) {
-	dep, rng := benchGridDeployment(b)
+	dep, rng := benchGridDeployment(b, 19)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -679,10 +680,10 @@ func BenchmarkTrialGenerateGrid(b *testing.B) {
 }
 
 // benchGridDeployment returns the 14×14 offset grid (9/10 m spacing) with
-// its 19 random anchors, and the random stream positioned where locbench's
-// core probe at seed 1 draws the grid's ranges: after a town and its ranges,
-// then the grid's anchors.
-func benchGridDeployment(b *testing.B) (*deploy.Deployment, *rand.Rand) {
+// the given number of random anchors, and the random stream positioned where
+// locbench's core probe at seed 1 draws the grid's ranges when anchors is
+// 19: after a town and its ranges, then the grid's anchors.
+func benchGridDeployment(b *testing.B, anchors int) (*deploy.Deployment, *rand.Rand) {
 	rng := rand.New(rand.NewSource(1))
 	if _, err := measure.Generate(deploy.Town(rng), 22, measure.GaussianNoise, rng); err != nil {
 		b.Fatal(err)
@@ -691,7 +692,7 @@ func benchGridDeployment(b *testing.B) (*deploy.Deployment, *rand.Rand) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := dep.ChooseRandomAnchors(dep.N()/10, rng); err != nil {
+	if err := dep.ChooseRandomAnchors(anchors, rng); err != nil {
 		b.Fatal(err)
 	}
 	return dep, rng

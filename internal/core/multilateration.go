@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"resilientloc/internal/geom"
@@ -60,8 +61,10 @@ func (c MultilatConfig) Validate() error {
 	switch {
 	case c.MinAnchors < 3:
 		return errors.New("core: MinAnchors must be at least 3")
-	case c.ConsistencyRadius < 0:
-		return errors.New("core: negative ConsistencyRadius")
+	case !(c.ConsistencyRadius >= 0) || math.IsInf(c.ConsistencyRadius, 1):
+		// A NaN radius would switch the check off silently (NaN > 0 is
+		// false).
+		return errors.New("core: ConsistencyRadius must be finite and non-negative")
 	case c.MaxIters <= 0:
 		return errors.New("core: non-positive MaxIters")
 	case c.UseIntersectionMode && c.MinModeAnchors < 3:
@@ -113,27 +116,27 @@ type fix struct {
 	pos  geom.Point
 }
 
-// sweepPt is an intersection point in the X-sorted order of the consistency
-// check's sweep: its coordinates, its pair's key a*len(obs)+b, and its index
-// in the unsorted points.
+// sweepPt is an intersection point in the X-sorted order of the sweep: its
+// coordinates and its index in the unsorted points.
 type sweepPt struct {
-	x, y    float64
-	pair, i int32
+	x, y float64
+	i    int32
 }
 
 // mlWorkspace holds the reusable buffers of a multilateration solve. It is
 // stashed in the trial arena (surviving Release) so repeated trials on one
 // shard reuse the same storage. The zero value is ready to use.
 type mlWorkspace struct {
-	adj   []nbr // CSR-style flat adjacency, segments sorted by neighbor
-	obs   []anchorObs
-	fixes []fix
-	pts   []ipt
-	order []sweepPt // the points of pts sorted by X
-	rank  []int32   // rank[x] is the position of point x in order
-	seen  []int     // generation stamps: pair a*len(obs)+b already counted
-	gen   int
-	keep  []bool
+	adj     []nbr // CSR-style flat adjacency, segments sorted by neighbor
+	obs     []anchorObs
+	fixes   []fix
+	pts     []ipt
+	order   []sweepPt // the points of pts sorted by X
+	rank    []int32   // rank[x] is the position of point x in order
+	rows    []uint64  // the sweep's near rows, one per rank (see sweep)
+	words   int       // words per row
+	support []int32   // support[x] is the support of point x of pts
+	keep    []bool
 }
 
 func multilatWS(ws *scratch.Arena) *mlWorkspace {
@@ -332,18 +335,14 @@ func filterConsistent(obs []anchorObs, radius float64) []anchorObs {
 //
 // A point's support is the number of distinct circle pairs contributing a
 // point within radius of it (the "mode of the intersection points" the
-// paper mentions). The support search sorts the points by X once and, for
-// each point x, visits only the window of the sorted order around x whose
-// points y satisfy |x.X − y.X| ≤ radius. The window is exact, not a
-// heuristic: Hypot(dx, dy) ≥ |dx| in floating point as in exact arithmetic,
-// so no point outside it is within radius, and the rounded difference
-// x.X − y.X is monotone in y.X, so the points satisfying the bound are
-// contiguous in the sorted order. The walk stops at the first point
-// violating it; a NaN difference never stops it. Because support counts
-// distinct pairs, it does not depend on the order the window is visited in,
-// and the first point of maximal support, in the original order, is the
-// center, as in an all-pairs scan. The search ends early once a point is
-// supported by every contributing pair, since no later point can beat it.
+// paper mentions), and the center is the first point of largest support in
+// pts order. Both come from the sweep's near rows. Intersect2 yields at most
+// two points per circle pair, so the number of distinct pairs near x is the
+// number of points near x (the popcount of x's row) minus the number of
+// pairs with both points near x. A pair's two points are adjacent in pts,
+// and the points near both are the AND of their rows, so each such pair
+// takes one off the support of every point in that AND. The kept anchors
+// are those of the points in the center's row.
 //
 // Working storage comes from w, and the surviving observations are
 // compacted in place, so the returned slice aliases obs (the write index
@@ -355,90 +354,50 @@ func filterConsistentIn(w *mlWorkspace, obs []anchorObs, radius float64) []ancho
 	}
 	// Allow near-miss circles to produce a midpoint: measurement error often
 	// separates circles that should intersect.
-	pts, pairs := intersections(w, obs, radius/2)
+	pts := intersections(w, obs, radius/2)
 	if len(pts) == 0 {
 		// Degenerate: no circles intersect at all; fall back to the
 		// unfiltered set rather than discarding everything (the paper keeps
 		// suspicious measurements when data is scarce).
 		return obs
 	}
+	w.sweep(pts, radius)
 
 	np := len(pts)
-	if cap(w.order) < np {
-		w.order = make([]sweepPt, np)
-		w.rank = make([]int32, np)
+	if cap(w.support) < np {
+		w.support = make([]int32, np)
 	}
-	order, rank := w.order[:np], w.rank[:np]
-	for i, pt := range pts {
-		order[i] = sweepPt{x: pt.p.X, y: pt.p.Y, pair: int32(pt.a*len(obs) + pt.b), i: int32(i)}
+	support := w.support[:np]
+	for x := range support {
+		support[x] = int32(popcount(w.row(x)))
 	}
-	// Insertion sort by x in cmp.Compare's order, NaN first, which is total.
-	// Ties may land in any order (see above).
-	for k := 1; k < np; k++ {
-		q := order[k]
-		j := k
-		for ; j > 0 && (q.x < order[j-1].x || q.x != q.x && order[j-1].x == order[j-1].x); j-- {
-			order[j] = order[j-1]
+	for x := 1; x < np; x++ {
+		if pts[x].a != pts[x-1].a || pts[x].b != pts[x-1].b {
+			continue
 		}
-		order[j] = q
-	}
-	for k, q := range order {
-		rank[q.i] = int32(k)
-	}
-
-	// seen[a*len(obs)+b] == gen marks pair (a, b) as already counted toward
-	// the current point's support.
-	if need := len(obs) * len(obs); cap(w.seen) < need {
-		w.seen = make([]int, need)
-		w.gen = 0
-	}
-	seen := w.seen[:len(obs)*len(obs)]
-	gen := w.gen
-	near := newDisk(radius)
-	bestIdx, bestSupport := 0, -1
-	for x := range pts {
-		px, py := pts[x].p.X, pts[x].p.Y
-		support := 0
-		gen++
-		// Walk down the sorted order from x itself, then up from the point
-		// after it, each until the window ends.
-		for _, step := range [2]int{-1, 1} {
-			for k := int(rank[x]) + max(step, 0); k >= 0 && k < np; k += step {
-				q := &order[k]
-				dx := px - q.x
-				if math.Abs(dx) > radius {
-					break
-				}
-				if seen[q.pair] == gen {
-					continue
-				}
-				// within is too big to inline; decide the clear cases of
-				// its band test here and call it only inside the band.
-				dy := py - q.y
-				if s := dx*dx + dy*dy; s < near.lo || !(s > near.hi) && near.within(dx, dy) {
-					seen[q.pair] = gen
-					support++
-				}
+		r0, r1 := w.row(x-1), w.row(x)
+		for i := range r0 {
+			for m := r0[i] & r1[i]; m != 0; m &= m - 1 {
+				support[w.order[i<<6|bits.TrailingZeros64(m)].i]--
 			}
 		}
-		if support > bestSupport {
-			bestSupport = support
+	}
+	bestIdx, bestSupport := 0, int32(-1)
+	for x, s := range support {
+		if s > bestSupport {
+			bestSupport = s
 			bestIdx = x
-			if support == pairs {
-				break
-			}
 		}
 	}
-	w.gen = gen
-	center := pts[bestIdx].p
 
 	if cap(w.keep) < len(obs) {
 		w.keep = make([]bool, len(obs))
 	}
 	keep := w.keep[:len(obs)]
 	clear(keep)
-	for _, pt := range pts {
-		if near.within(pt.p.X-center.X, pt.p.Y-center.Y) {
+	for i, m := range w.row(bestIdx) {
+		for ; m != 0; m &= m - 1 {
+			pt := &pts[w.order[i<<6|bits.TrailingZeros64(m)].i]
 			keep[pt.a] = true
 			keep[pt.b] = true
 		}
@@ -456,10 +415,9 @@ func filterConsistentIn(w *mlWorkspace, obs []anchorObs, radius float64) []ancho
 }
 
 // intersections collects the intersection points of every pair of the
-// observations' range circles into w.pts, pair by pair in index order, and
-// counts the pairs that contributed a point.
-func intersections(w *mlWorkspace, obs []anchorObs, tol float64) (pts []ipt, pairs int) {
-	pts = w.pts[:0]
+// observations' range circles into w.pts, pair by pair in index order.
+func intersections(w *mlWorkspace, obs []anchorObs, tol float64) []ipt {
+	pts := w.pts[:0]
 	for i := range obs {
 		ci := geom.Circle{Center: obs[i].pos, R: obs[i].d}
 		for j := i + 1; j < len(obs); j++ {
@@ -467,13 +425,100 @@ func intersections(w *mlWorkspace, obs []anchorObs, tol float64) (pts []ipt, pai
 			for _, p := range ij[:k] {
 				pts = append(pts, ipt{p: p, a: i, b: j})
 			}
-			if k > 0 {
-				pairs++
-			}
 		}
 	}
 	w.pts = pts
-	return pts, pairs
+	return pts
+}
+
+// sweep records which of the intersection points pts lie within radius of
+// one another, as near rows: w.rows holds one row of len(pts) bits per
+// point, both indexed by rank in the X-sorted order, and bit k of row j is
+// set when math.Hypot of the separation of the points of ranks j and k is at
+// most radius. A point is in its own row when its separation from itself,
+// (0, 0) for finite coordinates, is within radius.
+//
+// The points are sorted by X once, with an insertion sort in cmp.Compare's
+// order, NaN first, which is total; ties may land in any order. Then, for
+// each point a in that order, the sweep tests the points b = a, a+1, … until
+// |x_a − x_b| exceeds radius, each pair once, and sets both bits. The
+// result is the all-pairs relation, for two reasons:
+//   - The window stays contiguous. Hypot(dx, dy) ≥ |dx| in floating point as
+//     in exact arithmetic, so no point past the stop is within radius, and
+//     the rounded difference x_a − x_b is monotone in x_b, so the points
+//     before it all satisfy the bound. A NaN difference never stops the walk:
+//     a NaN x_a sorts first and walks every later point, and the NaN points
+//     before a are tested from their own walks.
+//   - within is symmetric. Under round-to-nearest fl(p−q) = −fl(q−p) for
+//     every IEEE input, and within reads only the squares of dx and dy and
+//     math.Hypot, which both ignore sign, so testing the pair from a decides
+//     it from b as well.
+//
+// The rows cost about len(pts)²/8 bytes, rounded up to whole words per row:
+// 6.5 KB at the 203 points of the largest call in a 14×14 grid solve.
+func (w *mlWorkspace) sweep(pts []ipt, radius float64) {
+	np := len(pts)
+	if cap(w.order) < np {
+		w.order = make([]sweepPt, np)
+		w.rank = make([]int32, np)
+	}
+	order, rank := w.order[:np], w.rank[:np]
+	for i, pt := range pts {
+		order[i] = sweepPt{x: pt.p.X, y: pt.p.Y, i: int32(i)}
+	}
+	for k := 1; k < np; k++ {
+		q := order[k]
+		j := k
+		for ; j > 0 && (q.x < order[j-1].x || q.x != q.x && order[j-1].x == order[j-1].x); j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = q
+	}
+	for k, q := range order {
+		rank[q.i] = int32(k)
+	}
+
+	words := (np + 63) >> 6
+	if cap(w.rows) < np*words {
+		w.rows = make([]uint64, np*words)
+	}
+	rows := w.rows[:np*words]
+	clear(rows)
+	w.words = words
+	near := newDisk(radius)
+	for a := range order {
+		px, py := order[a].x, order[a].y
+		ra := rows[a*words : (a+1)*words]
+		for b := a; b < np; b++ {
+			q := &order[b]
+			dx := px - q.x
+			if math.Abs(dx) > radius {
+				break
+			}
+			// within is too big to inline; decide the clear cases of its
+			// band test here and call it only inside the band.
+			dy := py - q.y
+			if s := dx*dx + dy*dy; s < near.lo || !(s > near.hi) && near.within(dx, dy) {
+				ra[b>>6] |= 1 << (b & 63)
+				rows[b*words+(a>>6)] |= 1 << (a & 63)
+			}
+		}
+	}
+}
+
+// row returns the near row of point x of the last sweep's pts.
+func (w *mlWorkspace) row(x int) []uint64 {
+	k := int(w.rank[x])
+	return w.rows[k*w.words : (k+1)*w.words]
+}
+
+// popcount returns the number of set bits of a row.
+func popcount(row []uint64) int {
+	n := 0
+	for _, m := range row {
+		n += bits.OnesCount64(m)
+	}
+	return n
 }
 
 // disk decides whether a separation (dx, dy) is within a radius r, that is
@@ -520,38 +565,32 @@ func solveNodeIntersectionMode(w *mlWorkspace, obs []anchorObs, radius float64) 
 	if radius <= 0 {
 		radius = 1
 	}
-	pts, _ := intersections(w, obs, radius/2)
+	pts := intersections(w, obs, radius/2)
 	if len(pts) == 0 {
 		return geom.Point{}, errors.New("core: intersection mode: no circle intersections")
 	}
-	near := newDisk(radius)
-	// Densest point: the one with the most neighbors within radius.
+	w.sweep(pts, radius)
+	// Densest point: the first, in pts order, with the most points within
+	// radius of it (the popcount of its near row).
 	bestIdx, bestCount := 0, -1
-	for i, p := range pts {
-		count := 0
-		for _, q := range pts {
-			if near.within(p.p.X-q.p.X, p.p.Y-q.p.Y) {
-				count++
-			}
-		}
-		if count > bestCount {
+	for x := range pts {
+		if count := popcount(w.row(x)); count > bestCount {
 			bestCount = count
-			bestIdx = i
+			bestIdx = x
 		}
 	}
 	if bestCount < 3 {
 		return geom.Point{}, errors.New("core: intersection mode: no supporting cluster")
 	}
-	best := pts[bestIdx].p
+	// The centroid sums the points of the densest point's row in pts order.
+	best := w.row(bestIdx)
 	var c geom.Point
-	n := 0
-	for _, q := range pts {
-		if near.within(best.X-q.p.X, best.Y-q.p.Y) {
+	for x, q := range pts {
+		if k := w.rank[x]; best[k>>6]&(1<<(k&63)) != 0 {
 			c = c.Add(q.p)
-			n++
 		}
 	}
-	return c.Scale(1 / float64(n)), nil
+	return c.Scale(1 / float64(bestCount)), nil
 }
 
 // solveNode estimates one node's position from anchor observations: a

@@ -16,14 +16,23 @@ func TestMultilatConfigValidate(t *testing.T) {
 	if err := DefaultMultilatConfig().Validate(); err != nil {
 		t.Errorf("default invalid: %v", err)
 	}
-	bad := []MultilatConfig{
-		{MinAnchors: 2, MaxIters: 10},
-		{MinAnchors: 3, ConsistencyRadius: -1, MaxIters: 10},
-		{MinAnchors: 3, MaxIters: 0},
+	off := DefaultMultilatConfig()
+	off.ConsistencyRadius = 0 // the check off
+	if err := off.Validate(); err != nil {
+		t.Errorf("zero ConsistencyRadius invalid: %v", err)
 	}
-	for i, c := range bad {
+	bad := map[string]MultilatConfig{
+		"MinAnchors 2":                {MinAnchors: 2, MaxIters: 10},
+		"negative ConsistencyRadius":  {MinAnchors: 3, ConsistencyRadius: -1, MaxIters: 10},
+		"NaN ConsistencyRadius":       {MinAnchors: 3, ConsistencyRadius: math.NaN(), MaxIters: 10},
+		"+Inf ConsistencyRadius":      {MinAnchors: 3, ConsistencyRadius: math.Inf(1), MaxIters: 10},
+		"-Inf ConsistencyRadius":      {MinAnchors: 3, ConsistencyRadius: math.Inf(-1), MaxIters: 10},
+		"MaxIters 0":                  {MinAnchors: 3, MaxIters: 0},
+		"intersection mode 2 anchors": {MinAnchors: 3, MaxIters: 10, UseIntersectionMode: true, MinModeAnchors: 2},
+	}
+	for name, c := range bad {
 		if err := c.Validate(); err == nil {
-			t.Errorf("config %d should be invalid", i)
+			t.Errorf("%s: config should be invalid", name)
 		}
 	}
 }
@@ -402,5 +411,32 @@ func TestMultilatLocalMinimumVictims(t *testing.T) {
 	refl := geom.Pt(truthPt.X, -truthPt.Y)
 	if p.Dist(truthPt) > 1.5 && p.Dist(refl) > 1.5 {
 		t.Errorf("solution %v is neither truth %v nor its reflection %v", p, truthPt, refl)
+	}
+}
+
+// TestFilterConsistentAllocFree holds a warmed consistency check to zero
+// heap allocations on an input of at least 300 intersection points, above
+// the largest calls of the grid benchmarks: the sort order, near rows,
+// support counts and keep flags all reuse the workspace.
+func TestFilterConsistentAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	truth := geom.Pt(10, 10)
+	obs := make([]anchorObs, 19)
+	for i := range obs {
+		a := geom.Pt(rng.Float64()*40-10, rng.Float64()*40-10)
+		obs[i] = anchorObs{pos: a, d: truth.Dist(a) + rng.NormFloat64()*0.3, weight: 1}
+	}
+	w := &mlWorkspace{}
+	if np := len(intersections(w, obs, 0.5)); np < 300 {
+		t.Fatalf("input has %d intersection points, want at least 300", np)
+	}
+	in := make([]anchorObs, len(obs))
+	check := func() {
+		copy(in, obs)
+		filterConsistentIn(w, in, 1)
+	}
+	check() // size the workspace
+	if allocs := testing.AllocsPerRun(20, check); allocs != 0 {
+		t.Errorf("warmed filterConsistentIn made %v allocations, want 0", allocs)
 	}
 }

@@ -440,18 +440,56 @@ func Merge(n int, directed map[[2]int]float64, opt MergeOptions) (*Set, error) {
 // GaussianNoise is the paper's simulated-distance noise: N(0, 0.33 m).
 const GaussianNoise = 0.33
 
+// Errors of Generate's inputs, returned before any draw.
+var (
+	// ErrMaxRange rejects a NaN or negative maxRange; +Inf admits every
+	// pair.
+	ErrMaxRange = errors.New("measure: Generate: maxRange is NaN or negative")
+	// ErrSigma rejects a NaN, infinite or negative noise sigma; zero adds no
+	// noise.
+	ErrSigma = errors.New("measure: Generate: sigma is NaN, infinite or negative")
+)
+
 // Generate creates a measurement set for a deployment: every pair closer
 // than maxRange gets the true distance perturbed by N(0, sigma), the exact
 // procedure of Figures 15 and 20 ("perturbed the distances with errors from
-// a Gaussian distribution N(µ=0; σ=0.33m)" with a 22 m cutoff).
+// a Gaussian distribution N(µ=0; σ=0.33m)" with a 22 m cutoff). Pairs are
+// added in ascending order and draw their noise in that order. A NaN or
+// negative maxRange fails with ErrMaxRange, a NaN, infinite or negative
+// sigma with ErrSigma.
+//
+// A pair whose dx²+dy² exceeds maxRange²·(1+1e-6) is skipped without
+// math.Hypot: rounding moves dx²+dy² and Hypot by a few ulps, far less than
+// that margin, and a square that overflows to +Inf belongs to a pair
+// farther apart than any maxRange the margin is used for. The skip applies
+// only while maxRange² lies in [2⁻⁹⁰⁰, 2⁹⁰⁰], where it cannot under- or
+// overflow; otherwise, and for every pair inside the margin or with a NaN
+// square, Hypot decides as before. Skipped pairs never drew noise, so the
+// random stream is the same.
 func Generate(dep *deploy.Deployment, maxRange, sigma float64, rng *rand.Rand) (*Set, error) {
+	if !(maxRange >= 0) {
+		return nil, fmt.Errorf("%w, got %v", ErrMaxRange, maxRange)
+	}
+	if !(sigma >= 0) || math.IsInf(sigma, 1) {
+		return nil, fmt.Errorf("%w, got %v", ErrSigma, sigma)
+	}
 	s, err := NewSet(dep.N())
 	if err != nil {
 		return nil, err
 	}
+	far := math.Inf(1) // dx²+dy² above far is out of range
+	if r2 := maxRange * maxRange; r2 >= 0x1p-900 && r2 <= 0x1p900 {
+		far = r2 * (1 + 1e-6)
+	}
 	for i := 0; i < dep.N(); i++ {
+		p := dep.Positions[i]
 		for j := i + 1; j < dep.N(); j++ {
-			d := dep.Positions[i].Dist(dep.Positions[j])
+			q := dep.Positions[j]
+			dx, dy := p.X-q.X, p.Y-q.Y
+			if dx*dx+dy*dy > far {
+				continue
+			}
+			d := math.Hypot(dx, dy)
 			if d > maxRange {
 				continue
 			}
