@@ -698,6 +698,34 @@ func benchGridDeployment(b *testing.B, anchors int) (*deploy.Deployment, *rand.R
 	return dep, rng
 }
 
+// BenchmarkShardMultilatGrid measures one warmed 8-trial shard of the
+// multilat-grid 14×14 scenario through engine.Runner on one worker: each
+// trial's deployment, ranges and progressive solve plus the shard's
+// aggregation. B/op and allocs/op are the whole shard's.
+func BenchmarkShardMultilatGrid(b *testing.B) { benchShard(b, engine.LargeGrid(14, 14)) }
+
+// BenchmarkShardMobility is BenchmarkShardMultilatGrid for the
+// mobility-waypoint scenario at its default 1 m/s over a 4 s epoch.
+func BenchmarkShardMobility(b *testing.B) { benchShard(b, engine.MobilityWaypoint(1, 4)) }
+
+func benchShard(b *testing.B, s engine.Scenario) {
+	r, err := engine.NewRunner(engine.Config{Workers: 1, Trials: 8, ShardSize: 8, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func() {
+		if _, err := r.Run(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // warm the shard arena so allocs/op reports the steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // BenchmarkLSSSolverScaling measures raw solver cost versus network size on
 // complete noisy graphs (library performance, not a paper figure).
 func BenchmarkLSSSolverScaling(b *testing.B) {

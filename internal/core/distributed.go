@@ -103,7 +103,7 @@ func SolveDistributed(set *measure.Set, cfg DistributedConfig, rng *rand.Rand) (
 	// The communication topology is the ranging graph: nodes exchange data
 	// with the neighbors they have distance measurements to.
 	var edges [][2]int
-	for _, m := range set.All() {
+	for m := range set.Measurements() {
 		edges = append(edges, [2]int{m.Pair.Lo, m.Pair.Hi})
 	}
 	nw, err := network.New(n, edges, cfg.Link, rng)

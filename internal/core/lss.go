@@ -315,8 +315,7 @@ type lssProblem struct {
 
 func newLSSProblem(ws *scratch.Arena, set *measure.Set, cfg LSSConfig) *lssProblem {
 	n := set.N()
-	pairs := set.All()
-	m := len(pairs)
+	m := set.Len()
 	p := &lssProblem{
 		n: n,
 		// Each pair appears at most once, measured or soft.
@@ -332,7 +331,8 @@ func newLSSProblem(ws *scratch.Arena, set *measure.Set, cfg LSSConfig) *lssProbl
 	// measured[lo*n+hi] marks pairs with a distance measurement; the soft
 	// constraint applies only to unmeasured pairs.
 	measured := ws.Bools(n * n)
-	for k, pm := range pairs {
+	for pm := range set.Measurements() {
+		k := len(p.lo)
 		p.lo = append(p.lo, pm.Pair.Lo)
 		p.hi = append(p.hi, pm.Pair.Hi)
 		p.dist[k] = pm.Distance

@@ -83,7 +83,7 @@ func shortestPaths(ws *scratch.Arena, set *measure.Set) *mat.Dense {
 			}
 		}
 	}
-	for _, m := range set.All() {
+	for m := range set.Measurements() {
 		d.Set(m.Pair.Lo, m.Pair.Hi, m.Distance)
 		d.Set(m.Pair.Hi, m.Pair.Lo, m.Distance)
 	}

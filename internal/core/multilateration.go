@@ -191,22 +191,21 @@ func SolveMultilaterationIn(ws *scratch.Arena, set *measure.Set, anchors map[int
 	// neighbor index so the passes below visit observations in exactly the
 	// order set.Neighbors would have produced.
 	w := multilatWS(ws)
-	all := set.All()
 	off := ws.Ints(n + 1)
-	for _, m := range all {
+	for m := range set.Measurements() {
 		off[m.Pair.Lo+1]++
 		off[m.Pair.Hi+1]++
 	}
 	for i := 0; i < n; i++ {
 		off[i+1] += off[i]
 	}
-	if cap(w.adj) < 2*len(all) {
-		w.adj = make([]nbr, 2*len(all))
+	if cap(w.adj) < 2*set.Len() {
+		w.adj = make([]nbr, 2*set.Len())
 	}
-	adj := w.adj[:2*len(all)]
+	adj := w.adj[:2*set.Len()]
 	cur := ws.Ints(n)
 	copy(cur, off[:n])
-	for _, m := range all {
+	for m := range set.Measurements() {
 		adj[cur[m.Pair.Lo]] = nbr{node: m.Pair.Hi, d: m.Distance, w: m.Weight}
 		cur[m.Pair.Lo]++
 		adj[cur[m.Pair.Hi]] = nbr{node: m.Pair.Lo, d: m.Distance, w: m.Weight}

@@ -106,7 +106,10 @@ func OffsetGrid(rows, cols int, rowSpacing, colSpacing float64) (*Deployment, er
 	if rowSpacing <= 0 || colSpacing <= 0 {
 		return nil, errors.New("deploy: OffsetGrid: non-positive spacing")
 	}
-	d := &Deployment{Name: fmt.Sprintf("offset-grid-%dx%d", rows, cols)}
+	d := &Deployment{
+		Name:      fmt.Sprintf("offset-grid-%dx%d", rows, cols),
+		Positions: make([]geom.Point, 0, rows*cols),
+	}
 	for r := 0; r < rows; r++ {
 		xOff := 0.0
 		if r%2 == 1 {

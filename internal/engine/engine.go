@@ -5,11 +5,13 @@
 //
 // Determinism rests on two invariants:
 //
-//  1. Per-trial RNG derivation. Each trial gets its own rand.Rand seeded by
-//     a pure function of (scenario seed, trial index) — DeriveSeed by
-//     default, or the scenario's SeedFn when an experiment needs
-//     paper-faithful seeding. No trial ever shares generator state with
-//     another, so the schedule cannot leak into the results.
+//  1. Per-trial RNG derivation. Each trial's generator is seeded by a pure
+//     function of (scenario seed, trial index) — DeriveSeed by default, or
+//     the scenario's SeedFn when an experiment needs paper-faithful
+//     seeding. A shard reuses one rand.Rand and reseeds it before each
+//     trial, which resets all of its state, so no trial ever sees generator
+//     state another left behind and the schedule cannot leak into the
+//     results.
 //
 //  2. Shard-ordered aggregation. Trials are grouped into fixed-size shards
 //     (independent of the worker count); each shard accumulates its metrics
@@ -109,8 +111,11 @@ func (s Scenario) seedFor(seed int64, trial int) int64 {
 type T struct {
 	// Trial is this trial's index in [0, Trials).
 	Trial int
-	// RNG is the trial's private generator. All randomness must flow
-	// through it (or through samplers built on it).
+	// RNG is the trial's generator, seeded for this trial alone. All
+	// randomness must flow through it (or through samplers built on it).
+	// The runner reseeds the same generator for the shard's next trial, so
+	// a trial must not keep it, or anything that draws from it, after it
+	// returns.
 	RNG *rand.Rand
 	// ShardData is the value the scenario's ShardInit hook returned for
 	// this trial's shard (nil when the scenario has no ShardInit, or when

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -281,7 +282,7 @@ func TestSeedFnOverride(t *testing.T) {
 	}
 	rep := mustRun(t, Config{Workers: 2, Seed: 100, KeepTrialValues: true}, s)
 	for trial, got := range rep.TrialScalars["first_draw"] {
-		want := newTrialRNG(s, 100, trial).Float64()
+		want := rand.New(rand.NewSource(100 + int64(trial)*10)).Float64()
 		if got != want {
 			t.Errorf("trial %d first draw %v, want %v", trial, got, want)
 		}

@@ -283,8 +283,13 @@ func runShard(s Scenario, seed int64, lo, hi int, cut, keep bool) *shardAgg {
 	if s.ShardInit != nil {
 		shardData = s.ShardInit()
 	}
+	// One generator serves the whole shard: Seed resets its source and its
+	// buffered Int63 bits, so each trial draws exactly the stream a fresh
+	// rand.New(rand.NewSource(seedFor(seed, trial))) would.
+	rng := rand.New(rand.NewSource(0))
 	for trial := lo; trial < hi; trial++ {
-		t := &T{Trial: trial, RNG: newTrialRNG(s, seed, trial), ShardData: shardData, ws: ws}
+		rng.Seed(s.seedFor(seed, trial))
+		t := &T{Trial: trial, RNG: rng, ShardData: shardData, ws: ws}
 		err := s.Run(t)
 		// Rewind the arena before folding: fold only touches the T's own
 		// recorded copies, never borrowed buffers.
@@ -366,11 +371,6 @@ func (agg *shardAgg) trialScalar(name string) []float64 {
 		agg.trialScalars[name] = vs
 	}
 	return vs
-}
-
-// newTrialRNG builds the trial's private deterministic generator.
-func newTrialRNG(s Scenario, seed int64, trial int) *rand.Rand {
-	return rand.New(rand.NewSource(s.seedFor(seed, trial)))
 }
 
 // Run executes the scenario under the runner's configuration. A failing

@@ -289,7 +289,7 @@ func MaxRangePoint(env acoustics.Environment, detectT uint8, d float64, rounds i
 // 22 m with N(0, 0.33 m) noise, and multilaterates from the given anchors.
 func townMultilat(t *T, dropAnchors int) error {
 	dep := deploy.Town(t.RNG)
-	set, err := measure.Generate(dep, 22, measure.GaussianNoise, t.RNG)
+	set, err := measure.GenerateIn(t.Scratch(), dep, 22, measure.GaussianNoise, t.RNG)
 	if err != nil {
 		return err
 	}
@@ -370,7 +370,7 @@ func LargeGrid(rows, cols int) Scenario {
 			if err := dep.ChooseRandomAnchors(n/10, t.RNG); err != nil {
 				return err
 			}
-			set, err := measure.Generate(dep, 22, measure.GaussianNoise, t.RNG)
+			set, err := measure.GenerateIn(t.Scratch(), dep, 22, measure.GaussianNoise, t.RNG)
 			if err != nil {
 				return err
 			}
@@ -413,7 +413,7 @@ func LSSTownConstrained() Scenario {
 		Trials:      4,
 		Run: func(t *T) error {
 			dep := deploy.Town(t.RNG)
-			set, err := measure.Generate(dep, 22, measure.GaussianNoise, t.RNG)
+			set, err := measure.GenerateIn(t.Scratch(), dep, 22, measure.GaussianNoise, t.RNG)
 			if err != nil {
 				return err
 			}

@@ -50,7 +50,7 @@ func MobilityWaypoint(speedMps, epochS float64) Scenario {
 			}
 			// Per-node waypoints, drawn in node order. Anchors are mounted
 			// infrastructure and stay put; their waypoint is their position.
-			waypoints := make([]geom.Point, dep.N())
+			waypoints := t.Scratch().Points(dep.N())
 			for i := range waypoints {
 				if dep.IsAnchor(i) {
 					waypoints[i] = dep.Positions[i]
@@ -69,7 +69,7 @@ func MobilityWaypoint(speedMps, epochS float64) Scenario {
 				}
 				return dep.Positions[i].Add(to.Scale(travel / dist))
 			}
-			set, err := measure.NewSet(dep.N())
+			set, err := measure.NewSetIn(t.Scratch(), dep.N())
 			if err != nil {
 				return err
 			}
@@ -104,7 +104,7 @@ func MobilityWaypoint(speedMps, epochS float64) Scenario {
 			}
 			// Ground truth is the mid-epoch snapshot — the best single-instant
 			// answer a static solver could be asked for.
-			truth := make([]geom.Point, dep.N())
+			truth := t.Scratch().Points(dep.N())
 			for i := range truth {
 				truth[i] = posAt(i, epochS/2)
 			}

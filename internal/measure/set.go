@@ -10,6 +10,7 @@ package measure
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"maps"
 	"math"
 	"math/rand"
@@ -17,6 +18,7 @@ import (
 	"sort"
 
 	"resilientloc/internal/deploy"
+	"resilientloc/internal/scratch"
 	"resilientloc/internal/stats"
 )
 
@@ -66,6 +68,34 @@ func NewSet(n int) (*Set, error) {
 		return nil, errors.New("measure: NewSet: need positive node count")
 	}
 	return &Set{n: n}, nil
+}
+
+// setPool is the package's stashed workspace in a scratch arena: a cursor
+// over reusable Sets, each keeping the measurement capacity it grew to.
+// Release rewinds the cursor via scratch.Resetter.
+type setPool struct {
+	items []*Set
+	used  int
+}
+
+// Reset rewinds the cursor; the next trial's sets reuse the same Sets.
+func (p *setPool) Reset() { p.used = 0 }
+
+// NewSetIn is NewSet with the set borrowed from ws (nil ws allocates): it
+// is empty, unindexed and distinct from every other set ws handed out since
+// its last Release, and it is valid only until that arena's next Release.
+func NewSetIn(ws *scratch.Arena, n int) (*Set, error) {
+	if ws == nil || n <= 0 {
+		return NewSet(n)
+	}
+	p := ws.Stash("measure.setPool", func() any { return &setPool{} }).(*setPool)
+	if p.used == len(p.items) {
+		p.items = append(p.items, &Set{})
+	}
+	s := p.items[p.used]
+	p.used++
+	s.n, s.ms, s.pos = n, s.ms[:0], nil
+	return s, nil
 }
 
 // N returns the number of nodes the set spans.
@@ -174,9 +204,22 @@ func (s *Set) retain(keep func(k int, m Measurement) bool) int {
 	return dropped
 }
 
-// All returns every measurement in insertion order.
+// All returns a copy of every measurement, in insertion order, that the
+// caller owns.
 func (s *Set) All() []Measurement {
 	return append(make([]Measurement, 0, len(s.ms)), s.ms...)
+}
+
+// Measurements yields every measurement in insertion order without copying
+// them. The set must not change while the sequence is iterated.
+func (s *Set) Measurements() iter.Seq[Measurement] {
+	return func(yield func(Measurement) bool) {
+		for _, m := range s.ms {
+			if !yield(m) {
+				return
+			}
+		}
+	}
 }
 
 // Neighbors returns the nodes with a measurement to i, ascending.
@@ -440,15 +483,43 @@ func Merge(n int, directed map[[2]int]float64, opt MergeOptions) (*Set, error) {
 // GaussianNoise is the paper's simulated-distance noise: N(0, 0.33 m).
 const GaussianNoise = 0.33
 
-// Errors of Generate's inputs, returned before any draw.
+// Errors of Generate's and Augment's inputs, returned before any draw.
 var (
 	// ErrMaxRange rejects a NaN or negative maxRange; +Inf admits every
 	// pair.
-	ErrMaxRange = errors.New("measure: Generate: maxRange is NaN or negative")
+	ErrMaxRange = errors.New("measure: maxRange is NaN or negative")
 	// ErrSigma rejects a NaN, infinite or negative noise sigma; zero adds no
 	// noise.
-	ErrSigma = errors.New("measure: Generate: sigma is NaN, infinite or negative")
+	ErrSigma = errors.New("measure: sigma is NaN, infinite or negative")
+	// ErrCount rejects a negative Augment count; zero adds nothing.
+	ErrCount = errors.New("measure: Augment: count is negative")
 )
+
+// checkNoise validates the maxRange and sigma shared by Generate and
+// Augment.
+func checkNoise(maxRange, sigma float64) error {
+	if !(maxRange >= 0) {
+		return fmt.Errorf("%w, got %v", ErrMaxRange, maxRange)
+	}
+	if !(sigma >= 0) || math.IsInf(sigma, 1) {
+		return fmt.Errorf("%w, got %v", ErrSigma, sigma)
+	}
+	return nil
+}
+
+// farSquare returns the dx²+dy² above which a pair lies beyond maxRange
+// without a math.Hypot call: maxRange²·(1+1e-6). Rounding moves dx²+dy² and
+// Hypot by a few ulps, far less than that margin, and a square that
+// overflows to +Inf belongs to a pair farther apart than any maxRange the
+// margin is used for. The margin applies only while maxRange² lies in
+// [2⁻⁹⁰⁰, 2⁹⁰⁰], where it cannot under- or overflow; otherwise it is +Inf,
+// and for every pair inside it or with a NaN square Hypot decides.
+func farSquare(maxRange float64) float64 {
+	if r2 := maxRange * maxRange; r2 >= 0x1p-900 && r2 <= 0x1p900 {
+		return r2 * (1 + 1e-6)
+	}
+	return math.Inf(1)
+}
 
 // Generate creates a measurement set for a deployment: every pair closer
 // than maxRange gets the true distance perturbed by N(0, sigma), the exact
@@ -456,31 +527,23 @@ var (
 // a Gaussian distribution N(µ=0; σ=0.33m)" with a 22 m cutoff). Pairs are
 // added in ascending order and draw their noise in that order. A NaN or
 // negative maxRange fails with ErrMaxRange, a NaN, infinite or negative
-// sigma with ErrSigma.
-//
-// A pair whose dx²+dy² exceeds maxRange²·(1+1e-6) is skipped without
-// math.Hypot: rounding moves dx²+dy² and Hypot by a few ulps, far less than
-// that margin, and a square that overflows to +Inf belongs to a pair
-// farther apart than any maxRange the margin is used for. The skip applies
-// only while maxRange² lies in [2⁻⁹⁰⁰, 2⁹⁰⁰], where it cannot under- or
-// overflow; otherwise, and for every pair inside the margin or with a NaN
-// square, Hypot decides as before. Skipped pairs never drew noise, so the
-// random stream is the same.
+// sigma with ErrSigma. Pairs beyond farSquare skip math.Hypot; they never
+// drew noise, so the random stream is the same.
 func Generate(dep *deploy.Deployment, maxRange, sigma float64, rng *rand.Rand) (*Set, error) {
-	if !(maxRange >= 0) {
-		return nil, fmt.Errorf("%w, got %v", ErrMaxRange, maxRange)
+	return GenerateIn(nil, dep, maxRange, sigma, rng)
+}
+
+// GenerateIn is Generate with the set borrowed from ws through NewSetIn
+// (nil ws allocates). The set is valid only until ws's next Release.
+func GenerateIn(ws *scratch.Arena, dep *deploy.Deployment, maxRange, sigma float64, rng *rand.Rand) (*Set, error) {
+	if err := checkNoise(maxRange, sigma); err != nil {
+		return nil, err
 	}
-	if !(sigma >= 0) || math.IsInf(sigma, 1) {
-		return nil, fmt.Errorf("%w, got %v", ErrSigma, sigma)
-	}
-	s, err := NewSet(dep.N())
+	s, err := NewSetIn(ws, dep.N())
 	if err != nil {
 		return nil, err
 	}
-	far := math.Inf(1) // dx²+dy² above far is out of range
-	if r2 := maxRange * maxRange; r2 >= 0x1p-900 && r2 <= 0x1p900 {
-		far = r2 * (1 + 1e-6)
-	}
+	far := farSquare(maxRange)
 	for i := 0; i < dep.N(); i++ {
 		p := dep.Positions[i]
 		for j := i + 1; j < dep.N(); j++ {
@@ -508,15 +571,28 @@ func Generate(dep *deploy.Deployment, maxRange, sigma float64, rng *rand.Rand) (
 // Augment adds up to count simulated measurements for pairs closer than
 // maxRange that are missing from s, perturbing true distances by N(0,
 // sigma) — the paper's augmentation procedure for Figures 15/16 (370 added
-// pairs) and 25. It returns the number of pairs actually added.
+// pairs) and 25. It returns the number of pairs actually added. Before any
+// draw or change to s, a NaN or negative maxRange fails with ErrMaxRange, a
+// NaN, infinite or negative sigma with ErrSigma and a negative count with
+// ErrCount. Like Generate, it skips Hypot for pairs beyond farSquare.
 func Augment(s *Set, dep *deploy.Deployment, maxRange, sigma float64, count int, rng *rand.Rand) (int, error) {
 	if dep.N() != s.n {
 		return 0, fmt.Errorf("measure: Augment: deployment has %d nodes, set has %d", dep.N(), s.n)
 	}
+	if err := checkNoise(maxRange, sigma); err != nil {
+		return 0, err
+	}
+	if count < 0 {
+		return 0, fmt.Errorf("%w, got %d", ErrCount, count)
+	}
+	far := farSquare(maxRange)
 	var missing []Pair
 	for i := 0; i < dep.N(); i++ {
+		p := dep.Positions[i]
 		for j := i + 1; j < dep.N(); j++ {
-			if dep.Positions[i].Dist(dep.Positions[j]) > maxRange {
+			q := dep.Positions[j]
+			dx, dy := p.X-q.X, p.Y-q.Y
+			if dx*dx+dy*dy > far || math.Hypot(dx, dy) > maxRange {
 				continue
 			}
 			if _, ok := s.Get(i, j); !ok {

@@ -112,6 +112,9 @@ func checkSetMatchesModel(t *testing.T, where string, s *Set, md *setModel) {
 			t.Fatalf("%s: All[%d] = %+v, model %+v", where, k, all[k], md.m[p])
 		}
 	}
+	if !slices.EqualFunc(slices.Collect(s.Measurements()), all, sameMeasurement) {
+		t.Fatalf("%s: Measurements disagrees with All", where)
+	}
 	for i := 0; i < md.n; i++ {
 		if got, want := s.Neighbors(i), md.neighbors(i); !slices.Equal(got, want) {
 			t.Fatalf("%s: Neighbors(%d) = %v, model %v", where, i, got, want)
