@@ -193,6 +193,7 @@ func readAnchors(path string) (map[int]geom.Point, error) {
 	}
 	defer f.Close()
 	anchors := make(map[int]geom.Point)
+	lineOf := make(map[int]int) // the line that gave each anchor id
 	sc := bufio.NewScanner(f)
 	lineNo := 0
 	for sc.Scan() {
@@ -209,6 +210,10 @@ func readAnchors(path string) (map[int]geom.Point, error) {
 		if err != nil {
 			return nil, fmt.Errorf("anchors line %d: bad id: %w", lineNo, err)
 		}
+		if prev, ok := lineOf[id]; ok {
+			return nil, fmt.Errorf("anchors line %d: anchor %d repeats line %d", lineNo, id, prev)
+		}
+		lineOf[id] = lineNo
 		x, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
 		if err != nil {
 			return nil, fmt.Errorf("anchors line %d: bad x: %w", lineNo, err)

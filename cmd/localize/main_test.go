@@ -71,6 +71,14 @@ func TestReadAnchors(t *testing.T) {
 	if _, err := readAnchors(bad); err == nil {
 		t.Error("want error for malformed anchors")
 	}
+	// A repeated id is an error naming both lines, not a silent overwrite.
+	dup := filepath.Join(dir, "dup.csv")
+	if err := os.WriteFile(dup, []byte("# id,x,y\n0,0,0\n1,10,0\n2,0,10\n3,10,10\n0,500,500\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readAnchors(dup); err == nil || !strings.Contains(err.Error(), "anchors line 6: anchor 0 repeats line 2") {
+		t.Errorf("repeated anchor id: error %v", err)
+	}
 }
 
 func TestRunLSSEndToEnd(t *testing.T) {

@@ -41,7 +41,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	env, err := environment(*envName)
+	env, err := acoustics.Preset(*envName)
 	if err != nil {
 		return err
 	}
@@ -93,19 +93,4 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "%d,%d,%.4f,%.3f\n", m.Pair.Lo, m.Pair.Hi, m.Distance, m.Weight)
 	}
 	return nil
-}
-
-func environment(name string) (acoustics.Environment, error) {
-	switch name {
-	case "grass":
-		return acoustics.Grass(), nil
-	case "pavement":
-		return acoustics.Pavement(), nil
-	case "urban":
-		return acoustics.Urban(), nil
-	case "wooded":
-		return acoustics.Wooded(), nil
-	default:
-		return acoustics.Environment{}, fmt.Errorf("unknown environment %q", name)
-	}
 }

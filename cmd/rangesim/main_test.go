@@ -1,10 +1,13 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"resilientloc/internal/measure"
 )
 
 func TestRunGridCampaign(t *testing.T) {
@@ -55,8 +58,13 @@ func TestRunLayoutsAndErrors(t *testing.T) {
 	if err := run([]string{"-layout", "moon"}, &out); err == nil {
 		t.Error("want error for unknown layout")
 	}
-	if err := run([]string{"-env", "vacuum"}, &out); err == nil {
-		t.Error("want error for unknown environment")
+	if err := run([]string{"-env", "vacuum"}, &out); err == nil || err.Error() != `unknown environment "vacuum"` {
+		t.Errorf("unknown environment: error %v", err)
+	}
+	for _, d := range []string{"NaN", "-5"} {
+		if err := run([]string{"-maxdist", d}, &out); !errors.Is(err, measure.ErrMaxRange) {
+			t.Errorf("-maxdist %s: error %v, want measure.ErrMaxRange", d, err)
+		}
 	}
 	if err := run([]string{"-layout", "random", "-nodes", "5", "-rounds", "1", "-env", "pavement"}, &out); err != nil {
 		t.Errorf("random layout failed: %v", err)
@@ -65,12 +73,12 @@ func TestRunLayoutsAndErrors(t *testing.T) {
 
 func TestEnvironmentNames(t *testing.T) {
 	for _, name := range []string{"grass", "pavement", "urban", "wooded"} {
-		e, err := environment(name)
-		if err != nil {
+		var out strings.Builder
+		if err := run([]string{"-env", name, "-nodes", "2", "-rounds", "1"}, &out); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		if e.Name != name {
-			t.Errorf("environment(%s).Name = %s", name, e.Name)
+		if !strings.HasPrefix(out.String(), "# rangesim env="+name+" ") {
+			t.Errorf("-env %s: header %q", name, strings.SplitN(out.String(), "\n", 2)[0])
 		}
 	}
 }

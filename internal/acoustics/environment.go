@@ -195,3 +195,26 @@ func Wooded() Environment {
 		DirectBlockedProb: 0.05,
 	}
 }
+
+// presets lists the named environments in display order; each is looked up
+// by its Name.
+var presets = []func() Environment{Grass, Pavement, Urban, Wooded}
+
+// PresetNames returns the preset names Preset accepts, in display order.
+func PresetNames() []string {
+	names := make([]string, len(presets))
+	for i, f := range presets {
+		names[i] = f().Name
+	}
+	return names
+}
+
+// Preset returns the environment preset with the given name.
+func Preset(name string) (Environment, error) {
+	for _, f := range presets {
+		if e := f(); e.Name == name {
+			return e, nil
+		}
+	}
+	return Environment{}, fmt.Errorf("unknown environment %q", name)
+}

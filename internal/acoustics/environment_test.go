@@ -3,6 +3,7 @@ package acoustics
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -11,6 +12,24 @@ func TestEnvironmentPresetsValid(t *testing.T) {
 		if err := e.Validate(); err != nil {
 			t.Errorf("%s: %v", e.Name, err)
 		}
+	}
+}
+
+// TestPresetLookup: every listed name finds its preset, in the display
+// order the env enums show, and an unknown name is an error.
+func TestPresetLookup(t *testing.T) {
+	names := PresetNames()
+	if got := strings.Join(names, ","); got != "grass,pavement,urban,wooded" {
+		t.Errorf("PresetNames = %s", got)
+	}
+	for _, name := range names {
+		e, err := Preset(name)
+		if err != nil || e.Name != name {
+			t.Errorf("Preset(%q) = %v, %v", name, e, err)
+		}
+	}
+	if _, err := Preset("vacuum"); err == nil || err.Error() != `unknown environment "vacuum"` {
+		t.Errorf("Preset(vacuum) error %v", err)
 	}
 }
 

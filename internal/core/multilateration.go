@@ -317,12 +317,6 @@ func SolveMultilaterationIn(ws *scratch.Arena, set *measure.Set, anchors map[int
 	return res, nil
 }
 
-// filterConsistent implements the Section 4.1.2 intersection consistency
-// check with freshly allocated working storage. See filterConsistentIn.
-func filterConsistent(obs []anchorObs, radius float64) []anchorObs {
-	return filterConsistentIn(&mlWorkspace{}, obs, radius)
-}
-
 // filterConsistentIn implements the Section 4.1.2 intersection consistency
 // check. The intersection points of consistent anchors' range circles "form
 // a cluster around the node being localized"; we find the largest cluster
@@ -614,14 +608,11 @@ func solveNode(ws *scratch.Arena, obs []anchorObs, maxIters int) (geom.Point, er
 	return gaussNewton(obs, seed, maxIters)
 }
 
-// linearSeed linearizes the circle equations by subtracting the first:
+// linearSeedIn linearizes the circle equations by subtracting the first:
 // ‖p−pa‖² − d_a² = ‖p−p0‖² − d_0² reduces to a linear system in (x, y).
-func linearSeed(obs []anchorObs) (geom.Point, error) { return linearSeedIn(nil, obs) }
-
-// linearSeedIn is linearSeed with the design matrix, right-hand side, and
-// least-squares intermediates borrowed from ws (nil ws allocates). The rows
-// are written straight into the matrix backing — the same values FromRows
-// would have copied.
+// The design matrix, right-hand side, and least-squares intermediates are
+// borrowed from ws (nil ws allocates). The rows are written straight into
+// the matrix backing — the same values FromRows would have copied.
 func linearSeedIn(ws *scratch.Arena, obs []anchorObs) (geom.Point, error) {
 	if len(obs) < 3 {
 		return geom.Point{}, errors.New("core: linearSeed: need 3 observations")

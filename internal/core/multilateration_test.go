@@ -171,7 +171,7 @@ func TestIntersectionConsistencyDropsOutlier(t *testing.T) {
 	rogue := geom.Pt(40, 40)
 	obs = append(obs, anchorObs{pos: rogue, d: truth.Dist(rogue) + 15, weight: 1})
 
-	filtered := filterConsistent(obs, 1.0)
+	filtered := filterConsistentIn(&mlWorkspace{}, append([]anchorObs(nil), obs...), 1.0)
 	for _, o := range filtered {
 		if o.pos == rogue {
 			t.Fatal("rogue anchor survived the consistency check")
@@ -204,7 +204,7 @@ func TestFilterConsistentFewAnchors(t *testing.T) {
 		{pos: geom.Pt(0, 0), d: 5, weight: 1},
 		{pos: geom.Pt(10, 0), d: 5, weight: 1},
 	}
-	if got := filterConsistent(obs, 1); len(got) != 2 {
+	if got := filterConsistentIn(&mlWorkspace{}, obs, 1); len(got) != 2 {
 		t.Errorf("check with <3 anchors must be vacuous, got %d", len(got))
 	}
 }
@@ -218,7 +218,7 @@ func TestFilterConsistentAllInconsistentFallsBack(t *testing.T) {
 		{pos: geom.Pt(100, 0), d: 1, weight: 1},
 		{pos: geom.Pt(0, 100), d: 1, weight: 1},
 	}
-	if got := filterConsistent(obs, 1); len(got) != 3 {
+	if got := filterConsistentIn(&mlWorkspace{}, obs, 1); len(got) != 3 {
 		t.Errorf("expected fallback to all anchors, got %d", len(got))
 	}
 }
@@ -350,7 +350,7 @@ func TestGaussNewtonCollinearAnchors(t *testing.T) {
 }
 
 func TestLinearSeedErrors(t *testing.T) {
-	if _, err := linearSeed([]anchorObs{{pos: geom.Pt(0, 0), d: 1, weight: 1}}); err == nil {
+	if _, err := linearSeedIn(nil, []anchorObs{{pos: geom.Pt(0, 0), d: 1, weight: 1}}); err == nil {
 		t.Error("want error for too few observations")
 	}
 }

@@ -74,31 +74,13 @@ func (d *Deployment) ChooseRandomAnchors(k int, rng *rand.Rand) error {
 	return nil
 }
 
-// MinSpacing returns the smallest pairwise distance in the deployment, the
-// quantity the LSS soft constraint relies on. It returns 0 for fewer than
-// two nodes.
-func (d *Deployment) MinSpacing() float64 {
-	if d.N() < 2 {
-		return 0
-	}
-	best := d.Positions[0].Dist(d.Positions[1])
-	for i := 0; i < d.N(); i++ {
-		for j := i + 1; j < d.N(); j++ {
-			if dist := d.Positions[i].Dist(d.Positions[j]); dist < best {
-				best = dist
-			}
-		}
-	}
-	return best
-}
-
 // OffsetGrid builds the paper's Figure 5 layout: rows 9 m apart vertically;
 // nodes 10 m apart within a row; odd rows offset by half the horizontal
 // spacing, so nearest neighbors are 9 m and 10 m apart with a minimum
 // spacing of 9.14 m used as the soft-constraint dmin in Section 4.2.2
-// (offset-row diagonal: sqrt(9² + 5²) ≈ 10.30 m; the paper's stated 9.14 m
-// minimum corresponds to its exact survey geometry — we expose whatever the
-// generated grid's true minimum is via MinSpacing).
+// (offset-row diagonal: sqrt(9² + 5²) ≈ 10.30 m, so the generated grid's
+// minimum spacing is its 10 m column spacing; the paper's stated 9.14 m
+// minimum corresponds to its exact survey geometry).
 func OffsetGrid(rows, cols int, rowSpacing, colSpacing float64) (*Deployment, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("deploy: OffsetGrid: invalid shape %dx%d", rows, cols)

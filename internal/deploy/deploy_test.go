@@ -6,6 +6,23 @@ import (
 	"testing"
 )
 
+// minSpacing returns the smallest pairwise distance in d, the quantity the
+// LSS soft constraint relies on, or 0 for fewer than two nodes.
+func minSpacing(d *Deployment) float64 {
+	if d.N() < 2 {
+		return 0
+	}
+	best := d.Positions[0].Dist(d.Positions[1])
+	for i := 0; i < d.N(); i++ {
+		for j := i + 1; j < d.N(); j++ {
+			if dist := d.Positions[i].Dist(d.Positions[j]); dist < best {
+				best = dist
+			}
+		}
+	}
+	return best
+}
+
 func TestOffsetGridShape(t *testing.T) {
 	d, err := OffsetGrid(7, 7, 9, 10)
 	if err != nil {
@@ -36,7 +53,7 @@ func TestPaperGridNearestNeighborSpacing(t *testing.T) {
 	d := PaperGrid()
 	// Figure 5: nearest neighbors are 9 m and 10 m apart. The offset-grid
 	// minimum spacing must be between 9 and 10.3 m.
-	minSep := d.MinSpacing()
+	minSep := minSpacing(d)
 	if minSep < 9 || minSep > 10.3 {
 		t.Errorf("min spacing = %v, want in [9, 10.3]", minSep)
 	}
@@ -144,7 +161,7 @@ func TestUniformRandom(t *testing.T) {
 	if d.N() != 50 {
 		t.Fatalf("N = %d, want 50", d.N())
 	}
-	if minSep := d.MinSpacing(); minSep < 5 {
+	if minSep := minSpacing(d); minSep < 5 {
 		t.Errorf("min spacing = %v, want ≥5", minSep)
 	}
 	for _, p := range d.Positions {
@@ -173,7 +190,7 @@ func TestUniformRandomErrors(t *testing.T) {
 
 func TestMinSpacingDegenerate(t *testing.T) {
 	d := &Deployment{Positions: PaperGrid().Positions[:1]}
-	if d.MinSpacing() != 0 {
+	if minSpacing(d) != 0 {
 		t.Error("single-node min spacing should be 0")
 	}
 }

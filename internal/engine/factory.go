@@ -29,24 +29,8 @@ type Factory struct {
 	Build func(p params.Map) (Scenario, error)
 }
 
-// environments indexes the acoustics presets for enum-valued env params.
-var environments = map[string]func() acoustics.Environment{
-	"grass":    acoustics.Grass,
-	"pavement": acoustics.Pavement,
-	"urban":    acoustics.Urban,
-	"wooded":   acoustics.Wooded,
-}
-
 // envEnum is the environment enum in display order.
-var envEnum = []string{"grass", "pavement", "urban", "wooded"}
-
-func envByName(name string) (acoustics.Environment, error) {
-	f, ok := environments[name]
-	if !ok {
-		return acoustics.Environment{}, fmt.Errorf("unknown environment %q", name)
-	}
-	return f(), nil
-}
+var envEnum = acoustics.PresetNames()
 
 // Factories returns the parameterized scenario factories in display order.
 func Factories() []Factory {
@@ -98,7 +82,7 @@ func Factories() []Factory {
 					Help: "measurement attempts per distance point"},
 			},
 			Build: func(p params.Map) (Scenario, error) {
-				env, err := envByName(p.Str("env"))
+				env, err := acoustics.Preset(p.Str("env"))
 				if err != nil {
 					return Scenario{}, err
 				}
@@ -130,11 +114,11 @@ func Factories() []Factory {
 					Help: "boundary position as a fraction of the grid's width"},
 			},
 			Build: func(p params.Map) (Scenario, error) {
-				envA, err := envByName(p.Str("env_a"))
+				envA, err := acoustics.Preset(p.Str("env_a"))
 				if err != nil {
 					return Scenario{}, err
 				}
-				envB, err := envByName(p.Str("env_b"))
+				envB, err := acoustics.Preset(p.Str("env_b"))
 				if err != nil {
 					return Scenario{}, err
 				}

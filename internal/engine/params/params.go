@@ -30,8 +30,6 @@ const (
 	Float Kind = iota + 1
 	// Int accepts a JSON number with zero fractional part.
 	Int
-	// Bool accepts JSON true/false.
-	Bool
 	// String accepts a JSON string, constrained by the schema's Enum.
 	String
 )
@@ -43,22 +41,19 @@ func (k Kind) String() string {
 		return "float"
 	case Int:
 		return "int"
-	case Bool:
-		return "bool"
 	case String:
 		return "string"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Value is one parameter value: a JSON number, string, or bool. The zero
-// Value is invalid (it marshals to an error), so absent and present-but-zero
+// Value is one parameter value: a JSON number or string. The zero Value is
+// invalid (it marshals to an error), so absent and present-but-zero
 // parameters can never be confused.
 type Value struct {
-	kind Kind // Float, Bool, or String (Int is a schema-level constraint)
+	kind Kind // Float or String (Int is a schema-level constraint)
 	num  float64
 	str  string
-	b    bool
 }
 
 // Num returns a numeric Value.
@@ -67,11 +62,7 @@ func Num(f float64) Value { return Value{kind: Float, num: f} }
 // Str returns a string Value.
 func Str(s string) Value { return Value{kind: String, str: s} }
 
-// Flag returns a boolean Value.
-func Flag(b bool) Value { return Value{kind: Bool, b: b} }
-
-// Kind reports the value's JSON shape: Float for any number, Bool, or
-// String. It never reports Int — integrality is a schema constraint, not a
+// Kind reports the value's JSON shape: Float for any number, or String. It never reports Int — integrality is a schema constraint, not a
 // wire distinction.
 func (v Value) Kind() Kind { return v.kind }
 
@@ -81,9 +72,6 @@ func (v Value) Float64() float64 { return v.num }
 // Int returns the numeric value truncated to int (0 for non-numbers).
 func (v Value) Int() int { return int(v.num) }
 
-// Bool returns the boolean value (false for non-bools).
-func (v Value) Bool() bool { return v.b }
-
 // Str returns the string value ("" for non-strings).
 func (v Value) Str() string { return v.str }
 
@@ -92,8 +80,6 @@ func (v Value) String() string {
 	switch v.kind {
 	case Float:
 		return strconv.FormatFloat(v.num, 'g', -1, 64)
-	case Bool:
-		return strconv.FormatBool(v.b)
 	case String:
 		return v.str
 	}
@@ -109,15 +95,13 @@ func (v Value) MarshalJSON() ([]byte, error) {
 			return nil, fmt.Errorf("params: non-finite number %v", v.num)
 		}
 		return json.Marshal(v.num)
-	case Bool:
-		return json.Marshal(v.b)
 	case String:
 		return json.Marshal(v.str)
 	}
 	return nil, fmt.Errorf("params: invalid zero Value")
 }
 
-// UnmarshalJSON decodes a JSON number, string, or bool; null, objects, and
+// UnmarshalJSON decodes a JSON number or string; bools, null, objects, and
 // arrays are rejected.
 func (v *Value) UnmarshalJSON(b []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(b))
@@ -133,12 +117,10 @@ func (v *Value) UnmarshalJSON(b []byte) error {
 			return fmt.Errorf("params: number %q out of range", t.String())
 		}
 		*v = Num(f)
-	case bool:
-		*v = Flag(t)
 	case string:
 		*v = Str(t)
 	default:
-		return fmt.Errorf("params: value must be a number, string, or bool (got %s)", strings.TrimSpace(string(b)))
+		return fmt.Errorf("params: value must be a number or string (got %s)", strings.TrimSpace(string(b)))
 	}
 	return nil
 }
@@ -217,9 +199,6 @@ func (m Map) Float(name string) float64 { return m[name].Float64() }
 // Int returns the named numeric value truncated to int (0 when absent).
 func (m Map) Int(name string) int { return m[name].Int() }
 
-// Bool returns the named boolean (false when absent).
-func (m Map) Bool(name string) bool { return m[name].Bool() }
-
 // Str returns the named string ("" when absent).
 func (m Map) Str(name string) string { return m[name].str }
 
@@ -259,10 +238,6 @@ func (p Spec) check(v Value) error {
 		if f < p.Min || f > p.Max {
 			return fmt.Errorf("value %v out of range [%g, %g]", f, p.Min, p.Max)
 		}
-	case Bool:
-		if v.Kind() != Bool {
-			return fmt.Errorf("want a bool, got %s %v", v.Kind(), v)
-		}
 	case String:
 		if v.Kind() != String {
 			return fmt.Errorf("want a string, got %s %v", v.Kind(), v)
@@ -280,7 +255,7 @@ func (p Spec) check(v Value) error {
 }
 
 // Constraint renders the spec's admissible range for listings:
-// "[0, 18]" for numbers, "grass|pavement|..." for enums, "" for bools.
+// "[0, 18]" for numbers, "grass|pavement|..." for enums.
 func (p Spec) Constraint() string {
 	switch p.Kind {
 	case Float, Int:
@@ -323,7 +298,6 @@ func (s Schema) SelfCheck() error {
 			if p.Min > p.Max {
 				return fmt.Errorf("params: %s: inverted bounds [%g, %g]", p.Name, p.Min, p.Max)
 			}
-		case Bool:
 		case String:
 			if len(p.Enum) == 0 {
 				return fmt.Errorf("params: %s: string parameter with no enum", p.Name)
@@ -380,18 +354,12 @@ func (s Schema) Resolve(m Map) (Map, error) {
 }
 
 // ParseArg parses one CLI "name=value" argument. The value is parsed as a
-// bool ("true"/"false"), then a number, then falls back to a string — the
-// same precedence a JSON reader would apply.
+// finite number, else kept as a string, so "true" is the string "true",
+// which no schema admits.
 func ParseArg(arg string) (string, Value, error) {
 	name, raw, ok := strings.Cut(arg, "=")
 	if !ok || name == "" {
 		return "", Value{}, fmt.Errorf("params: want name=value, got %q", arg)
-	}
-	switch raw {
-	case "true":
-		return name, Flag(true), nil
-	case "false":
-		return name, Flag(false), nil
 	}
 	if f, err := strconv.ParseFloat(raw, 64); err == nil && !math.IsNaN(f) && !math.IsInf(f, 0) {
 		return name, Num(f), nil

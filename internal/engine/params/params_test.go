@@ -18,8 +18,6 @@ func TestValueJSONRoundTrip(t *testing.T) {
 		{`9.5`, Num(9.5), `9.5`},
 		{`-0.25`, Num(-0.25), `-0.25`},
 		{`1e3`, Num(1000), `1000`},
-		{`true`, Flag(true), `true`},
-		{`false`, Flag(false), `false`},
 		{`"grass"`, Str("grass"), `"grass"`},
 		{`""`, Str(""), `""`},
 	}
@@ -42,7 +40,7 @@ func TestValueJSONRoundTrip(t *testing.T) {
 }
 
 func TestValueJSONRejects(t *testing.T) {
-	for _, in := range []string{`null`, `{}`, `[1]`, `{"a":1}`} {
+	for _, in := range []string{`null`, `true`, `false`, `{}`, `[1]`, `{"a":1}`} {
 		var v Value
 		if err := json.Unmarshal([]byte(in), &v); err == nil {
 			t.Errorf("unmarshal %s: want error, got %v", in, v)
@@ -67,15 +65,15 @@ func TestZeroAndNonFiniteValuesDoNotMarshal(t *testing.T) {
 }
 
 func TestMapCanonicalSortsKeys(t *testing.T) {
-	m := Map{"zeta": Num(1), "alpha": Str("a"), "mid": Flag(true)}
+	m := Map{"zeta": Num(1), "alpha": Str("a"), "mid": Str("6")}
 	got := string(m.Canonical())
-	want := `{"alpha":"a","mid":true,"zeta":1}`
+	want := `{"alpha":"a","mid":"6","zeta":1}`
 	if got != want {
 		t.Errorf("canonical: got %s, want %s", got, want)
 	}
 	// Decoding any key order yields the same canonical bytes.
 	var back Map
-	if err := json.Unmarshal([]byte(`{"zeta":1,"mid":true,"alpha":"a"}`), &back); err != nil {
+	if err := json.Unmarshal([]byte(`{"zeta":1,"mid":"6","alpha":"a"}`), &back); err != nil {
 		t.Fatal(err)
 	}
 	if string(back.Canonical()) != want {
@@ -112,7 +110,6 @@ func testSchema() Schema {
 		{Name: "delta_db", Kind: Float, Default: Num(6), Min: -20, Max: 40, Help: "noise floor delta"},
 		{Name: "drop", Kind: Int, Default: Num(6), Min: 0, Max: 18, Help: "anchors to drop"},
 		{Name: "env", Kind: String, Default: Str("grass"), Enum: []string{"grass", "pavement"}, Help: "terrain"},
-		{Name: "strict", Kind: Bool, Default: Flag(false), Help: "strict mode"},
 	}
 }
 
@@ -129,7 +126,7 @@ func TestSchemaSelfCheck(t *testing.T) {
 		{{Name: "a", Kind: Float, Default: Num(99), Min: 0, Max: 9}},            // default out of range
 		{{Name: "a", Kind: String, Default: Str("z"), Enum: []string{"grass"}}}, // default not in enum
 		{{Name: "a", Kind: Kind(0), Default: Num(0)}},                           // invalid kind
-		{{Name: "a", Kind: Bool, Default: Num(1)}},                              // default wrong type
+		{{Name: "a", Kind: Float, Default: Str("x"), Min: 0, Max: 9}},           // default wrong type
 	}
 	for i, s := range bad {
 		if err := s.SelfCheck(); err == nil {
@@ -147,8 +144,7 @@ func TestSchemaValidate(t *testing.T) {
 		{"drop": Num(0)},
 		{"drop": Num(18)},
 		{"env": Str("pavement")},
-		{"strict": Flag(true)},
-		{"delta_db": Num(-20), "drop": Num(3), "env": Str("grass"), "strict": Flag(false)},
+		{"delta_db": Num(-20), "drop": Num(3), "env": Str("grass")},
 	}
 	for i, m := range ok {
 		if err := s.Validate(m); err != nil {
@@ -160,7 +156,7 @@ func TestSchemaValidate(t *testing.T) {
 		frag string // required error-message fragment
 	}{
 		{Map{"nope": Num(1)}, `unknown parameter "nope"`},
-		{Map{"nope": Num(1)}, "delta_db, drop, env, strict"}, // lists accepted names
+		{Map{"nope": Num(1)}, "delta_db, drop, env"}, // lists accepted names
 		{Map{"delta_db": Num(41)}, "out of range"},
 		{Map{"delta_db": Num(-21)}, "out of range"},
 		{Map{"delta_db": Str("six")}, "want a number"},
@@ -168,7 +164,8 @@ func TestSchemaValidate(t *testing.T) {
 		{Map{"drop": Num(math.NaN())}, "non-finite"},
 		{Map{"env": Str("urban")}, `not one of grass|pavement`},
 		{Map{"env": Num(1)}, "want a string"},
-		{Map{"strict": Str("yes")}, "want a bool"},
+		{Map{"drop": Str("true")}, "want a number"}, // -param drop=true
+		{Map{"env": Str("false")}, `not one of grass|pavement`},
 	}
 	for i, c := range bad {
 		err := s.Validate(c.m)
@@ -188,7 +185,7 @@ func TestSchemaResolveFillsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Map{"delta_db": Num(9.5), "drop": Num(6), "env": Str("grass"), "strict": Flag(false)}
+	want := Map{"delta_db": Num(9.5), "drop": Num(6), "env": Str("grass")}
 	if !got.Equal(want) {
 		t.Errorf("resolve: got %s, want %s", got.Canonical(), want.Canonical())
 	}
@@ -219,8 +216,8 @@ func TestParseArg(t *testing.T) {
 		{"delta_db=9.5", "delta_db", Num(9.5)},
 		{"drop=6", "drop", Num(6)},
 		{"env=grass", "env", Str("grass")},
-		{"strict=true", "strict", Flag(true)},
-		{"strict=false", "strict", Flag(false)},
+		{"strict=true", "strict", Str("true")}, // no bool kind: a schema rejects it
+		{"strict=false", "strict", Str("false")},
 		{"label=1x", "label", Str("1x")},
 		{"eq=a=b", "eq", Str("a=b")}, // first '=' splits
 		{"nan=NaN", "nan", Str("NaN")},
@@ -266,7 +263,7 @@ func TestFlagValue(t *testing.T) {
 // spelling.
 func FuzzMapCanonical(f *testing.F) {
 	f.Add(`{"b":1,"a":2}`)
-	f.Add(`{"a": 6.0, "z": "grass", "m": true}`)
+	f.Add(`{"a": 6.0, "z": "grass", "m": "6"}`)
 	f.Add(`{}`)
 	f.Add(`{"x":-0.25,"y":1e3}`)
 	f.Add(`{"dup":1,"dup":2}`)

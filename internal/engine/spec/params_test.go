@@ -111,13 +111,10 @@ func FuzzSpecHashKeyOrder(f *testing.F) {
 		p := make(params.Map)
 		for i := 0; i < int(nParams%8); i++ {
 			name := fmt.Sprintf("p%d", rng.Intn(10))
-			switch rng.Intn(3) {
-			case 0:
+			if rng.Intn(2) == 0 {
 				p[name] = params.Num(float64(rng.Intn(2000)-1000) / 16)
-			case 1:
+			} else {
 				p[name] = params.Str(fmt.Sprintf("v%d", rng.Intn(5)))
-			default:
-				p[name] = params.Flag(rng.Intn(2) == 0)
 			}
 		}
 		base := spec.JobSpec{Kind: spec.KindScenario, ID: "x", Seed: seed, Params: p}

@@ -8,11 +8,18 @@
 // References are matched syntactically, with nothing but go/parser: a
 // package-qualified selector (pkg.Name) or a bare identifier inside the
 // declaring package refers to a function; any other selector (x.Name)
-// refers to every method of that name, whatever its receiver. Name-only
-// method matching can miss a dead method that shares its name with a live
-// one, but it never flags a live method. References from non-test code
-// anywhere, from other packages' tests (the root bench_test.go included),
-// and from the bench/ module all count as callers.
+// refers to every method of that name, whatever its receiver. A selector
+// is package-qualified when x names one of the file's imports, standard
+// library included, and object resolution finds no local declaration of x
+// shadowing it: os.Remove is no call of a Remove method. A selector that
+// is itself selected from (cfg.Units in cfg.Units.FaultProb), assigned to,
+// or incremented is a field, and no method reference either. None of
+// these rules can flag a live method. What remains hidden is a dead method
+// that shares its name with a live method of another type: any n.N(),
+// x.Len() or m.Add(…) keeps every method of that name alive. References
+// from non-test code anywhere, from other packages' tests (the root
+// bench_test.go included), and from the bench/ module all count as
+// callers.
 package exportlint
 
 import (
@@ -60,9 +67,12 @@ func TestNoUncalledExports(t *testing.T) {
 
 // TestFixtureFlagsUncalledExports runs the scan over a small fixture tree:
 // an export with no reference at all and one referenced only by its own
-// package's test are flagged; exports reached from another package's code,
-// another package's test, the fixture's bench/ module, a same-package
-// non-test caller, or only implicitly (String) are not.
+// package's test are flagged, and so are methods whose name appears only
+// as a standard-library call (os.Remove) or as a field (cfg.Units.Fault,
+// cfg.Count = 2, cfg.Count++); exports reached from another package's
+// code, another package's test, the fixture's bench/ module, a
+// same-package non-test caller, a local variable that shadows an import,
+// or only implicitly (String) are not.
 func TestFixtureFlagsUncalledExports(t *testing.T) {
 	dead, err := uncalledExports(filepath.Join("testdata", "fixture"))
 	if err != nil {
@@ -72,7 +82,7 @@ func TestFixtureFlagsUncalledExports(t *testing.T) {
 	for _, d := range dead {
 		got = append(got, d.key)
 	}
-	want := []string{"a.Dead", "a.OwnTestOnly", "a.T.DeadMethod"}
+	want := []string{"a.Dead", "a.OwnTestOnly", "a.T.Count", "a.T.DeadMethod", "a.T.Remove", "a.T.Units"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("flagged %v, want %v", got, want)
 	}
@@ -175,8 +185,8 @@ func uncalledExports(root string) ([]export, error) {
 
 // countRefs adds f's references to refs: functions as "importpath.Name"
 // (qualified selectors, or bare identifiers naming a function of f's own
-// package), methods as the bare selector name. Declared names, and the
-// selected name of a method selector, are not bare-identifier references.
+// package), methods as the bare selector name. Declared names, the
+// selected name of any other selector, and fields are not references.
 func countRefs(f *ast.File, d *pkgDir, pkgByPath map[string]*pkgDir, refs map[string]int) {
 	imports := importNames(f, pkgByPath)
 	skip := make(map[*ast.Ident]bool)
@@ -185,16 +195,34 @@ func countRefs(f *ast.File, d *pkgDir, pkgByPath map[string]*pkgDir, refs map[st
 			skip[fn.Name] = true
 		}
 	}
+	// A node is visited before its children, so a selector is known to be
+	// a field by the time it is visited.
+	fields := make(map[*ast.SelectorExpr]bool)
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok {
+					fields[sel] = true
+				}
+			}
+		case *ast.IncDecStmt:
+			if sel, ok := x.X.(*ast.SelectorExpr); ok {
+				fields[sel] = true
+			}
 		case *ast.SelectorExpr:
-			if id, ok := x.X.(*ast.Ident); ok {
+			if inner, ok := x.X.(*ast.SelectorExpr); ok {
+				fields[inner] = true
+			}
+			if id, ok := x.X.(*ast.Ident); ok && id.Obj == nil {
 				if path, ok := imports[id.Name]; ok {
 					refs[path+"."+x.Sel.Name]++
 					return false
 				}
 			}
-			refs[x.Sel.Name]++
+			if !fields[x] {
+				refs[x.Sel.Name]++
+			}
 			skip[x.Sel] = true
 		case *ast.Ident:
 			if !skip[x] {
@@ -205,16 +233,18 @@ func countRefs(f *ast.File, d *pkgDir, pkgByPath map[string]*pkgDir, refs map[st
 	})
 }
 
-// importNames maps each in-tree import's local name to its import path.
+// importNames maps each import's local name to its import path. An
+// in-tree package goes by its declared name, any other by the last element
+// of its path. A name this misses only leaves its selectors counted as
+// method references.
 func importNames(f *ast.File, pkgByPath map[string]*pkgDir) map[string]string {
 	names := make(map[string]string)
 	for _, imp := range f.Imports {
 		path := strings.Trim(imp.Path.Value, `"`)
-		p, ok := pkgByPath[path]
-		if !ok {
-			continue
+		name := path[strings.LastIndex(path, "/")+1:]
+		if p, ok := pkgByPath[path]; ok {
+			name = p.name
 		}
-		name := p.name
 		if imp.Name != nil {
 			name = imp.Name.Name
 		}
@@ -295,7 +325,7 @@ func parseDir(fset *token.FileSet, root, dir string, modules map[string]string) 
 		d.bench = true
 	}
 	for _, m := range matches {
-		f, err := parser.ParseFile(fset, m, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, m, nil, 0)
 		if err != nil {
 			return nil, err
 		}

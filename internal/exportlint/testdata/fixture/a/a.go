@@ -32,3 +32,26 @@ func (T) DeadMethod() {}
 
 // String is called implicitly by fmt.
 func (T) String() string { return "" }
+
+// Remove shares its name only with package b's call of os.Remove.
+func (T) Remove() {}
+
+// Shadowed is called through a local variable that shadows an import.
+func (T) Shadowed() {}
+
+// Cfg has fields named like T's methods below.
+type Cfg struct {
+	Units Inner
+	Count int
+}
+
+// Inner is the type of Cfg.Units.
+type Inner struct {
+	Fault float64
+}
+
+// Units shares its name only with the field path cfg.Units.Fault.
+func (T) Units() {}
+
+// Count shares its name only with the assigned and incremented cfg.Count.
+func (T) Count() {}

@@ -10,4 +10,6 @@ import (
 func Uncalled() {
 	a.Bench()
 	b.Call()
+	b.Names(&a.Cfg{})
+	b.Shadow()
 }

@@ -47,17 +47,6 @@ func (p Point) DistSq(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Unit returns p normalized to unit length. The zero vector is returned
-// unchanged, so callers dividing by a near-zero distance must guard
-// themselves.
-func (p Point) Unit() Point {
-	n := p.Norm()
-	if n == 0 {
-		return Point{}
-	}
-	return Point{p.X / n, p.Y / n}
-}
-
 // Perp returns p rotated by +90 degrees.
 func (p Point) Perp() Point { return Point{-p.Y, p.X} }
 

@@ -111,10 +111,8 @@ func (m *Dense) check(i, j int) {
 	}
 }
 
-// Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense { return m.cloneIn(nil) }
-
-// cloneIn is Clone with the copy's backing borrowed from ws (nil allocates).
+// cloneIn returns a deep copy of m, its backing borrowed from ws (nil
+// allocates).
 func (m *Dense) cloneIn(ws *scratch.Arena) *Dense {
 	n := denseIn(ws, m.rows, m.cols)
 	copy(n.data, m.data)
@@ -168,18 +166,6 @@ func (m *Dense) mulVecIn(ws *scratch.Arena, x []float64) ([]float64, error) {
 			s += v * x[j]
 		}
 		out[i] = s
-	}
-	return out, nil
-}
-
-// Add returns m + b as a new matrix.
-func (m *Dense) Add(b *Dense) (*Dense, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: %dx%d + %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i, v := range b.data {
-		out.data[i] += v
 	}
 	return out, nil
 }

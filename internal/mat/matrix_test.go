@@ -41,10 +41,10 @@ func TestSetAtClone(t *testing.T) {
 	if m.At(1, 2) != 7 {
 		t.Error("Set/At mismatch")
 	}
-	c := m.Clone()
+	c := m.cloneIn(nil)
 	c.Set(0, 0, 9)
-	if m.At(0, 0) == 9 {
-		t.Error("Clone aliases original")
+	if m.At(0, 0) == 9 || c.At(1, 2) != 7 {
+		t.Error("cloneIn aliases or drops the original")
 	}
 }
 
@@ -100,21 +100,6 @@ func TestMulVec(t *testing.T) {
 		t.Errorf("MulVec = %v, want [3 7]", y)
 	}
 	if _, err := a.mulVecIn(nil, []float64{1}); !errors.Is(err, ErrShape) {
-		t.Error("want ErrShape")
-	}
-}
-
-func TestAddScale(t *testing.T) {
-	a, _ := fromRows([][]float64{{1, 2}})
-	b, _ := fromRows([][]float64{{3, 4}})
-	s, err := a.Add(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.At(0, 1) != 6 {
-		t.Errorf("Add = %v", s)
-	}
-	if _, err := a.Add(NewDense(2, 2)); !errors.Is(err, ErrShape) {
 		t.Error("want ErrShape")
 	}
 }

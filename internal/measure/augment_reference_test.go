@@ -159,7 +159,7 @@ func TestAugmentRejectsBadInputs(t *testing.T) {
 	}
 	for _, c := range cases {
 		name := fmt.Sprintf("Augment(maxRange %v, sigma %v, count %d)", c.maxRange, c.sigma, c.count)
-		s := base.Clone()
+		s := rebuilt(t, base)
 		rng := rand.New(rand.NewSource(5))
 		added, err := Augment(s, dep, c.maxRange, c.sigma, c.count, rng)
 		if !errors.Is(err, c.want) || (c.want == nil) != (err == nil) {

@@ -8,8 +8,8 @@ import (
 	"resilientloc/internal/deploy"
 )
 
-// Property: after an arbitrary sequence of Add/Remove operations, the Set's
-// Len, All, Neighbors and AvgDegree views stay mutually consistent.
+// Property: after an arbitrary sequence of Adds and removals, the Set's
+// Len, All and Neighbors views stay mutually consistent.
 func TestPropertySetViewConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 50; trial++ {
@@ -27,7 +27,7 @@ func TestPropertySetViewConsistency(t *testing.T) {
 			if rng.Float64() < 0.7 {
 				_ = s.Add(i, j, rng.Float64()*20+0.1, 1)
 			} else {
-				s.Remove(i, j)
+				s = rebuilt(t, s, MkPair(i, j))
 			}
 		}
 		all := s.All()
@@ -46,9 +46,6 @@ func TestPropertySetViewConsistency(t *testing.T) {
 		}
 		if degSum != 2*s.Len() {
 			t.Fatalf("degree sum %d != 2·Len %d", degSum, 2*s.Len())
-		}
-		if got := s.AvgDegree(); math.Abs(got-float64(degSum)/float64(n)) > 1e-12 {
-			t.Fatalf("AvgDegree inconsistent: %v", got)
 		}
 	}
 }
@@ -139,7 +136,7 @@ func TestPropertySparsifySubset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := s.Clone()
+		before := rebuilt(t, s)
 		k := rng.Intn(s.Len() + 10)
 		Sparsify(s, k, rng)
 		want := k
@@ -183,7 +180,7 @@ func TestPropertyConnectedMatchesSearch(t *testing.T) {
 		}
 		for op := 0; op < n/2; op++ {
 			if i, j := rng.Intn(n), rng.Intn(n); i != j {
-				s.Remove(i, j)
+				s = rebuilt(t, s, MkPair(i, j))
 			}
 		}
 		want := searchConnected(s)

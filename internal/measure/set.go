@@ -1,8 +1,7 @@
 // Package measure defines the distance-measurement data structures shared by
 // the ranging service and the localization algorithms: raw repeated directed
 // measurements, the statistical filters of paper Section 3.5 (median/mode),
-// the bidirectional and triangle-inequality consistency checks, and the
-// synthetic distance generators the paper uses to augment sparse field data
+// the bidirectional consistency check, and the synthetic distance generators the paper uses to augment sparse field data
 // (Figures 15/16 and 25) and to drive the random-deployment simulations
 // (Figures 20–22).
 package measure
@@ -11,10 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"maps"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"resilientloc/internal/deploy"
@@ -53,7 +50,7 @@ type Measurement struct {
 // The measurements live in one insertion-ordered slice. While every Add has
 // arrived in strictly ascending pair order (Lo, then Hi), as Generate and
 // the other builders that loop i < j add them, the slice is sorted and Get
-// and Remove binary-search it. The first Add out of that order builds a
+// binary-searches it. The first Add out of that order builds a
 // position index, which the set keeps from then on. Reads never write, so
 // a Set is safe to read from many goroutines.
 type Set struct {
@@ -170,40 +167,6 @@ func (s *Set) Get(i, j int) (Measurement, bool) {
 	return Measurement{}, false
 }
 
-// Remove deletes the measurement for (i, j) if present.
-func (s *Set) Remove(i, j int) {
-	p := MkPair(i, j)
-	k, ok := s.find(p)
-	if !ok {
-		return
-	}
-	s.ms = slices.Delete(s.ms, k, k+1)
-	if s.pos != nil {
-		delete(s.pos, p)
-		for ; k < len(s.ms); k++ {
-			s.pos[s.ms[k].Pair] = k
-		}
-	}
-}
-
-// retain keeps, in one pass and in their order, the measurements for which
-// keep(k, m) is true, k being m's position in insertion order. It returns
-// how many it dropped.
-func (s *Set) retain(keep func(k int, m Measurement) bool) int {
-	out := s.ms[:0]
-	for k, m := range s.ms {
-		if keep(k, m) {
-			out = append(out, m)
-		}
-	}
-	dropped := len(s.ms) - len(out)
-	s.ms = out
-	if s.pos != nil {
-		s.index()
-	}
-	return dropped
-}
-
 // All returns a copy of every measurement, in insertion order, that the
 // caller owns.
 func (s *Set) All() []Measurement {
@@ -235,24 +198,6 @@ func (s *Set) Neighbors(i int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// AvgDegree returns the mean node degree — the paper reports e.g. "the
-// average number of anchors per node was 1.47" from this kind of statistic.
-func (s *Set) AvgDegree() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return 2 * float64(len(s.ms)) / float64(s.n)
-}
-
-// Clone returns a deep copy.
-func (s *Set) Clone() *Set {
-	c := &Set{n: s.n, ms: slices.Clone(s.ms)}
-	if s.pos != nil {
-		c.pos = maps.Clone(s.pos)
-	}
-	return c
 }
 
 // Connected reports whether the measurement graph is connected over all n
@@ -314,9 +259,6 @@ func NewRaw(n int) (*Raw, error) {
 	}
 	return &Raw{n: n, readings: make(map[[2]int][]float64)}, nil
 }
-
-// N returns the number of nodes the collection spans.
-func (r *Raw) N() int { return r.n }
 
 // Add appends one raw directed reading from src to dst.
 func (r *Raw) Add(src, dst int, distance float64) error {
@@ -635,5 +577,14 @@ func Sparsify(s *Set, keep int, rng *rand.Rand) {
 	for _, k := range order[keep:] {
 		drop[k] = true
 	}
-	s.retain(func(k int, _ Measurement) bool { return !drop[k] })
+	out := s.ms[:0]
+	for k, m := range s.ms {
+		if !drop[k] {
+			out = append(out, m)
+		}
+	}
+	s.ms = out
+	if s.pos != nil {
+		s.index()
+	}
 }

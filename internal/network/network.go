@@ -62,14 +62,6 @@ func New(n int, edges [][2]int, link radio.LinkModel, rng *rand.Rand) (*Network,
 	return nw, nil
 }
 
-// N returns the node count.
-func (nw *Network) N() int { return nw.n }
-
-// Neighbors returns node i's neighbors, ascending.
-func (nw *Network) Neighbors(i int) []int {
-	return append([]int(nil), nw.adj[i]...)
-}
-
 // MessagesSent returns the total number of point-to-point transmissions
 // attempted so far (including lost ones).
 func (nw *Network) MessagesSent() int { return nw.sent }

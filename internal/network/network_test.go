@@ -37,12 +37,12 @@ func TestNewValidation(t *testing.T) {
 
 func TestNeighborsDeduplicated(t *testing.T) {
 	nw := mustNetwork(t, 3, [][2]int{{0, 1}, {1, 0}, {1, 2}}, radio.LinkModel{}, nil)
-	nb := nw.Neighbors(1)
+	nb := nw.adj[1]
 	if len(nb) != 2 || nb[0] != 0 || nb[1] != 2 {
-		t.Errorf("Neighbors(1) = %v, want [0 2]", nb)
+		t.Errorf("neighbors of 1 = %v, want [0 2]", nb)
 	}
-	if got := nw.Neighbors(0); len(got) != 1 {
-		t.Errorf("Neighbors(0) = %v", got)
+	if got := nw.adj[0]; len(got) != 1 {
+		t.Errorf("neighbors of 0 = %v", got)
 	}
 }
 

@@ -1,8 +1,10 @@
 package ranging
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"resilientloc/internal/acoustics"
@@ -90,18 +92,41 @@ func TestBlockedDirectPath(t *testing.T) {
 	}
 }
 
-// TestZeroRoundCampaignRejected and empty-deployment handling.
+// TestCampaignDegenerateInputs: non-positive rounds and a NaN or negative
+// maxPairDist are rejected before any draw; an unreachable or infinite
+// maxPairDist is not an error.
 func TestCampaignDegenerateInputs(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	svc, err := NewService(DefaultConfig(acoustics.Grass()), twoNodeDeployment(10), rng)
-	if err != nil {
-		t.Fatal(err)
+	newService := func() *Service {
+		svc, err := NewService(DefaultConfig(acoustics.Grass()), twoNodeDeployment(10), rand.New(rand.NewSource(73)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
 	}
+	svc := newService()
 	if _, err := svc.Campaign(0, 20); err == nil {
 		t.Error("want error for zero rounds")
 	}
 	if _, err := svc.Campaign(-3, 20); err == nil {
 		t.Error("want error for negative rounds")
+	}
+	for _, d := range []float64{math.NaN(), -5, math.Inf(-1)} {
+		if _, err := svc.Campaign(1, d); !errors.Is(err, measure.ErrMaxRange) {
+			t.Errorf("maxPairDist %v: error %v, want measure.ErrMaxRange", d, err)
+		}
+	}
+	// The rejected campaigns drew nothing: the next one matches a fresh
+	// service's.
+	got, err := svc.Campaign(1, math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := newService().Campaign(1, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.TotalReadings() == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("campaign after rejected inputs: %d readings, want the fresh service's %d", got.TotalReadings(), want.TotalReadings())
 	}
 	// A campaign with an unreachable max distance yields an empty Raw, not
 	// an error.
@@ -139,7 +164,7 @@ func TestCalibrationOffsetReasonable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := svc.CalibrationOffset()
+	off := svc.calibOffset
 	if math.Abs(off) > 0.6 {
 		t.Errorf("calibration offset %.3f m outside ±0.6 m", off)
 	}
@@ -150,7 +175,7 @@ func TestCalibrationOffsetReasonable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc2.CalibrationOffset() != 0 {
-		t.Errorf("offset %v with AutoCalibrate off", svc2.CalibrationOffset())
+	if svc2.calibOffset != 0 {
+		t.Errorf("offset %v with AutoCalibrate off", svc2.calibOffset)
 	}
 }

@@ -282,13 +282,6 @@ func (s *Service) calibrate() {
 	}
 }
 
-// CalibrationOffset reports the δconst offset established at construction.
-func (s *Service) CalibrationOffset() float64 { return s.calibOffset }
-
-// Units exposes the drawn per-node hardware offsets (read-only; for tests
-// and diagnostics).
-func (s *Service) Units() []acoustics.UnitOffsets { return s.units }
-
 // MeasurePair simulates one complete ranging attempt from src to dst and
 // returns the estimated distance in meters. ok is false when no acoustic
 // signal was detected.
@@ -467,10 +460,14 @@ func firstRun(rec []bool, r int) int {
 // distance is within maxPairDist and collects the raw directed readings.
 // It mirrors the field procedure of Section 3.6 ("three rounds of
 // measurements, with each sensor node emitting one sequence of 10 chirps
-// per round").
+// per round"). Before any draw, non-positive rounds fail, and so does a NaN
+// or negative maxPairDist, with measure.ErrMaxRange; +Inf admits every pair.
 func (s *Service) Campaign(rounds int, maxPairDist float64) (*measure.Raw, error) {
 	if rounds <= 0 {
 		return nil, errors.New("ranging: Campaign: need positive rounds")
+	}
+	if !(maxPairDist >= 0) {
+		return nil, fmt.Errorf("ranging: Campaign: %w, got %v", measure.ErrMaxRange, maxPairDist)
 	}
 	raw, err := measure.NewRaw(s.dep.N())
 	if err != nil {

@@ -37,12 +37,6 @@ func NewAccumulator(n int) (*Accumulator, error) {
 	return &Accumulator{samples: make([]uint8, n)}, nil
 }
 
-// Len returns the number of sample offsets.
-func (a *Accumulator) Len() int { return len(a.samples) }
-
-// Chirps returns how many chirp recordings have been accumulated.
-func (a *Accumulator) Chirps() int { return a.chirps }
-
 // AddRecording accumulates one chirp's binary tone-detector time series.
 // detections must have the same length as the buffer. Cells saturate at
 // MaxAccumulated, modeling the 4-bit hardware buffer. It returns an error

@@ -13,8 +13,8 @@ func TestNewAccumulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != 10 || a.Chirps() != 0 {
-		t.Errorf("fresh accumulator wrong: len=%d chirps=%d", a.Len(), a.Chirps())
+	if len(a.samples) != 10 || a.chirps != 0 {
+		t.Errorf("fresh accumulator wrong: len=%d chirps=%d", len(a.samples), a.chirps)
 	}
 }
 
@@ -32,8 +32,8 @@ func TestAccumulatorAddRecording(t *testing.T) {
 			t.Errorf("cell %d = %d, want %d", i, a.Samples()[i], w)
 		}
 	}
-	if a.Chirps() != 2 {
-		t.Errorf("Chirps = %d, want 2", a.Chirps())
+	if a.chirps != 2 {
+		t.Errorf("chirps = %d, want 2", a.chirps)
 	}
 	if err := a.AddRecording([]bool{true}); err == nil {
 		t.Error("want error for wrong length")
@@ -60,7 +60,7 @@ func TestAccumulatorReset(t *testing.T) {
 	a, _ := NewAccumulator(2)
 	_ = a.AddRecording([]bool{true, true})
 	a.Reset()
-	if a.Chirps() != 0 || a.Samples()[0] != 0 || a.Samples()[1] != 0 {
+	if a.chirps != 0 || a.Samples()[0] != 0 || a.Samples()[1] != 0 {
 		t.Error("Reset did not clear state")
 	}
 }

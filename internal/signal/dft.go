@@ -268,16 +268,9 @@ func (d DFTDetector) noiseWindow() int {
 	return d.NoiseWindow
 }
 
-// slidingMeanSquare returns the mean of squared samples over a trailing
-// window of length w at each index (shorter at the start).
-func slidingMeanSquare(samples []float64, w int) []float64 {
-	out := make([]float64, len(samples))
-	slidingMeanSquareInto(out, samples, w)
-	return out
-}
-
-// slidingMeanSquareInto is slidingMeanSquare writing into out, which must
-// have the same length as samples.
+// slidingMeanSquareInto writes into out, which must have the same length as
+// samples, the mean of squared samples over a trailing window of length w
+// at each index (shorter at the start).
 func slidingMeanSquareInto(out, samples []float64, w int) {
 	var sum float64
 	for i, s := range samples {
@@ -293,16 +286,10 @@ func slidingMeanSquareInto(out, samples []float64, w int) {
 	}
 }
 
-// slidingMin returns, at each index, the minimum of xs over the trailing
-// window of length w, using a monotonic deque for O(n) total work.
-func slidingMin(xs []float64, w int) []float64 {
-	out := make([]float64, len(xs))
-	slidingMinInto(out, make([]int, w+1), xs, w)
-	return out
-}
-
-// slidingMinInto is slidingMin writing into out (same length as xs), with
-// the monotonic deque held in ring, a circular index buffer of length ≥ w+1.
+// slidingMinInto writes into out (same length as xs), at each index, the
+// minimum of xs over the trailing window of length w, using a monotonic
+// deque for O(n) total work. The deque is held in ring, a circular index
+// buffer of length ≥ w+1.
 // The ring replaces the old `deque = deque[1:]` head pop, which leaked
 // capacity from the front and forced append regrowth on long waveforms; here
 // head and tail just wrap.

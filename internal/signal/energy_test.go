@@ -119,7 +119,8 @@ func (d bandpassEnergyDetector) Detect(samples []float64) ([]int, error) {
 	if ew <= 0 {
 		ew = 96
 	}
-	energy := slidingMeanSquare(filtered, ew)
+	energy := make([]float64, len(filtered))
+	slidingMeanSquareInto(energy, filtered, ew)
 	nw := d.NoiseWindow
 	if nw <= 0 {
 		nw = 384
@@ -131,7 +132,8 @@ func (d bandpassEnergyDetector) Detect(samples []float64) ([]int, error) {
 	for i := 0; i < ew && i < len(forFloor); i++ {
 		forFloor[i] = math.Inf(1)
 	}
-	floor := slidingMin(forFloor, nw)
+	floor := make([]float64, len(forFloor))
+	slidingMinInto(floor, make([]int, nw+1), forFloor, nw)
 
 	minRun := d.MinRun
 	if minRun <= 0 {

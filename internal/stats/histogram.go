@@ -4,18 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Histogram is a fixed-width binned count of samples over [Lo, Hi). Samples
-// outside the range are tallied in Under/Over. It regenerates the paper's
-// error histograms (Figures 2, 4, 6, 7).
+// outside the range are tallied in Under/Over. The figure reproductions
+// turn its bins into the series of the paper's error histograms (Figures 2,
+// 4, 6, 7).
 type Histogram struct {
 	Lo, Hi float64
 	Counts []int
 	Under  int
 	Over   int
-	total  int
 }
 
 // NewHistogram creates a histogram with n equal-width bins over [lo, hi).
@@ -31,7 +30,6 @@ func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
 
 // Add tallies one sample.
 func (h *Histogram) Add(x float64) {
-	h.total++
 	switch {
 	case math.IsNaN(x):
 		h.Over++ // NaN is treated as an out-of-range artifact
@@ -55,48 +53,10 @@ func (h *Histogram) AddAll(xs []float64) {
 	}
 }
 
-// Total returns the number of samples added, including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
 // BinWidth returns the width of each bin.
 func (h *Histogram) BinWidth() float64 { return (h.Hi - h.Lo) / float64(len(h.Counts)) }
 
 // BinCenter returns the center value of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + (float64(i)+0.5)*h.BinWidth()
-}
-
-// MaxCount returns the largest bin count.
-func (h *Histogram) MaxCount() int {
-	m := 0
-	for _, c := range h.Counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// Render draws the histogram as a fixed-width ASCII bar chart, one bin per
-// line, for the experiment harness output.
-func (h *Histogram) Render(width int) string {
-	if width <= 0 {
-		width = 50
-	}
-	maxC := h.MaxCount()
-	if maxC == 0 {
-		maxC = 1
-	}
-	var b strings.Builder
-	if h.Under > 0 {
-		fmt.Fprintf(&b, "%9s | %d\n", fmt.Sprintf("< %.2f", h.Lo), h.Under)
-	}
-	for i, c := range h.Counts {
-		bar := strings.Repeat("#", c*width/maxC)
-		fmt.Fprintf(&b, "%9.2f | %-*s %d\n", h.BinCenter(i), width, bar, c)
-	}
-	if h.Over > 0 {
-		fmt.Fprintf(&b, "%9s | %d\n", fmt.Sprintf(">= %.2f", h.Hi), h.Over)
-	}
-	return b.String()
 }

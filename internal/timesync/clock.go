@@ -4,8 +4,9 @@
 // ~50 µs/s; MAC-layer timestamping of the very ranging message removes most
 // radio nondeterminism and leaves a small residual synchronization error.
 //
-// The simulation works in float64 seconds of "true" time; a Clock converts
-// between true time and its own local time.
+// The simulation works in float64 seconds of "true" time; a Clock holds one
+// node's rate error and offset against it, and SyncModel turns two clocks'
+// relative skew into the residual error of one exchange.
 package timesync
 
 import (
@@ -35,11 +36,6 @@ func RandomClock(rng *rand.Rand, maxOffset float64) Clock {
 		skew:   (rng.Float64()*2 - 1) * MaxSkewPPM * 1e-6,
 		offset: (rng.Float64()*2 - 1) * maxOffset,
 	}
-}
-
-// Local converts a true time to this clock's local time.
-func (c Clock) Local(trueTime float64) float64 {
-	return (1+c.skew)*trueTime + c.offset
 }
 
 // SyncModel captures the residual error of MAC-layer timestamp exchange: a

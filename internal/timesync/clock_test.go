@@ -6,28 +6,6 @@ import (
 	"testing"
 )
 
-func TestClockRoundTrip(t *testing.T) {
-	c := NewClock(40e-6, 1.5)
-	for _, trueT := range []float64{0, 1, 100, 12345.678} {
-		local := c.Local(trueT)
-		back := (local - c.offset) / (1 + c.skew) // the model inverted
-		if math.Abs(back-trueT) > 1e-9 {
-			t.Errorf("round trip %v -> %v -> %v", trueT, local, back)
-		}
-	}
-}
-
-func TestClockSkewDirection(t *testing.T) {
-	fast := NewClock(50e-6, 0)
-	slow := NewClock(-50e-6, 0)
-	if fast.Local(1000) <= 1000 {
-		t.Error("fast clock should run ahead")
-	}
-	if slow.Local(1000) >= 1000 {
-		t.Error("slow clock should lag")
-	}
-}
-
 func TestClockAccessors(t *testing.T) {
 	c := NewClock(10e-6, 0.25)
 	if c.skew != 10e-6 || c.offset != 0.25 {
