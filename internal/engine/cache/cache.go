@@ -194,21 +194,21 @@ func (c *Cache) entryPath(hash string) string {
 
 // Get looks up k and, on a hit, JSON-decodes the stored value into out
 // (which must be a pointer). The boolean reports whether a valid entry was
-// found; a missing or unreadable entry is a miss, not an error.
+// found; a missing or unreadable entry is a miss, not an error. Every call
+// books one Get: cache_get_total, its hit or miss, and its latency.
 func (c *Cache) Get(k Key, out any) (bool, error) {
 	start := time.Now()
-	hit, err := c.get(k, out)
-	obsGetSec.Observe(time.Since(start).Seconds())
-	obsGets.Inc()
-	if hit {
-		obsHits.Inc()
-	} else {
-		obsMisses.Inc()
-	}
+	hit, err := c.Peek(k, out)
+	BookGet(start, hit)
 	return hit, err
 }
 
-func (c *Cache) get(k Key, out any) (bool, error) {
+// Peek is Get without the booking, for a read that may prove moot: the
+// caller books it with BookGet only when it acts on the answer, so a
+// speculative lookup that a later Get repeats still counts as one Get.
+// Peek takes no lock; Put's atomic rename means it reads either a whole
+// entry or none.
+func (c *Cache) Peek(k Key, out any) (bool, error) {
 	path := c.entryPath(k.Hash())
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -230,6 +230,18 @@ func (c *Cache) get(k Key, out any) (bool, error) {
 	now := time.Now()
 	_ = os.Chtimes(path, now, now)
 	return true, nil
+}
+
+// BookGet books one Get that started at start and found (hit) or missed its
+// entry.
+func BookGet(start time.Time, hit bool) {
+	obsGetSec.Observe(time.Since(start).Seconds())
+	obsGets.Inc()
+	if hit {
+		obsHits.Inc()
+	} else {
+		obsMisses.Inc()
+	}
 }
 
 // GCResult summarizes one cache sweep.

@@ -344,12 +344,7 @@ func (s *Session) RangeEntries(sp spec.JobSpec) (RangeProbe, error) {
 	// Re-derive the effective trials/shard size exactly as execution does —
 	// through the session's runner config — so probe keys and execution keys
 	// are the same bytes by construction.
-	runner, err := engine.NewRunner(engine.Config{
-		Workers:   s.opts.Workers,
-		Trials:    job.Spec.Trials,
-		Seed:      job.Spec.Seed,
-		ShardSize: job.Spec.ShardSize,
-	})
+	runner, err := engine.NewRunner(s.runnerConfig(job))
 	if err != nil {
 		return RangeProbe{}, err
 	}
@@ -480,6 +475,12 @@ func executeJob(ctx context.Context, s *Session, job spec.Resolved) (*spec.Value
 	obsInflight.Add(1)
 	defer obsInflight.Add(-1)
 	res, info, err := executeResolved(ctx, s, job)
+	countJob(info, err)
+	return res, info, err
+}
+
+// countJob books one finished job on the run-layer job counters.
+func countJob(info Info, err error) {
 	obsJobs.Inc()
 	obsJobSec.Observe(info.Elapsed.Seconds())
 	switch {
@@ -488,89 +489,171 @@ func executeJob(ctx context.Context, s *Session, job spec.Resolved) (*spec.Value
 	case info.Cached:
 		obsJobsCached.Inc()
 	}
-	return res, info, err
 }
 
-func executeResolved(ctx context.Context, s *Session, job spec.Resolved) (*spec.Value, Info, error) {
-	start := time.Now()
-	c := job.Campaign
-	name := c.Scenario.Name
-	jobID := job.Spec.Hash()
-	ctx, jobSpan := obs.Start(ctx, "run.job")
-	if jobSpan != nil {
-		jobSpan.SetAttr("job", jobID).SetAttr("scenario", name).SetAttr("kind", job.Spec.Kind)
+// ServeCached answers job from an entry already in the session's cache, by
+// the same hit decision execution starts with (cachedHit), but without
+// taking the job's cache-key lock: execution holds that lock across a
+// whole computation, and a caller answering a request must never wait on
+// some other job's trials. A lock-free read is safe because Put is an
+// atomic rename. ok is false when the job must be executed instead, and a
+// miss books nothing — execution's own lookup books the job's one cache
+// Get. A served hit leaves exactly what an executed hit leaves: one cache
+// Get and hit, the run-layer job counters, and a run.job span marked
+// cached in ctx's tracer.
+func ServeCached(ctx context.Context, s *Session, job spec.Resolved) (Outcome, bool) {
+	if s.cache == nil {
+		return Outcome{}, false
 	}
-	defer jobSpan.End()
-	runner, err := engine.NewRunner(engine.Config{
+	start := time.Now()
+	// The span is ended only on a hit: a tracer records spans when they
+	// end, so a miss leaves no run.job behind for execution to duplicate.
+	_, jobSpan := startJobSpan(ctx, job)
+	runner, err := engine.NewRunner(s.runnerConfig(job))
+	if err != nil {
+		return Outcome{}, false
+	}
+	addr, err := s.address(job, runner)
+	if err != nil || addr.keyHash == "" {
+		return Outcome{}, false
+	}
+	res, info, ok := s.cachedHit(addr, jobSpan, start, false)
+	if !ok {
+		return Outcome{}, false
+	}
+	jobSpan.End()
+	countJob(info, nil)
+	return Outcome{Spec: job.Spec, Result: res, Info: info}, true
+}
+
+// runnerConfig is the engine configuration of job under the session's
+// options, without progress reporting or a budget.
+func (s *Session) runnerConfig(job spec.Resolved) engine.Config {
+	return engine.Config{
 		Workers:   s.opts.Workers,
 		Trials:    job.Spec.Trials,
 		Seed:      job.Spec.Seed,
 		ShardSize: job.Spec.ShardSize,
-		Progress:  s.progressCallback(name, jobID),
-		Budget:    engine.SharedBudget(),
-	})
-	if err != nil {
-		return nil, Info{}, err
 	}
-	defer s.prog.Done(jobID)
-	trials, shardSize := engine.CampaignConfig(runner, c)
+}
+
+// startJobSpan starts job's run.job span in ctx's tracer.
+func startJobSpan(ctx context.Context, job spec.Resolved) (context.Context, *obs.Span) {
+	ctx, span := obs.Start(ctx, "run.job")
+	if span != nil {
+		span.SetAttr("job", job.Spec.Hash()).SetAttr("scenario", job.Campaign.Scenario.Name).SetAttr("kind", job.Spec.Kind)
+	}
+	return ctx, span
+}
+
+// jobAddress is what execution derives from a job before it touches the
+// cache: the effective trial count and shard size, the proper trial
+// sub-range (nil for a full run), and the job's cache key.
+type jobAddress struct {
+	trials, shardSize int
+	runTrials         int         // trials this execution covers: the range's, or all
+	rng               *spec.Range // nil for a full run
+	key               cache.Key
+	keyHash           string // "" when the job bypasses the cache
+}
+
+// address derives job's jobAddress under runner's configuration.
+func (s *Session) address(job spec.Resolved, runner *engine.Runner) (jobAddress, error) {
+	c := job.Campaign
+	var a jobAddress
+	a.trials, a.shardSize = engine.CampaignConfig(runner, c)
+	a.runTrials = a.trials
 	// A proper trial sub-range executes partially: the result is the
 	// range's serialized shard aggregates (spec.Value.Partial), not a
 	// finalized figure or report — finalizing needs the full merged run,
 	// which only the coordinator holds.
-	var rng *spec.Range
-	if r := job.Spec.TrialRange; r != nil && !(r.Lo == 0 && r.Hi == trials) {
-		if r.Hi > trials {
-			return nil, Info{}, fmt.Errorf("run: %s: trial range [%d, %d) exceeds the job's %d trials",
-				name, r.Lo, r.Hi, trials)
+	if r := job.Spec.TrialRange; r != nil && !(r.Lo == 0 && r.Hi == a.trials) {
+		if r.Hi > a.trials {
+			return jobAddress{}, fmt.Errorf("run: %s: trial range [%d, %d) exceeds the job's %d trials",
+				c.Scenario.Name, r.Lo, r.Hi, a.trials)
 		}
-		rng = r
-	}
-	runTrials := trials
-	if rng != nil {
-		runTrials = rng.Hi - rng.Lo
+		a.rng = r
+		a.runTrials = r.Hi - r.Lo
 	}
 	// Retention jobs bypass the cache entirely: per-trial values are
 	// excluded from the stored JSON, so a hit could only ever return a
 	// result stripped of exactly what the spec asked for. Partial jobs are
 	// exempt — an engine.Partial serializes its retained values.
-	cacheable := s.cache != nil && (!job.Spec.KeepTrialValues || rng != nil)
-	var key cache.Key
-	var keyHash string
-	if cacheable {
-		// The key (and the whole-binary fingerprint it embeds) is only
-		// worth computing when a cache exists to consult.
-		key = jobCacheKey(job, trials, shardSize)
-		if rng != nil {
-			key.RangeLo, key.RangeHi = rng.Lo, rng.Hi
-			// Retained and unretained partials of one range store different
-			// aggregates, so retention keys separately (the campaign's
-			// effective retention, covering both figure pins and the spec's
-			// keep_trial_values).
-			key.Retained = c.KeepTrialValues
-		}
-		keyHash = key.Hash()
-		unlock := s.lockKey(keyHash)
+	if s.cache == nil || (job.Spec.KeepTrialValues && a.rng == nil) {
+		return a, nil
+	}
+	// The key (and the whole-binary fingerprint it embeds) is only worth
+	// computing when a cache exists to consult.
+	a.key = jobCacheKey(job, a.trials, a.shardSize)
+	if a.rng != nil {
+		a.key.RangeLo, a.key.RangeHi = a.rng.Lo, a.rng.Hi
+		// Retained and unretained partials of one range store different
+		// aggregates, so retention keys separately (the campaign's
+		// effective retention, covering both figure pins and the spec's
+		// keep_trial_values).
+		a.key.Retained = c.KeepTrialValues
+	}
+	a.keyHash = a.key.Hash()
+	return a, nil
+}
+
+// cachedHit is the one cache-hit decision, shared by execution and
+// ServeCached: read the job's entry and serve it when its shape matches
+// the job's — a finalized result for a full run, a partial for a trial
+// range; an entry of the other shape is recomputed and overwritten. A
+// served hit is stamped with zero workers and the lookup's own elapsed
+// time since start, never the populating run's. With book set (execution,
+// under the key's lock) every read books one cache Get and an undecodable
+// entry is reported; without it (ServeCached) only a served hit is booked
+// and reported on, because execution will read again after anything else.
+func (s *Session) cachedHit(addr jobAddress, jobSpan *obs.Span, start time.Time, book bool) (*spec.Value, Info, bool) {
+	var res spec.Value
+	readStart := time.Now()
+	hit, err := s.cache.Peek(addr.key, &res)
+	served := hit && (addr.rng == nil) == (res.Partial == nil)
+	if book || served {
+		cache.BookGet(readStart, hit)
+	}
+	if err != nil && book {
+		// The entry parsed but its value no longer decodes into a result:
+		// recoverable (execution recomputes and overwrites it), but worth
+		// one trace instead of a silent recompute.
+		fmt.Fprintf(s.warn, "warning: %s: discarding undecodable cache entry: %v\n", addr.key.Scenario, err)
+	}
+	if !served {
+		return nil, Info{}, false
+	}
+	if jobSpan != nil {
+		jobSpan.SetAttr("cached", true)
+	}
+	res.SetExecutionMeta(0, time.Since(start).Seconds())
+	return &res, Info{Cached: true, Trials: addr.runTrials, Elapsed: time.Since(start), CacheKey: addr.keyHash}, true
+}
+
+func executeResolved(ctx context.Context, s *Session, job spec.Resolved) (*spec.Value, Info, error) {
+	start := time.Now()
+	c := job.Campaign
+	jobID := job.Spec.Hash()
+	ctx, jobSpan := startJobSpan(ctx, job)
+	defer jobSpan.End()
+	cfg := s.runnerConfig(job)
+	cfg.Progress = s.progressCallback(c.Scenario.Name, jobID)
+	cfg.Budget = engine.SharedBudget()
+	runner, err := engine.NewRunner(cfg)
+	if err != nil {
+		return nil, Info{}, err
+	}
+	defer s.prog.Done(jobID)
+	addr, err := s.address(job, runner)
+	if err != nil {
+		return nil, Info{}, err
+	}
+	rng := addr.rng
+	if addr.keyHash != "" {
+		unlock := s.lockKey(addr.keyHash)
 		defer unlock()
-		var res spec.Value
-		hit, err := s.cache.Get(key, &res)
-		if err != nil {
-			// The entry parsed but its value no longer decodes into a
-			// result: recoverable (we recompute and overwrite it below), but
-			// worth one trace instead of a silent recompute.
-			fmt.Fprintf(s.warn, "warning: %s: discarding undecodable cache entry: %v\n", name, err)
-		}
-		if hit && (rng == nil) != (res.Partial == nil) {
-			// The entry's shape does not match the job's (a full result
-			// under a partial key or vice versa): recompute and overwrite.
-			hit = false
-		}
-		if hit {
-			if jobSpan != nil {
-				jobSpan.SetAttr("cached", true)
-			}
-			res.SetExecutionMeta(0, time.Since(start).Seconds())
-			return &res, Info{Cached: true, Trials: runTrials, Elapsed: time.Since(start), CacheKey: keyHash}, nil
+		if res, info, ok := s.cachedHit(addr, jobSpan, start, true); ok {
+			return res, info, nil
 		}
 		if rng == nil && !c.KeepTrialValues {
 			// Full-key miss on an unretained full run: hand the job to the
@@ -582,7 +665,7 @@ func executeResolved(ctx context.Context, s *Session, job spec.Resolved) (*spec.
 			// Retained=true and drag per-trial values through every plan, a
 			// cost/benefit that only makes sense for the coordinator's
 			// distributed splits.
-			return s.executePlanned(ctx, jobSpan, job, key, keyHash, trials, shardSize, start)
+			return s.executePlanned(ctx, jobSpan, job, addr.key, addr.keyHash, addr.trials, addr.shardSize, start)
 		}
 	}
 	var res *spec.Value
@@ -596,12 +679,12 @@ func executeResolved(ctx context.Context, s *Session, job spec.Resolved) (*spec.
 		}
 		res = &spec.Value{Partial: partial}
 		s.mu.Lock()
-		s.trialsExecuted += runTrials
+		s.trialsExecuted += addr.runTrials
 		s.mu.Unlock()
-		if cacheable {
-			_ = s.cache.Put(key, res)
+		if addr.keyHash != "" {
+			_ = s.cache.Put(addr.key, res)
 		}
-		return res, Info{Trials: runTrials, Elapsed: time.Since(start), CacheKey: keyHash}, nil
+		return res, Info{Trials: addr.runTrials, Elapsed: time.Since(start), CacheKey: addr.keyHash}, nil
 	}
 	var rep *engine.Report
 	res, rep, err = engine.RunCampaignContext(ctx, runner, c)
@@ -611,17 +694,17 @@ func executeResolved(ctx context.Context, s *Session, job spec.Resolved) (*spec.
 	s.mu.Lock()
 	s.trialsExecuted += rep.Trials
 	s.mu.Unlock()
-	if cacheable {
+	if addr.keyHash != "" {
 		// Best-effort: a full disk or unwritable directory must not fail
 		// the run whose result we already hold. Execution metadata is
 		// cleared for the stored copy and restored on the returned one
 		// (res.Report may alias rep, so capture the values first).
 		workers, elapsed := rep.Workers, rep.ElapsedSeconds
 		res.ClearExecutionMeta()
-		_ = s.cache.Put(key, res)
+		_ = s.cache.Put(addr.key, res)
 		res.SetExecutionMeta(workers, elapsed)
 	}
-	return res, Info{Trials: rep.Trials, Elapsed: time.Since(start), CacheKey: keyHash}, nil
+	return res, Info{Trials: rep.Trials, Elapsed: time.Since(start), CacheKey: addr.keyHash}, nil
 }
 
 // Outcome is one job's result in a suite run.

@@ -8,10 +8,12 @@
 // Jobs are wire-addressable and content-addressed: a job's ID is the
 // SHA-256 of its spec's canonical encoding, so identical submissions are
 // the same job. Resubmitting a spec while its first run is in flight
-// attaches to that run (and a submission whose cache key is already
-// populated is answered from the on-disk result cache with zero trial
-// computation — the same cache the CLIs share when pointed at the same
-// directory and binary). A spec restricted to a proper trial sub-range
+// attaches to that run. A submission whose cache key is already populated
+// is answered from the on-disk result cache — the same cache the CLIs share
+// when pointed at the same directory and binary — within the POST itself:
+// its summary in the response already reads "done" and "cached", with zero
+// trial computation, so the client fetches the result without following
+// the events stream. A spec restricted to a proper trial sub-range
 // executes partially and answers with the range's serialized shard
 // aggregates (spec.Value.Partial), which is the unit of work the
 // coordinator fans out and merges.
@@ -151,6 +153,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	finished []string // finished job ids in completion order, for eviction
+	running  int      // jobs whose status is "running"
 }
 
 // New builds the job table and its session from the execution options. The
@@ -230,12 +233,7 @@ type health struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	running := 0
-	for _, j := range s.jobs {
-		if j.status == "running" {
-			running++
-		}
-	}
+	running := s.running
 	s.mu.Unlock()
 	b := engine.SharedBudget()
 	h := health{
@@ -317,12 +315,13 @@ func (j *job) summaryLocked(withResult bool) jobSummary {
 	return v
 }
 
-// handleSubmit accepts one spec or an array, registers the new jobs, and
-// launches one suite run for them. Specs whose job ID already exists —
-// running or finished — are answered with the existing job, so identical
-// concurrent submissions compute their trials exactly once. A job that
-// failed only because a batch sibling failed (skipped) is retried by
-// resubmission instead of being memoized forever.
+// handleSubmit accepts one spec or an array, registers the new jobs, answers
+// the cached ones on the spot, and launches one suite run for the rest.
+// Specs whose job ID already exists — running or finished — are answered
+// with the existing job, so identical concurrent submissions compute their
+// trials exactly once. A job that failed only because a batch sibling
+// failed (skipped) is retried by resubmission instead of being memoized
+// forever.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	summaries, _, ok := s.admit(w, r, spec.Decode)
 	if ok {
@@ -332,9 +331,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // admit is the shared front half of POST /v1/jobs and /v1/sweeps: decode the
 // body into specs (413 when it is too large, 400 when it does not decode),
-// resolve and check them (400), register them (429 or 500), and launch the
-// fresh ones. It returns registerJobs' summaries and jobs, or false after
-// writing the error response.
+// resolve and check them (400), and start them (429 or 500). It returns
+// start's summaries and jobs, or false after writing the error response.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, decode func(io.Reader) ([]spec.JobSpec, error)) ([]jobSummary, []*job, bool) {
 	specs, err := decode(http.MaxBytesReader(w, r.Body, 4<<20))
 	if err != nil {
@@ -354,13 +352,33 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, decode func(io.Re
 		writeError(w, http.StatusBadRequest, err)
 		return nil, nil, false
 	}
-	summaries, all, fresh, err := s.registerJobs(resolved)
+	summaries, all, err := s.start(resolved)
 	if err != nil {
 		writeOverloaded(w, err)
 		return nil, nil, false
 	}
-	s.launch(fresh)
 	return summaries, all, true
+}
+
+// start registers a resolved batch (registerJobs), finishes its fresh jobs
+// whose results are already cached, and launches the rest. It returns one
+// summary and one job per spec, in submission order (duplicates and
+// attachments included). The summaries are rendered before the launch, so
+// a cached job reads "done" and every launched one "running".
+func (s *Server) start(resolved []spec.Resolved) ([]jobSummary, []*job, error) {
+	all, fresh, err := s.registerJobs(resolved)
+	if err != nil {
+		return nil, nil, err
+	}
+	fresh = s.serveCached(fresh)
+	summaries := make([]jobSummary, len(all))
+	s.mu.Lock()
+	for i, j := range all {
+		summaries[i] = j.summaryLocked(false)
+	}
+	s.mu.Unlock()
+	s.launch(fresh)
+	return summaries, all, nil
 }
 
 // checkWireObservable rejects specs whose retained per-trial values could
@@ -393,18 +411,12 @@ func writeOverloaded(w http.ResponseWriter, err error) {
 // registerJobs checks admission and registers a batch's fresh jobs under one
 // mutex hold, so the batch is admitted or rejected atomically: on overload
 // nothing registers and the returned error carries the retry hint. On
-// success it returns one summary and one job pointer per resolved spec (in
-// submission order, duplicates and attachments included) plus the fresh
-// subset that needs an executor.
-func (s *Server) registerJobs(resolved []spec.Resolved) ([]jobSummary, []*job, []*job, error) {
+// success it returns one job pointer per resolved spec (in submission order,
+// duplicates and attachments included) plus the fresh subset, which the
+// caller serves from the cache or launches.
+func (s *Server) registerJobs(resolved []spec.Resolved) ([]*job, []*job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	running := 0
-	for _, j := range s.jobs {
-		if j.status == "running" {
-			running++
-		}
-	}
 	freshIDs := make(map[string]bool)
 	for _, rj := range resolved {
 		id := rj.Spec.Hash()
@@ -412,13 +424,12 @@ func (s *Server) registerJobs(resolved []spec.Resolved) ([]jobSummary, []*job, [
 			freshIDs[id] = true
 		}
 	}
-	if limit := maxRunningJobs(); running+len(freshIDs) > limit {
-		return nil, nil, nil, &overloadError{
-			fresh: len(freshIDs), running: running, limit: limit,
+	if limit := maxRunningJobs(); s.running+len(freshIDs) > limit {
+		return nil, nil, &overloadError{
+			fresh: len(freshIDs), running: s.running, limit: limit,
 			retryAfter: retryAfterSeconds(),
 		}
 	}
-	summaries := make([]jobSummary, 0, len(resolved))
 	all := make([]*job, 0, len(resolved))
 	var fresh []*job
 	for _, rj := range resolved {
@@ -440,12 +451,30 @@ func (s *Server) registerJobs(resolved []spec.Resolved) ([]jobSummary, []*job, [
 				subs:     make(map[chan [2]int]struct{}),
 			}
 			s.jobs[id] = j
+			s.running++
 			fresh = append(fresh, j)
 		}
-		summaries = append(summaries, j.summaryLocked(false))
 		all = append(all, j)
 	}
-	return summaries, all, fresh, nil
+	return all, fresh, nil
+}
+
+// serveCached finishes every fresh job whose result the cache already
+// holds (run.ServeCached: lock-free, so a submission never waits on another
+// job computing the same cache key) and returns the rest, which need an
+// executor. A served job finishes like an executed one, through
+// finishTraced, with its run.job span taken from its lookup's own tracer.
+func (s *Server) serveCached(fresh []*job) []*job {
+	misses := fresh[:0]
+	for _, j := range fresh {
+		tr := obs.NewTracer()
+		if o, ok := run.ServeCached(obs.WithTracer(context.Background(), tr), s.sess, j.resolved); ok {
+			s.finishTraced(tr, o)
+		} else {
+			misses = append(misses, j)
+		}
+	}
+	return misses
 }
 
 // launch starts one unordered suite run for a batch's fresh jobs. Each batch
@@ -505,6 +534,9 @@ func (s *Server) finish(o run.Outcome, trace []obs.SpanRecord) {
 	}
 	j.info = o.Info
 	j.trace = trace
+	if j.status == "running" {
+		s.running--
+	}
 	if o.Err != nil {
 		j.status = "failed"
 		j.errMsg = o.Err.Error()

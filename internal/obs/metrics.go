@@ -63,11 +63,12 @@ var DefLatencyBuckets = []float64{
 
 // Histogram is a fixed-bucket cumulative histogram (Prometheus semantics:
 // bucket i counts observations ≤ bounds[i]; an implicit +Inf bucket counts
-// everything). Observations are lock-free atomics.
+// everything). Observations are lock-free atomics. The observation count is
+// the total of the buckets, not a counter of its own, so a snapshot's count
+// always agrees with the buckets it reports.
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds; immutable after creation
 	buckets []atomic.Int64
-	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits, CAS-updated
 }
 
@@ -86,7 +87,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		nw := math.Float64bits(math.Float64frombits(old) + v)
@@ -97,7 +97,22 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	_, n := h.loadBuckets()
+	return n
+}
+
+// loadBuckets copies the per-bucket counts and returns them with their
+// total, the observation count.
+func (h *Histogram) loadBuckets() ([]int64, int64) {
+	counts := make([]int64, len(h.buckets))
+	var n int64
+	for i := range h.buckets {
+		counts[i] = h.buckets[i].Load()
+		n += counts[i]
+	}
+	return counts, n
+}
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -167,7 +182,10 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// HistogramSnapshot is one histogram's state in a Snapshot.
+// HistogramSnapshot is one histogram's state in a Snapshot. Count is the
+// total of Buckets, so the Prometheus +Inf bucket always equals _count.
+// Sum is read separately and may lag observations in flight during the
+// snapshot: it can miss a sample whose bucket is already counted.
 type HistogramSnapshot struct {
 	Name    string    `json:"name"`
 	Count   int64     `json:"count"`
@@ -201,11 +219,9 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Strings(names)
 	for _, name := range names {
 		h := r.histograms[name]
-		hs := HistogramSnapshot{Name: name, Count: h.Count(), Sum: h.Sum(), Bounds: h.bounds}
-		hs.Buckets = make([]int64, len(h.buckets))
-		for i := range h.buckets {
-			hs.Buckets[i] = h.buckets[i].Load()
-		}
+		hs := HistogramSnapshot{Name: name, Bounds: h.bounds}
+		hs.Buckets, hs.Count = h.loadBuckets()
+		hs.Sum = h.Sum()
 		s.Histograms = append(s.Histograms, hs)
 	}
 	return s

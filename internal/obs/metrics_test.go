@@ -129,3 +129,66 @@ func TestHistogramBucketEdges(t *testing.T) {
 		t.Errorf("count %d, want 3 (NaN dropped)", h.Count())
 	}
 }
+
+// TestHistogramSnapshotConsistentUnderObserve: snapshots taken while other
+// goroutines observe must agree with themselves — the count equals the
+// total of the reported buckets, and the Prometheus +Inf bucket equals
+// _count — because Prometheus requires it and a scraper mid-run sees
+// exactly this interleaving.
+func TestHistogramSnapshotConsistentUnderObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("op_seconds", []float64{0.001, 0.01, 0.1})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe(float64((i+g)%5) * 0.02)
+			}
+		}(g)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	snapshots := 2000
+	if testing.Short() {
+		snapshots = 500
+	}
+	for i := 0; i < snapshots; i++ {
+		hs := r.Snapshot().Histograms[0]
+		var total int64
+		for _, b := range hs.Buckets {
+			total += b
+		}
+		if total != hs.Count {
+			t.Fatalf("snapshot %d: buckets total %d, count %d", i, total, hs.Count)
+		}
+		if i%10 != 0 {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var inf, count string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, `op_seconds_bucket{le="+Inf"} `); ok {
+				inf = v
+			}
+			if v, ok := strings.CutPrefix(line, "op_seconds_count "); ok {
+				count = v
+			}
+		}
+		if inf == "" || inf != count {
+			t.Fatalf("exposition %d: +Inf bucket %q, _count %q", i, inf, count)
+		}
+	}
+}
