@@ -72,12 +72,6 @@ type Key struct {
 	// names the full job the range belongs to.
 	RangeLo int `json:"range_lo,omitempty"`
 	RangeHi int `json:"range_hi,omitempty"`
-	// Retained marks a partial execution that carries per-trial values for
-	// the campaign's Finalize step (engine.Partial.Retained). It is a key
-	// ingredient because retained and unretained partials of one range
-	// store different aggregates; full runs never cache retained values,
-	// so the flag stays false (omitted) for them.
-	Retained bool `json:"retained,omitempty"`
 	// Params is the canonical encoding of the job's fully-resolved
 	// operating point (params.Map.Canonical of spec.Resolved.Params), empty
 	// for param-less jobs — whose key hashes therefore predate the field.
@@ -416,12 +410,12 @@ type RangeEntry struct {
 
 // RangeEntries lists the cache's partial-execution entries belonging to
 // the job identified by base: a key with RangeLo/RangeHi zero whose other
-// fields — including Retained — are what the job's partials carry. The
-// base key's Trials is ignored for matching: a partial banked by a
-// 1024-trial run of the same (scenario, seed, shard size, fingerprint,
-// params) is a reusable prefix of a 4096-trial request, so entries of
-// every trial count surface, each carrying its own Trials for the caller
-// to classify (same-N crash-resume versus cross-N prefix reuse). This is
+// fields are what the job's partials carry. The base key's Trials is
+// ignored for matching: a partial banked by a 1024-trial run of the same
+// (scenario, seed, shard size, fingerprint, params) is a reusable prefix
+// of a 4096-trial request, so entries of every trial count surface, each
+// carrying its own Trials for the caller to classify (same-N crash-resume
+// versus cross-N prefix reuse). This is
 // the probe behind both the crash-resume coordinator and the prefix-reuse
 // planner: enumerate what survives, greedily cover the trial space, and
 // re-execute only the gaps. Entries are returned sorted by Lo ascending,

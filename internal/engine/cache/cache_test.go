@@ -31,7 +31,6 @@ func TestKeyHashSensitivity(t *testing.T) {
 		"params":      {Scenario: "s", Seed: 1, Trials: 8, ShardSize: 2, Fingerprint: "abc", Params: `{"delta_db":6.5}`},
 		"range_lo":    {Scenario: "s", Seed: 1, Trials: 8, ShardSize: 2, Fingerprint: "abc", RangeLo: 2},
 		"range_hi":    {Scenario: "s", Seed: 1, Trials: 8, ShardSize: 2, Fingerprint: "abc", RangeHi: 4},
-		"retained":    {Scenario: "s", Seed: 1, Trials: 8, ShardSize: 2, Fingerprint: "abc", Retained: true},
 	}
 	for field, k := range variants {
 		if k.Hash() == baseHash {
@@ -82,7 +81,6 @@ func TestKeyFamilyPrefix(t *testing.T) {
 		"seed":        func(k *Key) { k.Seed = 2 },
 		"shard size":  func(k *Key) { k.ShardSize = 3 },
 		"fingerprint": func(k *Key) { k.Fingerprint = "xyz" },
-		"retained":    func(k *Key) { k.Retained = true },
 		"params":      func(k *Key) { k.Params = `{"delta_db":6.5}` },
 	}
 	for name, edit := range otherFamily {

@@ -85,8 +85,6 @@ func TestRangeEntriesMatchesFullScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := Key{Kind: "scenario", Scenario: "multilat-town", Seed: 3, ShardSize: 4, Fingerprint: "live", Params: `{"x":1}`}
-	retained := live
-	retained.Retained = true
 	stale := live
 	stale.Fingerprint = "stale"
 	prefix := live.Hash()[:familyLen]
@@ -118,10 +116,6 @@ func TestRangeEntriesMatchesFullScan(t *testing.T) {
 	// identical intervals across counts.
 	for _, r := range [][3]int{{16, 0, 8}, {16, 8, 16}, {32, 0, 16}, {32, 16, 32}, {32, 0, 32}, {64, 0, 32}, {64, 0, 8}} {
 		put(rangeKey(live, r[0], r[1], r[2]))
-	}
-	// Retained partials of the same job: their own family.
-	for _, r := range [][3]int{{16, 0, 8}, {16, 8, 16}} {
-		put(rangeKey(retained, r[0], r[1], r[2]))
 	}
 	// Full-key entries: the probed family's own, which the probe opens and
 	// rejects by range, and another job's.
@@ -166,7 +160,6 @@ func TestRangeEntriesMatchesFullScan(t *testing.T) {
 		reads int
 	}{
 		{"live", rangeKey(live, 4096, 0, 0), 7, len(familyFiles)},
-		{"retained", retained, 2, 2},
 		{"stale", rangeKey(stale, 16, 0, 0), 1, 2},
 		{"other", other, 1, 2},
 		{"absent", Key{Scenario: "absent", Fingerprint: "live"}, 0, 0},

@@ -40,7 +40,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -78,7 +77,8 @@ const DefaultStallTimeout = 5 * time.Minute
 // registry for workers that joined or left mid-run.
 const DefaultDiscoverInterval = 2 * time.Second
 
-// Options configures a coordinated execution.
+// Options configures a coordinated execution. Each range gets at most
+// max(2×workers, 4) submissions: its first attempt plus retries and hedges.
 type Options struct {
 	// Workers are the locd base URLs (e.g. "http://127.0.0.1:8090") the
 	// trial ranges are distributed across. At least one is required unless
@@ -112,9 +112,6 @@ type Options struct {
 	// worker (the stalled attempt keeps running and may still win).
 	// 0 means DefaultStallTimeout; negative disables stall detection.
 	StallTimeout time.Duration
-	// MaxAttempts caps submissions per range (initial + retries + hedges).
-	// 0 means 2×len(Workers), minimum 4.
-	MaxAttempts int
 	// Progress, when non-nil, receives the job's live view, exactly as
 	// run.Options.Progress does: the aggregate trials-completed counter
 	// with the per-worker scoreboard as rows beneath it, repainted in place
@@ -301,16 +298,13 @@ type coordinator struct {
 	// registry poller's cue that no joiner can be put to work anymore.
 	drainCh chan struct{}
 
-	retries      int
-	hedges       int
 	dedupLosses  int
-	steals       int
 	joined       int
 	left         int
-	reusedTrials int
 	reusedRanges int
-	workersUsed  map[string]bool
-	scores       map[string]*workerTally
+	// scores is the one source of every count with a per-worker tally;
+	// stats sums the fleet totals from it.
+	scores map[string]*workerTally
 
 	// renderMu serializes progress rendering outside c.mu (see render).
 	renderMu sync.Mutex
@@ -347,13 +341,6 @@ func newCoordinator(job spec.Resolved, opts Options) (*coordinator, error) {
 	case stall < 0:
 		stall = 0 // disabled
 	}
-	maxTry := opts.MaxAttempts
-	if maxTry <= 0 {
-		maxTry = 2 * len(workers)
-		if maxTry < 4 {
-			maxTry = 4
-		}
-	}
 	warn := opts.Warnings
 	if warn == nil {
 		warn = os.Stderr
@@ -371,25 +358,24 @@ func newCoordinator(job spec.Resolved, opts Options) (*coordinator, error) {
 		minChunk = 1
 	}
 	c := &coordinator{
-		job:         job,
-		workers:     workers,
-		client:      client,
-		stall:       stall,
-		maxTry:      maxTry,
-		minChunk:    minChunk,
-		discover:    opts.Discover,
-		poll:        poll,
-		reuseOn:     opts.Reuse,
-		warn:        warn,
-		prog:        progress.New(opts.Progress),
-		id:          job.Spec.Hash(),
-		name:        job.Campaign.Scenario.Name,
-		assign:      make(map[string]*spec.Range),
-		departed:    make(map[string]bool),
-		discovered:  make(map[string]bool),
-		workersUsed: make(map[string]bool),
-		scores:      make(map[string]*workerTally),
-		drainCh:     make(chan struct{}),
+		job:        job,
+		workers:    workers,
+		client:     client,
+		stall:      stall,
+		maxTry:     max(2*len(workers), 4),
+		minChunk:   minChunk,
+		discover:   opts.Discover,
+		poll:       poll,
+		reuseOn:    opts.Reuse,
+		warn:       warn,
+		prog:       progress.New(opts.Progress),
+		id:         job.Spec.Hash(),
+		name:       job.Campaign.Scenario.Name,
+		assign:     make(map[string]*spec.Range),
+		departed:   make(map[string]bool),
+		discovered: make(map[string]bool),
+		scores:     make(map[string]*workerTally),
+		drainCh:    make(chan struct{}),
 	}
 	return c, nil
 }
@@ -491,20 +477,25 @@ func scoreRows(scores []WorkerScore) []string {
 func (c *coordinator) stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{
+	st := Stats{
 		Trials:       c.job.TotalTrials,
 		Ranges:       len(c.ranges),
-		Retries:      c.retries,
-		Hedges:       c.hedges,
 		DedupLosses:  c.dedupLosses,
-		Workers:      len(c.workersUsed),
-		Steals:       c.steals,
 		Joined:       c.joined,
 		Left:         c.left,
-		ReusedTrials: c.reusedTrials,
 		ReusedRanges: c.reusedRanges,
 		Scores:       c.scoreboardLocked(),
 	}
+	for _, t := range c.scores {
+		st.Retries += t.retries + t.hedges
+		st.Hedges += t.hedges
+		st.Steals += t.steals
+		st.ReusedTrials += t.reused
+		if t.ranges > 0 || t.reused > 0 {
+			st.Workers++
+		}
+	}
+	return st
 }
 
 // subSpecFor builds the content-addressed sub-job for one range. A range
@@ -525,21 +516,16 @@ func (c *coordinator) subSpecFor(rg spec.Range) spec.JobSpec {
 // partition goes through the engine's order-independent partial merge.
 func (c *coordinator) merge() (*spec.Value, error) {
 	c.mu.Lock()
-	ranges := append([]spec.Range(nil), c.ranges...)
 	parts := append([]*spec.Value(nil), c.parts...)
 	c.mu.Unlock()
 	if len(parts) == 1 && parts[0].Partial == nil {
 		return parts[0], nil
 	}
-	// Slots complete in carve order, not trial order.
-	idx := make([]int, len(parts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return ranges[idx[a]].Lo < ranges[idx[b]].Lo })
+	// Slots complete in carve order, not trial order; MergePartials sorts
+	// them by range itself.
 	partials := make([]*engine.Partial, len(parts))
-	for i, j := range idx {
-		partials[i] = parts[j].Partial
+	for i, p := range parts {
+		partials[i] = p.Partial
 	}
 	rep, err := engine.MergePartials(partials)
 	if err != nil {
@@ -562,7 +548,6 @@ func (c *coordinator) complete(i int, val *spec.Value, worker string, dur time.D
 	won := c.parts[i] == nil
 	if won {
 		c.parts[i] = val
-		c.workersUsed[worker] = true
 		c.rangeDone[i] = rg.Hi - rg.Lo
 		t := c.tallyLocked(worker)
 		t.ranges++
@@ -706,7 +691,6 @@ func (c *coordinator) runRange(ctx context.Context, i int, preferred string) err
 			}
 			lastErr = r.err
 			c.mu.Lock()
-			c.retries++
 			c.tallyLocked(r.worker).retries++
 			c.mu.Unlock()
 			obsRetries.Inc()
@@ -722,8 +706,6 @@ func (c *coordinator) runRange(ctx context.Context, i int, preferred string) err
 		case w := <-stalls:
 			if attempts < c.maxTry {
 				c.mu.Lock()
-				c.retries++
-				c.hedges++
 				c.tallyLocked(w).hedges++
 				c.mu.Unlock()
 				obsRetries.Inc()
@@ -789,27 +771,19 @@ func (c *coordinator) hasDeparted(worker string) bool {
 // Transport, HTTP, and stall failures stay retryable.
 var errPermanent = errors.New("deterministic job failure")
 
-// Wire shapes of the locd API (the subset the coordinator consumes).
+// wireJob is a job summary of the locd API (the subset the coordinator
+// consumes). An events-stream line decodes into it too: its trial counter in
+// Done and, on the terminal line only, its Status.
 type wireJob struct {
-	ID         string      `json:"id"`
-	Status     string      `json:"status"`
-	Trials     int         `json:"trials"`
-	DoneTrials int         `json:"done_trials"`
-	Error      string      `json:"error"`
-	Skipped    bool        `json:"skipped"`
-	Result     *spec.Value `json:"result"`
+	ID      string      `json:"id"`
+	Status  string      `json:"status"`
+	Done    int         `json:"done"`
+	Error   string      `json:"error"`
+	Skipped bool        `json:"skipped"`
+	Result  *spec.Value `json:"result"`
 	// Trace is the worker-side span subtree for the job (run.job plus the
 	// engine spans beneath it), grafted under the range's span on success.
 	Trace []obs.SpanRecord `json:"trace"`
-}
-
-type wireEvent struct {
-	ID      string `json:"id"`
-	Done    int    `json:"done"`
-	Total   int    `json:"total"`
-	Status  string `json:"status"`
-	Error   string `json:"error"`
-	Skipped bool   `json:"skipped"`
 }
 
 // runAttempt submits the sub-job to one worker and follows it to a result
@@ -818,58 +792,36 @@ type wireEvent struct {
 // to retry elsewhere; a stall is signaled on stalls while the attempt keeps
 // waiting (hedging).
 func (c *coordinator) runAttempt(ctx context.Context, worker string, sub spec.JobSpec, rangeIdx int, stalls chan<- string) (*spec.Value, []obs.SpanRecord, error) {
-	wantPartial := sub.TrialRange != nil
 	js, err := c.submit(ctx, worker, sub)
-	if err != nil {
-		return nil, nil, err
-	}
-	for {
+	for err == nil {
 		switch js.Status {
 		case "done":
-			return c.takeResult(ctx, worker, js, wantPartial)
+			return c.takeResult(ctx, worker, js, sub.TrialRange != nil)
 		case "failed":
-			if js.Skipped {
-				// A batch sibling's failure; resubmission retries it fresh.
-				if js, err = c.submit(ctx, worker, sub); err != nil {
-					return nil, nil, err
-				}
+			if !js.Skipped {
+				return nil, nil, fmt.Errorf("%w on %s: %s", errPermanent, worker, js.Error)
+			}
+			// A batch sibling's failure; resubmission retries it fresh.
+			js, err = c.submit(ctx, worker, sub)
+		case "running":
+			id := js.ID
+			ev, serr := c.watchEvents(ctx, worker, id, rangeIdx, stalls)
+			if serr == nil {
+				js = ev // the terminal line
 				continue
 			}
-			return nil, nil, fmt.Errorf("%w on %s: %s", errPermanent, worker, js.Error)
-		}
-		ev, err := c.watchEvents(ctx, worker, js.ID, rangeIdx, stalls)
-		if err != nil {
 			// Stream broke without a terminal line: poll once to tell a
 			// finished job from a dead worker before giving the attempt up.
-			polled, perr := c.getJob(ctx, worker, js.ID)
-			if perr != nil {
-				return nil, nil, fmt.Errorf("%v (poll: %v)", err, perr)
+			if js, err = c.getJob(ctx, worker, id); err != nil {
+				err = fmt.Errorf("%v (poll: %v)", serr, err)
+			} else if js.Status == "running" {
+				err = serr
 			}
-			if polled.Status == "running" {
-				return nil, nil, err
-			}
-			js = polled
-			continue
-		}
-		switch ev.Status {
-		case "done":
-			full, err := c.getJob(ctx, worker, js.ID)
-			if err != nil {
-				return nil, nil, err
-			}
-			return c.takeResult(ctx, worker, full, wantPartial)
-		case "failed":
-			if ev.Skipped {
-				if js, err = c.submit(ctx, worker, sub); err != nil {
-					return nil, nil, err
-				}
-				continue
-			}
-			return nil, nil, fmt.Errorf("%w on %s: %s", errPermanent, worker, ev.Error)
 		default:
-			return nil, nil, fmt.Errorf("worker %s: unexpected terminal event status %q", worker, ev.Status)
+			err = fmt.Errorf("worker %s: unexpected job status %q", worker, js.Status)
 		}
 	}
+	return nil, nil, err
 }
 
 // takeResult validates the finished job's result shape for this execution
@@ -877,8 +829,8 @@ func (c *coordinator) runAttempt(ctx context.Context, worker string, sub spec.Jo
 // the worker's recorded span subtree along with it.
 func (c *coordinator) takeResult(ctx context.Context, worker string, js *wireJob, wantPartial bool) (*spec.Value, []obs.SpanRecord, error) {
 	if js.Result == nil {
-		// A done job answered without its result (e.g. submit-time summary);
-		// fetch the full record.
+		// A done job answered without its result (a submit-time summary or a
+		// terminal event line); fetch the full record.
 		full, err := c.getJob(ctx, worker, js.ID)
 		if err != nil {
 			return nil, nil, err
@@ -894,71 +846,87 @@ func (c *coordinator) takeResult(ctx context.Context, worker string, js *wireJob
 	return js.Result, js.Trace, nil
 }
 
-// submit POSTs the sub-job and returns its (possibly already finished)
-// summary. The submit round-trip gets a bounded context: a worker that
-// accepts connections but never answers must not hold the attempt forever.
-func (c *coordinator) submit(ctx context.Context, worker string, sub spec.JobSpec) (*wireJob, error) {
+// maxResponse bounds the body of every worker response the coordinator
+// decodes.
+const maxResponse = 64 << 20
+
+// call makes one stall-bounded request to a worker — a POST of body, or a
+// GET when body is nil — and decodes the JSON answer into out. A status
+// other than want is an error carrying the start of the response body. The
+// bound matters: a worker that accepts connections but never answers must
+// not hold the caller forever.
+func (c *coordinator) call(ctx context.Context, url string, body []byte, want int, out any) error {
 	tctx, cancel := c.boundedCtx(ctx)
 	defer cancel()
-	req, err := http.NewRequestWithContext(tctx, http.MethodPost, worker+"/v1/jobs", bytes.NewReader(sub.Canonical()))
-	if err != nil {
-		return nil, err
+	method, rd := http.MethodGet, io.Reader(nil)
+	if body != nil {
+		method, rd = http.MethodPost, bytes.NewReader(body)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req, err := http.NewRequestWithContext(tctx, method, url, rd)
+	if err != nil {
+		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("submit to %s: %w", worker, err)
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("submit to %s: status %d: %s", worker, resp.StatusCode, strings.TrimSpace(string(body)))
+	if resp.StatusCode != want {
+		head, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(head)))
 	}
+	return json.NewDecoder(io.LimitReader(resp.Body, maxResponse)).Decode(out)
+}
+
+// boundedCtx derives a stall-bounded context for one HTTP round-trip.
+func (c *coordinator) boundedCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	if c.stall > 0 {
+		return context.WithTimeout(ctx, c.stall)
+	}
+	return context.WithCancel(ctx)
+}
+
+// submit POSTs the sub-job and returns its (possibly already finished)
+// summary.
+func (c *coordinator) submit(ctx context.Context, worker string, sub spec.JobSpec) (*wireJob, error) {
 	var out struct {
 		Jobs []*wireJob `json:"jobs"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || len(out.Jobs) != 1 {
-		return nil, fmt.Errorf("submit to %s: malformed response (%v)", worker, err)
+	if err := c.call(ctx, worker+"/v1/jobs", sub.Canonical(), http.StatusAccepted, &out); err != nil {
+		return nil, fmt.Errorf("submit to %s: %w", worker, err)
+	}
+	if len(out.Jobs) != 1 {
+		return nil, fmt.Errorf("submit to %s: malformed response (%d jobs)", worker, len(out.Jobs))
 	}
 	return out.Jobs[0], nil
 }
 
 // getJob fetches one job's full record (including its result when done).
 func (c *coordinator) getJob(ctx context.Context, worker, id string) (*wireJob, error) {
-	tctx, cancel := c.boundedCtx(ctx)
-	defer cancel()
-	req, err := http.NewRequestWithContext(tctx, http.MethodGet, worker+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("poll %s: %w", worker, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("poll %s: status %d", worker, resp.StatusCode)
-	}
 	var js wireJob
-	if err := json.NewDecoder(resp.Body).Decode(&js); err != nil {
+	if err := c.call(ctx, worker+"/v1/jobs/"+id, nil, http.StatusOK, &js); err != nil {
 		return nil, fmt.Errorf("poll %s: %w", worker, err)
 	}
 	return &js, nil
 }
 
-// watchEvents follows the job's NDJSON stream until a terminal status line,
+// watchEvents follows the job's NDJSON stream until a terminal status line
+// (any status but running, so the caller's status loop always advances),
 // feeding progress counters to the coordinator. Silence beyond the stall
 // timeout signals stalls once (the stream stays open — the attempt may
 // still win the hedge race). A stream that ends without a terminal line is
 // an error (disconnect).
-func (c *coordinator) watchEvents(ctx context.Context, worker, id string, rangeIdx int, stalls chan<- string) (*wireEvent, error) {
+func (c *coordinator) watchEvents(ctx context.Context, worker, id string, rangeIdx int, stalls chan<- string) (*wireJob, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
 		return nil, err
 	}
 
 	type line struct {
-		ev  wireEvent
+		ev  wireJob
 		err error
 	}
 	lines := make(chan line)
@@ -987,7 +955,7 @@ func (c *coordinator) watchEvents(ctx context.Context, worker, id string, rangeI
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 		for sc.Scan() {
-			var ev wireEvent
+			ev := wireJob{ID: id}
 			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 				send(line{err: fmt.Errorf("events %s: bad line: %w", worker, err)})
 				return
@@ -1023,7 +991,7 @@ func (c *coordinator) watchEvents(ctx context.Context, worker, id string, rangeI
 				}
 				stallTimer.Reset(c.stall)
 			}
-			if l.ev.Status != "" {
+			if l.ev.Status != "" && l.ev.Status != "running" {
 				return &l.ev, nil
 			}
 			c.progress(rangeIdx, l.ev.Done)

@@ -284,7 +284,7 @@ func TestCoordinatorAllWorkersDown(t *testing.T) {
 	dead.Close()
 	_, _, err := coord.Execute(context.Background(),
 		spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 1, Trials: 4},
-		coord.Options{Workers: []string{deadURL}, MaxAttempts: 2,
+		coord.Options{Workers: []string{deadURL},
 			StallTimeout: 100 * time.Millisecond, Warnings: io.Discard})
 	if err == nil || !strings.Contains(err.Error(), "attempts failed") {
 		t.Errorf("err %v, want an all-attempts-failed error", err)

@@ -8,11 +8,8 @@ package coord
 // duplication can still come from hedging, where it is deliberate.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -149,7 +146,6 @@ func (c *coordinator) refillLocked(worker string) (spec.Range, string, bool) {
 		delete(c.assign, victim)
 	}
 	c.assign[worker] = &g
-	c.steals++
 	c.tallyLocked(worker).steals++
 	return g, victim, true
 }
@@ -423,8 +419,7 @@ func (c *coordinator) probeCaches(ctx context.Context) (*spec.Value, []spec.Rang
 			continue
 		}
 		c.mu.Lock()
-		c.reusedTrials, c.reusedRanges = c.job.Trials, 1
-		c.workersUsed[fe.worker] = true
+		c.reusedRanges = 1
 		c.tallyLocked(fe.worker).reused += c.job.Trials
 		c.mu.Unlock()
 		obsReused.Add(int64(c.job.Trials))
@@ -451,10 +446,8 @@ func (c *coordinator) probeCaches(ctx context.Context) (*spec.Value, []spec.Rang
 		c.parts[slot] = &spec.Value{Partial: cv.Parts[k]}
 		c.rangeDone[slot] = n
 		c.tallyLocked(where[i].worker).reused += n
-		c.workersUsed[where[i].worker] = true
 		reused += n
 	}
-	c.reusedTrials += reused
 	c.reusedRanges += len(cv.Chosen)
 	c.mu.Unlock()
 	if reused > 0 {
@@ -471,23 +464,8 @@ func (c *coordinator) probeCaches(ctx context.Context) (*spec.Value, []spec.Rang
 
 // probeWorker POSTs the job spec to one worker's cache-probe endpoint.
 func (c *coordinator) probeWorker(ctx context.Context, worker string, body []byte) (*wireProbe, error) {
-	tctx, cancel := c.boundedCtx(ctx)
-	defer cancel()
-	req, err := http.NewRequestWithContext(tctx, http.MethodPost, worker+"/v1/cache/ranges", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
 	var probe wireProbe
-	if err := json.NewDecoder(resp.Body).Decode(&probe); err != nil {
+	if err := c.call(ctx, worker+"/v1/cache/ranges", body, http.StatusOK, &probe); err != nil {
 		return nil, err
 	}
 	return &probe, nil
@@ -496,36 +474,14 @@ func (c *coordinator) probeWorker(ctx context.Context, worker string, body []byt
 // fetchEntry retrieves one content-addressed cache entry from a worker and
 // returns its stored value.
 func (c *coordinator) fetchEntry(ctx context.Context, worker, hash string) (*spec.Value, error) {
-	tctx, cancel := c.boundedCtx(ctx)
-	defer cancel()
-	req, err := http.NewRequestWithContext(tctx, http.MethodGet, worker+"/v1/cache/"+hash, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cache entry %s on %s: status %d", hash, worker, resp.StatusCode)
-	}
 	var e struct {
 		Value *spec.Value `json:"value"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&e); err != nil {
-		return nil, err
+	if err := c.call(ctx, worker+"/v1/cache/"+hash, nil, http.StatusOK, &e); err != nil {
+		return nil, fmt.Errorf("cache entry %s on %s: %w", hash, worker, err)
 	}
 	if e.Value == nil {
 		return nil, fmt.Errorf("cache entry %s on %s carries no value", hash, worker)
 	}
 	return e.Value, nil
-}
-
-// boundedCtx derives a stall-bounded context for one HTTP round-trip.
-func (c *coordinator) boundedCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.stall > 0 {
-		return context.WithTimeout(ctx, c.stall)
-	}
-	return context.WithCancel(ctx)
 }

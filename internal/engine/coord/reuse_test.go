@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -54,6 +55,40 @@ func TestReuseExtendsAcrossTrialCounts(t *testing.T) {
 	}
 	if !strings.Contains(warnings.String(), "reused 8 of 16 trials") {
 		t.Errorf("no reuse diagnostic in warnings:\n%s", warnings.String())
+	}
+}
+
+// TestReuseAdoptsFigureRange: a figure that pins per-trial retention reuses
+// a banked range like any scenario does — the worker's probe finds the
+// [0, 9) partial of maxrange, and the merged figure still renders the
+// golden bytes.
+func TestReuseAdoptsFigureRange(t *testing.T) {
+	fig := spec.JobSpec{Kind: spec.KindFigure, ID: "maxrange", Seed: 1}
+	want, err := os.ReadFile(filepath.Join("..", "..", "experiments", "testdata", "golden", "maxrange_seed1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "cache")
+	sess, err := run.NewSession(run.Options{CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := run.ExecuteSpec(sess, subRange(fig, 0, 9)); err != nil {
+		t.Fatal(err)
+	}
+	val, st, err := coord.Execute(context.Background(), fig, coord.Options{
+		Workers:  []string{newWorker(t, run.Options{CacheDir: dir})},
+		Reuse:    true,
+		Warnings: io.Discard,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if val.Figure == nil || val.Figure.Render() != string(want) {
+		t.Error("figure coordinated over a reused range diverged from golden output")
+	}
+	if st.ReusedTrials != 9 || st.ReusedRanges != 1 {
+		t.Errorf("stats %+v, want 9 trials reused in 1 range", st)
 	}
 }
 

@@ -126,27 +126,4 @@ func TestPartialResultsAreCached(t *testing.T) {
 	if _, i2, err := run.ExecuteSpec(s, fig); err != nil || !i2.Cached {
 		t.Fatalf("figure partial second run: %v cached=%v, want hit", err, i2.Cached)
 	}
-
-	// Retention keys separately: the same range with keep_trial_values set
-	// must miss the unretained entry and store its own retained partial —
-	// serving the unretained aggregate to a retention job would hand its
-	// Finalize empty trial data.
-	kept := rangeSpec(scenSpec("multilat-town", 1, 8, 2), 2, 6)
-	kept.KeepTrialValues = true
-	keptRes, keptInfo, err := run.ExecuteSpec(s, kept)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keptInfo.Cached {
-		t.Error("retention partial served the unretained range's cache entry")
-	}
-	if keptInfo.CacheKey == info.CacheKey {
-		t.Error("retained and unretained partials share a cache key")
-	}
-	if keptRes.Partial == nil || !keptRes.Partial.Retained {
-		t.Fatalf("retention partial result %+v, want Retained", keptRes.Partial)
-	}
-	if _, again2, err := run.ExecuteSpec(s, kept); err != nil || !again2.Cached {
-		t.Errorf("retention partial rerun: %v cached=%v, want hit on its own key", err, again2.Cached)
-	}
 }

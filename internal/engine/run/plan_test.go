@@ -174,20 +174,32 @@ func TestPlannerPropertyRandomSubsets(t *testing.T) {
 	}
 }
 
-// TestPlannerSkipsRetainedCampaigns: specs with per-trial retention stay on
-// the classic execution path — their cache entries carry trial values the
-// planner does not handle — and still produce correct, uncached-then-cached
-// behavior. KeepTrialValues specs are only cacheable as ranges, so this
-// pins the gate rather than planner output.
+// TestPlannerSkipsRetainedCampaigns: a campaign with per-trial retention
+// (the maxrange figure pins it) stays on the classic execution path — its
+// range entries carry trial values the planner does not handle — so a cold
+// run banks no range entry of its own, and a rerun hits the full key.
 func TestPlannerSkipsRetainedCampaigns(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	s := newSession(t, run.Options{CacheDir: dir})
-	sp := gridSpec(4, 16)
-	sp.KeepTrialValues = true
-	if _, info, err := run.ExecuteSpec(s, sp); err != nil || info.ReusedTrials != 0 {
-		t.Fatalf("retained run: reused=%d err=%v, want classic path", info.ReusedTrials, err)
+	sp := figSpec("maxrange", 1)
+	sp.Params = params.Map{"rounds": params.Num(1)}
+	if _, info, err := run.ExecuteSpec(s, sp); err != nil || info.Cached || info.ReusedTrials != 0 {
+		t.Fatalf("retained run: cached=%v reused=%d err=%v, want classic path", info.Cached, info.ReusedTrials, err)
 	}
-	if got := s.TrialsExecuted(); got != 16 {
-		t.Errorf("retained run executed %d trials, want 16", got)
+	if got := s.TrialsExecuted(); got != 36 {
+		t.Errorf("retained run executed %d trials, want 36", got)
+	}
+	probe, err := s.RangeEntries(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe.Full == "" || len(probe.Ranges) != 0 {
+		t.Errorf("probe after the retained run = %+v, want the full entry and no range entries", probe)
+	}
+	if _, info, err := run.ExecuteSpec(s, sp); err != nil || !info.Cached {
+		t.Errorf("retained rerun: cached=%v err=%v, want a full-key hit", info.Cached, err)
+	}
+	if got := s.TrialsExecuted(); got != 36 {
+		t.Errorf("retained rerun executed %d more trials, want 0", got-36)
 	}
 }

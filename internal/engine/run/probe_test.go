@@ -12,8 +12,7 @@ import (
 
 // TestRangeProbe: the crash-resume probe reports exactly the partial-range
 // entries a session banked for a job — addressed by hashes that really
-// fetch those entries — and distinguishes seeds, retention, and the
-// full-run entry.
+// fetch those entries — and distinguishes seeds and the full-run entry.
 func TestRangeProbe(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	s := newSession(t, run.Options{CacheDir: dir})
@@ -73,28 +72,6 @@ func TestRangeProbe(t *testing.T) {
 		t.Fatalf("seed-2 probe sees seed-1 ranges: %+v", other.Ranges)
 	}
 
-	// A retained partial stays invisible to the unretained probe and
-	// vice versa.
-	kept := full
-	kept.KeepTrialValues = true
-	if _, _, err := run.ExecuteSpec(s, rangeSpec(kept, 3, 5)); err != nil {
-		t.Fatal(err)
-	}
-	probe, err = s.RangeEntries(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(probe.Ranges) != 2 {
-		t.Fatalf("unretained probe picked up a retained partial: %+v", probe.Ranges)
-	}
-	keptProbe, err := s.RangeEntries(kept)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keptProbe.Ranges) != 1 || keptProbe.Ranges[0].Lo != 3 || keptProbe.Ranges[0].Hi != 5 {
-		t.Fatalf("retained probe = %+v", keptProbe.Ranges)
-	}
-
 	// After the full job runs, the probe hands back its entry too.
 	if _, _, err := run.ExecuteSpec(s, full); err != nil {
 		t.Fatal(err)
@@ -120,5 +97,23 @@ func TestRangeProbe(t *testing.T) {
 	probe, err = nc.RangeEntries(full)
 	if err != nil || probe.Full != "" || len(probe.Ranges) != 0 {
 		t.Fatalf("no-cache probe = %+v err=%v", probe, err)
+	}
+}
+
+// TestRangeEntriesFigureFamily: a figure that pins per-trial retention
+// banks its range partials in the family its own probe reads, so probing
+// maxrange finds a banked [0, 9) range.
+func TestRangeEntriesFigureFamily(t *testing.T) {
+	s := newSession(t, run.Options{CacheDir: filepath.Join(t.TempDir(), "cache")})
+	fig := figSpec("maxrange", 1)
+	if _, _, err := run.ExecuteSpec(s, rangeSpec(fig, 0, 9)); err != nil {
+		t.Fatal(err)
+	}
+	probe, err := s.RangeEntries(fig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.Ranges) != 1 || probe.Ranges[0].Lo != 0 || probe.Ranges[0].Hi != 9 || probe.Ranges[0].Trials != 36 {
+		t.Fatalf("figure probe = %+v, want the banked [0, 9) of 36", probe)
 	}
 }

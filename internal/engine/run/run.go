@@ -9,8 +9,7 @@
 // A Session owns the execution environment (worker count, cache, progress
 // sinks); the spec owns everything the result is a function of (kind, job,
 // seed, trials, shard size), which — plus the binary fingerprint — is the
-// cache key. Jobs requesting per-trial retention bypass the cache, because
-// retained values do not survive the cache's JSON round trip.
+// cache key.
 //
 // Suites of independent jobs run through ExecuteAll, which overlaps up to
 // Options.SuiteParallel campaigns on top of the engine's trial-level
@@ -354,18 +353,11 @@ func (s *Session) RangeEntries(sp spec.JobSpec) (RangeProbe, error) {
 		return probe, nil
 	}
 	base := jobCacheKey(job, trials, shardSize)
-	// Full runs never cache retained values, so the full key carries no
-	// retention flag; partials key it from the campaign's effective
-	// retention (see executeResolved).
-	if !job.Spec.KeepTrialValues {
-		hash := base.Hash()
-		if _, ok, err := s.cache.EntryByHash(hash); err == nil && ok {
-			probe.Full = hash
-		}
+	hash := base.Hash()
+	if _, ok, err := s.cache.EntryByHash(hash); err == nil && ok {
+		probe.Full = hash
 	}
-	partial := base
-	partial.Retained = job.Campaign.KeepTrialValues
-	ranges, err := s.cache.RangeEntries(partial)
+	ranges, err := s.cache.RangeEntries(base)
 	if err != nil {
 		return probe, err
 	}
@@ -575,11 +567,7 @@ func (s *Session) address(job spec.Resolved, runner *engine.Runner) (jobAddress,
 		a.rng = r
 		a.runTrials = r.Hi - r.Lo
 	}
-	// Retention jobs bypass the cache entirely: per-trial values are
-	// excluded from the stored JSON, so a hit could only ever return a
-	// result stripped of exactly what the spec asked for. Partial jobs are
-	// exempt — an engine.Partial serializes its retained values.
-	if s.cache == nil || (job.Spec.KeepTrialValues && a.rng == nil) {
+	if s.cache == nil {
 		return a, nil
 	}
 	// The key (and the whole-binary fingerprint it embeds) is only worth
@@ -587,11 +575,6 @@ func (s *Session) address(job spec.Resolved, runner *engine.Runner) (jobAddress,
 	a.key = jobCacheKey(job, a.trials, a.shardSize)
 	if a.rng != nil {
 		a.key.RangeLo, a.key.RangeHi = a.rng.Lo, a.rng.Hi
-		// Retained and unretained partials of one range store different
-		// aggregates, so retention keys separately (the campaign's
-		// effective retention, covering both figure pins and the spec's
-		// keep_trial_values).
-		a.key.Retained = c.KeepTrialValues
 	}
 	a.keyHash = a.key.Hash()
 	return a, nil
@@ -660,11 +643,10 @@ func executeResolved(ctx context.Context, s *Session, job spec.Resolved) (*spec.
 			// prefix-reuse planner, which extends surviving range entries and
 			// computes only the gaps (all of [0, trials) when nothing
 			// survives — the cold run then banks its own range entry for the
-			// next extension). Campaigns with effective retention (figure
-			// pins) stay on the classic path: their range entries key
-			// Retained=true and drag per-trial values through every plan, a
-			// cost/benefit that only makes sense for the coordinator's
-			// distributed splits.
+			// next extension). Campaigns with retention (figure pins) stay
+			// on the classic path: their range entries carry per-trial
+			// values, which every plan would drag along — a cost that only
+			// pays for the coordinator's distributed splits.
 			return s.executePlanned(ctx, jobSpan, job, addr.key, addr.keyHash, addr.trials, addr.shardSize, start)
 		}
 	}
@@ -815,24 +797,6 @@ func executeAll(ctx context.Context, s *Session, jobs []spec.Resolved, onDone fu
 		onDone(o)
 		s.prog.Resume()
 	}
-	if overlap <= 1 {
-		var failedSeq bool
-		for i, j := range jobs {
-			if failedSeq {
-				// Fail-fast, but still give every job its outcome — a
-				// service keyed on per-job completion must never see a job
-				// silently dropped from its batch.
-				dequeue(i, true)
-				outcomes[i] = Outcome{Spec: j.Spec, Err: ErrSkipped}
-			} else {
-				dequeue(i, false)
-				outcomes[i] = runResolved(ctx, s, j)
-				failedSeq = outcomes[i].Err != nil
-			}
-			report(outcomes[i])
-		}
-		return outcomes
-	}
 	var (
 		mu     sync.Mutex
 		ready  = make([]bool, len(jobs))
@@ -875,14 +839,22 @@ func executeAll(ctx context.Context, s *Session, jobs []spec.Resolved, onDone fu
 		}()
 	}
 	order := dispatchOrder(jobs)
+	if overlap <= 1 {
+		// One worker takes the jobs in submission order, so ordered output
+		// still streams job by job; largest-first pays only when jobs
+		// overlap.
+		sort.Ints(order)
+	}
 	for k := 0; k < len(order); k++ {
 		if failed.Load() {
-			// Don't start anything new; jobs already handed out finish and
-			// report, the rest are marked skipped. Emission stays in
-			// submission order, so a skipped job whose submission index is
-			// below the failing job's is reported first — which is why
-			// ErrSkipped documents that consumers must not treat it as the
-			// suite's genuine failure.
+			// Fail-fast, but still give every job its outcome — a service
+			// keyed on per-job completion must never see a job silently
+			// dropped from its batch. Don't start anything new; jobs already
+			// handed out finish and report, the rest are marked skipped.
+			// Emission stays in submission order, so a skipped job whose
+			// submission index is below the failing job's is reported first
+			// — which is why ErrSkipped documents that consumers must not
+			// treat it as the suite's genuine failure.
 			for _, i := range order[k:] {
 				dequeue(i, true)
 				outcomes[i] = Outcome{Spec: jobs[i].Spec, Err: ErrSkipped}

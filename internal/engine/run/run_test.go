@@ -198,37 +198,6 @@ func TestCacheKeyAddressesEntry(t *testing.T) {
 	}
 }
 
-// TestRetentionJobsBypassCache: a spec asking for per-trial retention must
-// always compute — retained values are excluded from the cache's JSON, so
-// a hit would return a result stripped of exactly what was asked for. The
-// non-retention twin of the same job still caches normally.
-func TestRetentionJobsBypassCache(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "cache")
-	s := newSession(t, run.Options{CacheDir: dir})
-	plain := scenSpec("multilat-town", 1, 2, 0)
-	keep := plain
-	keep.KeepTrialValues = true
-
-	if _, _, err := run.ExecuteSpec(s, plain); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		res, info, err := run.ExecuteSpec(s, keep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Cached || info.CacheKey != "" {
-			t.Fatalf("retention run %d served from cache (key %q)", i, info.CacheKey)
-		}
-		if len(res.Report.TrialScalars) == 0 {
-			t.Fatalf("retention run %d returned no per-trial values", i)
-		}
-	}
-	if _, info, err := run.ExecuteSpec(s, plain); err != nil || !info.Cached {
-		t.Errorf("plain twin no longer cached after retention runs: cached=%v err=%v", info.Cached, err)
-	}
-}
-
 // TestProgressKeyedPerJob: two concurrent jobs of the same scenario at
 // different seeds each own their own milestone counter — neither job's
 // lines are suppressed or reset by the other's completion.

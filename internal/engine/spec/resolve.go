@@ -157,7 +157,6 @@ func Resolve(s JobSpec) (Resolved, error) {
 		}
 		resolvedParams = p
 		campaign = wrapCampaign(engine.ReportCampaign(sc), func(r *engine.Report) *Value { return &Value{Report: r} })
-		campaign.KeepTrialValues = s.KeepTrialValues
 	}
 	// Resolve the effective execution parameters exactly as the engine will:
 	// spec overrides into the config, campaign pins on top.

@@ -67,11 +67,6 @@ type JobSpec struct {
 	// positive. Like Trials it is a cache-key ingredient; figure jobs pin
 	// their own partitions and reject an override.
 	ShardSize int `json:"shard_size,omitempty"`
-	// KeepTrialValues retains per-trial metric values for the campaign's
-	// Finalize step. Retained values feed result assembly only; they are
-	// not part of the serialized result, which is also why retention jobs
-	// bypass the result cache (a hit could not restore them).
-	KeepTrialValues bool `json:"keep_trial_values,omitempty"`
 	// TrialRange optionally restricts execution to a trial sub-range for
 	// distributed suite sharding; see Range.
 	TrialRange *Range `json:"trial_range,omitempty"`
@@ -92,9 +87,9 @@ type JobSpec struct {
 	// each an ordinary spec whose hash and cache key are exactly those of
 	// an explicit "trials": N submission, so rounds share cache entries
 	// with explicit runs and the prefix-reuse planner turns each round into
-	// an increment over the last. Mutually exclusive with Trials,
-	// TrialRange, and KeepTrialValues; omitted for fixed-count specs,
-	// keeping every earlier spec's hash unchanged.
+	// an increment over the last. Mutually exclusive with Trials and
+	// TrialRange; omitted for fixed-count specs, keeping every earlier
+	// spec's hash unchanged.
 	AutoTrials *AutoTrials `json:"auto_trials,omitempty"`
 }
 
@@ -219,17 +214,15 @@ func (s JobSpec) Validate() error {
 		return fmt.Errorf("spec: %s: negative shard size %d", s.ID, s.ShardSize)
 	}
 	if s.Kind == KindFigure {
-		// A figure's trial structure (trial count, shard partition, retained
-		// values) is part of its definition; silently ignoring an override
-		// would make equal-looking specs hash differently while producing
-		// the same bytes, so reject instead.
+		// A figure's trial structure (trial count, shard partition) is part
+		// of its definition; silently ignoring an override would make
+		// equal-looking specs hash differently while producing the same
+		// bytes, so reject instead.
 		switch {
 		case s.Trials != 0:
 			return fmt.Errorf("spec: %s: figure jobs pin their trial count; drop \"trials\"", s.ID)
 		case s.ShardSize != 0:
 			return fmt.Errorf("spec: %s: figure jobs pin their shard partition; drop \"shard_size\"", s.ID)
-		case s.KeepTrialValues:
-			return fmt.Errorf("spec: %s: figure jobs declare their own retention; drop \"keep_trial_values\"", s.ID)
 		}
 	}
 	if r := s.TrialRange; r != nil {
@@ -239,8 +232,7 @@ func (s JobSpec) Validate() error {
 	}
 	if a := s.AutoTrials; a != nil {
 		// Auto mode owns the trial count round by round, so every other way
-		// of pinning or slicing the trial space conflicts with it — and
-		// retention jobs bypass the cache the rounds accumulate through.
+		// of pinning or slicing the trial space conflicts with it.
 		switch {
 		case s.Kind != KindScenario:
 			return fmt.Errorf("spec: %s: auto_trials applies to scenario jobs only", s.ID)
@@ -248,8 +240,6 @@ func (s JobSpec) Validate() error {
 			return fmt.Errorf("spec: %s: auto_trials and \"trials\" conflict; drop one", s.ID)
 		case s.TrialRange != nil:
 			return fmt.Errorf("spec: %s: auto_trials and \"trial_range\" conflict; drop one", s.ID)
-		case s.KeepTrialValues:
-			return fmt.Errorf("spec: %s: auto_trials needs the result cache, which keep_trial_values bypasses; drop one", s.ID)
 		case !(a.CITarget > 0) || math.IsInf(a.CITarget, 0):
 			// The negated comparison also rejects NaN, and non-finite targets
 			// would break the spec's canonical JSON encoding.

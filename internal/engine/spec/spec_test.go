@@ -20,7 +20,7 @@ func TestValidate(t *testing.T) {
 		wantErr string // "" means valid
 	}{
 		{"minimal figure", spec.JobSpec{Kind: spec.KindFigure, ID: "fig06", Seed: 1}, ""},
-		{"scenario with overrides", spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 1, Trials: 4, ShardSize: 2, KeepTrialValues: true}, ""},
+		{"scenario with overrides", spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 1, Trials: 4, ShardSize: 2}, ""},
 		{"missing kind", spec.JobSpec{ID: "fig06"}, "missing kind"},
 		{"unknown kind", spec.JobSpec{Kind: "suite", ID: "x"}, "unknown kind"},
 		{"missing id", spec.JobSpec{Kind: spec.KindFigure}, "missing id"},
@@ -28,7 +28,6 @@ func TestValidate(t *testing.T) {
 		{"negative shard", spec.JobSpec{Kind: spec.KindScenario, ID: "x", ShardSize: -2}, "negative shard size"},
 		{"figure trials pinned", spec.JobSpec{Kind: spec.KindFigure, ID: "fig06", Trials: 4}, "pin their trial count"},
 		{"figure shard pinned", spec.JobSpec{Kind: spec.KindFigure, ID: "fig06", ShardSize: 2}, "pin their shard partition"},
-		{"figure retention pinned", spec.JobSpec{Kind: spec.KindFigure, ID: "fig06", KeepTrialValues: true}, "their own retention"},
 		{"inverted range", spec.JobSpec{Kind: spec.KindScenario, ID: "x", TrialRange: &spec.Range{Lo: 4, Hi: 4}}, "invalid trial range"},
 		{"negative range", spec.JobSpec{Kind: spec.KindScenario, ID: "x", TrialRange: &spec.Range{Lo: -1, Hi: 4}}, "invalid trial range"},
 	}
@@ -92,6 +91,7 @@ func TestDecodeErrors(t *testing.T) {
 		"[]":                "no jobs",
 		`{"kind":"figure"}`: "missing id",
 		`{"kind":"figure","id":"fig11","trails":3}`:                 "unknown field",
+		`{"kind":"scenario","id":"x","keep_trial_values":true}`:     `unknown field "keep_trial_values"`,
 		`{"kind":"figure","id":"fig11"} {"x":1}`:                    "trailing data",
 		`[{"kind":"figure","id":"fig11"},{"kind":"nope","id":"x"}]`: "unknown kind",
 	}

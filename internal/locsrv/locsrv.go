@@ -345,9 +345,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, decode func(io.Re
 		return nil, nil, false
 	}
 	resolved, err := spec.ResolveAll(specs)
-	if err == nil {
-		err = checkWireObservable(resolved)
-	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return nil, nil, false
@@ -379,21 +376,6 @@ func (s *Server) start(resolved []spec.Resolved) ([]jobSummary, []*job, error) {
 	s.mu.Unlock()
 	s.launch(fresh)
 	return summaries, all, nil
-}
-
-// checkWireObservable rejects specs whose retained per-trial values could
-// never reach the submitter. A full job's retained values never serialize
-// (they exist for in-process Finalize consumers), so over the wire the knob
-// could only burn a cache bypass without ever being observable. A proper
-// trial-range sub-job is exempt: its engine.Partial serializes the retained
-// values, which is how the coordinator distributes retention jobs.
-func checkWireObservable(resolved []spec.Resolved) error {
-	for _, rj := range resolved {
-		if rj.Spec.KeepTrialValues && rj.PartialRange() == nil {
-			return fmt.Errorf("spec %s: keep_trial_values is not observable over the wire; drop it", rj.Spec.ID)
-		}
-	}
-	return nil
 }
 
 // writeOverloaded renders a registration error; an overloadError becomes a

@@ -268,7 +268,7 @@ func TestSubmitAndLookupErrors(t *testing.T) {
 		`{"kind":"figure","id":"fig99","seed":1}`:                                    "unknown figure",
 		`{"kind":"figure","id":"fig11","trials":4}`:                                  "pin their trial count",
 		`{"kind":"figure","id":"fig11","seeed":1}`:                                   "unknown field",
-		`{"kind":"scenario","id":"multilat-town","seed":1,"keep_trial_values":true}`: "not observable over the wire",
+		`{"kind":"scenario","id":"multilat-town","seed":1,"keep_trial_values":true}`: `unknown field "keep_trial_values"`,
 	} {
 		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -383,17 +383,6 @@ func TestPartialTrialRangeOverTheWire(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized trial range accepted over the wire: status %d", resp.StatusCode)
-	}
-
-	// keep_trial_values is accepted on a proper sub-range — the Partial
-	// serializes the retained values, which is how the coordinator
-	// distributes retention jobs. (The full-job rejection is covered in
-	// TestSubmitAndLookupErrors.)
-	keepJobs := submit(t, hs,
-		`{"kind":"scenario","id":"multilat-town","seed":1,"trials":6,"keep_trial_values":true,"trial_range":{"lo":1,"hi":3}}`)
-	v := poll(t, hs, keepJobs[0].ID)
-	if v.Status != "done" || v.Result == nil || v.Result.Partial == nil || !v.Result.Partial.Retained {
-		t.Errorf("partial retention job: %+v, want a done retained partial", v)
 	}
 }
 
@@ -735,7 +724,7 @@ func TestSweepEndpointMergedStream(t *testing.T) {
 }
 
 // TestSweepEndpointErrors: malformed documents, invalid expansions, and
-// wire-unobservable templates are rejected before anything registers.
+// templates carrying unknown fields are rejected before anything registers.
 func TestSweepEndpointErrors(t *testing.T) {
 	_, hs := newTestServer(t, run.Options{NoCache: true})
 	for body, want := range map[string]string{
@@ -744,7 +733,7 @@ func TestSweepEndpointErrors(t *testing.T) {
 		`{"template":{"kind":"scenario","id":"mobility-waypoint","seed":1},"grid":{"speed_mps":[]}}`:        "has no values",
 		`{"template":{"kind":"scenario","id":"mobility-waypoint","seed":1},"grid":{"speed_mps":[99]}}`:      "out of range",
 		`{"template":{"kind":"scenario","id":"multilat-town","seed":1},"grid":{"drop":[1]}}`:                "takes no parameters",
-		`{"template":{"kind":"scenario","id":"multilat-town","seed":1,"keep_trial_values":true},"grid":{}}`: "not observable over the wire",
+		`{"template":{"kind":"scenario","id":"multilat-town","seed":1,"keep_trial_values":true},"grid":{}}`: `unknown field "keep_trial_values"`,
 	} {
 		resp, err := http.Post(hs.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {
