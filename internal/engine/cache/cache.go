@@ -24,6 +24,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -202,22 +203,42 @@ func (c *Cache) Get(k Key, out any) (bool, error) {
 // speculative lookup that a later Get repeats still counts as one Get.
 // Peek takes no lock; Put's atomic rename means it reads either a whole
 // entry or none.
+//
+// The entry is parsed once, envelope and value together. The value is
+// decoded into a fresh instance of out's type, which is copied into out
+// only on a hit, so a miss or an error leaves out as it was.
 func (c *Cache) Peek(k Key, out any) (bool, error) {
+	dst := reflect.ValueOf(out)
+	if dst.Kind() != reflect.Pointer || dst.IsNil() {
+		return false, fmt.Errorf("cache: decode value for %s: %w", k.Scenario, &json.InvalidUnmarshalError{Type: reflect.TypeOf(out)})
+	}
 	path := c.entryPath(k.Hash())
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return false, nil
 	}
-	var e entry
+	// val is a **T whose *T stays nil unless the entry holds a value.
+	val := reflect.New(dst.Type())
+	e := struct {
+		Key   Key `json:"key"`
+		Value any `json:"value"`
+	}{Value: val.Interface()}
 	if err := json.Unmarshal(b, &e); err != nil {
-		return false, nil // corrupt entry: treat as a miss
+		// Either the envelope or the value failed. Only a sound envelope
+		// under k makes it the value's fault; anything else is a miss.
+		var env entry
+		if json.Unmarshal(b, &env) != nil || env.Key != k {
+			return false, nil // corrupt entry: treat as a miss
+		}
+		return false, fmt.Errorf("cache: decode value for %s: %w", k.Scenario, err)
 	}
 	if e.Key != k {
 		return false, nil // hash collision or tampering: recompute
 	}
-	if err := json.Unmarshal(e.Value, out); err != nil {
-		return false, fmt.Errorf("cache: decode value for %s: %w", k.Scenario, err)
+	if val.Elem().IsNil() {
+		return false, fmt.Errorf("cache: decode value for %s: entry holds no value", k.Scenario)
 	}
+	dst.Elem().Set(val.Elem().Elem())
 	// Refresh the entry's mtime (best-effort) so the age- and size-bounded
 	// GC evicts by last use, not creation time — a daily-hit entry must
 	// never age out while cold ones do.

@@ -412,3 +412,79 @@ func TestMaybeGCThrottlesByStamp(t *testing.T) {
 		t.Error("throttled MaybeGC still removed an entry")
 	}
 }
+
+// TestPeekSemantics pins what a read decides for each shape an entry file
+// can take. Only a sound envelope stored under its own key is ever served;
+// an envelope that is sound but whose value does not decode into the
+// caller's type is reported as an error, and everything else is a clean
+// miss. A miss or an error leaves out as it was.
+func TestPeekSemantics(t *testing.T) {
+	k := testKey()
+	other := k
+	other.Seed = 99
+	want := payload{Name: "x", Values: []float64{1.5, -2.25}}
+	keyJSON := func(key Key) string {
+		b, err := json.Marshal(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	const value = `{"name":"x","values":[1.5,-2.25]}`
+	good := `{"key":` + keyJSON(k) + `,"value":` + value + `}`
+	cases := []struct {
+		name    string
+		content string // "": no file at k's address
+		hit     bool
+		wantErr bool
+	}{
+		{name: "missing file"},
+		{name: "truncated envelope", content: good[:len(good)/2]},
+		{name: "garbled envelope", content: "{not json"},
+		{name: "garbled stored key", content: `{"key":{"scenario":7},"value":` + value + `}`},
+		{name: "stored key differs", content: `{"key":` + keyJSON(other) + `,"value":` + value + `}`},
+		{name: "stored key differs, value of the wrong type", content: `{"key":` + keyJSON(other) + `,"value":[1,2,3]}`},
+		{name: "value of the wrong type", content: `{"key":` + keyJSON(k) + `,"value":[1,2,3]}`, wantErr: true},
+		{name: "envelope without a value", content: `{"key":` + keyJSON(k) + `}`, wantErr: true},
+		{name: "hit", content: good, hit: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Open(filepath.Join(t.TempDir(), "cache"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := c.entryPath(k.Hash())
+			old := time.Now().Add(-48 * time.Hour).Truncate(time.Second)
+			if tc.content != "" {
+				if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Chtimes(path, old, old); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := payload{Name: "untouched"}
+			hit, err := c.Peek(k, &got)
+			if hit != tc.hit || (err != nil) != tc.wantErr {
+				t.Fatalf("Peek = (%v, %v), want hit=%v error=%v", hit, err, tc.hit, tc.wantErr)
+			}
+			if !tc.hit {
+				if got.Name != "untouched" || got.Values != nil {
+					t.Errorf("a read that was not served wrote %+v into out", got)
+				}
+				return
+			}
+			if got.Name != want.Name || len(got.Values) != 2 || got.Values[0] != want.Values[0] || got.Values[1] != want.Values[1] {
+				t.Errorf("hit decoded %+v, want %+v", got, want)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !fi.ModTime().After(old) {
+				t.Errorf("hit left the entry's mtime at %v", fi.ModTime())
+			}
+		})
+	}
+}

@@ -82,13 +82,13 @@ func (s *Session) planReuse(key cache.Key, trials int, name string) reusePlan {
 // path: plan against the cache, execute the gaps, merge, finalize, and bank
 // both the gap partials (range keys) and the merged result (full key). The
 // caller holds the key lock and has already missed on the full key.
-func (s *Session) executePlanned(ctx context.Context, jobSpan *obs.Span, job spec.Resolved, key cache.Key, keyHash string, trials, shardSize int, start time.Time) (*spec.Value, Info, error) {
+func (s *Session) executePlanned(ctx context.Context, jobSpan *obs.Span, id string, job spec.Resolved, key cache.Key, keyHash string, trials, shardSize int, start time.Time) (*spec.Value, Info, error) {
 	name := job.Campaign.Scenario.Name
 
 	_, planSpan := obs.Start(ctx, "run.plan")
 	plan := s.planReuse(key, trials, name)
 	if planSpan != nil {
-		planSpan.SetAttr("job", job.Spec.Hash()).SetAttr("reused_trials", plan.reusedTrials).
+		planSpan.SetAttr("job", id).SetAttr("reused_trials", plan.reusedTrials).
 			SetAttr("reused_ranges", len(plan.Chosen)).SetAttr("gaps", len(plan.Gaps))
 	}
 	planSpan.End()
@@ -99,7 +99,7 @@ func (s *Session) executePlanned(ctx context.Context, jobSpan *obs.Span, job spe
 		}
 	}
 
-	res, err := s.runPlan(ctx, job, key, trials, plan)
+	res, err := s.runPlan(ctx, id, job, key, trials, plan)
 	if err != nil && plan.reusedTrials > 0 && ctx.Err() == nil {
 		// Every reused entry decoded and adapted cleanly, yet the plan still
 		// failed downstream — a cache inconsistency deeper than the per-entry
@@ -108,7 +108,7 @@ func (s *Session) executePlanned(ctx context.Context, jobSpan *obs.Span, job spe
 		fmt.Fprintf(s.warn, "warning: %s: discarding %d cached trials after plan failure: %v\n",
 			name, plan.reusedTrials, err)
 		plan = coldPlan(trials)
-		res, err = s.runPlan(ctx, job, key, trials, plan)
+		res, err = s.runPlan(ctx, id, job, key, trials, plan)
 	}
 	if err != nil {
 		return nil, Info{}, err
@@ -129,12 +129,13 @@ func (s *Session) executePlanned(ctx context.Context, jobSpan *obs.Span, job spe
 	}
 	res.ClearExecutionMeta()
 	_ = s.cache.Put(key, res)
-	res.SetExecutionMeta(workers, time.Since(start).Seconds())
+	elapsed := time.Since(start)
+	res.SetExecutionMeta(workers, elapsed.Seconds())
 	return res, Info{
 		Cached:       executed == 0,
 		Trials:       trials,
 		ReusedTrials: plan.reusedTrials,
-		Elapsed:      time.Since(start),
+		Elapsed:      elapsed,
 		CacheKey:     keyHash,
 	}, nil
 }
@@ -144,9 +145,9 @@ func (s *Session) executePlanned(ctx context.Context, jobSpan *obs.Span, job spe
 // Progress reports cover the whole trial space: reused trials count as done
 // from the start, and each gap's counters are offset by everything covered
 // before it.
-func (s *Session) runPlan(ctx context.Context, job spec.Resolved, key cache.Key, trials int, plan reusePlan) (*spec.Value, error) {
+func (s *Session) runPlan(ctx context.Context, id string, job spec.Resolved, key cache.Key, trials int, plan reusePlan) (*spec.Value, error) {
 	c := job.Campaign
-	cb := s.progressCallback(c.Scenario.Name, job.Spec.Hash())
+	cb := s.progressCallback(c.Scenario.Name, id)
 	parts := make([]*engine.Partial, 0, len(plan.Parts)+len(plan.Gaps))
 	parts = append(parts, plan.Parts...)
 	covered := plan.reusedTrials

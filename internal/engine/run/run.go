@@ -458,15 +458,16 @@ func ExecuteSpecContext(ctx context.Context, s *Session, sp spec.JobSpec) (*spec
 	if err != nil {
 		return nil, Info{}, err
 	}
-	return executeJob(ctx, s, job)
+	return executeJob(ctx, s, job.Spec.Hash(), job)
 }
 
 // executeJob executes one already-resolved job under the run-layer job
-// counters and the in-flight gauge; see ExecuteSpec.
-func executeJob(ctx context.Context, s *Session, job spec.Resolved) (*spec.Value, Info, error) {
+// counters and the in-flight gauge; see ExecuteSpec. id is the job's wire
+// address, job.Spec.Hash(), derived once by the caller.
+func executeJob(ctx context.Context, s *Session, id string, job spec.Resolved) (*spec.Value, Info, error) {
 	obsInflight.Add(1)
 	defer obsInflight.Add(-1)
-	res, info, err := executeResolved(ctx, s, job)
+	res, info, err := executeResolved(ctx, s, id, job)
 	countJob(info, err)
 	return res, info, err
 }
@@ -492,15 +493,16 @@ func countJob(info Info, err error) {
 // miss books nothing — execution's own lookup books the job's one cache
 // Get. A served hit leaves exactly what an executed hit leaves: one cache
 // Get and hit, the run-layer job counters, and a run.job span marked
-// cached in ctx's tracer.
-func ServeCached(ctx context.Context, s *Session, job spec.Resolved) (Outcome, bool) {
+// cached in ctx's tracer. id is the job's wire address, job.Spec.Hash(),
+// which a caller answering a request has already derived.
+func ServeCached(ctx context.Context, s *Session, id string, job spec.Resolved) (Outcome, bool) {
 	if s.cache == nil {
 		return Outcome{}, false
 	}
 	start := time.Now()
 	// The span is ended only on a hit: a tracer records spans when they
 	// end, so a miss leaves no run.job behind for execution to duplicate.
-	_, jobSpan := startJobSpan(ctx, job)
+	_, jobSpan := startJobSpan(ctx, id, job)
 	runner, err := engine.NewRunner(s.runnerConfig(job))
 	if err != nil {
 		return Outcome{}, false
@@ -529,11 +531,11 @@ func (s *Session) runnerConfig(job spec.Resolved) engine.Config {
 	}
 }
 
-// startJobSpan starts job's run.job span in ctx's tracer.
-func startJobSpan(ctx context.Context, job spec.Resolved) (context.Context, *obs.Span) {
+// startJobSpan starts the run.job span of job id in ctx's tracer.
+func startJobSpan(ctx context.Context, id string, job spec.Resolved) (context.Context, *obs.Span) {
 	ctx, span := obs.Start(ctx, "run.job")
 	if span != nil {
-		span.SetAttr("job", job.Spec.Hash()).SetAttr("scenario", job.Campaign.Scenario.Name).SetAttr("kind", job.Spec.Kind)
+		span.SetAttr("job", id).SetAttr("scenario", job.Campaign.Scenario.Name).SetAttr("kind", job.Spec.Kind)
 	}
 	return ctx, span
 }
@@ -585,7 +587,8 @@ func (s *Session) address(job spec.Resolved, runner *engine.Runner) (jobAddress,
 // the job's — a finalized result for a full run, a partial for a trial
 // range; an entry of the other shape is recomputed and overwritten. A
 // served hit is stamped with zero workers and the lookup's own elapsed
-// time since start, never the populating run's. With book set (execution,
+// time since start, never the populating run's: one reading, so the
+// result's report and the job's Info agree. With book set (execution,
 // under the key's lock) every read books one cache Get and an undecodable
 // entry is reported; without it (ServeCached) only a served hit is booked
 // and reported on, because execution will read again after anything else.
@@ -609,24 +612,24 @@ func (s *Session) cachedHit(addr jobAddress, jobSpan *obs.Span, start time.Time,
 	if jobSpan != nil {
 		jobSpan.SetAttr("cached", true)
 	}
-	res.SetExecutionMeta(0, time.Since(start).Seconds())
-	return &res, Info{Cached: true, Trials: addr.runTrials, Elapsed: time.Since(start), CacheKey: addr.keyHash}, true
+	elapsed := time.Since(start)
+	res.SetExecutionMeta(0, elapsed.Seconds())
+	return &res, Info{Cached: true, Trials: addr.runTrials, Elapsed: elapsed, CacheKey: addr.keyHash}, true
 }
 
-func executeResolved(ctx context.Context, s *Session, job spec.Resolved) (*spec.Value, Info, error) {
+func executeResolved(ctx context.Context, s *Session, id string, job spec.Resolved) (*spec.Value, Info, error) {
 	start := time.Now()
 	c := job.Campaign
-	jobID := job.Spec.Hash()
-	ctx, jobSpan := startJobSpan(ctx, job)
+	ctx, jobSpan := startJobSpan(ctx, id, job)
 	defer jobSpan.End()
 	cfg := s.runnerConfig(job)
-	cfg.Progress = s.progressCallback(c.Scenario.Name, jobID)
+	cfg.Progress = s.progressCallback(c.Scenario.Name, id)
 	cfg.Budget = engine.SharedBudget()
 	runner, err := engine.NewRunner(cfg)
 	if err != nil {
 		return nil, Info{}, err
 	}
-	defer s.prog.Done(jobID)
+	defer s.prog.Done(id)
 	addr, err := s.address(job, runner)
 	if err != nil {
 		return nil, Info{}, err
@@ -647,7 +650,7 @@ func executeResolved(ctx context.Context, s *Session, job spec.Resolved) (*spec.
 			// on the classic path: their range entries carry per-trial
 			// values, which every plan would drag along — a cost that only
 			// pays for the coordinator's distributed splits.
-			return s.executePlanned(ctx, jobSpan, job, addr.key, addr.keyHash, addr.trials, addr.shardSize, start)
+			return s.executePlanned(ctx, jobSpan, id, job, addr.key, addr.keyHash, addr.trials, addr.shardSize, start)
 		}
 	}
 	var res *spec.Value
@@ -772,11 +775,13 @@ func executeAll(ctx context.Context, s *Session, jobs []spec.Resolved, onDone fu
 	// Every submitted job is queued until the scheduler dispatches it (or
 	// marks it skipped): run_jobs_queued is the health endpoint's queue-depth
 	// reading, and each job's run.queued span records its time in line.
+	ids := make([]string, len(jobs))
 	queued := make([]*obs.Span, len(jobs))
 	for i := range jobs {
+		ids[i] = jobs[i].Spec.Hash()
 		_, qs := obs.Start(ctx, "run.queued")
 		if qs != nil {
-			qs.SetAttr("job", jobs[i].Spec.Hash()).SetAttr("name", jobs[i].Spec.ID)
+			qs.SetAttr("job", ids[i]).SetAttr("name", jobs[i].Spec.ID)
 		}
 		queued[i] = qs
 	}
@@ -830,7 +835,7 @@ func executeAll(ctx context.Context, s *Session, jobs []spec.Resolved, onDone fu
 					outcomes[i] = Outcome{Spec: jobs[i].Spec, Err: ErrSkipped}
 				} else {
 					dequeue(i, false)
-					if outcomes[i] = runResolved(ctx, s, jobs[i]); outcomes[i].Err != nil {
+					if outcomes[i] = runResolved(ctx, s, ids[i], jobs[i]); outcomes[i].Err != nil {
 						failed.Store(true)
 					}
 				}
@@ -869,7 +874,7 @@ func executeAll(ctx context.Context, s *Session, jobs []spec.Resolved, onDone fu
 	return outcomes
 }
 
-func runResolved(ctx context.Context, s *Session, j spec.Resolved) Outcome {
-	res, info, err := executeJob(ctx, s, j)
+func runResolved(ctx context.Context, s *Session, id string, j spec.Resolved) Outcome {
+	res, info, err := executeJob(ctx, s, id, j)
 	return Outcome{Spec: j.Spec, Result: res, Info: info, Err: err}
 }

@@ -30,6 +30,10 @@
 //	GET  /v1/fleet            live fleet membership
 //	GET  /healthz             liveness
 //
+// Every JSON response is one line of compact JSON, and the NDJSON streams
+// carry one compact object per line; pipe a response through jq to read
+// it.
+//
 // Every events stream that observes its job finish ends with a terminal
 // status line — status "done" or "failed" (with error text and the
 // retryable "skipped" marker) — so stream consumers can distinguish a job
@@ -248,12 +252,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
+// writeJSON answers with v as one line of compact JSON: indenting would
+// add about half again the bytes and encoder work to every response.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -397,11 +401,14 @@ func writeOverloaded(w http.ResponseWriter, err error) {
 // duplicates and attachments included) plus the fresh subset, which the
 // caller serves from the cache or launches.
 func (s *Server) registerJobs(resolved []spec.Resolved) ([]*job, []*job, error) {
+	ids := make([]string, len(resolved))
+	for i, rj := range resolved {
+		ids[i] = rj.Spec.Hash()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	freshIDs := make(map[string]bool)
-	for _, rj := range resolved {
-		id := rj.Spec.Hash()
+	for _, id := range ids {
 		if j, ok := s.jobs[id]; !ok || j.skipped {
 			freshIDs[id] = true
 		}
@@ -414,8 +421,8 @@ func (s *Server) registerJobs(resolved []spec.Resolved) ([]*job, []*job, error) 
 	}
 	all := make([]*job, 0, len(resolved))
 	var fresh []*job
-	for _, rj := range resolved {
-		id := rj.Spec.Hash()
+	for i, rj := range resolved {
+		id := ids[i]
 		j, ok := s.jobs[id]
 		if ok && j.skipped {
 			ok = false // replace the skipped record with a fresh attempt
@@ -450,8 +457,8 @@ func (s *Server) serveCached(fresh []*job) []*job {
 	misses := fresh[:0]
 	for _, j := range fresh {
 		tr := obs.NewTracer()
-		if o, ok := run.ServeCached(obs.WithTracer(context.Background(), tr), s.sess, j.resolved); ok {
-			s.finishTraced(tr, o)
+		if o, ok := run.ServeCached(obs.WithTracer(context.Background(), tr), s.sess, j.id, j.resolved); ok {
+			s.finishTraced(tr, j.id, o)
 		} else {
 			misses = append(misses, j)
 		}
@@ -475,7 +482,7 @@ func (s *Server) launch(fresh []*job) {
 	tr := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tr)
 	go run.ExecuteAllUnorderedContext(ctx, s.sess, jobs, func(o run.Outcome) {
-		s.finishTraced(tr, o)
+		s.finishTraced(tr, o.Spec.Hash(), o)
 	})
 }
 
@@ -493,21 +500,20 @@ func (s *Server) dropFinishedLocked(id string) {
 
 // finishTraced extracts the outcome's span subtree — the job's run.job span
 // and everything beneath it — from the batch tracer, then records the
-// outcome. The job's spans are all ended by the time its outcome is
+// outcome on job id (the outcome spec's hash, which the caller already
+// holds). The job's spans are all ended by the time its outcome is
 // delivered, so the extraction is complete even while batch siblings are
 // still running.
-func (s *Server) finishTraced(tr *obs.Tracer, o run.Outcome) {
-	id := o.Spec.Hash()
+func (s *Server) finishTraced(tr *obs.Tracer, id string, o run.Outcome) {
 	trace := obs.Subtree(tr.Export(), func(r obs.SpanRecord) bool {
 		return r.Name == "run.job" && r.Attrs["job"] == id
 	})
-	s.finish(o, trace)
+	s.record(id, o, trace)
 }
 
-// finish records a suite outcome on its job, wakes every waiter, and evicts
+// record records a suite outcome on job id, wakes every waiter, and evicts
 // the oldest finished jobs beyond the table bound.
-func (s *Server) finish(o run.Outcome, trace []obs.SpanRecord) {
-	id := o.Spec.Hash()
+func (s *Server) record(id string, o run.Outcome, trace []obs.SpanRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
