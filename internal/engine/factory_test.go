@@ -156,16 +156,31 @@ func factoryGoldenPath(name string, seed int64) string {
 	return filepath.Join("testdata", "golden", fmt.Sprintf("%s_seed%d.golden", name, seed))
 }
 
-// TestGoldenFactoryWorkloads pins the new parameterized workloads at seeds 1
-// and 5 across worker counts, exactly like the figure corpus: the golden
-// bytes are the serial run's JSON report with execution metadata cleared.
+// TestGoldenFactoryWorkloads pins the scenario engine's workloads at seeds 1
+// and 5 across worker counts, exactly like the figure corpus: every library
+// scenario, every factory at its defaults, and a non-default mobility
+// point. The golden bytes are the serial run's JSON report with execution
+// metadata cleared.
 func TestGoldenFactoryWorkloads(t *testing.T) {
-	points := []struct {
-		factory string
-		p       params.Map
-	}{
-		{"mobility-waypoint", params.Map{"speed_mps": params.Num(1.5), "epoch_s": params.Num(4)}},
-		{"ranging-mixed-env", nil},
+	type point struct {
+		golden, name string
+		p            params.Map
+	}
+	points := []point{
+		{"mobility-waypoint", "mobility-waypoint", params.Map{"speed_mps": params.Num(1.5), "epoch_s": params.Num(4)}},
+		{"ranging-mixed-env", "ranging-mixed-env", nil},
+	}
+	pinned := map[string]bool{}
+	for _, pt := range points {
+		pinned[pt.name] = pt.p == nil
+	}
+	for _, f := range Factories() {
+		if !pinned[f.Name] { // a factory pinned at its defaults above keeps its golden
+			points = append(points, point{f.Name + "-defaults", f.Name, nil})
+		}
+	}
+	for _, s := range Library() {
+		points = append(points, point{s.Name, s.Name, nil})
 	}
 	for _, pt := range points {
 		for _, seed := range []int64{1, 5} {
@@ -173,8 +188,8 @@ func TestGoldenFactoryWorkloads(t *testing.T) {
 				if *updateFactoryGolden && workers != 1 {
 					continue // goldens are defined by the serial run
 				}
-				t.Run(fmt.Sprintf("%s/seed%d/workers%d", pt.factory, seed, workers), func(t *testing.T) {
-					s, _, err := BuildScenario(pt.factory, pt.p)
+				t.Run(fmt.Sprintf("%s/seed%d/workers%d", pt.golden, seed, workers), func(t *testing.T) {
+					s, _, err := BuildScenario(pt.name, pt.p)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -185,7 +200,7 @@ func TestGoldenFactoryWorkloads(t *testing.T) {
 						t.Fatal(err)
 					}
 					got = append(got, '\n')
-					path := factoryGoldenPath(pt.factory, seed)
+					path := factoryGoldenPath(pt.golden, seed)
 					if *updateFactoryGolden {
 						if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 							t.Fatal(err)
@@ -201,7 +216,7 @@ func TestGoldenFactoryWorkloads(t *testing.T) {
 					}
 					if string(got) != string(want) {
 						t.Errorf("%s seed %d workers %d diverged from golden report\n--- got ---\n%s--- want ---\n%s",
-							pt.factory, seed, workers, got, want)
+							pt.golden, seed, workers, got, want)
 					}
 				})
 			}
