@@ -41,7 +41,7 @@ func benchExperiment(b *testing.B, id string, metrics map[string]string) {
 	}
 	var last *experiments.Result
 	for i := 0; i < b.N; i++ {
-		r, err := e.Run(1)
+		r, err := e.RunWorkers(1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

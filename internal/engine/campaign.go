@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // Campaign is the engine's unit of reusable work: "N trials → per-trial
 // measurement → shard-merged aggregate → finalized result". It couples a
@@ -34,8 +31,9 @@ type Campaign[R any] struct {
 	FixedTrials bool
 
 	// KeepTrialValues requests per-trial values (Report.TrialScalars,
-	// TrialSeries, TrialOutputs) for Finalize, on top of the streaming
-	// aggregates.
+	// TrialSeries) for Finalize, on top of the streaming aggregates. They
+	// ride along in partials, so a retained campaign splits and merges like
+	// any other.
 	KeepTrialValues bool
 
 	// Finalize converts the Report into the campaign's result. Nil is only
@@ -56,16 +54,13 @@ func RunCampaign[R any](r *Runner, c Campaign[R]) (R, *Report, error) {
 // land in the context's tracer, if any (see Runner.RunContext).
 func RunCampaignContext[R any](ctx context.Context, r *Runner, c Campaign[R]) (R, *Report, error) {
 	var zero R
-	if c.Finalize == nil {
-		return zero, nil, fmt.Errorf("engine: campaign %s has no Finalize", c.Scenario.Name)
-	}
 	rep, err := (&Runner{cfg: c.apply(r.cfg)}).RunContext(ctx, c.Scenario)
 	if err != nil {
 		return zero, nil, err
 	}
-	res, err := c.Finalize(rep)
+	res, err := FinalizeCampaign(c, rep)
 	if err != nil {
-		return zero, nil, fmt.Errorf("engine: campaign %s: finalize: %w", c.Scenario.Name, err)
+		return zero, nil, err
 	}
 	return res, rep, nil
 }

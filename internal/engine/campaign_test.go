@@ -5,15 +5,13 @@ import (
 	"testing"
 )
 
-// countScenario records its trial index as a scalar and keeps a per-trial
-// output value.
+// countScenario records its trial index as a scalar.
 func countScenario(trials int) Scenario {
 	return Scenario{
 		Name:   "count",
 		Trials: trials,
 		Run: func(t *T) error {
 			t.Record("trial", float64(t.Trial))
-			t.Keep(t.Trial * 10)
 			return nil
 		},
 	}
@@ -29,12 +27,11 @@ func TestRunCampaignFinalizes(t *testing.T) {
 		KeepTrialValues: true,
 		Finalize: func(rep *Report) (int, error) {
 			sum := 0
-			for i, v := range rep.TrialOutputs {
-				n, ok := v.(int)
-				if !ok || n != i*10 {
-					return 0, fmt.Errorf("trial %d output %v", i, v)
+			for i, v := range rep.TrialScalars["trial"] {
+				if v != float64(i) {
+					return 0, fmt.Errorf("trial %d recorded %v", i, v)
 				}
-				sum += n
+				sum += 10 * int(v)
 			}
 			return sum, nil
 		},
@@ -92,22 +89,6 @@ func TestReportCampaignReturnsReport(t *testing.T) {
 	}
 	if m, ok := rep.Metric("trial"); !ok || m.Count != 4 {
 		t.Errorf("unexpected metric %+v", m)
-	}
-}
-
-// TestKeepWithoutRetentionIsDropped pins that T.Keep is inert unless the
-// run retains trial values.
-func TestKeepWithoutRetentionIsDropped(t *testing.T) {
-	r, err := NewRunner(Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.Run(countScenario(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TrialOutputs != nil {
-		t.Errorf("TrialOutputs retained without KeepTrialValues: %v", rep.TrialOutputs)
 	}
 }
 

@@ -500,8 +500,8 @@ func (c *coordinator) stats() Stats {
 
 // subSpecFor builds the content-addressed sub-job for one range. A range
 // covering the whole trial space submits the original spec whole, so the
-// worker finalizes the result itself (this is also what makes single-trial
-// campaigns — which cannot run partially — coordinate).
+// worker finalizes the result itself (this is how a one-trial campaign,
+// which has no split, coordinates).
 func (c *coordinator) subSpecFor(rg spec.Range) spec.JobSpec {
 	sub := c.job.Spec
 	if rg.Lo == 0 && rg.Hi == c.job.Trials {

@@ -20,6 +20,10 @@
 //     Running with 1 worker or 64 therefore produces byte-identical
 //     aggregates — every metric, quantile, series, and per-trial value;
 //     only Report.Workers and Report.ElapsedSeconds reflect the actual run.
+//
+// A trial reports only through T.Record and T.RecordSeries, so everything
+// it reports serializes: any campaign, figures included, can run as
+// partials over trial ranges and merge back into the same bytes.
 package engine
 
 import (
@@ -125,14 +129,13 @@ type T struct {
 
 	scalars []sample
 	series  []seriesSample
-	output  any
 	ws      *scratch.Arena
 }
 
 // Scratch returns the shard worker's scratch arena. Buffers borrowed from
 // it are valid only until the trial returns — the runner releases the arena
-// between trials — so nothing reachable from Record/RecordSeries/Keep values
-// may alias them (both Record methods copy, so recording is always safe).
+// between trials. Record and RecordSeries copy their values, so recording
+// from a borrowed buffer is safe.
 // Outside the runner (unit tests calling a TrialFunc directly) the arena is
 // nil, which every arena method treats as plain allocation.
 func (t *T) Scratch() *scratch.Arena { return t.ws }
@@ -161,12 +164,4 @@ func (t *T) Record(name string, v float64) {
 // pad shorter histories before recording.
 func (t *T) RecordSeries(name string, values []float64) {
 	t.series = append(t.series, seriesSample{name: name, values: append([]float64(nil), values...)})
-}
-
-// Keep retains an arbitrary per-trial output value, surfaced (only under
-// Config.KeepTrialValues) as Report.TrialOutputs[t.Trial]. Campaigns whose
-// trials build structured results — e.g. a whole figure Result — hand them
-// to their Finalize step this way. Calling Keep again replaces the value.
-func (t *T) Keep(v any) {
-	t.output = v
 }

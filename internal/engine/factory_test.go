@@ -152,6 +152,10 @@ func TestMixedEnvRuns(t *testing.T) {
 	}
 }
 
+// slowScenarios take most of the corpus's time; -short (the race step)
+// skips them and the full run covers them.
+var slowScenarios = map[string]bool{"ranging-grass-refined": true, "ranging-urban-baseline": true, "lss-town-constrained": true}
+
 func factoryGoldenPath(name string, seed int64) string {
 	return filepath.Join("testdata", "golden", fmt.Sprintf("%s_seed%d.golden", name, seed))
 }
@@ -189,6 +193,10 @@ func TestGoldenFactoryWorkloads(t *testing.T) {
 					continue // goldens are defined by the serial run
 				}
 				t.Run(fmt.Sprintf("%s/seed%d/workers%d", pt.golden, seed, workers), func(t *testing.T) {
+					t.Parallel() // independent runs; each writes or reads only its own file
+					if testing.Short() && slowScenarios[pt.name] {
+						t.Skip("slow scenario; run without -short")
+					}
 					s, _, err := BuildScenario(pt.name, pt.p)
 					if err != nil {
 						t.Fatal(err)

@@ -137,11 +137,7 @@ func shardBounds(si, shardSize, trials int) (lo, hi int) {
 
 // RunPartial executes only the trials [lo, hi) of the scenario and returns
 // their serializable aggregate. The run uses the same worker pool, budget,
-// and progress contract as Run (progress totals are hi-lo). Scenarios whose
-// trials retain structured outputs via T.Keep cannot run partially: those
-// outputs do not serialize, so RunPartial fails rather than silently
-// dropping them (in practice only single-trial campaigns keep outputs, and
-// a coordinator never splits a single trial).
+// and progress contract as Run (progress totals are hi-lo).
 func (r *Runner) RunPartial(s Scenario, lo, hi int) (*Partial, error) {
 	return r.RunPartialContext(context.Background(), s, lo, hi)
 }
@@ -171,18 +167,16 @@ func (r *Runner) RunPartialContext(ctx context.Context, s Scenario, lo, hi int) 
 		Pieces: make([]ShardPiece, len(aggs)),
 	}
 	for i, agg := range aggs {
-		if p.Pieces[i], err = aggToPiece(agg.lo/shardSize, agg, keep); err != nil {
-			return nil, err
-		}
+		p.Pieces[i] = aggToPiece(agg.lo/shardSize, agg, keep)
 	}
 	return p, nil
 }
 
 // aggToPiece serializes one executed piece: a cut piece ships its raw trial
 // records, a complete shard its aggregate state.
-func aggToPiece(si int, agg *shardAgg, keep bool) (ShardPiece, error) {
+func aggToPiece(si int, agg *shardAgg, keep bool) ShardPiece {
 	if agg.raw != nil {
-		return ShardPiece{Shard: si, Lo: agg.lo, Hi: agg.hi, Raw: agg.raw}, nil
+		return ShardPiece{Shard: si, Lo: agg.lo, Hi: agg.hi, Raw: agg.raw}
 	}
 	piece := ShardPiece{Shard: si, Lo: agg.lo, Hi: agg.hi, Complete: true}
 	for _, name := range agg.scalarOrder {
@@ -194,12 +188,6 @@ func aggToPiece(si int, agg *shardAgg, keep bool) (ShardPiece, error) {
 		piece.Series = append(piece.Series, SeriesState{Name: name, Trials: a.trials, Points: a.points})
 	}
 	if keep {
-		for _, out := range agg.trialOutputs {
-			if out != nil {
-				return ShardPiece{}, fmt.Errorf(
-					"engine: shard %d retains structured per-trial outputs (T.Keep), which do not serialize; the campaign cannot run partially", si)
-			}
-		}
 		ret := &RetainedState{}
 		if len(agg.trialScalars) > 0 {
 			ret.Scalars = make(map[string][]stats.F64, len(agg.trialScalars))
@@ -219,7 +207,7 @@ func aggToPiece(si int, agg *shardAgg, keep bool) (ShardPiece, error) {
 		}
 		piece.Retain = ret
 	}
-	return piece, nil
+	return piece
 }
 
 // pieceToAgg restores a complete piece's shard aggregate.
@@ -243,26 +231,39 @@ func pieceToAgg(piece ShardPiece, retained bool) (*shardAgg, error) {
 		agg.seriesOrder = append(agg.seriesOrder, ss.Name)
 	}
 	if retained {
-		n := piece.Hi - piece.Lo
-		if piece.Retain != nil {
-			for name, vs := range piece.Retain.Scalars {
-				if len(vs) != n {
-					return nil, fmt.Errorf("engine: shard %d retained scalars %q: %d values for %d trials",
-						piece.Shard, name, len(vs), n)
-				}
-				agg.trialScalars[name] = stats.FromF64(vs)
+		// Finalize reads the retained values, so a piece must carry them for
+		// exactly the metrics and series it aggregates.
+		ret, n := piece.Retain, piece.Hi-piece.Lo
+		if ret == nil {
+			return nil, fmt.Errorf("engine: shard %d: retained piece carries no retained values", piece.Shard)
+		}
+		if len(ret.Scalars) != len(agg.scalars) || len(ret.Series) != len(agg.series) {
+			return nil, fmt.Errorf("engine: shard %d: retained values name %d scalars and %d series for %d metrics and %d series",
+				piece.Shard, len(ret.Scalars), len(ret.Series), len(agg.scalars), len(agg.series))
+		}
+		for name, vs := range ret.Scalars {
+			if agg.scalars[name] == nil {
+				return nil, fmt.Errorf("engine: shard %d retains scalars %q, which is none of its metrics", piece.Shard, name)
 			}
-			for name, rows := range piece.Retain.Series {
-				if len(rows) != n {
-					return nil, fmt.Errorf("engine: shard %d retained series %q: %d rows for %d trials",
-						piece.Shard, name, len(rows), n)
-				}
-				out := make([][]float64, n)
-				for i, row := range rows {
-					out[i] = stats.FromF64(row)
-				}
-				agg.trialSeries[name] = out
+			if len(vs) != n {
+				return nil, fmt.Errorf("engine: shard %d retained scalars %q: %d values for %d trials",
+					piece.Shard, name, len(vs), n)
 			}
+			agg.trialScalars[name] = stats.FromF64(vs)
+		}
+		for name, rows := range ret.Series {
+			if agg.series[name] == nil {
+				return nil, fmt.Errorf("engine: shard %d retains series %q, which is none of its series", piece.Shard, name)
+			}
+			if len(rows) != n {
+				return nil, fmt.Errorf("engine: shard %d retained series %q: %d rows for %d trials",
+					piece.Shard, name, len(rows), n)
+			}
+			out := make([][]float64, n)
+			for i, row := range rows {
+				out[i] = stats.FromF64(row)
+			}
+			agg.trialSeries[name] = out
 		}
 	}
 	return agg, nil

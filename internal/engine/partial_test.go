@@ -140,28 +140,6 @@ func TestPartialProgressTotals(t *testing.T) {
 	}
 }
 
-// TestPartialRejectsKeptOutputs: campaigns whose trials retain structured
-// outputs via T.Keep cannot run partially — on either the complete-shard or
-// the boundary-fragment path — because those outputs do not serialize.
-func TestPartialRejectsKeptOutputs(t *testing.T) {
-	s := Scenario{
-		Name:   "test-keeper",
-		Trials: 8,
-		Run: func(t *T) error {
-			t.Record("x", float64(t.Trial))
-			t.Keep(struct{ V int }{t.Trial})
-			return nil
-		},
-	}
-	runner, _ := NewRunner(Config{Seed: 1, ShardSize: 4, KeepTrialValues: true})
-	if _, err := runner.RunPartial(s, 0, 4); err == nil || !strings.Contains(err.Error(), "T.Keep") {
-		t.Errorf("complete-shard path: err %v, want T.Keep rejection", err)
-	}
-	if _, err := runner.RunPartial(s, 1, 3); err == nil || !strings.Contains(err.Error(), "T.Keep") {
-		t.Errorf("fragment path: err %v, want T.Keep rejection", err)
-	}
-}
-
 // TestRunPartialInvalidRange: out-of-bounds and empty ranges are rejected.
 func TestRunPartialInvalidRange(t *testing.T) {
 	s := noisyScenario()
@@ -206,6 +184,54 @@ func TestMergePartialsValidation(t *testing.T) {
 	sized.ShardSize = 5
 	if _, err := MergePartials([]*Partial{part(0, 10), sized}); err == nil {
 		t.Error("mismatched shard size accepted")
+	}
+}
+
+// TestMergeRejectsForgedRetention: a retained job's complete pieces must
+// carry retained values for exactly the metrics and series they aggregate.
+// Finalize reads those values, so a piece without them, or with other
+// names, is a merge error rather than a NaN value or a panic later.
+func TestMergeRejectsForgedRetention(t *testing.T) {
+	runner, _ := NewRunner(Config{Seed: 1, Trials: 8, ShardSize: 4, KeepTrialValues: true})
+	for _, tc := range []struct {
+		name, want string
+		forge      func(p *Partial)
+	}{
+		{"one piece without values", "no retained values", func(p *Partial) { p.Pieces[1].Retain = nil }},
+		{"every piece without values", "no retained values", func(p *Partial) {
+			for i := range p.Pieces {
+				p.Pieces[i].Retain = nil
+			}
+		}},
+		{"scalar missing", "retained values name", func(p *Partial) { delete(p.Pieces[0].Retain.Scalars, "trial_mean") }},
+		{"scalar renamed", "none of its metrics", func(p *Partial) {
+			vs := p.Pieces[0].Retain.Scalars
+			vs["renamed"] = vs["err_m"]
+			delete(vs, "err_m")
+		}},
+		{"series missing", "retained values name", func(p *Partial) { p.Pieces[1].Retain.Series = nil }},
+		{"series renamed", "none of its series", func(p *Partial) {
+			rows := p.Pieces[1].Retain.Series
+			rows["renamed"] = rows["E"]
+			delete(rows, "E")
+		}},
+		{"scalar short", "3 values for 4 trials", func(p *Partial) {
+			vs := p.Pieces[0].Retain.Scalars
+			vs["sparse"] = vs["sparse"][:3]
+		}},
+	} {
+		p, err := runner.RunPartial(noisyScenario(), 0, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := MergePartials([]*Partial{jsonRoundTrip(t, p)}); err != nil {
+			t.Fatalf("%s: unforged partial: %v", tc.name, err)
+		}
+		p = jsonRoundTrip(t, p)
+		tc.forge(p)
+		if _, err := MergePartials([]*Partial{jsonRoundTrip(t, p)}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: merge err %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

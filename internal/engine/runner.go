@@ -43,9 +43,8 @@ type Config struct {
 	// a deterministic function of (seed, trials, shard size) only.
 	ShardSize int
 	// KeepTrialValues retains per-trial metric values (Report.TrialScalars,
-	// Report.TrialSeries, Report.TrialOutputs) in addition to the streaming
-	// aggregates. Figure reproductions use this when they need trial-ordered
-	// data.
+	// Report.TrialSeries) in addition to the streaming aggregates. Figure
+	// reproductions use this to finalize from trial-ordered data.
 	KeepTrialValues bool
 	// Progress, when non-nil, is called after each shard finishes with the
 	// cumulative number of completed trials and the total. Calls are
@@ -135,13 +134,10 @@ type Report struct {
 
 	// TrialScalars maps a metric name to its last recorded value per trial
 	// (NaN where a trial recorded none); TrialSeries likewise holds each
-	// trial's recorded series (nil where absent); TrialOutputs holds each
-	// trial's T.Keep value (nil where none was kept). All three are
-	// populated only under Config.KeepTrialValues and are excluded from
-	// JSON.
+	// trial's recorded series (nil where absent). Both are populated only
+	// under Config.KeepTrialValues and are excluded from JSON.
 	TrialScalars map[string][]float64   `json:"-"`
 	TrialSeries  map[string][][]float64 `json:"-"`
-	TrialOutputs []any                  `json:"-"`
 }
 
 // ClearExecutionMeta zeroes the fields describing one physical execution
@@ -228,7 +224,6 @@ type shardAgg struct {
 
 	trialScalars map[string][]float64   // per-trial last value, len hi-lo
 	trialSeries  map[string][][]float64 // per-trial series, len hi-lo
-	trialOutputs []any                  // per-trial T.Keep value, len hi-lo
 
 	// raw holds a cut piece's per-trial samples in place of the aggregate;
 	// it is non-nil exactly when a range boundary cuts through the shard.
@@ -247,7 +242,6 @@ func newShardAgg(lo, hi int, keep bool) *shardAgg {
 	if keep {
 		agg.trialScalars = make(map[string][]float64)
 		agg.trialSeries = make(map[string][][]float64)
-		agg.trialOutputs = make([]any, hi-lo)
 	}
 	return agg
 }
@@ -262,10 +256,6 @@ func runShard(s Scenario, seed int64, lo, hi int, cut, keep bool) *shardAgg {
 	if cut {
 		agg.raw = make([]TrialRecord, 0, hi-lo)
 		add = func(t *T) error {
-			if t.output != nil {
-				return fmt.Errorf(
-					"engine: scenario %s: trial %d retains a structured output (T.Keep), which does not serialize; the campaign cannot run partially", s.Name, t.Trial)
-			}
 			rec := TrialRecord{Trial: t.Trial}
 			for _, smp := range t.scalars {
 				rec.Scalars = append(rec.Scalars, ScalarSample{Name: smp.name, Value: stats.F64(smp.value)})
@@ -319,9 +309,6 @@ func releaseArena(ws *scratch.Arena) {
 }
 
 func (agg *shardAgg) fold(t *T, keep bool) error {
-	if keep && t.output != nil {
-		agg.trialOutputs[t.Trial-agg.lo] = t.output
-	}
 	for _, smp := range t.scalars {
 		a, ok := agg.scalars[smp.name]
 		if !ok {
@@ -331,7 +318,7 @@ func (agg *shardAgg) fold(t *T, keep bool) error {
 		}
 		a.add(smp.value)
 		if keep {
-			agg.trialScalar(smp.name)[t.Trial-agg.lo] = smp.value
+			trialSlot(agg.trialScalars, smp.name, agg.hi-agg.lo, math.NaN())[t.Trial-agg.lo] = smp.value
 		}
 	}
 	for _, ss := range t.series {
@@ -350,25 +337,23 @@ func (agg *shardAgg) fold(t *T, keep bool) error {
 		}
 		a.trials++
 		if keep {
-			if _, ok := agg.trialSeries[ss.name]; !ok {
-				agg.trialSeries[ss.name] = make([][]float64, agg.hi-agg.lo)
-			}
-			agg.trialSeries[ss.name][t.Trial-agg.lo] = ss.values
+			trialSlot(agg.trialSeries, ss.name, agg.hi-agg.lo, nil)[t.Trial-agg.lo] = ss.values
 		}
 	}
 	return nil
 }
 
-// trialScalar returns (creating on demand) the per-trial value slice for a
-// metric, initialized to NaN so absent trials are distinguishable.
-func (agg *shardAgg) trialScalar(name string) []float64 {
-	vs, ok := agg.trialScalars[name]
+// trialSlot returns m[name], first creating it as n per-trial entries set
+// to blank (NaN for scalars, nil for series) so absent trials are
+// distinguishable.
+func trialSlot[V any](m map[string][]V, name string, n int, blank V) []V {
+	vs, ok := m[name]
 	if !ok {
-		vs = make([]float64, agg.hi-agg.lo)
+		vs = make([]V, n)
 		for i := range vs {
-			vs[i] = math.NaN()
+			vs[i] = blank
 		}
-		agg.trialScalars[name] = vs
+		m[name] = vs
 	}
 	return vs
 }
@@ -554,7 +539,6 @@ func mergeShards(scenario string, aggs []*shardAgg, trials int, cfg Config) (*Re
 	if cfg.KeepTrialValues {
 		rep.TrialScalars = make(map[string][]float64)
 		rep.TrialSeries = make(map[string][][]float64)
-		rep.TrialOutputs = make([]any, trials)
 	}
 
 	for _, a := range aggs {
@@ -590,15 +574,11 @@ func mergeShards(scenario string, aggs []*shardAgg, trials int, cfg Config) (*Re
 		}
 		if cfg.KeepTrialValues {
 			for name, vs := range a.trialScalars {
-				copy(trialScalarSlot(rep, name, trials)[a.lo:a.hi], vs)
+				copy(trialSlot(rep.TrialScalars, name, trials, math.NaN())[a.lo:a.hi], vs)
 			}
 			for name, rows := range a.trialSeries {
-				if _, ok := rep.TrialSeries[name]; !ok {
-					rep.TrialSeries[name] = make([][]float64, trials)
-				}
-				copy(rep.TrialSeries[name][a.lo:a.hi], rows)
+				copy(trialSlot(rep.TrialSeries, name, trials, nil)[a.lo:a.hi], rows)
 			}
-			copy(rep.TrialOutputs[a.lo:a.hi], a.trialOutputs)
 		}
 	}
 
@@ -628,16 +608,4 @@ func mergeShards(scenario string, aggs []*shardAgg, trials int, cfg Config) (*Re
 		rep.Series = append(rep.Series, SeriesSummary{Name: name, Trials: a.trials, Mean: mean})
 	}
 	return rep, nil
-}
-
-func trialScalarSlot(rep *Report, name string, trials int) []float64 {
-	vs, ok := rep.TrialScalars[name]
-	if !ok {
-		vs = make([]float64, trials)
-		for i := range vs {
-			vs[i] = math.NaN()
-		}
-		rep.TrialScalars[name] = vs
-	}
-	return vs
 }

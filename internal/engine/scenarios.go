@@ -13,6 +13,7 @@ import (
 	"resilientloc/internal/geom"
 	"resilientloc/internal/measure"
 	"resilientloc/internal/ranging"
+	"resilientloc/internal/scratch"
 	"resilientloc/internal/stats"
 )
 
@@ -135,6 +136,36 @@ func recordSignedErrors(t *T, raw *measure.Raw, dep *deploy.Deployment) error {
 	return nil
 }
 
+// UrbanDeployment draws the 60-node urban evaluation layout of Section 3.3:
+// nodes scattered over 70×70 m, at least 5 m apart, so distances up to 30 m
+// are in play.
+func UrbanDeployment(rng *rand.Rand) (*deploy.Deployment, error) {
+	return deploy.UniformRandom(60, 70, 70, 5, rng)
+}
+
+// GrassGrid46 returns the 46-node offset-grid deployment of the Section 3.6
+// grass campaign (Figure 5 minus the three unused positions).
+func GrassGrid46() *deploy.Deployment {
+	d := deploy.PaperGrid()
+	d.Positions = d.Positions[:46]
+	d.Name = "grass-grid-46"
+	return d
+}
+
+// TownSet draws the Figures 20–22 town setting: the 59-position town map
+// with 18 anchors, and every pair within 22 m measured with N(0, 0.33 m)
+// noise. The set is borrowed from ws (nil allocates). Like the other
+// paper setups it is shared with the figure reproductions, and solver
+// settings stay with each caller.
+func TownSet(ws *scratch.Arena, rng *rand.Rand) (*deploy.Deployment, *measure.Set, error) {
+	dep := deploy.Town(rng)
+	set, err := measure.GenerateIn(ws, dep, 22, measure.GaussianNoise, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	return dep, set, nil
+}
+
 // RangingUrbanBaseline is the paper's Section 3.3 setting (Figure 2): the
 // baseline service on a fresh random 60-node urban deployment each trial.
 func RangingUrbanBaseline() Scenario {
@@ -143,7 +174,7 @@ func RangingUrbanBaseline() Scenario {
 		Description: "baseline 64 ms-chirp ranging, random 60-node urban deployment, pairs ≤ 30 m (paper Fig. 2)",
 		Trials:      8,
 		Run: func(t *T) error {
-			dep, err := deploy.UniformRandom(60, 70, 70, 5, t.RNG)
+			dep, err := UrbanDeployment(t.RNG)
 			if err != nil {
 				return err
 			}
@@ -168,9 +199,7 @@ func RangingGrassRefined() Scenario {
 		Description: "refined chirp-pattern ranging on the 46-node grass grid, 3 rounds (paper Fig. 6)",
 		Trials:      8,
 		Run: func(t *T) error {
-			dep := deploy.PaperGrid()
-			dep.Positions = dep.Positions[:46]
-			dep.Name = "grass-grid-46"
+			dep := GrassGrid46()
 			svc, err := ranging.NewService(ranging.DefaultConfig(acoustics.Grass()), dep, t.RNG)
 			if err != nil {
 				return err
@@ -285,11 +314,10 @@ func MaxRangePoint(env acoustics.Environment, detectT uint8, d float64, rounds i
 	return float64(ok) / float64(rounds), nil
 }
 
-// townMultilat builds a fresh town deployment, measures all pairs within
-// 22 m with N(0, 0.33 m) noise, and multilaterates from the given anchors.
+// townMultilat draws a fresh town set and multilaterates it from the
+// town's anchors less dropAnchors random ones.
 func townMultilat(t *T, dropAnchors int) error {
-	dep := deploy.Town(t.RNG)
-	set, err := measure.GenerateIn(t.Scratch(), dep, 22, measure.GaussianNoise, t.RNG)
+	dep, set, err := TownSet(t.Scratch(), t.RNG)
 	if err != nil {
 		return err
 	}
@@ -412,8 +440,7 @@ func LSSTownConstrained() Scenario {
 		Description: "centralized constrained LSS on the random town map, no anchors (paper Fig. 21)",
 		Trials:      4,
 		Run: func(t *T) error {
-			dep := deploy.Town(t.RNG)
-			set, err := measure.GenerateIn(t.Scratch(), dep, 22, measure.GaussianNoise, t.RNG)
+			dep, set, err := TownSet(t.Scratch(), t.RNG)
 			if err != nil {
 				return err
 			}

@@ -165,7 +165,7 @@ func TestResolveParams(t *testing.T) {
 	if !r.Params.Equal(want) {
 		t.Errorf("resolved params %s, want %s", r.Params.Canonical(), want.Canonical())
 	}
-	// A parameterized figure resolves through its ParamCampaign.
+	// A parameterized figure resolves at the requested operating point.
 	r, err = spec.Resolve(spec.JobSpec{Kind: spec.KindFigure, ID: "maxrange", Seed: 1,
 		Params: params.Map{"rounds": params.Num(10)}})
 	if err != nil {
@@ -174,13 +174,18 @@ func TestResolveParams(t *testing.T) {
 	if r.Params.Int("rounds") != 10 || r.Trials != 36 {
 		t.Errorf("maxrange with rounds=10 resolved to params %s, %d trials", r.Params.Canonical(), r.Trials)
 	}
-	// Param-less jobs resolve with nil params.
-	r, err = spec.Resolve(spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Params != nil {
-		t.Errorf("param-less job resolved params %s", r.Params.Canonical())
+	// Param-less jobs, scenario or figure, resolve with nil params.
+	for _, s := range []spec.JobSpec{
+		{Kind: spec.KindScenario, ID: "multilat-town", Seed: 1},
+		{Kind: spec.KindFigure, ID: "fig11", Seed: 1},
+	} {
+		r, err = spec.Resolve(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Params != nil {
+			t.Errorf("param-less job %s resolved params %s", s.ID, r.Params.Canonical())
+		}
 	}
 
 	// The default operating point spelled out as a param is byte-identical

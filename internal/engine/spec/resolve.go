@@ -134,21 +134,17 @@ func Resolve(s JobSpec) (Resolved, error) {
 		if !ok {
 			return Resolved{}, fmt.Errorf("spec: unknown figure job %q", s.ID)
 		}
-		var c engine.Campaign[*experiments.Result]
 		if len(e.Params) > 0 {
 			p, err := e.Params.Resolve(s.Params)
 			if err != nil {
 				return Resolved{}, fmt.Errorf("spec: figure %q: %w", s.ID, err)
 			}
 			resolvedParams = p
-			c = e.ParamCampaign(s.Seed, p)
-		} else {
-			if len(s.Params) > 0 {
-				return Resolved{}, fmt.Errorf("spec: figure %q takes no parameters (params: %s)",
-					s.ID, s.Params.Canonical())
-			}
-			c = e.Campaign(s.Seed)
+		} else if len(s.Params) > 0 {
+			return Resolved{}, fmt.Errorf("spec: figure %q takes no parameters (params: %s)",
+				s.ID, s.Params.Canonical())
 		}
+		c := e.Campaign(s.Seed, resolvedParams)
 		campaign = wrapCampaign(c, func(r *experiments.Result) *Value { return &Value{Figure: r} })
 	case KindScenario:
 		sc, p, err := engine.BuildScenario(s.ID, s.Params)

@@ -5,6 +5,7 @@ import (
 
 	"resilientloc/internal/core"
 	"resilientloc/internal/engine"
+	"resilientloc/internal/engine/params"
 	"resilientloc/internal/eval"
 	"resilientloc/internal/measure"
 )
@@ -19,75 +20,73 @@ const distributedGridRoot = 30
 // about half the nodes have very large errors because a bad pairwise
 // transform is amplified and propagated (only 247 measured pairs for 47
 // nodes).
-func fig24Campaign(seed int64) engine.Campaign[*Result] {
-	return singleTrial("fig24", func(t *engine.T) (*Result, error) {
+func fig24Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
+	return singleTrial(figure{
+		id:    "fig24",
+		title: "Distributed LSS on sparse grid field measurements",
+		claim: "average error 9.494 m: bad transforms are amplified and propagated; " +
+			"only 247 total distance measurements for 47 nodes",
+	}, func(t *engine.T) error {
 		set, dep, err := gridFieldSet(seed)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		cfg := core.DefaultDistributedConfig(distributedGridRoot, 9.14)
 		res, err := core.SolveDistributed(set, cfg, rand.New(rand.NewSource(seed+30)))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r := &Result{
-			ID:    "fig24",
-			Title: "Distributed LSS on sparse grid field measurements",
-			PaperClaim: "average error 9.494 m: bad transforms are amplified and propagated; " +
-				"only 247 total distance measurements for 47 nodes",
-		}
-		r.Add("measured pairs", float64(set.Len()), "")
-		r.Add("nodes aligned", float64(len(res.Localized)), "")
-		r.Add("of nodes", float64(dep.N()), "")
-		r.Add("pairwise transforms", float64(res.Transforms), "")
-		r.Add("messages sent", float64(res.MessagesSent), "")
+		t.Record("measured pairs", float64(set.Len()))
+		t.Record("nodes aligned", float64(len(res.Localized)))
+		t.Record("of nodes", float64(dep.N()))
+		t.Record("pairwise transforms", float64(res.Transforms))
+		t.Record("messages sent", float64(res.MessagesSent))
 		if len(res.Localized) >= 2 {
 			a, err := eval.FitSubset(res.Positions, dep.Positions, res.Localized)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			r.Add("average error of aligned", a.AvgError, "m")
-			r.Add("max error of aligned", a.MaxError, "m")
+			t.Record("average error of aligned", a.AvgError)
+			t.Record("max error of aligned", a.MaxError)
 		}
-		return r, nil
+		return nil
 	})
 }
 
 // fig25Campaign reproduces Figure 25: the same run after adding
 // 370 simulated distances (N(0, 0.33 m), 22 m cutoff). Paper: all nodes
 // localized with 0.534 m average error.
-func fig25Campaign(seed int64) engine.Campaign[*Result] {
-	return singleTrial("fig25", func(t *engine.T) (*Result, error) {
+func fig25Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
+	return singleTrial(figure{
+		id:    "fig25",
+		title: "Distributed LSS with 370 additional simulated distances",
+		claim: "all nodes localized with 0.534 m average error",
+	}, func(t *engine.T) error {
 		set, dep, err := gridFieldSet(seed)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rng := rand.New(rand.NewSource(seed + 31))
 		added, err := measure.Augment(set, dep, 22, measure.GaussianNoise, 370, rng)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		cfg := core.DefaultDistributedConfig(distributedGridRoot, 9.14)
 		res, err := core.SolveDistributed(set, cfg, rand.New(rand.NewSource(seed+32)))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r := &Result{
-			ID:         "fig25",
-			Title:      "Distributed LSS with 370 additional simulated distances",
-			PaperClaim: "all nodes localized with 0.534 m average error",
-		}
-		r.Add("simulated distances added", float64(added), "")
-		r.Add("total pairs", float64(set.Len()), "")
-		r.Add("nodes aligned", float64(len(res.Localized)), "")
-		r.Add("of nodes", float64(dep.N()), "")
+		t.Record("simulated distances added", float64(added))
+		t.Record("total pairs", float64(set.Len()))
+		t.Record("nodes aligned", float64(len(res.Localized)))
+		t.Record("of nodes", float64(dep.N()))
 		if len(res.Localized) >= 2 {
 			a, err := eval.FitSubset(res.Positions, dep.Positions, res.Localized)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			r.Add("average error of aligned", a.AvgError, "m")
+			t.Record("average error of aligned", a.AvgError)
 		}
-		return r, nil
+		return nil
 	})
 }

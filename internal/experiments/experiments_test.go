@@ -29,7 +29,7 @@ func TestAllRegistryComplete(t *testing.T) {
 		if e.ID == "" || e.Campaign == nil {
 			t.Fatalf("malformed experiment entry %s", e.ID)
 		}
-		if c := e.Campaign(1); c.Scenario.Name != e.ID {
+		if c := defaultCampaign(t, e, 1); c.Scenario.Name != e.ID {
 			t.Errorf("experiment %s: campaign scenario named %q, want the ID", e.ID, c.Scenario.Name)
 		}
 		if ids[e.ID] {
@@ -68,7 +68,7 @@ func TestFixedTrialsIgnoreOverride(t *testing.T) {
 	if !ok {
 		t.Fatal("maxrange missing")
 	}
-	res, rep, err := engine.RunCampaign(runner, e.Campaign(1))
+	res, rep, err := engine.RunCampaign(runner, defaultCampaign(t, e, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +95,62 @@ func TestResultRender(t *testing.T) {
 	}
 }
 
+// TestFigureResultRejectsUnknownShapes: a one-trial figure's Finalize fails
+// on a metric with no known unit or a series not recorded as X and Y,
+// rather than dropping or guessing.
+func TestFigureResultRejectsUnknownShapes(t *testing.T) {
+	runner, err := engine.NewRunner(engine.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		run        engine.TrialFunc
+	}{
+		{"unknown metric", "no known unit", func(t *engine.T) error { t.Record("no such metric", 1); return nil }},
+		{"bare series", "not recorded as X and Y", func(t *engine.T) error { t.RecordSeries("s", []float64{1}); return nil }},
+		{"X without Y", "not recorded as X and Y", func(t *engine.T) error { t.RecordSeries("s"+seriesX, []float64{1}); return nil }},
+	} {
+		_, _, err := engine.RunCampaign(runner, singleTrial(figure{id: "test"}, tc.run))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRegressionNote: a figure's regression rule notes the regression
+// exactly when both metrics are present and after exceeds before.
+func TestRegressionNote(t *testing.T) {
+	runner, err := engine.NewRunner(engine.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := figure{id: "test", regression: regression{"measurements", "total pairs", "REGRESSION"}}
+	for _, tc := range []struct {
+		record map[string]float64
+		want   string
+	}{
+		{map[string]float64{"measurements": 1, "total pairs": 2}, "REGRESSION"},
+		{map[string]float64{"measurements": 2, "total pairs": 1}, ""},
+		{map[string]float64{"total pairs": 2}, ""},
+	} {
+		r, _, err := engine.RunCampaign(runner, singleTrial(f, func(t *engine.T) error {
+			for _, name := range []string{"measurements", "total pairs"} {
+				if v, ok := tc.record[name]; ok {
+					t.Record(name, v)
+				}
+			}
+			return nil
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Notes != tc.want {
+			t.Errorf("recorded %v: note %q, want %q", tc.record, r.Notes, tc.want)
+		}
+	}
+}
+
 // runFig executes the registered figure id at testSeed.
 func runFig(t *testing.T, id string) *Result {
 	t.Helper()
@@ -102,7 +158,7 @@ func runFig(t *testing.T, id string) *Result {
 	if !ok {
 		t.Fatalf("figure %s not registered", id)
 	}
-	r, err := e.Run(testSeed)
+	r, err := e.RunWorkers(testSeed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

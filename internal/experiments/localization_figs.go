@@ -7,6 +7,7 @@ import (
 	"resilientloc/internal/core"
 	"resilientloc/internal/deploy"
 	"resilientloc/internal/engine"
+	"resilientloc/internal/engine/params"
 	"resilientloc/internal/eval"
 	"resilientloc/internal/geom"
 	"resilientloc/internal/measure"
@@ -25,7 +26,7 @@ import (
 // paper's field success rate, so we subsample to the paper's density.
 func gridFieldSet(seed int64) (*measure.Set, *deploy.Deployment, error) {
 	rng := rand.New(rand.NewSource(seed))
-	dep := grassGrid46()
+	dep := engine.GrassGrid46()
 	svc, err := ranging.NewService(ranging.DefaultConfig(acoustics.Grass()), dep, rng)
 	if err != nil {
 		return nil, nil, err
@@ -55,9 +56,14 @@ func gridAnchors(dep *deploy.Deployment, seed int64) (map[int]geom.Point, error)
 // where one anchor is nearly collinear with another relative to the node
 // being localized, so small distance errors displace its intersection
 // points far from the true cluster and the consistency check drops it.
-func fig11Campaign(seed int64) engine.Campaign[*Result] {
-	return singleTrial("fig11", func(t *engine.T) (*Result, error) {
-		rng := t.RNG
+func fig11Campaign(int64, params.Map) engine.Campaign[*Result] {
+	return singleTrial(figure{
+		id:    "fig11",
+		title: "Intersection consistency check versus a bad near-collinear anchor",
+		claim: "the anchor with no intersection points near the cluster is discarded",
+		regression: regression{"error without consistency check", "error with consistency check",
+			"REGRESSION: the consistency check did not improve the fix"},
+	}, func(t *engine.T) error {
 		truth := geom.Pt(10, 9)
 		anchorPos := []geom.Point{
 			geom.Pt(0, 0), geom.Pt(21, 2), geom.Pt(3, 20), geom.Pt(19, 17),
@@ -67,17 +73,17 @@ func fig11Campaign(seed int64) engine.Campaign[*Result] {
 		node := len(anchorPos)
 		set, err := measure.NewSet(len(anchorPos) + 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		anchors := make(map[int]geom.Point, len(anchorPos))
 		for i, a := range anchorPos {
 			anchors[i] = a
-			d := truth.Dist(a) + rng.NormFloat64()*0.2
+			d := truth.Dist(a) + t.RNG.NormFloat64()*0.2
 			if i == rogueIdx {
 				d = truth.Dist(a) + 9 // gross overestimate on the rogue anchor
 			}
 			if err := set.Add(node, i, d, 1); err != nil {
-				return nil, err
+				return err
 			}
 		}
 
@@ -87,39 +93,32 @@ func fig11Campaign(seed int64) engine.Campaign[*Result] {
 
 		resNo, err := core.SolveMultilaterationIn(t.Scratch(), set, anchors, noCheck)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		resYes, err := core.SolveMultilaterationIn(t.Scratch(), set, anchors, withCheck)
 		if err != nil {
-			return nil, err
+			return err
 		}
 
-		r := &Result{
-			ID:         "fig11",
-			Title:      "Intersection consistency check versus a bad near-collinear anchor",
-			PaperClaim: "the anchor with no intersection points near the cluster is discarded",
+		if p, ok := resNo.Positions[node]; ok {
+			t.Record("error without consistency check", p.Dist(truth))
 		}
-		pNo, okNo := resNo.Positions[node]
-		pYes, okYes := resYes.Positions[node]
-		if okNo {
-			r.Add("error without consistency check", pNo.Dist(truth), "m")
+		if p, ok := resYes.Positions[node]; ok {
+			t.Record("error with consistency check", p.Dist(truth))
 		}
-		if okYes {
-			r.Add("error with consistency check", pYes.Dist(truth), "m")
-		}
-		if okNo && okYes && pYes.Dist(truth) > pNo.Dist(truth) {
-			r.Notes = "REGRESSION: the consistency check did not improve the fix"
-		}
-		return r, nil
+		return nil
 	})
 }
 
 // fig12Campaign reproduces Figure 12: 15 nodes (5 loudspeaker
 // anchors) in a 25×25 m parking lot, one-way measurements, median filter.
 // Paper: average localization error 0.868 m.
-func fig12Campaign(seed int64) engine.Campaign[*Result] {
-	return singleTrial("fig12", func(t *engine.T) (*Result, error) {
-		rng := t.RNG
+func fig12Campaign(int64, params.Map) engine.Campaign[*Result] {
+	return singleTrial(figure{
+		id:    "fig12",
+		title: "Multilateration, 15 nodes (5 anchors), 25×25 m parking lot",
+		claim: "average localization error 0.868 m",
+	}, func(t *engine.T) error {
 		dep := deploy.ParkingLot()
 		cfg := ranging.DefaultConfig(acoustics.Pavement())
 		// The parking-lot experiment predates the chirp pattern ("This
@@ -131,22 +130,22 @@ func fig12Campaign(seed int64) engine.Campaign[*Result] {
 		cfg.Pattern.RandomDelay = 0
 		cfg.DeviceJitterStd = 0.55
 		cfg.CalibrationBias = 0.15 // pre-calibration constant offset (§3.6)
-		svc, err := ranging.NewService(cfg, dep, rng)
+		svc, err := ranging.NewService(cfg, dep, t.RNG)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// One-way: only anchors have loudspeakers; measure anchor → node and
 		// record under the node so multilateration can use it.
 		raw, err := measure.NewRaw(dep.N())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for round := 0; round < 5; round++ {
 			for _, a := range dep.Anchors {
 				for _, i := range dep.NonAnchors() {
 					if d, ok := svc.MeasurePair(a, i); ok {
 						if err := raw.Add(a, i, d); err != nil {
-							return nil, err
+							return err
 						}
 					}
 				}
@@ -155,7 +154,7 @@ func fig12Campaign(seed int64) engine.Campaign[*Result] {
 		directed := raw.Filter(measure.FilterMedian, 0)
 		set, err := measure.Merge(dep.N(), directed, measure.DefaultMergeOptions())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		anchors := make(map[int]geom.Point)
 		for _, a := range dep.Anchors {
@@ -163,24 +162,19 @@ func fig12Campaign(seed int64) engine.Campaign[*Result] {
 		}
 		res, err := core.SolveMultilaterationIn(t.Scratch(), set, anchors, core.DefaultMultilatConfig())
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r := &Result{
-			ID:         "fig12",
-			Title:      "Multilateration, 15 nodes (5 anchors), 25×25 m parking lot",
-			PaperClaim: "average localization error 0.868 m",
-		}
-		r.Add("non-anchors localized", float64(len(res.Localized)), "")
-		r.Add("of non-anchors", float64(len(dep.NonAnchors())), "")
+		t.Record("non-anchors localized", float64(len(res.Localized)))
+		t.Record("of non-anchors", float64(len(dep.NonAnchors())))
 		if len(res.Localized) > 0 {
 			avg, worst, err := eval.AvgErrorAbsolute(res.Positions, dep.Positions)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			r.Add("average localization error", avg, "m")
-			r.Add("worst localization error", worst, "m")
+			t.Record("average localization error", avg)
+			t.Record("worst localization error", worst)
 		}
-		return r, nil
+		return nil
 	})
 }
 
@@ -188,38 +182,37 @@ func fig12Campaign(seed int64) engine.Campaign[*Result] {
 // sparse grass-grid field measurements with 13 random anchors. Paper: only
 // 7 of 33 non-anchors localized (20%), 1.47 anchors per node, 0.653 m
 // average error for those localized.
-func fig14Campaign(seed int64) engine.Campaign[*Result] {
-	return singleTrial("fig14", func(t *engine.T) (*Result, error) {
+func fig14Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
+	return singleTrial(figure{
+		id:    "fig14",
+		title: "Multilateration on sparse grid field measurements, 13 anchors",
+		claim: "only 7 of 33 non-anchors localized (20%); 1.47 anchors per node; " +
+			"0.653 m average error for the localized nodes",
+	}, func(t *engine.T) error {
 		set, dep, err := gridFieldSet(seed)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		anchors, err := gridAnchors(dep, seed+1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res, err := core.SolveMultilaterationIn(t.Scratch(), set, anchors, core.DefaultMultilatConfig())
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r := &Result{
-			ID:    "fig14",
-			Title: "Multilateration on sparse grid field measurements, 13 anchors",
-			PaperClaim: "only 7 of 33 non-anchors localized (20%); 1.47 anchors per node; " +
-				"0.653 m average error for the localized nodes",
-		}
-		r.Add("measured pairs", float64(set.Len()), "")
-		r.Add("anchors per node", res.AvgAnchorsPerNode, "")
+		t.Record("measured pairs", float64(set.Len()))
+		t.Record("anchors per node", res.AvgAnchorsPerNode)
 		nonAnchors := float64(dep.N() - len(anchors))
-		r.Add("localized fraction", float64(len(res.Localized))/nonAnchors, "")
+		t.Record("localized fraction", float64(len(res.Localized))/nonAnchors)
 		if len(res.Localized) > 0 {
 			avg, _, err := eval.AvgErrorAbsolute(res.Positions, dep.Positions)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			r.Add("average error of localized", avg, "m")
+			t.Record("average error of localized", avg)
 		}
-		return r, nil
+		return nil
 	})
 }
 
@@ -228,20 +221,25 @@ func fig14Campaign(seed int64) engine.Campaign[*Result] {
 // raises anchor availability to 3.84 per node and localizes ~80% of nodes.
 // Paper: 3.524 m average error, dominated by three badly localized nodes
 // (0.9 m without them).
-func fig16Campaign(seed int64) engine.Campaign[*Result] {
-	return singleTrial("fig16", func(t *engine.T) (*Result, error) {
+func fig16Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
+	return singleTrial(figure{
+		id:    "fig16",
+		title: "Multilateration with simulated-distance augmentation",
+		claim: "~80% of nodes localized; 3.84 anchors per node; 3.524 m average " +
+			"(0.9 m without the three worst nodes)",
+	}, func(t *engine.T) error {
 		set, dep, err := gridFieldSet(seed)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		anchors, err := gridAnchors(dep, seed+1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rng := rand.New(rand.NewSource(seed + 2))
 		added, err := measure.Augment(set, dep, 22, measure.GaussianNoise, 1<<30, rng)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// The paper omitted the intersection consistency check in this
 		// simulation (its footnote 5).
@@ -249,36 +247,30 @@ func fig16Campaign(seed int64) engine.Campaign[*Result] {
 		cfg.ConsistencyRadius = 0
 		res, err := core.SolveMultilaterationIn(t.Scratch(), set, anchors, cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r := &Result{
-			ID:    "fig16",
-			Title: "Multilateration with simulated-distance augmentation",
-			PaperClaim: "~80% of nodes localized; 3.84 anchors per node; 3.524 m average " +
-				"(0.9 m without the three worst nodes)",
-		}
-		r.Add("simulated distances added", float64(added), "")
-		r.Add("anchors per node", res.AvgAnchorsPerNode, "")
+		t.Record("simulated distances added", float64(added))
+		t.Record("anchors per node", res.AvgAnchorsPerNode)
 		nonAnchors := float64(dep.N() - len(anchors))
-		r.Add("localized fraction", float64(len(res.Localized))/nonAnchors, "")
+		t.Record("localized fraction", float64(len(res.Localized))/nonAnchors)
 		if len(res.Localized) > 2 {
 			avg, worst, err := eval.AvgErrorAbsolute(res.Positions, dep.Positions)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			r.Add("average error of localized", avg, "m")
-			r.Add("worst error", worst, "m")
+			t.Record("average error of localized", avg)
+			t.Record("worst error", worst)
 			var errs []float64
 			for i, p := range res.Positions {
 				errs = append(errs, p.Dist(dep.Positions[i]))
 			}
 			trimmed, err := eval.TrimmedAvg(errs, 3)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			r.Add("average without worst 3", trimmed, "m")
+			t.Record("average without worst 3", trimmed)
 		}
-		return r, nil
+		return nil
 	})
 }
 
@@ -313,69 +305,58 @@ func lssGridExperiment(ws *scratch.Arena, seed int64, dmin float64) (*eval.Align
 // 9.14 m minimum-spacing soft constraint (wij=1, wD=10) on the grass-grid
 // field measurements. Paper: 2.229 m average error (1.5 m without the worst
 // five nodes).
-func fig18Campaign(seed int64) engine.Campaign[*Result] {
-	return singleTrial("fig18", func(t *engine.T) (*Result, error) {
+func fig18Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
+	return singleTrial(figure{
+		id:    "fig18",
+		title: "Centralized LSS with minimum-spacing soft constraint, grass grid",
+		claim: "average localization error 2.229 m; 1.5 m without the largest five errors",
+	}, func(t *engine.T) error {
 		a, res, set, err := lssGridExperiment(t.Scratch(), seed, 9.14)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r := &Result{
-			ID:         "fig18",
-			Title:      "Centralized LSS with minimum-spacing soft constraint, grass grid",
-			PaperClaim: "average localization error 2.229 m; 1.5 m without the largest five errors",
-		}
-		r.Add("measured pairs", float64(set.Len()), "")
-		r.Add("average error", a.AvgError, "m")
+		t.Record("measured pairs", float64(set.Len()))
+		t.Record("average error", a.AvgError)
 		trimmed, err := eval.TrimmedAvg(a.Errors, 5)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r.Add("average without worst 5", trimmed, "m")
-		r.Add("final objective E", res.Error, "")
-		return r, nil
+		t.Record("average without worst 5", trimmed)
+		t.Record("final objective E", res.Error)
+		return nil
 	})
 }
 
 // fig19Campaign reproduces Figure 19: the same run without the
 // soft constraint fails to converge anywhere near the actual positions.
 // Paper: 16.609 m average error after a full day of minimization.
-func fig19Campaign(seed int64) engine.Campaign[*Result] {
-	return singleTrial("fig19", func(t *engine.T) (*Result, error) {
+func fig19Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
+	return singleTrial(figure{
+		id:    "fig19",
+		title: "Centralized LSS without the soft constraint, grass grid",
+		claim: "fails to converge: 16.609 m average error after a full day",
+	}, func(t *engine.T) error {
 		a, res, _, err := lssGridExperiment(t.Scratch(), seed, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r := &Result{
-			ID:         "fig19",
-			Title:      "Centralized LSS without the soft constraint, grass grid",
-			PaperClaim: "fails to converge: 16.609 m average error after a full day",
-		}
-		r.Add("average error", a.AvgError, "m")
-		r.Add("final objective E", res.Error, "")
-		return r, nil
+		t.Record("average error", a.AvgError)
+		t.Record("final objective E", res.Error)
+		return nil
 	})
-}
-
-// townScenario builds the Figures 20–22 random-deployment simulation: the
-// 59-position town map, 18 anchors, pairs within 22 m perturbed by
-// N(0, 0.33 m).
-func townScenario(seed int64) (*deploy.Deployment, *measure.Set, error) {
-	rng := rand.New(rand.NewSource(seed))
-	dep := deploy.Town(rng)
-	set, err := measure.Generate(dep, 22, measure.GaussianNoise, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dep, set, nil
 }
 
 // fig20Campaign reproduces Figure 20: multilateration on the town
 // scenario with 18 anchors. Paper: 35 nodes localized, 0.950 m average.
-func fig20Campaign(seed int64) engine.Campaign[*Result] {
-	return singleTrial("fig20", func(t *engine.T) (*Result, error) {
-		dep, set, err := townScenario(seed)
+func fig20Campaign(int64, params.Map) engine.Campaign[*Result] {
+	return singleTrial(figure{
+		id:    "fig20",
+		title: "Multilateration on the town scenario (59 nodes, 18 anchors)",
+		claim: "35 nodes localized with 0.950 m average error",
+	}, func(t *engine.T) error {
+		dep, set, err := engine.TownSet(t.Scratch(), t.RNG)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		anchors := make(map[int]geom.Point)
 		for _, a := range dep.Anchors {
@@ -386,24 +367,19 @@ func fig20Campaign(seed int64) engine.Campaign[*Result] {
 		cfg.ConsistencyRadius = 0
 		res, err := core.SolveMultilaterationIn(t.Scratch(), set, anchors, cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r := &Result{
-			ID:         "fig20",
-			Title:      "Multilateration on the town scenario (59 nodes, 18 anchors)",
-			PaperClaim: "35 nodes localized with 0.950 m average error",
-		}
-		r.Add("pairs within 22 m", float64(set.Len()), "")
-		r.Add("non-anchors localized", float64(len(res.Localized)), "")
-		r.Add("of non-anchors", float64(len(dep.NonAnchors())), "")
+		t.Record("pairs within 22 m", float64(set.Len()))
+		t.Record("non-anchors localized", float64(len(res.Localized)))
+		t.Record("of non-anchors", float64(len(dep.NonAnchors())))
 		if len(res.Localized) > 0 {
 			avg, _, err := eval.AvgErrorAbsolute(res.Positions, dep.Positions)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			r.Add("average error of localized", avg, "m")
+			t.Record("average error of localized", avg)
 		}
-		return r, nil
+		return nil
 	})
 }
 
@@ -416,7 +392,7 @@ func fig20Campaign(seed int64) engine.Campaign[*Result] {
 // the campaign's SeedFn, so results are bit-identical to the former serial
 // ensembles.
 func townDescent(t *engine.T, seed int64, dmin float64, maxIters int) (float64, []float64, error) {
-	dep, set, err := townScenario(seed)
+	dep, set, err := engine.TownSet(t.Scratch(), rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -452,7 +428,7 @@ func townDescent(t *engine.T, seed int64, dmin float64, maxIters int) (float64, 
 // townFullSolver runs the library's full adaptive solver (with restarts) on
 // the town scenario.
 func townFullSolver(ws *scratch.Arena, seed int64, dmin float64) (*eval.Alignment, *core.LSSResult, error) {
-	dep, set, err := townScenario(seed)
+	dep, set, err := engine.TownSet(ws, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -480,21 +456,20 @@ func descentSeedFn(perGroup int) func(seed int64, trial int) int64 {
 // fig21Campaign reproduces Figure 21: centralized LSS with the
 // 9 m constraint on the town scenario, no anchors used. Paper: all nodes
 // localized, 0.548 m average error.
-func fig21Campaign(seed int64) engine.Campaign[*Result] {
-	return singleTrial("fig21", func(t *engine.T) (*Result, error) {
+func fig21Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
+	return singleTrial(figure{
+		id:    "fig21",
+		title: "Centralized LSS with constraint on the town scenario (no anchors)",
+		claim: "all nodes localized with 0.548 m average error",
+	}, func(t *engine.T) error {
 		a, res, err := townFullSolver(t.Scratch(), seed, 9)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r := &Result{
-			ID:         "fig21",
-			Title:      "Centralized LSS with constraint on the town scenario (no anchors)",
-			PaperClaim: "all nodes localized with 0.548 m average error",
-		}
-		r.Add("average error", a.AvgError, "m")
-		r.Add("max error", a.MaxError, "m")
-		r.Add("final objective E", res.Error, "")
-		return r, nil
+		t.Record("average error", a.AvgError)
+		t.Record("max error", a.MaxError)
+		t.Record("final objective E", res.Error)
+		return nil
 	})
 }
 
@@ -510,7 +485,7 @@ func fig21Campaign(seed int64) engine.Campaign[*Result] {
 // constrained (dmin 9 m), descents 8–15 unconstrained, and trial 16 is the
 // full restart solver (which seeds its own generator, seed+20, exactly as
 // the serial code did).
-func fig22Campaign(seed int64) engine.Campaign[*Result] {
+func fig22Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
 	const nDescents, iters = 8, 6000
 	const nTrials = 2*nDescents + 1
 	return engine.Campaign[*Result]{
@@ -590,7 +565,7 @@ func fig22Campaign(seed int64) engine.Campaign[*Result] {
 // fig23Campaign runs both ensembles as one campaign over 16 concurrent
 // trials: descents 0–7 constrained, 8–15 unconstrained, each recording its
 // padded objective history.
-func fig23Campaign(seed int64) engine.Campaign[*Result] {
+func fig23Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
 	const nDescents, iters = 8, 2500
 	return engine.Campaign[*Result]{
 		Scenario: engine.Scenario{

@@ -8,86 +8,72 @@ import (
 	"resilientloc/internal/acoustics"
 	"resilientloc/internal/deploy"
 	"resilientloc/internal/engine"
+	"resilientloc/internal/engine/params"
 	"resilientloc/internal/measure"
 	"resilientloc/internal/ranging"
 	"resilientloc/internal/signal"
 	"resilientloc/internal/stats"
 )
 
-// urbanDeployment builds the 60-node urban evaluation layout of Section 3.3:
-// nodes scattered over ~70×70 m with distances up to 30 m in play.
-func urbanDeployment(rng *rand.Rand) (*deploy.Deployment, error) {
-	return deploy.UniformRandom(60, 70, 70, 5, rng)
-}
-
-// grassGrid46 returns the 46-node offset-grid deployment of the grass
-// campaign (Figure 5 minus the three unused positions).
-func grassGrid46() *deploy.Deployment {
-	d := deploy.PaperGrid()
-	d.Positions = d.Positions[:46]
-	d.Name = "grass-grid-46"
-	return d
-}
-
 // fig02Campaign reproduces Figure 2: baseline acoustic ranging
 // on a 60-node urban deployment, distances up to 30 m. The paper's plot
 // shows many >1 m errors, predominantly underestimates from echoes and
 // noise picked up before the true chirp.
-func fig02Campaign(seed int64) engine.Campaign[*Result] {
-	return singleTrial("fig02", func(t *engine.T) (*Result, error) {
-		dep, err := urbanDeployment(t.RNG)
+func fig02Campaign(int64, params.Map) engine.Campaign[*Result] {
+	return singleTrial(figure{
+		id:    "fig02",
+		title: "Baseline ranging errors, urban 60-node deployment (≤30 m)",
+		claim: "many measurements with >1 m error; most large errors are " +
+			"underestimates from echoes/noise detected before the chirp",
+	}, func(t *engine.T) error {
+		dep, err := engine.UrbanDeployment(t.RNG)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		svc, err := ranging.NewService(ranging.BaselineConfig(acoustics.Urban()), dep, t.RNG)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		raw, err := svc.Campaign(1, 30)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		errs := raw.SignedErrors(dep)
-		r := &Result{
-			ID:    "fig02",
-			Title: "Baseline ranging errors, urban 60-node deployment (≤30 m)",
-			PaperClaim: "many measurements with >1 m error; most large errors are " +
-				"underestimates from echoes/noise detected before the chirp",
+		if err := recordErrorStats(t, errs); err != nil {
+			return err
 		}
-		if err := addErrorStats(r, errs); err != nil {
-			return nil, err
-		}
-		hist, err := histogramSeries(errs, -12, 12, 24)
-		if err != nil {
-			return nil, err
-		}
-		r.Series = append(r.Series, Series{Name: "error histogram (m, count)", Points: hist})
-		return r, nil
+		return recordHistogram(t, "error histogram (m, count)", errs, -12, 12, 24)
 	})
 }
 
 // fig04Campaign reproduces Figure 4: the baseline service with median
 // filtering over up to five repeated measurements per pair, which removes
 // most uncorrelated large errors.
-func fig04Campaign(seed int64) engine.Campaign[*Result] {
-	return singleTrial("fig04", func(t *engine.T) (*Result, error) {
-		dep, err := urbanDeployment(t.RNG)
+func fig04Campaign(int64, params.Map) engine.Campaign[*Result] {
+	return singleTrial(figure{
+		id:    "fig04",
+		title: "Baseline ranging with median filtering of ≤5 measurements, urban",
+		claim: "median filtering visibly thins the large-error population of Figure 2",
+		regression: regression{"raw fraction |error| > 1 m", "filtered fraction |error| > 1 m",
+			"REGRESSION: filtering increased the large-error fraction"},
+	}, func(t *engine.T) error {
+		dep, err := engine.UrbanDeployment(t.RNG)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		svc, err := ranging.NewService(ranging.BaselineConfig(acoustics.Urban()), dep, t.RNG)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		raw, err := svc.Campaign(5, 30)
 		if err != nil {
-			return nil, err
+			return err
 		}
 
 		rawErrs := raw.SignedErrors(dep)
 		rawSummary, err := stats.Summarize(rawErrs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 
 		directed := raw.Filter(measure.FilterMedian, 0)
@@ -98,29 +84,21 @@ func fig04Campaign(seed int64) engine.Campaign[*Result] {
 		}
 		filtSummary, err := stats.Summarize(filtErrs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 
-		r := &Result{
-			ID:         "fig04",
-			Title:      "Baseline ranging with median filtering of ≤5 measurements, urban",
-			PaperClaim: "median filtering visibly thins the large-error population of Figure 2",
-		}
-		r.Add("raw fraction |error| > 1 m", rawSummary.Frac1m, "")
-		r.Add("filtered fraction |error| > 1 m", filtSummary.Frac1m, "")
-		r.Add("raw median |error|", rawSummary.AbsMed, "m")
-		r.Add("filtered median |error|", filtSummary.AbsMed, "m")
-		if filtSummary.Frac1m > rawSummary.Frac1m {
-			r.Notes = "REGRESSION: filtering increased the large-error fraction"
-		}
-		return r, nil
+		t.Record("raw fraction |error| > 1 m", rawSummary.Frac1m)
+		t.Record("filtered fraction |error| > 1 m", filtSummary.Frac1m)
+		t.Record("raw median |error|", rawSummary.AbsMed)
+		t.Record("filtered median |error|", filtSummary.AbsMed)
+		return nil
 	})
 }
 
 // grassCampaign runs the refined-service campaign of Section 3.6 and
 // returns both the raw readings and the deployment.
 func grassCampaign(rng *rand.Rand, rounds int) (*measure.Raw, *deploy.Deployment, error) {
-	dep := grassGrid46()
+	dep := engine.GrassGrid46()
 	svc, err := ranging.NewService(ranging.DefaultConfig(acoustics.Grass()), dep, rng)
 	if err != nil {
 		return nil, nil, err
@@ -135,21 +113,20 @@ func grassCampaign(rng *rand.Rand, rounds int) (*measure.Raw, *deploy.Deployment
 // fig06Campaign reproduces Figure 6: the refined service's
 // error histogram on the 46-node grass grid — a zero-mean ±30 cm core with
 // rare large-magnitude outliers (paper: up to 11 m).
-func fig06Campaign(seed int64) engine.Campaign[*Result] {
-	return singleTrial("fig06", func(t *engine.T) (*Result, error) {
+func fig06Campaign(int64, params.Map) engine.Campaign[*Result] {
+	return singleTrial(figure{
+		id:    "fig06",
+		title: "Refined ranging error histogram, 46-node grass grid (≤20 m)",
+		claim: "approximately zero-mean bell-shaped core within ±30 cm; " +
+			"several large-magnitude outliers (up to 11 m); smaller errors cluster right",
+	}, func(t *engine.T) error {
 		raw, dep, err := grassCampaign(t.RNG, 3)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		errs := raw.SignedErrors(dep)
-		r := &Result{
-			ID:    "fig06",
-			Title: "Refined ranging error histogram, 46-node grass grid (≤20 m)",
-			PaperClaim: "approximately zero-mean bell-shaped core within ±30 cm; " +
-				"several large-magnitude outliers (up to 11 m); smaller errors cluster right",
-		}
-		if err := addErrorStats(r, errs); err != nil {
-			return nil, err
+		if err := recordErrorStats(t, errs); err != nil {
+			return err
 		}
 		var core int
 		for _, e := range errs {
@@ -157,13 +134,8 @@ func fig06Campaign(seed int64) engine.Campaign[*Result] {
 				core++
 			}
 		}
-		r.Add("fraction within ±30 cm", float64(core)/float64(len(errs)), "")
-		hist, err := histogramSeries(errs, -3, 3, 30)
-		if err != nil {
-			return nil, err
-		}
-		r.Series = append(r.Series, Series{Name: "error histogram (m, count)", Points: hist})
-		return r, nil
+		t.Record("fraction within ±30 cm", float64(core)/float64(len(errs)))
+		return recordHistogram(t, "error histogram (m, count)", errs, -3, 3, 30)
 	})
 }
 
@@ -171,16 +143,20 @@ func fig06Campaign(seed int64) engine.Campaign[*Result] {
 // consistent bidirectional measurements removes most large-magnitude
 // outliers ("most of these errors are eliminated with the bidirectional
 // consistency check").
-func fig07Campaign(seed int64) engine.Campaign[*Result] {
-	return singleTrial("fig07", func(t *engine.T) (*Result, error) {
+func fig07Campaign(int64, params.Map) engine.Campaign[*Result] {
+	return singleTrial(figure{
+		id:    "fig07",
+		title: "Error histogram restricted to bidirectional-consistent pairs",
+		claim: "the bidirectional consistency check eliminates most large-magnitude errors",
+	}, func(t *engine.T) error {
 		raw, dep, err := grassCampaign(t.RNG, 3)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		allErrs := raw.SignedErrors(dep)
 		allSummary, err := stats.Summarize(allErrs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 
 		directed := raw.Filter(measure.FilterMedian, 0)
@@ -188,40 +164,39 @@ func fig07Campaign(seed int64) engine.Campaign[*Result] {
 		opt.RequireBidirectional = true
 		set, err := measure.Merge(dep.N(), directed, opt)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		bidirErrs, err := set.Errors(dep)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		bidirSummary, err := stats.Summarize(bidirErrs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 
-		r := &Result{
-			ID:         "fig07",
-			Title:      "Error histogram restricted to bidirectional-consistent pairs",
-			PaperClaim: "the bidirectional consistency check eliminates most large-magnitude errors",
-		}
-		r.Add("all measurements", float64(allSummary.N), "")
-		r.Add("bidirectional pairs", float64(bidirSummary.N), "")
-		r.Add("all fraction |error| > 1 m", allSummary.Frac1m, "")
-		r.Add("bidirectional fraction |error| > 1 m", bidirSummary.Frac1m, "")
-		r.Add("all max |error|", math.Max(math.Abs(allSummary.Min), math.Abs(allSummary.Max)), "m")
-		r.Add("bidirectional max |error|", math.Max(math.Abs(bidirSummary.Min), math.Abs(bidirSummary.Max)), "m")
-		return r, nil
+		t.Record("all measurements", float64(allSummary.N))
+		t.Record("bidirectional pairs", float64(bidirSummary.N))
+		t.Record("all fraction |error| > 1 m", allSummary.Frac1m)
+		t.Record("bidirectional fraction |error| > 1 m", bidirSummary.Frac1m)
+		t.Record("all max |error|", math.Max(math.Abs(allSummary.Min), math.Abs(allSummary.Max)))
+		t.Record("bidirectional max |error|", math.Max(math.Abs(bidirSummary.Min), math.Abs(bidirSummary.Max)))
+		return nil
 	})
 }
 
 // fig08Campaign reproduces Figure 8: measured and filtered distance
 // estimates versus actual distance — large-magnitude errors grow more
 // frequent at longer range.
-func fig08Campaign(seed int64) engine.Campaign[*Result] {
-	return singleTrial("fig08", func(t *engine.T) (*Result, error) {
+func fig08Campaign(int64, params.Map) engine.Campaign[*Result] {
+	return singleTrial(figure{
+		id:    "fig08",
+		title: "Ranging error versus actual distance, grass grid",
+		claim: "large-magnitude errors are more common at longer distances",
+	}, func(t *engine.T) error {
 		raw, dep, err := grassCampaign(t.RNG, 3)
 		if err != nil {
-			return nil, err
+			return err
 		}
 
 		// Bucket raw errors by true distance (2 m bins to 20 m).
@@ -246,38 +221,35 @@ func fig08Campaign(seed int64) engine.Campaign[*Result] {
 				}
 			}
 		}
-		var fracSeries, meanAbsSeries []SeriesPoint
+		var xs, fracs, meanAbs []float64
 		for i, b := range buckets {
 			if b.n == 0 {
 				continue
 			}
-			x := (float64(i) + 0.5) * binW
-			fracSeries = append(fracSeries, SeriesPoint{X: x, Y: float64(b.large) / float64(b.n)})
-			meanAbsSeries = append(meanAbsSeries, SeriesPoint{X: x, Y: b.absSum / float64(b.n)})
+			xs = append(xs, (float64(i)+0.5)*binW)
+			fracs = append(fracs, float64(b.large)/float64(b.n))
+			meanAbs = append(meanAbs, b.absSum/float64(b.n))
 		}
 
-		r := &Result{
-			ID:         "fig08",
-			Title:      "Ranging error versus actual distance, grass grid",
-			PaperClaim: "large-magnitude errors are more common at longer distances",
+		recordSeries(t, "fraction |error|>0.5m per 2m bin", xs, fracs)
+		recordSeries(t, "mean |error| per 2m bin (m)", xs, meanAbs)
+		if len(fracs) >= 2 {
+			t.Record("large-error fraction, nearest bin", fracs[0])
+			t.Record("large-error fraction, farthest bin", fracs[len(fracs)-1])
 		}
-		r.Series = append(r.Series,
-			Series{Name: "fraction |error|>0.5m per 2m bin", Points: fracSeries},
-			Series{Name: "mean |error| per 2m bin (m)", Points: meanAbsSeries},
-		)
-		if len(fracSeries) >= 2 {
-			r.Add("large-error fraction, nearest bin", fracSeries[0].Y, "")
-			r.Add("large-error fraction, farthest bin", fracSeries[len(fracSeries)-1].Y, "")
-		}
-		return r, nil
+		return nil
 	})
 }
 
 // fig10Campaign reproduces Figure 10: the sliding-DFT software tone
 // detector applied to a clean and a noisy four-chirp signal. The paper's
 // noisy run detects three of the four chirps with no false positives.
-func fig10Campaign(seed int64) engine.Campaign[*Result] {
-	c := singleTrial("fig10", func(t *engine.T) (*Result, error) {
+func fig10Campaign(int64, params.Map) engine.Campaign[*Result] {
+	c := singleTrial(figure{
+		id:    "fig10",
+		title: "Sliding-DFT software tone detection, clean vs noisy signal",
+		claim: "noisy case: three of the four chirps are correctly detected, with no false positives",
+	}, func(t *engine.T) error {
 		det := signal.DefaultDFTDetector()
 
 		count := func(noise float64) (matched, falsePos int, err error) {
@@ -308,23 +280,18 @@ func fig10Campaign(seed int64) engine.Campaign[*Result] {
 
 		cleanHit, cleanFP, err := count(0)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		noisyHit, noisyFP, err := count(700)
 		if err != nil {
-			return nil, err
+			return err
 		}
 
-		r := &Result{
-			ID:         "fig10",
-			Title:      "Sliding-DFT software tone detection, clean vs noisy signal",
-			PaperClaim: "noisy case: three of the four chirps are correctly detected, with no false positives",
-		}
-		r.Add("clean chirps detected (of 4)", float64(cleanHit), "")
-		r.Add("clean false positives", float64(cleanFP), "")
-		r.Add("noisy chirps detected (of 4)", float64(noisyHit), "")
-		r.Add("noisy false positives", float64(noisyFP), "")
-		return r, nil
+		t.Record("clean chirps detected (of 4)", float64(cleanHit))
+		t.Record("clean false positives", float64(cleanFP))
+		t.Record("noisy chirps detected (of 4)", float64(noisyHit))
+		t.Record("noisy false positives", float64(noisyFP))
+		return nil
 	})
 	// The chirp template depends only on the synth layout — not the noise
 	// level or trial RNG — so it is precomputed once per shard.
@@ -354,12 +321,11 @@ func synthWave(t *engine.T, cfg signal.SynthConfig) ([]float64, error) {
 	return wave, nil
 }
 
-// maxRangeSweepRounds is the number of measurement attempts per sweep point.
-const maxRangeSweepRounds = 40
-
 // maxRangeCampaign reproduces the Section 3.6.2 maximum-range analysis:
 // detection success rate versus distance for grass and pavement at the
-// lowest and the calibrated detection thresholds.
+// lowest and the calibrated detection thresholds, with p's "rounds"
+// measurement attempts per sweep point (the default reproduces the paper
+// figure byte-for-byte).
 //
 // maxRangeCampaign expresses the whole sweep as ONE campaign: trial t
 // measures sweep point (environment t/18, threshold 1+(t/9)%2, distance
@@ -367,15 +333,8 @@ const maxRangeSweepRounds = 40
 // reproduces the original serial experiment's per-point arithmetic
 // (seed + 7·distance + threshold — note it never included the environment),
 // so the figure's numbers are unchanged.
-func maxRangeCampaign(seed int64) engine.Campaign[*Result] {
-	return maxRangeCampaignRounds(seed, maxRangeSweepRounds)
-}
-
-// maxRangeCampaignRounds is maxRangeCampaign with the per-point attempt
-// count as a parameter — the experiment's one swept axis beyond the seed
-// (spec params select it via "rounds"; the default reproduces the paper
-// figure byte-for-byte).
-func maxRangeCampaignRounds(seed int64, rounds int) engine.Campaign[*Result] {
+func maxRangeCampaign(_ int64, p params.Map) engine.Campaign[*Result] {
+	rounds := p.Int("rounds")
 	distances := engine.DefaultMaxRangeDistances()
 	envs := []acoustics.Environment{acoustics.Grass(), acoustics.Pavement()}
 	thresholds := []uint8{1, 2}
