@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"resilientloc/internal/deploy"
@@ -63,6 +65,27 @@ func TestAnchoredLSSOutOfRangeAnchor(t *testing.T) {
 	cfg.Anchors = map[int]geom.Point{9: geom.Pt(0, 0)}
 	if _, err := SolveLSS(s, cfg, rand.New(rand.NewSource(5))); err == nil {
 		t.Error("want error for out-of-range anchor")
+	}
+}
+
+// TestAnchoredLSSNonFiniteAnchor: a NaN or infinite anchor position is an
+// input error naming the anchor, not a solve that reports a NaN or +Inf
+// objective over an untouched random start.
+func TestAnchoredLSSNonFiniteAnchor(t *testing.T) {
+	s, _ := measure.NewSet(4)
+	_ = s.Add(0, 1, 5, 1)
+	_ = s.Add(1, 2, 5, 1)
+	_ = s.Add(2, 3, 5, 1)
+	for _, p := range []geom.Point{
+		geom.Pt(math.NaN(), 0), geom.Pt(0, math.NaN()),
+		geom.Pt(math.Inf(1), 0), geom.Pt(0, math.Inf(-1)),
+	} {
+		cfg := DefaultLSSConfig(0)
+		cfg.Anchors = map[int]geom.Point{0: geom.Pt(0, 0), 2: p}
+		_, err := SolveLSS(s, cfg, rand.New(rand.NewSource(5)))
+		if err == nil || !strings.Contains(err.Error(), "anchor 2") {
+			t.Errorf("anchor 2 at %v: err = %v, want one naming anchor 2", p, err)
+		}
 	}
 }
 

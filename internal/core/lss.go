@@ -50,6 +50,12 @@ type LSSConfig struct {
 	// MaxIters bounds the gradient iterations per descent run.
 	MaxIters int
 	// Restarts is the number of restart rounds after the initial descent.
+	// A random-only solve (SeedMDSMap off, a disconnected set, or an MDS-MAP
+	// seed that fails) descends in every round, the paper's count. Once an
+	// MDS-MAP-seeded descent has run, Restarts is a cap instead: the solve
+	// stops descending after three consecutive descents that each lower the
+	// best objective by less than 1e-9 relative. The skipped rounds still
+	// draw their starts, so the rng ends where a full-count solve leaves it.
 	// Odd rounds restart from the best configuration so far perturbed by
 	// Gaussian noise — the paper's local-minimum escape strategy ("the
 	// gradient descent starts each round of minimization with seed
@@ -84,6 +90,8 @@ type LSSConfig struct {
 
 // DefaultLSSConfig returns the solver configuration used throughout the
 // experiments: the paper's weights (wij=1, wD=10), dmin from the deployment.
+// Its MDS-MAP seeding makes Restarts a cap: a seeded solve on a connected
+// set stops restarting once restarts stop lowering the objective.
 func DefaultLSSConfig(dmin float64) LSSConfig {
 	return LSSConfig{
 		DMin:       dmin,
@@ -176,9 +184,12 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 	if set.Len() == 0 {
 		return nil, errors.New("core: SolveLSS: empty measurement set")
 	}
-	for a := range cfg.Anchors {
+	for a, p := range cfg.Anchors {
 		if a < 0 || a >= n {
 			return nil, fmt.Errorf("core: SolveLSS: anchor %d out of range (n=%d)", a, n)
+		}
+		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+			return nil, fmt.Errorf("core: SolveLSS: anchor %d has non-finite position %v", a, p)
 		}
 	}
 
@@ -217,9 +228,17 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 	// final append(history, e) stays in place.
 	histories := [2][]float64{ws.Float64Cap(cfg.MaxIters + 1), ws.Float64Cap(cfg.MaxIters + 1)}
 	free := 0
+	// stale counts the consecutive descents that lowered bestErr by less
+	// than seededGain relative.
+	stale := 0
 	descendFrom := func(start []geom.Point) {
 		final, history, iters, e := prob.descend(histories[free], start, cfg)
 		totalIters += iters
+		if e < bestErr && bestErr-e >= seededGain*math.Abs(bestErr) {
+			stale = 0
+		} else {
+			stale++
+		}
 		if e < bestErr {
 			bestErr = e
 			copy(best, final)
@@ -228,6 +247,7 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 		}
 	}
 
+	seeded := false
 	if cfg.SeedMDSMap && set.Connected() {
 		if seed, err := SolveMDSMapIn(ws, set); err == nil {
 			if len(cfg.Anchors) >= 2 {
@@ -246,6 +266,7 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 			}
 			pinAnchors(seed)
 			descendFrom(seed)
+			seeded = true
 		}
 	}
 
@@ -266,6 +287,11 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 			// Fresh random configuration: escapes reflection folds.
 			randomConfig(cur)
 		}
+		if seeded && stale >= seededPlateau {
+			// The start is drawn anyway, so rng ends where a full-count
+			// solve leaves it and a caller's later draws do not move.
+			continue
+		}
 		descendFrom(cur)
 	}
 
@@ -277,6 +303,19 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 		History:            bestHistory,
 	}, nil
 }
+
+// A seeded solve stops descending after seededPlateau consecutive descents
+// that each lower the best objective by less than seededGain relative. On
+// the town the MDS-MAP-seeded descent already ends within about 1e-12 of
+// the full-budget objective, and the restarts after it only repeat that
+// minimum. Random-only solves keep every restart: on sparse data they still
+// find gains far above seededGain late in the budget. Three is the smallest
+// plateau that still runs a seeded two-restart solve (random, perturbed and
+// fresh random starts) in full.
+const (
+	seededPlateau = 3
+	seededGain    = 1e-9
+)
 
 // lssProblem holds the preprocessed measurement data and the descent
 // workspaces of one solve.

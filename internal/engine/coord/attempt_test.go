@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"resilientloc/internal/engine/coord"
 	"resilientloc/internal/engine/run"
@@ -97,11 +98,12 @@ func TestAttemptPollsAfterBrokenStream(t *testing.T) {
 // range fails the attempt, and the range is retried on the healthy worker:
 // a stream that breaks while the record still reads running, a done record
 // with no result, and a range sub-job answered with a finalized value
-// instead of a partial.
+// instead of a partial. The healthy worker holds every submit until the
+// faulty one has been asked, so it cannot take and steal every range first.
 func TestAttemptRetriesBadAnswers(t *testing.T) {
 	sp := spec.JobSpec{Kind: spec.KindScenario, ID: "multilat-town", Seed: 3, Trials: 8, ShardSize: 2}
 	want := normalized(t, localValue(t, sp))
-	healthy := newWorker(t, run.Options{NoCache: true})
+	backend := newWorker(t, run.Options{NoCache: true})
 
 	for name, c := range map[string]struct{ submit, events, record string }{
 		"stream broken, still running": {
@@ -119,8 +121,11 @@ func TestAttemptRetriesBadAnswers(t *testing.T) {
 		},
 	} {
 		var hits int32
+		asked := make(chan struct{})
 		faulty := faultWorker(t, "", func(w http.ResponseWriter, r *http.Request) bool {
-			atomic.AddInt32(&hits, 1)
+			if atomic.AddInt32(&hits, 1) == 1 {
+				close(asked)
+			}
 			switch {
 			case r.Method == http.MethodPost:
 				return answer(w, http.StatusAccepted, c.submit)
@@ -131,6 +136,15 @@ func TestAttemptRetriesBadAnswers(t *testing.T) {
 			default:
 				return answer(w, http.StatusOK, c.record)
 			}
+		})
+		healthy := faultWorker(t, backend, func(w http.ResponseWriter, r *http.Request) bool {
+			if r.Method == http.MethodPost {
+				select {
+				case <-asked:
+				case <-time.After(30 * time.Second): // the stats check below reports it
+				}
+			}
+			return false
 		})
 		val, st, err := coord.Execute(context.Background(), sp,
 			coord.Options{Workers: []string{faulty, healthy}, Warnings: io.Discard})

@@ -2,8 +2,10 @@
 // the ranging figures of Section 3 (Figures 2–10 and the §3.6.2 maximum-
 // range analysis) and the localization figures of Section 4 (Figures 11–25).
 // Each experiment is a deterministic function of its seed and returns a
-// Result that records the paper's claim next to the measured reproduction,
-// so cmd/experiments and EXPERIMENTS.md can print paper-vs-measured tables.
+// Result that records the paper's claim next to the measured reproduction.
+// cmd/experiments prints each Result as a block: the figure's title, the
+// paper's claim, one line per measured metric and per series, and its note
+// if it has one; with -json it prints the Results as one JSON array.
 //
 // Every experiment executes through the engine campaign path: an Experiment
 // is a builder of an engine.Campaign[*Result] whose trials carry the
