@@ -32,7 +32,11 @@ type DistributedConfig struct {
 }
 
 // DefaultDistributedConfig returns the configuration used by the Figure
-// 24/25 experiments.
+// 24/25 experiments. Its local solves are MDS-MAP-seeded wherever a local
+// set is connected, so their 6 restarts are a cap (see LSSConfig.Restarts).
+// All local solves draw from one rng, and a capped solve leaves it where a
+// full-count solve would, so one local map's early stop does not reshuffle
+// the random starts of the next.
 func DefaultDistributedConfig(root int, dmin float64) DistributedConfig {
 	local := DefaultLSSConfig(dmin)
 	local.MaxIters = 600

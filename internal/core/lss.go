@@ -234,12 +234,11 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 	descendFrom := func(start []geom.Point) {
 		final, history, iters, e := prob.descend(histories[free], start, cfg)
 		totalIters += iters
-		if e < bestErr && bestErr-e >= seededGain*math.Abs(bestErr) {
-			stale = 0
-		} else {
-			stale++
-		}
+		stale++
 		if e < bestErr {
+			if bestErr-e >= seededGain*math.Abs(bestErr) {
+				stale = 0
+			}
 			bestErr = e
 			copy(best, final)
 			bestHistory = history

@@ -154,7 +154,7 @@ func TestMixedEnvRuns(t *testing.T) {
 
 // slowScenarios take most of the corpus's time; -short (the race step)
 // skips them and the full run covers them.
-var slowScenarios = map[string]bool{"ranging-grass-refined": true, "ranging-urban-baseline": true, "lss-town-constrained": true}
+var slowScenarios = map[string]bool{"ranging-grass-refined": true, "ranging-urban-baseline": true}
 
 func factoryGoldenPath(name string, seed int64) string {
 	return filepath.Join("testdata", "golden", fmt.Sprintf("%s_seed%d.golden", name, seed))
