@@ -1,7 +1,5 @@
 package engine
 
-import "context"
-
 // Campaign is the engine's unit of reusable work: "N trials → per-trial
 // measurement → shard-merged aggregate → finalized result". It couples a
 // Scenario with the execution knobs the workload needs (shard pinning,
@@ -46,15 +44,8 @@ type Campaign[R any] struct {
 // applied — and finalizes the report. The returned Report is the raw
 // shard-merged aggregate backing the result.
 func RunCampaign[R any](r *Runner, c Campaign[R]) (R, *Report, error) {
-	return RunCampaignContext(context.Background(), r, c)
-}
-
-// RunCampaignContext is RunCampaign with an observability context: spans
-// recorded by the engine (engine.run, engine.shard, engine.budget.wait)
-// land in the context's tracer, if any (see Runner.RunContext).
-func RunCampaignContext[R any](ctx context.Context, r *Runner, c Campaign[R]) (R, *Report, error) {
 	var zero R
-	rep, err := (&Runner{cfg: c.apply(r.cfg)}).RunContext(ctx, c.Scenario)
+	rep, err := (&Runner{cfg: c.apply(r.cfg)}).Run(c.Scenario)
 	if err != nil {
 		return zero, nil, err
 	}

@@ -1,21 +1,25 @@
 package run
 
-// Prefix-reuse planner: before computing a full cacheable run from scratch,
-// probe the cache for surviving range-keyed entries of the same content
-// address (including entries banked under a *different* full trial count —
-// per-trial computation depends only on scenario, seed, and trial index, so
-// a partial of an old N is bit-valid under a new N whenever its shard
-// geometry still lines up; see engine.AdaptPartial). Select a maximal
+// Every full run is a plan: a cover of [0, trials) by cached partials to
+// merge as-is and gaps to compute, executed gap by gap (runGap), merged and
+// finalized. A cold plan is one [0, trials) gap.
+//
+// Prefix-reuse planner: when the session has a cache and the trial count can
+// change, probe the cache for surviving range-keyed entries of the same
+// content address (including entries banked under a *different* full trial
+// count — per-trial computation depends only on scenario, seed, and trial
+// index, so a partial of an old N is bit-valid under a new N whenever its
+// shard geometry still lines up; see engine.AdaptPartial). Select a maximal
 // disjoint chain of cached ranges, execute only the uncovered gaps, and
 // merge — so extending a cached 1024-trial run to 4096 trials computes only
 // trials [1024, 4096), byte-identical (modulo execution metadata) to a cold
 // 4096-trial run.
 //
-// Every executed gap is banked under its own range key before the merge, and
-// the merged result under the full key — which is what makes the *next*
-// extension incremental: the full-key entry stores a finalized result with
-// no mergeable shard state, so the range entries are the planner's entire
-// raw material.
+// Every gap of a probed plan is banked under its own range key before the
+// merge, and the merged result under the full key — which is what makes the
+// *next* extension incremental: the full-key entry stores a finalized result
+// with no mergeable shard state, so the range entries are the planner's
+// entire raw material.
 
 import (
 	"context"
@@ -78,37 +82,45 @@ func (s *Session) planReuse(key cache.Key, trials int, name string) reusePlan {
 	return plan
 }
 
-// executePlanned is the planner-driven replacement for the classic full-run
-// path: plan against the cache, execute the gaps, merge, finalize, and bank
-// both the gap partials (range keys) and the merged result (full key). The
-// caller holds the key lock and has already missed on the full key.
-func (s *Session) executePlanned(ctx context.Context, jobSpan *obs.Span, id string, job spec.Resolved, key cache.Key, keyHash string, trials, shardSize int, start time.Time) (*spec.Value, Info, error) {
+// executePlanned runs a full job as a plan: schedule the gaps, execute them
+// (runGap), merge them with any reused partials, finalize, and store the
+// result under the full key. Every full run takes this path. The plan is
+// probed against the cache (planReuse) only when the session has a cache
+// and the campaign is not FixedTrials — a fixed trial count can never be
+// extended, so range entries of it would never be reused. Otherwise the
+// plan is cold: one [0, N) gap, not banked. The caller holds the key lock
+// and has already missed on the full key.
+func (s *Session) executePlanned(ctx context.Context, jobSpan *obs.Span, id string, job spec.Resolved, addr jobAddress, start time.Time) (*spec.Value, Info, error) {
 	name := job.Campaign.Scenario.Name
-
-	_, planSpan := obs.Start(ctx, "run.plan")
-	plan := s.planReuse(key, trials, name)
-	if planSpan != nil {
-		planSpan.SetAttr("job", id).SetAttr("reused_trials", plan.reusedTrials).
-			SetAttr("reused_ranges", len(plan.Chosen)).SetAttr("gaps", len(plan.Gaps))
-	}
-	planSpan.End()
-	if plan.reusedTrials > 0 {
-		obsReusedTrials.Add(int64(plan.reusedTrials))
-		if jobSpan != nil {
-			jobSpan.SetAttr("reused_trials", plan.reusedTrials)
+	trials := job.TotalTrials
+	probed := addr.keyHash != "" && !job.Campaign.FixedTrials
+	plan := coldPlan(trials)
+	if probed {
+		_, planSpan := obs.Start(ctx, "run.plan")
+		plan = s.planReuse(addr.key, trials, name)
+		if planSpan != nil {
+			planSpan.SetAttr("job", id).SetAttr("reused_trials", plan.reusedTrials).
+				SetAttr("reused_ranges", len(plan.Chosen)).SetAttr("gaps", len(plan.Gaps))
+		}
+		planSpan.End()
+		if plan.reusedTrials > 0 {
+			obsReusedTrials.Add(int64(plan.reusedTrials))
+			if jobSpan != nil {
+				jobSpan.SetAttr("reused_trials", plan.reusedTrials)
+			}
 		}
 	}
 
-	res, err := s.runPlan(ctx, id, job, key, trials, plan)
+	res, err := s.runPlan(ctx, id, job, addr.key, plan, probed)
 	if err != nil && plan.reusedTrials > 0 && ctx.Err() == nil {
 		// Every reused entry decoded and adapted cleanly, yet the plan still
 		// failed downstream — a cache inconsistency deeper than the per-entry
-		// checks. Recompute from scratch rather than failing a job the
-		// classic path would have completed.
+		// checks. Recompute from scratch rather than failing a job a cold
+		// plan would have completed.
 		fmt.Fprintf(s.warn, "warning: %s: discarding %d cached trials after plan failure: %v\n",
 			name, plan.reusedTrials, err)
 		plan = coldPlan(trials)
-		res, err = s.runPlan(ctx, id, job, key, trials, plan)
+		res, err = s.runPlan(ctx, id, job, addr.key, plan, probed)
 	}
 	if err != nil {
 		return nil, Info{}, err
@@ -118,17 +130,19 @@ func (s *Session) executePlanned(ctx context.Context, jobSpan *obs.Span, id stri
 	workers := 0
 	if executed > 0 {
 		// Mirror the engine's effective pool size for the report's execution
-		// metadata (display only — normalized out of the stored entry).
+		// metadata (display only — the merged result carries none until it
+		// is stamped below, after the Put).
 		workers = s.opts.Workers
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		if shards := (trials + shardSize - 1) / shardSize; workers > shards {
-			workers = shards
-		}
+		workers = min(workers, job.Shards())
 	}
-	res.ClearExecutionMeta()
-	_ = s.cache.Put(key, res)
+	if addr.keyHash != "" {
+		// Best-effort: a full disk or unwritable directory must not fail the
+		// run whose result we already hold.
+		_ = s.cache.Put(addr.key, res)
+	}
 	elapsed := time.Since(start)
 	res.SetExecutionMeta(workers, elapsed.Seconds())
 	return res, Info{
@@ -136,18 +150,18 @@ func (s *Session) executePlanned(ctx context.Context, jobSpan *obs.Span, id stri
 		Trials:       trials,
 		ReusedTrials: plan.reusedTrials,
 		Elapsed:      elapsed,
-		CacheKey:     keyHash,
+		CacheKey:     addr.keyHash,
 	}, nil
 }
 
-// runPlan executes a plan's gaps (banking each under its range key), merges
-// them with the reused partials, and finalizes the campaign's full result.
-// Progress reports cover the whole trial space: reused trials count as done
-// from the start, and each gap's counters are offset by everything covered
-// before it.
-func (s *Session) runPlan(ctx context.Context, id string, job spec.Resolved, key cache.Key, trials int, plan reusePlan) (*spec.Value, error) {
-	c := job.Campaign
-	cb := s.progressCallback(c.Scenario.Name, id)
+// runPlan executes a plan's gaps, merges them with the reused partials, and
+// finalizes the campaign's full result; bank stores each gap under its
+// range key. Progress reports cover the whole trial space: reused trials
+// count as done from the start, and each gap's counters are offset by
+// everything covered before it.
+func (s *Session) runPlan(ctx context.Context, id string, job spec.Resolved, key cache.Key, plan reusePlan, bank bool) (*spec.Value, error) {
+	trials := job.TotalTrials
+	cb := s.progressCallback(job.Campaign.Scenario.Name, id)
 	parts := make([]*engine.Partial, 0, len(plan.Parts)+len(plan.Gaps))
 	parts = append(parts, plan.Parts...)
 	covered := plan.reusedTrials
@@ -156,32 +170,12 @@ func (s *Session) runPlan(ctx context.Context, id string, job spec.Resolved, key
 		var progress func(done, total int)
 		if cb != nil {
 			base := covered
-			progress = func(done, total int) { cb(base+done, trials) }
+			progress = func(done, _ int) { cb(base+done, trials) }
 		}
-		runner, err := engine.NewRunner(engine.Config{
-			Workers:   s.opts.Workers,
-			Trials:    job.Spec.Trials,
-			Seed:      job.Spec.Seed,
-			ShardSize: job.Spec.ShardSize,
-			Progress:  progress,
-			Budget:    engine.SharedBudget(),
-		})
+		p, err := s.runGap(ctx, job, key, lo, hi, bank, progress)
 		if err != nil {
 			return nil, err
 		}
-		p, err := engine.RunCampaignPartialContext(ctx, runner, c, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.trialsExecuted += hi - lo
-		s.mu.Unlock()
-		// Bank the gap before the merge: a crash past this point still leaves
-		// the range on disk for the next attempt to reuse. Best-effort, like
-		// every Put.
-		rk := key
-		rk.RangeLo, rk.RangeHi = lo, hi
-		_ = s.cache.Put(rk, &spec.Value{Partial: p})
 		parts = append(parts, p)
 		covered += hi - lo
 	}
@@ -189,5 +183,38 @@ func (s *Session) runPlan(ctx context.Context, id string, job spec.Resolved, key
 	if err != nil {
 		return nil, err
 	}
-	return engine.FinalizeCampaign(c, rep)
+	return engine.FinalizeCampaign(job.Campaign, rep)
+}
+
+// runGap is the one gap executor: every trial the session computes — a
+// range sub-job's, or a plan gap's — runs here. It executes trials
+// [lo, hi) of job under the job's resolved geometry, adds them to the
+// session's executed count and, when bank is set, stores the partial under
+// key stamped with the range. A banked gap is on disk before any merge, so
+// a crash past this point still leaves it for the next attempt to reuse.
+// The Put is best-effort, like every Put.
+func (s *Session) runGap(ctx context.Context, job spec.Resolved, key cache.Key, lo, hi int, bank bool, progress func(done, total int)) (*engine.Partial, error) {
+	runner, err := engine.NewRunner(engine.Config{
+		Workers:   s.opts.Workers,
+		Trials:    job.TotalTrials,
+		Seed:      job.Spec.Seed,
+		ShardSize: job.ShardSize,
+		Progress:  progress,
+		Budget:    engine.SharedBudget(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	p, err := engine.RunCampaignPartialContext(ctx, runner, job.Campaign, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.trialsExecuted += hi - lo
+	s.mu.Unlock()
+	if bank {
+		key.RangeLo, key.RangeHi = lo, hi
+		_ = s.cache.Put(key, &spec.Value{Partial: p})
+	}
+	return p, nil
 }

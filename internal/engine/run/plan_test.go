@@ -174,32 +174,32 @@ func TestPlannerPropertyRandomSubsets(t *testing.T) {
 	}
 }
 
-// TestPlannerSkipsRetainedCampaigns: a campaign with per-trial retention
-// (the maxrange figure pins it) stays on the classic execution path — its
-// range entries carry trial values the planner does not handle — so a cold
-// run banks no range entry of its own, and a rerun hits the full key.
-func TestPlannerSkipsRetainedCampaigns(t *testing.T) {
+// TestPlannerSkipsFixedTrialCampaigns: a campaign with a fixed trial count
+// (the maxrange figure pins it) can never be extended, so its plan is never
+// probed and stays cold — the run banks no range entry of its own, and a
+// rerun hits the full key.
+func TestPlannerSkipsFixedTrialCampaigns(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	s := newSession(t, run.Options{CacheDir: dir})
 	sp := figSpec("maxrange", 1)
 	sp.Params = params.Map{"rounds": params.Num(1)}
 	if _, info, err := run.ExecuteSpec(s, sp); err != nil || info.Cached || info.ReusedTrials != 0 {
-		t.Fatalf("retained run: cached=%v reused=%d err=%v, want classic path", info.Cached, info.ReusedTrials, err)
+		t.Fatalf("fixed-trial run: cached=%v reused=%d err=%v, want a cold plan", info.Cached, info.ReusedTrials, err)
 	}
 	if got := s.TrialsExecuted(); got != 36 {
-		t.Errorf("retained run executed %d trials, want 36", got)
+		t.Errorf("fixed-trial run executed %d trials, want 36", got)
 	}
 	probe, err := s.RangeEntries(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if probe.Full == "" || len(probe.Ranges) != 0 {
-		t.Errorf("probe after the retained run = %+v, want the full entry and no range entries", probe)
+		t.Errorf("probe after the fixed-trial run = %+v, want the full entry and no range entries", probe)
 	}
 	if _, info, err := run.ExecuteSpec(s, sp); err != nil || !info.Cached {
-		t.Errorf("retained rerun: cached=%v err=%v, want a full-key hit", info.Cached, err)
+		t.Errorf("fixed-trial rerun: cached=%v err=%v, want a full-key hit", info.Cached, err)
 	}
 	if got := s.TrialsExecuted(); got != 36 {
-		t.Errorf("retained rerun executed %d more trials, want 0", got-36)
+		t.Errorf("fixed-trial rerun executed %d more trials, want 0", got-36)
 	}
 }

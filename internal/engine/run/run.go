@@ -290,17 +290,16 @@ func (s *Session) CacheEntry(hash string) ([]byte, bool, error) {
 }
 
 // jobCacheKey builds the cache key of job's full run — the identity that
-// every range-keyed partial of the job shares once RangeLo/RangeHi (and
-// the partial retention flag) are stamped on top. One function so
-// execution and the crash-resume probe can never drift apart on what a
-// job's content address is.
-func jobCacheKey(job spec.Resolved, trials, shardSize int) cache.Key {
+// every range-keyed partial of the job shares once RangeLo/RangeHi are
+// stamped on top. One function so execution and the crash-resume probe can
+// never drift apart on what a job's content address is.
+func jobCacheKey(job spec.Resolved) cache.Key {
 	key := cache.Key{
 		Kind:        job.Spec.Kind,
 		Scenario:    job.Campaign.Scenario.Name,
 		Seed:        job.Spec.Seed,
-		Trials:      trials,
-		ShardSize:   shardSize,
+		Trials:      job.TotalTrials,
+		ShardSize:   job.ShardSize,
 		Fingerprint: cache.Fingerprint(),
 	}
 	if len(job.Params) > 0 {
@@ -340,19 +339,11 @@ func (s *Session) RangeEntries(sp spec.JobSpec) (RangeProbe, error) {
 	if err != nil {
 		return RangeProbe{}, err
 	}
-	// Re-derive the effective trials/shard size exactly as execution does —
-	// through the session's runner config — so probe keys and execution keys
-	// are the same bytes by construction.
-	runner, err := engine.NewRunner(s.runnerConfig(job))
-	if err != nil {
-		return RangeProbe{}, err
-	}
-	trials, shardSize := engine.CampaignConfig(runner, job.Campaign)
-	probe := RangeProbe{Trials: trials}
+	probe := RangeProbe{Trials: job.TotalTrials}
 	if s.cache == nil {
 		return probe, nil
 	}
-	base := jobCacheKey(job, trials, shardSize)
+	base := jobCacheKey(job)
 	hash := base.Hash()
 	if _, ok, err := s.cache.EntryByHash(hash); err == nil && ok {
 		probe.Full = hash
@@ -503,32 +494,13 @@ func ServeCached(ctx context.Context, s *Session, id string, job spec.Resolved) 
 	// The span is ended only on a hit: a tracer records spans when they
 	// end, so a miss leaves no run.job behind for execution to duplicate.
 	_, jobSpan := startJobSpan(ctx, id, job)
-	runner, err := engine.NewRunner(s.runnerConfig(job))
-	if err != nil {
-		return Outcome{}, false
-	}
-	addr, err := s.address(job, runner)
-	if err != nil || addr.keyHash == "" {
-		return Outcome{}, false
-	}
-	res, info, ok := s.cachedHit(addr, jobSpan, start, false)
+	res, info, ok := s.cachedHit(job, s.address(job), jobSpan, start, false)
 	if !ok {
 		return Outcome{}, false
 	}
 	jobSpan.End()
 	countJob(info, nil)
 	return Outcome{Spec: job.Spec, Result: res, Info: info}, true
-}
-
-// runnerConfig is the engine configuration of job under the session's
-// options, without progress reporting or a budget.
-func (s *Session) runnerConfig(job spec.Resolved) engine.Config {
-	return engine.Config{
-		Workers:   s.opts.Workers,
-		Trials:    job.Spec.Trials,
-		Seed:      job.Spec.Seed,
-		ShardSize: job.Spec.ShardSize,
-	}
 }
 
 // startJobSpan starts the run.job span of job id in ctx's tracer.
@@ -540,46 +512,31 @@ func startJobSpan(ctx context.Context, id string, job spec.Resolved) (context.Co
 	return ctx, span
 }
 
-// jobAddress is what execution derives from a job before it touches the
-// cache: the effective trial count and shard size, the proper trial
-// sub-range (nil for a full run), and the job's cache key.
+// jobAddress is where a job's result lives: the proper trial sub-range the
+// job executes (nil for a full run) and its cache key, stamped with that
+// range. Everything else about the job's geometry — its full trial count,
+// shard size and range size — is read from the job itself, as spec.Resolve
+// decided it.
 type jobAddress struct {
-	trials, shardSize int
-	runTrials         int         // trials this execution covers: the range's, or all
-	rng               *spec.Range // nil for a full run
-	key               cache.Key
-	keyHash           string // "" when the job bypasses the cache
+	rng     *spec.Range
+	key     cache.Key
+	keyHash string // "" when the session has no cache
 }
 
-// address derives job's jobAddress under runner's configuration.
-func (s *Session) address(job spec.Resolved, runner *engine.Runner) (jobAddress, error) {
-	c := job.Campaign
-	var a jobAddress
-	a.trials, a.shardSize = engine.CampaignConfig(runner, c)
-	a.runTrials = a.trials
-	// A proper trial sub-range executes partially: the result is the
-	// range's serialized shard aggregates (spec.Value.Partial), not a
-	// finalized figure or report — finalizing needs the full merged run,
-	// which only the coordinator holds.
-	if r := job.Spec.TrialRange; r != nil && !(r.Lo == 0 && r.Hi == a.trials) {
-		if r.Hi > a.trials {
-			return jobAddress{}, fmt.Errorf("run: %s: trial range [%d, %d) exceeds the job's %d trials",
-				c.Scenario.Name, r.Lo, r.Hi, a.trials)
-		}
-		a.rng = r
-		a.runTrials = r.Hi - r.Lo
-	}
+// address derives job's jobAddress.
+func (s *Session) address(job spec.Resolved) jobAddress {
+	a := jobAddress{rng: job.PartialRange()}
 	if s.cache == nil {
-		return a, nil
+		return a
 	}
 	// The key (and the whole-binary fingerprint it embeds) is only worth
 	// computing when a cache exists to consult.
-	a.key = jobCacheKey(job, a.trials, a.shardSize)
+	a.key = jobCacheKey(job)
 	if a.rng != nil {
 		a.key.RangeLo, a.key.RangeHi = a.rng.Lo, a.rng.Hi
 	}
 	a.keyHash = a.key.Hash()
-	return a, nil
+	return a
 }
 
 // cachedHit is the one cache-hit decision, shared by execution and
@@ -592,7 +549,7 @@ func (s *Session) address(job spec.Resolved, runner *engine.Runner) (jobAddress,
 // under the key's lock) every read books one cache Get and an undecodable
 // entry is reported; without it (ServeCached) only a served hit is booked
 // and reported on, because execution will read again after anything else.
-func (s *Session) cachedHit(addr jobAddress, jobSpan *obs.Span, start time.Time, book bool) (*spec.Value, Info, bool) {
+func (s *Session) cachedHit(job spec.Resolved, addr jobAddress, jobSpan *obs.Span, start time.Time, book bool) (*spec.Value, Info, bool) {
 	var res spec.Value
 	readStart := time.Now()
 	hit, err := s.cache.Peek(addr.key, &res)
@@ -614,82 +571,42 @@ func (s *Session) cachedHit(addr jobAddress, jobSpan *obs.Span, start time.Time,
 	}
 	elapsed := time.Since(start)
 	res.SetExecutionMeta(0, elapsed.Seconds())
-	return &res, Info{Cached: true, Trials: addr.runTrials, Elapsed: elapsed, CacheKey: addr.keyHash}, true
+	return &res, Info{Cached: true, Trials: job.Trials, Elapsed: elapsed, CacheKey: addr.keyHash}, true
 }
 
+// executeResolved executes one job: a cache hit is served as is; a proper
+// trial sub-range runs as one gap of the job (see runGap), and a full run as
+// a plan (see executePlanned).
 func executeResolved(ctx context.Context, s *Session, id string, job spec.Resolved) (*spec.Value, Info, error) {
 	start := time.Now()
-	c := job.Campaign
 	ctx, jobSpan := startJobSpan(ctx, id, job)
 	defer jobSpan.End()
-	cfg := s.runnerConfig(job)
-	cfg.Progress = s.progressCallback(c.Scenario.Name, id)
-	cfg.Budget = engine.SharedBudget()
-	runner, err := engine.NewRunner(cfg)
-	if err != nil {
-		return nil, Info{}, err
-	}
 	defer s.prog.Done(id)
-	addr, err := s.address(job, runner)
-	if err != nil {
-		return nil, Info{}, err
-	}
-	rng := addr.rng
+	addr := s.address(job)
 	if addr.keyHash != "" {
 		unlock := s.lockKey(addr.keyHash)
 		defer unlock()
-		if res, info, ok := s.cachedHit(addr, jobSpan, start, true); ok {
+		if res, info, ok := s.cachedHit(job, addr, jobSpan, start, true); ok {
 			return res, info, nil
 		}
-		if rng == nil && !c.KeepTrialValues {
-			// Full-key miss on an unretained full run: hand the job to the
-			// prefix-reuse planner, which extends surviving range entries and
-			// computes only the gaps (all of [0, trials) when nothing
-			// survives — the cold run then banks its own range entry for the
-			// next extension). Campaigns with retention (figure pins) stay
-			// on the classic path: their range entries carry per-trial
-			// values, which every plan would drag along — a cost that only
-			// pays for the coordinator's distributed splits.
-			return s.executePlanned(ctx, jobSpan, id, job, addr.key, addr.keyHash, addr.trials, addr.shardSize, start)
-		}
 	}
-	var res *spec.Value
-	if rng != nil {
-		if jobSpan != nil {
-			jobSpan.SetAttr("range_lo", rng.Lo).SetAttr("range_hi", rng.Hi)
-		}
-		partial, err := engine.RunCampaignPartialContext(ctx, runner, c, rng.Lo, rng.Hi)
-		if err != nil {
-			return nil, Info{}, err
-		}
-		res = &spec.Value{Partial: partial}
-		s.mu.Lock()
-		s.trialsExecuted += addr.runTrials
-		s.mu.Unlock()
-		if addr.keyHash != "" {
-			_ = s.cache.Put(addr.key, res)
-		}
-		return res, Info{Trials: addr.runTrials, Elapsed: time.Since(start), CacheKey: addr.keyHash}, nil
+	rng := addr.rng
+	if rng == nil {
+		return s.executePlanned(ctx, jobSpan, id, job, addr, start)
 	}
-	var rep *engine.Report
-	res, rep, err = engine.RunCampaignContext(ctx, runner, c)
+	// A proper trial sub-range executes partially: the result is the
+	// range's serialized shard aggregates (spec.Value.Partial), not a
+	// finalized figure or report — finalizing needs the full merged run,
+	// which only the coordinator holds.
+	if jobSpan != nil {
+		jobSpan.SetAttr("range_lo", rng.Lo).SetAttr("range_hi", rng.Hi)
+	}
+	cb := s.progressCallback(job.Campaign.Scenario.Name, id)
+	p, err := s.runGap(ctx, job, addr.key, rng.Lo, rng.Hi, addr.keyHash != "", cb)
 	if err != nil {
 		return nil, Info{}, err
 	}
-	s.mu.Lock()
-	s.trialsExecuted += rep.Trials
-	s.mu.Unlock()
-	if addr.keyHash != "" {
-		// Best-effort: a full disk or unwritable directory must not fail
-		// the run whose result we already hold. Execution metadata is
-		// cleared for the stored copy and restored on the returned one
-		// (res.Report may alias rep, so capture the values first).
-		workers, elapsed := rep.Workers, rep.ElapsedSeconds
-		res.ClearExecutionMeta()
-		_ = s.cache.Put(addr.key, res)
-		res.SetExecutionMeta(workers, elapsed)
-	}
-	return res, Info{Trials: rep.Trials, Elapsed: time.Since(start), CacheKey: addr.keyHash}, nil
+	return &spec.Value{Partial: p}, Info{Trials: job.Trials, Elapsed: time.Since(start), CacheKey: addr.keyHash}, nil
 }
 
 // Outcome is one job's result in a suite run.

@@ -453,7 +453,7 @@ func TestSuiteStopsAfterFailure(t *testing.T) {
 	boom := spec.Resolved{
 		Spec:     spec.JobSpec{Kind: spec.KindScenario, ID: "boom", Seed: 1, Trials: 2},
 		Campaign: valueCampaign(boomSc),
-		Trials:   2, ShardSize: engine.DefaultShardSize,
+		Trials:   2, TotalTrials: 2, ShardSize: engine.DefaultShardSize,
 	}
 	jobs := []spec.Resolved{okJob(), boom, okJob(), okJob()}
 
@@ -487,6 +487,59 @@ func TestSuiteStopsAfterFailure(t *testing.T) {
 	}
 	if len(genuine) != 1 || !strings.Contains(genuine[0], "kaboom") {
 		t.Errorf("genuine failures = %v, want exactly the kaboom error", genuine)
+	}
+}
+
+// TestFailedTrialBanksNothing pins the failure path of both execution
+// shapes: a full run (a cold plan, with and without a cache) and a range
+// sub-job each report the lowest failing trial of what they ran, and leave
+// no cache entry behind — no full key, gap key or range key.
+func TestFailedTrialBanksNothing(t *testing.T) {
+	sc := engine.Scenario{
+		Name: "fails-at", Trials: 24,
+		Run: func(t *engine.T) error {
+			if t.Trial%7 == 3 {
+				return fmt.Errorf("kaboom")
+			}
+			t.Record("x", float64(t.Trial))
+			return nil
+		},
+	}
+	for _, tc := range []struct {
+		name    string
+		noCache bool
+		rng     *spec.Range
+		want    string
+	}{
+		{name: "cached cold full run", want: "trial 3: kaboom"},
+		{name: "no-cache full run", noCache: true, want: "trial 3: kaboom"},
+		{name: "range sub-job", rng: &spec.Range{Lo: 5, Hi: 20}, want: "trial 10: kaboom"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "cache")
+			s := newSession(t, run.Options{CacheDir: dir, NoCache: tc.noCache, CacheGC: "off"})
+			job := spec.Resolved{
+				Spec: spec.JobSpec{Kind: spec.KindScenario, ID: sc.Name, Seed: 1, Trials: 24, ShardSize: 4,
+					TrialRange: tc.rng},
+				Campaign: valueCampaign(sc),
+				Trials:   24, TotalTrials: 24, ShardSize: 4,
+			}
+			if tc.rng != nil {
+				job.Trials = tc.rng.Hi - tc.rng.Lo
+			}
+			outs := run.ExecuteAll(s, []spec.Resolved{job}, nil)
+			if err := outs[0].Err; err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want one naming %q", err, tc.want)
+			}
+			entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 0 || s.TrialsExecuted() != 0 {
+				t.Errorf("failed job left %d cache entries and %d executed trials, want none",
+					len(entries), s.TrialsExecuted())
+			}
+		})
 	}
 }
 

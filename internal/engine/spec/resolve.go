@@ -41,20 +41,19 @@ func (v *Value) SetExecutionMeta(workers int, elapsedSeconds float64) {
 }
 
 // Resolved couples a validated spec with the executable campaign it names
-// and the effective execution parameters the engine would use for it. The
-// unified runner (internal/engine/run) executes Resolved jobs; tests may
-// construct one directly around a synthetic campaign.
+// and the job's geometry: its trial space, shard size and trial range.
+// Resolve is the one place that decides the geometry. The unified runner
+// (internal/engine/run) and the coordinator execute, cache-key and schedule
+// a job by these fields as they stand and never re-derive them, so a
+// hand-built Resolved — tests construct one around a synthetic campaign —
+// must fill Trials, TotalTrials and ShardSize as Resolve would.
 type Resolved struct {
 	// Spec is the job description this was resolved from.
 	Spec JobSpec
 	// Campaign is the executable campaign, finalizing into a *Value.
 	Campaign engine.Campaign[*Value]
 	// Trials is the effective trial count this job executes: the campaign's
-	// full count, or the range size for a partial job. Trials and ShardSize
-	// are advisory metadata for scheduling and display; execution and the
-	// cache key always re-derive them from Spec + Campaign (the same
-	// arithmetic Resolve uses), so a hand-built Resolved with stale sizes is
-	// mis-sorted, never mis-keyed.
+	// full count, or the range size for a partial job.
 	Trials int
 	// TotalTrials is the campaign's full trial space [0, TotalTrials) —
 	// equal to Trials unless the job is partial.
