@@ -193,7 +193,7 @@ func benchScenarioRunner(b *testing.B, workers int) {
 	var rep *engine.Report
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err = r.Run(s)
+		_, rep, err = engine.RunCampaign(r, engine.ReportCampaign(s))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func BenchmarkPartialRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.RunPartial(s, 16, 32); err != nil {
+		if _, err := engine.RunCampaignPartial(r, engine.ReportCampaign(s), 16, 32); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -339,7 +339,7 @@ func BenchmarkCoordMerge(b *testing.B) {
 	cuts := []int{0, 7, 16, 21, 32, 33, 40, 57, 64}
 	var encoded [][]byte
 	for i := 0; i+1 < len(cuts); i++ {
-		p, err := r.RunPartial(s, cuts[i], cuts[i+1])
+		p, err := engine.RunCampaignPartial(r, engine.ReportCampaign(s), cuts[i], cuts[i+1])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -718,7 +718,7 @@ func benchShard(b *testing.B, s engine.Scenario) {
 		b.Fatal(err)
 	}
 	run := func() {
-		if _, err := r.Run(s); err != nil {
+		if _, _, err := engine.RunCampaign(r, engine.ReportCampaign(s)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -44,6 +44,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -56,7 +57,8 @@ import (
 )
 
 func main() {
-	if err := realMain(os.Args[1:], os.Stdout); err != nil {
+	// -h prints the flag list; that is a successful run, not an error.
+	if err := realMain(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}

@@ -51,6 +51,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -62,7 +63,8 @@ import (
 )
 
 func main() {
-	if err := realMain(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	// -h prints the flag list; that is a successful run, not an error.
+	if err := realMain(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "locc:", err)
 		os.Exit(1)
 	}

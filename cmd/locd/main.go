@@ -64,7 +64,8 @@ import (
 )
 
 func main() {
-	if err := realMain(os.Args[1:]); err != nil {
+	// -h prints the flag list; that is a successful run, not an error.
+	if err := realMain(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "locd:", err)
 		os.Exit(1)
 	}

@@ -51,6 +51,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -67,7 +68,8 @@ import (
 var progressWriter io.Writer = os.Stderr
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	// -h prints the flag list; that is a successful run, not an error.
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "scenarios:", err)
 		os.Exit(1)
 	}

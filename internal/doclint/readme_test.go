@@ -1,6 +1,7 @@
 package doclint
 
 import (
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -20,7 +21,7 @@ var usageFlag = regexp.MustCompile(`(?m)^  -([\w-]+)`)
 // TestReadmeFlagsExist checks README.md against the binaries it documents:
 // every -flag on a `go run ./cmd/<name>` line of a code block, continuation
 // lines included, must be defined by that binary, as its -h output lists
-// it. A renamed or removed flag otherwise leaves the README stale with no
+// it, and -h itself must succeed. A renamed or removed flag otherwise leaves the README stale with no
 // signal.
 func TestReadmeFlagsExist(t *testing.T) {
 	root := repoRoot(t)
@@ -41,9 +42,12 @@ func TestReadmeFlagsExist(t *testing.T) {
 	defined := map[string]map[string]bool{}
 	for _, u := range uses {
 		if defined[u.cmd] == nil {
-			// -h exits non-zero after printing the flag set; the listing is
-			// all that matters.
-			out, _ := exec.Command(filepath.Join(bin, u.cmd), "-h").CombinedOutput()
+			// A help request is a successful run: it prints the flag set,
+			// exits 0 and reports no error.
+			out, err := exec.Command(filepath.Join(bin, u.cmd), "-h").CombinedOutput()
+			if err != nil || strings.Contains(string(out), flag.ErrHelp.Error()) {
+				t.Fatalf("cmd/%s -h: %v, want exit 0 with no error line:\n%s", u.cmd, err, out)
+			}
 			defined[u.cmd] = map[string]bool{}
 			for _, m := range usageFlag.FindAllStringSubmatch(string(out), -1) {
 				defined[u.cmd][m[1]] = true

@@ -16,7 +16,7 @@ func shardAllocs(t *testing.T, s Scenario, runs int) (bytes, allocs float64) {
 		t.Fatal(err)
 	}
 	run := func() {
-		if _, err := r.Run(s); err != nil {
+		if _, err := runReport(r, s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,13 +36,14 @@ func shardAllocs(t *testing.T, s Scenario, runs int) (bytes, allocs float64) {
 	return float64(after.TotalAlloc-before.TotalAlloc) / per, float64(after.Mallocs-before.Mallocs) / per
 }
 
-// TestShardAllocCeilings holds a warmed 8-trial shard through the Runner,
-// per trial, under byte and allocation ceilings. Measured on linux/amd64
-// with go1.24: multilat-grid 14×14 at 17.5 KB and 28.5 allocations a trial
-// (ceilings 32 KB and 48, about 1.8× and 1.7× headroom); mobility-waypoint
-// at 7.9 KB and 33.6 allocations (ceilings 16 KB and 48, about 2× and
-// 1.4×). Measurement sets allocated afresh each trial instead of taken
-// from the arena raise the two to 176 KB and 99 KB a trial.
+// TestShardAllocCeilings holds a warmed 8-trial shard, run and merged the
+// way every job runs, per trial, under byte and allocation ceilings.
+// Measured on linux/amd64 with go1.24: multilat-grid 14×14 at 17.7 KB and
+// 31.3 allocations a trial (ceilings 32 KB and 48, about 1.8× and 1.5×
+// headroom); mobility-waypoint at 8.0 KB and 36.2 allocations (ceilings
+// 16 KB and 48, about 2× and 1.3×). Measurement sets allocated afresh each
+// trial instead of taken from the arena raise the two to 176 KB and 99 KB a
+// trial.
 func TestShardAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop arenas at random")

@@ -46,7 +46,7 @@ func TestBudgetCapsConcurrentShards(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := r.Run(s); err != nil {
+			if _, err := runReport(r, s); err != nil {
 				t.Error(err)
 			}
 		}(int64(i + 1))
@@ -72,7 +72,7 @@ func TestBudgetPreservesResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := r.Run(s)
+		rep, err := runReport(r, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestProgressMonotonicAcrossConcurrentCampaigns(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := r.Run(s); err != nil {
+			if _, err := runReport(r, s); err != nil {
 				t.Error(err)
 				return
 			}

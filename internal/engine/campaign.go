@@ -29,9 +29,9 @@ type Campaign[R any] struct {
 	FixedTrials bool
 
 	// KeepTrialValues requests per-trial values (Report.TrialScalars,
-	// TrialSeries) for Finalize, on top of the streaming aggregates. They
-	// ride along in partials, so a retained campaign splits and merges like
-	// any other.
+	// TrialSeries) for Finalize, on top of the streaming aggregates. A
+	// retained campaign's partials ship every trial as a raw record, so it
+	// splits and merges like any other.
 	KeepTrialValues bool
 
 	// Finalize converts the Report into the campaign's result. Nil is only
@@ -39,13 +39,18 @@ type Campaign[R any] struct {
 	Finalize func(rep *Report) (R, error)
 }
 
-// RunCampaign executes the campaign's scenario under the runner's
-// configuration — with the campaign's ShardSize/KeepTrialValues overrides
-// applied — and finalizes the report. The returned Report is the raw
-// shard-merged aggregate backing the result.
+// RunCampaign runs the campaign's whole trial space the way every job runs:
+// the [0, trials) partial, merged (MergePartials) and finalized
+// (FinalizeCampaign). The returned Report is the merged aggregate backing
+// the result, without execution metadata.
 func RunCampaign[R any](r *Runner, c Campaign[R]) (R, *Report, error) {
 	var zero R
-	rep, err := (&Runner{cfg: c.apply(r.cfg)}).Run(c.Scenario)
+	trials, _ := c.Geometry(r.cfg.Trials, r.cfg.ShardSize)
+	p, err := RunCampaignPartial(r, c, 0, trials)
+	if err != nil {
+		return zero, nil, err
+	}
+	rep, err := MergePartials([]*Partial{p})
 	if err != nil {
 		return zero, nil, err
 	}
@@ -56,25 +61,24 @@ func RunCampaign[R any](r *Runner, c Campaign[R]) (R, *Report, error) {
 	return res, rep, nil
 }
 
-// apply overlays the campaign's execution overrides on a runner config.
-func (c Campaign[R]) apply(cfg Config) Config {
+// Geometry resolves the trial count and shard size a run of the campaign
+// covers, given the runner-level overrides trials and shardSize (0 = none):
+// the trial override unless FixedTrials, else the scenario default, capped
+// at MaxTrials; the campaign's ShardSize pin, else the override, else
+// DefaultShardSize. Shards and cache keys are derived from these values.
+func (c Campaign[R]) Geometry(trials, shardSize int) (int, int) {
+	if trials <= 0 || c.FixedTrials {
+		trials = c.Scenario.Trials
+	}
+	if c.Scenario.MaxTrials > 0 && trials > c.Scenario.MaxTrials {
+		trials = c.Scenario.MaxTrials
+	}
 	if c.ShardSize > 0 {
-		cfg.ShardSize = c.ShardSize
+		shardSize = c.ShardSize
+	} else if shardSize <= 0 {
+		shardSize = DefaultShardSize
 	}
-	if c.KeepTrialValues {
-		cfg.KeepTrialValues = true
-	}
-	if c.FixedTrials {
-		cfg.Trials = 0
-	}
-	return cfg
-}
-
-// CampaignConfig resolves the effective execution parameters RunCampaign
-// would use — the ingredients of a cache key.
-func CampaignConfig[R any](r *Runner, c Campaign[R]) (trials, shardSize int) {
-	cfg := c.apply(r.cfg)
-	return cfg.EffectiveTrials(c.Scenario), cfg.EffectiveShardSize()
+	return trials, shardSize
 }
 
 // ReportCampaign wraps a bare Scenario as a campaign whose result is the

@@ -59,19 +59,32 @@ func TestRunCampaignRequiresFinalize(t *testing.T) {
 }
 
 func TestCampaignShardOverride(t *testing.T) {
-	r, err := NewRunner(Config{Seed: 1, ShardSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := Campaign[int]{Scenario: countScenario(8), ShardSize: 1,
 		Finalize: func(rep *Report) (int, error) { return 0, nil }}
-	if trials, shard := CampaignConfig(r, c); trials != 8 || shard != 1 {
+	if trials, shard := c.Geometry(0, 4); trials != 8 || shard != 1 {
 		t.Errorf("effective (trials, shard) = (%d, %d), want (8, 1)", trials, shard)
 	}
-	// Without a campaign override the runner's shard size stands.
+	// Without a campaign override the runner's shard size stands, and
+	// without either the default does.
 	c.ShardSize = 0
-	if _, shard := CampaignConfig(r, c); shard != 4 {
+	if _, shard := c.Geometry(0, 4); shard != 4 {
 		t.Errorf("effective shard %d, want runner's 4", shard)
+	}
+	if _, shard := c.Geometry(0, 0); shard != DefaultShardSize {
+		t.Errorf("effective shard %d, want the default %d", shard, DefaultShardSize)
+	}
+	// A trial override stands unless the campaign fixes its trial count;
+	// MaxTrials caps either.
+	if trials, _ := c.Geometry(5, 0); trials != 5 {
+		t.Errorf("effective trials %d, want the override 5", trials)
+	}
+	c.FixedTrials = true
+	if trials, _ := c.Geometry(5, 0); trials != 8 {
+		t.Errorf("fixed campaign ran %d trials, want its own 8", trials)
+	}
+	c.FixedTrials, c.Scenario.MaxTrials = false, 6
+	if trials, _ := c.Geometry(20, 0); trials != 6 {
+		t.Errorf("effective trials %d, want MaxTrials 6", trials)
 	}
 }
 
@@ -103,7 +116,7 @@ func TestProgressCounterReachesTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(countScenario(10)); err != nil {
+	if _, err := runReport(r, countScenario(10)); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 5 { // ceil(10/2) shards

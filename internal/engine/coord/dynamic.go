@@ -356,8 +356,7 @@ func (c *coordinator) syncFleet(urls []string) []string {
 // Wire shapes of the worker cache-probe API (the subset reuse consumes). A
 // range entry's trials field is the full trial count stamped on the entry's
 // key — equal to the probe's trials for this job's own ranges, different
-// for cross-count entries (0 from a worker old enough not to report it,
-// treated as this job's own count).
+// for cross-count entries.
 type wireProbe struct {
 	Trials int    `json:"trials"`
 	Full   string `json:"full"`
@@ -400,14 +399,7 @@ func (c *coordinator) probeCaches(ctx context.Context) (*spec.Value, []spec.Rang
 			fulls = append(fulls, entry{w, probe.Full})
 		}
 		for _, re := range probe.Ranges {
-			// An entry without a stamped count predates cross-count
-			// enumeration and can only be this job's own (the probe matched
-			// on content address including trials back then).
-			trials := re.Trials
-			if trials == 0 {
-				trials = c.job.Trials
-			}
-			cands = append(cands, engine.CachedRange{Lo: re.Lo, Hi: re.Hi, Trials: trials})
+			cands = append(cands, engine.CachedRange{Lo: re.Lo, Hi: re.Hi, Trials: re.Trials})
 			where = append(where, entry{w, re.Hash})
 		}
 	}

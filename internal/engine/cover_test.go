@@ -101,11 +101,11 @@ func TestCoverRangesRules(t *testing.T) {
 	}
 }
 
-// TestPartialTelemetryMatchesFullRun: a full run and a [0, N) partial run
-// of one campaign go through the same shard loop, so they move the
-// engine's trial and shard counters by the same amounts and record the same
-// spans — also when a trial fails, where both count only the trials
-// completed before the failure in its shard.
+// TestPartialTelemetryMatchesFullRun: a whole run is the [0, N) partial,
+// so it moves the engine's trial and shard counters by the trials and
+// shards it runs and records one engine.run span with one engine.shard
+// child per shard — also when a trial fails, where it counts only the
+// trials completed before the failure in its shard.
 func TestPartialTelemetryMatchesFullRun(t *testing.T) {
 	for _, failAt := range []int{-1, 5} {
 		s := Scenario{Name: "telemetry", Trials: 12, Run: func(t *T) error {
@@ -115,39 +115,29 @@ func TestPartialTelemetryMatchesFullRun(t *testing.T) {
 			t.Record("x", float64(t.Trial))
 			return nil
 		}}
-		measure := func(run func(ctx context.Context, r *Runner) error) string {
-			tr := obs.NewTracer()
-			trials0, shards0 := obsTrials.Value(), obsShards.Value()
-			r, err := NewRunner(Config{Workers: 2, ShardSize: 4, Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = run(obs.WithTracer(context.Background(), tr), r)
-			if (err != nil) != (failAt >= 0) {
-				t.Fatalf("failAt %d: err %v", failAt, err)
-			}
-			spans := map[string]int{}
-			for _, rec := range tr.Export() {
-				spans[rec.Name]++
-			}
-			return fmt.Sprintf("trials=%d shards=%d spans=%v",
-				obsTrials.Value()-trials0, obsShards.Value()-shards0, spans)
+		tr := obs.NewTracer()
+		trials0, shards0 := obsTrials.Value(), obsShards.Value()
+		r, err := NewRunner(Config{Workers: 2, ShardSize: 4, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		full := measure(func(ctx context.Context, r *Runner) error {
-			_, err := r.RunContext(ctx, s)
-			return err
-		})
-		partial := measure(func(ctx context.Context, r *Runner) error {
-			_, err := r.RunPartialContext(ctx, s, 0, 12)
-			return err
-		})
+		_, err = RunCampaignPartialContext(obs.WithTracer(context.Background(), tr), r, ReportCampaign(s), 0, 12)
+		if (err != nil) != (failAt >= 0) {
+			t.Fatalf("failAt %d: err %v", failAt, err)
+		}
+		spans := map[string]int{}
+		for _, rec := range tr.Export() {
+			spans[rec.Name]++
+		}
+		got := fmt.Sprintf("trials=%d shards=%d spans=%v",
+			obsTrials.Value()-trials0, obsShards.Value()-shards0, spans)
 		want := "trials=12 shards=3 spans=map[engine.run:1 engine.shard:3]"
 		if failAt >= 0 {
 			// Shard [4, 8) stops at trial 5 after completing trial 4.
 			want = "trials=9 shards=3 spans=map[engine.run:1 engine.shard:3]"
 		}
-		if full != want || partial != want {
-			t.Errorf("failAt %d: full run %s, partial run %s, want %s", failAt, full, partial, want)
+		if got != want {
+			t.Errorf("failAt %d: %s, want %s", failAt, got, want)
 		}
 	}
 }

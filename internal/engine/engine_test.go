@@ -38,13 +38,37 @@ func noisyScenario() Scenario {
 	}
 }
 
+// runReport runs s's whole trial space as its report campaign.
+func runReport(r *Runner, s Scenario) (*Report, error) {
+	rep, _, err := RunCampaign(r, ReportCampaign(s))
+	return rep, err
+}
+
+// keptCampaign is s's report campaign with its trial values retained.
+func keptCampaign(s Scenario) Campaign[*Report] {
+	c := ReportCampaign(s)
+	c.KeepTrialValues = true
+	return c
+}
+
 func mustRun(t *testing.T, cfg Config, s Scenario) *Report {
+	t.Helper()
+	return mustRunCampaign(t, cfg, ReportCampaign(s))
+}
+
+// mustRunKept is mustRun with the scenario's trial values retained.
+func mustRunKept(t *testing.T, cfg Config, s Scenario) *Report {
+	t.Helper()
+	return mustRunCampaign(t, cfg, keptCampaign(s))
+}
+
+func mustRunCampaign(t *testing.T, cfg Config, c Campaign[*Report]) *Report {
 	t.Helper()
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := r.Run(s)
+	rep, _, err := RunCampaign(r, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +140,9 @@ func sameValue(a, b reflect.Value) bool {
 // same seed must yield byte-identical aggregates at any worker count.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	s := noisyScenario()
-	base := mustRun(t, Config{Workers: 1, Seed: 42, KeepTrialValues: true}, s)
+	base := mustRunKept(t, Config{Workers: 1, Seed: 42}, s)
 	for _, workers := range []int{2, 3, 8, 64} {
-		got := mustRun(t, Config{Workers: workers, Seed: 42, KeepTrialValues: true}, s)
+		got := mustRunKept(t, Config{Workers: workers, Seed: 42}, s)
 		if !sameReport(base, got) {
 			t.Errorf("workers=%d: report differs from serial run", workers)
 		}
@@ -141,7 +165,7 @@ func TestAggregatorsMatchBatch(t *testing.T) {
 			return nil
 		},
 	}
-	rep := mustRun(t, Config{Workers: 4, Seed: 7, KeepTrialValues: true}, s)
+	rep := mustRunKept(t, Config{Workers: 4, Seed: 7}, s)
 	xs := rep.TrialScalars["x"]
 	if len(xs) != 400 {
 		t.Fatalf("kept %d trial values, want 400", len(xs))
@@ -172,7 +196,7 @@ func TestAggregatorsMatchBatch(t *testing.T) {
 // trial-ordered accumulation.
 func TestSeriesPointwiseMean(t *testing.T) {
 	s := noisyScenario()
-	rep := mustRun(t, Config{Workers: 5, Seed: 9, KeepTrialValues: true}, s)
+	rep := mustRunKept(t, Config{Workers: 5, Seed: 9}, s)
 	if len(rep.Series) != 1 || rep.Series[0].Name != "E" {
 		t.Fatalf("series = %+v, want one series E", rep.Series)
 	}
@@ -213,7 +237,7 @@ func TestSparseMetricsAndNaN(t *testing.T) {
 			return nil
 		},
 	}
-	rep := mustRun(t, Config{Workers: 3, Seed: 1, KeepTrialValues: true}, s)
+	rep := mustRunKept(t, Config{Workers: 3, Seed: 1}, s)
 	if m, _ := rep.Metric("even_only"); m.Count != 15 {
 		t.Errorf("even_only count %d, want 15", m.Count)
 	}
@@ -245,7 +269,7 @@ func TestTrialErrorDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = r.Run(s)
+		_, err = runReport(r, s)
 		if err == nil || !errors.Is(err, boom) || !strings.Contains(err.Error(), "trial 17") {
 			t.Errorf("workers=%d: err = %v, want trial 17's failure", workers, err)
 		}
@@ -264,7 +288,7 @@ func TestSeriesLengthMismatch(t *testing.T) {
 		},
 	}
 	r, _ := NewRunner(Config{Workers: 4, Seed: 1})
-	if _, err := r.Run(s); err == nil {
+	if _, err := runReport(r, s); err == nil {
 		t.Error("mismatched series lengths accepted")
 	}
 }
@@ -280,7 +304,7 @@ func TestSeedFnOverride(t *testing.T) {
 			return nil
 		},
 	}
-	rep := mustRun(t, Config{Workers: 2, Seed: 100, KeepTrialValues: true}, s)
+	rep := mustRunKept(t, Config{Workers: 2, Seed: 100}, s)
 	for trial, got := range rep.TrialScalars["first_draw"] {
 		want := rand.New(rand.NewSource(100 + int64(trial)*10)).Float64()
 		if got != want {
@@ -314,13 +338,13 @@ func TestConfigAndScenarioValidation(t *testing.T) {
 		t.Error("negative shard size accepted")
 	}
 	r, _ := NewRunner(Config{})
-	if _, err := r.Run(Scenario{Name: "x", Run: func(*T) error { return nil }}); err == nil {
+	if _, err := runReport(r, Scenario{Name: "x", Run: func(*T) error { return nil }}); err == nil {
 		t.Error("zero trial count accepted")
 	}
-	if _, err := r.Run(Scenario{Name: "x", Trials: 1}); err == nil {
+	if _, err := runReport(r, Scenario{Name: "x", Trials: 1}); err == nil {
 		t.Error("nil trial func accepted")
 	}
-	if _, err := r.Run(Scenario{Trials: 1, Run: func(*T) error { return nil }}); err == nil {
+	if _, err := runReport(r, Scenario{Trials: 1, Run: func(*T) error { return nil }}); err == nil {
 		t.Error("unnamed scenario accepted")
 	}
 }

@@ -8,21 +8,22 @@ import (
 	"resilientloc/internal/stats"
 )
 
-// This file is the distributed half of the engine's determinism contract:
-// partial execution over a trial sub-range, a serializable aggregate for
-// what that sub-range computed, and a merge that reassembles any set of
-// sub-ranges covering [0, trials) into byte-for-byte the Report a
-// single-process run produces.
+// This file is the engine's one run path: every run executes a trial
+// sub-range into a serializable aggregate, and a merge reassembles any set
+// of sub-ranges covering [0, trials) into byte-for-byte the Report of the
+// whole trial space. A whole run is the [0, trials) case (RunCampaign).
 //
-// Exactness hinges on reproducing the full run's aggregation tree, which is
-// "Add samples sequentially within a shard, then Merge shards in ascending
-// order". Shards fully covered by a sub-range therefore ship their
-// aggregate state (stats.Online moments and quantile-sketch buckets, both
-// of which merge exactly); a sub-range whose boundary cuts through a shard
-// cannot ship moments — Welford's Merge is not bit-equal to the sequential
-// Adds the full run performs inside one shard — so boundary fragments ship
-// the raw per-trial samples instead, and the merging side replays them in
-// trial order to rebuild the cut shard exactly.
+// Exactness hinges on one aggregation tree, "Add samples sequentially
+// within a shard, then Merge shards in ascending order". Shards fully
+// covered by a sub-range therefore ship their aggregate state (stats.Online
+// moments and quantile-sketch buckets, both of which merge exactly); a
+// sub-range whose boundary cuts through a shard cannot ship moments —
+// Welford's Merge is not bit-equal to the sequential Adds inside one shard —
+// so boundary fragments ship the raw per-trial samples instead, and the
+// merging side replays them in trial order to rebuild the cut shard
+// exactly. A campaign that keeps its trial values ships every piece raw:
+// the replay that rebuilds the shard's aggregate also rebuilds each trial's
+// values, so they travel once.
 
 // Partial is the serialized aggregate of one partial run: the trials
 // [Lo, Hi) of a (Scenario, Seed, Trials, ShardSize) execution, broken into
@@ -35,27 +36,28 @@ type Partial struct {
 	ShardSize int    `json:"shard_size"`
 	Lo        int    `json:"lo"`
 	Hi        int    `json:"hi"`
-	// Retained reports that per-trial values (trial scalars/series) ride
-	// along for the campaign's Finalize step; all partials of one job must
-	// agree on it.
+	// Retained reports that the campaign keeps per-trial values (trial
+	// scalars/series) for its Finalize step. Every piece of a retained
+	// partial ships raw trial records, never a complete aggregate, and all
+	// partials of one job must agree on it.
 	Retained bool         `json:"retained,omitempty"`
 	Pieces   []ShardPiece `json:"pieces"`
 }
 
 // ShardPiece is the intersection of a partial run's range with one
 // aggregation shard. A Complete piece covers its whole shard and carries
-// serialized aggregate state; an incomplete piece carries the raw per-trial
-// records so the merge can replay the cut shard's Adds exactly.
+// serialized aggregate state; a raw piece — cut by the range, or of a
+// retained partial — carries the per-trial records so the merge can replay
+// the shard's Adds exactly.
 type ShardPiece struct {
 	Shard int `json:"shard"`
 	Lo    int `json:"lo"`
 	Hi    int `json:"hi"`
 	// Complete pieces: aggregate state in metric-discovery order.
-	Complete bool           `json:"complete,omitempty"`
-	Metrics  []MetricState  `json:"metrics,omitempty"`
-	Series   []SeriesState  `json:"series,omitempty"`
-	Retain   *RetainedState `json:"retain,omitempty"`
-	// Incomplete pieces: raw per-trial records in trial order.
+	Complete bool          `json:"complete,omitempty"`
+	Metrics  []MetricState `json:"metrics,omitempty"`
+	Series   []SeriesState `json:"series,omitempty"`
+	// Raw pieces: per-trial records in trial order.
 	Raw []TrialRecord `json:"raw,omitempty"`
 }
 
@@ -76,18 +78,8 @@ type SeriesState struct {
 	Points []stats.Online `json:"points"`
 }
 
-// RetainedState carries a complete piece's per-trial values (indexed
-// relative to the piece's Lo) for campaigns that finalize from trial data.
-// Absent trials are NaN (scalars) or null (series) — exactly the in-memory
-// convention — which is why the fields use the NaN-safe stats.F64 wire
-// float.
-type RetainedState struct {
-	Scalars map[string][]stats.F64   `json:"scalars,omitempty"`
-	Series  map[string][][]stats.F64 `json:"series,omitempty"`
-}
-
 // TrialRecord is one trial's raw recorded samples, in record order, for
-// exact replay of a shard the range boundary cut through.
+// exact replay of its shard.
 type TrialRecord struct {
 	Trial   int            `json:"trial"`
 	Scalars []ScalarSample `json:"scalars,omitempty"`
@@ -135,46 +127,9 @@ func shardBounds(si, shardSize, trials int) (lo, hi int) {
 	return lo, hi
 }
 
-// RunPartial executes only the trials [lo, hi) of the scenario and returns
-// their serializable aggregate. The run uses the same worker pool, budget,
-// and progress contract as Run (progress totals are hi-lo).
-func (r *Runner) RunPartial(s Scenario, lo, hi int) (*Partial, error) {
-	return r.RunPartialContext(context.Background(), s, lo, hi)
-}
-
-// RunPartialContext is RunPartial with an observability context: under
-// tracing it records an engine.run span whose engine.shard children are the
-// range's shard pieces (complete pieces and raw boundary fragments alike).
-// Like RunContext, the context carries telemetry only — it does not cancel.
-func (r *Runner) RunPartialContext(ctx context.Context, s Scenario, lo, hi int) (*Partial, error) {
-	trials, err := r.trials(s)
-	if err != nil {
-		return nil, err
-	}
-	if lo < 0 || hi <= lo || hi > trials {
-		return nil, fmt.Errorf("engine: scenario %s: invalid trial range [%d, %d) of %d trials",
-			s.Name, lo, hi, trials)
-	}
-	aggs, _, err := r.execute(ctx, s, trials, lo, hi, true)
-	if err != nil {
-		return nil, err
-	}
-	shardSize := r.cfg.EffectiveShardSize()
-	keep := r.cfg.KeepTrialValues
-	p := &Partial{
-		Scenario: s.Name, Seed: r.cfg.Seed, Trials: trials, ShardSize: shardSize,
-		Lo: lo, Hi: hi, Retained: keep,
-		Pieces: make([]ShardPiece, len(aggs)),
-	}
-	for i, agg := range aggs {
-		p.Pieces[i] = aggToPiece(agg.lo/shardSize, agg, keep)
-	}
-	return p, nil
-}
-
-// aggToPiece serializes one executed piece: a cut piece ships its raw trial
+// aggToPiece serializes one executed piece: a raw piece ships its trial
 // records, a complete shard its aggregate state.
-func aggToPiece(si int, agg *shardAgg, keep bool) ShardPiece {
+func aggToPiece(si int, agg *shardAgg) ShardPiece {
 	if agg.raw != nil {
 		return ShardPiece{Shard: si, Lo: agg.lo, Hi: agg.hi, Raw: agg.raw}
 	}
@@ -187,32 +142,12 @@ func aggToPiece(si int, agg *shardAgg, keep bool) ShardPiece {
 		a := agg.series[name]
 		piece.Series = append(piece.Series, SeriesState{Name: name, Trials: a.trials, Points: a.points})
 	}
-	if keep {
-		ret := &RetainedState{}
-		if len(agg.trialScalars) > 0 {
-			ret.Scalars = make(map[string][]stats.F64, len(agg.trialScalars))
-			for name, vs := range agg.trialScalars {
-				ret.Scalars[name] = stats.ToF64(vs)
-			}
-		}
-		if len(agg.trialSeries) > 0 {
-			ret.Series = make(map[string][][]stats.F64, len(agg.trialSeries))
-			for name, rows := range agg.trialSeries {
-				wr := make([][]stats.F64, len(rows))
-				for i, row := range rows {
-					wr[i] = stats.ToF64(row)
-				}
-				ret.Series[name] = wr
-			}
-		}
-		piece.Retain = ret
-	}
 	return piece
 }
 
 // pieceToAgg restores a complete piece's shard aggregate.
-func pieceToAgg(piece ShardPiece, retained bool) (*shardAgg, error) {
-	agg := newShardAgg(piece.Lo, piece.Hi, retained)
+func pieceToAgg(piece ShardPiece) (*shardAgg, error) {
+	agg := newShardAgg(piece.Lo, piece.Hi, false)
 	for _, m := range piece.Metrics {
 		if m.Sketch == nil {
 			return nil, fmt.Errorf("engine: shard %d metric %q has no sketch state", piece.Shard, m.Name)
@@ -230,54 +165,18 @@ func pieceToAgg(piece ShardPiece, retained bool) (*shardAgg, error) {
 		agg.series[ss.Name] = &seriesAgg{points: ss.Points, trials: ss.Trials}
 		agg.seriesOrder = append(agg.seriesOrder, ss.Name)
 	}
-	if retained {
-		// Finalize reads the retained values, so a piece must carry them for
-		// exactly the metrics and series it aggregates.
-		ret, n := piece.Retain, piece.Hi-piece.Lo
-		if ret == nil {
-			return nil, fmt.Errorf("engine: shard %d: retained piece carries no retained values", piece.Shard)
-		}
-		if len(ret.Scalars) != len(agg.scalars) || len(ret.Series) != len(agg.series) {
-			return nil, fmt.Errorf("engine: shard %d: retained values name %d scalars and %d series for %d metrics and %d series",
-				piece.Shard, len(ret.Scalars), len(ret.Series), len(agg.scalars), len(agg.series))
-		}
-		for name, vs := range ret.Scalars {
-			if agg.scalars[name] == nil {
-				return nil, fmt.Errorf("engine: shard %d retains scalars %q, which is none of its metrics", piece.Shard, name)
-			}
-			if len(vs) != n {
-				return nil, fmt.Errorf("engine: shard %d retained scalars %q: %d values for %d trials",
-					piece.Shard, name, len(vs), n)
-			}
-			agg.trialScalars[name] = stats.FromF64(vs)
-		}
-		for name, rows := range ret.Series {
-			if agg.series[name] == nil {
-				return nil, fmt.Errorf("engine: shard %d retains series %q, which is none of its series", piece.Shard, name)
-			}
-			if len(rows) != n {
-				return nil, fmt.Errorf("engine: shard %d retained series %q: %d rows for %d trials",
-					piece.Shard, name, len(rows), n)
-			}
-			out := make([][]float64, n)
-			for i, row := range rows {
-				out[i] = stats.FromF64(row)
-			}
-			agg.trialSeries[name] = out
-		}
-	}
 	return agg, nil
 }
 
-// replayPieces rebuilds a cut shard's aggregate by replaying the raw trial
-// records of its fragments in trial order — the exact Add sequence the full
-// run performs inside that shard.
+// replayPieces rebuilds a shard's aggregate — and, when keep is set, its
+// trials' values — by replaying the raw trial records of its pieces in
+// trial order: the exact Add sequence runShard performs inside the shard.
 func replayPieces(scenario string, si, lo, hi int, pieces []ShardPiece, keep bool) (*shardAgg, error) {
 	agg := newShardAgg(lo, hi, keep)
 	next := lo
 	for _, piece := range pieces {
 		if piece.Complete {
-			return nil, fmt.Errorf("engine: merge: shard %d mixes a complete piece with fragments", si)
+			return nil, fmt.Errorf("engine: merge: shard %d mixes a complete piece with raw pieces", si)
 		}
 		if piece.Lo != next {
 			return nil, fmt.Errorf("engine: merge: shard %d fragments leave a gap or overlap at trial %d (piece starts at %d)",
@@ -356,12 +255,13 @@ func AdaptPartial(p *Partial, newTrials int) error {
 }
 
 // MergePartials reassembles partial runs whose ranges tile [0, trials) into
-// the full run's Report. The result is byte-identical to running the same
-// (scenario, seed, trials, shard size) in one process: complete shards
-// restore their exact aggregate state, cut shards replay their raw samples
-// in trial order, and the shard merge then proceeds exactly as in Run.
-// Execution metadata (Workers, ElapsedSeconds) is left zero for the caller
-// to stamp.
+// the whole trial space's Report. The result is the same bytes whichever way
+// the same (scenario, seed, trials, shard size) is split into ranges:
+// complete shards restore their exact aggregate state, raw shards replay
+// their samples in trial order, and the shards then merge in ascending
+// order. A retained partial holding a complete piece is rejected, because
+// Finalize would read trial values that piece does not carry. Execution
+// metadata (Workers, ElapsedSeconds) is left zero for the caller to stamp.
 func MergePartials(parts []*Partial) (*Report, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("engine: merge: no partials")
@@ -401,6 +301,10 @@ func MergePartials(parts []*Partial) (*Report, error) {
 			if piece.Shard < 0 || piece.Shard >= numShards {
 				return nil, fmt.Errorf("engine: merge: %s: piece names shard %d of %d", head.Scenario, piece.Shard, numShards)
 			}
+			if head.Retained && piece.Complete {
+				return nil, fmt.Errorf("engine: merge: %s: retained partial [%d, %d) carries a complete piece for shard %d, without its trials' values",
+					head.Scenario, p.Lo, p.Hi, piece.Shard)
+			}
 			byShard[piece.Shard] = append(byShard[piece.Shard], piece)
 		}
 	}
@@ -417,7 +321,7 @@ func MergePartials(parts []*Partial) (*Report, error) {
 				return nil, fmt.Errorf("engine: merge: %s: complete piece [%d, %d) does not span shard %d [%d, %d)",
 					head.Scenario, pieces[0].Lo, pieces[0].Hi, si, sLo, sHi)
 			}
-			agg, err := pieceToAgg(pieces[0], head.Retained)
+			agg, err := pieceToAgg(pieces[0])
 			if err != nil {
 				return nil, err
 			}
@@ -430,23 +334,50 @@ func MergePartials(parts []*Partial) (*Report, error) {
 			aggs[si] = agg
 		}
 	}
-	cfg := Config{Seed: head.Seed, KeepTrialValues: head.Retained}
-	return mergeShards(head.Scenario, aggs, head.Trials, cfg)
+	return mergeShards(head.Scenario, head.Seed, aggs, head.Trials, head.Retained)
 }
 
 // RunCampaignPartial executes only the trials [lo, hi) of the campaign's
-// scenario — with the campaign's shard/retention overrides applied, exactly
-// as RunCampaign would — and returns the serializable partial aggregate.
-// Finalize does not run: it needs the full merged Report, which only the
-// merging side holds.
+// scenario — in the campaign's geometry (Campaign.Geometry) under the
+// runner's trial and shard overrides — and returns the serializable partial
+// aggregate. A retained campaign's pieces ship raw trial records. Finalize
+// does not run: it needs the merged Report, which only the merging side
+// holds.
 func RunCampaignPartial[R any](r *Runner, c Campaign[R], lo, hi int) (*Partial, error) {
 	return RunCampaignPartialContext(context.Background(), r, c, lo, hi)
 }
 
 // RunCampaignPartialContext is RunCampaignPartial with an observability
-// context (see Runner.RunPartialContext).
+// context: under tracing it records an engine.run span with one
+// engine.shard child per shard piece (plus engine.budget.wait children
+// while blocked on the shared budget). The context carries telemetry only —
+// it does not cancel the run.
 func RunCampaignPartialContext[R any](ctx context.Context, r *Runner, c Campaign[R], lo, hi int) (*Partial, error) {
-	return (&Runner{cfg: c.apply(r.cfg)}).RunPartialContext(ctx, c.Scenario, lo, hi)
+	s := c.Scenario
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	trials, shardSize := c.Geometry(r.cfg.Trials, r.cfg.ShardSize)
+	if trials <= 0 {
+		return nil, fmt.Errorf("engine: scenario %s: no trial count configured", s.Name)
+	}
+	if lo < 0 || hi <= lo || hi > trials {
+		return nil, fmt.Errorf("engine: scenario %s: invalid trial range [%d, %d) of %d trials",
+			s.Name, lo, hi, trials)
+	}
+	aggs, err := r.execute(ctx, s, trials, shardSize, lo, hi, c.KeepTrialValues)
+	if err != nil {
+		return nil, err
+	}
+	p := &Partial{
+		Scenario: s.Name, Seed: r.cfg.Seed, Trials: trials, ShardSize: shardSize,
+		Lo: lo, Hi: hi, Retained: c.KeepTrialValues,
+		Pieces: make([]ShardPiece, len(aggs)),
+	}
+	for i, agg := range aggs {
+		p.Pieces[i] = aggToPiece(agg.lo/shardSize, agg)
+	}
+	return p, nil
 }
 
 // FinalizeCampaign runs the campaign's Finalize step over an

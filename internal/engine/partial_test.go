@@ -51,11 +51,18 @@ func randomPartition(rng *rand.Rand, trials int) [][2]int {
 	return ranges
 }
 
+// runPartial runs trials [lo, hi) of s as its report campaign.
+func runPartial(r *Runner, s Scenario, lo, hi int) (*Partial, error) {
+	return RunCampaignPartial(r, ReportCampaign(s), lo, hi)
+}
+
 // TestPartialMergeMatchesFullRun is the distribution property: for random
 // partitions of the trial space — shard-aligned or not, down to single-trial
 // ranges — running each range partially, shipping the partials over the
-// wire encoding, and merging them reproduces the full run exactly, with and
-// without per-trial retention, at several shard sizes and seeds.
+// wire encoding, and merging them reproduces the whole run exactly, with and
+// without per-trial retention, at several shard sizes and seeds. A retained
+// run replays every shard from raw records, so its aggregates must also
+// equal the unretained run's, which folds whole shards in memory.
 func TestPartialMergeMatchesFullRun(t *testing.T) {
 	s := noisyScenario()
 	rng := rand.New(rand.NewSource(42))
@@ -68,9 +75,22 @@ func TestPartialMergeMatchesFullRun(t *testing.T) {
 			{10, 1},   // every range is shard-aligned
 			{20, 100}, // a single shard cut into fragments
 		} {
-			cfg := Config{Seed: 5, Trials: tc.trials, ShardSize: tc.shardSize, KeepTrialValues: keep}
-			full := mustRun(t, cfg, s)
+			cfg := Config{Seed: 5, Trials: tc.trials, ShardSize: tc.shardSize}
+			c := ReportCampaign(s)
+			if keep {
+				c = keptCampaign(s)
+			}
+			full := mustRunCampaign(t, cfg, c)
 			fullJSON, _ := json.Marshal(comparable(full))
+			if keep {
+				inMemory := mustRun(t, cfg, s)
+				replayed := *full
+				replayed.TrialScalars, replayed.TrialSeries = nil, nil
+				if !sameReport(&replayed, inMemory) {
+					t.Fatalf("trials=%d shard=%d: retained run's aggregates diverged from the in-memory run",
+						tc.trials, tc.shardSize)
+				}
+			}
 			runner, err := NewRunner(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -79,7 +99,7 @@ func TestPartialMergeMatchesFullRun(t *testing.T) {
 				ranges := randomPartition(rng, tc.trials)
 				parts := make([]*Partial, 0, len(ranges))
 				for _, rg := range ranges {
-					p, err := runner.RunPartial(s, rg[0], rg[1])
+					p, err := RunCampaignPartial(runner, c, rg[0], rg[1])
 					if err != nil {
 						t.Fatalf("trials=%d shard=%d keep=%v range %v: %v", tc.trials, tc.shardSize, keep, rg, err)
 					}
@@ -112,7 +132,7 @@ func TestPartialSingleRangeIsFullRun(t *testing.T) {
 	cfg := Config{Seed: 1, Trials: 24, ShardSize: 5}
 	full := mustRun(t, cfg, s)
 	runner, _ := NewRunner(cfg)
-	p, err := runner.RunPartial(s, 0, 24)
+	p, err := runPartial(runner, s, 0, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +152,7 @@ func TestPartialProgressTotals(t *testing.T) {
 	var last, total int
 	runner, _ := NewRunner(Config{Seed: 1, Trials: 40, ShardSize: 4,
 		Workers: 1, Progress: func(d, tot int) { last, total = d, tot }})
-	if _, err := runner.RunPartial(s, 10, 25); err != nil {
+	if _, err := runPartial(runner, s, 10, 25); err != nil {
 		t.Fatal(err)
 	}
 	if last != 15 || total != 15 {
@@ -145,7 +165,7 @@ func TestRunPartialInvalidRange(t *testing.T) {
 	s := noisyScenario()
 	runner, _ := NewRunner(Config{Seed: 1, Trials: 10})
 	for _, rg := range [][2]int{{-1, 5}, {5, 5}, {6, 4}, {0, 11}} {
-		if _, err := runner.RunPartial(s, rg[0], rg[1]); err == nil {
+		if _, err := runPartial(runner, s, rg[0], rg[1]); err == nil {
 			t.Errorf("range %v accepted", rg)
 		}
 	}
@@ -157,7 +177,7 @@ func TestMergePartialsValidation(t *testing.T) {
 	s := noisyScenario()
 	runner, _ := NewRunner(Config{Seed: 1, Trials: 20, ShardSize: 4})
 	part := func(lo, hi int) *Partial {
-		p, err := runner.RunPartial(s, lo, hi)
+		p, err := runPartial(runner, s, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,51 +207,43 @@ func TestMergePartialsValidation(t *testing.T) {
 	}
 }
 
-// TestMergeRejectsForgedRetention: a retained job's complete pieces must
-// carry retained values for exactly the metrics and series they aggregate.
-// Finalize reads those values, so a piece without them, or with other
-// names, is a merge error rather than a NaN value or a panic later.
-func TestMergeRejectsForgedRetention(t *testing.T) {
-	runner, _ := NewRunner(Config{Seed: 1, Trials: 8, ShardSize: 4, KeepTrialValues: true})
-	for _, tc := range []struct {
-		name, want string
-		forge      func(p *Partial)
-	}{
-		{"one piece without values", "no retained values", func(p *Partial) { p.Pieces[1].Retain = nil }},
-		{"every piece without values", "no retained values", func(p *Partial) {
-			for i := range p.Pieces {
-				p.Pieces[i].Retain = nil
-			}
-		}},
-		{"scalar missing", "retained values name", func(p *Partial) { delete(p.Pieces[0].Retain.Scalars, "trial_mean") }},
-		{"scalar renamed", "none of its metrics", func(p *Partial) {
-			vs := p.Pieces[0].Retain.Scalars
-			vs["renamed"] = vs["err_m"]
-			delete(vs, "err_m")
-		}},
-		{"series missing", "retained values name", func(p *Partial) { p.Pieces[1].Retain.Series = nil }},
-		{"series renamed", "none of its series", func(p *Partial) {
-			rows := p.Pieces[1].Retain.Series
-			rows["renamed"] = rows["E"]
-			delete(rows, "E")
-		}},
-		{"scalar short", "3 values for 4 trials", func(p *Partial) {
-			vs := p.Pieces[0].Retain.Scalars
-			vs["sparse"] = vs["sparse"][:3]
-		}},
-	} {
-		p, err := runner.RunPartial(noisyScenario(), 0, 8)
-		if err != nil {
-			t.Fatal(err)
+// TestRetainedPartialsShipRawRecords: every piece of a retained partial —
+// whole shards included — carries raw trial records and no aggregate, also
+// after the wire encoding, and MergePartials rejects a retained partial that
+// carries a complete piece: Finalize reads each trial's values, which a
+// complete piece does not hold.
+func TestRetainedPartialsShipRawRecords(t *testing.T) {
+	runner, _ := NewRunner(Config{Seed: 1, Trials: 8, ShardSize: 4})
+	p, err := RunCampaignPartial(runner, keptCampaign(noisyScenario()), 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = jsonRoundTrip(t, p)
+	if !p.Retained || len(p.Pieces) != 2 {
+		t.Fatalf("retained %v with %d pieces, want a retained partial of 2 shards", p.Retained, len(p.Pieces))
+	}
+	for _, piece := range p.Pieces {
+		if piece.Complete || piece.Metrics != nil || piece.Series != nil || len(piece.Raw) != piece.Hi-piece.Lo {
+			t.Fatalf("shard %d: complete %v, %d metrics, %d series, %d raw trials of [%d, %d); want raw records only",
+				piece.Shard, piece.Complete, len(piece.Metrics), len(piece.Series), len(piece.Raw), piece.Lo, piece.Hi)
 		}
-		if _, err := MergePartials([]*Partial{jsonRoundTrip(t, p)}); err != nil {
-			t.Fatalf("%s: unforged partial: %v", tc.name, err)
-		}
-		p = jsonRoundTrip(t, p)
-		tc.forge(p)
-		if _, err := MergePartials([]*Partial{jsonRoundTrip(t, p)}); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: merge err %v, want %q", tc.name, err, tc.want)
-		}
+	}
+	if _, err := MergePartials([]*Partial{p}); err != nil {
+		t.Fatalf("raw retained partial: %v", err)
+	}
+
+	// Forge a retained partial whose second shard ships its aggregate.
+	whole, err := runPartial(runner, noisyScenario(), 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := jsonRoundTrip(t, p)
+	forged.Pieces[1] = jsonRoundTrip(t, whole).Pieces[1]
+	if !forged.Pieces[1].Complete {
+		t.Fatal("unretained whole shard did not ship its aggregate")
+	}
+	if _, err := MergePartials([]*Partial{forged}); err == nil || !strings.Contains(err.Error(), "carries a complete piece for shard 1") {
+		t.Errorf("merge err %v, want a rejected complete piece", err)
 	}
 }
 
@@ -292,7 +304,7 @@ func TestAdaptPartial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := runner.RunPartial(s, lo, hi)
+		p, err := runPartial(runner, s, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +362,7 @@ func TestAdaptPartialMergesIntoLargerRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefix, err := small.RunPartial(s, 0, 8)
+	prefix, err := runPartial(small, s, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +375,7 @@ func TestAdaptPartialMergesIntoLargerRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rest, err := big.RunPartial(s, 8, 20)
+	rest, err := runPartial(big, s, 8, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestShardRNGMatchesFreshPerTrialGenerator(t *testing.T) {
 		s := drawScenario(base)
 		for _, shard := range []int{1, 8} {
 			name := fmt.Sprintf("%s/shard=%d", base.Name, shard)
-			rep := mustRun(t, Config{Workers: 2, Seed: 7, ShardSize: shard, KeepTrialValues: true}, s)
+			rep := mustRunKept(t, Config{Workers: 2, Seed: 7, ShardSize: shard}, s)
 			got := rep.TrialSeries["draws"]
 			if len(got) != base.Trials {
 				t.Fatalf("%s: %d trials recorded draws, want %d", name, len(got), base.Trials)

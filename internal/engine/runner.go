@@ -42,10 +42,6 @@ type Config struct {
 	// ShardSize overrides DefaultShardSize when positive. Aggregates are
 	// a deterministic function of (seed, trials, shard size) only.
 	ShardSize int
-	// KeepTrialValues retains per-trial metric values (Report.TrialScalars,
-	// Report.TrialSeries) in addition to the streaming aggregates. Figure
-	// reproductions use this to finalize from trial-ordered data.
-	KeepTrialValues bool
 	// Progress, when non-nil, is called after each shard finishes with the
 	// cumulative number of completed trials and the total. Calls are
 	// serialized but arrive in shard-completion order, which depends on
@@ -59,29 +55,8 @@ type Config struct {
 	Budget *Budget
 }
 
-// EffectiveTrials resolves the trial count one Run of s would execute: the
-// Config override when positive, else the scenario default, capped by the
-// scenario's MaxTrials. Cache keys are derived from this resolved value.
-func (c Config) EffectiveTrials(s Scenario) int {
-	trials := c.Trials
-	if trials == 0 {
-		trials = s.Trials
-	}
-	if s.MaxTrials > 0 && trials > s.MaxTrials {
-		trials = s.MaxTrials
-	}
-	return trials
-}
-
-// EffectiveShardSize resolves the shard size a Run would use.
-func (c Config) EffectiveShardSize() int {
-	if c.ShardSize > 0 {
-		return c.ShardSize
-	}
-	return DefaultShardSize
-}
-
-// Runner executes scenarios by sharding their trials across a worker pool.
+// Runner executes campaigns' trials sharded across a worker pool; every run
+// goes through RunCampaignPartial.
 type Runner struct {
 	cfg Config
 }
@@ -135,7 +110,7 @@ type Report struct {
 	// TrialScalars maps a metric name to its last recorded value per trial
 	// (NaN where a trial recorded none); TrialSeries likewise holds each
 	// trial's recorded series (nil where absent). Both are populated only
-	// under Config.KeepTrialValues and are excluded from JSON.
+	// for a campaign with KeepTrialValues and are excluded from JSON.
 	TrialScalars map[string][]float64   `json:"-"`
 	TrialSeries  map[string][][]float64 `json:"-"`
 }
@@ -225,8 +200,9 @@ type shardAgg struct {
 	trialScalars map[string][]float64   // per-trial last value, len hi-lo
 	trialSeries  map[string][][]float64 // per-trial series, len hi-lo
 
-	// raw holds a cut piece's per-trial samples in place of the aggregate;
-	// it is non-nil exactly when a range boundary cuts through the shard.
+	// raw holds the piece's per-trial samples in place of the aggregate; it
+	// is non-nil exactly when a range boundary cuts through the shard or the
+	// campaign retains its trial values.
 	raw []TrialRecord
 
 	err      error // first trial error in this shard
@@ -246,14 +222,15 @@ func newShardAgg(lo, hi int, keep bool) *shardAgg {
 	return agg
 }
 
-// runShard executes trials [lo, hi) of one shard serially. A piece spanning
-// its whole shard folds into an in-memory aggregate; a cut piece (a range
-// boundary runs through the shard) records each trial's raw samples
-// instead, for the merging side to replay (see replayPieces).
-func runShard(s Scenario, seed int64, lo, hi int, cut, keep bool) *shardAgg {
-	agg := newShardAgg(lo, hi, keep && !cut)
-	add := func(t *T) error { return agg.fold(t, keep) }
-	if cut {
+// runShard executes trials [lo, hi) of one shard serially. With raw false
+// the trials fold into an in-memory aggregate; with raw true (a range
+// boundary runs through the shard, or the campaign retains its trial
+// values) each trial's samples are recorded instead, for the merging side to
+// replay (see replayPieces).
+func runShard(s Scenario, seed int64, lo, hi int, raw bool) *shardAgg {
+	agg := newShardAgg(lo, hi, false)
+	add := func(t *T) error { return agg.fold(t, false) }
+	if raw {
 		agg.raw = make([]TrialRecord, 0, hi-lo)
 		add = func(t *T) error {
 			rec := TrialRecord{Trial: t.Trial}
@@ -358,61 +335,15 @@ func trialSlot[V any](m map[string][]V, name string, n int, blank V) []V {
 	return vs
 }
 
-// Run executes the scenario under the runner's configuration. A failing
-// trial stops only its own shard (the shard's later trials are skipped);
-// every other shard still runs, so both the aggregates and any error are a
-// pure function of the configuration. If several trials fail, the error of
-// the lowest-indexed failing trial is returned.
-func (r *Runner) Run(s Scenario) (*Report, error) {
-	return r.RunContext(context.Background(), s)
-}
-
-// RunContext is Run with an observability context: when ctx carries a
-// tracer (obs.WithTracer), the run records an engine.run span with one
-// engine.shard child per shard (plus engine.budget.wait children while
-// blocked on the shared budget). The context does not cancel the run — the
-// engine's determinism contract has no partial-result story for
-// cancellation; it is a telemetry carrier only.
-func (r *Runner) RunContext(ctx context.Context, s Scenario) (*Report, error) {
-	trials, err := r.trials(s)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	aggs, workers, err := r.execute(ctx, s, trials, 0, trials, false)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := mergeShards(s.Name, aggs, trials, r.cfg)
-	if err != nil {
-		return nil, err
-	}
-	rep.Workers = workers
-	rep.ElapsedSeconds = time.Since(start).Seconds()
-	return rep, nil
-}
-
-// trials validates s and resolves the trial count a run of it covers.
-func (r *Runner) trials(s Scenario) (int, error) {
-	if err := s.Validate(); err != nil {
-		return 0, err
-	}
-	trials := r.cfg.EffectiveTrials(s)
-	if trials <= 0 {
-		return 0, fmt.Errorf("engine: scenario %s: no trial count configured", s.Name)
-	}
-	return trials, nil
-}
-
-// execute is the one shard loop behind Run and RunPartial: it runs the
-// shard pieces of trials [lo, hi) of a trials-trial run across the worker
-// pool, one budget slot per piece, and returns their aggregates in shard
-// order plus the pool size. A full run is the [0, trials) case, whose
-// pieces are all complete shards. The engine.run span is tagged with the
-// pool size for a full run and with the range for a partial one. If several
-// trials fail, the error of the lowest-indexed one is returned.
-func (r *Runner) execute(ctx context.Context, s Scenario, trials, lo, hi int, partial bool) ([]*shardAgg, int, error) {
-	shardSize := r.cfg.EffectiveShardSize()
+// execute is the engine's one shard loop: it runs the shard pieces of
+// trials [lo, hi) of a trials-trial run across the worker pool, one budget
+// slot per piece, and returns their aggregates in shard order. A piece that
+// a range boundary cuts through, or any piece of a campaign that keeps its
+// trial values (raw), records raw trials instead of an aggregate. A failing
+// trial stops only its own shard, so the result and any error are a pure
+// function of the inputs: if several trials fail, the error of the
+// lowest-indexed one is returned.
+func (r *Runner) execute(ctx context.Context, s Scenario, trials, shardSize, lo, hi int, raw bool) ([]*shardAgg, error) {
 	bounds := pieceBounds(lo, hi, shardSize, trials)
 	workers := r.cfg.Workers
 	if workers == 0 {
@@ -424,12 +355,8 @@ func (r *Runner) execute(ctx context.Context, s Scenario, trials, lo, hi int, pa
 
 	ctx, runSpan := obs.Start(ctx, "engine.run")
 	if runSpan != nil {
-		runSpan.SetAttr("scenario", s.Name).SetAttr("trials", trials).SetAttr("shard_size", shardSize)
-		if partial {
-			runSpan.SetAttr("lo", lo).SetAttr("hi", hi)
-		} else {
-			runSpan.SetAttr("workers", workers)
-		}
+		runSpan.SetAttr("scenario", s.Name).SetAttr("trials", trials).SetAttr("shard_size", shardSize).
+			SetAttr("lo", lo).SetAttr("hi", hi)
 	}
 	defer runSpan.End()
 
@@ -446,7 +373,7 @@ func (r *Runner) execute(ctx context.Context, s Scenario, trials, lo, hi int, pa
 			shardSpan.SetAttr("shard", si).SetAttr("lo", pLo).SetAttr("hi", pHi)
 		}
 		shardStart := time.Now()
-		agg := runShard(s, r.cfg.Seed, pLo, pHi, pLo != sLo || pHi != sHi, r.cfg.KeepTrialValues)
+		agg := runShard(s, r.cfg.Seed, pLo, pHi, raw || pLo != sLo || pHi != sHi)
 		aggs[pi] = agg
 		obsShardSec.Observe(time.Since(shardStart).Seconds())
 		obsShards.Inc()
@@ -493,9 +420,9 @@ func (r *Runner) execute(ctx context.Context, s Scenario, trials, lo, hi int, pa
 	close(jobs)
 	wg.Wait()
 	if err := firstError(aggs); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return aggs, workers, nil
+	return aggs, nil
 }
 
 // acquireBudget claims one shared-budget slot (when a budget is
@@ -529,14 +456,14 @@ func firstError(aggs []*shardAgg) error {
 }
 
 // mergeShards folds the per-shard aggregates, in ascending shard order,
-// into one Report.
-func mergeShards(scenario string, aggs []*shardAgg, trials int, cfg Config) (*Report, error) {
-	rep := &Report{Scenario: scenario, Seed: cfg.Seed, Trials: trials}
+// into one Report, with each trial's values when keep is set.
+func mergeShards(scenario string, seed int64, aggs []*shardAgg, trials int, keep bool) (*Report, error) {
+	rep := &Report{Scenario: scenario, Seed: seed, Trials: trials}
 	scalarOrder := []string{}
 	scalars := map[string]*scalarAgg{}
 	seriesOrder := []string{}
 	series := map[string]*seriesAgg{}
-	if cfg.KeepTrialValues {
+	if keep {
 		rep.TrialScalars = make(map[string][]float64)
 		rep.TrialSeries = make(map[string][][]float64)
 	}
@@ -572,7 +499,7 @@ func mergeShards(scenario string, aggs []*shardAgg, trials int, cfg Config) (*Re
 			}
 			dst.trials += src.trials
 		}
-		if cfg.KeepTrialValues {
+		if keep {
 			for name, vs := range a.trialScalars {
 				copy(trialSlot(rep.TrialScalars, name, trials, math.NaN())[a.lo:a.hi], vs)
 			}

@@ -52,9 +52,9 @@ func scratchScenario() Scenario {
 // and ShardInit must produce byte-identical reports at every worker count.
 func TestScratchScenarioWorkerIndependence(t *testing.T) {
 	s := scratchScenario()
-	base := mustRun(t, Config{Workers: 1, Seed: 11, KeepTrialValues: true}, s)
+	base := mustRunKept(t, Config{Workers: 1, Seed: 11}, s)
 	for _, workers := range []int{2, 3, 8} {
-		rep := mustRun(t, Config{Workers: workers, Seed: 11, KeepTrialValues: true}, s)
+		rep := mustRunKept(t, Config{Workers: workers, Seed: 11}, s)
 		if !sameReport(base, rep) {
 			t.Errorf("workers=%d: report differs from workers=1", workers)
 		}

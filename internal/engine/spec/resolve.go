@@ -153,13 +153,8 @@ func Resolve(s JobSpec) (Resolved, error) {
 		resolvedParams = p
 		campaign = wrapCampaign(engine.ReportCampaign(sc), func(r *engine.Report) *Value { return &Value{Report: r} })
 	}
-	// Resolve the effective execution parameters exactly as the engine will:
-	// spec overrides into the config, campaign pins on top.
-	runner, err := engine.NewRunner(engine.Config{Trials: s.Trials, ShardSize: s.ShardSize, Seed: s.Seed})
-	if err != nil {
-		return Resolved{}, fmt.Errorf("spec: %s: %w", s.ID, err)
-	}
-	trials, shardSize := engine.CampaignConfig(runner, campaign)
+	// The geometry the engine will run: spec overrides, campaign pins on top.
+	trials, shardSize := campaign.Geometry(s.Trials, s.ShardSize)
 	if trials <= 0 {
 		return Resolved{}, fmt.Errorf("spec: %s: no trial count configured", s.ID)
 	}

@@ -15,11 +15,9 @@ import (
 // (go test ./internal/experiments -run TestGolden -update), so this test
 // proves two things at once — the campaign ports preserve each figure's
 // exact output, and that output is identical at every engine worker count
-// (the table sweeps seeds 1 and 5 at 1 and 8 workers). The serial run of
-// each figure and seed is also checked against the same figure run as one
-// [0, trials) partial that crosses the wire encoding, merges and finalizes:
-// its Result JSON must be identical (skipped under -short, which the race
-// step uses).
+// (the table sweeps seeds 1 and 5 at 1 and 8 workers). Each figure runs the
+// way a job does: its [0, trials) partial crosses the wire encoding, merges
+// and finalizes.
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden figure outputs")
 
@@ -47,11 +45,13 @@ func TestGoldenFigures(t *testing.T) {
 					if testing.Short() && slowFigs[e.ID] {
 						t.Skip("slow figure; run without -short")
 					}
-					res, err := e.RunWorkers(seed, workers)
+					runner, err := engine.NewRunner(engine.Config{Seed: seed, Workers: workers})
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := res.Render()
+					c := defaultCampaign(t, e, seed)
+					trials, _ := c.Geometry(0, 0)
+					got := mergedResult(t, runner, c, []int{0, trials}).Render()
 					path := goldenPath(e.ID, seed)
 					if *updateGolden {
 						if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -69,15 +69,6 @@ func TestGoldenFigures(t *testing.T) {
 					if got != string(want) {
 						t.Errorf("%s seed %d workers %d diverged from golden output\n--- got ---\n%s--- want ---\n%s",
 							e.ID, seed, workers, got, want)
-					}
-					if workers == 1 && !testing.Short() {
-						runner, err := engine.NewRunner(engine.Config{Seed: seed})
-						if err != nil {
-							t.Fatal(err)
-						}
-						c := defaultCampaign(t, e, seed)
-						trials, _ := engine.CampaignConfig(runner, c)
-						sameResultJSON(t, mergedResult(t, runner, c, []int{0, trials}), res, "whole-range partial")
 					}
 				})
 			}

@@ -92,7 +92,7 @@ func TestFigurePartialMergeMatchesGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			trials, _ := engine.CampaignConfig(runner, c)
+			trials, _ := c.Geometry(0, 0)
 			for iter := 0; iter < 3; iter++ {
 				// 2..5 contiguous ranges with random cuts (dropping empties).
 				cuts := map[int]bool{0: true, trials: true}
