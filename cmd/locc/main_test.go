@@ -74,7 +74,7 @@ func TestDistributedScenarioMatchesLocal(t *testing.T) {
 }
 
 // TestDistributedFigureMatchesGolden: a multi-trial figure over the fleet
-// renders byte-identically to the golden corpus, from a spec file.
+// encodes byte-identically to the golden corpus, from a spec file.
 func TestDistributedFigureMatchesGolden(t *testing.T) {
 	workers := twoWorkers(t)
 	specFile := filepath.Join(t.TempDir(), "job.json")
@@ -96,7 +96,7 @@ func TestDistributedFigureMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Render() != string(want) {
+	if figureJSON(t, results[0]) != string(want) {
 		t.Error("distributed maxrange diverged from golden output")
 	}
 
@@ -252,4 +252,15 @@ func TestCITargetThroughLocc(t *testing.T) {
 		io.Discard, io.Discard); err == nil {
 		t.Error("-ci-target with a spec file accepted")
 	}
+}
+
+// figureJSON is res as the figure golden corpus stores it: indented JSON
+// and a trailing newline.
+func figureJSON(t *testing.T, res *experiments.Result) string {
+	t.Helper()
+	b, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b) + "\n"
 }

@@ -18,8 +18,12 @@ import (
 // consistency check became a sorted sweep: a progressive loop over maps that
 // re-solves every unknown node on every pass, an all-pairs Hypot filter, an
 // allocating circle intersection and an allocating intersection mode. The
-// production solver must reproduce it bit for bit. The per-node least-squares
-// solve (solveNode) is shared: it did not change.
+// per-node solve is frozen as it stood before its linear seed became a
+// closed-form 2×2 solve: refSolveNode seeds through refLinearSeed, a copy of
+// the generic dense chain (transpose, multiply, ridge, Cholesky,
+// substitution). Only the Gauss-Newton refinement (gaussNewton) is shared:
+// it did not change. The production solver must reproduce all of it bit for
+// bit.
 
 // refSolveMultilateration is the frozen solver. Inputs are assumed valid.
 func refSolveMultilateration(set *measure.Set, anchors map[int]geom.Point, cfg MultilatConfig) *MultilatResult {
@@ -78,10 +82,10 @@ func refSolveMultilateration(set *measure.Set, anchors map[int]geom.Point, cfg M
 			if cfg.UseIntersectionMode && len(obs) >= cfg.MinModeAnchors {
 				p, err = refIntersectionMode(obs, cfg.ConsistencyRadius)
 				if err != nil {
-					p, err = solveNode(nil, obs, cfg.MaxIters)
+					p, err = refSolveNode(obs, cfg.MaxIters)
 				}
 			} else {
-				p, err = solveNode(nil, obs, cfg.MaxIters)
+				p, err = refSolveNode(obs, cfg.MaxIters)
 			}
 			if err != nil {
 				continue
@@ -100,6 +104,172 @@ func refSolveMultilateration(set *measure.Set, anchors map[int]geom.Point, cfg M
 	}
 	sort.Ints(res.Localized)
 	return res
+}
+
+// refSolveNode is the frozen per-node solve: the chain's linear seed, or the
+// weighted anchor centroid when the seed fails, refined by gaussNewton.
+func refSolveNode(obs []anchorObs, maxIters int) (geom.Point, error) {
+	seed, err := refLinearSeed(obs)
+	if err != nil {
+		var c geom.Point
+		var w float64
+		for _, o := range obs {
+			c = c.Add(o.pos.Scale(o.weight))
+			w += o.weight
+		}
+		if w == 0 {
+			return geom.Point{}, errors.New("zero total weight")
+		}
+		seed = c.Scale(1 / w)
+	}
+	return gaussNewton(obs, seed, maxIters)
+}
+
+// refLinearSeed is the frozen linear seed: the circle equations minus the
+// first, as an (n−1)×2 system solved by refLeastSquares.
+func refLinearSeed(obs []anchorObs) (geom.Point, error) {
+	if len(obs) < 3 {
+		return geom.Point{}, errors.New("need 3 observations")
+	}
+	ref := obs[0]
+	a := refMatrix{rows: len(obs) - 1, cols: 2, data: make([]float64, 2*(len(obs)-1))}
+	rhs := make([]float64, len(obs)-1)
+	for k, o := range obs[1:] {
+		a.data[2*k] = 2 * (o.pos.X - ref.pos.X)
+		a.data[2*k+1] = 2 * (o.pos.Y - ref.pos.Y)
+		rhs[k] = ref.d*ref.d - o.d*o.d +
+			o.pos.NormSq() - ref.pos.NormSq()
+	}
+	x, err := refLeastSquares(a, rhs)
+	if err != nil {
+		return geom.Point{}, err
+	}
+	p := geom.Pt(x[0], x[1])
+	if !p.IsFinite() {
+		return geom.Point{}, errors.New("non-finite solution")
+	}
+	return p, nil
+}
+
+// refMatrix is a row-major dense matrix, the chain's operand.
+type refMatrix struct {
+	rows, cols int
+	data       []float64
+}
+
+func newRefMatrix(r, c int) refMatrix {
+	return refMatrix{rows: r, cols: c, data: make([]float64, r*c)}
+}
+
+// refTranspose is the chain's transpose.
+func refTranspose(m refMatrix) refMatrix {
+	t := newRefMatrix(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			t.data[j*t.cols+i] = m.data[i*m.cols+j]
+		}
+	}
+	return t
+}
+
+// refMul is the chain's product m·b, which skips a zero left entry.
+func refMul(m, b refMatrix) refMatrix {
+	out := newRefMatrix(m.rows, b.cols)
+	for i := 0; i < m.rows; i++ {
+		for k := 0; k < m.cols; k++ {
+			a := m.data[i*m.cols+k]
+			if a == 0 {
+				continue
+			}
+			brow := b.data[k*b.cols : (k+1)*b.cols]
+			orow := out.data[i*out.cols : (i+1)*out.cols]
+			for j, bv := range brow {
+				orow[j] += a * bv
+			}
+		}
+	}
+	return out
+}
+
+// refMulVec is the chain's product m·x, which skips nothing.
+func refMulVec(m refMatrix, x []float64) []float64 {
+	out := make([]float64, m.rows)
+	for i := 0; i < m.rows; i++ {
+		var s float64
+		for j, v := range m.data[i*m.cols : (i+1)*m.cols] {
+			s += v * x[j]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// refCholesky is the chain's L·Lᵀ factorization, reading a's lower
+// triangle.
+func refCholesky(a refMatrix) (refMatrix, error) {
+	n := a.rows
+	l := newRefMatrix(n, n)
+	for i := 0; i < n; i++ {
+		li := l.data[i*n : i*n+n]
+		ai := a.data[i*n : i*n+n]
+		for j := 0; j <= i; j++ {
+			lj := l.data[j*n : j*n+n]
+			sum := ai[j]
+			for k := 0; k < j; k++ {
+				sum -= li[k] * lj[k]
+			}
+			if i == j {
+				if sum <= 0 || math.IsNaN(sum) {
+					return refMatrix{}, fmt.Errorf("singular: pivot %d = %g", i, sum)
+				}
+				li[i] = math.Sqrt(sum)
+			} else {
+				li[j] = sum / lj[j]
+			}
+		}
+	}
+	return l, nil
+}
+
+// refLeastSquares is the chain: aᵀa plus a trace-scaled ridge, factored by
+// refCholesky, then forward and back substitution against aᵀb.
+func refLeastSquares(a refMatrix, b []float64) ([]float64, error) {
+	c := a.cols
+	at := refTranspose(a)
+	ata := refMul(at, a)
+	var trace float64
+	for i := 0; i < c; i++ {
+		trace += ata.data[i*c+i]
+	}
+	ridge := 1e-12 * (1 + trace/float64(c))
+	for i := 0; i < c; i++ {
+		ata.data[i*c+i] += ridge
+	}
+	atb := refMulVec(at, b)
+	l, err := refCholesky(ata)
+	if err != nil {
+		return nil, err
+	}
+	n := c
+	ld := l.data
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		li := ld[i*n : i*n+n]
+		s := atb[i]
+		for k := 0; k < i; k++ {
+			s -= li[k] * y[k]
+		}
+		y[i] = s / li[i]
+	}
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < n; k++ {
+			s -= ld[k*n+i] * x[k]
+		}
+		x[i] = s / ld[i*n+i]
+	}
+	return x, nil
 }
 
 // refCircleIntersect is the allocating geom.Circle.Intersect.
@@ -469,6 +639,82 @@ func TestFilterConsistentMatchesReferenceIdentical(t *testing.T) {
 	}
 }
 
+// TestLinearSeedMatchesReferenceIdentical holds the closed-form linear seed,
+// and the per-node solve built on it, to the frozen dense chain bit for bit:
+// the same point bits and the same error presence. The observation sets have
+// 3 to 20 anchors at magnitudes from 1e-150 to 1e150; some share the first
+// anchor's X or Y (so a whole column of the system is ±0), some are
+// collinear or coincident (a singular pivot), and some carry a NaN or ±Inf
+// position or distance.
+func TestLinearSeedMatchesReferenceIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	scales := []float64{1, 30, 1e-150, 1e150}
+	trials := 20000
+	if testing.Short() {
+		trials = 4000
+	}
+	for trial := 0; trial < trials; trial++ {
+		scale := scales[rng.Intn(len(scales))]
+		truth := geom.Pt(rng.NormFloat64()*scale, rng.NormFloat64()*scale)
+		obs := make([]anchorObs, 3+rng.Intn(18))
+		dir := geom.Pt(rng.NormFloat64(), rng.NormFloat64())
+		for i := range obs {
+			a := geom.Pt(rng.NormFloat64()*scale, rng.NormFloat64()*scale)
+			switch rng.Intn(8) {
+			case 0: // shares the first anchor's X: a zero in the X column
+				a.X = obs[0].pos.X
+			case 1: // shares the first anchor's Y
+				a.Y = obs[0].pos.Y
+			case 2: // on a line through the first anchor
+				a = obs[0].pos.Add(dir.Scale(rng.NormFloat64() * scale))
+			case 3: // coincident with an earlier anchor
+				a = obs[rng.Intn(i+1)].pos
+			}
+			if i == 0 {
+				a = geom.Pt(rng.NormFloat64()*scale, rng.NormFloat64()*scale)
+			}
+			d := truth.Dist(a) * (1 + 0.01*rng.NormFloat64())
+			obs[i] = anchorObs{pos: a, d: d, weight: 0.5 + rng.Float64()}
+		}
+		switch trial % 8 {
+		case 0: // every anchor shares X (or Y) with the first: a whole ±0 column
+			for i := range obs {
+				if trial%16 == 0 {
+					obs[i].pos.X = obs[0].pos.X
+				} else {
+					obs[i].pos.Y = obs[0].pos.Y
+				}
+			}
+		case 1: // all collinear or all coincident: a singular pivot
+			for i := range obs {
+				obs[i].pos = obs[0].pos.Add(dir.Scale(float64(i%3) * scale * float64(trial%16/8)))
+			}
+		case 2: // a non-finite or signed-zero position or distance
+			o := &obs[rng.Intn(len(obs))]
+			v := special[rng.Intn(len(special))]
+			switch rng.Intn(3) {
+			case 0:
+				o.pos.X = v
+			case 1:
+				o.pos.Y = v
+			default:
+				o.d = v
+			}
+		}
+		wantSeed, wantErr := refLinearSeed(obs)
+		gotSeed, gotErr := linearSeed(obs)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr == nil && !samePointBits(gotSeed, wantSeed)) {
+			t.Fatalf("trial %d: seed %v (%v), reference %v (%v) for %v", trial, gotSeed, gotErr, wantSeed, wantErr, obs)
+		}
+		wantP, wantErr := refSolveNode(obs, 20)
+		gotP, gotErr := solveNode(obs, 20)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr == nil && !samePointBits(gotP, wantP)) {
+			t.Fatalf("trial %d: solve %v (%v), reference %v (%v) for %v", trial, gotP, gotErr, wantP, wantErr, obs)
+		}
+	}
+}
+
 // TestDiskWithinMatchesHypotIdentical checks the within helper against the
 // Hypot comparison it replaces, on separations in and around the band where
 // the squared test cannot decide, on NaN, ±Inf, subnormal and huge values,
@@ -498,6 +744,89 @@ func TestDiskWithinMatchesHypotIdentical(t *testing.T) {
 		}
 		if got, want := newDisk(r).within(dx, dy), math.Hypot(dx, dy) <= r; got != want {
 			t.Fatalf("within(%v, %v) at r=%v: %v, Hypot says %v", dx, dy, r, got, want)
+		}
+	}
+}
+
+// TestSweepBandMatchesWithinIdentical pins the sweep's inline band test to
+// within: for two points at separation (dx, dy), the sweep's near bit must
+// be within's verdict. The squared separations sit exactly on the band's
+// edges lo and hi and 1 to 4 ulps either side of each, and the separations
+// include NaN and ±Inf; the radii include +Inf, one whose square is
+// subnormal and one whose square overflows, for which every test goes to
+// within.
+func TestSweepBandMatchesWithinIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	w := &mlWorkspace{}
+	check := func(r, dx, dy float64) {
+		t.Helper()
+		pts := []ipt{{p: geom.Pt(dx, dy)}, {p: geom.Pt(0, 0)}}
+		w.sweep(pts, r)
+		k := w.rank[1]
+		got := w.row(0)[k>>6]>>(k&63)&1 == 1
+		if want := newDisk(r).within(dx, dy); got != want {
+			t.Fatalf("r=%v, (dx, dy) = (%v, %v), s=%v: sweep says %v, within %v", r, dx, dy, dx*dx+dy*dy, got, want)
+		}
+	}
+	// separation returns a (dx, dy) whose squared length rounds to s
+	// exactly.
+	separation := func(s float64) (float64, float64) {
+		t.Helper()
+		for try := 0; try < 1000; try++ {
+			dy := 0.0
+			if try > 0 {
+				dy = math.Sqrt(s) * rng.Float64()
+			}
+			dx := math.Sqrt(s - dy*dy)
+			for i := 0; i < 4; i++ {
+				dx = math.Nextafter(dx, 0)
+			}
+			for i := 0; i < 9; i++ {
+				if dx*dx+dy*dy == s {
+					return dx, dy
+				}
+				dx = math.Nextafter(dx, math.Inf(1))
+			}
+		}
+		t.Fatalf("no separation with squared length %v", s)
+		return 0, 0
+	}
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, r := range []float64{0.25, 1, 3, 7.3, math.Inf(1), 1e-160, 1e200, math.NaN()} {
+		d := newDisk(r)
+		edges := []float64{d.lo, d.hi}
+		if math.IsInf(d.lo, 0) {
+			edges = []float64{r * r} // no band: probe around r² itself
+		}
+		for _, e := range edges {
+			if math.IsNaN(e) || math.IsInf(e, 0) {
+				continue
+			}
+			for _, dir := range []float64{math.Inf(-1), math.Inf(1)} {
+				s := e
+				for ulps := 0; ulps <= 4; ulps++ {
+					dx, dy := separation(s)
+					check(r, dx, dy)
+					check(r, -dy, dx)
+					s = math.Nextafter(s, dir)
+				}
+			}
+		}
+		// Separations of length r and 1 to 4 ulps either side, which reach
+		// the radii whose squares leave the band's range.
+		for _, dir := range []float64{0, math.Inf(1)} {
+			dx := r
+			for ulps := 0; ulps <= 4; ulps++ {
+				check(r, dx, 0)
+				check(r, 0, dx)
+				dx = math.Nextafter(dx, dir)
+			}
+		}
+		for _, v := range special {
+			check(r, v, 0)
+			check(r, 0, v)
+			check(r, v, r/2)
+			check(r, r/2, v)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"resilientloc/internal/geom"
-	"resilientloc/internal/mat"
 	"resilientloc/internal/measure"
 	"resilientloc/internal/scratch"
 )
@@ -157,9 +156,9 @@ func SolveMultilateration(set *measure.Set, anchors map[int]geom.Point, cfg Mult
 }
 
 // SolveMultilaterationIn is SolveMultilateration with all per-solve working
-// storage — the flattened adjacency, observation and consistency-filter
-// buffers, and the linear-seed matrices — borrowed from ws (nil ws
-// allocates). The returned result is heap-allocated and safe to retain.
+// storage — the flattened adjacency and the observation and
+// consistency-filter buffers — borrowed from ws (nil ws allocates). The
+// returned result is heap-allocated and safe to retain.
 func SolveMultilaterationIn(ws *scratch.Arena, set *measure.Set, anchors map[int]geom.Point, cfg MultilatConfig) (*MultilatResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: SolveMultilateration: %w", err)
@@ -279,10 +278,10 @@ func SolveMultilaterationIn(ws *scratch.Arena, set *measure.Set, anchors map[int
 			if cfg.UseIntersectionMode && len(obs) >= cfg.MinModeAnchors {
 				p, err = solveNodeIntersectionMode(w, obs, cfg.ConsistencyRadius)
 				if err != nil {
-					p, err = solveNode(ws, obs, cfg.MaxIters) // fall back
+					p, err = solveNode(obs, cfg.MaxIters) // fall back
 				}
 			} else {
-				p, err = solveNode(ws, obs, cfg.MaxIters)
+				p, err = solveNode(obs, cfg.MaxIters)
 			}
 			if err != nil {
 				continue // degenerate geometry: leave unlocalized
@@ -447,6 +446,18 @@ func intersections(w *mlWorkspace, obs []anchorObs, tol float64) []ipt {
 //     math.Hypot, which both ignore sign, so testing the pair from a decides
 //     it from b as well.
 //
+// Each pair's bit is disk.within's verdict, decided mostly without a call
+// (within's Hypot puts it over the inliner's budget) and without a
+// data-dependent branch on the common path. The bit is s < lo, for the
+// squared separation s, computed without a branch. Only when
+// |s − r²| ≤ 2e-6·r², or s is NaN, does within decide instead. That is
+// exact: within returns s < lo for every s outside [lo, hi] ∪ {NaN}, and
+// the tested set contains [lo, hi] ∪ {NaN} (|lo − r²| and |hi − r²| are
+// about 1e-6·r², and rounding is monotone); where newDisk drops the band,
+// its half-width is +Inf and within decides every pair. The narrow tested
+// band is rarely hit, so its branch predicts well, where a branch on
+// s < lo would guess wrong for about half the pairs.
+//
 // The rows cost about len(pts)²/8 bytes, rounded up to whole words per row:
 // 6.5 KB at the 203 points of the largest call in a 14×14 grid solve.
 func (w *mlWorkspace) sweep(pts []ipt, radius float64) {
@@ -488,13 +499,14 @@ func (w *mlWorkspace) sweep(pts []ipt, radius float64) {
 			if math.Abs(dx) > radius {
 				break
 			}
-			// within is too big to inline; decide the clear cases of its
-			// band test here and call it only inside the band.
 			dy := py - q.y
-			if s := dx*dx + dy*dy; s < near.lo || !(s > near.hi) && near.within(dx, dy) {
-				ra[b>>6] |= 1 << (b & 63)
-				rows[b*words+(a>>6)] |= 1 << (a & 63)
+			s := dx*dx + dy*dy
+			bit := b2u(s < near.lo)
+			if !(math.Abs(s-near.mid) > near.hw) {
+				bit = b2u(near.within(dx, dy))
 			}
+			ra[b>>6] |= bit << (b & 63)
+			rows[b*words+(a>>6)] |= bit << (a & 63)
 		}
 	}
 }
@@ -514,10 +526,21 @@ func popcount(row []uint64) int {
 	return n
 }
 
+// b2u is 1 for true and 0 for false, without a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // disk decides whether a separation (dx, dy) is within a radius r, that is
 // whether math.Hypot(dx, dy) <= r, mostly without calling Hypot.
 type disk struct {
 	r, lo, hi float64 // lo, hi = r²(1−1e-6), r²(1+1e-6)
+	// mid, hw = r², 2e-6·r² bound the sweep's wider band |s − mid| ≤ hw,
+	// which holds on all of [lo, hi].
+	mid, hw float64
 }
 
 func newDisk(r float64) disk {
@@ -525,9 +548,9 @@ func newDisk(r float64) disk {
 	if !(r2 >= 0x1p-900 && r2 <= 0x1p900) {
 		// r² under- or overflowed, or r is NaN: the band no longer bounds
 		// the rounding, so every test goes to Hypot.
-		return disk{r: r, lo: math.Inf(-1), hi: math.Inf(1)}
+		return disk{r: r, lo: math.Inf(-1), hi: math.Inf(1), mid: r2, hw: math.Inf(1)}
 	}
-	return disk{r: r, lo: r2 * (1 - 1e-6), hi: r2 * (1 + 1e-6)}
+	return disk{r: r, lo: r2 * (1 - 1e-6), hi: r2 * (1 + 1e-6), mid: r2, hw: 2e-6 * r2}
 }
 
 // within reports whether math.Hypot(dx, dy) <= d.r. A squared separation
@@ -588,10 +611,9 @@ func solveNodeIntersectionMode(w *mlWorkspace, obs []anchorObs, radius float64) 
 
 // solveNode estimates one node's position from anchor observations: a
 // linearized least-squares seed followed by Gauss-Newton refinement of the
-// nonlinear range objective. The seed's matrices are borrowed from ws (nil
-// ws allocates).
-func solveNode(ws *scratch.Arena, obs []anchorObs, maxIters int) (geom.Point, error) {
-	seed, err := linearSeedIn(ws, obs)
+// nonlinear range objective.
+func solveNode(obs []anchorObs, maxIters int) (geom.Point, error) {
+	seed, err := linearSeed(obs)
 	if err != nil {
 		// Fall back to the weighted centroid of anchors.
 		var c geom.Point
@@ -608,30 +630,62 @@ func solveNode(ws *scratch.Arena, obs []anchorObs, maxIters int) (geom.Point, er
 	return gaussNewton(obs, seed, maxIters)
 }
 
-// linearSeedIn linearizes the circle equations by subtracting the first:
-// ‖p−pa‖² − d_a² = ‖p−p0‖² − d_0² reduces to a linear system in (x, y).
-// The design matrix, right-hand side, and least-squares intermediates are
-// borrowed from ws (nil ws allocates). The rows are written straight into
-// the matrix backing — the same values FromRows would have copied.
-func linearSeedIn(ws *scratch.Arena, obs []anchorObs) (geom.Point, error) {
+// linearSeed linearizes the circle equations by subtracting the first:
+// ‖p−pa‖² − d_a² = ‖p−p0‖² − d_0² reduces to A·p = b, one row
+// (2(x_a−x_0), 2(y_a−y_0)) of A per further anchor. It solves the
+// ridge-regularized normal equations (AᵀA + ρI)·p = Aᵀb in closed form. The
+// ridge ρ = 1e-12·(1 + trace/2) keeps the solve stable on nearly collinear
+// anchors.
+//
+// The seed is bit-identical to that of the dense chain it replaced
+// (transpose, multiply, ridge, Cholesky, substitution), because it performs
+// the same operations in the same order: every sum, the trace included,
+// starts from 0 and adds its terms in row order; a pivot that is ≤ 0 or NaN
+// fails the seed, as it failed the factorization; forward and back
+// substitution follow. One difference is provably invisible: the chain's
+// product skipped a term whose left factor was 0. For a finite other factor
+// that term is ±0, and adding ±0 to a sum that starts from +0 (and so is
+// never −0) changes nothing. For a non-finite one, some x or y of A is ±Inf
+// or NaN, so s00 or s11 is +Inf or NaN, and the seed fails either way: a
+// pivot is NaN, or l00 = +Inf and y0 or y1 = (±Inf or NaN)/+Inf = NaN. With
+// no skip, AᵀA is symmetric, so the lower triangle Cholesky read is s01.
+func linearSeed(obs []anchorObs) (geom.Point, error) {
 	if len(obs) < 3 {
 		return geom.Point{}, errors.New("core: linearSeed: need 3 observations")
 	}
 	ref := obs[0]
-	a := mat.NewDenseIn(ws, len(obs)-1, 2)
-	rhs := ws.Float64s(len(obs) - 1)
-	for k, o := range obs[1:] {
-		row := a.RowView(k)
-		row[0] = 2 * (o.pos.X - ref.pos.X)
-		row[1] = 2 * (o.pos.Y - ref.pos.Y)
-		rhs[k] = ref.d*ref.d - o.d*o.d +
+	var s00, s01, s11, b0, b1 float64
+	for _, o := range obs[1:] {
+		x := 2 * (o.pos.X - ref.pos.X)
+		y := 2 * (o.pos.Y - ref.pos.Y)
+		rhs := ref.d*ref.d - o.d*o.d +
 			o.pos.NormSq() - ref.pos.NormSq()
+		s00 += x * x
+		s01 += x * y
+		s11 += y * y
+		b0 += x * rhs
+		b1 += y * rhs
 	}
-	x, err := mat.LeastSquaresIn(ws, a, rhs)
-	if err != nil {
-		return geom.Point{}, err
+	trace := 0 + s00 + s11
+	ridge := 1e-12 * (1 + trace/2)
+
+	// AᵀA + ρI = L·Lᵀ with L = [l00 0; l10 l11].
+	a00 := s00 + ridge
+	if a00 <= 0 || math.IsNaN(a00) {
+		return geom.Point{}, errors.New("core: linearSeed: singular normal equations")
 	}
-	p := geom.Pt(x[0], x[1])
+	l00 := math.Sqrt(a00)
+	l10 := s01 / l00
+	p11 := s11 + ridge - l10*l10
+	if p11 <= 0 || math.IsNaN(p11) {
+		return geom.Point{}, errors.New("core: linearSeed: singular normal equations")
+	}
+	l11 := math.Sqrt(p11)
+	// L·y = Aᵀb, then Lᵀ·p = y.
+	y0 := b0 / l00
+	y1 := (b1 - l10*y0) / l11
+	py := y1 / l11
+	p := geom.Pt((y0-l10*py)/l00, py)
 	if !p.IsFinite() {
 		return geom.Point{}, errors.New("core: linearSeed: non-finite solution")
 	}

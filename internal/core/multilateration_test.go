@@ -182,11 +182,11 @@ func TestIntersectionConsistencyDropsOutlier(t *testing.T) {
 	}
 
 	// The filtered fix must beat the unfiltered one.
-	pFiltered, err := solveNode(nil, filtered, 100)
+	pFiltered, err := solveNode(filtered, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pAll, err := solveNode(nil, obs, 100)
+	pAll, err := solveNode(obs, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,14 +343,14 @@ func TestGaussNewtonCollinearAnchors(t *testing.T) {
 	}
 	// The linear seed degenerates too; solveNode may fail or return a
 	// finite point — it must not return NaN.
-	p, err := solveNode(nil, obs, 50)
+	p, err := solveNode(obs, 50)
 	if err == nil && !p.IsFinite() {
 		t.Errorf("non-finite solution %v without error", p)
 	}
 }
 
 func TestLinearSeedErrors(t *testing.T) {
-	if _, err := linearSeedIn(nil, []anchorObs{{pos: geom.Pt(0, 0), d: 1, weight: 1}}); err == nil {
+	if _, err := linearSeed([]anchorObs{{pos: geom.Pt(0, 0), d: 1, weight: 1}}); err == nil {
 		t.Error("want error for too few observations")
 	}
 }
@@ -400,7 +400,7 @@ func TestMultilatLocalMinimumVictims(t *testing.T) {
 	for i := range obs {
 		obs[i].d = truthPt.Dist(obs[i].pos) + rng.NormFloat64()*0.3
 	}
-	p, err := solveNode(nil, obs, 100)
+	p, err := solveNode(obs, 100)
 	if err != nil {
 		t.Skip("degenerate geometry rejected — acceptable")
 	}

@@ -17,6 +17,7 @@ import (
 	"resilientloc/internal/engine/coord"
 	"resilientloc/internal/engine/run"
 	"resilientloc/internal/engine/spec"
+	"resilientloc/internal/experiments"
 	"resilientloc/internal/locsrv"
 	"resilientloc/internal/obs"
 )
@@ -65,7 +66,7 @@ func normalized(t *testing.T, v *spec.Value) string {
 }
 
 // TestCoordinatedMatchesGoldenCorpus is the acceptance check: a multi-trial
-// figure job coordinated across real locd workers renders byte-identically
+// figure job coordinated across real locd workers encodes byte-identically
 // to the golden corpus at seeds 1 and 5, for fleets of one to three workers
 // (each carving the trial space differently); a library scenario
 // reproduces the local run the same way.
@@ -88,7 +89,7 @@ func TestCoordinatedMatchesGoldenCorpus(t *testing.T) {
 			if val.Figure == nil {
 				t.Fatalf("maxrange seed %d: no figure in %+v", seed, val)
 			}
-			if got := val.Figure.Render(); got != string(want) {
+			if got := figureJSON(t, val.Figure); got != string(want) {
 				t.Errorf("maxrange seed %d over %d workers diverged from golden output\n--- got ---\n%s--- want ---\n%s",
 					seed, n, got, want)
 			}
@@ -123,7 +124,7 @@ func TestCoordinatedMatchesGoldenCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if val.Figure == nil || val.Figure.Render() != string(wantFig) {
+	if val.Figure == nil || figureJSON(t, val.Figure) != string(wantFig) {
 		t.Error("single-trial figure over the coordinator diverged from golden output")
 	}
 	if st.Ranges != 1 {
@@ -468,4 +469,15 @@ func TestCoordinatorTraceAndScoreboard(t *testing.T) {
 	if st.Hedges != 0 || st.DedupLosses != 0 {
 		t.Errorf("healthy fleet recorded hedges=%d dedupLosses=%d, want 0/0", st.Hedges, st.DedupLosses)
 	}
+}
+
+// figureJSON is res as the figure golden corpus stores it: indented JSON
+// and a trailing newline.
+func figureJSON(t *testing.T, res *experiments.Result) string {
+	t.Helper()
+	b, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b) + "\n"
 }

@@ -60,7 +60,7 @@ func TestReuseExtendsAcrossTrialCounts(t *testing.T) {
 
 // TestReuseAdoptsFigureRange: a figure that pins per-trial retention reuses
 // a banked range like any scenario does — the worker's probe finds the
-// [0, 9) partial of maxrange, and the merged figure still renders the
+// [0, 9) partial of maxrange, and the merged figure still encodes to the
 // golden bytes.
 func TestReuseAdoptsFigureRange(t *testing.T) {
 	fig := spec.JobSpec{Kind: spec.KindFigure, ID: "maxrange", Seed: 1}
@@ -84,7 +84,7 @@ func TestReuseAdoptsFigureRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if val.Figure == nil || val.Figure.Render() != string(want) {
+	if val.Figure == nil || figureJSON(t, val.Figure) != string(want) {
 		t.Error("figure coordinated over a reused range diverged from golden output")
 	}
 	if st.ReusedTrials != 9 || st.ReusedRanges != 1 {

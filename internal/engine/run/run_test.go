@@ -3,6 +3,7 @@ package run_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -16,6 +17,7 @@ import (
 	"resilientloc/internal/engine/params"
 	"resilientloc/internal/engine/run"
 	"resilientloc/internal/engine/spec"
+	"resilientloc/internal/experiments"
 )
 
 // fastFigs is a small cross-section of the figure suite: two single-trial
@@ -297,7 +299,7 @@ func fastFigJobs(t testing.TB, seed int64) []spec.Resolved {
 }
 
 // TestSuiteParallelMatchesGoldenCorpus is the acceptance check for the
-// suite scheduler: overlapped execution must render every figure
+// suite scheduler: overlapped execution must encode every figure
 // byte-identically to the committed golden corpus (which was generated by
 // strictly serial execution) at seeds 1 and 5.
 func TestSuiteParallelMatchesGoldenCorpus(t *testing.T) {
@@ -312,7 +314,7 @@ func TestSuiteParallelMatchesGoldenCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := o.Result.Figure.Render(); got != string(want) {
+			if got := figureJSON(t, o.Result.Figure); got != string(want) {
 				t.Errorf("%s seed %d under -suite-parallel 4 diverged from golden output\n--- got ---\n%s--- want ---\n%s",
 					o.Spec.ID, seed, got, want)
 			}
@@ -693,4 +695,15 @@ func TestSuiteParallelSharesCacheSafely(t *testing.T) {
 		t.Errorf("duplicate campaign: %d cache hits, %d trials executed; want 1 hit and 4 trials",
 			hits, s.TrialsExecuted())
 	}
+}
+
+// figureJSON is res as the figure golden corpus stores it: indented JSON
+// and a trailing newline.
+func figureJSON(t *testing.T, res *experiments.Result) string {
+	t.Helper()
+	b, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b) + "\n"
 }

@@ -2,6 +2,7 @@ package spec_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"resilientloc/internal/engine"
 	"resilientloc/internal/engine/spec"
+	"resilientloc/internal/experiments"
 )
 
 func TestValidate(t *testing.T) {
@@ -196,7 +198,7 @@ func executeValue(t *testing.T, r spec.Resolved) *spec.Value {
 
 // TestRoundTripMatchesGoldenCorpus is the spec-path acceptance check: a
 // figure job that goes through the full wire cycle — encode, decode,
-// resolve, execute — renders byte-identically to the committed golden
+// resolve, execute — encodes byte-identically to the committed golden
 // corpus at seeds 1 and 5.
 func TestRoundTripMatchesGoldenCorpus(t *testing.T) {
 	goldenDir := filepath.Join("..", "..", "experiments", "testdata", "golden")
@@ -220,7 +222,7 @@ func TestRoundTripMatchesGoldenCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := v.Figure.Render(); got != string(want) {
+				if got := figureJSON(t, v.Figure); got != string(want) {
 					t.Errorf("%s seed %d through the spec round trip diverged from golden output\n--- got ---\n%s--- want ---\n%s",
 						id, seed, got, want)
 				}
@@ -257,4 +259,15 @@ func TestLoadFile(t *testing.T) {
 	if _, err := spec.LoadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file did not error")
 	}
+}
+
+// figureJSON is res as the figure golden corpus stores it: indented JSON
+// and a trailing newline.
+func figureJSON(t *testing.T, res *experiments.Result) string {
+	t.Helper()
+	b, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b) + "\n"
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -10,9 +11,11 @@ import (
 	"resilientloc/internal/engine"
 )
 
-// The golden corpus pins every figure reproduction byte-for-byte: the files
-// under testdata/golden were generated from the pre-engine serial generators
-// (go test ./internal/experiments -run TestGolden -update), so this test
+// The golden corpus pins every figure reproduction at full precision: each
+// file under testdata/golden is the figure's Result as indented JSON, the
+// element cmd/experiments -json prints for it (regenerate with go test
+// ./internal/experiments -run TestGolden -update). The figures' text was
+// first pinned against the pre-engine serial generators, so this test
 // proves two things at once — the campaign ports preserve each figure's
 // exact output, and that output is identical at every engine worker count
 // (the table sweeps seeds 1 and 5 at 1 and 8 workers). Each figure runs the
@@ -51,13 +54,17 @@ func TestGoldenFigures(t *testing.T) {
 					}
 					c := defaultCampaign(t, e, seed)
 					trials, _ := c.Geometry(0, 0)
-					got := mergedResult(t, runner, c, []int{0, trials}).Render()
+					got, err := json.MarshalIndent(mergedResult(t, runner, c, []int{0, trials}), "", "  ")
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, '\n')
 					path := goldenPath(e.ID, seed)
 					if *updateGolden {
 						if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 							t.Fatal(err)
 						}
-						if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+						if err := os.WriteFile(path, got, 0o644); err != nil {
 							t.Fatal(err)
 						}
 						return
@@ -66,12 +73,31 @@ func TestGoldenFigures(t *testing.T) {
 					if err != nil {
 						t.Fatalf("missing golden file (regenerate with -update): %v", err)
 					}
-					if got != string(want) {
+					if string(got) != string(want) {
 						t.Errorf("%s seed %d workers %d diverged from golden output\n--- got ---\n%s--- want ---\n%s",
 							e.ID, seed, workers, got, want)
 					}
 				})
 			}
 		}
+	}
+}
+
+// TestRenderText pins Render's text block: the header and claim lines,
+// metrics at %10.3f with and without a unit, series points at %.3g and
+// %.4g, and the note.
+func TestRenderText(t *testing.T) {
+	r := &Result{ID: "figX", Title: "A title", PaperClaim: "a claim", Notes: "a note"}
+	r.Add("average error", 0.09514051887854019, "m")
+	r.Add("final objective E", 74.83112, "")
+	r.Series = []Series{{Name: "curve", Points: []SeriesPoint{{X: 1.23456, Y: 9.876543}, {X: 1500, Y: 0.5}}}}
+	want := "== figX: A title ==\n" +
+		"  paper: a claim\n" +
+		"  average error                                   0.095 m\n" +
+		"  final objective E                              74.831\n" +
+		"  series curve: (1.23, 9.877) (1.5e+03, 0.5)\n" +
+		"  note: a note\n"
+	if got := r.Render(); got != want {
+		t.Errorf("Render:\n%s\nwant:\n%s", got, want)
 	}
 }

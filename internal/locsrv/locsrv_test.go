@@ -18,6 +18,7 @@ import (
 	"resilientloc/internal/engine/params"
 	"resilientloc/internal/engine/run"
 	"resilientloc/internal/engine/spec"
+	"resilientloc/internal/experiments"
 )
 
 func newTestServer(t *testing.T, opts run.Options) (*Server, *httptest.Server) {
@@ -80,7 +81,7 @@ func poll(t *testing.T, hs *httptest.Server, id string) jobSummary {
 }
 
 // TestFigureJobMatchesGoldenCorpus is the service acceptance check: a
-// figure job submitted over the wire returns a result that renders
+// figure job submitted over the wire returns a result that encodes
 // byte-identically to the golden corpus (which also pins cmd/experiments'
 // output for the same job) at seeds 1 and 5.
 func TestFigureJobMatchesGoldenCorpus(t *testing.T) {
@@ -100,7 +101,7 @@ func TestFigureJobMatchesGoldenCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := v.Result.Figure.Render(); got != string(want) {
+		if got := figureJSON(t, v.Result.Figure); got != string(want) {
 			t.Errorf("fig11 seed %d over the wire diverged from golden output\n--- got ---\n%s--- want ---\n%s",
 				seed, got, want)
 		}
@@ -908,4 +909,15 @@ func TestMetricsHealthzAndJobTrace(t *testing.T) {
 	if h.BudgetSaturation < 0 || h.BudgetSaturation > 1 {
 		t.Errorf("healthz budget_saturation %g outside [0,1]", h.BudgetSaturation)
 	}
+}
+
+// figureJSON is res as the figure golden corpus stores it: indented JSON
+// and a trailing newline.
+func figureJSON(t *testing.T, res *experiments.Result) string {
+	t.Helper()
+	b, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b) + "\n"
 }

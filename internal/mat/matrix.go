@@ -1,26 +1,16 @@
 // Package mat implements the small amount of dense linear algebra the
 // localization library needs without external dependencies: row-major dense
-// matrices, a cyclic Jacobi eigendecomposition for symmetric matrices (used
-// by the classical-MDS baseline), and linear least squares via normal
-// equations with Cholesky factorization (used by linearized multilateration
-// seeding). Matrix sizes here are tiny — at most a few hundred rows — so
-// clarity wins over blocking or SIMD tricks.
+// matrices and a cyclic Jacobi eigendecomposition for symmetric matrices
+// (used by the classical-MDS baseline). Matrix sizes here are tiny — at most
+// a few hundred rows — so clarity wins over blocking or SIMD tricks.
 package mat
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"resilientloc/internal/scratch"
 )
-
-// ErrShape is returned when operand dimensions are incompatible.
-var ErrShape = errors.New("mat: incompatible shapes")
-
-// ErrSingular is returned when a factorization encounters a (near-)singular
-// matrix.
-var ErrSingular = errors.New("mat: singular matrix")
 
 // Dense is a row-major dense matrix.
 type Dense struct {
@@ -117,57 +107,6 @@ func (m *Dense) cloneIn(ws *scratch.Arena) *Dense {
 	n := denseIn(ws, m.rows, m.cols)
 	copy(n.data, m.data)
 	return n
-}
-
-// tIn returns the transpose of m, borrowed from ws (nil allocates).
-func (m *Dense) tIn(ws *scratch.Arena) *Dense {
-	t := denseIn(ws, m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
-}
-
-// mulIn returns m · b, borrowed from ws (nil allocates).
-func (m *Dense) mulIn(ws *scratch.Arena, b *Dense) (*Dense, error) {
-	if m.cols != b.rows {
-		return nil, fmt.Errorf("%w: %dx%d · %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := denseIn(ws, m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			orow := out.data[i*out.cols : (i+1)*out.cols]
-			for j, bv := range brow {
-				orow[j] += a * bv
-			}
-		}
-	}
-	return out, nil
-}
-
-// mulVecIn returns m · x for a column vector x of length m.cols, borrowed
-// from ws (nil allocates).
-func (m *Dense) mulVecIn(ws *scratch.Arena, x []float64) ([]float64, error) {
-	if len(x) != m.cols {
-		return nil, fmt.Errorf("%w: %dx%d · vec(%d)", ErrShape, m.rows, m.cols, len(x))
-	}
-	out := ws.Float64s(m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
 }
 
 // IsSymmetric reports whether m is square and symmetric within tol.

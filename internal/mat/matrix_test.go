@@ -58,52 +58,6 @@ func TestIndexPanics(t *testing.T) {
 	m.At(2, 0)
 }
 
-func TestTranspose(t *testing.T) {
-	m, _ := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.tIn(nil)
-	r, c := tr.Dims()
-	if r != 3 || c != 2 {
-		t.Fatalf("T dims = %dx%d, want 3x2", r, c)
-	}
-	if tr.At(2, 1) != 6 {
-		t.Errorf("T(2,1) = %v, want 6", tr.At(2, 1))
-	}
-}
-
-func TestMul(t *testing.T) {
-	a, _ := fromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := fromRows([][]float64{{5, 6}, {7, 8}})
-	p, err := a.mulIn(nil, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if p.At(i, j) != want[i][j] {
-				t.Errorf("(%d,%d) = %v, want %v", i, j, p.At(i, j), want[i][j])
-			}
-		}
-	}
-	if _, err := a.mulIn(nil, NewDense(3, 3)); !errors.Is(err, ErrShape) {
-		t.Error("want ErrShape")
-	}
-}
-
-func TestMulVec(t *testing.T) {
-	a, _ := fromRows([][]float64{{1, 2}, {3, 4}})
-	y, err := a.mulVecIn(nil, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 3 || y[1] != 7 {
-		t.Errorf("MulVec = %v, want [3 7]", y)
-	}
-	if _, err := a.mulVecIn(nil, []float64{1}); !errors.Is(err, ErrShape) {
-		t.Error("want ErrShape")
-	}
-}
-
 func TestIsSymmetric(t *testing.T) {
 	sym, _ := fromRows([][]float64{{1, 2}, {2, 3}})
 	if !sym.IsSymmetric(0) {
@@ -171,13 +125,13 @@ func TestEigenSymReconstruction(t *testing.T) {
 			for i := 0; i < n; i++ {
 				v[i] = vecs.At(i, k)
 			}
-			av, err := a.mulVecIn(nil, v)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for i := 0; i < n; i++ {
-				if !almostEq(av[i], vals[k]*v[i], 1e-8*(1+math.Abs(vals[k]))) {
-					t.Fatalf("trial %d: eigenpair %d fails: Av=%v λv=%v", trial, k, av[i], vals[k]*v[i])
+				var av float64
+				for j := 0; j < n; j++ {
+					av += a.At(i, j) * v[j]
+				}
+				if !almostEq(av, vals[k]*v[i], 1e-8*(1+math.Abs(vals[k]))) {
+					t.Fatalf("trial %d: eigenpair %d fails: Av=%v λv=%v", trial, k, av, vals[k]*v[i])
 				}
 			}
 		}
@@ -213,94 +167,6 @@ func TestEigenSymErrors(t *testing.T) {
 	asym, _ := fromRows([][]float64{{1, 5}, {0, 1}})
 	if _, _, err := EigenSymIn(nil, asym); err == nil {
 		t.Error("want error for asymmetric")
-	}
-}
-
-func TestCholeskyAndSolve(t *testing.T) {
-	a, _ := fromRows([][]float64{{4, 2}, {2, 3}})
-	l, err := CholeskyIn(nil, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// L·Lᵀ must reconstruct a.
-	lt := l.tIn(nil)
-	rec, _ := l.mulIn(nil, lt)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if !almostEq(rec.At(i, j), a.At(i, j), 1e-10) {
-				t.Errorf("LLᵀ(%d,%d) = %v, want %v", i, j, rec.At(i, j), a.At(i, j))
-			}
-		}
-	}
-	x, err := SolveCholeskyIn(nil, a, []float64{8, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Verify a·x = b.
-	b, _ := a.mulVecIn(nil, x)
-	if !almostEq(b[0], 8, 1e-10) || !almostEq(b[1], 7, 1e-10) {
-		t.Errorf("solution check failed: %v", b)
-	}
-}
-
-func TestCholeskySingular(t *testing.T) {
-	a, _ := fromRows([][]float64{{1, 1}, {1, 1}})
-	if _, err := CholeskyIn(nil, a); !errors.Is(err, ErrSingular) {
-		t.Errorf("err = %v, want ErrSingular", err)
-	}
-	if _, err := CholeskyIn(nil, NewDense(2, 3)); !errors.Is(err, ErrShape) {
-		t.Error("want ErrShape for non-square")
-	}
-}
-
-func TestSolveCholeskyShapeError(t *testing.T) {
-	a, _ := fromRows([][]float64{{4, 2}, {2, 3}})
-	if _, err := SolveCholeskyIn(nil, a, []float64{1}); !errors.Is(err, ErrShape) {
-		t.Error("want ErrShape")
-	}
-}
-
-func TestLeastSquaresExact(t *testing.T) {
-	// Overdetermined but consistent: y = 2x + 1 sampled at 4 points.
-	a, _ := fromRows([][]float64{{0, 1}, {1, 1}, {2, 1}, {3, 1}})
-	b := []float64{1, 3, 5, 7}
-	x, err := LeastSquaresIn(nil, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(x[0], 2, 1e-8) || !almostEq(x[1], 1, 1e-8) {
-		t.Errorf("x = %v, want [2 1]", x)
-	}
-}
-
-func TestLeastSquaresNoisy(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	n := 200
-	rows := make([][]float64, n)
-	b := make([]float64, n)
-	for i := range rows {
-		x := rng.Float64() * 10
-		rows[i] = []float64{x, 1}
-		b[i] = 3*x - 2 + rng.NormFloat64()*0.01
-	}
-	a, _ := fromRows(rows)
-	sol, err := LeastSquaresIn(nil, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sol[0]-3) > 0.01 || math.Abs(sol[1]+2) > 0.05 {
-		t.Errorf("sol = %v, want ≈[3 -2]", sol)
-	}
-}
-
-func TestLeastSquaresErrors(t *testing.T) {
-	a, _ := fromRows([][]float64{{1, 2}})
-	if _, err := LeastSquaresIn(nil, a, []float64{1}); !errors.Is(err, ErrShape) {
-		t.Error("want ErrShape for underdetermined")
-	}
-	sq, _ := fromRows([][]float64{{1, 2}, {3, 4}})
-	if _, err := LeastSquaresIn(nil, sq, []float64{1, 2, 3}); !errors.Is(err, ErrShape) {
-		t.Error("want ErrShape for rhs mismatch")
 	}
 }
 
