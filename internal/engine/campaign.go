@@ -2,15 +2,17 @@ package engine
 
 // Campaign is the engine's unit of reusable work: "N trials → per-trial
 // measurement → shard-merged aggregate → finalized result". It couples a
-// Scenario with the execution knobs the workload needs (shard pinning,
-// per-trial retention) and a Finalize step that turns the shard-merged
+// Scenario with the execution knobs the workload needs (shard pinning, a
+// structural trial count) and a Finalize step that turns the shard-merged
 // Report into a result of type R.
 //
 // Both halves of the codebase run on campaigns: the scenario library wraps
 // each Scenario via ReportCampaign (R = *Report), and every figure
 // reproduction in internal/experiments builds a Campaign[*experiments.Result]
-// whose Finalize assembles the figure from the report's trial values. One
-// runner, one cache, one progress path serve both.
+// whose Finalize assembles the figure from the report's aggregates. A
+// figure that needs one trial's value records it under a per-trial name and
+// reads back that name's one-sample aggregate. One runner, one cache, one
+// progress path serve both.
 type Campaign[R any] struct {
 	// Scenario describes the trials. Its Name is the campaign's identity —
 	// cache keys and progress lines are derived from it.
@@ -27,12 +29,6 @@ type Campaign[R any] struct {
 	// hard-codes, so a runner-level Trials override is ignored rather than
 	// truncating the structure out from under Finalize.
 	FixedTrials bool
-
-	// KeepTrialValues requests per-trial values (Report.TrialScalars,
-	// TrialSeries) for Finalize, on top of the streaming aggregates. A
-	// retained campaign's partials ship every trial as a raw record, so it
-	// splits and merges like any other.
-	KeepTrialValues bool
 
 	// Finalize converts the Report into the campaign's result. Nil is only
 	// valid when R is *Report (see ReportCampaign).

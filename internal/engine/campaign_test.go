@@ -23,15 +23,15 @@ func TestRunCampaignFinalizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := Campaign[int]{
-		Scenario:        countScenario(6),
-		KeepTrialValues: true,
+		Scenario: perTrial(countScenario(6)),
 		Finalize: func(rep *Report) (int, error) {
 			sum := 0
-			for i, v := range rep.TrialScalars["trial"] {
-				if v != float64(i) {
-					return 0, fmt.Errorf("trial %d recorded %v", i, v)
+			for i := 0; i < rep.Trials; i++ {
+				m, _ := rep.Metric(trialName("trial", i))
+				if m.Count != 1 || m.Mean != float64(i) {
+					return 0, fmt.Errorf("trial %d recorded %+v", i, m)
 				}
-				sum += 10 * int(v)
+				sum += 10 * int(m.Mean)
 			}
 			return sum, nil
 		},

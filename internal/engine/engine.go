@@ -18,8 +18,8 @@
 //     into streaming aggregators (stats.Online + stats.QuantileSketch), and
 //     shards are merged in ascending shard order after all workers finish.
 //     Running with 1 worker or 64 therefore produces byte-identical
-//     aggregates — every metric, quantile, series, and per-trial value;
-//     only Report.Workers and Report.ElapsedSeconds reflect the actual run.
+//     aggregates — every metric, quantile and series; only Report.Workers
+//     and Report.ElapsedSeconds reflect the actual run.
 //
 // A trial reports only through T.Record and T.RecordSeries, so everything
 // it reports serializes: any campaign, figures included, can run as
@@ -152,8 +152,9 @@ type seriesSample struct {
 
 // Record reports one scalar sample of the named metric. A trial may record
 // the same metric any number of times (e.g. once per measurement); every
-// sample feeds the metric's aggregate, and the last one recorded is the
-// trial's value in Report.TrialScalars.
+// sample feeds the metric's aggregate. A caller that needs one trial's value
+// records it under a name only that trial uses, whose aggregate then holds
+// the one sample.
 func (t *T) Record(name string, v float64) {
 	t.scalars = append(t.scalars, sample{name: name, value: v})
 }

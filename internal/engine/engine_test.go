@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -44,22 +45,42 @@ func runReport(r *Runner, s Scenario) (*Report, error) {
 	return rep, err
 }
 
-// keptCampaign is s's report campaign with its trial values retained.
-func keptCampaign(s Scenario) Campaign[*Report] {
-	c := ReportCampaign(s)
-	c.KeepTrialValues = true
-	return c
+// trialName is the name perTrial records trial's samples of name under.
+func trialName(name string, trial int) string { return fmt.Sprintf("%s #%d", name, trial) }
+
+// perTrial wraps s so that each trial also records every sample under a
+// name only it uses (trialName): each trial's values then read back from
+// the report as one trial's metric and series aggregates.
+func perTrial(s Scenario) Scenario {
+	run := s.Run
+	s.Run = func(t *T) error {
+		if err := run(t); err != nil {
+			return err
+		}
+		for _, smp := range t.scalars {
+			t.Record(trialName(smp.name, t.Trial), smp.value)
+		}
+		for _, ss := range t.series {
+			t.RecordSeries(trialName(ss.name, t.Trial), ss.values)
+		}
+		return nil
+	}
+	return s
+}
+
+// seriesNamed returns the summary of the named series, if present.
+func seriesNamed(rep *Report, name string) (SeriesSummary, bool) {
+	for _, s := range rep.Series {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return SeriesSummary{}, false
 }
 
 func mustRun(t *testing.T, cfg Config, s Scenario) *Report {
 	t.Helper()
 	return mustRunCampaign(t, cfg, ReportCampaign(s))
-}
-
-// mustRunKept is mustRun with the scenario's trial values retained.
-func mustRunKept(t *testing.T, cfg Config, s Scenario) *Report {
-	t.Helper()
-	return mustRunCampaign(t, cfg, keptCampaign(s))
 }
 
 func mustRunCampaign(t *testing.T, cfg Config, c Campaign[*Report]) *Report {
@@ -84,8 +105,8 @@ func comparable(rep *Report) *Report {
 	return &c
 }
 
-// sameReport is reflect.DeepEqual with NaN == NaN, so the NaN holes in
-// TrialScalars don't mask genuine differences.
+// sameReport is reflect.DeepEqual with NaN == NaN, so NaN aggregates don't
+// mask genuine differences.
 func sameReport(a, b *Report) bool {
 	return sameValue(reflect.ValueOf(comparable(a)), reflect.ValueOf(comparable(b)))
 }
@@ -120,17 +141,6 @@ func sameValue(a, b reflect.Value) bool {
 			}
 		}
 		return true
-	case reflect.Map:
-		if a.Len() != b.Len() || a.IsNil() != b.IsNil() {
-			return false
-		}
-		for _, k := range a.MapKeys() {
-			bv := b.MapIndex(k)
-			if !bv.IsValid() || !sameValue(a.MapIndex(k), bv) {
-				return false
-			}
-		}
-		return true
 	default:
 		return reflect.DeepEqual(a.Interface(), b.Interface())
 	}
@@ -139,10 +149,10 @@ func sameValue(a, b reflect.Value) bool {
 // TestDeterminismAcrossWorkerCounts is the engine's core guarantee: the
 // same seed must yield byte-identical aggregates at any worker count.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	s := noisyScenario()
-	base := mustRunKept(t, Config{Workers: 1, Seed: 42}, s)
+	s := perTrial(noisyScenario())
+	base := mustRun(t, Config{Workers: 1, Seed: 42}, s)
 	for _, workers := range []int{2, 3, 8, 64} {
-		got := mustRunKept(t, Config{Workers: workers, Seed: 42}, s)
+		got := mustRun(t, Config{Workers: workers, Seed: 42}, s)
 		if !sameReport(base, got) {
 			t.Errorf("workers=%d: report differs from serial run", workers)
 		}
@@ -155,7 +165,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestAggregatorsMatchBatch checks the streaming aggregates against batch
-// statistics computed from the retained per-trial values.
+// statistics computed from the per-trial values.
 func TestAggregatorsMatchBatch(t *testing.T) {
 	s := Scenario{
 		Name:   "test-batch",
@@ -165,10 +175,14 @@ func TestAggregatorsMatchBatch(t *testing.T) {
 			return nil
 		},
 	}
-	rep := mustRunKept(t, Config{Workers: 4, Seed: 7}, s)
-	xs := rep.TrialScalars["x"]
-	if len(xs) != 400 {
-		t.Fatalf("kept %d trial values, want 400", len(xs))
+	rep := mustRun(t, Config{Workers: 4, Seed: 7}, perTrial(s))
+	var xs []float64
+	for trial := 0; trial < 400; trial++ {
+		m, ok := rep.Metric(trialName("x", trial))
+		if !ok || m.Count != 1 {
+			t.Fatalf("trial %d: per-trial metric %+v, want one sample", trial, m)
+		}
+		xs = append(xs, m.Mean)
 	}
 	m, ok := rep.Metric("x")
 	if !ok {
@@ -196,14 +210,19 @@ func TestAggregatorsMatchBatch(t *testing.T) {
 // trial-ordered accumulation.
 func TestSeriesPointwiseMean(t *testing.T) {
 	s := noisyScenario()
-	rep := mustRunKept(t, Config{Workers: 5, Seed: 9}, s)
-	if len(rep.Series) != 1 || rep.Series[0].Name != "E" {
-		t.Fatalf("series = %+v, want one series E", rep.Series)
+	rep := mustRun(t, Config{Workers: 5, Seed: 9}, perTrial(s))
+	e, ok := seriesNamed(rep, "E")
+	if !ok || len(rep.Series) != 1+s.Trials {
+		t.Fatalf("series = %+v, want E and one per trial", rep.Series)
 	}
-	got := rep.Series[0].Mean
-	rows := rep.TrialSeries["E"]
-	if len(rows) != s.Trials {
-		t.Fatalf("kept %d trial series, want %d", len(rows), s.Trials)
+	got := e.Mean
+	var rows [][]float64
+	for trial := 0; trial < s.Trials; trial++ {
+		row, ok := seriesNamed(rep, trialName("E", trial))
+		if !ok || row.Trials != 1 {
+			t.Fatalf("trial %d: per-trial series %+v, want one trial's", trial, row)
+		}
+		rows = append(rows, row.Mean)
 	}
 	for i := range got {
 		var sum float64
@@ -215,8 +234,8 @@ func TestSeriesPointwiseMean(t *testing.T) {
 			t.Fatalf("pointwise mean[%d] = %.12f, want %.12f", i, got[i], want)
 		}
 	}
-	if rep.Series[0].Trials != int64(s.Trials) {
-		t.Errorf("series trials %d, want %d", rep.Series[0].Trials, s.Trials)
+	if e.Trials != int64(s.Trials) {
+		t.Errorf("series trials %d, want %d", e.Trials, s.Trials)
 	}
 }
 
@@ -237,16 +256,21 @@ func TestSparseMetricsAndNaN(t *testing.T) {
 			return nil
 		},
 	}
-	rep := mustRunKept(t, Config{Workers: 3, Seed: 1}, s)
+	rep := mustRun(t, Config{Workers: 3, Seed: 1}, perTrial(s))
 	if m, _ := rep.Metric("even_only"); m.Count != 15 {
 		t.Errorf("even_only count %d, want 15", m.Count)
 	}
 	if m, _ := rep.Metric("poison"); m.Count != 30 || math.IsNaN(m.Mean) || m.Mean != 2 {
 		t.Errorf("poison summary %+v — NaN must be skipped", m)
 	}
-	vs := rep.TrialScalars["even_only"]
-	if !math.IsNaN(vs[1]) || vs[2] != 1 {
-		t.Errorf("trial values %v — odd trials must be NaN", vs[:4])
+	if m, ok := rep.Metric(trialName("even_only", 1)); ok {
+		t.Errorf("odd trial 1 has an even_only value %+v", m)
+	}
+	if m, _ := rep.Metric(trialName("even_only", 2)); m.Count != 1 || m.Mean != 1 {
+		t.Errorf("trial 2's even_only value %+v, want one sample of 1", m)
+	}
+	if m, _ := rep.Metric(trialName("poison", 5)); m.Count != 1 || m.Mean != 2 {
+		t.Errorf("trial 5's poison value %+v — its NaN must be skipped", m)
 	}
 }
 
@@ -304,11 +328,12 @@ func TestSeedFnOverride(t *testing.T) {
 			return nil
 		},
 	}
-	rep := mustRunKept(t, Config{Workers: 2, Seed: 100}, s)
-	for trial, got := range rep.TrialScalars["first_draw"] {
+	rep := mustRun(t, Config{Workers: 2, Seed: 100}, perTrial(s))
+	for trial := 0; trial < s.Trials; trial++ {
+		got, _ := rep.Metric(trialName("first_draw", trial))
 		want := rand.New(rand.NewSource(100 + int64(trial)*10)).Float64()
-		if got != want {
-			t.Errorf("trial %d first draw %v, want %v", trial, got, want)
+		if got.Count != 1 || got.Mean != want {
+			t.Errorf("trial %d first draw %+v, want one sample of %v", trial, got, want)
 		}
 	}
 }

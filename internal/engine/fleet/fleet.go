@@ -6,8 +6,7 @@
 // Membership is announce-based: every worker periodically POSTs an
 // Announce record — its advertised base URL, its shard-slot capacity
 // (engine.Budget.Cap), and its binary fingerprint (cache.Fingerprint,
-// which the coordinator needs to address the worker's range-keyed cache
-// entries during crash-resume) — to a registry served by any locd
+// informational for now; see Announce) — to a registry served by any locd
 // (internal/locsrv routes /v1/fleet/announce and /v1/fleet onto a
 // Registry). A worker that misses enough heartbeats is evicted; a worker
 // that shuts down cleanly announces Leaving and is removed at once. The
@@ -55,10 +54,11 @@ type Announce struct {
 	// schedulers and scoreboards.
 	Capacity int `json:"capacity,omitempty"`
 	// Fingerprint is the worker binary's cache fingerprint
-	// (cache.Fingerprint). The coordinator uses it to tell mixed-build
-	// fleets apart; the resume path addresses each worker's range-keyed
-	// cache entries through the worker itself, so the fingerprint is
-	// informational.
+	// (cache.Fingerprint). Nothing reads it yet: the coordinator does not
+	// tell mixed-build fleets apart, and the resume path addresses each
+	// worker's range-keyed cache entries through the worker itself. It is
+	// informational until the coordinator refuses results from a build
+	// other than its own (ROADMAP item 1).
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Leaving marks a clean shutdown: the registry removes the member
 	// immediately instead of waiting out the eviction window.

@@ -21,9 +21,8 @@ import (
 // Welford's Merge is not bit-equal to the sequential Adds inside one shard —
 // so boundary fragments ship the raw per-trial samples instead, and the
 // merging side replays them in trial order to rebuild the cut shard
-// exactly. A campaign that keeps its trial values ships every piece raw:
-// the replay that rebuilds the shard's aggregate also rebuilds each trial's
-// values, so they travel once.
+// exactly. That is the one piece rule: a piece is raw exactly where a range
+// cuts its shard, and every other piece ships its aggregate.
 
 // Partial is the serialized aggregate of one partial run: the trials
 // [Lo, Hi) of a (Scenario, Seed, Trials, ShardSize) execution, broken into
@@ -36,19 +35,15 @@ type Partial struct {
 	ShardSize int    `json:"shard_size"`
 	Lo        int    `json:"lo"`
 	Hi        int    `json:"hi"`
-	// Retained reports that the campaign keeps per-trial values (trial
-	// scalars/series) for its Finalize step. Every piece of a retained
-	// partial ships raw trial records, never a complete aggregate, and all
-	// partials of one job must agree on it.
-	Retained bool         `json:"retained,omitempty"`
-	Pieces   []ShardPiece `json:"pieces"`
+	// Pieces are the range's shard intersections in shard order: complete
+	// where the range spans the shard, raw where it cuts it.
+	Pieces []ShardPiece `json:"pieces"`
 }
 
 // ShardPiece is the intersection of a partial run's range with one
 // aggregation shard. A Complete piece covers its whole shard and carries
-// serialized aggregate state; a raw piece — cut by the range, or of a
-// retained partial — carries the per-trial records so the merge can replay
-// the shard's Adds exactly.
+// serialized aggregate state; a raw piece, cut by the range, carries the
+// per-trial records so the merge can replay the shard's Adds exactly.
 type ShardPiece struct {
 	Shard int `json:"shard"`
 	Lo    int `json:"lo"`
@@ -147,7 +142,7 @@ func aggToPiece(si int, agg *shardAgg) ShardPiece {
 
 // pieceToAgg restores a complete piece's shard aggregate.
 func pieceToAgg(piece ShardPiece) (*shardAgg, error) {
-	agg := newShardAgg(piece.Lo, piece.Hi, false)
+	agg := newShardAgg(piece.Lo, piece.Hi)
 	for _, m := range piece.Metrics {
 		if m.Sketch == nil {
 			return nil, fmt.Errorf("engine: shard %d metric %q has no sketch state", piece.Shard, m.Name)
@@ -168,11 +163,11 @@ func pieceToAgg(piece ShardPiece) (*shardAgg, error) {
 	return agg, nil
 }
 
-// replayPieces rebuilds a shard's aggregate — and, when keep is set, its
-// trials' values — by replaying the raw trial records of its pieces in
-// trial order: the exact Add sequence runShard performs inside the shard.
-func replayPieces(scenario string, si, lo, hi int, pieces []ShardPiece, keep bool) (*shardAgg, error) {
-	agg := newShardAgg(lo, hi, keep)
+// replayPieces rebuilds a shard's aggregate by replaying the raw trial
+// records of its pieces in trial order: the exact Add sequence runShard
+// performs inside the shard.
+func replayPieces(scenario string, si, lo, hi int, pieces []ShardPiece) (*shardAgg, error) {
+	agg := newShardAgg(lo, hi)
 	next := lo
 	for _, piece := range pieces {
 		if piece.Complete {
@@ -198,7 +193,7 @@ func replayPieces(scenario string, si, lo, hi int, pieces []ShardPiece, keep boo
 			for _, ss := range rec.Series {
 				t.series = append(t.series, seriesSample{name: ss.Name, values: stats.FromF64(ss.Values)})
 			}
-			if err := agg.fold(t, keep); err != nil {
+			if err := agg.fold(t); err != nil {
 				return nil, fmt.Errorf("engine: merge: scenario %s: %w", scenario, err)
 			}
 		}
@@ -259,9 +254,8 @@ func AdaptPartial(p *Partial, newTrials int) error {
 // the same (scenario, seed, trials, shard size) is split into ranges:
 // complete shards restore their exact aggregate state, raw shards replay
 // their samples in trial order, and the shards then merge in ascending
-// order. A retained partial holding a complete piece is rejected, because
-// Finalize would read trial values that piece does not carry. Execution
-// metadata (Workers, ElapsedSeconds) is left zero for the caller to stamp.
+// order. Execution metadata (Workers, ElapsedSeconds) is left zero for the
+// caller to stamp.
 func MergePartials(parts []*Partial) (*Report, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("engine: merge: no partials")
@@ -277,7 +271,7 @@ func MergePartials(parts []*Partial) (*Report, error) {
 	next := 0
 	for _, p := range sorted {
 		if p.Scenario != head.Scenario || p.Seed != head.Seed ||
-			p.Trials != head.Trials || p.ShardSize != head.ShardSize || p.Retained != head.Retained {
+			p.Trials != head.Trials || p.ShardSize != head.ShardSize {
 			return nil, fmt.Errorf("engine: merge: partial [%d, %d) of %s disagrees with [%d, %d) of %s on job identity",
 				p.Lo, p.Hi, p.Scenario, head.Lo, head.Hi, head.Scenario)
 		}
@@ -301,10 +295,6 @@ func MergePartials(parts []*Partial) (*Report, error) {
 			if piece.Shard < 0 || piece.Shard >= numShards {
 				return nil, fmt.Errorf("engine: merge: %s: piece names shard %d of %d", head.Scenario, piece.Shard, numShards)
 			}
-			if head.Retained && piece.Complete {
-				return nil, fmt.Errorf("engine: merge: %s: retained partial [%d, %d) carries a complete piece for shard %d, without its trials' values",
-					head.Scenario, p.Lo, p.Hi, piece.Shard)
-			}
 			byShard[piece.Shard] = append(byShard[piece.Shard], piece)
 		}
 	}
@@ -327,22 +317,21 @@ func MergePartials(parts []*Partial) (*Report, error) {
 			}
 			aggs[si] = agg
 		default:
-			agg, err := replayPieces(head.Scenario, si, sLo, sHi, pieces, head.Retained)
+			agg, err := replayPieces(head.Scenario, si, sLo, sHi, pieces)
 			if err != nil {
 				return nil, err
 			}
 			aggs[si] = agg
 		}
 	}
-	return mergeShards(head.Scenario, head.Seed, aggs, head.Trials, head.Retained)
+	return mergeShards(head.Scenario, head.Seed, aggs, head.Trials)
 }
 
 // RunCampaignPartial executes only the trials [lo, hi) of the campaign's
 // scenario — in the campaign's geometry (Campaign.Geometry) under the
 // runner's trial and shard overrides — and returns the serializable partial
-// aggregate. A retained campaign's pieces ship raw trial records. Finalize
-// does not run: it needs the merged Report, which only the merging side
-// holds.
+// aggregate. Finalize does not run: it needs the merged Report, which only
+// the merging side holds.
 func RunCampaignPartial[R any](r *Runner, c Campaign[R], lo, hi int) (*Partial, error) {
 	return RunCampaignPartialContext(context.Background(), r, c, lo, hi)
 }
@@ -365,14 +354,13 @@ func RunCampaignPartialContext[R any](ctx context.Context, r *Runner, c Campaign
 		return nil, fmt.Errorf("engine: scenario %s: invalid trial range [%d, %d) of %d trials",
 			s.Name, lo, hi, trials)
 	}
-	aggs, err := r.execute(ctx, s, trials, shardSize, lo, hi, c.KeepTrialValues)
+	aggs, err := r.execute(ctx, s, trials, shardSize, lo, hi)
 	if err != nil {
 		return nil, err
 	}
 	p := &Partial{
 		Scenario: s.Name, Seed: r.cfg.Seed, Trials: trials, ShardSize: shardSize,
-		Lo: lo, Hi: hi, Retained: c.KeepTrialValues,
-		Pieces: make([]ShardPiece, len(aggs)),
+		Lo: lo, Hi: hi, Pieces: make([]ShardPiece, len(aggs)),
 	}
 	for i, agg := range aggs {
 		p.Pieces[i] = aggToPiece(agg.lo/shardSize, agg)

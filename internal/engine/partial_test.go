@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -60,13 +61,10 @@ func runPartial(r *Runner, s Scenario, lo, hi int) (*Partial, error) {
 // partitions of the trial space — shard-aligned or not, down to single-trial
 // ranges — running each range partially, shipping the partials over the
 // wire encoding, and merging them reproduces the whole run exactly, with and
-// without per-trial retention, at several shard sizes and seeds. A retained
-// run replays every shard from raw records, so its aggregates must also
-// equal the unretained run's, which folds whole shards in memory.
+// without per-trial names (perTrial), at several shard sizes and seeds.
 func TestPartialMergeMatchesFullRun(t *testing.T) {
-	s := noisyScenario()
 	rng := rand.New(rand.NewSource(42))
-	for _, keep := range []bool{false, true} {
+	for _, s := range []Scenario{noisyScenario(), perTrial(noisyScenario())} {
 		for _, tc := range []struct {
 			trials, shardSize int
 		}{
@@ -76,21 +74,8 @@ func TestPartialMergeMatchesFullRun(t *testing.T) {
 			{20, 100}, // a single shard cut into fragments
 		} {
 			cfg := Config{Seed: 5, Trials: tc.trials, ShardSize: tc.shardSize}
-			c := ReportCampaign(s)
-			if keep {
-				c = keptCampaign(s)
-			}
-			full := mustRunCampaign(t, cfg, c)
+			full := mustRun(t, cfg, s)
 			fullJSON, _ := json.Marshal(comparable(full))
-			if keep {
-				inMemory := mustRun(t, cfg, s)
-				replayed := *full
-				replayed.TrialScalars, replayed.TrialSeries = nil, nil
-				if !sameReport(&replayed, inMemory) {
-					t.Fatalf("trials=%d shard=%d: retained run's aggregates diverged from the in-memory run",
-						tc.trials, tc.shardSize)
-				}
-			}
 			runner, err := NewRunner(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -99,9 +84,9 @@ func TestPartialMergeMatchesFullRun(t *testing.T) {
 				ranges := randomPartition(rng, tc.trials)
 				parts := make([]*Partial, 0, len(ranges))
 				for _, rg := range ranges {
-					p, err := RunCampaignPartial(runner, c, rg[0], rg[1])
+					p, err := runPartial(runner, s, rg[0], rg[1])
 					if err != nil {
-						t.Fatalf("trials=%d shard=%d keep=%v range %v: %v", tc.trials, tc.shardSize, keep, rg, err)
+						t.Fatalf("%s trials=%d shard=%d range %v: %v", s.Name, tc.trials, tc.shardSize, rg, err)
 					}
 					parts = append(parts, jsonRoundTrip(t, p))
 				}
@@ -109,16 +94,16 @@ func TestPartialMergeMatchesFullRun(t *testing.T) {
 				rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
 				merged, err := MergePartials(parts)
 				if err != nil {
-					t.Fatalf("trials=%d shard=%d keep=%v ranges %v: merge: %v", tc.trials, tc.shardSize, keep, ranges, err)
+					t.Fatalf("%s trials=%d shard=%d ranges %v: merge: %v", s.Name, tc.trials, tc.shardSize, ranges, err)
 				}
 				if !sameReport(merged, full) {
-					t.Fatalf("trials=%d shard=%d keep=%v ranges %v: merged report diverged from full run",
-						tc.trials, tc.shardSize, keep, ranges)
+					t.Fatalf("%s trials=%d shard=%d ranges %v: merged report diverged from full run",
+						s.Name, tc.trials, tc.shardSize, ranges)
 				}
 				mergedJSON, _ := json.Marshal(comparable(merged))
 				if string(mergedJSON) != string(fullJSON) {
-					t.Fatalf("trials=%d shard=%d keep=%v ranges %v: merged JSON diverged\n got %s\nwant %s",
-						tc.trials, tc.shardSize, keep, ranges, mergedJSON, fullJSON)
+					t.Fatalf("%s trials=%d shard=%d ranges %v: merged JSON diverged\n got %s\nwant %s",
+						s.Name, tc.trials, tc.shardSize, ranges, mergedJSON, fullJSON)
 				}
 			}
 		}
@@ -207,64 +192,67 @@ func TestMergePartialsValidation(t *testing.T) {
 	}
 }
 
-// TestRetainedPartialsShipRawRecords: every piece of a retained partial —
-// whole shards included — carries raw trial records and no aggregate, also
-// after the wire encoding, and MergePartials rejects a retained partial that
-// carries a complete piece: Finalize reads each trial's values, which a
-// complete piece does not hold.
-func TestRetainedPartialsShipRawRecords(t *testing.T) {
-	runner, _ := NewRunner(Config{Seed: 1, Trials: 8, ShardSize: 4})
-	p, err := RunCampaignPartial(runner, keptCampaign(noisyScenario()), 0, 8)
-	if err != nil {
-		t.Fatal(err)
+// TestPiecesRawExactlyWhereRangesCut pins the one piece rule: after the wire
+// encoding, a piece ships raw trial records exactly where its range cuts
+// its shard, and its aggregate state everywhere else. A [0, 5)+[5, 16)
+// split of 16 trials in default shards of 8 cuts only shard 0, and the
+// split merges to the unsplit run's bytes.
+func TestPiecesRawExactlyWhereRangesCut(t *testing.T) {
+	s := perTrial(noisyScenario())
+	runner, _ := NewRunner(Config{Seed: 1, Trials: 16})
+	var parts []*Partial
+	for _, rg := range [][2]int{{0, 5}, {5, 16}} {
+		p, err := runPartial(runner, s, rg[0], rg[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, jsonRoundTrip(t, p))
 	}
-	p = jsonRoundTrip(t, p)
-	if !p.Retained || len(p.Pieces) != 2 {
-		t.Fatalf("retained %v with %d pieces, want a retained partial of 2 shards", p.Retained, len(p.Pieces))
-	}
-	for _, piece := range p.Pieces {
-		if piece.Complete || piece.Metrics != nil || piece.Series != nil || len(piece.Raw) != piece.Hi-piece.Lo {
-			t.Fatalf("shard %d: complete %v, %d metrics, %d series, %d raw trials of [%d, %d); want raw records only",
-				piece.Shard, piece.Complete, len(piece.Metrics), len(piece.Series), len(piece.Raw), piece.Lo, piece.Hi)
+	var got []string
+	for _, p := range parts {
+		for _, piece := range p.Pieces {
+			switch {
+			case piece.Complete && piece.Raw == nil && piece.Metrics != nil && piece.Series != nil:
+				got = append(got, fmt.Sprintf("complete %d [%d, %d)", piece.Shard, piece.Lo, piece.Hi))
+			case !piece.Complete && piece.Metrics == nil && piece.Series == nil && len(piece.Raw) == piece.Hi-piece.Lo:
+				got = append(got, fmt.Sprintf("raw %d [%d, %d)", piece.Shard, piece.Lo, piece.Hi))
+			default:
+				t.Fatalf("shard %d [%d, %d): complete %v with %d metrics, %d series and %d raw trials",
+					piece.Shard, piece.Lo, piece.Hi, piece.Complete, len(piece.Metrics), len(piece.Series), len(piece.Raw))
+			}
 		}
 	}
-	if _, err := MergePartials([]*Partial{p}); err != nil {
-		t.Fatalf("raw retained partial: %v", err)
+	if want := "[raw 0 [0, 5) raw 0 [5, 8) complete 1 [8, 16)]"; fmt.Sprint(got) != want {
+		t.Fatalf("pieces %v, want %s", got, want)
 	}
-
-	// Forge a retained partial whose second shard ships its aggregate.
-	whole, err := runPartial(runner, noisyScenario(), 0, 8)
+	merged, err := MergePartials(parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged := jsonRoundTrip(t, p)
-	forged.Pieces[1] = jsonRoundTrip(t, whole).Pieces[1]
-	if !forged.Pieces[1].Complete {
-		t.Fatal("unretained whole shard did not ship its aggregate")
-	}
-	if _, err := MergePartials([]*Partial{forged}); err == nil || !strings.Contains(err.Error(), "carries a complete piece for shard 1") {
-		t.Errorf("merge err %v, want a rejected complete piece", err)
+	mergedJSON, _ := json.Marshal(comparable(merged))
+	fullJSON, _ := json.Marshal(comparable(mustRun(t, Config{Seed: 1, Trials: 16}, s)))
+	if string(mergedJSON) != string(fullJSON) {
+		t.Fatalf("split run diverged from the unsplit run\n got %s\nwant %s", mergedJSON, fullJSON)
 	}
 }
 
-// TestRunCampaignPartialAppliesOverrides: the campaign's shard pinning and
-// retention apply to partial runs exactly as they do to full ones, so the
-// partials a distributed figure job produces merge against the figure's own
-// shard geometry.
+// TestRunCampaignPartialAppliesOverrides: the campaign's shard pinning
+// applies to partial runs exactly as it does to full ones, so the partials
+// a distributed figure job produces merge against the figure's own shard
+// geometry.
 func TestRunCampaignPartialAppliesOverrides(t *testing.T) {
 	c := Campaign[*Report]{
-		Scenario:        noisyScenario(),
-		ShardSize:       1,
-		KeepTrialValues: true,
-		Finalize:        func(rep *Report) (*Report, error) { return rep, nil },
+		Scenario:  perTrial(noisyScenario()),
+		ShardSize: 1,
+		Finalize:  func(rep *Report) (*Report, error) { return rep, nil },
 	}
 	runner, _ := NewRunner(Config{Seed: 3, Trials: 6, ShardSize: 99})
 	p, err := RunCampaignPartial(runner, c, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.ShardSize != 1 || !p.Retained {
-		t.Fatalf("partial geometry %+v, want campaign overrides (shard 1, retained)", p)
+	if p.ShardSize != 1 {
+		t.Fatalf("partial geometry %+v, want the campaign's shard size 1", p)
 	}
 
 	// Full distributed cycle through the campaign: partials -> merge ->

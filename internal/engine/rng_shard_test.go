@@ -53,15 +53,15 @@ func TestShardRNGMatchesFreshPerTrialGenerator(t *testing.T) {
 		s := drawScenario(base)
 		for _, shard := range []int{1, 8} {
 			name := fmt.Sprintf("%s/shard=%d", base.Name, shard)
-			rep := mustRunKept(t, Config{Workers: 2, Seed: 7, ShardSize: shard}, s)
-			got := rep.TrialSeries["draws"]
-			if len(got) != base.Trials {
-				t.Fatalf("%s: %d trials recorded draws, want %d", name, len(got), base.Trials)
-			}
-			for trial, draws := range got {
+			rep := mustRun(t, Config{Workers: 2, Seed: 7, ShardSize: shard}, perTrial(s))
+			for trial := 0; trial < base.Trials; trial++ {
+				draws, ok := seriesNamed(rep, trialName("draws", trial))
+				if !ok || draws.Trials != 1 {
+					t.Fatalf("%s: trial %d recorded draws %+v, want one trial's", name, trial, draws)
+				}
 				want := rngDraws(rand.New(rand.NewSource(s.seedFor(7, trial))))
-				if fmt.Sprint(draws) != fmt.Sprint(want) {
-					t.Errorf("%s: trial %d drew %v, fresh generator %v", name, trial, draws, want)
+				if fmt.Sprint(draws.Mean) != fmt.Sprint(want) {
+					t.Errorf("%s: trial %d drew %v, fresh generator %v", name, trial, draws.Mean, want)
 				}
 			}
 		}

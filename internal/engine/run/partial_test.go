@@ -117,8 +117,7 @@ func TestPartialResultsAreCached(t *testing.T) {
 		t.Error("full and partial jobs share a cache key")
 	}
 
-	// Figure partials cache too, even though their campaigns retain
-	// per-trial values (an engine.Partial serializes them).
+	// Figure partials cache too.
 	fig := rangeSpec(figSpec("maxrange", 1), 0, 9)
 	if _, i1, err := run.ExecuteSpec(s, fig); err != nil || i1.Cached {
 		t.Fatalf("figure partial first run: %v cached=%v", err, i1.Cached)

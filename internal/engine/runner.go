@@ -106,13 +106,6 @@ type Report struct {
 	ElapsedSeconds float64         `json:"elapsed_seconds"`
 	Metrics        []MetricSummary `json:"metrics"`
 	Series         []SeriesSummary `json:"series,omitempty"`
-
-	// TrialScalars maps a metric name to its last recorded value per trial
-	// (NaN where a trial recorded none); TrialSeries likewise holds each
-	// trial's recorded series (nil where absent). Both are populated only
-	// for a campaign with KeepTrialValues and are excluded from JSON.
-	TrialScalars map[string][]float64   `json:"-"`
-	TrialSeries  map[string][][]float64 `json:"-"`
 }
 
 // ClearExecutionMeta zeroes the fields describing one physical execution
@@ -197,39 +190,29 @@ type shardAgg struct {
 	seriesOrder []string
 	series      map[string]*seriesAgg
 
-	trialScalars map[string][]float64   // per-trial last value, len hi-lo
-	trialSeries  map[string][][]float64 // per-trial series, len hi-lo
-
 	// raw holds the piece's per-trial samples in place of the aggregate; it
-	// is non-nil exactly when a range boundary cuts through the shard or the
-	// campaign retains its trial values.
+	// is non-nil exactly when a range boundary cuts through the shard.
 	raw []TrialRecord
 
 	err      error // first trial error in this shard
 	errTrial int
 }
 
-func newShardAgg(lo, hi int, keep bool) *shardAgg {
-	agg := &shardAgg{
+func newShardAgg(lo, hi int) *shardAgg {
+	return &shardAgg{
 		lo: lo, hi: hi,
 		scalars: make(map[string]*scalarAgg),
 		series:  make(map[string]*seriesAgg),
 	}
-	if keep {
-		agg.trialScalars = make(map[string][]float64)
-		agg.trialSeries = make(map[string][][]float64)
-	}
-	return agg
 }
 
 // runShard executes trials [lo, hi) of one shard serially. With raw false
 // the trials fold into an in-memory aggregate; with raw true (a range
-// boundary runs through the shard, or the campaign retains its trial
-// values) each trial's samples are recorded instead, for the merging side to
-// replay (see replayPieces).
+// boundary runs through the shard) each trial's samples are recorded
+// instead, for the merging side to replay (see replayPieces).
 func runShard(s Scenario, seed int64, lo, hi int, raw bool) *shardAgg {
-	agg := newShardAgg(lo, hi, false)
-	add := func(t *T) error { return agg.fold(t, false) }
+	agg := newShardAgg(lo, hi)
+	add := agg.fold
 	if raw {
 		agg.raw = make([]TrialRecord, 0, hi-lo)
 		add = func(t *T) error {
@@ -285,7 +268,7 @@ func releaseArena(ws *scratch.Arena) {
 	arenaPool.Put(ws)
 }
 
-func (agg *shardAgg) fold(t *T, keep bool) error {
+func (agg *shardAgg) fold(t *T) error {
 	for _, smp := range t.scalars {
 		a, ok := agg.scalars[smp.name]
 		if !ok {
@@ -294,9 +277,6 @@ func (agg *shardAgg) fold(t *T, keep bool) error {
 			agg.scalarOrder = append(agg.scalarOrder, smp.name)
 		}
 		a.add(smp.value)
-		if keep {
-			trialSlot(agg.trialScalars, smp.name, agg.hi-agg.lo, math.NaN())[t.Trial-agg.lo] = smp.value
-		}
 	}
 	for _, ss := range t.series {
 		a, ok := agg.series[ss.name]
@@ -313,37 +293,18 @@ func (agg *shardAgg) fold(t *T, keep bool) error {
 			a.points[i].Add(v)
 		}
 		a.trials++
-		if keep {
-			trialSlot(agg.trialSeries, ss.name, agg.hi-agg.lo, nil)[t.Trial-agg.lo] = ss.values
-		}
 	}
 	return nil
-}
-
-// trialSlot returns m[name], first creating it as n per-trial entries set
-// to blank (NaN for scalars, nil for series) so absent trials are
-// distinguishable.
-func trialSlot[V any](m map[string][]V, name string, n int, blank V) []V {
-	vs, ok := m[name]
-	if !ok {
-		vs = make([]V, n)
-		for i := range vs {
-			vs[i] = blank
-		}
-		m[name] = vs
-	}
-	return vs
 }
 
 // execute is the engine's one shard loop: it runs the shard pieces of
 // trials [lo, hi) of a trials-trial run across the worker pool, one budget
 // slot per piece, and returns their aggregates in shard order. A piece that
-// a range boundary cuts through, or any piece of a campaign that keeps its
-// trial values (raw), records raw trials instead of an aggregate. A failing
-// trial stops only its own shard, so the result and any error are a pure
-// function of the inputs: if several trials fail, the error of the
+// a range boundary cuts through records raw trials instead of an aggregate.
+// A failing trial stops only its own shard, so the result and any error are
+// a pure function of the inputs: if several trials fail, the error of the
 // lowest-indexed one is returned.
-func (r *Runner) execute(ctx context.Context, s Scenario, trials, shardSize, lo, hi int, raw bool) ([]*shardAgg, error) {
+func (r *Runner) execute(ctx context.Context, s Scenario, trials, shardSize, lo, hi int) ([]*shardAgg, error) {
 	bounds := pieceBounds(lo, hi, shardSize, trials)
 	workers := r.cfg.Workers
 	if workers == 0 {
@@ -373,7 +334,7 @@ func (r *Runner) execute(ctx context.Context, s Scenario, trials, shardSize, lo,
 			shardSpan.SetAttr("shard", si).SetAttr("lo", pLo).SetAttr("hi", pHi)
 		}
 		shardStart := time.Now()
-		agg := runShard(s, r.cfg.Seed, pLo, pHi, raw || pLo != sLo || pHi != sHi)
+		agg := runShard(s, r.cfg.Seed, pLo, pHi, pLo != sLo || pHi != sHi)
 		aggs[pi] = agg
 		obsShardSec.Observe(time.Since(shardStart).Seconds())
 		obsShards.Inc()
@@ -456,17 +417,13 @@ func firstError(aggs []*shardAgg) error {
 }
 
 // mergeShards folds the per-shard aggregates, in ascending shard order,
-// into one Report, with each trial's values when keep is set.
-func mergeShards(scenario string, seed int64, aggs []*shardAgg, trials int, keep bool) (*Report, error) {
+// into one Report.
+func mergeShards(scenario string, seed int64, aggs []*shardAgg, trials int) (*Report, error) {
 	rep := &Report{Scenario: scenario, Seed: seed, Trials: trials}
 	scalarOrder := []string{}
 	scalars := map[string]*scalarAgg{}
 	seriesOrder := []string{}
 	series := map[string]*seriesAgg{}
-	if keep {
-		rep.TrialScalars = make(map[string][]float64)
-		rep.TrialSeries = make(map[string][][]float64)
-	}
 
 	for _, a := range aggs {
 		for _, name := range a.scalarOrder {
@@ -498,14 +455,6 @@ func mergeShards(scenario string, seed int64, aggs []*shardAgg, trials int, keep
 				dst.points[i].Merge(&src.points[i])
 			}
 			dst.trials += src.trials
-		}
-		if keep {
-			for name, vs := range a.trialScalars {
-				copy(trialSlot(rep.TrialScalars, name, trials, math.NaN())[a.lo:a.hi], vs)
-			}
-			for name, rows := range a.trialSeries {
-				copy(trialSlot(rep.TrialSeries, name, trials, nil)[a.lo:a.hi], rows)
-			}
 		}
 	}
 

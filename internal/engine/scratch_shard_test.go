@@ -51,10 +51,10 @@ func scratchScenario() Scenario {
 // TestScratchScenarioWorkerIndependence: a scenario that leans on the arena
 // and ShardInit must produce byte-identical reports at every worker count.
 func TestScratchScenarioWorkerIndependence(t *testing.T) {
-	s := scratchScenario()
-	base := mustRunKept(t, Config{Workers: 1, Seed: 11}, s)
+	s := perTrial(scratchScenario())
+	base := mustRun(t, Config{Workers: 1, Seed: 11}, s)
 	for _, workers := range []int{2, 3, 8} {
-		rep := mustRunKept(t, Config{Workers: workers, Seed: 11}, s)
+		rep := mustRun(t, Config{Workers: workers, Seed: 11}, s)
 		if !sameReport(base, rep) {
 			t.Errorf("workers=%d: report differs from workers=1", workers)
 		}

@@ -91,10 +91,9 @@ func (r Resolved) Shards() int {
 // *Value via wrap.
 func wrapCampaign[R any](c engine.Campaign[R], wrap func(R) *Value) engine.Campaign[*Value] {
 	return engine.Campaign[*Value]{
-		Scenario:        c.Scenario,
-		ShardSize:       c.ShardSize,
-		FixedTrials:     c.FixedTrials,
-		KeepTrialValues: c.KeepTrialValues,
+		Scenario:    c.Scenario,
+		ShardSize:   c.ShardSize,
+		FixedTrials: c.FixedTrials,
 		Finalize: func(rep *engine.Report) (*Value, error) {
 			r, err := c.Finalize(rep)
 			if err != nil {

@@ -149,7 +149,8 @@ type regression struct{ before, after, note string }
 // The identity SeedFn makes the trial's RNG rand.New(rand.NewSource(seed)) —
 // exactly the generator the original serial figure function built — so the
 // port is output-preserving by construction. The trial reports through
-// t.Record and recordSeries, so its values serialize like a scenario's.
+// t.Record and recordSeries, and Finalize (figure.result) reads each value
+// back as its one-sample aggregate.
 func singleTrial(f figure, run engine.TrialFunc) engine.Campaign[*Result] {
 	return engine.Campaign[*Result]{
 		Scenario: engine.Scenario{
@@ -159,9 +160,8 @@ func singleTrial(f figure, run engine.TrialFunc) engine.Campaign[*Result] {
 			SeedFn:    func(seed int64, _ int) int64 { return seed },
 			Run:       run,
 		},
-		KeepTrialValues: true,
-		FixedTrials:     true,
-		Finalize:        f.result,
+		FixedTrials: true,
+		Finalize:    f.result,
 	}
 }
 
@@ -197,8 +197,13 @@ var metricUnits = map[string]string{
 
 // result rebuilds the figure from its campaign's report: metrics in
 // first-record order with their units from metricUnits, each series from
-// its recorded X and Y, then the regression note. A value is the mean over
-// the trials that recorded it, so a one-trial figure reports its trial's.
+// its recorded X and Y, then the regression note. A value is its
+// aggregate's mean over the trials that recorded it, so a one-trial figure
+// reports its trial's value bit for bit: stats.Online's first Add is exact,
+// save that it turns −0 into +0, which no figure records at the golden
+// seeds. A metric recorded only as NaN has no samples and reads NaN. A name
+// recorded more often than there are trials is an error, because the mean
+// would blend one trial's values where the trial meant to replace them.
 func (f figure) result(rep *engine.Report) (*Result, error) {
 	r := &Result{ID: f.id, Title: f.title, PaperClaim: f.claim}
 	for _, m := range rep.Metrics {
@@ -206,17 +211,28 @@ func (f figure) result(rep *engine.Report) (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("experiments: %s: metric %q has no known unit", f.id, m.Name)
 		}
-		r.Add(m.Name, trialMean(rep.TrialScalars[m.Name]), unit)
+		if m.Count > int64(rep.Trials) {
+			return nil, fmt.Errorf("experiments: %s: metric %q recorded %d times in %d trials", f.id, m.Name, m.Count, rep.Trials)
+		}
+		v := m.Mean
+		if m.Count == 0 {
+			v = math.NaN()
+		}
+		r.Add(m.Name, v, unit)
 	}
 	for i := 0; i < len(rep.Series); i += 2 {
-		name, ok := strings.CutSuffix(rep.Series[i].Name, seriesX)
-		if !ok || i+1 == len(rep.Series) || rep.Series[i+1].Name != name+seriesY {
-			return nil, fmt.Errorf("experiments: %s: series %q is not recorded as X and Y", f.id, rep.Series[i].Name)
+		xs := rep.Series[i]
+		name, ok := strings.CutSuffix(xs.Name, seriesX)
+		if !ok || i+1 == len(rep.Series) || rep.Series[i+1].Name != name+seriesY || len(rep.Series[i+1].Mean) != len(xs.Mean) {
+			return nil, fmt.Errorf("experiments: %s: series %q is not recorded as X and Y", f.id, xs.Name)
 		}
-		xs, ys := seriesMean(rep.TrialSeries[name+seriesX]), seriesMean(rep.TrialSeries[name+seriesY])
+		ys := rep.Series[i+1]
+		if xs.Trials > int64(rep.Trials) || ys.Trials > int64(rep.Trials) {
+			return nil, fmt.Errorf("experiments: %s: series %q recorded more than once per trial", f.id, name)
+		}
 		var pts []SeriesPoint
-		for j := range xs {
-			pts = append(pts, SeriesPoint{X: xs[j], Y: ys[j]})
+		for j := range xs.Mean {
+			pts = append(pts, SeriesPoint{X: xs.Mean[j], Y: ys.Mean[j]})
 		}
 		r.Series = append(r.Series, Series{Name: name, Points: pts})
 	}
@@ -227,42 +243,39 @@ func (f figure) result(rep *engine.Report) (*Result, error) {
 	return r, nil
 }
 
-// trialMean is the running mean of one value over the trials that
-// recorded it (NaN marks one that did not). It starts at the first value,
-// so a single trial's value passes through bit for bit.
-func trialMean(vs []float64) float64 {
-	mean, n := math.NaN(), 0.0
-	for _, v := range vs {
-		switch {
-		case math.IsNaN(v):
-		case n == 0:
-			mean, n = v, 1
-		default:
-			n++
-			mean += (v - mean) / n
+// trialName is the name under which a trial of an ensemble figure records
+// its own value of name, so that name's aggregate holds the one trial's
+// sample.
+func trialName(name string, trial int) string { return fmt.Sprintf("%s #%d", name, trial) }
+
+// trialValues reads the values trials [lo, hi) recorded under trialName.
+// Each name must hold exactly one sample, whose mean is then the trial's
+// value (see figure.result on −0).
+func trialValues(rep *engine.Report, name string, lo, hi int) ([]float64, error) {
+	vs := make([]float64, 0, hi-lo)
+	for k := lo; k < hi; k++ {
+		m, _ := rep.Metric(trialName(name, k))
+		if m.Count != 1 {
+			return nil, fmt.Errorf("experiments: %s: %q holds %d samples, want 1", rep.Scenario, trialName(name, k), m.Count)
 		}
+		vs = append(vs, m.Mean)
 	}
-	return mean
+	return vs, nil
 }
 
-// seriesMean is the pointwise running mean of the series the trials
-// recorded (nil where a trial recorded none), started the same way.
-func seriesMean(rows [][]float64) []float64 {
-	var mean []float64
-	n := 0.0
-	for _, row := range rows {
-		switch {
-		case row == nil:
-		case n == 0:
-			mean, n = slices.Clone(row), 1
-		default:
-			n++
-			for j, v := range row {
-				mean[j] += (v - mean[j]) / n
-			}
+// trialRows reads the series trials [lo, hi) recorded under trialName; each
+// must come from exactly one trial.
+func trialRows(rep *engine.Report, name string, lo, hi int) ([][]float64, error) {
+	rows := make([][]float64, 0, hi-lo)
+	for k := lo; k < hi; k++ {
+		want := trialName(name, k)
+		i := slices.IndexFunc(rep.Series, func(s engine.SeriesSummary) bool { return s.Name == want })
+		if i < 0 || rep.Series[i].Trials != 1 {
+			return nil, fmt.Errorf("experiments: %s: series %q is not one trial's", rep.Scenario, want)
 		}
+		rows = append(rows, rep.Series[i].Mean)
 	}
-	return mean
+	return rows, nil
 }
 
 // All returns every experiment in paper order.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -114,6 +115,96 @@ func TestFigureResultRejectsUnknownShapes(t *testing.T) {
 		_, _, err := engine.RunCampaign(runner, singleTrial(figure{id: "test"}, tc.run))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestFigureResultSemantics pins how a one-trial figure reads its values
+// from the aggregates: a trial's value passes through bit for bit, negative
+// or not; a metric recorded only as NaN reads NaN; a name recorded more
+// often than there are trials, or a series whose X and Y halves do not
+// pair up, is an error.
+func TestFigureResultSemantics(t *testing.T) {
+	one := func(name string, v float64) engine.MetricSummary {
+		return engine.MetricSummary{Name: name, Count: 1, Mean: v, Min: v, Max: v}
+	}
+	series := func(name string, trials int64, mean ...float64) engine.SeriesSummary {
+		return engine.SeriesSummary{Name: name, Trials: trials, Mean: mean}
+	}
+	for _, tc := range []struct {
+		name    string
+		metrics []engine.MetricSummary
+		series  []engine.SeriesSummary
+		want    string // error substring, or "" for a valid report
+	}{
+		{name: "values pass through",
+			metrics: []engine.MetricSummary{one("mean error", -0.1234567890123457), one("max error", 5e-324)},
+			series:  []engine.SeriesSummary{series("s"+seriesX, 1, -1.5, 2), series("s"+seriesY, 1, 3, -4.25)}},
+		{name: "NaN only", metrics: []engine.MetricSummary{{Name: "mean error"}}},
+		{name: "metric recorded twice", want: "recorded 2 times in 1 trials",
+			metrics: []engine.MetricSummary{{Name: "mean error", Count: 2, Mean: 1}}},
+		{name: "series recorded twice", want: "more than once per trial",
+			series: []engine.SeriesSummary{series("s"+seriesX, 2, 1), series("s"+seriesY, 2, 1)}},
+		{name: "Y without X", want: "not recorded as X and Y",
+			series: []engine.SeriesSummary{series("s"+seriesY, 1, 1), series("s"+seriesX, 1, 1)}},
+		{name: "mismatched halves", want: "not recorded as X and Y",
+			series: []engine.SeriesSummary{series("s"+seriesX, 1, 1), series("t"+seriesY, 1, 1)}},
+		{name: "unequal halves", want: "not recorded as X and Y",
+			series: []engine.SeriesSummary{series("s"+seriesX, 1, 1, 2), series("s"+seriesY, 1, 1)}},
+	} {
+		rep := &engine.Report{Scenario: "test", Trials: 1, Metrics: tc.metrics, Series: tc.series}
+		r, err := figure{id: "test"}.result(rep)
+		if tc.want != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: err %v, want %q", tc.name, err, tc.want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(r.Metrics) != len(tc.metrics) || 2*len(r.Series) != len(tc.series) {
+			t.Fatalf("%s: %d metrics and %d series, want %d and %d", tc.name, len(r.Metrics), len(r.Series), len(tc.metrics), len(tc.series)/2)
+		}
+		for i, m := range tc.metrics {
+			want := m.Mean
+			if m.Count == 0 {
+				want = math.NaN()
+			}
+			if got := r.Metrics[i].Value; math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Errorf("%s: %s reads %v, want %v", tc.name, m.Name, got, want)
+			}
+		}
+		for i := 0; i < len(tc.series); i += 2 {
+			for j, p := range r.Series[i/2].Points {
+				if math.Float64bits(p.X) != math.Float64bits(tc.series[i].Mean[j]) ||
+					math.Float64bits(p.Y) != math.Float64bits(tc.series[i+1].Mean[j]) {
+					t.Errorf("%s: point %d is %+v, want (%v, %v)", tc.name, j, p, tc.series[i].Mean[j], tc.series[i+1].Mean[j])
+				}
+			}
+		}
+	}
+
+	// The same holds through the engine: a one-sample aggregate's mean is
+	// the recorded value itself.
+	runner, err := engine.NewRunner(engine.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := []float64{-0.1234567890123457, 5e-324, -math.MaxFloat64, math.Inf(-1)}
+	r, _, err := engine.RunCampaign(runner, singleTrial(figure{id: "test"}, func(t *engine.T) error {
+		t.Record("mean error", values[0])
+		t.Record("max error", values[1])
+		recordSeries(t, "s", values[2:], values[:2])
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := []float64{r.Metrics[0].Value, r.Metrics[1].Value, r.Series[0].Points[0].X, r.Series[0].Points[1].X}
+	for i := range values {
+		if math.Float64bits(got[i]) != math.Float64bits(values[i]) {
+			t.Errorf("engine round trip read %v, want %v", got[i], values[i])
 		}
 	}
 }

@@ -501,31 +501,37 @@ func fig22Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
 					if err != nil {
 						return err
 					}
-					t.Record("avg_error_m", avg)
+					t.Record(trialName("avg_error_m", t.Trial), avg)
 				case t.Trial < 2*nDescents: // unconstrained descent
 					avg, _, err := townDescent(t, seed, 0, iters)
 					if err != nil {
 						return err
 					}
-					t.Record("avg_error_m", avg)
+					t.Record(trialName("avg_error_m", t.Trial), avg)
 				default: // full restart solver
 					aFull, _, err := townFullSolver(t.Scratch(), seed, 0)
 					if err != nil {
 						return err
 					}
-					t.Record("full_avg_error_m", aFull.AvgError)
+					t.Record(trialName("full_avg_error_m", t.Trial), aFull.AvgError)
 				}
 				return nil
 			},
 		},
-		// One descent per worker; the figure reads only TrialScalars, which
-		// are shard-size independent. Trial indices encode ensemble
+		// One descent per worker; the figure reads only per-trial values,
+		// which are shard-size independent. Trial indices encode ensemble
 		// membership, so the count is structural.
-		ShardSize:       1,
-		KeepTrialValues: true,
-		FixedTrials:     true,
+		ShardSize:   1,
+		FixedTrials: true,
 		Finalize: func(rep *engine.Report) (*Result, error) {
-			errs := rep.TrialScalars["avg_error_m"]
+			errs, err := trialValues(rep, "avg_error_m", 0, 2*nDescents)
+			if err != nil {
+				return nil, err
+			}
+			full, err := trialValues(rep, "full_avg_error_m", 2*nDescents, nTrials)
+			if err != nil {
+				return nil, err
+			}
 			meanWith, err := stats.Mean(errs[:nDescents])
 			if err != nil {
 				return nil, err
@@ -534,7 +540,7 @@ func fig22Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
 			if err != nil {
 				return nil, err
 			}
-			fullAvg := rep.TrialScalars["full_avg_error_m"][2*nDescents]
+			fullAvg := full[0]
 			r := &Result{
 				ID:         "fig22",
 				Title:      "Centralized LSS without constraint on the town scenario",
@@ -564,9 +570,10 @@ func fig22Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
 //
 // fig23Campaign runs both ensembles as one campaign over 16 concurrent
 // trials: descents 0–7 constrained, 8–15 unconstrained, each recording its
-// padded objective history.
+// padded objective history at the plotted epochs.
 func fig23Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
 	const nDescents, iters = 8, 2500
+	const epoch = 50 // gradient steps per plotted epoch
 	return engine.Campaign[*Result]{
 		Scenario: engine.Scenario{
 			Name:      "fig23",
@@ -578,23 +585,29 @@ func fig23Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
 				if t.Trial >= nDescents {
 					dmin = 0
 				}
-				avg, hist, err := townDescent(t, seed, dmin, iters)
+				_, hist, err := townDescent(t, seed, dmin, iters)
 				if err != nil {
 					return err
 				}
-				t.Record("avg_error_m", avg)
-				t.RecordSeries("E", hist)
+				plotted := make([]float64, 0, iters/epoch+1)
+				for i := 0; i < len(hist); i += epoch {
+					plotted = append(plotted, hist[i])
+				}
+				t.RecordSeries(trialName("E", t.Trial), plotted)
 				return nil
 			},
 		},
-		ShardSize:       1,
-		KeepTrialValues: true,
-		FixedTrials:     true,
+		ShardSize:   1,
+		FixedTrials: true,
 		Finalize: func(rep *engine.Report) (*Result, error) {
-			// Pointwise ensemble mean, accumulated in trial order exactly as
-			// the serial generator did.
+			rows, err := trialRows(rep, "E", 0, 2*nDescents)
+			if err != nil {
+				return nil, err
+			}
+			// Pointwise ensemble mean per plotted epoch, accumulated in
+			// trial order exactly as the serial generator did.
 			meanHist := func(rows [][]float64) []float64 {
-				mean := make([]float64, iters+1)
+				mean := make([]float64, len(rows[0]))
 				for _, hist := range rows {
 					for i, v := range hist {
 						mean[i] += v / float64(nDescents)
@@ -602,14 +615,12 @@ func fig23Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
 				}
 				return mean
 			}
-			rows := rep.TrialSeries["E"]
 			withHist := meanHist(rows[:nDescents])
 			withoutHist := meanHist(rows[nDescents:])
-			const epoch = 50 // gradient steps per plotted epoch
 			sample := func(h []float64) []SeriesPoint {
-				var pts []SeriesPoint
-				for i := 0; i < len(h) && len(pts) <= 50; i += epoch {
-					pts = append(pts, SeriesPoint{X: float64(i / epoch), Y: h[i]})
+				pts := make([]SeriesPoint, len(h))
+				for i, y := range h {
+					pts[i] = SeriesPoint{X: float64(i), Y: y}
 				}
 				return pts
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"math/rand"
+	"os"
 	"testing"
 
 	"resilientloc/internal/engine"
@@ -135,10 +136,72 @@ func TestFigureTrialRangesMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := rep.TrialScalars["error with consistency check"]; len(vs) != 4 || vs[0] == vs[1] {
-		t.Fatalf("trials did not differ: %v", vs)
+	if m, _ := rep.Metric("error with consistency check"); m.Count != 4 || m.StdDev <= 0 {
+		t.Fatalf("trials did not differ: %+v", m)
 	}
 	if got := mergedResult(t, runner, c, []int{0, 1, 4}); got.Render() != full.Render() {
 		t.Fatalf("merged 4-trial figure diverged\n--- got ---\n%s--- want ---\n%s", got.Render(), full.Render())
+	}
+}
+
+// TestEnsembleFigurePartialsShipAggregates: the ensemble figures pin one
+// trial per shard, so their [0, N) partial is all complete pieces after the
+// wire encoding (a piece is raw only where a range cuts its shard), and it
+// merges to the golden bytes. fig23's per-trial series hold only the
+// plotted epochs, which keeps its partial small.
+func TestEnsembleFigurePartialsShipAggregates(t *testing.T) {
+	for _, id := range []string{"fig22", "fig23"} {
+		if testing.Short() && slowFigs[id] {
+			continue
+		}
+		e, _ := Find(id)
+		c := defaultCampaign(t, e, testSeed)
+		runner, err := engine.NewRunner(engine.Config{Seed: testSeed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trials, _ := c.Geometry(0, 0)
+		p, err := engine.RunCampaignPartial(runner, c, 0, trials)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == "fig23" && len(b) >= 100_000 {
+			t.Errorf("fig23 partial is %d bytes, want under 100 KB", len(b))
+		}
+		var back engine.Partial
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back.ShardSize != 1 || len(back.Pieces) != trials {
+			t.Fatalf("%s: shard size %d with %d pieces, want %d one-trial shards", id, back.ShardSize, len(back.Pieces), trials)
+		}
+		for _, piece := range back.Pieces {
+			if !piece.Complete || piece.Raw != nil {
+				t.Fatalf("%s shard %d: complete %v with %d raw trials, want its aggregate only", id, piece.Shard, piece.Complete, len(piece.Raw))
+			}
+		}
+		rep, err := engine.MergePartials([]*engine.Partial{&back})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := engine.FinalizeCampaign(c, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(goldenPath(id, testSeed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(append(got, '\n')) != string(want) {
+			t.Fatalf("%s: merged partial diverged from its golden", id)
+		}
 	}
 }

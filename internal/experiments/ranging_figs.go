@@ -358,25 +358,26 @@ func maxRangeCampaign(_ int64, p params.Map) engine.Campaign[*Result] {
 				if err != nil {
 					return err
 				}
-				t.Record("distance_m", d)
-				t.Record("success_rate", rate)
+				t.Record(trialName("success_rate", t.Trial), rate)
 				return nil
 			},
 		},
 		// One trial per sweep point gets its own worker; the figure reads
-		// only TrialScalars, which are shard-size independent. Trial indices
-		// encode sweep points, so the count is structural.
-		ShardSize:       1,
-		KeepTrialValues: true,
-		FixedTrials:     true,
+		// only per-trial values, which are shard-size independent. Trial
+		// indices encode sweep points, so the count is structural.
+		ShardSize:   1,
+		FixedTrials: true,
 		Finalize: func(rep *engine.Report) (*Result, error) {
+			rates, err := trialValues(rep, "success_rate", 0, nTrials)
+			if err != nil {
+				return nil, err
+			}
 			r := &Result{
 				ID:    "maxrange",
 				Title: "Detection success versus distance (grass vs pavement, threshold sweep)",
 				PaperClaim: "grass: no detection beyond ~20 m, ~80-85% at 10 m; pavement: most chirps " +
 					"to 35 m, some at 50 m, reliable ~25 m; higher thresholds cost little range",
 			}
-			rates := rep.TrialScalars["success_rate"]
 			for block := 0; block*len(distances) < nTrials; block++ {
 				env, thr, _ := point(block * len(distances))
 				pts := make([]SeriesPoint, len(distances))

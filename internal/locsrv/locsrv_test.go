@@ -356,9 +356,6 @@ func TestPartialTrialRangeOverTheWire(t *testing.T) {
 		if v.Status != "done" || v.Result == nil || v.Result.Partial == nil || v.Result.Report != nil {
 			t.Fatalf("partial job %s: %+v", body, v)
 		}
-		if v.Result.Partial.Retained {
-			t.Errorf("scenario partial retained trial values: %+v", v.Result.Partial)
-		}
 		parts = append(parts, v.Result.Partial)
 	}
 	if parts[0].Hi != 4 || parts[1].Lo != 4 {
