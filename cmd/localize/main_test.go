@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -105,6 +107,42 @@ func TestRunLSSEndToEnd(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	if len(lines) != 6 { // header + column header + 4 nodes
 		t.Errorf("got %d lines, want 6:\n%s", len(lines), out.String())
+	}
+}
+
+// TestRunDistributedEndToEnd: -algo distributed on a fully measured 3×3
+// grid aligns every node to the root's frame, and the same seed gives the
+// same bytes.
+func TestRunDistributedEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	meas := filepath.Join(dir, "m.csv")
+	var data strings.Builder
+	for i := 0; i < 9; i++ {
+		for j := i + 1; j < 9; j++ {
+			dx, dy := float64(i%3-j%3)*10, float64(i/3-j/3)*10
+			fmt.Fprintf(&data, "%d,%d,%.4f\n", i, j, math.Hypot(dx, dy))
+		}
+	}
+	if err := os.WriteFile(meas, []byte(data.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var outs [2]string
+	for k := range outs {
+		var out strings.Builder
+		if err := run([]string{"-algo", "distributed", "-measurements", meas, "-root", "4", "-seed", "7"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		outs[k] = out.String()
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("same seed, different output:\n%s---\n%s", outs[0], outs[1])
+	}
+	if !strings.HasPrefix(outs[0], "# distributed n=9 root=4 aligned=9 ") {
+		t.Errorf("unexpected output header: %s", outs[0])
+	}
+	lines := strings.Split(strings.TrimSpace(outs[0]), "\n")
+	if len(lines) != 11 { // header + column header + 9 nodes
+		t.Errorf("got %d lines, want 11:\n%s", len(lines), outs[0])
 	}
 }
 

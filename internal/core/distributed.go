@@ -34,9 +34,8 @@ type DistributedConfig struct {
 // DefaultDistributedConfig returns the configuration used by the Figure
 // 24/25 experiments. Its local solves are MDS-MAP-seeded wherever a local
 // set is connected, so their 6 restarts are a cap (see LSSConfig.Restarts).
-// All local solves draw from one rng, and a capped solve leaves it where a
-// full-count solve would, so one local map's early stop does not reshuffle
-// the random starts of the next.
+// Each local solve draws from its own stream, so one local map's early stop
+// moves neither the next map's starts nor the link-loss draws.
 func DefaultDistributedConfig(root int, dmin float64) DistributedConfig {
 	local := DefaultLSSConfig(dmin)
 	local.MaxIters = 600
@@ -91,7 +90,8 @@ type alignPayload struct {
 }
 
 // SolveDistributed runs the three-step distributed LSS algorithm over a
-// measurement set. The rng drives local-solver seeding and link loss.
+// measurement set. The rng drives link loss and draws one seed per node,
+// from which that node's local solve draws alone.
 func SolveDistributed(set *measure.Set, cfg DistributedConfig, rng *rand.Rand) (*DistributedResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: SolveDistributed: %w", err)
@@ -123,10 +123,13 @@ func SolveDistributed(set *measure.Set, cfg DistributedConfig, rng *rand.Rand) (
 	network.LocalExchange(nw, func(i int) struct{} { return struct{}{} })
 
 	// Step 1: local localization. Each node solves LSS over itself and its
-	// neighbors.
+	// neighbors, from its own stream: rng draws one seed per node, and one
+	// generator is reseeded per node, as the engine reseeds one per trial.
+	local := rand.New(rand.NewSource(0))
 	localMaps := make(map[int]map[int]geom.Point, n)
 	for i := 0; i < n; i++ {
-		m := solveLocalMap(set, i, cfg.Local, rng)
+		local.Seed(rng.Int63())
+		m := solveLocalMap(set, i, cfg.Local, local)
 		if m != nil {
 			localMaps[i] = m
 		}

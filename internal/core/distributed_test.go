@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"resilientloc/internal/deploy"
@@ -157,6 +158,38 @@ func TestDistributedMessageLossReducesCoverage(t *testing.T) {
 	}
 	if len(resLossy.Localized) >= len(resClean.Localized) {
 		t.Errorf("lossy links localized %d ≥ clean %d", len(resLossy.Localized), len(resClean.Localized))
+	}
+}
+
+// TestDistributedLossIndependentOfLocalWork: the link-loss draws do not
+// depend on how much each local solve draws, so changing only the local
+// restart budget leaves the lossy network's transforms, message count and
+// aligned set unchanged.
+func TestDistributedLossIndependentOfLocalWork(t *testing.T) {
+	dep, err := deploy.OffsetGrid(5, 5, 9, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := measure.Generate(dep, 22, 0.33, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		var runs [2]*DistributedResult
+		for k, restarts := range []int{2, 6} {
+			cfg := DefaultDistributedConfig(12, 9)
+			cfg.Link = radio.LinkModel{LossRate: 0.3}
+			cfg.Local.Restarts = restarts
+			runs[k], err = SolveDistributed(s, cfg, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, b := runs[0], runs[1]
+		if a.Transforms != b.Transforms || a.MessagesSent != b.MessagesSent || !slices.Equal(a.Localized, b.Localized) {
+			t.Errorf("seed %d: restarts 2 vs 6 moved the loss pattern: transforms %d/%d, messages %d/%d, localized %v/%v",
+				seed, a.Transforms, b.Transforms, a.MessagesSent, b.MessagesSent, a.Localized, b.Localized)
+		}
 	}
 }
 

@@ -53,9 +53,9 @@ type LSSConfig struct {
 	// A random-only solve (SeedMDSMap off, a disconnected set, or an MDS-MAP
 	// seed that fails) descends in every round, the paper's count. Once an
 	// MDS-MAP-seeded descent has run, Restarts is a cap instead: the solve
-	// stops descending after three consecutive descents that each lower the
-	// best objective by less than 1e-9 relative. The skipped rounds still
-	// draw their starts, so the rng ends where a full-count solve leaves it.
+	// stops after three consecutive descents that each lower the best
+	// objective by less than 1e-9 relative, without drawing the skipped
+	// rounds' starts.
 	// Odd rounds restart from the best configuration so far perturbed by
 	// Gaussian noise — the paper's local-minimum escape strategy ("the
 	// gradient descent starts each round of minimization with seed
@@ -270,6 +270,9 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 	}
 
 	for round := 0; round <= cfg.Restarts; round++ {
+		if seeded && stale >= seededPlateau {
+			break
+		}
 		switch {
 		case round == 0:
 			// descend from the initial random configuration
@@ -285,11 +288,6 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 		default:
 			// Fresh random configuration: escapes reflection folds.
 			randomConfig(cur)
-		}
-		if seeded && stale >= seededPlateau {
-			// The start is drawn anyway, so rng ends where a full-count
-			// solve leaves it and a caller's later draws do not move.
-			continue
 		}
 		descendFrom(cur)
 	}

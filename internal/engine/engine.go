@@ -5,13 +5,11 @@
 //
 // Determinism rests on two invariants:
 //
-//  1. Per-trial RNG derivation. Each trial's generator is seeded by a pure
-//     function of (scenario seed, trial index) — DeriveSeed by default, or
-//     the scenario's SeedFn when an experiment needs paper-faithful
-//     seeding. A shard reuses one rand.Rand and reseeds it before each
-//     trial, which resets all of its state, so no trial ever sees generator
-//     state another left behind and the schedule cannot leak into the
-//     results.
+//  1. Per-trial RNG derivation. Each trial's generator is seeded with
+//     DeriveSeed(scenario seed, trial index), and nothing else. A shard
+//     reuses one rand.Rand and reseeds it before each trial, which resets
+//     all of its state, so no trial ever sees generator state another left
+//     behind and the schedule cannot leak into the results.
 //
 //  2. Shard-ordered aggregation. Trials are grouped into fixed-size shards
 //     (independent of the worker count); each shard accumulates its metrics
@@ -50,8 +48,7 @@ func DeriveSeed(seed int64, trial int) int64 {
 type TrialFunc func(t *T) error
 
 // Scenario is a declarative description of a parameterized Monte Carlo
-// experiment: what one trial does, how many trials make a run, and how
-// trial seeds are derived.
+// experiment: what one trial does and how many trials make a run.
 type Scenario struct {
 	Name        string
 	Description string
@@ -65,11 +62,6 @@ type Scenario struct {
 	// parameter list (e.g. one trial per sweep distance) set this so a
 	// larger -trials override cannot run them off the end of the list.
 	MaxTrials int
-
-	// SeedFn optionally overrides DeriveSeed. Figure reproductions use this
-	// to keep the paper-faithful seed arithmetic of the original serial
-	// loops, which makes porting them onto the engine output-preserving.
-	SeedFn func(scenarioSeed int64, trial int) int64
 
 	// Run executes one trial.
 	Run TrialFunc
@@ -100,14 +92,6 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("engine: scenario %s: negative trial cap", s.Name)
 	}
 	return nil
-}
-
-// seedFor returns the RNG seed for one trial.
-func (s Scenario) seedFor(seed int64, trial int) int64 {
-	if s.SeedFn != nil {
-		return s.SeedFn(seed, trial)
-	}
-	return DeriveSeed(seed, trial)
 }
 
 // T is the per-trial context handed to a TrialFunc: the trial's private,

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -314,27 +313,6 @@ func TestSeriesLengthMismatch(t *testing.T) {
 	r, _ := NewRunner(Config{Workers: 4, Seed: 1})
 	if _, err := runReport(r, s); err == nil {
 		t.Error("mismatched series lengths accepted")
-	}
-}
-
-// TestSeedFnOverride: a scenario's SeedFn fully controls trial seeding.
-func TestSeedFnOverride(t *testing.T) {
-	s := Scenario{
-		Name:   "test-seedfn",
-		Trials: 4,
-		SeedFn: func(seed int64, trial int) int64 { return seed + int64(trial)*10 },
-		Run: func(t *T) error {
-			t.Record("first_draw", t.RNG.Float64())
-			return nil
-		},
-	}
-	rep := mustRun(t, Config{Workers: 2, Seed: 100}, perTrial(s))
-	for trial := 0; trial < s.Trials; trial++ {
-		got, _ := rep.Metric(trialName("first_draw", trial))
-		want := rand.New(rand.NewSource(100 + int64(trial)*10)).Float64()
-		if got.Count != 1 || got.Mean != want {
-			t.Errorf("trial %d first draw %+v, want one sample of %v", trial, got, want)
-		}
 	}
 }
 

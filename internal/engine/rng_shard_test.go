@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"resilientloc/internal/acoustics"
 )
 
 // rngDraws records a trial's first draws from rng: Float64, NormFloat64,
@@ -43,26 +41,20 @@ func drawScenario(s Scenario) Scenario {
 
 // TestShardRNGMatchesFreshPerTrialGenerator: the shard's one generator,
 // reseeded before each trial, gives every trial the draws of a fresh
-// rand.New(rand.NewSource(seedFor(seed, trial))), at shard sizes 1 and 8,
-// under DeriveSeed and under MaxRangeScenario's SeedFn.
+// rand.New(rand.NewSource(DeriveSeed(seed, trial))), at shard sizes 1 and 8.
 func TestShardRNGMatchesFreshPerTrialGenerator(t *testing.T) {
-	derived := Scenario{Name: "test-rng-derived", Trials: 19}
-	distances := []float64{2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22}
-	seeded := MaxRangeScenario(acoustics.Grass(), 2, distances, 1)
-	for _, base := range []Scenario{derived, seeded} {
-		s := drawScenario(base)
-		for _, shard := range []int{1, 8} {
-			name := fmt.Sprintf("%s/shard=%d", base.Name, shard)
-			rep := mustRun(t, Config{Workers: 2, Seed: 7, ShardSize: shard}, perTrial(s))
-			for trial := 0; trial < base.Trials; trial++ {
-				draws, ok := seriesNamed(rep, trialName("draws", trial))
-				if !ok || draws.Trials != 1 {
-					t.Fatalf("%s: trial %d recorded draws %+v, want one trial's", name, trial, draws)
-				}
-				want := rngDraws(rand.New(rand.NewSource(s.seedFor(7, trial))))
-				if fmt.Sprint(draws.Mean) != fmt.Sprint(want) {
-					t.Errorf("%s: trial %d drew %v, fresh generator %v", name, trial, draws.Mean, want)
-				}
+	s := drawScenario(Scenario{Name: "test-rng-derived", Trials: 19})
+	for _, shard := range []int{1, 8} {
+		name := fmt.Sprintf("shard=%d", shard)
+		rep := mustRun(t, Config{Workers: 2, Seed: 7, ShardSize: shard}, perTrial(s))
+		for trial := 0; trial < s.Trials; trial++ {
+			draws, ok := seriesNamed(rep, trialName("draws", trial))
+			if !ok || draws.Trials != 1 {
+				t.Fatalf("%s: trial %d recorded draws %+v, want one trial's", name, trial, draws)
+			}
+			want := rngDraws(rand.New(rand.NewSource(DeriveSeed(7, trial))))
+			if fmt.Sprint(draws.Mean) != fmt.Sprint(want) {
+				t.Errorf("%s: trial %d drew %v, fresh generator %v", name, trial, draws.Mean, want)
 			}
 		}
 	}

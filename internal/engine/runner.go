@@ -235,10 +235,10 @@ func runShard(s Scenario, seed int64, lo, hi int, raw bool) *shardAgg {
 	}
 	// One generator serves the whole shard: Seed resets its source and its
 	// buffered Int63 bits, so each trial draws exactly the stream a fresh
-	// rand.New(rand.NewSource(seedFor(seed, trial))) would.
+	// rand.New(rand.NewSource(DeriveSeed(seed, trial))) would.
 	rng := rand.New(rand.NewSource(0))
 	for trial := lo; trial < hi; trial++ {
-		rng.Seed(s.seedFor(seed, trial))
+		rng.Seed(DeriveSeed(seed, trial))
 		t := &T{Trial: trial, RNG: rng, ShardData: shardData, ws: ws}
 		err := s.Run(t)
 		// Rewind the arena before folding: fold only touches the T's own

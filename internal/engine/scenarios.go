@@ -257,10 +257,7 @@ func DefaultMaxRangeDistances() []float64 {
 
 // MaxRangeScenario is the Section 3.6.2 maximum-range analysis as an engine
 // scenario: trial k measures a single pair at distances[k] for
-// trialsPerPoint rounds and records the detection success rate. The seed
-// derivation reproduces the original serial experiment's arithmetic
-// (seed + 7·distance + threshold), so the ported figure generator's output
-// is unchanged.
+// trialsPerPoint rounds and records the detection success rate.
 func MaxRangeScenario(env acoustics.Environment, detectT uint8, distances []float64, trialsPerPoint int) Scenario {
 	return Scenario{
 		Name: fmt.Sprintf("maxrange-%s-t%d", env.Name, detectT),
@@ -270,9 +267,6 @@ func MaxRangeScenario(env acoustics.Environment, detectT uint8, distances []floa
 		// One trial per distance point: a larger -trials override must not
 		// index past the sweep list.
 		MaxTrials: len(distances),
-		SeedFn: func(seed int64, trial int) int64 {
-			return seed + int64(distances[trial]*7) + int64(detectT)
-		},
 		Run: func(t *T) error {
 			d := distances[t.Trial]
 			rate, err := MaxRangePoint(env, detectT, d, trialsPerPoint, t.RNG)

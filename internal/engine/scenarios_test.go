@@ -101,8 +101,7 @@ func TestLargeGridRuns(t *testing.T) {
 }
 
 // TestMaxRangeTrialCap: a -trials override larger than the distance list
-// must be capped, not index past the sweep (regression: this used to panic
-// in SeedFn with index out of range).
+// must be capped, not index past the sweep.
 func TestMaxRangeTrialCap(t *testing.T) {
 	s := MaxRangeScenario(acoustics.Grass(), 2, []float64{5, 10}, 2)
 	rep := mustRun(t, Config{Workers: 2, Trials: 20, Seed: 1}, s)

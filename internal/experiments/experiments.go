@@ -15,10 +15,9 @@
 // report only through t.Record and t.RecordSeries, as scenario trials do,
 // so every figure's values serialize and any figure can cross a trial
 // range; a one-trial figure's Finalize rebuilds its Result from those
-// values and a static header (see singleTrial). Seed
-// derivation in each campaign reproduces the original serial generators'
-// arithmetic, so figure output is byte-identical to the pre-engine code at
-// every seed and worker count (pinned by the golden tests).
+// values and a static header (see singleTrial). Each trial seeds from
+// engine.DeriveSeed, so figure output is byte-identical at every worker
+// count (pinned by the golden tests).
 package experiments
 
 import (
@@ -146,18 +145,14 @@ type figure struct {
 type regression struct{ before, after, note string }
 
 // singleTrial wraps a one-shot figure computation as a 1-trial campaign.
-// The identity SeedFn makes the trial's RNG rand.New(rand.NewSource(seed)) —
-// exactly the generator the original serial figure function built — so the
-// port is output-preserving by construction. The trial reports through
-// t.Record and recordSeries, and Finalize (figure.result) reads each value
-// back as its one-sample aggregate.
+// The trial reports through t.Record and recordSeries, and Finalize
+// (figure.result) reads each value back as its one-sample aggregate.
 func singleTrial(f figure, run engine.TrialFunc) engine.Campaign[*Result] {
 	return engine.Campaign[*Result]{
 		Scenario: engine.Scenario{
 			Name:      f.id,
 			Trials:    1,
 			MaxTrials: 1,
-			SeedFn:    func(seed int64, _ int) int64 { return seed },
 			Run:       run,
 		},
 		FixedTrials: true,

@@ -14,13 +14,11 @@ import (
 // The golden corpus pins every figure reproduction at full precision: each
 // file under testdata/golden is the figure's Result as indented JSON, the
 // element cmd/experiments -json prints for it (regenerate with go test
-// ./internal/experiments -run TestGolden -update). The figures' text was
-// first pinned against the pre-engine serial generators, so this test
-// proves two things at once — the campaign ports preserve each figure's
-// exact output, and that output is identical at every engine worker count
-// (the table sweeps seeds 1 and 5 at 1 and 8 workers). Each figure runs the
-// way a job does: its [0, trials) partial crosses the wire encoding, merges
-// and finalizes.
+// ./internal/experiments -run TestGolden -update). This test proves that
+// each figure's output is unchanged and identical at every engine worker
+// count (the table sweeps seeds 1 and 5 at 1 and 8 workers). Each figure
+// runs the way a job does: its [0, trials) partial crosses the wire
+// encoding, merges and finalizes.
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden figure outputs")
 

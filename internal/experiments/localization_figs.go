@@ -387,10 +387,9 @@ func fig20Campaign(int64, params.Map) engine.Campaign[*Result] {
 // Eq. (1) optimizer, no restarts) on the town scenario, returning the
 // descent's average localization error and its objective history padded to
 // maxIters+1 points (an early-converged history is extended with its final
-// value so pointwise ensemble means are defined at every iteration). The
-// trial's RNG carries the paper-faithful seed·1000+k per-descent seeding via
-// the campaign's SeedFn, so results are bit-identical to the former serial
-// ensembles.
+// value so pointwise ensemble means are defined at every iteration). Every
+// descent shares the one town drawn from seed and starts from its own trial
+// stream.
 func townDescent(t *engine.T, seed int64, dmin float64, maxIters int) (float64, []float64, error) {
 	dep, set, err := engine.TownSet(t.Scratch(), rand.New(rand.NewSource(seed)))
 	if err != nil {
@@ -444,15 +443,6 @@ func townFullSolver(ws *scratch.Arena, seed int64, dmin float64) (*eval.Alignmen
 	return a, res, nil
 }
 
-// descentSeedFn is the ensemble figures' per-descent seeding: descents keep
-// the original serial loops' seed·1000+k arithmetic, with k the descent's
-// index within its ensemble of `perGroup` descents.
-func descentSeedFn(perGroup int) func(seed int64, trial int) int64 {
-	return func(seed int64, trial int) int64 {
-		return seed*1000 + int64(trial%perGroup)
-	}
-}
-
 // fig21Campaign reproduces Figure 21: centralized LSS with the
 // 9 m constraint on the town scenario, no anchors used. Paper: all nodes
 // localized, 0.548 m average error.
@@ -482,9 +472,9 @@ func fig21Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
 // unconstrained objective routinely strands descents in folds.
 //
 // fig22Campaign is one campaign over 17 concurrent trials: descents 0–7 run
-// constrained (dmin 9 m), descents 8–15 unconstrained, and trial 16 is the
-// full restart solver (which seeds its own generator, seed+20, exactly as
-// the serial code did).
+// constrained (dmin 9 m), descents 8–15 unconstrained, each an independent
+// trial, and trial 16 is the full restart solver (which seeds its own
+// generator, seed+20, as fig21 does).
 func fig22Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
 	const nDescents, iters = 8, 6000
 	const nTrials = 2*nDescents + 1
@@ -493,7 +483,6 @@ func fig22Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
 			Name:      "fig22",
 			Trials:    nTrials,
 			MaxTrials: nTrials,
-			SeedFn:    descentSeedFn(nDescents),
 			Run: func(t *engine.T) error {
 				switch {
 				case t.Trial < nDescents: // constrained descent
@@ -579,7 +568,6 @@ func fig23Campaign(seed int64, _ params.Map) engine.Campaign[*Result] {
 			Name:      "fig23",
 			Trials:    2 * nDescents,
 			MaxTrials: 2 * nDescents,
-			SeedFn:    descentSeedFn(nDescents),
 			Run: func(t *engine.T) error {
 				dmin := 9.0
 				if t.Trial >= nDescents {

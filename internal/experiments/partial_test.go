@@ -122,12 +122,12 @@ func TestFigurePartialMergeMatchesGolden(t *testing.T) {
 }
 
 // TestFigureTrialRangesMerge: a one-trial figure raised to several trials
-// (with its seed pin cleared, so the trials differ) crosses a trial range:
+// (each drawing its own stream, so the trials differ) crosses a trial range:
 // its [0, 1) and [1, 4) partials merge into the full 4-trial result.
 func TestFigureTrialRangesMerge(t *testing.T) {
 	e, _ := Find("fig11")
 	c := defaultCampaign(t, e, testSeed)
-	c.Scenario.Trials, c.Scenario.MaxTrials, c.Scenario.SeedFn = 4, 4, nil
+	c.Scenario.Trials, c.Scenario.MaxTrials = 4, 4
 	runner, err := engine.NewRunner(engine.Config{Seed: testSeed})
 	if err != nil {
 		t.Fatal(err)

@@ -324,15 +324,12 @@ func synthWave(t *engine.T, cfg signal.SynthConfig) ([]float64, error) {
 // maxRangeCampaign reproduces the Section 3.6.2 maximum-range analysis:
 // detection success rate versus distance for grass and pavement at the
 // lowest and the calibrated detection thresholds, with p's "rounds"
-// measurement attempts per sweep point (the default reproduces the paper
-// figure byte-for-byte).
+// measurement attempts per sweep point.
 //
 // maxRangeCampaign expresses the whole sweep as ONE campaign: trial t
 // measures sweep point (environment t/18, threshold 1+(t/9)%2, distance
-// t%9), so all 36 points run concurrently on the engine. The SeedFn
-// reproduces the original serial experiment's per-point arithmetic
-// (seed + 7·distance + threshold — note it never included the environment),
-// so the figure's numbers are unchanged.
+// t%9), so all 36 points run concurrently on the engine, each from its own
+// trial stream.
 func maxRangeCampaign(_ int64, p params.Map) engine.Campaign[*Result] {
 	rounds := p.Int("rounds")
 	distances := engine.DefaultMaxRangeDistances()
@@ -348,10 +345,6 @@ func maxRangeCampaign(_ int64, p params.Map) engine.Campaign[*Result] {
 			Name:      "maxrange",
 			Trials:    nTrials,
 			MaxTrials: nTrials,
-			SeedFn: func(s int64, trial int) int64 {
-				_, thr, d := point(trial)
-				return s + int64(d*7) + int64(thr)
-			},
 			Run: func(t *engine.T) error {
 				env, thr, d := point(t.Trial)
 				rate, err := engine.MaxRangePoint(env, thr, d, rounds, t.RNG)
