@@ -585,12 +585,7 @@ func BenchmarkTrialLSSFree(b *testing.B) {
 }
 
 func benchTrialLSS(b *testing.B, cfg core.LSSConfig) {
-	rng := rand.New(rand.NewSource(43))
-	dep := deploy.Town(rng)
-	set, err := measure.Generate(dep, 22, measure.GaussianNoise, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
+	set := benchTownSet(b)
 	ws := scratch.New()
 	trial := func() {
 		if _, err := core.SolveLSSIn(ws, set, cfg, rand.New(rand.NewSource(47))); err != nil {
@@ -604,6 +599,39 @@ func benchTrialLSS(b *testing.B, cfg core.LSSConfig) {
 	for i := 0; i < b.N; i++ {
 		trial()
 	}
+}
+
+// BenchmarkTrialMDSMapTown measures one MDS-MAP solve of
+// BenchmarkTrialLSSTown's measurement set: the seed every LSS town solve
+// starts from, a Floyd–Warshall completion of the 59-node town's ranges and
+// the eigendecomposition of its double-centered squared distances.
+func BenchmarkTrialMDSMapTown(b *testing.B) {
+	set := benchTownSet(b)
+	ws := scratch.New()
+	trial := func() {
+		if _, err := core.SolveMDSMapIn(ws, set); err != nil {
+			b.Fatal(err)
+		}
+		ws.Release()
+	}
+	trial() // warm the arena so allocs/op reports the steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trial()
+	}
+}
+
+// benchTownSet draws the town deployment and its ranges within 22 m that
+// the LSS and MDS-MAP trial benchmarks solve.
+func benchTownSet(b *testing.B) *measure.Set {
+	rng := rand.New(rand.NewSource(43))
+	dep := deploy.Town(rng)
+	set, err := measure.Generate(dep, 22, measure.GaussianNoise, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return set
 }
 
 // BenchmarkTrialMultilateration measures one multilat-town trial's solve:

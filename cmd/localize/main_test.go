@@ -5,8 +5,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"resilientloc/internal/core"
+	"resilientloc/internal/eval"
+	"resilientloc/internal/geom"
+	"resilientloc/internal/measure"
 )
 
 func TestReadMeasurements(t *testing.T) {
@@ -143,6 +149,77 @@ func TestRunDistributedEndToEnd(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(outs[0]), "\n")
 	if len(lines) != 11 { // header + column header + 9 nodes
 		t.Errorf("got %d lines, want 11:\n%s", len(lines), outs[0])
+	}
+}
+
+// TestRunMDSEndToEnd: -algo mds and -algo mdsmap on exact distances of a
+// fully measured 3×3 grid recover the grid up to a rigid motion, and the
+// same input gives the same bytes. The CLI prints 4 decimals, so its output
+// is held to 1e-4; the solver behind it, on the same parsed input, to 1e-9.
+func TestRunMDSEndToEnd(t *testing.T) {
+	truth := make([]geom.Point, 9)
+	for i := range truth {
+		truth[i] = geom.Pt(float64(i%3)*10, float64(i/3)*10)
+	}
+	var data strings.Builder
+	for i := range truth {
+		for j := i + 1; j < len(truth); j++ {
+			fmt.Fprintf(&data, "%d,%d,%s\n", i, j, strconv.FormatFloat(truth[i].Dist(truth[j]), 'g', -1, 64))
+		}
+	}
+	meas := filepath.Join(t.TempDir(), "m.csv")
+	if err := os.WriteFile(meas, []byte(data.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	set, err := readMeasurements(strings.NewReader(data.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		algo, header string
+		solve        func(*measure.Set) ([]geom.Point, error)
+	}{
+		{"mds", "# classical-mds n=9", core.SolveClassicalMDS},
+		{"mdsmap", "# mds-map n=9", core.SolveMDSMap},
+	} {
+		var outs [2]string
+		for k := range outs {
+			var out strings.Builder
+			if err := run([]string{"-algo", c.algo, "-measurements", meas}, &out); err != nil {
+				t.Fatalf("%s: %v", c.algo, err)
+			}
+			outs[k] = out.String()
+		}
+		if outs[0] != outs[1] {
+			t.Fatalf("%s: same input, different output:\n%s---\n%s", c.algo, outs[0], outs[1])
+		}
+		lines := strings.Split(strings.TrimSpace(outs[0]), "\n")
+		if lines[0] != c.header || len(lines) != 11 { // header + column header + 9 nodes
+			t.Fatalf("%s: want header %q and 11 lines:\n%s", c.algo, c.header, outs[0])
+		}
+		printed := make([]geom.Point, len(truth))
+		for i, line := range lines[2:] {
+			var id int
+			if _, err := fmt.Sscanf(line, "%d,%g,%g", &id, &printed[i].X, &printed[i].Y); err != nil || id != i {
+				t.Fatalf("%s: bad position line %q: %v", c.algo, line, err)
+			}
+		}
+		pts, err := c.solve(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []struct {
+			pts []geom.Point
+			tol float64
+		}{{printed, 1e-4}, {pts, 1e-9}} {
+			fit, err := eval.Fit(f.pts, truth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fit.MaxError > f.tol {
+				t.Errorf("%s: max error %g after rigid fit, want ≤ %g", c.algo, fit.MaxError, f.tol)
+			}
+		}
 	}
 }
 

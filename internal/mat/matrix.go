@@ -1,8 +1,11 @@
 // Package mat implements the small amount of dense linear algebra the
 // localization library needs without external dependencies: row-major dense
-// matrices and a cyclic Jacobi eigendecomposition for symmetric matrices
-// (used by the classical-MDS baseline). Matrix sizes here are tiny — at most
-// a few hundred rows — so clarity wins over blocking or SIMD tricks.
+// matrices and one symmetric eigensolver, EigenSymIn, used by classical MDS
+// and MDS-MAP. It is Householder tridiagonalization followed by implicit QL
+// (EISPACK tred2/tql2), O(n³) with about 9n³ flops for the full
+// decomposition; eigenvector signs are unspecified. Matrix sizes here are
+// tiny — at most a few hundred rows — so clarity wins over blocking or SIMD
+// tricks.
 package mat
 
 import (

@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// randomSymmetric draws a random symmetric n×n matrix.
-func randomSymmetric(n int, rng *rand.Rand) *Dense {
+// randomSymmetric draws a random symmetric n×n matrix of standard normal
+// entries times scale.
+func randomSymmetric(n int, scale float64, rng *rand.Rand) *Dense {
 	a := NewDense(n, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			v := rng.NormFloat64() * 10
+			v := rng.NormFloat64() * scale
 			a.Set(i, j, v)
 			a.Set(j, i, v)
 		}
@@ -48,7 +49,7 @@ func TestPropertyEigenTraceAndFrobenius(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(12)
-		a := randomSymmetric(n, rng)
+		a := randomSymmetric(n, 10, rng)
 		vals, _, err := EigenSymIn(nil, a)
 		if err != nil {
 			t.Fatal(err)

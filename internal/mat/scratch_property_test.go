@@ -20,7 +20,7 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestEigenSymInMatchesFresh: the Jacobi eigendecomposition with arena
+// TestEigenSymInMatchesFresh: the eigendecomposition with arena
 // workspaces must match the allocating path bit for bit.
 func TestEigenSymInMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(227))
