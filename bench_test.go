@@ -1,7 +1,7 @@
 // Package resilientloc's root benchmark suite: one benchmark per paper
 // figure (regenerating the figure's data end-to-end each iteration and
-// reporting its headline metric), plus ablation benchmarks for the design
-// choices called out in DESIGN.md.
+// reporting its headline metric), plus ablation benchmarks for this
+// library's design choices: chirp length and MDS-MAP seeding.
 //
 // Run with:
 //
@@ -415,75 +415,6 @@ func BenchmarkAblationChirpLength(b *testing.B) {
 			}
 			b.ReportMetric(overPer100, "over1m_per100")
 			b.ReportMetric(maxOver, "max_over_m")
-		})
-	}
-}
-
-// BenchmarkAblationFilter compares median against mode statistical
-// filtering on repeated noisy measurements with outliers (§3.5).
-func BenchmarkAblationFilter(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		kind measure.FilterKind
-	}{
-		{"median", measure.FilterMedian},
-		{"mode", measure.FilterMode},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var absErr float64
-			for i := 0; i < b.N; i++ {
-				rng := rand.New(rand.NewSource(11))
-				raw, err := measure.NewRaw(2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				const truth = 12.0
-				for k := 0; k < 9; k++ {
-					d := truth + rng.NormFloat64()*0.15
-					if k%4 == 3 { // 25% outliers
-						d = truth + 3 + rng.Float64()*5
-					}
-					if err := raw.Add(0, 1, d); err != nil {
-						b.Fatal(err)
-					}
-				}
-				est := raw.Filter(tc.kind, 5)[[2]int{0, 1}]
-				absErr = math.Abs(est - truth)
-			}
-			b.ReportMetric(absErr, "abs_err_m")
-		})
-	}
-}
-
-// BenchmarkAblationConstraintWeight sweeps the soft-constraint weight wD on
-// the sparse grid (DESIGN.md ablation; the paper uses wD=10).
-func BenchmarkAblationConstraintWeight(b *testing.B) {
-	rng := rand.New(rand.NewSource(17))
-	dep := deploy.PaperGrid()
-	dep.Positions = dep.Positions[:47]
-	set, err := measure.Generate(dep, 22, 0.5, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	measure.Sparsify(set, 247, rng)
-	for _, wd := range []float64{1, 10, 100} {
-		b.Run(map[float64]string{1: "wD=1", 10: "wD=10", 100: "wD=100"}[wd], func(b *testing.B) {
-			var avg float64
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultLSSConfig(9.14)
-				cfg.WD = wd
-				cfg.SeedMDSMap = false
-				res, err := core.SolveLSS(set, cfg, rand.New(rand.NewSource(19)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				a, err := eval.Fit(res.Positions, dep.Positions)
-				if err != nil {
-					b.Fatal(err)
-				}
-				avg = a.AvgError
-			}
-			b.ReportMetric(avg, "avg_err_m")
 		})
 	}
 }

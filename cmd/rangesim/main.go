@@ -18,7 +18,6 @@ import (
 
 	"resilientloc/internal/acoustics"
 	"resilientloc/internal/deploy"
-	"resilientloc/internal/measure"
 	"resilientloc/internal/ranging"
 )
 
@@ -71,7 +70,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	set, err := svc.CampaignSet(*rounds, *maxDist, measure.FilterMedian, measure.DefaultMergeOptions())
+	set, err := svc.CampaignSet(*rounds, *maxDist)
 	if err != nil {
 		return err
 	}

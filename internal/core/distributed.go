@@ -22,10 +22,6 @@ type DistributedConfig struct {
 	// Local is the LSS configuration for per-node local maps. Restarts and
 	// MaxIters should be modest: local problems are tiny.
 	Local LSSConfig
-	// MinShared is the minimum number of shared neighbors required to
-	// compute the transform between two nodes' local frames. It must be at
-	// least 3: two shared points cannot disambiguate the reflection factor.
-	MinShared int
 	// Link models message loss during the data exchanges and the alignment
 	// flood.
 	Link radio.LinkModel
@@ -41,19 +37,20 @@ func DefaultDistributedConfig(root int, dmin float64) DistributedConfig {
 	local.MaxIters = 600
 	local.Restarts = 6
 	return DistributedConfig{
-		Root:      root,
-		Local:     local,
-		MinShared: 3,
+		Root:  root,
+		Local: local,
 	}
 }
+
+// minShared is the minimum number of shared neighbors required to compute
+// the transform between two nodes' local frames: two shared points cannot
+// disambiguate the reflection factor.
+const minShared = 3
 
 // Validate checks the configuration.
 func (c DistributedConfig) Validate() error {
 	if c.Root < 0 {
 		return errors.New("core: negative Root")
-	}
-	if c.MinShared < 3 {
-		return errors.New("core: MinShared must be at least 3 (reflection ambiguity)")
 	}
 	if err := c.Local.Validate(); err != nil {
 		return err
@@ -153,7 +150,7 @@ func SolveDistributed(set *measure.Set, cfg DistributedConfig, rng *rand.Rand) (
 			if mj == nil {
 				continue
 			}
-			t, ok := fitFrames(mj, mi, cfg.MinShared)
+			t, ok := fitFrames(mj, mi)
 			if !ok {
 				continue
 			}
@@ -260,7 +257,7 @@ func solveLocalMap(set *measure.Set, i int, cfg LSSConfig, rng *rand.Rand) map[i
 // minShared nodes are shared. The shared nodes enter the fit in ascending
 // id order: FitRigid's covariance sums in Go's randomized map order would
 // differ in the last ulp from run to run.
-func fitFrames(src, dst map[int]geom.Point, minShared int) (geom.Transform, bool) {
+func fitFrames(src, dst map[int]geom.Point) (geom.Transform, bool) {
 	var shared []int
 	for id := range src {
 		if _, ok := dst[id]; ok {

@@ -22,11 +22,6 @@ func TestDistributedConfigValidate(t *testing.T) {
 		t.Error("want error for negative root")
 	}
 	bad = DefaultDistributedConfig(0, 9)
-	bad.MinShared = 2
-	if err := bad.Validate(); err == nil {
-		t.Error("want error for MinShared < 3")
-	}
-	bad = DefaultDistributedConfig(0, 9)
 	bad.Local.Step = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("want error for invalid local config")
@@ -226,7 +221,7 @@ func TestFitFramesMinShared(t *testing.T) {
 	tr := geom.Transform{Theta: 0.5, Tx: 2, Ty: -1}
 	dst := map[int]geom.Point{1: tr.Apply(src[1]), 2: tr.Apply(src[2]), 3: tr.Apply(src[3])}
 
-	got, ok := fitFrames(src, dst, 3)
+	got, ok := fitFrames(src, dst)
 	if !ok {
 		t.Fatal("fitFrames failed on 3 shared exact points")
 	}
@@ -238,8 +233,8 @@ func TestFitFramesMinShared(t *testing.T) {
 
 	// Too few shared nodes: must refuse.
 	delete(src, 3)
-	if _, ok := fitFrames(src, dst, 3); ok {
-		t.Error("fitFrames accepted 2 shared points with MinShared=3")
+	if _, ok := fitFrames(src, dst); ok {
+		t.Error("fitFrames accepted 2 shared points")
 	}
 }
 
@@ -256,12 +251,12 @@ func TestFitFramesDeterministic(t *testing.T) {
 		src[id] = p
 		dst[id] = tr.Apply(p).Add(geom.Pt(rng.NormFloat64()*0.3, rng.NormFloat64()*0.3))
 	}
-	want, ok := fitFrames(src, dst, 3)
+	want, ok := fitFrames(src, dst)
 	if !ok {
 		t.Fatal("fitFrames failed on 40 shared points")
 	}
 	for i := 0; i < 50; i++ {
-		if got, _ := fitFrames(src, dst, 3); got != want {
+		if got, _ := fitFrames(src, dst); got != want {
 			t.Fatalf("call %d: %v, want %v bit for bit", i, got, want)
 		}
 	}

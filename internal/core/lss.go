@@ -1,17 +1,20 @@
 // Package core implements the paper's localization algorithms: centralized
 // least squares scaling (LSS) with a minimum node-spacing soft constraint
-// (Section 4.2 — the paper's primary contribution), multilateration with the
-// intersection consistency check (Section 4.1), a classical-MDS baseline
-// (Section 2/4.2.1), and the distributed LSS variant (Section 4.3).
+// (Section 4.2 — the paper's primary contribution), least-squares
+// multilateration with the intersection consistency check (Section 4.1), a
+// classical-MDS baseline (Section 2/4.2.1), and the distributed LSS variant
+// (Section 4.3). Settings the paper fixes and no experiment varies — the
+// soft-constraint weight wD = 10, the three-anchor minimum, the three shared
+// neighbors a frame transform needs — are constants, not configuration.
+// Section 4.1.2's intersection-mode estimate is not reproduced: none of the
+// paper's figures uses it.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
-	"slices"
 
 	"resilientloc/internal/geom"
 	"resilientloc/internal/measure"
@@ -39,9 +42,6 @@ type LSSConfig struct {
 	// DMin is the minimum node spacing for the soft constraint, meters.
 	// Zero disables the constraint (the Figure 19/22 ablation).
 	DMin float64
-	// WD is the soft-constraint weight (paper Section 4.2.2: wD = 10 with
-	// wij = 1).
-	WD float64
 	// Mode selects the stepping rule; the zero value means StepAdaptive.
 	Mode StepMode
 	// Step is the gradient-descent step size α of Eq. (1): the initial step
@@ -57,19 +57,13 @@ type LSSConfig struct {
 	// objective by less than 1e-9 relative, without drawing the skipped
 	// rounds' starts.
 	// Odd rounds restart from the best configuration so far perturbed by
-	// Gaussian noise — the paper's local-minimum escape strategy ("the
+	// Gaussian noise of standard deviation 0.3 times the mean measured
+	// distance — the paper's local-minimum escape strategy ("the
 	// gradient descent starts each round of minimization with seed
 	// positions obtained by perturbing the best results so far") — while
 	// even rounds use a fresh random configuration, which escapes deep
 	// reflection folds that small perturbations cannot.
 	Restarts int
-	// PerturbStd is the standard deviation of the restart perturbation,
-	// meters. Zero scales it automatically to the measured-distance scale.
-	PerturbStd float64
-	// Tol ends a descent run once the relative per-iteration improvement
-	// stays below it for a sustained stretch (a plateau), rather than on
-	// the first small step.
-	Tol float64
 	// InitSpread is the half-width of the uniform random initial
 	// configuration, meters. Zero derives it from the measured distances.
 	InitSpread float64
@@ -79,28 +73,28 @@ type LSSConfig struct {
 	// library's robustness improvement over the paper's random-only
 	// seeding; disable it for paper-faithful ablations (Figures 19/22/23).
 	SeedMDSMap bool
-	// Anchors optionally pins node positions during minimization: anchored
-	// nodes keep their given coordinates exactly, and the solution comes
-	// out in the anchors' absolute frame instead of an arbitrary relative
-	// one. This extends the paper's anchor-free LSS with the hybrid
-	// anchor usage its Section 2 surveys; leave nil for the paper-faithful
-	// anchor-free behaviour.
-	Anchors map[int]geom.Point
 }
 
+// softWeight is the soft-constraint weight wD of paper Section 4.2.2 (wD =
+// 10 with wij = 1).
+const softWeight = 10
+
+// descentTol ends an adaptive descent run once the relative per-iteration
+// improvement stays below it for a sustained stretch (a plateau), rather
+// than on the first small step.
+const descentTol = 1e-10
+
 // DefaultLSSConfig returns the solver configuration used throughout the
-// experiments: the paper's weights (wij=1, wD=10), dmin from the deployment.
+// experiments: dmin from the deployment, under the paper's weights (wij=1,
+// wD=10).
 // Its MDS-MAP seeding makes Restarts a cap: a seeded solve on a connected
 // set stops restarting once restarts stop lowering the objective.
 func DefaultLSSConfig(dmin float64) LSSConfig {
 	return LSSConfig{
 		DMin:       dmin,
-		WD:         10,
 		Step:       0.02,
 		MaxIters:   4000,
 		Restarts:   14,
-		PerturbStd: 0, // auto-scale to the measurement scale
-		Tol:        1e-10,
 		SeedMDSMap: true,
 	}
 }
@@ -110,7 +104,7 @@ func (c LSSConfig) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"DMin", c.DMin}, {"WD", c.WD}, {"Step", c.Step}, {"Tol", c.Tol}, {"PerturbStd", c.PerturbStd}, {"InitSpread", c.InitSpread}} {
+	}{{"DMin", c.DMin}, {"Step", c.Step}, {"InitSpread", c.InitSpread}} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("core: non-finite %s %v", f.name, f.v)
 		}
@@ -118,8 +112,6 @@ func (c LSSConfig) Validate() error {
 	switch {
 	case c.DMin < 0:
 		return errors.New("core: negative DMin")
-	case c.DMin > 0 && c.WD <= 0:
-		return errors.New("core: soft constraint enabled with non-positive WD")
 	case c.Mode != 0 && c.Mode != StepAdaptive && c.Mode != StepFixed:
 		return errors.New("core: invalid StepMode")
 	case c.Step <= 0:
@@ -128,10 +120,6 @@ func (c LSSConfig) Validate() error {
 		return errors.New("core: non-positive MaxIters")
 	case c.Restarts < 0:
 		return errors.New("core: negative Restarts")
-	case c.PerturbStd < 0:
-		return errors.New("core: negative PerturbStd")
-	case c.Tol < 0:
-		return errors.New("core: negative Tol")
 	}
 	return nil
 }
@@ -184,14 +172,6 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 	if set.Len() == 0 {
 		return nil, errors.New("core: SolveLSS: empty measurement set")
 	}
-	for a, p := range cfg.Anchors {
-		if a < 0 || a >= n {
-			return nil, fmt.Errorf("core: SolveLSS: anchor %d out of range (n=%d)", a, n)
-		}
-		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
-			return nil, fmt.Errorf("core: SolveLSS: anchor %d has non-finite position %v", a, p)
-		}
-	}
 
 	prob := newLSSProblem(ws, set, cfg)
 
@@ -199,20 +179,11 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 	if spread <= 0 {
 		spread = prob.distanceScale() * math.Sqrt(float64(n))
 	}
-	perturb := cfg.PerturbStd
-	if perturb <= 0 {
-		perturb = 0.3 * prob.distanceScale()
-	}
-	pinAnchors := func(dst []geom.Point) {
-		for a, p := range cfg.Anchors {
-			dst[a] = p
-		}
-	}
+	perturb := 0.3 * prob.distanceScale()
 	randomConfig := func(dst []geom.Point) {
 		for i := range dst {
 			dst[i] = geom.Pt(rng.Float64()*spread, rng.Float64()*spread)
 		}
-		pinAnchors(dst)
 	}
 
 	cur := ws.Points(n)
@@ -249,21 +220,6 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 	seeded := false
 	if cfg.SeedMDSMap && set.Connected() {
 		if seed, err := SolveMDSMapIn(ws, set); err == nil {
-			if len(cfg.Anchors) >= 2 {
-				// Register the relative MDS map onto the anchor frame so
-				// pinning doesn't tear the configuration apart. Anchors go
-				// in ascending order: FitRigid's sums, and so the result's
-				// bits, depend on the order of its inputs.
-				var src, dst []geom.Point
-				for _, a := range slices.Sorted(maps.Keys(cfg.Anchors)) {
-					src = append(src, seed[a])
-					dst = append(dst, cfg.Anchors[a])
-				}
-				if tr, _, err := geom.FitRigid(src, dst); err == nil {
-					seed = tr.ApplyAll(seed)
-				}
-			}
-			pinAnchors(seed)
 			descendFrom(seed)
 			seeded = true
 		}
@@ -284,12 +240,16 @@ func SolveLSSIn(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Ra
 					best[i].Y+rng.NormFloat64()*perturb,
 				)
 			}
-			pinAnchors(cur)
 		default:
 			// Fresh random configuration: escapes reflection folds.
 			randomConfig(cur)
 		}
 		descendFrom(cur)
+	}
+	// Checked only after the last descent, so a non-finite objective moves
+	// no rng draw of the solve.
+	if math.IsNaN(bestErr) || math.IsInf(bestErr, 0) {
+		return nil, fmt.Errorf("core: SolveLSS: non-finite objective %v", bestErr)
 	}
 
 	return &LSSResult{
@@ -324,10 +284,7 @@ type lssProblem struct {
 	// eval records pair k's separation at ds[k] in the same order.
 	lo, hi  []int
 	dist, w []float64
-	// fixed marks anchored nodes whose coordinates never move.
-	fixed []bool
-	dmin  float64
-	wd    float64
+	dmin    float64
 	// farSq is dmin²·(1+1e-6). A soft pair whose computed dx²+dy² exceeds
 	// it is beyond dmin by far more than any rounding in that sum or in
 	// Hypot, so Hypot(dx, dy) ≥ dmin and the pair adds nothing to E or ∇E.
@@ -359,9 +316,7 @@ func newLSSProblem(ws *scratch.Arena, set *measure.Set, cfg LSSConfig) *lssProbl
 		hi:    ws.IntCap(n * (n - 1) / 2),
 		dist:  ws.Float64s(m),
 		w:     ws.Float64s(m),
-		fixed: ws.Bools(n),
 		dmin:  cfg.DMin,
-		wd:    cfg.WD,
 		farSq: cfg.DMin * cfg.DMin * (1 + 1e-6),
 	}
 	// measured[lo*n+hi] marks pairs with a distance measurement; the soft
@@ -374,11 +329,6 @@ func newLSSProblem(ws *scratch.Arena, set *measure.Set, cfg LSSConfig) *lssProbl
 		p.dist[k] = pm.Distance
 		p.w[k] = pm.Weight
 		measured[pm.Pair.Lo*n+pm.Pair.Hi] = true
-	}
-	for a := range cfg.Anchors {
-		if a >= 0 && a < n {
-			p.fixed[a] = true
-		}
 	}
 	if p.dmin > 0 {
 		for i := 0; i < n; i++ {
@@ -475,7 +425,7 @@ func (p *lssProblem) eval(pos []geom.Point, ds []float64, bound float64) float64
 		ds[k] = d
 		if d < p.dmin {
 			r := d - p.dmin
-			e += p.wd * r * r
+			e += softWeight * r * r
 			if bounded && e >= bound {
 				return e
 			}
@@ -599,23 +549,11 @@ func (p *lssProblem) gradient(pos []geom.Point, ds, grad []float64) {
 		i, j := p.lo[k], p.hi[k]
 		dx := pos[i].X - pos[j].X
 		dy := pos[i].Y - pos[j].Y
-		g := 2 * p.wd * (d - p.dmin) / d
+		g := 2 * softWeight * (d - p.dmin) / d
 		grad[i] += g * dx
 		grad[j] -= g * dx
 		grad[n+i] += g * dy
 		grad[n+j] -= g * dy
-	}
-	p.zeroFixed(grad)
-}
-
-// zeroFixed clears gradient components of anchored nodes so descent never
-// moves them.
-func (p *lssProblem) zeroFixed(grad []float64) {
-	for i, fixed := range p.fixed {
-		if fixed {
-			grad[i] = 0
-			grad[p.n+i] = 0
-		}
 	}
 }
 
@@ -661,7 +599,7 @@ func (p *lssProblem) descend(history []float64, start []geom.Point, cfg LSSConfi
 				curDs, nextDs = nextDs, curDs
 				e = ne
 				step *= 1.5
-				if relDrop < cfg.Tol {
+				if relDrop < descentTol {
 					plateau++
 				} else {
 					plateau = 0

@@ -20,15 +20,10 @@ import (
 // to just inside dmin, jumps to fresh configurations, and plants NaN, ±Inf
 // and 1e300-scale coordinates. Between steps it runs bounded evaluations
 // elsewhere, as a descent's rejected steps do, so the list is often built at
-// positions other than the previous step's. Anchored nodes never move. DMin
-// 9, 0 and a subnormal-squared 1e-160 (walked at its own scale) are covered.
+// positions other than the previous step's. DMin 9, 0 and a
+// subnormal-squared 1e-160 (walked at its own scale) are covered.
 func TestLSSNearListIdentical(t *testing.T) {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	type variant struct {
-		dmin     float64
-		anchored bool
-	}
-	variants := []variant{{9, false}, {9, true}, {0, false}, {0, true}, {1e-160, false}}
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dep := deploy.Town(rng)
@@ -37,36 +32,24 @@ func TestLSSNearListIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := dep.N()
-		for _, v := range variants {
+		for _, dmin := range []float64{9, 0, 1e-160} {
 			// scale maps the town's meters onto the walk: dmin 9 and 0 walk
 			// the town as it is, a tiny dmin walks a town shrunk to match.
 			scale, skin := 1.0, 3.0
-			if v.dmin > 0 {
-				scale, skin = v.dmin/9, v.dmin/3
+			if dmin > 0 {
+				scale, skin = dmin/9, dmin/3
 			}
-			cfg := DefaultLSSConfig(v.dmin)
-			if v.anchored {
-				cfg.Anchors = map[int]geom.Point{}
-				for _, a := range []int{0, 7, 40} {
-					cfg.Anchors[a] = geom.Pt(dep.Positions[a].X*scale, dep.Positions[a].Y*scale)
-				}
-			}
+			cfg := DefaultLSSConfig(dmin)
 			prob := newLSSProblem(nil, set, cfg)
 			ref := newRefLSSProblem(nil, set, cfg)
 			ds, wantDs, rejectedDs := make([]float64, len(prob.lo)), make([]float64, len(prob.lo)), make([]float64, len(prob.lo))
 			grad, wantGrad := make([]float64, 2*n), make([]float64, 2*n)
 
 			pos := make([]geom.Point, n)
-			pin := func() {
-				for a, p := range cfg.Anchors {
-					pos[a] = p
-				}
-			}
 			fresh := func(spread float64) {
 				for i := range pos {
 					pos[i] = geom.Pt(rng.Float64()*spread*scale, rng.Float64()*spread*scale)
 				}
-				pin()
 			}
 			// shift moves node i by frac·skin in direction angle.
 			shift := func(i int, frac, angle float64) {
@@ -74,33 +57,23 @@ func TestLSSNearListIdentical(t *testing.T) {
 			}
 			moveAll := func(fracs ...float64) {
 				for i := range pos {
-					if _, ok := cfg.Anchors[i]; !ok {
-						shift(i, fracs[rng.Intn(len(fracs))], rng.Float64()*2*math.Pi)
-					}
-				}
-			}
-			free := func() int {
-				for {
-					i := rng.Intn(n)
-					if _, ok := cfg.Anchors[i]; !ok {
-						return i
-					}
+					shift(i, fracs[rng.Intn(len(fracs))], rng.Float64()*2*math.Pi)
 				}
 			}
 			check := func(step int, what string) {
 				t.Helper()
 				want := refEval(prob, pos, wantDs)
 				if e := prob.eval(pos, ds, math.Inf(1)); !same(e, want) {
-					t.Fatalf("seed %d %+v step %d (%s): eval %v, want %v", seed, v, step, what, e, want)
+					t.Fatalf("seed %d dmin %v step %d (%s): eval %v, want %v", seed, dmin, step, what, e, want)
 				}
 				if msg := separationsDiff(prob, ds, wantDs); msg != "" {
-					t.Fatalf("seed %d %+v step %d (%s): %s", seed, v, step, what, msg)
+					t.Fatalf("seed %d dmin %v step %d (%s): %s", seed, dmin, step, what, msg)
 				}
 				ref.gradient(pos, wantGrad)
 				prob.gradient(pos, ds, grad)
 				for i := range grad {
 					if !same(grad[i], wantGrad[i]) {
-						t.Fatalf("seed %d %+v step %d (%s): grad[%d] = %v, want %v", seed, v, step, what, i, grad[i], wantGrad[i])
+						t.Fatalf("seed %d dmin %v step %d (%s): grad[%d] = %v, want %v", seed, dmin, step, what, i, grad[i], wantGrad[i])
 					}
 				}
 			}
@@ -141,14 +114,8 @@ func TestLSSNearListIdentical(t *testing.T) {
 					}
 					k := len(prob.dist) + rng.Intn(len(prob.lo)-len(prob.dist))
 					i, j := prob.lo[k], prob.hi[k]
-					if _, ok := cfg.Anchors[i]; ok {
-						continue
-					}
-					if _, ok := cfg.Anchors[j]; ok {
-						continue
-					}
 					a := rng.Float64() * 2 * math.Pi
-					r := (v.dmin + skin) * (1 + 1e-9)
+					r := (dmin + skin) * (1 + 1e-9)
 					pos[i] = geom.Pt(pos[j].X+r*math.Cos(a), pos[j].Y+r*math.Sin(a))
 					check(step, "soft pair placed beyond dmin+skin")
 					frac := []float64{0.48, 0.495, 0.505}[rng.Intn(3)]
@@ -160,7 +127,7 @@ func TestLSSNearListIdentical(t *testing.T) {
 					check(step, "jump")
 				case 5:
 					saved := slices.Clone(pos)
-					i := free()
+					i := rng.Intn(n)
 					switch rng.Intn(4) {
 					case 0:
 						pos[i].X = math.NaN()
@@ -178,7 +145,6 @@ func TestLSSNearListIdentical(t *testing.T) {
 					for i := range pos {
 						pos[i] = geom.Pt(pos[i].X*1e298, pos[i].Y*1e298)
 					}
-					pin()
 					check(step, "1e300-scale configuration")
 					fresh(120)
 					check(step, "back from 1e300 scale")

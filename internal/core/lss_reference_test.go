@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -20,8 +19,8 @@ import (
 // The production kernel must reproduce it bit for bit: same positions, same
 // objective values, same iteration counts and the same History.
 
-// refSolveLSS is SolveLSSIn's restart loop, anchors registered in ascending
-// order, running the frozen kernel. Inputs are assumed valid.
+// refSolveLSS is SolveLSSIn's restart loop running the frozen kernel. Inputs
+// are assumed valid.
 func refSolveLSS(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.Rand) *LSSResult {
 	n := set.N()
 	prob := newRefLSSProblem(ws, set, cfg)
@@ -30,20 +29,11 @@ func refSolveLSS(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.R
 	if spread <= 0 {
 		spread = prob.distanceScale() * math.Sqrt(float64(n))
 	}
-	perturb := cfg.PerturbStd
-	if perturb <= 0 {
-		perturb = 0.3 * prob.distanceScale()
-	}
-	pinAnchors := func(dst []geom.Point) {
-		for a, p := range cfg.Anchors {
-			dst[a] = p
-		}
-	}
+	perturb := 0.3 * prob.distanceScale()
 	randomConfig := func(dst []geom.Point) {
 		for i := range dst {
 			dst[i] = geom.Pt(rng.Float64()*spread, rng.Float64()*spread)
 		}
-		pinAnchors(dst)
 	}
 
 	cur := ws.Points(n)
@@ -57,19 +47,6 @@ func refSolveLSS(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.R
 
 	if cfg.SeedMDSMap && set.Connected() {
 		if seed, err := SolveMDSMapIn(ws, set); err == nil {
-			if len(cfg.Anchors) >= 2 {
-				// Register the relative MDS map onto the anchor frame so
-				// pinning doesn't tear the configuration apart.
-				var src, dst []geom.Point
-				for _, a := range slices.Sorted(maps.Keys(cfg.Anchors)) {
-					src = append(src, seed[a])
-					dst = append(dst, cfg.Anchors[a])
-				}
-				if tr, _, err := geom.FitRigid(src, dst); err == nil {
-					seed = tr.ApplyAll(seed)
-				}
-			}
-			pinAnchors(seed)
 			final, history, iters := prob.descend(ws, seed, cfg)
 			totalIters += iters
 			if e := prob.objective(final); e < bestErr {
@@ -92,7 +69,6 @@ func refSolveLSS(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng *rand.R
 					best[i].Y+rng.NormFloat64()*perturb,
 				)
 			}
-			pinAnchors(cur)
 		default:
 			// Fresh random configuration: escapes reflection folds.
 			randomConfig(cur)
@@ -128,10 +104,7 @@ type refLSSProblem struct {
 	// scan measured in, so objective/gradient walk a precomputed list
 	// instead of re-deriving it O(n²) per evaluation.
 	soft []int
-	// fixed marks anchored nodes whose coordinates never move.
-	fixed []bool
-	dmin  float64
-	wd    float64
+	dmin float64
 }
 
 func newRefLSSProblem(ws *scratch.Arena, set *measure.Set, cfg LSSConfig) *refLSSProblem {
@@ -140,18 +113,11 @@ func newRefLSSProblem(ws *scratch.Arena, set *measure.Set, cfg LSSConfig) *refLS
 		n:        n,
 		pairs:    set.All(),
 		measured: ws.Bools(n * n),
-		fixed:    ws.Bools(n),
 		dmin:     cfg.DMin,
-		wd:       cfg.WD,
 	}
 	for _, m := range p.pairs {
 		p.measured[m.Pair.Lo*n+m.Pair.Hi] = true
 		p.measured[m.Pair.Hi*n+m.Pair.Lo] = true
-	}
-	for a := range cfg.Anchors {
-		if a >= 0 && a < n {
-			p.fixed[a] = true
-		}
 	}
 	if p.dmin > 0 {
 		p.soft = ws.IntCap(n * (n - 1))
@@ -201,7 +167,7 @@ func (p *refLSSProblem) objective(pos []geom.Point) float64 {
 		d := pos[p.soft[k]].Dist(pos[p.soft[k+1]])
 		if d < p.dmin {
 			r := d - p.dmin
-			e += p.wd * r * r
+			e += softWeight * r * r
 		}
 	}
 	return e
@@ -228,7 +194,6 @@ func (p *refLSSProblem) gradient(pos []geom.Point, grad []float64) {
 		grad[n+j] -= g * dy
 	}
 	if p.dmin <= 0 {
-		p.zeroFixed(grad)
 		return
 	}
 	for k := 0; k < len(p.soft); k += 2 {
@@ -239,23 +204,11 @@ func (p *refLSSProblem) gradient(pos []geom.Point, grad []float64) {
 		if d >= p.dmin || d < minSeparation {
 			continue
 		}
-		g := 2 * p.wd * (d - p.dmin) / d
+		g := 2 * softWeight * (d - p.dmin) / d
 		grad[i] += g * dx
 		grad[j] -= g * dx
 		grad[n+i] += g * dy
 		grad[n+j] -= g * dy
-	}
-	p.zeroFixed(grad)
-}
-
-// zeroFixed clears gradient components of anchored nodes so descent never
-// moves them.
-func (p *refLSSProblem) zeroFixed(grad []float64) {
-	for i, fixed := range p.fixed {
-		if fixed {
-			grad[i] = 0
-			grad[p.n+i] = 0
-		}
 	}
 }
 
@@ -297,7 +250,7 @@ func (p *refLSSProblem) descend(ws *scratch.Arena, start []geom.Point, cfg LSSCo
 				cur, next = next, cur
 				e = ne
 				step *= 1.5
-				if relDrop < cfg.Tol {
+				if relDrop < descentTol {
 					plateau++
 				} else {
 					plateau = 0
@@ -377,7 +330,7 @@ func refEval(p *lssProblem, pos []geom.Point, ds []float64) float64 {
 		ds[k] = d
 		if d < p.dmin {
 			r := d - p.dmin
-			e += p.wd * r * r
+			e += softWeight * r * r
 		}
 	}
 	return e
@@ -492,8 +445,8 @@ func TestLSSEvalBoundIdentical(t *testing.T) {
 
 // TestLSSKernelBitIdentical solves town inputs with SolveLSSIn and with the
 // frozen kernel and requires every LSSResult field to match bit for bit,
-// over the default config, the unconstrained ablation, fixed stepping,
-// anchors, and random-only seeding. The restart budget is cut to keep the
+// over the default config, the unconstrained ablation, fixed stepping and
+// random-only seeding. The restart budget is cut to keep the
 // test quick.
 func TestLSSKernelBitIdentical(t *testing.T) {
 	configs := []struct {
@@ -505,11 +458,6 @@ func TestLSSKernelBitIdentical(t *testing.T) {
 		{"fixed", func(*deploy.Deployment) LSSConfig {
 			c := DefaultLSSConfig(9)
 			c.Mode = StepFixed
-			return c
-		}},
-		{"anchored", func(dep *deploy.Deployment) LSSConfig {
-			c := DefaultLSSConfig(9)
-			c.Anchors = map[int]geom.Point{0: dep.Positions[0], 7: dep.Positions[7], 40: dep.Positions[40]}
 			return c
 		}},
 		{"random-seeding", func(*deploy.Deployment) LSSConfig {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -37,20 +36,11 @@ func fullRestartSolveLSS(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng
 	if spread <= 0 {
 		spread = prob.distanceScale() * math.Sqrt(float64(n))
 	}
-	perturb := cfg.PerturbStd
-	if perturb <= 0 {
-		perturb = 0.3 * prob.distanceScale()
-	}
-	pinAnchors := func(dst []geom.Point) {
-		for a, p := range cfg.Anchors {
-			dst[a] = p
-		}
-	}
+	perturb := 0.3 * prob.distanceScale()
 	randomConfig := func(dst []geom.Point) {
 		for i := range dst {
 			dst[i] = geom.Pt(rng.Float64()*spread, rng.Float64()*spread)
 		}
-		pinAnchors(dst)
 	}
 
 	cur := ws.Points(n)
@@ -78,17 +68,6 @@ func fullRestartSolveLSS(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng
 
 	if cfg.SeedMDSMap && set.Connected() {
 		if seed, err := SolveMDSMapIn(ws, set); err == nil {
-			if len(cfg.Anchors) >= 2 {
-				var src, dst []geom.Point
-				for _, a := range slices.Sorted(maps.Keys(cfg.Anchors)) {
-					src = append(src, seed[a])
-					dst = append(dst, cfg.Anchors[a])
-				}
-				if tr, _, err := geom.FitRigid(src, dst); err == nil {
-					seed = tr.ApplyAll(seed)
-				}
-			}
-			pinAnchors(seed)
 			descendFrom(seed)
 		}
 	}
@@ -104,7 +83,6 @@ func fullRestartSolveLSS(ws *scratch.Arena, set *measure.Set, cfg LSSConfig, rng
 					best[i].Y+rng.NormFloat64()*perturb,
 				)
 			}
-			pinAnchors(cur)
 		default:
 			randomConfig(cur)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"resilientloc/internal/deploy"
@@ -18,12 +19,9 @@ func TestLSSConfigValidate(t *testing.T) {
 	}
 	bad := []LSSConfig{
 		{DMin: -1, Step: 0.1, MaxIters: 10},
-		{DMin: 9, WD: 0, Step: 0.1, MaxIters: 10},
 		{Step: 0, MaxIters: 10},
 		{Step: 0.1, MaxIters: 0},
 		{Step: 0.1, MaxIters: 10, Restarts: -1},
-		{Step: 0.1, MaxIters: 10, PerturbStd: -1},
-		{Step: 0.1, MaxIters: 10, Tol: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -42,10 +40,7 @@ func TestLSSConfigValidateRejectsNonFinite(t *testing.T) {
 		set  func(c *LSSConfig, v float64)
 	}{
 		{"DMin", func(c *LSSConfig, v float64) { c.DMin = v }},
-		{"WD", func(c *LSSConfig, v float64) { c.WD = v }},
 		{"Step", func(c *LSSConfig, v float64) { c.Step = v }},
-		{"Tol", func(c *LSSConfig, v float64) { c.Tol = v }},
-		{"PerturbStd", func(c *LSSConfig, v float64) { c.PerturbStd = v }},
 		{"InitSpread", func(c *LSSConfig, v float64) { c.InitSpread = v }},
 	}
 	s, _ := measure.NewSet(3)
@@ -90,6 +85,21 @@ func TestSolveLSSInputErrors(t *testing.T) {
 	badCfg.Step = 0
 	if _, err := SolveLSS(s, badCfg, rng); err == nil {
 		t.Error("want error for invalid config")
+	}
+}
+
+// TestSolveLSSNonFiniteObjective: finite distances whose objective overflows
+// — one 1e300 m distance among three nodes — make SolveLSS return an error
+// naming the non-finite objective, where it used to return Error = +Inf
+// with a nil error.
+func TestSolveLSSNonFiniteObjective(t *testing.T) {
+	s, _ := measure.NewSet(3)
+	_ = s.Add(0, 1, 1e300, 1)
+	_ = s.Add(1, 2, 5, 1)
+	_ = s.Add(0, 2, 5, 1)
+	res, err := SolveLSS(s, DefaultLSSConfig(0), rand.New(rand.NewSource(1)))
+	if err == nil || !strings.Contains(err.Error(), "non-finite objective") {
+		t.Fatalf("SolveLSS = %+v, %v; want a non-finite objective error", res, err)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 
 // This file freezes SolveMultilaterationIn as it stood before the
 // consistency check became a sorted sweep: a progressive loop over maps that
-// re-solves every unknown node on every pass, an all-pairs Hypot filter, an
-// allocating circle intersection and an allocating intersection mode. The
+// re-solves every unknown node on every pass, an all-pairs Hypot filter and
+// an allocating circle intersection. The
 // per-node solve is frozen as it stood before its linear seed became a
 // closed-form 2×2 solve: refSolveNode seeds through refLinearSeed, a copy of
 // the generic dense chain (transpose, multiply, ridge, Cholesky,
@@ -74,19 +74,10 @@ func refSolveMultilateration(set *measure.Set, anchors map[int]geom.Point, cfg M
 			if cfg.ConsistencyRadius > 0 {
 				obs = refFilterConsistent(obs, cfg.ConsistencyRadius)
 			}
-			if len(obs) < cfg.MinAnchors {
+			if len(obs) < minAnchors {
 				continue
 			}
-			var p geom.Point
-			var err error
-			if cfg.UseIntersectionMode && len(obs) >= cfg.MinModeAnchors {
-				p, err = refIntersectionMode(obs, cfg.ConsistencyRadius)
-				if err != nil {
-					p, err = refSolveNode(obs, cfg.MaxIters)
-				}
-			} else {
-				p, err = refSolveNode(obs, cfg.MaxIters)
-			}
+			p, err := refSolveNode(obs)
 			if err != nil {
 				continue
 			}
@@ -108,7 +99,7 @@ func refSolveMultilateration(set *measure.Set, anchors map[int]geom.Point, cfg M
 
 // refSolveNode is the frozen per-node solve: the chain's linear seed, or the
 // weighted anchor centroid when the seed fails, refined by gaussNewton.
-func refSolveNode(obs []anchorObs, maxIters int) (geom.Point, error) {
+func refSolveNode(obs []anchorObs) (geom.Point, error) {
 	seed, err := refLinearSeed(obs)
 	if err != nil {
 		var c geom.Point
@@ -122,7 +113,7 @@ func refSolveNode(obs []anchorObs, maxIters int) (geom.Point, error) {
 		}
 		seed = c.Scale(1 / w)
 	}
-	return gaussNewton(obs, seed, maxIters)
+	return gaussNewton(obs, seed)
 }
 
 // refLinearSeed is the frozen linear seed: the circle equations minus the
@@ -349,52 +340,6 @@ func refFilterConsistent(obs []anchorObs, radius float64) []anchorObs {
 	return out
 }
 
-// refIntersectionMode is the allocating all-pairs intersection mode.
-func refIntersectionMode(obs []anchorObs, radius float64) (geom.Point, error) {
-	if len(obs) < 3 {
-		return geom.Point{}, errors.New("too few anchors")
-	}
-	if radius <= 0 {
-		radius = 1
-	}
-	var pts []geom.Point
-	for i := range obs {
-		for j := i + 1; j < len(obs); j++ {
-			pts = append(pts, refCircleIntersect(
-				geom.Circle{Center: obs[i].pos, R: obs[i].d},
-				geom.Circle{Center: obs[j].pos, R: obs[j].d}, radius/2)...)
-		}
-	}
-	if len(pts) == 0 {
-		return geom.Point{}, errors.New("no intersections")
-	}
-	bestIdx, bestCount := 0, -1
-	for i, p := range pts {
-		count := 0
-		for _, q := range pts {
-			if p.Dist(q) <= radius {
-				count++
-			}
-		}
-		if count > bestCount {
-			bestCount = count
-			bestIdx = i
-		}
-	}
-	if bestCount < 3 {
-		return geom.Point{}, errors.New("no supporting cluster")
-	}
-	var c geom.Point
-	n := 0
-	for _, q := range pts {
-		if pts[bestIdx].Dist(q) <= radius {
-			c = c.Add(q)
-			n++
-		}
-	}
-	return c.Scale(1 / float64(n)), nil
-}
-
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 func samePointBits(p, q geom.Point) bool { return sameBits(p.X, q.X) && sameBits(p.Y, q.Y) }
@@ -510,33 +455,30 @@ func referenceInputs(t *testing.T) []multilatInput {
 // TestMultilaterationMatchesReferenceIdentical holds SolveMultilaterationIn
 // to the frozen solver bit for bit: positions, Localized and
 // AvgAnchorsPerNode, over progressive grids from 6×6 to 20×20, town and
-// anchor-dropout inputs (some with overestimated ranges), three consistency
-// radii, and least-squares and intersection-mode estimation. One arena is
-// reused across all solves, as a shard worker reuses it across trials.
+// anchor-dropout inputs (some with overestimated ranges) and three
+// consistency radii. One arena is reused across all solves, as a shard
+// worker reuses it across trials.
 func TestMultilaterationMatchesReferenceIdentical(t *testing.T) {
 	ws := scratch.New()
 	for _, in := range referenceInputs(t) {
 		for _, radius := range []float64{0.25, 1, 3} {
-			for _, mode := range []bool{false, true} {
-				cfg := DefaultMultilatConfig()
-				cfg.ConsistencyRadius = radius
-				cfg.Progressive = in.prog
-				cfg.UseIntersectionMode = mode
-				name := fmt.Sprintf("%s/r=%g/mode=%v", in.name, radius, mode)
-				got, err := SolveMultilaterationIn(ws, in.set, in.anchors, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				want := refSolveMultilateration(in.set, in.anchors, cfg)
-				checkSameResult(t, name, got, want)
-				ws.Release()
+			cfg := DefaultMultilatConfig()
+			cfg.ConsistencyRadius = radius
+			cfg.Progressive = in.prog
+			name := fmt.Sprintf("%s/r=%g", in.name, radius)
+			got, err := SolveMultilaterationIn(ws, in.set, in.anchors, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
+			want := refSolveMultilateration(in.set, in.anchors, cfg)
+			checkSameResult(t, name, got, want)
+			ws.Release()
 		}
 	}
 }
 
 // TestFilterConsistentMatchesReferenceIdentical compares the consistency
-// check and the intersection mode with their frozen all-pairs forms on
+// check with its frozen all-pairs form on
 // random observation sets, on radii set to the exact separation of two
 // intersection points (and one ulp below it), so that point separations fall
 // in the band where only Hypot decides, on an infinite radius, and on
@@ -551,11 +493,6 @@ func TestFilterConsistentMatchesReferenceIdentical(t *testing.T) {
 		got := filterConsistentIn(w, append([]anchorObs(nil), obs...), radius)
 		if !sameObs(got, want) {
 			t.Fatalf("trial %d, radius %v: filter kept %v, reference %v (input %v)", trial, radius, got, want, obs)
-		}
-		wantP, wantErr := refIntersectionMode(obs, radius)
-		gotP, gotErr := solveNodeIntersectionMode(w, obs, radius)
-		if (gotErr == nil) != (wantErr == nil) || (gotErr == nil && !samePointBits(gotP, wantP)) {
-			t.Fatalf("trial %d, radius %v: mode %v (%v), reference %v (%v)", trial, radius, gotP, gotErr, wantP, wantErr)
 		}
 	}
 	trials := 3000
@@ -707,8 +644,8 @@ func TestLinearSeedMatchesReferenceIdentical(t *testing.T) {
 		if (gotErr == nil) != (wantErr == nil) || (gotErr == nil && !samePointBits(gotSeed, wantSeed)) {
 			t.Fatalf("trial %d: seed %v (%v), reference %v (%v) for %v", trial, gotSeed, gotErr, wantSeed, wantErr, obs)
 		}
-		wantP, wantErr := refSolveNode(obs, 20)
-		gotP, gotErr := solveNode(obs, 20)
+		wantP, wantErr := refSolveNode(obs)
+		gotP, gotErr := solveNode(obs)
 		if (gotErr == nil) != (wantErr == nil) || (gotErr == nil && !samePointBits(gotP, wantP)) {
 			t.Fatalf("trial %d: solve %v (%v), reference %v (%v) for %v", trial, gotP, gotErr, wantP, wantErr, obs)
 		}

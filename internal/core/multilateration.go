@@ -14,10 +14,6 @@ import (
 
 // MultilatConfig parameterizes anchor-based multilateration (Section 4.1).
 type MultilatConfig struct {
-	// MinAnchors is the minimum number of anchors with consistent distance
-	// measurements required to localize a node (≥3 for an unambiguous
-	// planar fix).
-	MinAnchors int
 	// ConsistencyRadius enables the intersection consistency check of
 	// Section 4.1.2 when positive: anchors whose range circles have no
 	// intersection point within this radius of another pair's intersection
@@ -27,47 +23,32 @@ type MultilatConfig struct {
 	// iterates, the Section 4.1.1 extension ("Once localized, they become
 	// anchor nodes and are used to localize the remaining non-anchors").
 	Progressive bool
-	// MaxIters bounds the per-node Gauss-Newton refinement iterations.
-	MaxIters int
-	// UseIntersectionMode estimates positions as the mode (densest
-	// cluster centroid) of the range-circle intersection points instead of
-	// least squares when enough anchors are available — the paper's §4.1.2
-	// alternative ("we may take the mode of the intersection points of the
-	// remaining anchors instead of minimizing the error if the number of
-	// anchors is large enough"). With fewer than MinModeAnchors anchors the
-	// solver falls back to least squares.
-	UseIntersectionMode bool
-	// MinModeAnchors is the anchor count required before the intersection
-	// mode is used (default 4).
-	MinModeAnchors int
 }
+
+// minAnchors is the minimum number of anchors with consistent distance
+// measurements required to localize a node: three for an unambiguous planar
+// fix.
+const minAnchors = 3
+
+// gaussNewtonIters bounds the per-node Gauss-Newton refinement iterations.
+const gaussNewtonIters = 100
 
 // DefaultMultilatConfig returns the configuration of the paper's
 // experiments: 3-anchor minimum, 1 m consistency radius, no progressive
 // promotion ("we used the original set of anchors only").
 func DefaultMultilatConfig() MultilatConfig {
 	return MultilatConfig{
-		MinAnchors:        3,
 		ConsistencyRadius: 1.0,
 		Progressive:       false,
-		MaxIters:          100,
-		MinModeAnchors:    4,
 	}
 }
 
 // Validate checks the configuration.
 func (c MultilatConfig) Validate() error {
-	switch {
-	case c.MinAnchors < 3:
-		return errors.New("core: MinAnchors must be at least 3")
-	case !(c.ConsistencyRadius >= 0) || math.IsInf(c.ConsistencyRadius, 1):
+	if !(c.ConsistencyRadius >= 0) || math.IsInf(c.ConsistencyRadius, 1) {
 		// A NaN radius would switch the check off silently (NaN > 0 is
 		// false).
 		return errors.New("core: ConsistencyRadius must be finite and non-negative")
-	case c.MaxIters <= 0:
-		return errors.New("core: non-positive MaxIters")
-	case c.UseIntersectionMode && c.MinModeAnchors < 3:
-		return errors.New("core: MinModeAnchors must be at least 3")
 	}
 	return nil
 }
@@ -144,7 +125,7 @@ func multilatWS(ws *scratch.Arena) *mlWorkspace {
 }
 
 // SolveMultilateration localizes every non-anchor node that has distance
-// measurements to at least MinAnchors anchors, by least squares over
+// measurements to at least three anchors, by least squares over
 //
 //	argmin Σ_a w(c_a)·(‖p − p_a‖ − d_a)²
 //
@@ -270,19 +251,10 @@ func SolveMultilaterationIn(ws *scratch.Arena, set *measure.Set, anchors map[int
 			if cfg.ConsistencyRadius > 0 {
 				obs = filterConsistentIn(w, obs, cfg.ConsistencyRadius)
 			}
-			if len(obs) < cfg.MinAnchors {
+			if len(obs) < minAnchors {
 				continue
 			}
-			var p geom.Point
-			var err error
-			if cfg.UseIntersectionMode && len(obs) >= cfg.MinModeAnchors {
-				p, err = solveNodeIntersectionMode(w, obs, cfg.ConsistencyRadius)
-				if err != nil {
-					p, err = solveNode(obs, cfg.MaxIters) // fall back
-				}
-			} else {
-				p, err = solveNode(obs, cfg.MaxIters)
-			}
+			p, err := solveNode(obs)
 			if err != nil {
 				continue // degenerate geometry: leave unlocalized
 			}
@@ -569,50 +541,10 @@ func (d disk) within(dx, dy float64) bool {
 	return math.Hypot(dx, dy) <= d.r
 }
 
-// solveNodeIntersectionMode estimates a node's position as the centroid of
-// the densest cluster of range-circle intersection points (the paper's
-// §4.1.2 "mode of the intersection points" alternative). radius is the
-// cluster radius; non-positive values default to 1 m. Working storage comes
-// from w.
-func solveNodeIntersectionMode(w *mlWorkspace, obs []anchorObs, radius float64) (geom.Point, error) {
-	if len(obs) < 3 {
-		return geom.Point{}, errors.New("core: intersection mode needs ≥3 anchors")
-	}
-	if radius <= 0 {
-		radius = 1
-	}
-	pts := intersections(w, obs, radius/2)
-	if len(pts) == 0 {
-		return geom.Point{}, errors.New("core: intersection mode: no circle intersections")
-	}
-	w.sweep(pts, radius)
-	// Densest point: the first, in pts order, with the most points within
-	// radius of it (the popcount of its near row).
-	bestIdx, bestCount := 0, -1
-	for x := range pts {
-		if count := popcount(w.row(x)); count > bestCount {
-			bestCount = count
-			bestIdx = x
-		}
-	}
-	if bestCount < 3 {
-		return geom.Point{}, errors.New("core: intersection mode: no supporting cluster")
-	}
-	// The centroid sums the points of the densest point's row in pts order.
-	best := w.row(bestIdx)
-	var c geom.Point
-	for x, q := range pts {
-		if k := w.rank[x]; best[k>>6]&(1<<(k&63)) != 0 {
-			c = c.Add(q.p)
-		}
-	}
-	return c.Scale(1 / float64(bestCount)), nil
-}
-
 // solveNode estimates one node's position from anchor observations: a
 // linearized least-squares seed followed by Gauss-Newton refinement of the
 // nonlinear range objective.
-func solveNode(obs []anchorObs, maxIters int) (geom.Point, error) {
+func solveNode(obs []anchorObs) (geom.Point, error) {
 	seed, err := linearSeed(obs)
 	if err != nil {
 		// Fall back to the weighted centroid of anchors.
@@ -627,7 +559,7 @@ func solveNode(obs []anchorObs, maxIters int) (geom.Point, error) {
 		}
 		seed = c.Scale(1 / w)
 	}
-	return gaussNewton(obs, seed, maxIters)
+	return gaussNewton(obs, seed)
 }
 
 // linearSeed linearizes the circle equations by subtracting the first:
@@ -693,9 +625,9 @@ func linearSeed(obs []anchorObs) (geom.Point, error) {
 }
 
 // gaussNewton refines the weighted nonlinear range least squares from seed.
-func gaussNewton(obs []anchorObs, seed geom.Point, maxIters int) (geom.Point, error) {
+func gaussNewton(obs []anchorObs, seed geom.Point) (geom.Point, error) {
 	p := seed
-	for it := 0; it < maxIters; it++ {
+	for it := 0; it < gaussNewtonIters; it++ {
 		// Normal equations for the 2-unknown Gauss-Newton step.
 		var jtj00, jtj01, jtj11, jtr0, jtr1 float64
 		for _, o := range obs {

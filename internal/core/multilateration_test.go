@@ -22,13 +22,10 @@ func TestMultilatConfigValidate(t *testing.T) {
 		t.Errorf("zero ConsistencyRadius invalid: %v", err)
 	}
 	bad := map[string]MultilatConfig{
-		"MinAnchors 2":                {MinAnchors: 2, MaxIters: 10},
-		"negative ConsistencyRadius":  {MinAnchors: 3, ConsistencyRadius: -1, MaxIters: 10},
-		"NaN ConsistencyRadius":       {MinAnchors: 3, ConsistencyRadius: math.NaN(), MaxIters: 10},
-		"+Inf ConsistencyRadius":      {MinAnchors: 3, ConsistencyRadius: math.Inf(1), MaxIters: 10},
-		"-Inf ConsistencyRadius":      {MinAnchors: 3, ConsistencyRadius: math.Inf(-1), MaxIters: 10},
-		"MaxIters 0":                  {MinAnchors: 3, MaxIters: 0},
-		"intersection mode 2 anchors": {MinAnchors: 3, MaxIters: 10, UseIntersectionMode: true, MinModeAnchors: 2},
+		"negative ConsistencyRadius": {ConsistencyRadius: -1},
+		"NaN ConsistencyRadius":      {ConsistencyRadius: math.NaN()},
+		"+Inf ConsistencyRadius":     {ConsistencyRadius: math.Inf(1)},
+		"-Inf ConsistencyRadius":     {ConsistencyRadius: math.Inf(-1)},
 	}
 	for name, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -182,11 +179,11 @@ func TestIntersectionConsistencyDropsOutlier(t *testing.T) {
 	}
 
 	// The filtered fix must beat the unfiltered one.
-	pFiltered, err := solveNode(filtered, 100)
+	pFiltered, err := solveNode(filtered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pAll, err := solveNode(obs, 100)
+	pAll, err := solveNode(obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +279,7 @@ func TestMultilatInputErrors(t *testing.T) {
 		t.Error("want error for out-of-range anchor")
 	}
 	bad := DefaultMultilatConfig()
-	bad.MinAnchors = 1
+	bad.ConsistencyRadius = -1
 	if _, err := SolveMultilateration(s, map[int]geom.Point{0: {}}, bad); err == nil {
 		t.Error("want error for invalid config")
 	}
@@ -343,7 +340,7 @@ func TestGaussNewtonCollinearAnchors(t *testing.T) {
 	}
 	// The linear seed degenerates too; solveNode may fail or return a
 	// finite point — it must not return NaN.
-	p, err := solveNode(obs, 50)
+	p, err := solveNode(obs)
 	if err == nil && !p.IsFinite() {
 		t.Errorf("non-finite solution %v without error", p)
 	}
@@ -400,7 +397,7 @@ func TestMultilatLocalMinimumVictims(t *testing.T) {
 	for i := range obs {
 		obs[i].d = truthPt.Dist(obs[i].pos) + rng.NormFloat64()*0.3
 	}
-	p, err := solveNode(obs, 100)
+	p, err := solveNode(obs)
 	if err != nil {
 		t.Skip("degenerate geometry rejected — acceptable")
 	}

@@ -30,10 +30,16 @@ type Alignment struct {
 
 // Fit registers est onto truth with the best rigid transform (translation,
 // rotation, optional reflection) and returns the per-node and average
-// errors. The slices must be equal-length with at least 2 points.
+// errors. The slices must be equal-length with at least 2 points, all
+// finite.
 func Fit(est, truth []geom.Point) (*Alignment, error) {
 	if len(est) != len(truth) {
 		return nil, fmt.Errorf("eval: Fit: length mismatch %d != %d", len(est), len(truth))
+	}
+	for i := range est {
+		if !est[i].IsFinite() || !truth[i].IsFinite() {
+			return nil, fmt.Errorf("eval: Fit: non-finite point %d: estimate %v, truth %v", i, est[i], truth[i])
+		}
 	}
 	tr, _, err := geom.FitRigid(est, truth)
 	if err != nil {

@@ -3,6 +3,7 @@ package eval
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"resilientloc/internal/geom"
@@ -27,6 +28,27 @@ func TestFitRecoversRigidMotion(t *testing.T) {
 		t.Errorf("MaxError = %g on pure rigid motion", a.MaxError)
 	}
 	_ = rng
+}
+
+// TestFitRejectsNonFinite: a NaN or infinite coordinate in either input
+// fails Fit with an error naming the point, where a NaN estimate used to
+// give AvgError = NaN and a nil error.
+func TestFitRejectsNonFinite(t *testing.T) {
+	truth := []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(10, 10), geom.Pt(0, 10)}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, side := range []string{"estimate", "truth"} {
+			est, tru := append([]geom.Point(nil), truth...), append([]geom.Point(nil), truth...)
+			if side == "estimate" {
+				est[2].X = bad
+			} else {
+				tru[2].Y = bad
+			}
+			a, err := Fit(est, tru)
+			if err == nil || !strings.Contains(err.Error(), "non-finite point 2") {
+				t.Errorf("%s coordinate %v: Fit = %+v, %v; want a non-finite point error", side, bad, a, err)
+			}
+		}
+	}
 }
 
 func TestFitWithNoise(t *testing.T) {

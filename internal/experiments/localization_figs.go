@@ -31,7 +31,7 @@ func gridFieldSet(seed int64) (*measure.Set, *deploy.Deployment, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	set, err := svc.CampaignSet(3, 21, measure.FilterMedian, measure.DefaultMergeOptions())
+	set, err := svc.CampaignSet(3, 21)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -151,8 +151,7 @@ func fig12Campaign(int64, params.Map) engine.Campaign[*Result] {
 				}
 			}
 		}
-		directed := raw.Filter(measure.FilterMedian, 0)
-		set, err := measure.Merge(dep.N(), directed, measure.DefaultMergeOptions())
+		set, err := measure.Merge(dep.N(), raw.Filter(), false)
 		if err != nil {
 			return err
 		}

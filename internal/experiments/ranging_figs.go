@@ -76,7 +76,7 @@ func fig04Campaign(int64, params.Map) engine.Campaign[*Result] {
 			return err
 		}
 
-		directed := raw.Filter(measure.FilterMedian, 0)
+		directed := raw.Filter()
 		var filtErrs []float64
 		for k, d := range directed {
 			truth := dep.Positions[k[0]].Dist(dep.Positions[k[1]])
@@ -159,10 +159,7 @@ func fig07Campaign(int64, params.Map) engine.Campaign[*Result] {
 			return err
 		}
 
-		directed := raw.Filter(measure.FilterMedian, 0)
-		opt := measure.DefaultMergeOptions()
-		opt.RequireBidirectional = true
-		set, err := measure.Merge(dep.N(), directed, opt)
+		set, err := measure.Merge(dep.N(), raw.Filter(), true)
 		if err != nil {
 			return err
 		}

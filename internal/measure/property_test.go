@@ -65,7 +65,7 @@ func TestPropertyMergeSoundness(t *testing.T) {
 			}
 			directed[[2]int{i, j}] = rng.Float64()*20 + 0.1
 		}
-		s, err := Merge(n, directed, DefaultMergeOptions())
+		s, err := Merge(n, directed, false)
 		if err != nil {
 			t.Fatal(err)
 		}

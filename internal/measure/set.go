@@ -1,9 +1,10 @@
 // Package measure defines the distance-measurement data structures shared by
 // the ranging service and the localization algorithms: raw repeated directed
-// measurements, the statistical filters of paper Section 3.5 (median/mode),
-// the bidirectional consistency check, and the synthetic distance generators the paper uses to augment sparse field data
-// (Figures 15/16 and 25) and to drive the random-deployment simulations
-// (Figures 20–22).
+// measurements, the median filter of paper Section 3.5, the bidirectional
+// consistency check, and the synthetic distance generators the paper uses to
+// augment sparse field data (Figures 15/16 and 25) and to drive the
+// random-deployment simulations (Figures 20–22). Section 3.5's mode filter is
+// not reproduced: none of the paper's figures uses it.
 package measure
 
 import (
@@ -312,71 +313,36 @@ func (r *Raw) TotalReadings() int {
 	return t
 }
 
-// FilterKind selects the statistical filter applied to repeated readings.
-type FilterKind int
-
-// Statistical filters per paper Section 3.5: the median for small sample
-// counts, the mode (densest cluster) when enough measurements are available.
-const (
-	FilterMedian FilterKind = iota + 1
-	FilterMode
-)
-
-// ModeBinWidth is the cluster width used by the mode filter, meters.
-const ModeBinWidth = 0.5
-
-// Filter reduces repeated directed readings to one estimate per direction.
-// The mode filter falls back to the median when fewer than minModeSamples
-// readings are available ("it needs more measurements to be effective").
-func (r *Raw) Filter(kind FilterKind, minModeSamples int) map[[2]int]float64 {
+// Filter reduces repeated directed readings to one estimate per direction:
+// their median, the paper's Section 3.5 filter for small sample counts.
+func (r *Raw) Filter() map[[2]int]float64 {
 	out := make(map[[2]int]float64, len(r.readings))
 	for _, k := range r.keys {
-		v := r.readings[k]
-		var est float64
-		if kind == FilterMode && len(v) >= minModeSamples {
-			est, _ = stats.Mode(v, ModeBinWidth)
-		} else {
-			est, _ = stats.Median(v)
-		}
-		out[k] = est
+		out[k], _ = stats.Median(r.readings[k])
 	}
 	return out
 }
 
-// MergeOptions controls how directed estimates merge into an undirected Set.
-type MergeOptions struct {
-	// BidirTolerance is the maximum |d(i→j) − d(j→i)| for a bidirectional
-	// pair to be considered consistent, meters.
-	BidirTolerance float64
-	// RequireBidirectional drops pairs measured in only one direction when
-	// true (Figure 7's "bidirectional measurements only"); otherwise
-	// unidirectional estimates are retained with reduced weight, which the
-	// paper recommends when data is scarce.
-	RequireBidirectional bool
-	// UnidirectionalWeight is the LSS weight assigned to unidirectional
-	// pairs when they are retained (bidirectional-consistent pairs get 1).
-	UnidirectionalWeight float64
-}
-
-// DefaultMergeOptions returns the merge policy used by the refined ranging
-// service: 1 m bidirectional tolerance, unidirectional pairs kept at half
-// weight.
-func DefaultMergeOptions() MergeOptions {
-	return MergeOptions{BidirTolerance: 1.0, RequireBidirectional: false, UnidirectionalWeight: 0.5}
-}
+// The merge policy of the refined ranging service: two directions agree
+// when they differ by at most bidirTolerance meters, and a pair measured in
+// one direction only gets LSS weight uniWeight (bidirectionally consistent
+// pairs get 1).
+const (
+	bidirTolerance = 1.0
+	uniWeight      = 0.5
+)
 
 // Merge combines directed estimates into an undirected Set, applying the
 // bidirectional consistency check of Section 3.5: pairs measured in both
 // directions are kept (averaged) only when the two directions agree within
-// BidirTolerance; disagreeing pairs are discarded entirely.
-func Merge(n int, directed map[[2]int]float64, opt MergeOptions) (*Set, error) {
+// 1 m; disagreeing pairs are discarded entirely. A pair measured in one
+// direction only is dropped when bidirectionalOnly is set (Figure 7's
+// "bidirectional measurements only"), and otherwise kept at half weight,
+// which the paper recommends when data is scarce.
+func Merge(n int, directed map[[2]int]float64, bidirectionalOnly bool) (*Set, error) {
 	s, err := NewSet(n)
 	if err != nil {
 		return nil, err
-	}
-	uniWeight := opt.UnidirectionalWeight
-	if uniWeight <= 0 {
-		uniWeight = 0.5
 	}
 	done := make(map[Pair]bool)
 	// Deterministic iteration: sort the directed keys.
@@ -400,14 +366,14 @@ func Merge(n int, directed map[[2]int]float64, opt MergeOptions) (*Set, error) {
 		rev, rok := directed[[2]int{p.Hi, p.Lo}]
 		switch {
 		case fok && rok:
-			if math.Abs(fwd-rev) <= opt.BidirTolerance {
+			if math.Abs(fwd-rev) <= bidirTolerance {
 				if err := s.Add(p.Lo, p.Hi, (fwd+rev)/2, 1); err != nil {
 					return nil, err
 				}
 			}
 			// Inconsistent bidirectional pair: discarded.
 		case fok || rok:
-			if opt.RequireBidirectional {
+			if bidirectionalOnly {
 				continue
 			}
 			d := fwd

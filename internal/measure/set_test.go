@@ -178,21 +178,9 @@ func TestRawAddAndFilter(t *testing.T) {
 	if r.TotalReadings() != 5 {
 		t.Errorf("TotalReadings = %d", r.TotalReadings())
 	}
-	med := r.Filter(FilterMedian, 0)
+	med := r.Filter()
 	if math.Abs(med[[2]int{0, 1}]-10.05) > 1e-9 {
 		t.Errorf("median = %v, want 10.05", med[[2]int{0, 1}])
-	}
-	mode := r.Filter(FilterMode, 4)
-	if math.Abs(mode[[2]int{0, 1}]-10.0) > 0.1 {
-		t.Errorf("mode = %v, want ≈10.0", mode[[2]int{0, 1}])
-	}
-	// Mode falls back to median below the sample minimum.
-	r2, _ := NewRaw(2)
-	_ = r2.Add(0, 1, 5)
-	_ = r2.Add(0, 1, 6)
-	fb := r2.Filter(FilterMode, 4)
-	if math.Abs(fb[[2]int{0, 1}]-5.5) > 1e-9 {
-		t.Errorf("fallback = %v, want 5.5 (median)", fb[[2]int{0, 1}])
 	}
 }
 
@@ -216,9 +204,11 @@ func TestMergeBidirectionalConsistent(t *testing.T) {
 	directed := map[[2]int]float64{
 		{0, 1}: 10.2, {1, 0}: 10.0, // consistent: kept, averaged
 		{1, 2}: 8.0, {2, 1}: 12.0, // inconsistent: dropped
-		{2, 3}: 5.0, // unidirectional: kept at reduced weight
+		{2, 3}: 5.0,               // unidirectional: kept at reduced weight
+		{3, 4}: 10.5, {4, 3}: 9.5, // exactly 1 m apart: kept
+		{4, 5}: 11 + 1e-6, {5, 4}: 10.0, // 1 m + 1e-6 apart: dropped
 	}
-	s, err := Merge(4, directed, DefaultMergeOptions())
+	s, err := Merge(6, directed, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +223,13 @@ func TestMergeBidirectionalConsistent(t *testing.T) {
 	if !ok || m.Weight != 0.5 {
 		t.Errorf("unidirectional pair = %+v, ok=%v", m, ok)
 	}
+	m, ok = s.Get(3, 4)
+	if !ok || m.Distance != 10 || m.Weight != 1 {
+		t.Errorf("pair 1 m apart = %+v, ok=%v, want kept at 10 m", m, ok)
+	}
+	if _, ok := s.Get(4, 5); ok {
+		t.Error("pair 1 m + 1e-6 apart retained")
+	}
 }
 
 func TestMergeRequireBidirectional(t *testing.T) {
@@ -240,9 +237,7 @@ func TestMergeRequireBidirectional(t *testing.T) {
 		{0, 1}: 10.0, {1, 0}: 10.1,
 		{2, 3}: 5.0,
 	}
-	opt := DefaultMergeOptions()
-	opt.RequireBidirectional = true
-	s, err := Merge(4, directed, opt)
+	s, err := Merge(4, directed, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +250,8 @@ func TestMergeDeterministic(t *testing.T) {
 	directed := map[[2]int]float64{
 		{0, 1}: 1, {2, 3}: 2, {1, 2}: 3, {0, 3}: 4,
 	}
-	a, _ := Merge(4, directed, DefaultMergeOptions())
-	b, _ := Merge(4, directed, DefaultMergeOptions())
+	a, _ := Merge(4, directed, false)
+	b, _ := Merge(4, directed, false)
 	am, bm := a.All(), b.All()
 	for i := range am {
 		if am[i] != bm[i] {

@@ -147,7 +147,7 @@ func TestCampaignSetSurvivesEmptyCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := svc.CampaignSet(1, 0.5, measure.FilterMedian, measure.DefaultMergeOptions())
+	set, err := svc.CampaignSet(1, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

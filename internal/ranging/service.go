@@ -493,14 +493,14 @@ func (s *Service) Campaign(rounds int, maxPairDist float64) (*measure.Raw, error
 	return raw, nil
 }
 
-// CampaignSet runs a Campaign and reduces it with the given statistical
-// filter and merge policy — the full pipeline from chirps to the
-// measurement set localization consumes.
-func (s *Service) CampaignSet(rounds int, maxPairDist float64, filter measure.FilterKind, opt measure.MergeOptions) (*measure.Set, error) {
+// CampaignSet runs a Campaign, takes the median of each direction's
+// readings and merges the directions with the bidirectional consistency
+// check — the full pipeline from chirps to the measurement set localization
+// consumes.
+func (s *Service) CampaignSet(rounds int, maxPairDist float64) (*measure.Set, error) {
 	raw, err := s.Campaign(rounds, maxPairDist)
 	if err != nil {
 		return nil, err
 	}
-	directed := raw.Filter(filter, 5)
-	return measure.Merge(s.dep.N(), directed, opt)
+	return measure.Merge(s.dep.N(), raw.Filter(), false)
 }

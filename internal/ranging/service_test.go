@@ -8,7 +8,6 @@ import (
 	"resilientloc/internal/acoustics"
 	"resilientloc/internal/deploy"
 	"resilientloc/internal/geom"
-	"resilientloc/internal/measure"
 	"resilientloc/internal/stats"
 )
 
@@ -333,7 +332,7 @@ func TestCampaignSetPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := svc.CampaignSet(3, 25, measure.FilterMedian, measure.DefaultMergeOptions())
+	set, err := svc.CampaignSet(3, 25)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,39 +68,6 @@ func Median(xs []float64) (float64, error) {
 	return tmp[n/2-1]/2 + tmp[n/2]/2, nil
 }
 
-// Mode returns the center of the densest window of width binWidth over xs —
-// a continuous analogue of the mode, which the paper prefers over the median
-// when enough repeated measurements are available (§3.5: "The mode operation
-// is more resistant to the effects of uncorrelated outliers than the median,
-// but it needs more measurements to be effective").
-//
-// The estimator slides a window of binWidth over the sorted samples, finds
-// the window containing the most samples (ties broken toward the earliest
-// window), and returns the mean of the samples inside it.
-func Mode(xs []float64, binWidth float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if binWidth <= 0 {
-		return 0, errors.New("stats: Mode: binWidth must be positive")
-	}
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-
-	bestLo, bestHi := 0, 1
-	lo := 0
-	for hi := 1; hi <= len(tmp); hi++ {
-		for tmp[hi-1]-tmp[lo] > binWidth {
-			lo++
-		}
-		if hi-lo > bestHi-bestLo {
-			bestLo, bestHi = lo, hi
-		}
-	}
-	m, _ := Mean(tmp[bestLo:bestHi])
-	return m, nil
-}
-
 // Percentile returns the p-quantile (0 <= p <= 1) of xs using linear
 // interpolation between order statistics, without modifying the input.
 func Percentile(xs []float64, p float64) (float64, error) {

@@ -82,35 +82,6 @@ func TestMedianDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestMode(t *testing.T) {
-	// Cluster at ~10 with outliers; the mode should sit in the cluster even
-	// though the median would drift with more outliers.
-	xs := []float64{9.9, 10.0, 10.1, 10.05, 3.0, 25.0}
-	got, err := Mode(xs, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-10) > 0.2 {
-		t.Errorf("Mode = %v, want ≈10", got)
-	}
-	if _, err := Mode(nil, 0.5); !errors.Is(err, ErrEmpty) {
-		t.Error("want ErrEmpty")
-	}
-	if _, err := Mode(xs, 0); err == nil {
-		t.Error("want error for non-positive bin width")
-	}
-}
-
-func TestModeBeatsMedianWithManyOutliers(t *testing.T) {
-	// Paper §3.5: mode is more outlier-resistant than median but needs more
-	// samples. 5 good readings near 12 m, 4 coordinated-looking outliers.
-	xs := []float64{11.9, 12.0, 12.1, 12.0, 11.95, 2.0, 2.1, 30.0, 30.2}
-	mode, _ := Mode(xs, 0.5)
-	if math.Abs(mode-12) > 0.2 {
-		t.Errorf("Mode = %v, want ≈12", mode)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	for _, tc := range []struct{ p, want float64 }{

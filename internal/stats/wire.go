@@ -165,6 +165,24 @@ func (q *QuantileSketch) UnmarshalJSON(b []byte) error {
 	if w.Count < 0 || w.Zero < 0 {
 		return errors.New("stats: QuantileSketch: negative count")
 	}
+	// Add and Merge only ever raise a bucket above zero, and count is always
+	// zero plus every bucket: refuse any other state, so Quantile's rank walk
+	// always ends inside the buckets.
+	held := w.Zero
+	for _, buckets := range []map[int]int64{w.Neg, w.Pos} {
+		for i, c := range buckets {
+			if c <= 0 {
+				return fmt.Errorf("stats: QuantileSketch: bucket %d has non-positive count %d", i, c)
+			}
+			if held > math.MaxInt64-c {
+				return errors.New("stats: QuantileSketch: bucket counts overflow int64")
+			}
+			held += c
+		}
+	}
+	if held != w.Count {
+		return fmt.Errorf("stats: QuantileSketch: count %d differs from the %d samples its buckets hold", w.Count, held)
+	}
 	q.gamma = gamma
 	q.logGamma = math.Log(gamma)
 	q.pos = w.Pos

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -144,5 +145,44 @@ func TestSketchWireRoundTrip(t *testing.T) {
 	var bad QuantileSketch
 	if err := json.Unmarshal([]byte(`{"gamma":0.5,"count":0}`), &bad); err == nil {
 		t.Error("invalid gamma accepted")
+	}
+}
+
+// TestSketchWireRejectsForgedState: the decoder refuses every state Add and
+// Merge can never produce — a bucket holding no or a negative count, a count
+// that differs from the zero bucket plus every bucket, and bucket sums that
+// overflow int64 — each with an error naming the defect. Before these checks,
+// the two mismatched-count inputs decoded and Quantile(0.5) then failed with
+// its unreachable "internal rank overflow".
+func TestSketchWireRejectsForgedState(t *testing.T) {
+	for _, tc := range []struct {
+		name, in, want string
+	}{
+		{"count without buckets", `{"gamma":1.02,"count":5}`, "differs from the 0 samples"},
+		{"negative bucket", `{"gamma":1.02,"pos":{"3":-4},"count":1}`, "bucket 3 has non-positive count -4"},
+		{"empty bucket", `{"gamma":1.02,"neg":{"-2":0},"count":0}`, "bucket -2 has non-positive count 0"},
+		{"count above buckets", `{"gamma":1.02,"pos":{"3":2},"zero":1,"count":4}`, "count 4 differs from the 3 samples"},
+		{"count below buckets", `{"gamma":1.02,"pos":{"3":2},"neg":{"1":2},"count":3}`, "count 3 differs from the 4 samples"},
+		{"overflowing buckets", `{"gamma":1.02,"pos":{"3":9223372036854775807},"zero":1,"count":9223372036854775807}`, "overflow"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var q QuantileSketch
+			err := json.Unmarshal([]byte(tc.in), &q)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("decode %s: err %v, want one containing %q", tc.in, err, tc.want)
+			}
+		})
+	}
+
+	// The states Add and Merge do produce still decode.
+	for _, in := range []string{
+		`{"gamma":1.02,"count":0}`,
+		`{"gamma":1.02,"zero":2,"count":2}`,
+		`{"gamma":1.02,"pos":{"3":2},"neg":{"1":1},"zero":1,"count":4}`,
+	} {
+		var q QuantileSketch
+		if err := json.Unmarshal([]byte(in), &q); err != nil {
+			t.Errorf("decode %s: %v", in, err)
+		}
 	}
 }
