@@ -182,9 +182,9 @@ func BenchmarkFig25DistributedExtended(b *testing.B) {
 // identical aggregates, so the speedup is free.
 func benchScenarioRunner(b *testing.B, workers int) {
 	b.Helper()
-	s, ok := engine.Find("multilat-town")
-	if !ok {
-		b.Fatal("multilat-town missing from scenario library")
+	s, _, err := engine.BuildScenario("multilat-town", nil)
+	if err != nil {
+		b.Fatal(err)
 	}
 	r, err := engine.NewRunner(engine.Config{Workers: workers, Trials: 64, ShardSize: 2, Seed: 1})
 	if err != nil {
@@ -306,9 +306,9 @@ func BenchmarkFigSuiteCacheHit(b *testing.B) {
 // quarter of BenchmarkRunnerParallel's time to read the partial-execution
 // overhead (piece bookkeeping plus aggregate serialization structures).
 func BenchmarkPartialRun(b *testing.B) {
-	s, ok := engine.Find("multilat-town")
-	if !ok {
-		b.Fatal("multilat-town missing from scenario library")
+	s, _, err := engine.BuildScenario("multilat-town", nil)
+	if err != nil {
+		b.Fatal(err)
 	}
 	r, err := engine.NewRunner(engine.Config{Trials: 64, ShardSize: 2, Seed: 1})
 	if err != nil {
@@ -328,9 +328,9 @@ func BenchmarkPartialRun(b *testing.B) {
 // partition is deliberately unaligned (8 ranges over shard size 2 with odd
 // boundaries) so both the state-restore and raw-replay merge paths run.
 func BenchmarkCoordMerge(b *testing.B) {
-	s, ok := engine.Find("multilat-town")
-	if !ok {
-		b.Fatal("multilat-town missing from scenario library")
+	s, _, err := engine.BuildScenario("multilat-town", nil)
+	if err != nil {
+		b.Fatal(err)
 	}
 	r, err := engine.NewRunner(engine.Config{Trials: 64, ShardSize: 2, Seed: 1})
 	if err != nil {

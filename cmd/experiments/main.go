@@ -101,13 +101,6 @@ func realMain(args []string, out io.Writer) error {
 func printList(out io.Writer) {
 	for _, e := range experiments.All() {
 		fmt.Fprintf(out, "%s\n", e.ID)
-		for _, p := range e.Params {
-			constraint := p.Constraint()
-			if constraint != "" {
-				constraint = "  " + constraint
-			}
-			fmt.Fprintf(out, "    %-16s %-6s default %-10s%s  %s\n",
-				p.Name, p.Kind, p.Default.String(), constraint, p.Help)
-		}
+		e.Params.Fprint(out, "    ")
 	}
 }

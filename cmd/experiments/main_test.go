@@ -157,10 +157,12 @@ func TestListAndParams(t *testing.T) {
 	if err := realMain([]string{"-list"}, &list); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"fig11", "maxrange", "rounds", "default 40"} {
-		if !strings.Contains(list.String(), want) {
-			t.Errorf("-list output missing %q:\n%s", want, list.String())
-		}
+	want, err := os.ReadFile(filepath.Join("testdata", "list.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if list.String() != string(want) {
+		t.Errorf("-list output diverged from testdata/list.golden\n--- got ---\n%s--- want ---\n%s", list.String(), want)
 	}
 
 	var buf bytes.Buffer

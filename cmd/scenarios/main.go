@@ -1,4 +1,4 @@
-// Command scenarios lists and runs the scenario library on the concurrent
+// Command scenarios lists and runs the scenario factories on the concurrent
 // execution engine, through the same spec-driven campaign runner (worker
 // pool, result cache, streaming progress) as cmd/experiments and locd.
 //
@@ -22,10 +22,11 @@
 // a sweep document (spec template + parameter grid) into one job per grid
 // point, exactly as locd's /v1/sweeps endpoint does.
 //
-// -run accepts both library scenarios and parameterized factories; the
-// repeatable -param flag selects a factory's operating point (-list prints
-// each factory's schema), and the params become part of the job's content
-// address, so every distinct operating point caches separately.
+// Every scenario is a factory: each suite member is a fixed point with no
+// parameters, and -run accepts any factory name. The repeatable -param flag
+// selects a parameterized factory's operating point (-list prints each
+// schema), and the params become part of the job's content address, so
+// every distinct operating point caches separately.
 //
 // All metric aggregates are deterministic per seed at any -parallel value
 // (only the reported worker count and elapsed time vary), which is what
@@ -110,37 +111,30 @@ func run(args []string, out io.Writer) error {
 }
 
 // selectNames resolves -run/-suite into scenario names: suites and "all"
-// draw from the library; explicit -run names may also address parameterized
-// factories (whose operating point the -param flags select).
+// draw from the suites' fixed points; explicit -run names may address any
+// factory (whose operating point the -param flags select).
 func selectNames(runNames, suite string) ([]string, error) {
-	if suite != "" {
-		if runNames != "" {
+	if runNames == "all" || suite != "" {
+		if runNames != "" && suite != "" {
 			return nil, fmt.Errorf("use either -run or -suite, not both")
 		}
-		st, ok := engine.FindSuite(suite)
-		if !ok {
+		var names []string
+		for _, st := range engine.Suites() {
+			if suite == "" || st.Name == suite {
+				for _, s := range st.Scenarios {
+					names = append(names, s.Name)
+				}
+			}
+		}
+		if len(names) == 0 {
 			return nil, fmt.Errorf("unknown suite %q", suite)
-		}
-		names := make([]string, len(st.Scenarios))
-		for i, s := range st.Scenarios {
-			names[i] = s.Name
-		}
-		return names, nil
-	}
-	if runNames == "all" {
-		lib := engine.Library()
-		names := make([]string, len(lib))
-		for i, s := range lib {
-			names[i] = s.Name
 		}
 		return names, nil
 	}
 	var names []string
 	for _, name := range strings.Split(runNames, ",") {
 		name = strings.TrimSpace(name)
-		_, inLibrary := engine.Find(name)
-		_, isFactory := engine.FindFactory(name)
-		if !inLibrary && !isFactory {
+		if _, ok := engine.FindFactory(name); !ok {
 			return nil, fmt.Errorf("unknown scenario %q", name)
 		}
 		names = append(names, name)
@@ -157,14 +151,9 @@ func printList(out io.Writer) {
 	}
 	fmt.Fprintf(out, "parameterized factories — select an operating point with repeated -param name=value\n")
 	for _, f := range engine.Factories() {
-		fmt.Fprintf(out, "  %-28s %s\n", f.Name, f.Description)
-		for _, p := range f.Params {
-			constraint := p.Constraint()
-			if constraint != "" {
-				constraint = "  " + constraint
-			}
-			fmt.Fprintf(out, "      %-16s %-6s default %-10s%s  %s\n",
-				p.Name, p.Kind, p.Default.String(), constraint, p.Help)
+		if len(f.Params) > 0 { // the fixed points are listed under their suites
+			fmt.Fprintf(out, "  %-28s %s\n", f.Name, f.Description)
+			f.Params.Fprint(out, "      ")
 		}
 	}
 }

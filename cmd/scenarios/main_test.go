@@ -12,14 +12,20 @@ import (
 	"resilientloc/internal/engine"
 )
 
+// TestListOutput pins -list byte for byte (and a bare invocation, which
+// prints the same listing) against testdata/list.golden.
 func TestListOutput(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(nil, &buf); err != nil {
+	want, err := os.ReadFile(filepath.Join("testdata", "list.golden"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"suite ranging", "suite multilat", "multilat-town", "maxrange-grass-t2"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("list output missing %q", want)
+	for _, args := range [][]string{{"-list"}, nil} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != string(want) {
+			t.Errorf("%v output diverged from testdata/list.golden\n--- got ---\n%s--- want ---\n%s", args, buf.String(), want)
 		}
 	}
 }

@@ -60,9 +60,9 @@ func TestBudgetCapsConcurrentShards(t *testing.T) {
 // TestBudgetPreservesResults checks the budget bounds scheduling only: a
 // budgeted run's aggregates are identical to an unbudgeted one's.
 func TestBudgetPreservesResults(t *testing.T) {
-	s, ok := Find("multilat-town")
-	if !ok {
-		t.Fatal("multilat-town missing")
+	s, _, err := BuildScenario("multilat-town", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	base := Config{Workers: 4, Trials: 8, Seed: 3, ShardSize: 2}
 	budgeted := base

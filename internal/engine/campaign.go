@@ -6,8 +6,8 @@ package engine
 // structural trial count) and a Finalize step that turns the shard-merged
 // Report into a result of type R.
 //
-// Both halves of the codebase run on campaigns: the scenario library wraps
-// each Scenario via ReportCampaign (R = *Report), and every figure
+// Both halves of the codebase run on campaigns: every scenario is wrapped
+// via ReportCampaign (R = *Report), and every figure
 // reproduction in internal/experiments builds a Campaign[*experiments.Result]
 // whose Finalize assembles the figure from the report's aggregates. A
 // figure that needs one trial's value records it under a per-trial name and
@@ -78,7 +78,7 @@ func (c Campaign[R]) Geometry(trials, shardSize int) (int, int) {
 }
 
 // ReportCampaign wraps a bare Scenario as a campaign whose result is the
-// Report itself, which is how the scenario library runs on the shared
+// Report itself, which is how every scenario runs on the shared
 // campaign path.
 func ReportCampaign(s Scenario) Campaign[*Report] {
 	return Campaign[*Report]{

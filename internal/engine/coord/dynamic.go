@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"resilientloc/internal/engine"
+	"resilientloc/internal/engine/cache"
 	"resilientloc/internal/engine/fleet"
 	"resilientloc/internal/engine/spec"
 )
@@ -353,19 +354,14 @@ func (c *coordinator) syncFleet(urls []string) []string {
 	return added
 }
 
-// Wire shapes of the worker cache-probe API (the subset reuse consumes). A
+// Wire shape of the worker cache-probe API (the subset reuse consumes). A
 // range entry's trials field is the full trial count stamped on the entry's
 // key — equal to the probe's trials for this job's own ranges, different
 // for cross-count entries.
 type wireProbe struct {
-	Trials int    `json:"trials"`
-	Full   string `json:"full"`
-	Ranges []struct {
-		Lo     int    `json:"lo"`
-		Hi     int    `json:"hi"`
-		Trials int    `json:"trials"`
-		Hash   string `json:"hash"`
-	} `json:"ranges"`
+	Trials int                `json:"trials"`
+	Full   string             `json:"full"`
+	Ranges []cache.RangeEntry `json:"ranges"`
 }
 
 // probeCaches asks every worker for the cache entries it banked for this

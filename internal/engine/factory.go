@@ -2,27 +2,25 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"resilientloc/internal/acoustics"
 	"resilientloc/internal/engine/params"
 )
 
-// A Factory is a parameter-addressable scenario constructor: where the
-// library in scenarios.go registers a handful of compiled-in operating
-// points (NoiseSweep(6), AnchorDropout(12), ...), a factory exposes the
-// whole parameter space behind the constructor on the wire — any point a
-// job spec's params can name, validated against the declared schema.
+// A Factory is a parameter-addressable scenario constructor, and the one
+// registry a scenario name resolves through. A parameterized factory exposes
+// the whole parameter space behind its constructor on the wire — any point a
+// job spec's params can name, validated against the declared schema. A fixed
+// point (each suite member, e.g. "ranging-noise-6db") is a factory with an
+// empty schema: it takes no parameters and always builds the same scenario.
 type Factory struct {
-	// Name addresses the factory from spec.JobSpec.ID. Factory names are
-	// disjoint from library scenario names: "ranging-noise" is the factory,
-	// "ranging-noise-6db" the compiled-in instance.
+	// Name addresses the factory from spec.JobSpec.ID.
 	Name        string
 	Description string
 	// Params declares the accepted parameters: names, types, defaults,
 	// bounds. Validation is strict — unknown or out-of-range params are
-	// rejected by name before Build runs.
+	// rejected by name before Build runs. It is empty for a fixed point.
 	Params params.Schema
 	// Build constructs the scenario for a resolved param map (every declared
 	// parameter present; see params.Schema.Resolve).
@@ -32,9 +30,10 @@ type Factory struct {
 // envEnum is the environment enum in display order.
 var envEnum = acoustics.PresetNames()
 
-// Factories returns the parameterized scenario factories in display order.
+// Factories returns every scenario factory in display order: the
+// parameterized factories, then each suite member as a fixed point.
 func Factories() []Factory {
-	return []Factory{
+	all := []Factory{
 		{
 			Name:        "ranging-noise",
 			Description: "refined ranging of a 15 m grass pair vs a raised ambient noise floor",
@@ -126,6 +125,13 @@ func Factories() []Factory {
 			},
 		},
 	}
+	for _, suite := range Suites() {
+		for _, s := range suite.Scenarios { // a fixed point: no params, one scenario
+			all = append(all, Factory{Name: s.Name, Description: s.Description,
+				Build: func(params.Map) (Scenario, error) { return s, nil }})
+		}
+	}
+	return all
 }
 
 var (
@@ -148,40 +154,22 @@ func FindFactory(name string) (Factory, bool) {
 }
 
 // BuildScenario resolves a scenario name plus params into a runnable
-// scenario — the one entry point the spec layer uses for both factories and
-// library instances. For a factory name it validates p against the schema,
-// fills defaults, and builds; the returned map is the fully-resolved
-// operating point (what cache keys embed). For a library name it returns the
-// compiled-in scenario and a nil map; passing params to a library instance
-// is an error, since those points are already fixed by name.
+// scenario — the one entry point the spec layer uses. It validates p against
+// the factory's schema, fills defaults, and builds; the returned map is the
+// fully-resolved operating point (what cache keys embed), nil for a fixed
+// point.
 func BuildScenario(name string, p params.Map) (Scenario, params.Map, error) {
-	if f, ok := FindFactory(name); ok {
-		resolved, err := f.Params.Resolve(p)
-		if err != nil {
-			return Scenario{}, nil, fmt.Errorf("scenario %q: %w", name, err)
-		}
-		s, err := f.Build(resolved)
-		if err != nil {
-			return Scenario{}, nil, fmt.Errorf("scenario %q: %w", name, err)
-		}
-		return s, resolved, nil
+	f, ok := FindFactory(name)
+	if !ok {
+		return Scenario{}, nil, fmt.Errorf("unknown scenario %q", name)
 	}
-	if s, ok := Find(name); ok {
-		if len(p) > 0 {
-			return Scenario{}, nil, fmt.Errorf(
-				"scenario %q takes no parameters (params: %s); parameterized factories: %s",
-				name, p.Canonical(), strings.Join(factoryNames(), ", "))
-		}
-		return s, nil, nil
+	resolved, err := f.Params.Resolve(p)
+	if err != nil {
+		return Scenario{}, nil, fmt.Errorf("scenario %q: %w", name, err)
 	}
-	return Scenario{}, nil, fmt.Errorf("unknown scenario %q", name)
-}
-
-func factoryNames() []string {
-	all := Factories()
-	names := make([]string, len(all))
-	for i, f := range all {
-		names[i] = f.Name
+	s, err := f.Build(resolved)
+	if err != nil {
+		return Scenario{}, nil, fmt.Errorf("scenario %q: %w", name, err)
 	}
-	return names
+	return s, resolved, nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"resilientloc/internal/acoustics"
 	"resilientloc/internal/engine/params"
 )
 
@@ -24,17 +25,11 @@ func TestFactoriesWellFormed(t *testing.T) {
 			t.Errorf("duplicate factory name %q", f.Name)
 		}
 		seen[f.Name] = true
-		if _, ok := Find(f.Name); ok {
-			t.Errorf("factory %q collides with a library scenario name", f.Name)
-		}
 		if _, ok := FindFactory(f.Name); !ok {
 			t.Errorf("FindFactory(%q) failed", f.Name)
 		}
 		if err := f.Params.SelfCheck(); err != nil {
 			t.Errorf("factory %q schema: %v", f.Name, err)
-		}
-		if len(f.Params) == 0 {
-			t.Errorf("factory %q declares no parameters", f.Name)
 		}
 		// The default operating point must build and validate.
 		s, resolved, err := BuildScenario(f.Name, nil)
@@ -58,7 +53,7 @@ func TestBuildScenarioErrors(t *testing.T) {
 	if _, _, err := BuildScenario("no-such-scenario", nil); err == nil {
 		t.Error("unknown name accepted")
 	}
-	// Library instances are fixed points — params must be rejected by name.
+	// Suite members are fixed points — params must be rejected.
 	_, _, err := BuildScenario("multilat-town", params.Map{"drop": params.Num(3)})
 	if err == nil || !strings.Contains(err.Error(), "takes no parameters") {
 		t.Errorf("library instance with params: got %v", err)
@@ -78,33 +73,68 @@ func TestBuildScenarioErrors(t *testing.T) {
 	}
 }
 
-// TestFactoryPointsMatchLegacyConstructors pins the tentpole's compatibility
-// claim: a param-expressed operating point is byte-identical to the
-// compiled-in constructor it replaces.
+// TestFactoryPointsMatchLegacyConstructors pins every suite member that is
+// also a factory point: the fixed point, the param-expressed factory point
+// and the compiled-in constructor all run byte-identically, so a fixed copy
+// can never drift from its factory. Subtests group the points by factory.
 func TestFactoryPointsMatchLegacyConstructors(t *testing.T) {
+	type point struct {
+		fixed  string
+		p      params.Map
+		legacy Scenario
+	}
 	cases := []struct {
 		factory string
-		p       params.Map
-		legacy  Scenario
+		points  []point
 	}{
-		{"ranging-noise", params.Map{"delta_db": params.Num(6)}, NoiseSweep(6)},
-		{"multilat-dropout", params.Map{"drop": params.Num(6)}, AnchorDropout(6)},
-		{"multilat-grid", nil, LargeGrid(14, 14)},
+		{"ranging-noise", []point{
+			{"ranging-noise-0db", params.Map{"delta_db": params.Num(0)}, NoiseSweep(0)},
+			{"ranging-noise-6db", params.Map{"delta_db": params.Num(6)}, NoiseSweep(6)},
+			{"ranging-noise-12db", params.Map{"delta_db": params.Num(12)}, NoiseSweep(12)},
+		}},
+		{"maxrange", []point{
+			{"maxrange-grass-t2", params.Map{"env": params.Str("grass"), "detect_t": params.Num(2)},
+				MaxRangeScenario(acoustics.Grass(), 2, DefaultMaxRangeDistances(), 40)},
+			{"maxrange-pavement-t2", params.Map{"env": params.Str("pavement"), "detect_t": params.Num(2)},
+				MaxRangeScenario(acoustics.Pavement(), 2, DefaultMaxRangeDistances(), 40)},
+		}},
+		{"multilat-dropout", []point{
+			{"multilat-anchor-dropout-6", params.Map{"drop": params.Num(6)}, AnchorDropout(6)},
+			{"multilat-anchor-dropout-12", params.Map{"drop": params.Num(12)}, AnchorDropout(12)},
+		}},
+		{"multilat-grid", []point{
+			{"multilat-grid-196", params.Map{"rows": params.Num(14), "cols": params.Num(14)}, LargeGrid(14, 14)},
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.factory, func(t *testing.T) {
-			built, _, err := BuildScenario(c.factory, c.p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if built.Name != c.legacy.Name {
-				t.Fatalf("factory built %q, legacy is %q", built.Name, c.legacy.Name)
-			}
-			cfg := Config{Workers: 2, Trials: 4, Seed: 7}
-			a := mustRun(t, cfg, built)
-			b := mustRun(t, cfg, c.legacy)
-			if !sameReport(a, b) {
-				t.Errorf("factory point diverges from legacy constructor %q", c.legacy.Name)
+			for _, pt := range c.points {
+				t.Run(pt.fixed, func(t *testing.T) {
+					fixedPoint, resolved, err := BuildScenario(pt.fixed, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if resolved != nil {
+						t.Errorf("fixed point resolved params %s, want none", resolved.Canonical())
+					}
+					built, _, err := BuildScenario(c.factory, pt.p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, s := range []Scenario{built, pt.legacy} {
+						if s.Name != pt.fixed {
+							t.Fatalf("built %q, want %q", s.Name, pt.fixed)
+						}
+					}
+					cfg := Config{Workers: 2, Trials: 4, Seed: 7}
+					want := mustRun(t, cfg, fixedPoint)
+					if !sameReport(mustRun(t, cfg, built), want) {
+						t.Errorf("factory point %s diverges from the fixed point", pt.p.Canonical())
+					}
+					if !sameReport(mustRun(t, cfg, pt.legacy), want) {
+						t.Error("compiled-in constructor diverges from the fixed point")
+					}
+				})
 			}
 		})
 	}
@@ -161,10 +191,11 @@ func factoryGoldenPath(name string, seed int64) string {
 }
 
 // TestGoldenFactoryWorkloads pins the scenario engine's workloads at seeds 1
-// and 5 across worker counts, exactly like the figure corpus: every library
-// scenario, every factory at its defaults, and a non-default mobility
-// point. The golden bytes are the serial run's JSON report with execution
-// metadata cleared.
+// and 5 across worker counts, exactly like the figure corpus: every factory
+// at its defaults (a fixed point's golden is named after it, a
+// parameterized factory's gets a "-defaults" suffix), and a non-default
+// mobility point. The golden bytes are the serial run's JSON report with
+// execution metadata cleared.
 func TestGoldenFactoryWorkloads(t *testing.T) {
 	type point struct {
 		golden, name string
@@ -179,12 +210,13 @@ func TestGoldenFactoryWorkloads(t *testing.T) {
 		pinned[pt.name] = pt.p == nil
 	}
 	for _, f := range Factories() {
-		if !pinned[f.Name] { // a factory pinned at its defaults above keeps its golden
+		switch {
+		case pinned[f.Name]: // a factory pinned at its defaults above keeps its golden
+		case len(f.Params) == 0:
+			points = append(points, point{f.Name, f.Name, nil})
+		default:
 			points = append(points, point{f.Name + "-defaults", f.Name, nil})
 		}
-	}
-	for _, s := range Library() {
-		points = append(points, point{s.Name, s.Name, nil})
 	}
 	for _, pt := range points {
 		for _, seed := range []int64{1, 5} {

@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -254,18 +255,6 @@ func (p Spec) check(v Value) error {
 	return nil
 }
 
-// Constraint renders the spec's admissible range for listings:
-// "[0, 18]" for numbers, "grass|pavement|..." for enums.
-func (p Spec) Constraint() string {
-	switch p.Kind {
-	case Float, Int:
-		return fmt.Sprintf("[%g, %g]", p.Min, p.Max)
-	case String:
-		return strings.Join(p.Enum, "|")
-	}
-	return ""
-}
-
 // Schema is an ordered list of parameter specs — the declaration order is
 // the display order.
 type Schema []Spec
@@ -315,8 +304,12 @@ func (s Schema) SelfCheck() error {
 // Validate checks a user-supplied map against the schema: unknown names are
 // rejected by name (listing the accepted ones), and every present value must
 // satisfy its spec's type and bounds. Absent parameters are fine — Resolve
-// fills defaults.
+// fills defaults. An empty schema declares a fixed operating point, which
+// takes no parameters at all.
 func (s Schema) Validate(m Map) error {
+	if len(s) == 0 && len(m) > 0 {
+		return fmt.Errorf("params: takes no parameters (given: %s)", strings.Join(m.Names(), ", "))
+	}
 	for _, name := range m.Names() {
 		p, ok := s.Lookup(name)
 		if !ok {
@@ -337,10 +330,14 @@ func (s Schema) Validate(m Map) error {
 // parameter present, defaults filled for the omitted ones. The resolved map
 // — not the sparse user-supplied one — is what cache keys embed, so a spec
 // that spells out a default addresses the same cache entry as one that
-// omits it.
+// omits it. An empty schema resolves to a nil map, so a fixed point's cache
+// key carries no params at all.
 func (s Schema) Resolve(m Map) (Map, error) {
 	if err := s.Validate(m); err != nil {
 		return nil, err
+	}
+	if len(s) == 0 {
+		return nil, nil
 	}
 	out := make(Map, len(s))
 	for _, p := range s {
@@ -351,6 +348,21 @@ func (s Schema) Resolve(m Map) (Map, error) {
 		}
 	}
 	return out, nil
+}
+
+// Fprint writes the schema for -list output, one line per parameter in
+// declaration order, each prefixed by indent: name, kind, default, the
+// admissible range ("[0, 18]" for numbers, "grass|pavement|..." for enums)
+// and help.
+func (s Schema) Fprint(w io.Writer, indent string) {
+	for _, p := range s {
+		constraint := fmt.Sprintf("[%g, %g]", p.Min, p.Max)
+		if p.Kind == String {
+			constraint = strings.Join(p.Enum, "|")
+		}
+		fmt.Fprintf(w, "%s%-16s %-6s default %-10s  %s  %s\n",
+			indent, p.Name, p.Kind, p.Default.String(), constraint, p.Help)
+	}
 }
 
 // ParseArg parses one CLI "name=value" argument. The value is parsed as a

@@ -207,6 +207,23 @@ func TestSchemaResolveFillsDefaults(t *testing.T) {
 	}
 }
 
+// TestEmptySchemaTakesNoParameters: an empty schema is a fixed operating
+// point. It rejects any params by name and resolves to a nil map, so a fixed
+// point's cache key carries no params.
+func TestEmptySchemaTakesNoParameters(t *testing.T) {
+	var s Schema
+	for _, m := range []Map{nil, {}} {
+		got, err := s.Resolve(m)
+		if err != nil || got != nil {
+			t.Errorf("Resolve(%v) = %v, %v; want nil, nil", m, got, err)
+		}
+	}
+	_, err := s.Resolve(Map{"rounds": Num(5), "drop": Num(1)})
+	if err == nil || !strings.Contains(err.Error(), "takes no parameters (given: drop, rounds)") {
+		t.Errorf("params on an empty schema: got %v", err)
+	}
+}
+
 func TestParseArg(t *testing.T) {
 	cases := []struct {
 		in   string

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"resilientloc/internal/acoustics"
 	"resilientloc/internal/core"
@@ -22,35 +21,8 @@ import (
 // the paper's evaluation settings (Sections 3.3, 3.6, 4.4) as engine
 // scenarios; the second opens workloads the paper never ran — anchor
 // dropout, ambient-noise sweeps, large-N grids — which is exactly what the
-// engine exists for.
-
-// Library returns every registered scenario in display order.
-func Library() []Scenario {
-	var all []Scenario
-	for _, suite := range Suites() {
-		all = append(all, suite.Scenarios...)
-	}
-	return all
-}
-
-var (
-	libraryOnce  sync.Once
-	libraryIndex map[string]Scenario
-)
-
-// Find returns the library scenario with the given name via a map-backed
-// index built once per process.
-func Find(name string) (Scenario, bool) {
-	libraryOnce.Do(func() {
-		lib := Library()
-		libraryIndex = make(map[string]Scenario, len(lib))
-		for _, s := range lib {
-			libraryIndex[s.Name] = s
-		}
-	})
-	s, ok := libraryIndex[name]
-	return s, ok
-}
+// engine exists for. Each suite member is registered as a fixed-point
+// factory (see Factories), so its name resolves like any other scenario.
 
 // Suite is a named group of related scenarios, runnable together from
 // cmd/scenarios.
@@ -94,16 +66,6 @@ func Suites() []Suite {
 			},
 		},
 	}
-}
-
-// FindSuite returns the named suite.
-func FindSuite(name string) (Suite, bool) {
-	for _, s := range Suites() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Suite{}, false
 }
 
 // recordSignedErrors reports every directed reading's measured-minus-true

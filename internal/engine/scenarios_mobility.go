@@ -14,7 +14,7 @@ import (
 )
 
 // This file holds the workloads that exist only as parameterized factories —
-// operating points the compiled-in library never reached. They are built via
+// operating points no suite's fixed point reaches. They are built via
 // BuildScenario (see factory.go) from a job spec's params, never registered
 // in Suites(): every instance shares one scenario name and the params on the
 // cache key tell the operating points apart.

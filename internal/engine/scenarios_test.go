@@ -6,45 +6,40 @@ import (
 	"resilientloc/internal/acoustics"
 )
 
+// TestLibraryWellFormed checks every suite member, and that each is
+// registered as a fixed-point factory.
 func TestLibraryWellFormed(t *testing.T) {
 	seen := map[string]bool{}
-	for _, s := range Library() {
-		if err := s.Validate(); err != nil {
-			t.Errorf("scenario %q invalid: %v", s.Name, err)
-		}
-		if s.Description == "" {
-			t.Errorf("scenario %q has no description", s.Name)
-		}
-		if s.Trials <= 0 {
-			t.Errorf("scenario %q has no default trial count", s.Name)
-		}
-		if seen[s.Name] {
-			t.Errorf("duplicate scenario name %q", s.Name)
-		}
-		seen[s.Name] = true
-		if _, ok := Find(s.Name); !ok {
-			t.Errorf("Find(%q) failed", s.Name)
+	for _, suite := range Suites() {
+		for _, s := range suite.Scenarios {
+			if err := s.Validate(); err != nil {
+				t.Errorf("scenario %q invalid: %v", s.Name, err)
+			}
+			if s.Description == "" {
+				t.Errorf("scenario %q has no description", s.Name)
+			}
+			if s.Trials <= 0 {
+				t.Errorf("scenario %q has no default trial count", s.Name)
+			}
+			if seen[s.Name] {
+				t.Errorf("duplicate scenario name %q", s.Name)
+			}
+			seen[s.Name] = true
+			if f, ok := FindFactory(s.Name); !ok || len(f.Params) != 0 {
+				t.Errorf("suite member %q is not registered as a fixed point", s.Name)
+			}
 		}
 	}
-	if _, ok := Find("nope"); ok {
-		t.Error("Find accepted unknown scenario")
-	}
-	if len(Library()) < 10 {
-		t.Errorf("library has only %d scenarios", len(Library()))
+	if len(seen) < 10 {
+		t.Errorf("library has only %d scenarios", len(seen))
 	}
 }
 
 func TestSuitesWellFormed(t *testing.T) {
 	for _, suite := range Suites() {
-		if suite.Name == "" || len(suite.Scenarios) == 0 {
+		if suite.Name == "" || suite.Description == "" || len(suite.Scenarios) == 0 {
 			t.Errorf("malformed suite %+v", suite.Name)
 		}
-		if _, ok := FindSuite(suite.Name); !ok {
-			t.Errorf("FindSuite(%q) failed", suite.Name)
-		}
-	}
-	if _, ok := FindSuite("nope"); ok {
-		t.Error("FindSuite accepted unknown suite")
 	}
 }
 

@@ -105,11 +105,12 @@ func wrapCampaign[R any](c engine.Campaign[R], wrap func(R) *Value) engine.Campa
 }
 
 // Resolve validates the spec and maps it onto its registry:
-// experiments.Find for figures, engine.BuildScenario for scenarios (which
-// covers both the compiled-in library and the parameterized factories). The
-// returned job carries the effective trial/shard parameters and the
-// resolved operating point, so callers can size, order, and cache-key the
-// work before running any of it.
+// experiments.Find for figures, engine.BuildScenario for scenarios (every
+// scenario is a factory; a fixed point's schema is empty). The spec's params
+// are resolved against the job's params.Schema, which rejects any params
+// given to a parameter-free job. The returned job carries the effective
+// trial/shard parameters and the resolved operating point, so callers can
+// size, order, and cache-key the work before running any of it.
 func Resolve(s JobSpec) (Resolved, error) {
 	if err := s.Validate(); err != nil {
 		return Resolved{}, err
@@ -126,30 +127,23 @@ func Resolve(s JobSpec) (Resolved, error) {
 	}
 	var campaign engine.Campaign[*Value]
 	var resolvedParams params.Map
+	var err error
 	switch s.Kind {
 	case KindFigure:
 		e, ok := experiments.Find(s.ID)
 		if !ok {
 			return Resolved{}, fmt.Errorf("spec: unknown figure job %q", s.ID)
 		}
-		if len(e.Params) > 0 {
-			p, err := e.Params.Resolve(s.Params)
-			if err != nil {
-				return Resolved{}, fmt.Errorf("spec: figure %q: %w", s.ID, err)
-			}
-			resolvedParams = p
-		} else if len(s.Params) > 0 {
-			return Resolved{}, fmt.Errorf("spec: figure %q takes no parameters (params: %s)",
-				s.ID, s.Params.Canonical())
+		if resolvedParams, err = e.Params.Resolve(s.Params); err != nil {
+			return Resolved{}, fmt.Errorf("spec: figure %q: %w", s.ID, err)
 		}
 		c := e.Campaign(s.Seed, resolvedParams)
 		campaign = wrapCampaign(c, func(r *experiments.Result) *Value { return &Value{Figure: r} })
 	case KindScenario:
-		sc, p, err := engine.BuildScenario(s.ID, s.Params)
-		if err != nil {
+		var sc engine.Scenario
+		if sc, resolvedParams, err = engine.BuildScenario(s.ID, s.Params); err != nil {
 			return Resolved{}, fmt.Errorf("spec: %w", err)
 		}
-		resolvedParams = p
 		campaign = wrapCampaign(engine.ReportCampaign(sc), func(r *engine.Report) *Value { return &Value{Report: r} })
 	}
 	// The geometry the engine will run: spec overrides, campaign pins on top.

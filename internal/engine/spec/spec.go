@@ -1,9 +1,9 @@
 // Package spec is the declarative, wire-addressable job surface of the
 // engine: a JobSpec is a JSON-serializable description of one campaign
-// execution — which experiment or library scenario, at which seed, with
+// execution — which experiment or scenario, at which seed, with
 // which trial/shard overrides — that can be validated, canonically encoded,
 // content-addressed, and resolved onto the in-process registries
-// (internal/experiments and the engine scenario library).
+// (internal/experiments and the engine's scenario factories).
 //
 // Everything that executes campaigns goes through specs: both CLIs compile
 // their flags into specs (and accept ready-made spec files via -spec), and
@@ -32,7 +32,7 @@ import (
 const (
 	// KindFigure runs a paper-figure reproduction from internal/experiments.
 	KindFigure = "figure"
-	// KindScenario runs a library scenario from the engine scenario library.
+	// KindScenario runs a scenario built by an engine scenario factory.
 	KindScenario = "scenario"
 )
 
@@ -56,7 +56,7 @@ type JobSpec struct {
 	// Kind selects the registry: KindFigure or KindScenario.
 	Kind string `json:"kind"`
 	// ID names the job within its registry: an experiment ID ("fig06",
-	// "maxrange") or a library scenario name ("multilat-town").
+	// "maxrange") or a scenario factory name ("multilat-town").
 	ID string `json:"id"`
 	// Seed is the base seed; results are deterministic per seed.
 	Seed int64 `json:"seed"`

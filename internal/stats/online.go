@@ -87,13 +87,16 @@ const DefaultSketchAlpha = 0.01
 // any quantile is recovered to within a factor of (1+alpha)/(1-alpha) of the
 // true value using O(log range) memory. Bucket counts are integers, so Merge
 // is exact and order-independent — combined with Online this gives the
-// scenario engine deterministic parallel aggregation.
+// scenario engine deterministic parallel aggregation. Infinite samples have
+// no log bucket; they are counted apart and rank below or above every
+// finite one.
 type QuantileSketch struct {
-	gamma    float64
-	logGamma float64
-	pos, neg map[int]int64 // bucket index -> count, keyed on |v|
-	zero     int64
-	count    int64
+	gamma          float64
+	logGamma       float64
+	pos, neg       map[int]int64 // bucket index -> count, keyed on |v|
+	zero           int64
+	posInf, negInf int64
+	count          int64
 }
 
 // NewQuantileSketch returns a sketch with relative accuracy alpha in (0, 1).
@@ -110,7 +113,7 @@ func NewQuantileSketch(alpha float64) (*QuantileSketch, error) {
 	}, nil
 }
 
-// bucket returns the bucket index for a strictly positive magnitude.
+// bucket returns the bucket index for a strictly positive finite magnitude.
 func (q *QuantileSketch) bucket(v float64) int {
 	return int(math.Ceil(math.Log(v) / q.logGamma))
 }
@@ -127,6 +130,10 @@ func (q *QuantileSketch) Add(v float64) {
 	switch {
 	case math.IsNaN(v):
 		return
+	case math.IsInf(v, 1):
+		q.posInf++
+	case math.IsInf(v, -1):
+		q.negInf++
 	case v == 0:
 		q.zero++
 	case v > 0:
@@ -140,10 +147,14 @@ func (q *QuantileSketch) Add(v float64) {
 // Count returns the number of samples folded in.
 func (q *QuantileSketch) Count() int64 { return q.count }
 
-// Merge folds sketch b into q. Both must share the same alpha.
+// Merge folds sketch b into q. Both must share the same alpha, and the
+// merged sample count must fit an int64; on error q is unchanged.
 func (q *QuantileSketch) Merge(b *QuantileSketch) error {
 	if b.gamma != q.gamma {
 		return errors.New("stats: QuantileSketch.Merge: mismatched accuracy")
+	}
+	if b.count > math.MaxInt64-q.count {
+		return errors.New("stats: QuantileSketch.Merge: sample count overflows int64")
 	}
 	for i, c := range b.pos {
 		q.pos[i] += c
@@ -152,6 +163,8 @@ func (q *QuantileSketch) Merge(b *QuantileSketch) error {
 		q.neg[i] += c
 	}
 	q.zero += b.zero
+	q.posInf += b.posInf
+	q.negInf += b.negInf
 	q.count += b.count
 	return nil
 }
@@ -162,13 +175,22 @@ func (q *QuantileSketch) Quantile(p float64) (float64, error) {
 	if q.count == 0 {
 		return 0, ErrEmpty
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return 0, errors.New("stats: QuantileSketch.Quantile: p out of [0,1]")
 	}
-	rank := int64(p * float64(q.count-1))
-	var cum int64
+	// float64(count-1) can round up past the largest int64, so clamp to the
+	// top rank rather than convert an out-of-range float.
+	rank := q.count - 1
+	if r := p * float64(rank); r < float64(rank) {
+		rank = int64(r)
+	}
+	cum := q.negInf
+	if cum > rank {
+		return math.Inf(-1), nil
+	}
 	// Walk buckets in ascending value order: negatives (descending index =
-	// ascending value), the zero bucket, then positives (ascending index).
+	// ascending value), the zero bucket, positives (ascending index), then
+	// +Inf.
 	for _, i := range sortedKeys(q.neg, true) {
 		cum += q.neg[i]
 		if cum > rank {
@@ -184,6 +206,9 @@ func (q *QuantileSketch) Quantile(p float64) (float64, error) {
 		if cum > rank {
 			return q.value(i), nil
 		}
+	}
+	if cum+q.posInf > rank {
+		return math.Inf(1), nil
 	}
 	// Unreachable: cumulative counts sum to q.count > rank.
 	return 0, errors.New("stats: QuantileSketch.Quantile: internal rank overflow")

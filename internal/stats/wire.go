@@ -131,16 +131,18 @@ func (o *Online) UnmarshalJSON(b []byte) error {
 // sketch state is deterministic. logGamma is derived, not stored: it is
 // recomputed from the exact gamma on decode.
 type sketchWire struct {
-	Gamma F64           `json:"gamma"`
-	Pos   map[int]int64 `json:"pos,omitempty"`
-	Neg   map[int]int64 `json:"neg,omitempty"`
-	Zero  int64         `json:"zero,omitempty"`
-	Count int64         `json:"count"`
+	Gamma  F64           `json:"gamma"`
+	Pos    map[int]int64 `json:"pos,omitempty"`
+	Neg    map[int]int64 `json:"neg,omitempty"`
+	Zero   int64         `json:"zero,omitempty"`
+	PosInf int64         `json:"pos_inf,omitempty"`
+	NegInf int64         `json:"neg_inf,omitempty"`
+	Count  int64         `json:"count"`
 }
 
 // MarshalJSON encodes the sketch's exact bucket state.
 func (q QuantileSketch) MarshalJSON() ([]byte, error) {
-	w := sketchWire{Gamma: F64(q.gamma), Zero: q.zero, Count: q.count}
+	w := sketchWire{Gamma: F64(q.gamma), Zero: q.zero, PosInf: q.posInf, NegInf: q.negInf, Count: q.count}
 	if len(q.pos) > 0 {
 		w.Pos = q.pos
 	}
@@ -162,13 +164,19 @@ func (q *QuantileSketch) UnmarshalJSON(b []byte) error {
 	if !(gamma > 1) || math.IsInf(gamma, 1) {
 		return fmt.Errorf("stats: QuantileSketch: invalid gamma %g", gamma)
 	}
-	if w.Count < 0 || w.Zero < 0 {
+	if w.Count < 0 || w.Zero < 0 || w.PosInf < 0 || w.NegInf < 0 {
 		return errors.New("stats: QuantileSketch: negative count")
 	}
 	// Add and Merge only ever raise a bucket above zero, and count is always
-	// zero plus every bucket: refuse any other state, so Quantile's rank walk
-	// always ends inside the buckets.
+	// zero plus the infinities plus every bucket: refuse any other state, so
+	// Quantile's rank walk always ends inside the buckets.
 	held := w.Zero
+	for _, c := range []int64{w.PosInf, w.NegInf} {
+		if held > math.MaxInt64-c {
+			return errors.New("stats: QuantileSketch: bucket counts overflow int64")
+		}
+		held += c
+	}
 	for _, buckets := range []map[int]int64{w.Neg, w.Pos} {
 		for i, c := range buckets {
 			if c <= 0 {
@@ -194,6 +202,8 @@ func (q *QuantileSketch) UnmarshalJSON(b []byte) error {
 		q.neg = make(map[int]int64)
 	}
 	q.zero = w.Zero
+	q.posInf = w.PosInf
+	q.negInf = w.NegInf
 	q.count = w.Count
 	return nil
 }

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -164,6 +166,9 @@ func TestSketchWireRejectsForgedState(t *testing.T) {
 		{"count above buckets", `{"gamma":1.02,"pos":{"3":2},"zero":1,"count":4}`, "count 4 differs from the 3 samples"},
 		{"count below buckets", `{"gamma":1.02,"pos":{"3":2},"neg":{"1":2},"count":3}`, "count 3 differs from the 4 samples"},
 		{"overflowing buckets", `{"gamma":1.02,"pos":{"3":9223372036854775807},"zero":1,"count":9223372036854775807}`, "overflow"},
+		{"negative infinity count", `{"gamma":1.02,"pos_inf":-1,"count":0}`, "negative count"},
+		{"count below infinities", `{"gamma":1.02,"pos_inf":2,"neg_inf":1,"count":2}`, "count 2 differs from the 3 samples"},
+		{"overflowing infinities", `{"gamma":1.02,"pos_inf":9223372036854775807,"zero":1,"count":9223372036854775807}`, "overflow"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var q QuantileSketch
@@ -179,10 +184,186 @@ func TestSketchWireRejectsForgedState(t *testing.T) {
 		`{"gamma":1.02,"count":0}`,
 		`{"gamma":1.02,"zero":2,"count":2}`,
 		`{"gamma":1.02,"pos":{"3":2},"neg":{"1":1},"zero":1,"count":4}`,
+		`{"gamma":1.02,"pos":{"3":2},"pos_inf":1,"neg_inf":2,"count":5}`,
 	} {
 		var q QuantileSketch
 		if err := json.Unmarshal([]byte(in), &q); err != nil {
 			t.Errorf("decode %s: %v", in, err)
 		}
 	}
+}
+
+// TestSketchInfinities: ±Inf samples are counted apart from the log buckets,
+// so Quantile(0) and Quantile(1) report them and they survive the wire and
+// Merge. Filed under int(math.Ceil(±Inf)), which Go leaves to the platform,
+// they once sat in the extreme finite buckets: Quantile(1) read 0.99 and
+// Quantile(0) -0.
+func TestSketchInfinities(t *testing.T) {
+	q, err := NewQuantileSketch(DefaultSketchAlpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{1, math.Inf(1), math.Inf(-1)} {
+		q.Add(v)
+	}
+	check := func(label string, q *QuantileSketch, count int64) {
+		t.Helper()
+		if q.Count() != count {
+			t.Errorf("%s: count %d, want %d", label, q.Count(), count)
+		}
+		if hi, err := q.Quantile(1); err != nil || !math.IsInf(hi, 1) {
+			t.Errorf("%s: Quantile(1) = %v (%v), want +Inf", label, hi, err)
+		}
+		if lo, err := q.Quantile(0); err != nil || !math.IsInf(lo, -1) {
+			t.Errorf("%s: Quantile(0) = %v (%v), want -Inf", label, lo, err)
+		}
+		if mid, err := q.Quantile(0.5); err != nil || math.Abs(mid-1) > 0.02 {
+			t.Errorf("%s: Quantile(0.5) = %v (%v), want ≈ 1", label, mid, err)
+		}
+	}
+	check("added", q, 3)
+
+	b, err := json.Marshal(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"pos":{"0":1},"pos_inf":1,"neg_inf":1,"count":3}`) || strings.Contains(string(b), `"neg":`) {
+		t.Errorf("encoding %s, want the finite sample in bucket 0 and the infinities counted apart", b)
+	}
+	var back QuantileSketch
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	check("decoded", &back, 3)
+	if err := back.Merge(q); err != nil {
+		t.Fatal(err)
+	}
+	check("merged", &back, 6)
+}
+
+// TestSketchMergeOverflow: a merge whose sample count would overflow int64
+// is refused and leaves the receiver unchanged; the top quantile of a sketch
+// near that limit is the top sample, not a platform-defined conversion of a
+// rank past the largest int64.
+func TestSketchMergeOverflow(t *testing.T) {
+	var big, one QuantileSketch
+	if err := json.Unmarshal([]byte(`{"gamma":1.02,"pos":{"3":9223372036854775806},"zero":1,"count":9223372036854775807}`), &big); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(`{"gamma":1.02,"zero":1,"count":1}`), &one); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := json.Marshal(big)
+	if err := big.Merge(&one); err == nil || !strings.Contains(err.Error(), "overflows int64") {
+		t.Errorf("overflowing merge: err %v", err)
+	}
+	if after, _ := json.Marshal(big); string(after) != string(before) {
+		t.Errorf("refused merge changed the sketch: %s -> %s", before, after)
+	}
+	hi, err := big.Quantile(1)
+	if want := 2 * math.Pow(1.02, 3) / 2.02; err != nil || hi != want {
+		t.Errorf("Quantile(1) = %v (%v), want %v", hi, err, want)
+	}
+	if lo, err := big.Quantile(0); err != nil || lo != 0 {
+		t.Errorf("Quantile(0) = %v (%v), want 0", lo, err)
+	}
+}
+
+// sketchInvariant checks, independently of the decoder, the state Add and
+// Merge keep: positive bucket counts, non-negative zero and infinity counts,
+// and a count that is their sum.
+func sketchInvariant(q *QuantileSketch) error {
+	if q.zero < 0 || q.posInf < 0 || q.negInf < 0 {
+		return fmt.Errorf("negative count")
+	}
+	held := q.zero + q.posInf + q.negInf
+	for _, buckets := range []map[int]int64{q.pos, q.neg} {
+		for i, c := range buckets {
+			if c <= 0 {
+				return fmt.Errorf("bucket %d holds %d", i, c)
+			}
+			held += c
+		}
+	}
+	if held != q.count {
+		return fmt.Errorf("count %d, buckets hold %d", q.count, held)
+	}
+	return nil
+}
+
+// FuzzQuantileSketchJSON decodes two sketches, merges the second into the
+// first and asks for a quantile. Every step must give an error naming the
+// sketch or an answer that meets the decoder's invariants — decoded and
+// merged states whose count is their buckets' sum, a merged state that
+// re-encodes to bytes the decoder accepts, and a quantile inside
+// [Quantile(0), Quantile(1)] — and never panic. The seed corpus lives in
+// testdata/fuzz/FuzzQuantileSketchJSON.
+func FuzzQuantileSketchJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, a, b []byte, p float64) {
+		var qa, qb QuantileSketch
+		for _, in := range []struct {
+			data []byte
+			q    *QuantileSketch
+		}{{a, &qa}, {b, &qb}} {
+			if err := json.Unmarshal(in.data, in.q); err != nil {
+				var syntax *json.SyntaxError
+				if !errors.As(err, &syntax) && !strings.HasPrefix(err.Error(), "stats: QuantileSketch") {
+					t.Fatalf("decode %q: unnamed error %v", in.data, err)
+				}
+				return
+			}
+			if err := sketchInvariant(in.q); err != nil {
+				t.Fatalf("decoded %q breaks the sketch invariant: %v", in.data, err)
+			}
+		}
+		before, err := json.Marshal(qa)
+		if err != nil {
+			t.Fatalf("decoded sketch does not encode: %v", err)
+		}
+		want := qa.Count() + qb.Count()
+		if err := qa.Merge(&qb); err != nil {
+			if !strings.HasPrefix(err.Error(), "stats: QuantileSketch.Merge") {
+				t.Fatalf("merge: unnamed error %v", err)
+			}
+			if after, _ := json.Marshal(qa); string(after) != string(before) {
+				t.Fatalf("refused merge changed the sketch: %s -> %s", before, after)
+			}
+			return
+		}
+		if qa.Count() != want {
+			t.Fatalf("merged count %d, want %d", qa.Count(), want)
+		}
+		if err := sketchInvariant(&qa); err != nil {
+			t.Fatalf("merge broke the sketch invariant: %v", err)
+		}
+		merged, err := json.Marshal(qa)
+		if err != nil {
+			t.Fatalf("merged sketch does not encode: %v", err)
+		}
+		var back QuantileSketch
+		if err := json.Unmarshal(merged, &back); err != nil {
+			t.Fatalf("merged state %s breaks the decoder's invariants: %v", merged, err)
+		}
+
+		v, err := qa.Quantile(p)
+		switch {
+		case qa.Count() == 0:
+			if !errors.Is(err, ErrEmpty) {
+				t.Fatalf("empty sketch Quantile(%v) = %v, %v; want ErrEmpty", p, v, err)
+			}
+			return
+		case !(p >= 0 && p <= 1):
+			if err == nil || !strings.HasPrefix(err.Error(), "stats: QuantileSketch.Quantile") {
+				t.Fatalf("Quantile(%v) = %v, %v; want a p-range error", p, v, err)
+			}
+			return
+		case err != nil:
+			t.Fatalf("Quantile(%v) of %s: %v", p, merged, err)
+		}
+		lo, err1 := qa.Quantile(0)
+		hi, err2 := qa.Quantile(1)
+		if err1 != nil || err2 != nil || math.IsNaN(v) || v < lo || v > hi {
+			t.Fatalf("Quantile(%v) = %v outside [%v, %v] (%v, %v) for %s", p, v, lo, hi, err1, err2, merged)
+		}
+	})
 }
